@@ -178,11 +178,9 @@ RowResult run_row(const Adversity& row, TransportKind kind,
   engine.run();
 
   result.completed = rtts_us.size();
-  std::sort(rtts_us.begin(), rtts_us.end());
-  if (!rtts_us.empty()) {
-    result.p50_us = rtts_us[rtts_us.size() / 2];
-    result.p99_us = rtts_us[std::size_t(double(rtts_us.size() - 1) * 0.99)];
-  }
+  const Percentiles rtt = exact_percentiles(std::move(rtts_us));
+  result.p50_us = rtt.p50;
+  result.p99_us = rtt.p99;
   const double bits = double(result.completed) *
                       double(request_bytes + response_bytes) * 8.0;
   result.goodput_gbps =
@@ -365,11 +363,9 @@ CoreResult run_core_row(const CoreRow& core, TransportKind kind,
     rtts_us.insert(rtts_us.end(), c.rtts_us.begin(), c.rtts_us.end());
     last_completion = std::max(last_completion, c.last_completion);
   }
-  std::sort(rtts_us.begin(), rtts_us.end());
-  if (!rtts_us.empty()) {
-    result.row.p50_us = rtts_us[rtts_us.size() / 2];
-    result.row.p99_us = rtts_us[std::size_t(double(rtts_us.size() - 1) * 0.99)];
-  }
+  const Percentiles rtt = exact_percentiles(std::move(rtts_us));
+  result.row.p50_us = rtt.p50;
+  result.row.p99_us = rtt.p99;
   const double bits = double(result.row.completed) *
                       double(request_bytes + response_bytes) * 8.0;
   result.row.goodput_gbps =

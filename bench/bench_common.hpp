@@ -125,6 +125,20 @@ inline std::size_t iters(std::size_t full, std::size_t floor = 100) {
   return std::min(full, std::max(floor, full / 50));
 }
 
+/// Exact latency percentiles of one run's samples.
+struct Percentiles {
+  double p50 = 0;
+  double p99 = 0;
+};
+
+/// Sorts the samples and indexes v[n/2] and v[(n-1)*0.99] — the exact
+/// formulas behind the committed baseline_smoke_* rows. {0, 0} if empty.
+inline Percentiles exact_percentiles(std::vector<double> v) {
+  if (v.empty()) return {};
+  std::sort(v.begin(), v.end());
+  return {v[v.size() / 2], v[std::size_t(double(v.size() - 1) * 0.99)]};
+}
+
 using apps::RpcChannel;
 using apps::RpcFabric;
 using apps::RpcFabricConfig;

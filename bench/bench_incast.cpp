@@ -139,11 +139,9 @@ IncastResult run_incast(const stack::ScenarioConfig& scenario,
     rtts_us.insert(rtts_us.end(), c.rtts_us.begin(), c.rtts_us.end());
     last_completion = std::max(last_completion, c.last_completion);
   }
-  std::sort(rtts_us.begin(), rtts_us.end());
-  if (!rtts_us.empty()) {
-    result.p50_us = rtts_us[rtts_us.size() / 2];
-    result.p99_us = rtts_us[std::size_t(double(rtts_us.size() - 1) * 0.99)];
-  }
+  const Percentiles rtt = exact_percentiles(std::move(rtts_us));
+  result.p50_us = rtt.p50;
+  result.p99_us = rtt.p99;
   // Goodput INTO the server: request payload delivered over the run.
   const double bits = double(result.completed) * double(request_bytes) * 8.0;
   result.goodput_gbps = last_completion > 0 ? bits / double(last_completion) : 0;

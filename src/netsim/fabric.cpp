@@ -7,7 +7,7 @@
 namespace smt::sim {
 
 // Per-switch ECMP seeds derive via smt::mix_seed (common/rng.hpp) — the same
-// stream-decorrelation step LinkDirection uses for its loss/fault RNGs.
+// stream-decorrelation step LinkDirection and FaultState use for their RNGs.
 
 Status FabricSpec::validate() const {
   if (racks == 0) return make_error(Errc::invalid_argument, "fabric: racks must be >= 1");
@@ -45,40 +45,8 @@ Status FabricSpec::validate() const {
     return make_error(Errc::invalid_argument,
                       "fabric: oversubscription must be >= 0");
   }
-  if (switch_config.port_bandwidth_gbps <= 0.0 ||
-      switch_config.queue_capacity_bytes == 0) {
-    return make_error(Errc::invalid_argument,
-                      "fabric: switch port bandwidth and queue capacity "
-                      "must be positive");
-  }
-  if (switch_config.health_dark_threshold > 0 &&
-      switch_config.health_probe_interval <= 0) {
-    return make_error(Errc::invalid_argument,
-                      "fabric: health_probe_interval must be positive when "
-                      "health_dark_threshold is set");
-  }
-  const FaultProfile& f = fabric_fault;
-  for (const double p : {f.p_good_to_bad, f.p_bad_to_good, f.good_loss_rate,
-                         f.bad_loss_rate, f.corrupt_rate, f.reorder_rate}) {
-    if (p < 0.0 || p > 1.0) {
-      return make_error(Errc::invalid_argument,
-                        "fabric: fabric_fault probabilities must be in [0, 1]");
-    }
-  }
-  if (f.reorder_jitter < 0 || f.flap_period < 0 || f.flap_down < 0 ||
-      f.flap_offset < 0) {
-    return make_error(Errc::invalid_argument,
-                      "fabric: fabric_fault durations must be >= 0");
-  }
-  if (f.flap_down > 0 && f.flap_period == 0) {
-    return make_error(Errc::invalid_argument,
-                      "fabric: fabric_fault flap_down requires flap_period");
-  }
-  if (f.flap_period > 0 && f.flap_down >= f.flap_period) {
-    return make_error(Errc::invalid_argument,
-                      "fabric: fabric_fault flap_down must be < flap_period");
-  }
-  return Status::success();
+  if (Status st = sim::validate(switch_config); !st.ok()) return st;
+  return sim::validate(fabric_fault, "fabric: fabric_fault");
 }
 
 Result<std::unique_ptr<Fabric>> Fabric::create(EventLoop& loop,
@@ -258,6 +226,7 @@ Switch::Stats Fabric::totals() const {
       total.trimmed += sw->stats().trimmed;
       total.dropped += sw->stats().dropped;
       total.fault_dropped += sw->stats().fault_dropped;
+      total.corrupted += sw->stats().corrupted;
       total.dark_transitions += sw->stats().dark_transitions;
       total.resteered_flows += sw->stats().resteered_flows;
       total.dropped_dark += sw->stats().dropped_dark;

@@ -29,7 +29,7 @@
 
 #include "common/result.hpp"
 #include "common/time.hpp"
-#include "netsim/link.hpp"
+#include "netsim/fault.hpp"
 #include "netsim/shard.hpp"
 #include "netsim/switch.hpp"
 

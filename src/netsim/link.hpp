@@ -11,66 +11,10 @@
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "netsim/event.hpp"
+#include "netsim/fault.hpp"
 #include "netsim/packet.hpp"
 
 namespace smt::sim {
-
-/// Deterministic link impairments beyond the uniform `loss_rate`. All state
-/// evolves from `seed` (mixed with the direction's stream index) and virtual
-/// time only, so every fault pattern replays byte-identically per shard
-/// count. Fields default to "off"; `enabled()` gates the per-packet work.
-struct FaultProfile {
-  // Gilbert–Elliott burst loss: a two-state Markov chain stepped once per
-  // packet. Loss is drawn in the CURRENT state, then the transition — so a
-  // burst begins with the packet AFTER the good→bad flip.
-  double p_good_to_bad = 0.0;  // per-packet transition probability
-  double p_bad_to_good = 1.0;  // per-packet transition probability
-  double good_loss_rate = 0.0;
-  double bad_loss_rate = 0.0;
-
-  // Corruption: deliver-but-flag. The packet arrives with hdr.corrupted set
-  // and is discarded at transport ingress — modelling a frame whose GCM tag
-  // or checksum check fails AFTER spending wire and NIC resources.
-  double corrupt_rate = 0.0;
-
-  // Bounded reorder/jitter: with probability reorder_rate a packet's
-  // arrival is delayed by an extra uniform (0, reorder_jitter], letting
-  // later packets overtake it. Jitter only ever ADDS delay, so the
-  // cross-shard lookahead contract (arrival >= now + propagation) holds.
-  double reorder_rate = 0.0;
-  SimDuration reorder_jitter = 0;
-
-  // Scheduled flaps: the link is DOWN during
-  //   [flap_offset + k*flap_period, flap_offset + k*flap_period + flap_down)
-  // for k = 0, 1, ... — a pure function of virtual time, no RNG. Every
-  // packet sent while down is dropped, and the serialisation cursor resets
-  // at the up transition (queued occupancy does not survive an outage).
-  SimDuration flap_period = 0;  // 0 => no flaps
-  SimDuration flap_down = 0;
-  SimDuration flap_offset = 0;
-
-  std::uint64_t seed = 1;  // fault-RNG stream (decorrelated per direction)
-
-  bool ge_enabled() const noexcept {
-    return good_loss_rate > 0.0 || bad_loss_rate > 0.0;
-  }
-  bool flaps_enabled() const noexcept {
-    return flap_period > 0 && flap_down > 0;
-  }
-  bool enabled() const noexcept {
-    return ge_enabled() || corrupt_rate > 0.0 ||
-           (reorder_rate > 0.0 && reorder_jitter > 0) || flaps_enabled();
-  }
-};
-
-/// Whether the profile's flap schedule has the wire DOWN at `now` — pure
-/// phase arithmetic over virtual time, no RNG. Shared by LinkDirection
-/// (edge links) and Switch egress ports (fabric-core links), and by the
-/// switch health probe, which re-checks this instead of drawing randomness.
-inline bool fault_flap_down_at(const FaultProfile& f, SimTime now) noexcept {
-  if (!f.flaps_enabled() || now < f.flap_offset) return false;
-  return (now - f.flap_offset) % f.flap_period < f.flap_down;
-}
 
 struct LinkConfig {
   double bandwidth_gbps = 100.0;
@@ -83,7 +27,7 @@ struct LinkConfig {
 /// One direction of a link. Serialisation delay is modelled with a
 /// next-free-time cursor; propagation is added on top.
 ///
-/// RNG streams: the loss RNG and the fault RNG each seed from
+/// RNG streams: the loss RNG and the FaultState's fault RNG each seed from
 /// mix_seed(seed, stream) where `stream` is the direction index (Link uses
 /// 0 for a2b, 1 for b2a; fabric uplinks use the host index), so the two
 /// directions of a Link — built from one LinkConfig — never draw the same
@@ -93,8 +37,9 @@ struct LinkConfig {
 /// including ones killed by the flap window, the drop predicate, uniform
 /// loss, or burst loss — a dropped packet still occupied the wire, so loss
 /// can never inflate measured link capacity. Checks run in a fixed order
-/// (flap, predicate, uniform loss, burst loss, corruption, jitter) and each
-/// drop increments exactly one of the split counters below.
+/// (flap, predicate, uniform loss, then FaultState::impair's burst loss,
+/// corruption, jitter) and each drop increments exactly one of the split
+/// counters below.
 class LinkDirection {
  public:
   LinkDirection(EventLoop& loop, const LinkConfig& config,
@@ -102,8 +47,7 @@ class LinkDirection {
       : loop_(loop),
         config_(config),
         rng_(mix_seed(config.loss_seed, stream)),
-        fault_rng_(mix_seed(config.fault.seed, stream)),
-        fault_active_(config.fault.enabled()) {}
+        fault_(config.fault, stream) {}
 
   void set_receiver(PacketHandler handler) { receiver_ = std::move(handler); }
 
@@ -135,22 +79,14 @@ class LinkDirection {
     const auto serialization =
         SimDuration(bits / config_.bandwidth_gbps);  // ns at N Gb/s
 
-    if (config_.fault.flaps_enabled()) {
-      const bool down = flap_down_at(now);
-      if (!down && was_down_) next_free_ = now;  // outage voids the queue
-      was_down_ = down;
-      if (down) {
-        // The wire is dead: charge the slot (contract above) and drop.
-        next_free_ = std::max(now, next_free_) + serialization;
-        ++packets_sent_;
-        ++dropped_by_fault_;
-        return;
-      }
-    }
-
-    const SimTime start = std::max(now, next_free_);
-    next_free_ = start + serialization;
+    // A flap kill still charges the slot (contract above).
+    const bool down = fault_.flap(now, next_free_);
+    next_free_ = std::max(now, next_free_) + serialization;
     ++packets_sent_;
+    if (down) {
+      ++dropped_by_fault_;
+      return;
+    }
 
     if (drop_predicate_ && drop_predicate_(packet)) {
       ++dropped_by_predicate_;
@@ -161,13 +97,14 @@ class LinkDirection {
       return;
     }
 
-    SimDuration jitter = 0;
-    if (fault_active_ && !apply_faults(packet, jitter)) {
+    const FaultState::Impairment fault = fault_.impair(packet);
+    if (fault.killed) {
       ++dropped_by_fault_;
       return;
     }
+    if (fault.corrupted) ++packets_corrupted_;
 
-    const SimTime arrival = next_free_ + config_.propagation + jitter;
+    const SimTime arrival = next_free_ + config_.propagation + fault.jitter;
     auto deliver = [this, pkt = std::move(packet)]() mutable {
       if (receiver_) receiver_(std::move(pkt));
     };
@@ -179,11 +116,6 @@ class LinkDirection {
   }
 
   std::uint64_t packets_sent() const noexcept { return packets_sent_; }
-  /// Total drops from all causes (source-compatible sum of the split
-  /// counters — Switch per-port stats and older tests read this).
-  std::uint64_t packets_dropped() const noexcept {
-    return dropped_by_predicate_ + dropped_by_loss_ + dropped_by_fault_;
-  }
   std::uint64_t dropped_by_predicate() const noexcept {
     return dropped_by_predicate_;
   }
@@ -197,52 +129,14 @@ class LinkDirection {
   }
 
  private:
-  bool flap_down_at(SimTime now) const noexcept {
-    return fault_flap_down_at(config_.fault, now);
-  }
-
-  /// Burst loss, corruption, and jitter for packets that survived the
-  /// uniform checks. Returns false if burst loss kills the packet. Draw
-  /// order per packet is fixed: GE loss in the current state, GE
-  /// transition, corruption, jitter.
-  bool apply_faults(Packet& packet, SimDuration& jitter) {
-    const FaultProfile& f = config_.fault;
-    if (f.ge_enabled()) {
-      const double rate = ge_bad_ ? f.bad_loss_rate : f.good_loss_rate;
-      const bool killed = rate > 0.0 && fault_rng_.chance(rate);
-      if (ge_bad_) {
-        if (f.p_bad_to_good > 0.0 && fault_rng_.chance(f.p_bad_to_good)) {
-          ge_bad_ = false;
-        }
-      } else if (f.p_good_to_bad > 0.0 && fault_rng_.chance(f.p_good_to_bad)) {
-        ge_bad_ = true;
-      }
-      if (killed) return false;
-    }
-    if (f.corrupt_rate > 0.0 && fault_rng_.chance(f.corrupt_rate)) {
-      packet.hdr.corrupted = true;
-      ++packets_corrupted_;
-    }
-    if (f.reorder_rate > 0.0 && f.reorder_jitter > 0 &&
-        fault_rng_.chance(f.reorder_rate)) {
-      jitter = SimDuration(1) +
-               SimDuration(fault_rng_.next_below(
-                   std::uint64_t(f.reorder_jitter)));
-    }
-    return true;
-  }
-
   EventLoop& loop_;
   LinkConfig config_;
-  Rng rng_;        // uniform loss_rate stream
-  Rng fault_rng_;  // burst/corrupt/jitter stream (independent of rng_)
+  Rng rng_;           // uniform loss_rate stream
+  FaultState fault_;  // flaps + burst/corrupt/jitter (independent of rng_)
   PacketHandler receiver_;
   RemoteScheduler remote_;  // set => cross-shard delivery
   std::function<bool(const Packet&)> drop_predicate_;
   SimTime next_free_ = 0;
-  bool fault_active_ = false;  // cached config_.fault.enabled()
-  bool ge_bad_ = false;        // Gilbert–Elliott state (false = good)
-  bool was_down_ = false;      // last observed flap state
   std::uint64_t packets_sent_ = 0;
   std::uint64_t dropped_by_predicate_ = 0;
   std::uint64_t dropped_by_loss_ = 0;

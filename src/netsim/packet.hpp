@@ -92,7 +92,7 @@ struct PacketHeader {
   bool trimmed = false;          // NDP-style trimmed stub (payload cut)
   std::uint32_t trimmed_len = 0; // original payload length of the stub
 
-  // Set by the link fault model (FaultProfile::corrupt_rate): the frame
+  // Set by the wire fault model (FaultProfile::corrupt_rate): the frame
   // arrives but its integrity check — GCM tag, TCP checksum — fails.
   // The NIC counts it (rx_corrupt_frames) and still delivers; transports
   // discard at ingress and rely on their retransmit machinery, exactly

@@ -2,6 +2,23 @@
 
 namespace smt::sim {
 
+Status validate(const SwitchConfig& config) {
+  if (config.port_bandwidth_gbps <= 0.0) {
+    return make_error(Errc::invalid_argument,
+                      "switch: port bandwidth must be positive");
+  }
+  if (config.queue_capacity_bytes == 0) {
+    return make_error(Errc::invalid_argument,
+                      "switch: queue capacity must be positive");
+  }
+  if (config.health_dark_threshold > 0 && config.health_probe_interval <= 0) {
+    return make_error(Errc::invalid_argument,
+                      "switch: health_probe_interval must be positive when "
+                      "health_dark_threshold is set");
+  }
+  return Status::success();
+}
+
 void Switch::receive(Packet pkt) {
   const std::vector<std::size_t>* group = lookup_group(pkt.hdr);
   if (group == nullptr) {
@@ -84,43 +101,15 @@ void Switch::drain(std::size_t port_index) {
   queue.pop_front();
   port.queued_bytes -= pkt.wire_size();
 
-  // Port fault model (set_port_fault), applied at serialisation time in
-  // the same fixed order as LinkDirection::send: flap, burst loss,
-  // corruption, jitter. A killed packet still charges the wire slot.
-  bool killed = false;
-  SimDuration jitter = 0;
-  if (port.fault_rng) {
-    const FaultProfile& f = port.fault;
-    if (f.flaps_enabled()) {
-      const bool down = fault_flap_down_at(f, loop_.now());
-      if (!down && port.was_down) {
-        port.next_free = loop_.now();  // outage voids the queue occupancy
-      }
-      port.was_down = down;
-      killed = down;
-    }
-    if (!killed && f.ge_enabled()) {
-      const double rate = port.ge_bad ? f.bad_loss_rate : f.good_loss_rate;
-      killed = rate > 0.0 && port.fault_rng->chance(rate);
-      if (port.ge_bad) {
-        if (f.p_bad_to_good > 0.0 && port.fault_rng->chance(f.p_bad_to_good)) {
-          port.ge_bad = false;
-        }
-      } else if (f.p_good_to_bad > 0.0 &&
-                 port.fault_rng->chance(f.p_good_to_bad)) {
-        port.ge_bad = true;
-      }
-    }
-    if (!killed) {
-      if (f.corrupt_rate > 0.0 && port.fault_rng->chance(f.corrupt_rate)) {
-        pkt.hdr.corrupted = true;
-      }
-      if (f.reorder_rate > 0.0 && f.reorder_jitter > 0 &&
-          port.fault_rng->chance(f.reorder_rate)) {
-        jitter = SimDuration(1) + SimDuration(port.fault_rng->next_below(
-                                      std::uint64_t(f.reorder_jitter)));
-      }
-    }
+  // Port fault model (set_port_fault), applied at serialisation time by
+  // the same FaultState pipeline as LinkDirection::send. A killed packet
+  // still charges the wire slot.
+  FaultState::Impairment fault;
+  fault.killed = port.fault.flap(loop_.now(), port.next_free);
+  if (!fault.killed) fault = port.fault.impair(pkt);
+  if (fault.corrupted) {
+    ++stats_.corrupted;
+    ++port.stats.corrupted;
   }
 
   const double gbps = port.bandwidth_gbps > 0.0 ? port.bandwidth_gbps
@@ -130,7 +119,7 @@ void Switch::drain(std::size_t port_index) {
   const SimTime start = std::max(loop_.now(), port.next_free);
   port.next_free = start + serialization;
 
-  if (killed) {
+  if (fault.killed) {
     ++stats_.fault_dropped;
     ++port.stats.fault_dropped;
     observe_fault_drop(port_index);
@@ -140,7 +129,7 @@ void Switch::drain(std::size_t port_index) {
   }
   port.consecutive_fault_drops = 0;  // a success resets the health count
 
-  loop_.schedule_at(port.next_free, [this, port_index, jitter,
+  loop_.schedule_at(port.next_free, [this, port_index, jitter = fault.jitter,
                                      pkt = std::move(pkt)]() mutable {
     Port& out = ports_[port_index];
     // Fault jitter only ADDS to the egress delay, preserving the
@@ -180,7 +169,7 @@ void Switch::schedule_probe(std::size_t port_index, std::uint64_t epoch) {
   loop_.schedule(config_.health_probe_interval, [this, port_index, epoch] {
     Port& port = ports_[port_index];
     if (!port.dark || port.probe_epoch != epoch) return;
-    if (fault_flap_down_at(port.fault, loop_.now())) {
+    if (port.fault.down_at(loop_.now())) {
       // Probe lost into the flap window: stay dark, re-arm. Pure phase
       // arithmetic — probes never draw from the fault RNG, so packet
       // draws replay identically whatever the health state does.

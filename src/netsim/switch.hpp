@@ -21,8 +21,8 @@
 // takes one path for its lifetime, across runs and shard counts.
 //
 // Fabric-core faults + link health: an egress port may carry a
-// FaultProfile (set_port_fault) — the fabric-core analogue of
-// LinkDirection's fault model, applied at serialisation time. On top of
+// FaultProfile (set_port_fault), run by the same sim::FaultState pipeline
+// as LinkDirection (netsim/fault.hpp) at serialisation time. On top of
 // it sits a deterministic per-port health state machine: consecutive
 // fault-killed egress attempts past `health_dark_threshold` mark the
 // port DARK; ECMP then excludes it by rank-preserving group shrink (the
@@ -35,14 +35,13 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <optional>
 #include <set>
 #include <vector>
 
-#include "common/rng.hpp"
+#include "common/result.hpp"
 #include "common/time.hpp"
 #include "netsim/event.hpp"
-#include "netsim/link.hpp"
+#include "netsim/fault.hpp"
 #include "netsim/packet.hpp"
 
 namespace smt::sim {
@@ -65,6 +64,10 @@ struct SwitchConfig {
   /// sequence is unperturbed by health state.
   SimDuration health_probe_interval = usec(100);
 };
+
+/// The one SwitchConfig check, shared by FabricSpec::validate and the
+/// scenario layer.
+Status validate(const SwitchConfig& config);
 
 class Switch {
  public:
@@ -127,10 +130,10 @@ class Switch {
 
   void set_ecmp_seed(std::uint64_t seed) { config_.ecmp_seed = seed; }
 
-  /// Applies a FaultProfile to an egress port — the fabric-core analogue
-  /// of LinkDirection's fault model. Flaps and Gilbert–Elliott loss kill
-  /// the packet at serialisation time (the slot is still charged: a
-  /// killed packet occupied the wire, same drop-accounting contract as
+  /// Applies a FaultProfile to an egress port through the same FaultState
+  /// pipeline as LinkDirection. Flaps and Gilbert–Elliott loss kill the
+  /// packet at serialisation time (the slot is still charged: a killed
+  /// packet occupied the wire, same drop-accounting contract as
   /// LinkDirection); corruption delivers with hdr.corrupted set; reorder
   /// jitter only ever ADDS to the egress delay, so the cross-shard
   /// lookahead contract (arrival >= serialisation end + egress_latency)
@@ -138,13 +141,7 @@ class Switch {
   /// mix_seed — Fabric uses a fabric-wide wire index. Wire before run().
   void set_port_fault(std::size_t port, const FaultProfile& fault,
                       std::uint64_t stream) {
-    Port& p = ports_.at(port);
-    p.fault = fault;
-    if (fault.enabled()) {
-      p.fault_rng.emplace(mix_seed(fault.seed, stream));
-    } else {
-      p.fault_rng.reset();
-    }
+    ports_.at(port).fault = FaultState(fault, stream);
   }
 
   /// Whether the health state machine currently has this port dark.
@@ -174,6 +171,7 @@ class Switch {
     std::uint64_t trimmed = 0;
     std::uint64_t dropped = 0;
     std::uint64_t fault_dropped = 0;     // killed by a port's FaultProfile
+    std::uint64_t corrupted = 0;         // flagged by a port's FaultProfile
     std::uint64_t dark_transitions = 0;  // healthy->dark flips
     std::uint64_t resteered_flows = 0;   // distinct flows steered off dark
     std::uint64_t dropped_dark = 0;      // every port in the group dark
@@ -189,6 +187,7 @@ class Switch {
     std::uint64_t dropped = 0;
     std::size_t max_queued_bytes = 0;
     std::uint64_t fault_dropped = 0;
+    std::uint64_t corrupted = 0;
     std::uint64_t dark_transitions = 0;
     std::uint64_t resteered_flows = 0;
     std::uint64_t dropped_dark = 0;
@@ -210,12 +209,9 @@ class Switch {
     SimTime next_free = 0;
     bool draining = false;
     PortStats stats;
-    // Fabric-link fault state (set_port_fault) — mirrors LinkDirection's
-    // sender-side fault machinery, one decorrelated RNG stream per port.
-    FaultProfile fault;
-    std::optional<Rng> fault_rng;  // nullopt = no faults on this port
-    bool ge_bad = false;           // Gilbert–Elliott state (false = good)
-    bool was_down = false;         // last observed flap state
+    // Fabric-link fault state (set_port_fault): the same sender-side
+    // pipeline as LinkDirection, one decorrelated RNG stream per port.
+    FaultState fault;
     // Health state machine (config_.health_dark_threshold > 0).
     bool dark = false;
     std::size_t consecutive_fault_drops = 0;

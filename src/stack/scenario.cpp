@@ -195,50 +195,7 @@ Status validate_link(const sim::LinkConfig& config) {
     return make_error(Errc::invalid_argument,
                       "link: loss_rate must be within [0, 1]");
   }
-  return validate_fault(config.fault, "fault");
-}
-
-Status validate_fault(const sim::FaultProfile& f, const char* where) {
-  const std::string at(where);
-  for (const double p : {f.p_good_to_bad, f.p_bad_to_good, f.good_loss_rate,
-                         f.bad_loss_rate, f.corrupt_rate, f.reorder_rate}) {
-    if (p < 0.0 || p > 1.0) {
-      return make_error(Errc::invalid_argument,
-                        at + ": probabilities must be within [0, 1]");
-    }
-  }
-  if (f.reorder_jitter < 0 || f.flap_period < 0 || f.flap_down < 0 ||
-      f.flap_offset < 0) {
-    return make_error(Errc::invalid_argument, at + ": durations must be >= 0");
-  }
-  if (f.flap_down > 0 && f.flap_period == 0) {
-    return make_error(Errc::invalid_argument,
-                      at + ": flap_down_us needs flap_period_us > 0");
-  }
-  if (f.flap_period > 0 && f.flap_down >= f.flap_period) {
-    return make_error(Errc::invalid_argument,
-                      at + ": flap_down_us must be < flap_period_us "
-                      "(equal means the link never comes up)");
-  }
-  return Status::success();
-}
-
-Status validate_switch(const sim::SwitchConfig& config) {
-  if (config.port_bandwidth_gbps <= 0.0) {
-    return make_error(Errc::invalid_argument,
-                      "switch: port bandwidth must be positive");
-  }
-  if (config.queue_capacity_bytes == 0) {
-    return make_error(Errc::invalid_argument,
-                      "switch: queue capacity must be positive");
-  }
-  if (config.health_dark_threshold > 0 &&
-      config.health_probe_interval <= 0) {
-    return make_error(Errc::invalid_argument,
-                      "switch: probe_interval_us must be positive when "
-                      "dark_threshold is set");
-  }
-  return Status::success();
+  return sim::validate(config.fault, "fault");
 }
 
 Status validate_workload(const WorkloadSpec& spec) {
@@ -261,7 +218,7 @@ Status ScenarioConfig::validate() const {
     if (Status st = validate_link(fabric_link); !st.ok()) return st;
   }
   if (fabric_fault_set) {
-    if (Status st = validate_fault(fabric_fault, "fabric_fault"); !st.ok()) {
+    if (Status st = sim::validate(fabric_fault, "fabric_fault"); !st.ok()) {
       return st;
     }
     if (topology.spines == 0) {
@@ -271,7 +228,7 @@ Status ScenarioConfig::validate() const {
                         "[fault] covers the edge links");
     }
   }
-  if (Status st = validate_switch(switch_config); !st.ok()) return st;
+  if (Status st = sim::validate(switch_config); !st.ok()) return st;
   return validate_workload(workload);
 }
 

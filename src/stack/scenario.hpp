@@ -10,8 +10,8 @@
 //
 // One validation path: every constructor route (fluent TopologyBuilder,
 // RpcFabricConfig conversion, text scenario files) funnels through the
-// validate_* functions here and reports misconfiguration as a
-// common::Result error — never an assert.
+// validate_* functions here (plus sim::validate for the netsim types) and
+// reports misconfiguration as a common::Result error — never an assert.
 //
 // Text scenarios (tools/scenarios/*.toml) are a minimal INI/TOML subset —
 // `[section]` headers and `key = value` lines, '#' comments — parsed with
@@ -62,12 +62,8 @@ struct WorkloadSpec {
 
 Status validate_topology(const TopologySpec& spec);
 Status validate_host(const HostConfig& config);
+/// Link checks; the edge `[fault]` profile goes through sim::validate.
 Status validate_link(const sim::LinkConfig& config);
-/// Range/shape checks for a FaultProfile, shared by the edge `[fault]`
-/// section (inside validate_link) and the fabric-core `[fabric_fault]`
-/// section. `where` prefixes the error ("fault" / "fabric_fault").
-Status validate_fault(const sim::FaultProfile& fault, const char* where);
-Status validate_switch(const sim::SwitchConfig& config);
 Status validate_workload(const WorkloadSpec& spec);
 
 struct ScenarioConfig {

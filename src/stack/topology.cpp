@@ -7,10 +7,7 @@ namespace smt::stack {
 Result<std::unique_ptr<Topology>> TopologyBuilder::build_impl(
     sim::EventLoop* loop, sim::ShardedEngine* engine) {
   // The single validation path: every constructor route funnels here.
-  if (Status st = validate_topology(scenario_.topology); !st.ok()) {
-    return st.error();
-  }
-  if (Status st = validate_host(scenario_.host); !st.ok()) return st.error();
+  if (Status st = scenario_.validate(); !st.ok()) return st.error();
   const TopologySpec& t = scenario_.topology;
   const std::size_t n = t.host_count();
   for (const auto& [index, hc] : host_overrides_) {
@@ -21,29 +18,6 @@ Result<std::unique_ptr<Topology>> TopologyBuilder::build_impl(
                             std::to_string(n));
     }
     if (Status st = validate_host(hc); !st.ok()) return st.error();
-  }
-  if (Status st = validate_link(scenario_.edge_link); !st.ok()) {
-    return st.error();
-  }
-  if (scenario_.fabric_link_set) {
-    if (Status st = validate_link(scenario_.fabric_link); !st.ok()) {
-      return st.error();
-    }
-  }
-  if (scenario_.fabric_fault_set) {
-    if (Status st = validate_fault(scenario_.fabric_fault, "fabric_fault");
-        !st.ok()) {
-      return st.error();
-    }
-    if (t.spines == 0) {
-      return make_error(Errc::invalid_argument,
-                        "fabric_fault: needs a fabric tier (spines >= 1) — "
-                        "this topology has no switch-to-switch links; "
-                        "[fault] covers the edge links");
-    }
-  }
-  if (Status st = validate_switch(scenario_.switch_config); !st.ok()) {
-    return st.error();
   }
 
   auto host_config_of = [this](std::size_t index) {

@@ -76,7 +76,7 @@ TEST(Link, RandomLossDropsSomePackets) {
   EXPECT_GT(received, 350);
   EXPECT_LT(received, 650);
   EXPECT_EQ(dir.packets_sent(), 1000u);
-  EXPECT_EQ(dir.packets_dropped(), 1000u - std::uint64_t(received));
+  EXPECT_EQ(dir.dropped_by_loss(), 1000u - std::uint64_t(received));
 }
 
 TEST(Link, DropPredicateKillsTargetedPackets) {
@@ -167,13 +167,14 @@ TEST(Link, DirectionsDrawDecorrelatedLossPatterns) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-TEST(Link, SplitDropCountersSumToPacketsDropped) {
+TEST(Link, SplitDropCountersChargeOneCauseEach) {
   EventLoop loop;
   LinkConfig config;
   config.loss_rate = 0.5;
   config.loss_seed = 7;
   LinkDirection dir(loop, config);
-  dir.set_receiver([](Packet) {});
+  int delivered = 0;
+  dir.set_receiver([&](Packet) { ++delivered; });
   // Predicate kills even msg_ids BEFORE the loss draw sees them.
   dir.set_drop_predicate(
       [](const Packet& pkt) { return pkt.hdr.msg_id % 2 == 0; });
@@ -186,9 +187,10 @@ TEST(Link, SplitDropCountersSumToPacketsDropped) {
   EXPECT_EQ(dir.dropped_by_predicate(), 500u);
   EXPECT_GT(dir.dropped_by_loss(), 0u);
   EXPECT_EQ(dir.dropped_by_fault(), 0u);
-  EXPECT_EQ(dir.packets_dropped(),
-            dir.dropped_by_predicate() + dir.dropped_by_loss() +
-                dir.dropped_by_fault());
+  // Every offered packet was delivered or charged to exactly one cause.
+  EXPECT_EQ(std::uint64_t(delivered) + dir.dropped_by_predicate() +
+                dir.dropped_by_loss(),
+            dir.packets_sent());
 }
 
 // Contract: next_free_ advances for killed packets too — a dropped packet
@@ -258,7 +260,7 @@ TEST(Link, CorruptionDeliversFlaggedPackets) {
   loop.run();
   // Deliver-but-flag: nothing is dropped at the link...
   EXPECT_EQ(clean + corrupted, 1000);
-  EXPECT_EQ(dir.packets_dropped(), 0u);
+  EXPECT_EQ(dir.dropped_by_fault(), 0u);
   // ...and the corruption counter matches what receivers saw.
   EXPECT_EQ(dir.packets_corrupted(), std::uint64_t(corrupted));
   EXPECT_GT(corrupted, 150);

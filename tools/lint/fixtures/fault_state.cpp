@@ -1,10 +1,11 @@
-// lint-as: src/netsim/link_fault.cpp
+// lint-as: src/netsim/fault.hpp
 
 // Fixture: fault-model state machines (Gilbert–Elliott, flaps, jitter)
-// masquerading as link fault code under src/. The fault path is exactly
-// where ambient entropy is most tempting — "just add some randomness" —
-// and exactly where it would silently break run-to-run and cross-shard
-// reproducibility, so the linter must flag it here like anywhere else.
+// masquerading as the shared fault pipeline under src/. The fault path is
+// exactly where ambient entropy is most tempting — "just add some
+// randomness" — and exactly where it would silently break run-to-run and
+// cross-shard reproducibility, so the linter must flag it here like
+// anywhere else.
 // Never compiled — scanned by determinism_lint.py --self-test.
 #include <chrono>
 #include <cstdlib>
