@@ -39,28 +39,29 @@ Status KtlsEndpoint::send(ConnId conn, Bytes plaintext,
   SessionState& state = it->second;
   const auto& costs = host_.costs();
 
+  // The stream's final size is known: reserve it once, then write every
+  // record straight into it.
+  const std::size_t n_records = std::max<std::size_t>(
+      1, (plaintext.size() + config_.max_record_payload - 1) /
+             config_.max_record_payload);
   Bytes stream;
+  stream.reserve(plaintext.size() +
+                 n_records * tls::record_overhead(state.suite));
   std::vector<transport::TcpEndpoint::RecordMark> marks;
   std::size_t offset = 0;
-  std::size_t n_records = 0;
   do {
     const std::size_t take =
         std::min(config_.max_record_payload, plaintext.size() - offset);
     const ByteView chunk(plaintext.data() + offset, take);
     const std::uint64_t seq = state.tx_seq++;
-    ++n_records;
     if (config_.hw_offload) {
       // Plaintext record shell; the NIC encrypts in line.
       marks.push_back({stream.size(), take + 1, seq});
-      append_u8(stream, 23);
-      append_u16be(stream, 0x0303);
-      append_u16be(stream, std::uint16_t(take + 1 + 16));
-      append(stream, chunk);
-      append_u8(stream, 23);
-      stream.resize(stream.size() + 16, 0);
+      tls::append_record_shell(stream, tls::ContentType::application_data,
+                               chunk, 0);
     } else {
-      append(stream,
-             state.tx->seal(seq, tls::ContentType::application_data, chunk));
+      state.tx->seal_into(seq, tls::ContentType::application_data, chunk, 0,
+                          stream);
     }
     offset += take;
   } while (offset < plaintext.size());
@@ -105,8 +106,8 @@ void KtlsEndpoint::on_stream_data(ConnId conn, Bytes data) {
     const std::size_t record_len = tls::kRecordHeaderSize + body_len.value();
     if (state.rx_stream.size() < record_len) break;
 
-    auto opened = state.rx->open(
-        state.rx_seq, ByteView(state.rx_stream.data(), record_len));
+    auto opened = state.rx->open_into(
+        state.rx_seq, ByteView(state.rx_stream.data(), record_len), delivered);
     if (!opened.ok()) {
       ++stats_.decrypt_failures;
       sessions_.erase(it);
@@ -116,7 +117,6 @@ void KtlsEndpoint::on_stream_data(ConnId conn, Bytes data) {
     ++records;
     ++stats_.records_received;
     consumed_bytes += record_len;
-    append(delivered, opened.value().payload);
     state.rx_stream.erase(state.rx_stream.begin(),
                           state.rx_stream.begin() + std::ptrdiff_t(record_len));
   }

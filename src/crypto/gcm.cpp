@@ -1,5 +1,6 @@
 #include "crypto/gcm.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
@@ -389,38 +390,56 @@ AesGcm::Block AesGcm::compute_tag(const Block& j0, ByteView aad,
   return tag;
 }
 
-Bytes AesGcm::seal(ByteView nonce, ByteView aad, ByteView plaintext) const {
+AesGcm::Block AesGcm::initial_counter(ByteView nonce) noexcept {
   assert(nonce.size() == kNonceSize && "only 96-bit nonces are supported");
   Block j0{};
   std::memcpy(j0.data(), nonce.data(), kNonceSize);
   j0[15] = 1;
+  return j0;
+}
 
+void AesGcm::seal_in_place(ByteView nonce, ByteView aad,
+                           MutByteView plaintext_and_tag) const noexcept {
+  assert(plaintext_and_tag.size() >= kTagSize && "no room for the tag");
+  const std::size_t pt_len = plaintext_and_tag.size() - kTagSize;
+  const Block j0 = initial_counter(nonce);
+  // CTR is position-wise, so the keystream XOR may write over its input.
+  ctr_xor(j0, plaintext_and_tag.first(pt_len), plaintext_and_tag.data());
+  const Block tag = compute_tag(j0, aad, plaintext_and_tag.first(pt_len));
+  std::memcpy(plaintext_and_tag.data() + pt_len, tag.data(), kTagSize);
+}
+
+Bytes AesGcm::seal(ByteView nonce, ByteView aad, ByteView plaintext) const {
   Bytes out(plaintext.size() + kTagSize);
-  ctr_xor(j0, plaintext, out.data());
-  const Block tag =
-      compute_tag(j0, aad, ByteView(out.data(), plaintext.size()));
-  std::memcpy(out.data() + plaintext.size(), tag.data(), kTagSize);
+  std::copy(plaintext.begin(), plaintext.end(), out.begin());
+  seal_in_place(nonce, aad, out);
   return out;
+}
+
+bool AesGcm::open_into(ByteView nonce, ByteView aad,
+                       ByteView ciphertext_and_tag,
+                       MutByteView plaintext) const noexcept {
+  if (ciphertext_and_tag.size() < kTagSize) return false;
+  const std::size_t ct_len = ciphertext_and_tag.size() - kTagSize;
+  assert(plaintext.size() == ct_len && "output must match the ciphertext");
+  const ByteView ciphertext = ciphertext_and_tag.first(ct_len);
+  const ByteView tag = ciphertext_and_tag.subspan(ct_len);
+
+  const Block j0 = initial_counter(nonce);
+  const Block expected = compute_tag(j0, aad, ciphertext);
+  if (!ct_equal(ByteView(expected.data(), expected.size()), tag)) return false;
+
+  ctr_xor(j0, ciphertext, plaintext.data());
+  return true;
 }
 
 std::optional<Bytes> AesGcm::open(ByteView nonce, ByteView aad,
                                   ByteView ciphertext_and_tag) const {
-  assert(nonce.size() == kNonceSize && "only 96-bit nonces are supported");
   if (ciphertext_and_tag.size() < kTagSize) return std::nullopt;
-  const std::size_t ct_len = ciphertext_and_tag.size() - kTagSize;
-  const ByteView ciphertext(ciphertext_and_tag.data(), ct_len);
-  const ByteView tag(ciphertext_and_tag.data() + ct_len, kTagSize);
-
-  Block j0{};
-  std::memcpy(j0.data(), nonce.data(), kNonceSize);
-  j0[15] = 1;
-
-  const Block expected = compute_tag(j0, aad, ciphertext);
-  if (!ct_equal(ByteView(expected.data(), expected.size()), tag))
+  Bytes plaintext(ciphertext_and_tag.size() - kTagSize);
+  if (!open_into(nonce, aad, ciphertext_and_tag, plaintext)) {
     return std::nullopt;
-
-  Bytes plaintext(ct_len);
-  ctr_xor(j0, ciphertext, plaintext.data());
+  }
   return plaintext;
 }
 

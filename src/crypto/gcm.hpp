@@ -22,14 +22,27 @@ class AesGcm {
   /// Encrypts `plaintext`; returns ciphertext || 16-byte tag.
   Bytes seal(ByteView nonce, ByteView aad, ByteView plaintext) const;
 
+  /// Seals in place: `plaintext_and_tag` holds the plaintext followed by
+  /// kTagSize bytes of tag space. The ciphertext overwrites the plaintext
+  /// and the tag fills the tag space — no buffer is allocated.
+  void seal_in_place(ByteView nonce, ByteView aad,
+                     MutByteView plaintext_and_tag) const noexcept;
+
   /// Verifies and decrypts `ciphertext_and_tag` (ciphertext || tag).
   /// Returns nullopt on authentication failure.
   std::optional<Bytes> open(ByteView nonce, ByteView aad,
                             ByteView ciphertext_and_tag) const;
 
+  /// Verifies `ciphertext_and_tag` and decrypts it into `plaintext`, which
+  /// must be exactly the ciphertext's length. Returns false, writing
+  /// nothing, on authentication failure or a too-short input.
+  bool open_into(ByteView nonce, ByteView aad, ByteView ciphertext_and_tag,
+                 MutByteView plaintext) const noexcept;
+
  private:
   using Block = std::array<std::uint8_t, 16>;
 
+  static Block initial_counter(ByteView nonce) noexcept;
   Block ghash(ByteView aad, ByteView ciphertext) const noexcept;
   void ctr_xor(const Block& j0, ByteView in, std::uint8_t* out) const noexcept;
   Block compute_tag(const Block& j0, ByteView aad,

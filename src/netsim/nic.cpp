@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "crypto/gcm.hpp"
 #include "tls/record.hpp"
@@ -513,21 +512,14 @@ void Nic::encrypt_records(SegmentDescriptor& descriptor) {
     if (hw_seq != rec.record_seq) ++counters_.out_of_sequence_records;
 
     // Nonce = IV XOR hw_seq (RFC 8446 §5.3), same as the software path.
-    Bytes nonce = ctx.keys.iv;
-    for (int i = 0; i < 8; ++i) {
-      nonce[nonce.size() - 1 - std::size_t(i)] ^=
-          static_cast<std::uint8_t>(hw_seq >> (8 * i));
-    }
-
-    const std::uint8_t* header = payload.data() + rec.record_offset;
-    const ByteView aad(header, tls::kRecordHeaderSize);
-    std::uint8_t* body =
-        payload.data() + rec.record_offset + tls::kRecordHeaderSize;
-    const ByteView plaintext(body, rec.plaintext_len);
-
-    const Bytes sealed = ctx.aead.seal(nonce, aad, plaintext);
-    // ciphertext || tag overwrite the plaintext body + reserved tag space.
-    std::memcpy(body, sealed.data(), sealed.size());
+    // Ciphertext || tag overwrite the plaintext body + reserved tag space.
+    const MutByteView record =
+        payload.subspan(rec.record_offset, tls::kRecordHeaderSize +
+                                               rec.plaintext_len +
+                                               tls::tag_length(ctx.suite));
+    ctx.aead.seal_in_place(tls::record_nonce(ctx.keys.iv, hw_seq),
+                           record.first(tls::kRecordHeaderSize),
+                           record.subspan(tls::kRecordHeaderSize));
 
     ctx.internal_seq = hw_seq + 1;  // self-increment
     ++counters_.records_encrypted;

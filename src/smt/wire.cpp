@@ -4,27 +4,6 @@
 
 namespace smt::proto {
 
-namespace {
-
-/// Builds one plaintext record shell (header + inner plaintext + tag room)
-/// for hardware encryption, returning its wire bytes.
-Bytes build_record_shell(ByteView app_data, std::size_t pad_len) {
-  const std::size_t inner_len = app_data.size() + 1 + pad_len;
-  const std::size_t body_len = inner_len + 16;
-  Bytes out;
-  out.reserve(tls::kRecordHeaderSize + body_len);
-  append_u8(out, 23);  // application_data
-  append_u16be(out, 0x0303);
-  append_u16be(out, static_cast<std::uint16_t>(body_len));
-  append(out, app_data);
-  append_u8(out, 23);  // inner content type
-  out.resize(out.size() + pad_len, 0);
-  out.resize(out.size() + 16, 0);  // tag space
-  return out;
-}
-
-}  // namespace
-
 Result<WireMessage> build_wire_message(const SegmenterConfig& config,
                                        const tls::RecordProtection& protection,
                                        std::uint64_t msg_id, ByteView plaintext,
@@ -37,7 +16,6 @@ Result<WireMessage> build_wire_message(const SegmenterConfig& config,
   // Padding request: extend the final record's inner plaintext with zeros
   // so the total app-data-plus-padding reaches pad_to.
   const std::size_t padded_len = std::max(plaintext.size(), pad_to);
-  const std::size_t pad_total = padded_len - plaintext.size();
 
   // Number of records at max_record_payload granularity (at least one so
   // empty messages still authenticate).
@@ -64,37 +42,18 @@ Result<WireMessage> build_wire_message(const SegmenterConfig& config,
     const ByteView app_data = plaintext.subspan(consumed, app_take);
     consumed += app_take;
 
-    // Framing header carries the padded length so plaintext metadata does
-    // not reveal the true size (§6.1 length concealment).
-    Bytes framing;
-    append_u32be(framing, static_cast<std::uint32_t>(record_target));
-
-    Bytes record_bytes;
-    sim::TlsRecordDesc desc;
     const std::uint64_t seq = config.layout.compose(msg_id, rec);
-    if (config.hardware_crypto) {
-      record_bytes = build_record_shell(app_data, pad_take);
-      desc.context_id = config.nic_context_id;
-      desc.plaintext_len = app_data.size() + 1 + pad_take;
-      desc.record_seq = seq;
-      // record_offset is fixed up below once the segment layout is known.
-    } else {
-      record_bytes =
-          protection.seal(seq, tls::ContentType::application_data, app_data,
-                          pad_take);
-    }
-
-    const std::size_t block_len = framing.size() + record_bytes.size();
+    // Both modes put the same number of bytes on the wire: framing header,
+    // record header, inner plaintext (app data, type byte, padding), tag.
+    const std::size_t block_len = kFramingHeaderSize + tls::kRecordHeaderSize +
+                                  record_target + 1 +
+                                  crypto::AesGcm::kTagSize;
     // Segment alignment (§4.3): a record never straddles TSO segments.
     if (!current.payload.empty() &&
         current.payload.size() + block_len > config.max_tso_bytes) {
       wire.total_wire_bytes += current.payload.size();
       wire.segments.push_back(std::move(current));
       current = SegmentPlan{};
-    }
-    if (config.hardware_crypto) {
-      desc.record_offset = current.payload.size() + framing.size();
-      current.records.push_back(desc);
     }
     // Reserve the segment's final size up front: all remaining record
     // blocks are at most this one's size, so one reservation replaces the
@@ -103,12 +62,26 @@ Result<WireMessage> build_wire_message(const SegmenterConfig& config,
       current.payload.reserve(std::min(
           config.max_tso_bytes, block_len * (n_records - rec)));
     }
-    append(current.payload, framing);
-    append(current.payload, record_bytes);
+    // Framing header carries the padded length so plaintext metadata does
+    // not reveal the true size (§6.1 length concealment).
+    append_u32be(current.payload, static_cast<std::uint32_t>(record_target));
+    if (config.hardware_crypto) {
+      sim::TlsRecordDesc desc;
+      desc.context_id = config.nic_context_id;
+      desc.record_offset = current.payload.size();
+      desc.plaintext_len = app_data.size() + 1 + pad_take;
+      desc.record_seq = seq;
+      current.records.push_back(desc);
+      tls::append_record_shell(current.payload,
+                               tls::ContentType::application_data, app_data,
+                               pad_take);
+    } else {
+      protection.seal_into(seq, tls::ContentType::application_data, app_data,
+                           pad_take, current.payload);
+    }
   }
   wire.total_wire_bytes += current.payload.size();
   wire.segments.push_back(std::move(current));
-  (void)pad_total;
   return wire;
 }
 
@@ -146,7 +119,10 @@ Status walk_record_blocks(ByteView wire, Fn&& fn) {
 Result<Bytes> open_wire_message(const SeqnoLayout& layout,
                                 const tls::RecordProtection& protection,
                                 std::uint64_t msg_id, ByteView wire) {
+  // One output buffer for every record, sized up front: the wire length
+  // bounds the plaintext, so the per-record appends never reallocate.
   Bytes out;
+  out.reserve(wire.size());
   std::uint64_t record_index = 0;
   Status walked = walk_record_blocks(wire, [&](std::size_t offset,
                                                std::size_t record_len) {
@@ -156,14 +132,12 @@ Result<Bytes> open_wire_message(const SeqnoLayout& layout,
     }
 
     const std::uint64_t seq = layout.compose(msg_id, record_index);
-    auto opened = protection.open(seq, wire.subspan(offset, record_len));
+    // The receiver learns the true length at decryption; the record layer
+    // strips the padding (zeros beyond the app data). The framing header's
+    // padded length only guides reassembly.
+    auto opened =
+        protection.open_into(seq, wire.subspan(offset, record_len), out);
     if (!opened.ok()) return Status(opened.error());
-
-    // The receiver learns the true length at decryption; padding (zeros
-    // beyond the app data) was already stripped by the record layer. The
-    // framing header's padded length only guides reassembly.
-    Bytes& payload = opened.value().payload;
-    out.insert(out.end(), payload.begin(), payload.end());
     ++record_index;
     return Status::success();
   });

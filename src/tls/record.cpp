@@ -1,60 +1,79 @@
 #include "tls/record.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <tuple>
 
 #include "crypto/gcm.hpp"
 
 namespace smt::tls {
 
-RecordProtection::RecordProtection(CipherSuite suite, TrafficKeys keys)
-    : suite_(suite), keys_(std::move(keys)), aead_(keys_.key) {
-  assert(keys_.key.size() == key_length(suite));
-  assert(keys_.iv.size() == iv_length(suite));
-}
-
-Bytes RecordProtection::nonce_for(std::uint64_t seq) const {
-  // RFC 8446 §5.3: left-pad seq to iv length and XOR with the static IV.
-  Bytes nonce = keys_.iv;
-  for (int i = 0; i < 8; ++i) {
-    nonce[nonce.size() - 1 - std::size_t(i)] ^=
-        static_cast<std::uint8_t>(seq >> (8 * i));
+RecordNonce record_nonce(ByteView iv, std::uint64_t seq) noexcept {
+  assert(iv.size() == std::tuple_size_v<RecordNonce>);
+  RecordNonce nonce;
+  std::copy(iv.begin(), iv.end(), nonce.begin());
+  for (std::size_t i = 0; i < 8; ++i) {
+    nonce[nonce.size() - 1 - i] ^= static_cast<std::uint8_t>(seq >> (8 * i));
   }
   return nonce;
 }
 
+void append_record_shell(Bytes& out, ContentType type, ByteView content,
+                         std::size_t pad_len) {
+  const std::size_t body_len =
+      content.size() + 1 + pad_len + crypto::AesGcm::kTagSize;
+  // The header doubles as the AEAD's AAD (opaque_type=23,
+  // legacy_version=0x0303).
+  append_u8(out, static_cast<std::uint8_t>(ContentType::application_data));
+  append_u16be(out, 0x0303);
+  append_u16be(out, static_cast<std::uint16_t>(body_len));
+  append(out, content);
+  append_u8(out, static_cast<std::uint8_t>(type));
+  out.resize(out.size() + pad_len + crypto::AesGcm::kTagSize, 0);
+}
+
+RecordProtection::RecordProtection(CipherSuite suite, TrafficKeys keys)
+    : suite_(suite), keys_(std::move(keys)), aead_(keys_.key) {
+  assert(keys_.key.size() == key_length(suite));
+  assert(keys_.iv.size() == iv_length(suite));
+  assert(tag_length(suite) == crypto::AesGcm::kTagSize);
+}
+
 Bytes RecordProtection::seal(std::uint64_t seq, ContentType type,
                              ByteView payload, std::size_t pad_len) const {
-  assert(payload.size() + pad_len + 1 <= kMaxRecordPlaintext + 1 &&
-         "record plaintext too large");
-
-  // TLSInnerPlaintext: content || type || zero padding.
-  Bytes inner;
-  inner.reserve(payload.size() + 1 + pad_len);
-  append(inner, payload);
-  append_u8(inner, static_cast<std::uint8_t>(type));
-  inner.resize(inner.size() + pad_len, 0);
-
-  const std::size_t ct_len = inner.size() + tag_length(suite_);
-
-  // Record header doubles as AAD (opaque_type=23, legacy_version=0x0303).
-  Bytes header;
-  header.reserve(kRecordHeaderSize);
-  append_u8(header, static_cast<std::uint8_t>(ContentType::application_data));
-  append_u16be(header, 0x0303);
-  append_u16be(header, static_cast<std::uint16_t>(ct_len));
-
-  const Bytes sealed = aead_.seal(nonce_for(seq), header, inner);
-
   // The final wire size is known exactly: reserve once, no append growth.
   Bytes record;
-  record.reserve(kRecordHeaderSize + sealed.size());
-  append(record, header);
-  append(record, sealed);
+  record.reserve(kRecordHeaderSize + payload.size() + 1 + pad_len +
+                 tag_length(suite_));
+  seal_into(seq, type, payload, pad_len, record);
   return record;
+}
+
+void RecordProtection::seal_into(std::uint64_t seq, ContentType type,
+                                 ByteView payload, std::size_t pad_len,
+                                 Bytes& out) const {
+  assert(payload.size() + pad_len + 1 <= kMaxRecordPlaintext + 1 &&
+         "record plaintext too large");
+  const std::size_t start = out.size();
+  append_record_shell(out, type, payload, pad_len);
+  const MutByteView record = MutByteView(out).subspan(start);
+  aead_.seal_in_place(record_nonce(keys_.iv, seq),
+                      record.first(kRecordHeaderSize),
+                      record.subspan(kRecordHeaderSize));
 }
 
 Result<OpenedRecord> RecordProtection::open(std::uint64_t seq,
                                             ByteView record) const {
+  OpenedRecord out;
+  auto type = open_into(seq, record, out.payload);
+  if (!type.ok()) return type.error();
+  out.type = type.value();
+  return out;
+}
+
+Result<ContentType> RecordProtection::open_into(std::uint64_t seq,
+                                                ByteView record,
+                                                Bytes& out) const {
   if (record.size() < kRecordHeaderSize + tag_length(suite_)) {
     return make_error(Errc::protocol_violation, "record too short");
   }
@@ -67,24 +86,25 @@ Result<OpenedRecord> RecordProtection::open(std::uint64_t seq,
   const ByteView header = record.first(kRecordHeaderSize);
   const ByteView body = record.subspan(kRecordHeaderSize);
 
-  auto opened = aead_.open(nonce_for(seq), header, body);
-  if (!opened.has_value()) {
+  const std::size_t start = out.size();
+  out.resize(start + body.size() - tag_length(suite_));
+  if (!aead_.open_into(record_nonce(keys_.iv, seq), header, body,
+                       MutByteView(out).subspan(start))) {
+    out.resize(start);
     return make_error(Errc::decrypt_failed, "AEAD authentication failed");
   }
 
   // Strip zero padding, then the content-type byte.
-  Bytes& inner = *opened;
-  std::size_t end = inner.size();
-  while (end > 0 && inner[end - 1] == 0) --end;
-  if (end == 0) {
+  std::size_t end = out.size();
+  while (end > start && out[end - 1] == 0) --end;
+  if (end == start) {
+    out.resize(start);
     return make_error(Errc::protocol_violation,
                       "record contains no content type");
   }
-  OpenedRecord out;
-  out.type = static_cast<ContentType>(inner[end - 1]);
-  inner.resize(end - 1);
-  out.payload = std::move(inner);
-  return out;
+  const auto type = static_cast<ContentType>(out[end - 1]);
+  out.resize(end - 1);
+  return type;
 }
 
 Result<std::size_t> parse_record_length(ByteView header5) {

@@ -11,6 +11,7 @@
 // property SMT's composite layout preserves.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "common/bytes.hpp"
@@ -44,6 +45,20 @@ struct OpenedRecord {
   Bytes payload;  // with padding and content-type byte stripped
 };
 
+/// The per-record AEAD nonce (RFC 8446 §5.3): `seq` left-padded to the IV
+/// length and XORed with the static IV. The one nonce derivation shared by
+/// the software record layer and the simulated NIC offload engine, so both
+/// encrypt identically.
+using RecordNonce = std::array<std::uint8_t, crypto::AesGcm::kNonceSize>;
+RecordNonce record_nonce(ByteView iv, std::uint64_t seq) noexcept;
+
+/// Appends a plaintext record shell to `out`: the 5-byte header, the
+/// TLSInnerPlaintext (content || type || `pad_len` zeros) and zeroed tag
+/// space. Sealing the shell in place yields the wire record; NIC offload
+/// posts it as is and the NIC encrypts it in line (§4.4.2).
+void append_record_shell(Bytes& out, ContentType type, ByteView content,
+                         std::size_t pad_len);
+
 /// Stateless sealer/opener bound to one direction's traffic keys.
 class RecordProtection {
  public:
@@ -55,13 +70,18 @@ class RecordProtection {
   Bytes seal(std::uint64_t seq, ContentType type, ByteView payload,
              std::size_t pad_len = 0) const;
 
+  /// As seal(), but appends the wire record to `out` and seals it there.
+  void seal_into(std::uint64_t seq, ContentType type, ByteView payload,
+                 std::size_t pad_len, Bytes& out) const;
+
   /// Opens a full wire record (header included). Fails on tag mismatch,
   /// malformed header, or empty inner plaintext.
   Result<OpenedRecord> open(std::uint64_t seq, ByteView record) const;
 
-  /// Computes the per-record nonce (exposed so the simulated NIC offload
-  /// engine encrypts exactly like the software path).
-  Bytes nonce_for(std::uint64_t seq) const;
+  /// As open(), but appends the record's content to `out` and returns its
+  /// type. On failure `out` is left as it was.
+  Result<ContentType> open_into(std::uint64_t seq, ByteView record,
+                                Bytes& out) const;
 
   const TrafficKeys& keys() const noexcept { return keys_; }
   CipherSuite suite() const noexcept { return suite_; }

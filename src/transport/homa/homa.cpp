@@ -80,12 +80,12 @@ Result<std::uint64_t> HomaEndpoint::send_segments(
   if (tx.granted_bytes == 0 && total_bytes == 0) tx.granted_bytes = 0;
   tx.pre_post = std::move(pre_post);
   std::size_t offset = 0;
-  for (auto& seg : segments) {
-    tx.segment_offsets.push_back(offset);
+  for (SegmentSpec& seg : segments) {
+    seg.tso_off = offset;
     offset += seg.payload.size();
-    tx.segments.push_back(std::move(seg));
   }
   assert(offset == total_bytes && "segment sizes must sum to total_bytes");
+  tx.segments = std::move(segments);
 
   auto [it, inserted] = tx_messages_.emplace(key, std::move(tx));
   assert(inserted);
@@ -112,12 +112,12 @@ void HomaEndpoint::pump_tx(TxMessage& tx, stack::CpuCore* core) {
   // granted window (segment 0 is always unscheduled).
   while (tx.next_segment < tx.segments.size()) {
     const std::size_t index = tx.next_segment;
-    if (tx.segment_offsets[index] > 0 &&
-        tx.segment_offsets[index] >= tx.granted_bytes) {
+    const SegmentSpec& seg = tx.segments[index];
+    if (seg.tso_off > 0 && seg.tso_off >= tx.granted_bytes) {
       break;  // waiting for grants
     }
     post_segment_for(tx, index, core);
-    tx.sent_bytes += tx.segments[index].payload.size();
+    tx.sent_bytes += seg.payload.size();
     ++tx.next_segment;
   }
 
@@ -162,7 +162,7 @@ void HomaEndpoint::post_segment_for(TxMessage& tx, std::size_t seg_index,
   d.segment.hdr.type = PacketType::data;
   d.segment.hdr.msg_id = tx.msg_id;
   d.segment.hdr.msg_len = std::uint32_t(tx.total_bytes);
-  d.segment.hdr.tso_off = std::uint32_t(tx.segment_offsets[seg_index]);
+  d.segment.hdr.tso_off = std::uint32_t(seg.tso_off);
   d.segment.payload = seg.payload;  // slice copy: refcount bump, no bytes
   d.records = seg.records;
 
@@ -481,7 +481,7 @@ void HomaEndpoint::handle_resend(const Packet& pkt) {
   // the pre-post hook injecting resyncs). Plain segments resend only the
   // missing MTU packets, carrying explicit offsets (§4.3).
   for (std::size_t i = 0; i < tx.segments.size(); ++i) {
-    const std::size_t seg_begin = tx.segment_offsets[i];
+    const std::size_t seg_begin = tx.segments[i].tso_off;
     const std::size_t seg_end = seg_begin + tx.segments[i].payload.size();
     if (seg_end <= from || seg_begin >= to) continue;
     if (seg_begin >= tx.sent_bytes) continue;  // never sent; grants cover it

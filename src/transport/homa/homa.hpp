@@ -58,6 +58,7 @@ struct PeerAddr {
 struct SegmentSpec {
   PayloadSlice payload;
   std::vector<sim::TlsRecordDesc> records;  // NIC inline-crypto descriptors
+  std::size_t tso_off = 0;  // offset in the message; set by send_segments
 };
 
 /// Hook invoked immediately before a segment is posted to the NIC. SMT
@@ -106,7 +107,9 @@ class HomaEndpoint {
                                      stack::CpuCore* app_core = nullptr);
 
   /// Pre-segmented send (SMT path). `explicit_id` lets the caller control
-  /// message-ID allocation (SMT's 48-bit unique IDs, §4.4.1).
+  /// message-ID allocation (SMT's 48-bit unique IDs, §4.4.1). The message
+  /// keeps `segments` as they are (moved, not copied) and stamps each
+  /// one's tso_off.
   Result<std::uint64_t> send_segments(PeerAddr dst,
                                       std::vector<SegmentSpec> segments,
                                       std::size_t total_bytes,
@@ -166,7 +169,6 @@ class HomaEndpoint {
     std::size_t flow_hash = 0;  // memoized hash of flow_to(dst): grant and
                                 // resend handling never rehash per packet
     std::vector<SegmentSpec> segments;
-    std::vector<std::size_t> segment_offsets;  // tso_off per segment
     std::size_t total_bytes = 0;
     std::size_t next_segment = 0;   // first not-yet-transmitted segment
     std::size_t sent_bytes = 0;     // high-water mark of transmitted bytes

@@ -97,7 +97,7 @@ void TcpEndpoint::send(ConnId conn, Bytes data, stack::CpuCore* app_core,
   assert(it != connections_.end() && "send on unknown connection");
   Connection& c = it->second;
 
-  const std::uint64_t base = c.snd_una + c.send_buffer.size();
+  const std::uint64_t base = c.buf_base + c.send_buffer.size();
   for (const RecordMark& mark : records) {
     RecordBoundary boundary;
     boundary.stream_off = base + mark.offset;
@@ -124,7 +124,7 @@ void TcpEndpoint::send(ConnId conn, Bytes data, stack::CpuCore* app_core,
 }
 
 void TcpEndpoint::push(Connection& conn) {
-  const std::uint64_t stream_end = conn.snd_una + conn.send_buffer.size();
+  const std::uint64_t stream_end = conn.buf_base + conn.send_buffer.size();
   while (conn.snd_nxt < stream_end) {
     const std::uint64_t in_flight = conn.snd_nxt - conn.snd_una;
     if (in_flight >= config_.window_bytes) break;
@@ -151,7 +151,8 @@ void TcpEndpoint::push(Connection& conn) {
 
 void TcpEndpoint::transmit_range(Connection& conn, std::uint64_t from,
                                  std::uint64_t to, bool is_retransmit) {
-  assert(from >= conn.snd_una && to <= conn.snd_una + conn.send_buffer.size());
+  assert(from >= conn.buf_base &&
+         to <= conn.buf_base + conn.send_buffer.size());
 
   // RTT probe discipline (adaptive RTO): one timed range at a time. A
   // fresh transmission arms the probe; a retransmission overlapping the
@@ -175,7 +176,7 @@ void TcpEndpoint::transmit_range(Connection& conn, std::uint64_t from,
   // One copy out of the elastic send buffer into a fresh slab (the buffer
   // erases from the front on ACKs, so it cannot be sliced in place); the
   // slab then rides copy-free through TSO, the wire, and the RX rings.
-  const std::size_t buf_off = std::size_t(from - conn.snd_una);
+  const std::size_t buf_off = std::size_t(from - conn.buf_base);
   Bytes range(conn.send_buffer.begin() + std::ptrdiff_t(buf_off),
               conn.send_buffer.begin() + std::ptrdiff_t(buf_off + (to - from)));
   d.segment.payload = PayloadSlice(std::move(range));
@@ -373,9 +374,6 @@ void TcpEndpoint::send_ack(Connection& conn) {
 void TcpEndpoint::handle_ack(Connection& conn, const Packet& pkt) {
   const std::uint64_t ack = pkt.hdr.msg_id;
   if (ack > conn.snd_una) {
-    const std::size_t advance = std::size_t(ack - conn.snd_una);
-    conn.send_buffer.erase(conn.send_buffer.begin(),
-                           conn.send_buffer.begin() + std::ptrdiff_t(advance));
     conn.snd_una = ack;
     conn.dup_acks = 0;
     if (conn.rtt_probe_armed && ack >= conn.rtt_probe_end) {
@@ -388,6 +386,18 @@ void TcpEndpoint::handle_ack(Connection& conn, const Packet& pkt) {
                    conn.sent_records.begin()->second.wire_len <=
                ack) {
       conn.sent_records.erase(conn.sent_records.begin());
+    }
+    // Free the acked bytes, except those of a record the ACK ends inside:
+    // a retransmission re-sends that record whole (retransmit_head).
+    std::uint64_t keep_from = ack;
+    if (!conn.sent_records.empty()) {
+      keep_from = std::min(keep_from, conn.sent_records.begin()->first);
+    }
+    if (keep_from > conn.buf_base) {
+      conn.send_buffer.erase(
+          conn.send_buffer.begin(),
+          conn.send_buffer.begin() + std::ptrdiff_t(keep_from - conn.buf_base));
+      conn.buf_base = keep_from;
     }
     ++conn.rto_epoch;
     conn.rto_backoff = 0;  // forward progress: back to the base RTO

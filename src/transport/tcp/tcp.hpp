@@ -138,8 +138,10 @@ class TcpEndpoint {
     sim::FiveTuple flow;  // local perspective (src = this host)
     std::size_t flow_hash = 0;  // memoized flow.hash(): per-packet queue and
                                 // softirq-core choices never rehash the tuple
-    // Send side.
-    Bytes send_buffer;          // bytes from snd_una onward
+    // Send side. The buffer starts at snd_una, or earlier while a record
+    // is only partly acked: its retransmission re-sends the whole record.
+    Bytes send_buffer;          // bytes from buf_base onward
+    std::uint64_t buf_base = 0;  // stream offset of send_buffer[0]
     std::uint64_t snd_una = 0;  // first unacked stream offset
     std::uint64_t snd_nxt = 0;  // next stream offset to send
     std::uint32_t dup_acks = 0;

@@ -181,5 +181,50 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 1, 15, 16, 17, 31, 32, 33, 255),
                        ::testing::Values(0, 1, 16, 20)));
 
+// The in-place seal (the NIC offload and record-layer path) must produce
+// exactly seal()'s bytes — across the CTR engine's 4-block stride, its
+// single-block tail and a partial final block — and open_into must invert
+// it into a separate buffer.
+class GcmInPlace
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(GcmInPlace, MatchesSealAndOpensInto) {
+  const auto [key_len, pt_len] = GetParam();
+  Rng rng(key_len * 100000 + pt_len);
+  Bytes key(key_len);
+  for (auto& b : key) b = std::uint8_t(rng.next());
+  Bytes iv(AesGcm::kNonceSize);
+  for (auto& b : iv) b = std::uint8_t(rng.next());
+  Bytes pt(pt_len);
+  for (auto& b : pt) b = std::uint8_t(rng.next());
+  const Bytes aad = from_hex("1703030000");
+
+  const AesGcm gcm(key);
+  Bytes in_place = pt;
+  in_place.resize(pt_len + AesGcm::kTagSize, 0);
+  gcm.seal_in_place(iv, aad, in_place);
+  EXPECT_EQ(in_place, gcm.seal(iv, aad, pt));
+
+  Bytes opened(pt_len, 0xee);
+  ASSERT_TRUE(gcm.open_into(iv, aad, in_place, opened));
+  EXPECT_EQ(opened, pt);
+
+  // A failed open writes nothing.
+  in_place.back() ^= 0x01;
+  Bytes untouched(pt_len, 0xee);
+  EXPECT_FALSE(gcm.open_into(iv, aad, in_place, untouched));
+  EXPECT_EQ(untouched, Bytes(pt_len, 0xee));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Lengths, GcmInPlace,
+    ::testing::Combine(::testing::Values(std::size_t{16}, std::size_t{32}),
+                       ::testing::Values(std::size_t{0}, std::size_t{1},
+                                         std::size_t{15}, std::size_t{16},
+                                         std::size_t{17}, std::size_t{63},
+                                         std::size_t{64}, std::size_t{65},
+                                         std::size_t{1000},
+                                         std::size_t{16001})));
+
 }  // namespace
 }  // namespace smt::crypto

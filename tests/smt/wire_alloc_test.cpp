@@ -1,0 +1,135 @@
+// Allocation budget of the SMT message path. This executable replaces the
+// global operator new with a counting one, so each case can assert the
+// exact number of heap allocations one call makes. The counts are exact
+// per build: a rise means a new temporary on the per-message path.
+#include <cstdlib>
+#include <new>
+#include <optional>
+
+#include <gtest/gtest.h>
+
+#include "smt/wire.hpp"
+
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace smt::proto {
+namespace {
+
+template <typename Fn>
+std::size_t allocations_in(Fn&& fn) {
+  const std::size_t before = g_allocations;
+  fn();
+  return g_allocations - before;
+}
+
+tls::TrafficKeys test_keys() {
+  tls::TrafficKeys keys;
+  keys.key = Bytes(16, 0x61);
+  keys.iv = Bytes(12, 0x62);
+  return keys;
+}
+
+class WireAllocTest : public ::testing::Test {
+ protected:
+  WireAllocTest()
+      : protection_(tls::CipherSuite::aes_128_gcm_sha256, test_keys()) {}
+
+  static Bytes concat(const WireMessage& wire) {
+    Bytes out;
+    for (const auto& seg : wire.segments) append(out, seg.payload);
+    return out;
+  }
+
+  tls::RecordProtection protection_;
+};
+
+TEST_F(WireAllocTest, BuildHardware64BytesMakesThreeAllocations) {
+  // The segment's payload buffer, its record-descriptor vector and the
+  // message's segment vector. Framing headers and record shells are
+  // written straight into the payload buffer.
+  SegmenterConfig config;
+  config.hardware_crypto = true;
+  config.nic_context_id = 3;
+  const Bytes plaintext(64, 0x5a);
+  std::optional<Result<WireMessage>> wire;
+  EXPECT_EQ(allocations_in([&] {
+              wire.emplace(
+                  build_wire_message(config, protection_, 9, plaintext));
+            }),
+            3u);
+  ASSERT_TRUE(wire->ok());
+  ASSERT_EQ(wire->value().segments.size(), 1u);
+  EXPECT_EQ(wire->value().segments[0].records.size(), 1u);
+  EXPECT_EQ(wire->value().total_wire_bytes, 64 + record_block_overhead());
+}
+
+TEST_F(WireAllocTest, BuildSoftware64BytesSealsInPlace) {
+  // Software mode seals each record inside the payload buffer: no record
+  // vector, no AEAD output, no nonce buffer.
+  SegmenterConfig config;
+  const Bytes plaintext(64, 0x5a);
+  std::optional<Result<WireMessage>> wire;
+  EXPECT_EQ(allocations_in([&] {
+              wire.emplace(
+                  build_wire_message(config, protection_, 9, plaintext));
+            }),
+            2u);
+  ASSERT_TRUE(wire->ok());
+  EXPECT_EQ(wire->value().total_wire_bytes, 64 + record_block_overhead());
+}
+
+TEST_F(WireAllocTest, OpenOneRecordMakesOneAllocation) {
+  // The output buffer only: the record decrypts straight into it.
+  const Bytes plaintext(64, 0x5a);
+  const auto built = build_wire_message(SegmenterConfig{}, protection_, 9,
+                                        plaintext);
+  ASSERT_TRUE(built.ok());
+  const Bytes wire = concat(built.value());
+  std::optional<Result<Bytes>> opened;
+  EXPECT_EQ(allocations_in([&] {
+              opened.emplace(open_wire_message(SeqnoLayout{}, protection_, 9,
+                                               wire));
+            }),
+            1u);
+  ASSERT_TRUE(opened->ok());
+  EXPECT_EQ(opened->value(), plaintext);
+}
+
+TEST_F(WireAllocTest, OpenManyRecordsStillMakesOneAllocation) {
+  // Three records into one buffer reserved to the wire length: the
+  // appends never reallocate, so the count does not grow with records.
+  SegmenterConfig config;
+  config.max_record_payload = 1000;
+  Bytes plaintext(2500);
+  for (std::size_t i = 0; i < plaintext.size(); ++i) {
+    plaintext[i] = std::uint8_t(i * 13);
+  }
+  const auto built = build_wire_message(config, protection_, 4, plaintext);
+  ASSERT_TRUE(built.ok());
+  ASSERT_EQ(built.value().record_count, 3u);
+  const Bytes wire = concat(built.value());
+  std::optional<Result<Bytes>> opened;
+  EXPECT_EQ(allocations_in([&] {
+              opened.emplace(open_wire_message(SeqnoLayout{}, protection_, 4,
+                                               wire));
+            }),
+            1u);
+  ASSERT_TRUE(opened->ok());
+  EXPECT_EQ(opened->value(), plaintext);
+}
+
+}  // namespace
+}  // namespace smt::proto

@@ -402,5 +402,56 @@ TEST_F(TcpTest, TlsOffloadRetransmitResyncs) {
   EXPECT_GT(client_host_.nic().counters().resyncs, 0u);
 }
 
+TEST_F(TcpTest, TlsOffloadRetransmitAfterMidRecordAck) {
+  // Regression: one record spans three MTU packets. The first arrives and
+  // is ACKed (a cumulative ACK inside the record); the other two are lost.
+  // The RTO retransmits the whole record from its start, which lies before
+  // snd_una, so the sender must still hold the acked head of the record.
+  // It used to read those bytes from before its send buffer.
+  tls::TrafficKeys keys;
+  keys.key = Bytes(16, 0x51);
+  keys.iv = Bytes(12, 0x52);
+  const auto conn = client_.connect(2, 80);
+  ASSERT_TRUE(client_
+                  .enable_tls_offload(conn, tls::CipherSuite::aes_128_gcm_sha256,
+                                      keys, 0)
+                  .ok());
+
+  Bytes body(4000, 0);
+  for (std::size_t i = 0; i < body.size(); ++i) body[i] = std::uint8_t(i * 7);
+  Bytes wire;
+  append_u8(wire, 23);
+  append_u16be(wire, 0x0303);
+  append_u16be(wire, std::uint16_t(body.size() + 1 + 16));
+  append(wire, body);
+  append_u8(wire, 23);
+  wire.resize(wire.size() + 16, 0);
+  const std::size_t mss = client_host_.nic().config().mtu_payload;
+  const std::size_t first_packets = (wire.size() + mss - 1) / mss;
+  ASSERT_EQ(first_packets, 3u);
+
+  // Lose every packet of the first transmission but its first.
+  std::size_t data_packets = 0;
+  topology_->direct_link()->a2b().set_drop_predicate(
+      [&](const sim::Packet& pkt) {
+        if (pkt.hdr.type != sim::PacketType::data) return false;
+        ++data_packets;
+        return data_packets >= 2 && data_packets <= first_packets;
+      });
+  std::vector<TcpEndpoint::RecordMark> marks;
+  marks.push_back({0, body.size() + 1, 0});
+  client_.send(conn, wire, nullptr, std::move(marks));
+  loop_.run();
+
+  EXPECT_GT(client_.stats().retransmits, 0u);
+  EXPECT_GT(data_packets, first_packets);  // the record went out again
+  ASSERT_EQ(server_received_.size(), wire.size());
+  tls::RecordProtection rp(tls::CipherSuite::aes_128_gcm_sha256, keys);
+  const auto opened = rp.open(0, server_received_);
+  ASSERT_TRUE(opened.ok()) << opened.error().message;
+  EXPECT_EQ(opened.value().payload, body);
+  EXPECT_EQ(client_.unacked_bytes(conn), 0u);
+}
+
 }  // namespace
 }  // namespace smt::transport

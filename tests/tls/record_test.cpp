@@ -47,12 +47,18 @@ TEST(Record, CompositeSequenceNumbersAreDistinct) {
 }
 
 TEST(Record, NonceXorLayout) {
-  const RecordProtection rp = make_protection();
-  const Bytes n0 = rp.nonce_for(0);
-  EXPECT_EQ(n0, Bytes(12, 0x22));  // seq 0 leaves the IV untouched
-  const Bytes n1 = rp.nonce_for(1);
+  const Bytes iv(12, 0x22);
+  const RecordNonce n0 = record_nonce(iv, 0);
+  EXPECT_TRUE(std::equal(n0.begin(), n0.end(), iv.begin()));  // IV untouched
+  const RecordNonce n1 = record_nonce(iv, 1);
   EXPECT_EQ(n1.back(), 0x22 ^ 0x01);
   EXPECT_TRUE(std::equal(n0.begin(), n0.end() - 1, n1.begin()));
+  // The seq is big-endian in the low 8 bytes; the top 4 keep the IV.
+  const RecordNonce n = record_nonce(iv, 0x0102030405060708ULL);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(n[i], 0x22);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(n[4 + i], 0x22 ^ std::uint8_t(i + 1)) << "byte " << 4 + i;
+  }
 }
 
 TEST(Record, TamperedRecordRejected) {
