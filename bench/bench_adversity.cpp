@@ -46,10 +46,6 @@
 //               shard 0, server on shard N-1)
 #include "bench_common.hpp"
 
-#include <algorithm>
-#include <functional>
-#include <optional>
-
 #include "common/rng.hpp"
 #include "stack/topology.hpp"
 
@@ -98,7 +94,32 @@ struct RowResult {
   double cpu_us_per_rpc = 0;
   std::size_t completed = 0;
   std::size_t issued = 0;
+
+  friend bool operator==(const RowResult&, const RowResult&) = default;
 };
+
+/// Goodput over delivered request + response payload, RTT percentiles and
+/// CPU per completed RPC (both hosts' busy and IRQ time).
+RowResult summarize(RpcFabric& fabric, const apps::ClosedLoopResult& rpc,
+                    std::size_t bytes_per_rpc) {
+  RowResult result;
+  result.issued = rpc.issued;
+  result.completed = rpc.completions.size();
+  const Percentiles rtt = rtt_percentiles_us(rpc);
+  result.p50_us = rtt.p50;
+  result.p99_us = rtt.p99;
+  const double bits = double(result.completed) * double(bytes_per_rpc) * 8.0;
+  const SimTime last_completion = rpc.last_completion();
+  result.goodput_gbps =
+      last_completion > 0 ? bits / double(last_completion) : 0;
+  const double cpu_ns = double(fabric.client_busy_ns()) +
+                        double(fabric.server_busy_ns()) +
+                        double(fabric.client_irq_ns()) +
+                        double(fabric.server_irq_ns());
+  result.cpu_us_per_rpc =
+      result.completed > 0 ? cpu_ns / 1e3 / double(result.completed) : 0;
+  return result;
+}
 
 /// Spoofed short-packet flood into the server NIC: `count` single-packet
 /// smt-proto messages, one every 500 ns starting at t0, from rotating
@@ -136,15 +157,13 @@ RowResult run_row(const Adversity& row, TransportKind kind,
   sim::ShardedEngine engine(shards, usec(1));
   RpcFabric fabric(config, engine, 0, shards - 1);
 
-  constexpr std::size_t kConcurrency = 8;
+  // One client host: its 8 channels share the whole op budget.
   const std::size_t request_bytes = 2048;
   const std::size_t response_bytes = 512;
-  const std::size_t total_ops = smoke() ? 120 : 2000;
-
-  std::vector<std::unique_ptr<RpcChannel>> channels;
-  for (std::size_t i = 0; i < kConcurrency; ++i) {
-    channels.push_back(fabric.make_channel(i));
-  }
+  apps::ClosedLoop rpcs(fabric, {.channels_per_client = 8,
+                                 .ops_per_client = smoke() ? 120u : 2000u,
+                                 .request_bytes = request_bytes,
+                                 .response_bytes = response_bytes});
 
   if (row.reset_server_nic) {
     // Two resets while traffic is in flight. Scheduled on the server's
@@ -158,40 +177,9 @@ RowResult run_row(const Adversity& row, TransportKind kind,
     schedule_flood(fabric, smoke() ? 200 : 5000, usec(20));
   }
 
-  // Closed loop; client-side accumulation only (all channels live on the
-  // client host's shard, so no cross-thread merging is needed).
-  RowResult result;
-  std::vector<double> rtts_us;
-  SimTime last_completion = 0;
-  std::function<void(std::size_t)> issue = [&](std::size_t slot) {
-    if (result.issued >= total_ops) return;
-    ++result.issued;
-    channels[slot]->call(Bytes(request_bytes, 0x5a),
-                         std::uint32_t(response_bytes),
-                         [&, slot](SimDuration rtt, Bytes) {
-                           rtts_us.push_back(to_usec(rtt));
-                           last_completion = fabric.client_host().loop().now();
-                           issue(slot);
-                         });
-  };
-  for (std::size_t i = 0; i < kConcurrency; ++i) issue(i);
+  rpcs.start();
   engine.run();
-
-  result.completed = rtts_us.size();
-  const Percentiles rtt = exact_percentiles(std::move(rtts_us));
-  result.p50_us = rtt.p50;
-  result.p99_us = rtt.p99;
-  const double bits = double(result.completed) *
-                      double(request_bytes + response_bytes) * 8.0;
-  result.goodput_gbps =
-      last_completion > 0 ? bits / double(last_completion) : 0;
-  const double cpu_ns = double(fabric.client_busy_ns()) +
-                        double(fabric.server_busy_ns()) +
-                        double(fabric.client_irq_ns()) +
-                        double(fabric.server_irq_ns());
-  result.cpu_us_per_rpc =
-      result.completed > 0 ? cpu_ns / 1e3 / double(result.completed) : 0;
-  return result;
+  return summarize(fabric, rpcs.result(), request_bytes + response_bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -264,21 +252,9 @@ stack::ScenarioConfig core_scenario() {
 
 struct CoreResult {
   RowResult row;
-  std::uint64_t dark_transitions = 0;
-  std::uint64_t resteered_flows = 0;
-  std::uint64_t dropped_dark = 0;
-  std::uint64_t fault_dropped = 0;
+  sim::Switch::Stats switches;  // summed over every switch
 
-  bool operator==(const CoreResult& o) const {
-    return row.completed == o.row.completed && row.issued == o.row.issued &&
-           row.goodput_gbps == o.row.goodput_gbps &&
-           row.p99_us == o.row.p99_us &&
-           row.cpu_us_per_rpc == o.row.cpu_us_per_rpc &&
-           dark_transitions == o.dark_transitions &&
-           resteered_flows == o.resteered_flows &&
-           dropped_dark == o.dropped_dark &&
-           fault_dropped == o.fault_dropped;
-  }
+  friend bool operator==(const CoreResult&, const CoreResult&) = default;
 };
 
 CoreResult run_core_row(const CoreRow& core, TransportKind kind,
@@ -312,77 +288,22 @@ CoreResult run_core_row(const CoreRow& core, TransportKind kind,
   config.kind = kind;
   RpcFabric fabric(config, *topology, server_index, clients);
 
-  const std::size_t concurrency = scenario.workload.concurrency;
-  const std::size_t ops_per_client = scenario.workload.ops_per_client;
-  const std::size_t request_bytes = scenario.workload.request_bytes;
-  const std::size_t response_bytes = scenario.workload.response_bytes;
-
-  std::vector<std::unique_ptr<RpcChannel>> channels;
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    for (std::size_t c = 0; c < concurrency; ++c) {
-      channels.push_back(fabric.make_channel(i, c));
-    }
-  }
+  const stack::WorkloadSpec& w = scenario.workload;
+  apps::ClosedLoop rpcs(fabric, {.channels_per_client = w.concurrency,
+                                 .ops_per_client = w.ops_per_client,
+                                 .request_bytes = w.request_bytes,
+                                 .response_bytes = w.response_bytes});
 
   if (core.flood_gap > 0) {
     schedule_open_loop_flood(fabric, smoke() ? 200 : 5000, usec(20),
                              core.flood_gap, /*seed=*/31);
   }
 
-  // Completion callbacks run on each client's SHARD THREAD: accumulate
-  // strictly per client and merge after engine.run() joins the shards.
-  struct PerClient {
-    std::size_t issued = 0;
-    std::vector<double> rtts_us;
-    SimTime last_completion = 0;
-  };
-  std::vector<PerClient> per_client(clients.size());
-  std::function<void(std::size_t)> issue = [&](std::size_t slot) {
-    const std::size_t client = slot / concurrency;
-    PerClient& mine = per_client[client];
-    if (mine.issued >= ops_per_client) return;
-    ++mine.issued;
-    channels[slot]->call(
-        Bytes(request_bytes, 0x5a), std::uint32_t(response_bytes),
-        [&, slot, client](SimDuration rtt, Bytes) {
-          PerClient& me = per_client[client];
-          me.rtts_us.push_back(to_usec(rtt));
-          me.last_completion = fabric.client_host(client).loop().now();
-          issue(slot);
-        });
-  };
-  for (std::size_t slot = 0; slot < channels.size(); ++slot) issue(slot);
+  rpcs.start();
   engine.run();
-
-  CoreResult result;
-  std::vector<double> rtts_us;
-  SimTime last_completion = 0;
-  for (const PerClient& c : per_client) {
-    result.row.issued += c.issued;
-    result.row.completed += c.rtts_us.size();
-    rtts_us.insert(rtts_us.end(), c.rtts_us.begin(), c.rtts_us.end());
-    last_completion = std::max(last_completion, c.last_completion);
-  }
-  const Percentiles rtt = exact_percentiles(std::move(rtts_us));
-  result.row.p50_us = rtt.p50;
-  result.row.p99_us = rtt.p99;
-  const double bits = double(result.row.completed) *
-                      double(request_bytes + response_bytes) * 8.0;
-  result.row.goodput_gbps =
-      last_completion > 0 ? bits / double(last_completion) : 0;
-  const double cpu_ns = double(fabric.client_busy_ns()) +
-                        double(fabric.server_busy_ns()) +
-                        double(fabric.client_irq_ns()) +
-                        double(fabric.server_irq_ns());
-  result.row.cpu_us_per_rpc = result.row.completed > 0
-                                  ? cpu_ns / 1e3 / double(result.row.completed)
-                                  : 0;
-  const sim::Switch::Stats totals = topology->switch_totals();
-  result.dark_transitions = totals.dark_transitions;
-  result.resteered_flows = totals.resteered_flows;
-  result.dropped_dark = totals.dropped_dark;
-  result.fault_dropped = totals.fault_dropped;
-  return result;
+  return {summarize(fabric, rpcs.result(),
+                    w.request_bytes + w.response_bytes),
+          topology->switch_totals()};
 }
 
 std::vector<CoreRow> core_matrix() {
@@ -438,11 +359,6 @@ int main(int argc, char** argv) {
       json_metric("adversity_p99_us_" + key, r.p99_us);
       json_metric("adversity_cpu_us_per_rpc_" + key, r.cpu_us_per_rpc);
       json_metric("adversity_completed_" + key, double(r.completed));
-      if (row.fault.enabled() || row.reset_server_nic || row.flood) {
-        // Adverse rows must still terminate; smt rows must not lose RPCs
-        // except under nic_reset-style permanent-context loss (reported,
-        // not asserted — the matrix is an observatory, not a gate).
-      }
     }
   }
   // The committed baseline compares these two: the count is exact (pure
@@ -467,24 +383,25 @@ int main(int argc, char** argv) {
   for (const CoreRow& row : core_rows) {
     for (const TransportKind kind : kinds) {
       const CoreResult r = run_core_row(row, kind, shards);
+      const sim::Switch::Stats& s = r.switches;
       corefault_completed_total += r.row.completed;
-      corefault_resteered_total += r.resteered_flows;
-      corefault_dark_total += r.dark_transitions;
+      corefault_resteered_total += s.resteered_flows;
+      corefault_dark_total += s.dark_transitions;
       std::printf("%-16s %-8s %13.3f %9.1f %8zu/%zu %6llu %8llu %9llu\n",
                   row.name.c_str(), apps::transport_key(kind),
                   r.row.goodput_gbps, r.row.p99_us, r.row.completed,
                   r.row.issued,
-                  static_cast<unsigned long long>(r.dark_transitions),
-                  static_cast<unsigned long long>(r.resteered_flows),
-                  static_cast<unsigned long long>(r.dropped_dark));
+                  static_cast<unsigned long long>(s.dark_transitions),
+                  static_cast<unsigned long long>(s.resteered_flows),
+                  static_cast<unsigned long long>(s.dropped_dark));
       const std::string key = row.name + "_" + apps::transport_key(kind);
       json_metric("corefault_goodput_gbps_" + key, r.row.goodput_gbps);
       json_metric("corefault_p99_us_" + key, r.row.p99_us);
       json_metric("corefault_completed_" + key, double(r.row.completed));
       json_metric("corefault_dark_transitions_" + key,
-                  double(r.dark_transitions));
-      json_metric("corefault_resteered_" + key, double(r.resteered_flows));
-      json_metric("corefault_dropped_dark_" + key, double(r.dropped_dark));
+                  double(s.dark_transitions));
+      json_metric("corefault_resteered_" + key, double(s.resteered_flows));
+      json_metric("corefault_dropped_dark_" + key, double(s.dropped_dark));
     }
   }
   json_metric("corefault_completed_total", double(corefault_completed_total));
@@ -504,10 +421,8 @@ int main(int argc, char** argv) {
   if (smoke()) {
     // Determinism self-check: the nastiest fault row must replay
     // byte-identically run-to-run at this shard count.
-    const RowResult a = run_row(rows[2], TransportKind::smt_hw, shards);
-    const RowResult b = run_row(rows[2], TransportKind::smt_hw, shards);
-    if (a.completed != b.completed || a.goodput_gbps != b.goodput_gbps ||
-        a.p99_us != b.p99_us || a.cpu_us_per_rpc != b.cpu_us_per_rpc) {
+    if (run_row(rows[2], TransportKind::smt_hw, shards) !=
+        run_row(rows[2], TransportKind::smt_hw, shards)) {
       std::fprintf(stderr,
                    "DETERMINISM FAILURE: burst_flap smt_hw diverged "
                    "run-to-run at %zu shard(s)\n", shards);
@@ -516,11 +431,8 @@ int main(int argc, char** argv) {
     std::printf("determinism self-check: burst_flap x smt_hw byte-identical "
                 "run-to-run at %zu shard(s)\n", shards);
     // Same contract for the core-fault matrix, health counters included.
-    const CoreResult ca = run_core_row(core_rows[0], TransportKind::smt_hw,
-                                       shards);
-    const CoreResult cb = run_core_row(core_rows[0], TransportKind::smt_hw,
-                                       shards);
-    if (!(ca == cb)) {
+    if (run_core_row(core_rows[0], TransportKind::smt_hw, shards) !=
+        run_core_row(core_rows[0], TransportKind::smt_hw, shards)) {
       std::fprintf(stderr,
                    "DETERMINISM FAILURE: core_flap smt_hw diverged "
                    "run-to-run at %zu shard(s)\n", shards);

@@ -157,6 +157,14 @@ inline std::unique_ptr<stack::Topology> two_host_topology(
   return std::move(built).take();
 }
 
+/// Exact RTT percentiles, in microseconds, over every completion.
+inline Percentiles rtt_percentiles_us(const apps::ClosedLoopResult& result) {
+  std::vector<double> rtts_us;
+  rtts_us.reserve(result.completions.size());
+  for (const auto& c : result.completions) rtts_us.push_back(to_usec(c.rtt));
+  return exact_percentiles(std::move(rtts_us));
+}
+
 /// Unloaded RTT (Figure 6 / 10 / 11 methodology, §5.1): a single
 /// request/response at a time, no concurrency, averaged over `iters`.
 inline double measure_unloaded_rtt_us(RpcFabricConfig config,
@@ -167,26 +175,19 @@ inline double measure_unloaded_rtt_us(RpcFabricConfig config,
     iters = std::min(iters, 5);
   }
   RpcFabric fabric(config);
-  auto channel = fabric.make_channel(0);
-  double total_us = 0;
-  int measured = 0;
-  int remaining = warmup + iters;
-
-  std::function<void()> issue = [&] {
-    if (remaining == 0) return;
-    --remaining;
-    channel->call(Bytes(rpc_bytes, 0x5a), std::uint32_t(rpc_bytes),
-                  [&](SimDuration rtt, Bytes) {
-                    if (remaining < iters) {  // past warmup
-                      total_us += to_usec(rtt);
-                      ++measured;
-                    }
-                    issue();
-                  });
-  };
-  issue();
+  apps::ClosedLoop rpcs(fabric, {.channels_per_client = 1,
+                                 .ops_per_client = std::size_t(warmup + iters),
+                                 .request_bytes = rpc_bytes,
+                                 .response_bytes = rpc_bytes});
+  rpcs.start();
   fabric.loop().run();
-  return total_us / double(measured);
+
+  const apps::ClosedLoopResult r = rpcs.result();
+  double total_us = 0;
+  for (std::size_t i = std::size_t(warmup); i < r.completions.size(); ++i) {
+    total_us += to_usec(r.completions[i].rtt);
+  }
+  return total_us / double(r.completions.size() - std::size_t(warmup));
 }
 
 /// Concurrent closed-loop throughput (Figure 7 methodology, §5.2):
@@ -198,41 +199,22 @@ inline double measure_throughput_rps(
     const std::function<void(RpcFabric&)>& inspect = nullptr) {
   total_ops = iters(total_ops, std::max<std::size_t>(200, 4 * concurrency));
   RpcFabric fabric(config);
-  std::vector<std::unique_ptr<RpcChannel>> channels;
-  for (std::size_t i = 0; i < concurrency; ++i) {
-    channels.push_back(fabric.make_channel(i));  // app core = i % 12
-  }
-
-  const std::size_t warmup_ops = total_ops / 10;
-  std::size_t issued = 0, completed = 0;
-  SimTime measure_start = 0;
-  SimTime measure_end = 0;
-
-  std::function<void(std::size_t)> issue = [&](std::size_t slot) {
-    if (issued >= total_ops) return;
-    ++issued;
-    channels[slot]->call(Bytes(rpc_bytes, 0x5a), std::uint32_t(rpc_bytes),
-                         [&, slot](SimDuration, Bytes) {
-                           ++completed;
-                           if (completed == warmup_ops) {
-                             measure_start = fabric.loop().now();
-                           }
-                           if (completed == total_ops) {
-                             // Stop the clock at the LAST completion: the
-                             // loop afterwards only drains protocol timers
-                             // (RTO backstops, state GC), which must not
-                             // dilute the measured window.
-                             measure_end = fabric.loop().now();
-                           }
-                           issue(slot);
-                         });
-  };
-  for (std::size_t i = 0; i < concurrency; ++i) issue(i);
+  apps::ClosedLoop rpcs(fabric, {.channels_per_client = concurrency,
+                                 .ops_per_client = total_ops,
+                                 .request_bytes = rpc_bytes,
+                                 .response_bytes = rpc_bytes});
+  rpcs.start();
   fabric.loop().run();
 
   if (inspect) inspect(fabric);
-  const double seconds = to_sec(measure_end - measure_start);
-  return double(completed - warmup_ops) / seconds;
+  // The measured phase runs from the last warm-up completion to the LAST
+  // completion: the loop afterwards only drains protocol timers (RTO
+  // backstops, state GC), which must not dilute the window.
+  const apps::ClosedLoopResult r = rpcs.result();
+  const std::size_t warmup_ops = total_ops / 10;
+  const double seconds =
+      to_sec(r.last_completion() - r.completions[warmup_ops - 1].at);
+  return double(r.completions.size() - warmup_ops) / seconds;
 }
 
 /// Pretty-prints a series table: rows = x values, columns = systems.

@@ -13,8 +13,6 @@
 //                      runs only the scenario's workload.transport
 #include "bench_common.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <optional>
 
 namespace smt::bench {
@@ -92,58 +90,23 @@ IncastResult run_incast(const stack::ScenarioConfig& scenario,
   config.kind = kind;
   RpcFabric fabric(config, *topology, server_index, clients);
 
-  const std::size_t concurrency = scenario.workload.concurrency;
-  const std::size_t ops_per_client = scenario.workload.ops_per_client;
-  const std::size_t request_bytes = scenario.workload.request_bytes;
-  const std::size_t response_bytes = scenario.workload.response_bytes;
-
-  std::vector<std::unique_ptr<RpcChannel>> channels;
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    for (std::size_t c = 0; c < concurrency; ++c) {
-      channels.push_back(fabric.make_channel(i, c));
-    }
-  }
-
-  // Completion callbacks run on each client's SHARD THREAD: accumulate
-  // strictly per client (one shard runs its clients sequentially) and
-  // merge only after engine.run() joins the shards.
-  struct PerClient {
-    std::size_t issued = 0;
-    std::vector<double> rtts_us;
-    SimTime last_completion = 0;
-  };
-  std::vector<PerClient> per_client(clients.size());
-  std::function<void(std::size_t)> issue = [&](std::size_t slot) {
-    const std::size_t client = slot / concurrency;
-    PerClient& mine = per_client[client];
-    if (mine.issued >= ops_per_client) return;
-    ++mine.issued;
-    channels[slot]->call(
-        Bytes(request_bytes, 0x5a), std::uint32_t(response_bytes),
-        [&, slot, client](SimDuration rtt, Bytes) {
-          PerClient& me = per_client[client];
-          me.rtts_us.push_back(to_usec(rtt));
-          me.last_completion = fabric.client_host(client).loop().now();
-          issue(slot);
-        });
-  };
-  for (std::size_t slot = 0; slot < channels.size(); ++slot) issue(slot);
+  const stack::WorkloadSpec& w = scenario.workload;
+  apps::ClosedLoop rpcs(fabric, {.channels_per_client = w.concurrency,
+                                 .ops_per_client = w.ops_per_client,
+                                 .request_bytes = w.request_bytes,
+                                 .response_bytes = w.response_bytes});
+  rpcs.start();
   engine.run();
 
+  const apps::ClosedLoopResult rpc = rpcs.result();
   IncastResult result;
-  std::vector<double> rtts_us;
-  rtts_us.reserve(clients.size() * ops_per_client);
-  SimTime last_completion = 0;
-  for (const PerClient& c : per_client) {
-    result.completed += c.rtts_us.size();
-    rtts_us.insert(rtts_us.end(), c.rtts_us.begin(), c.rtts_us.end());
-    last_completion = std::max(last_completion, c.last_completion);
-  }
-  const Percentiles rtt = exact_percentiles(std::move(rtts_us));
+  result.completed = rpc.completions.size();
+  const Percentiles rtt = rtt_percentiles_us(rpc);
   result.p50_us = rtt.p50;
   result.p99_us = rtt.p99;
   // Goodput INTO the server: request payload delivered over the run.
-  const double bits = double(result.completed) * double(request_bytes) * 8.0;
+  const double bits = double(result.completed) * double(w.request_bytes) * 8.0;
+  const SimTime last_completion = rpc.last_completion();
   result.goodput_gbps = last_completion > 0 ? bits / double(last_completion) : 0;
   const sim::Switch::Stats totals = topology->switch_totals();
   result.drops = double(totals.trimmed + totals.dropped);

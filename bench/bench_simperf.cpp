@@ -92,30 +92,11 @@ struct SimPerfResult {
 SimPerfResult run_scenario(RpcFabricConfig config, std::size_t rpc_bytes,
                            std::size_t concurrency, std::size_t total_ops) {
   RpcFabric fabric(config);
-  std::vector<std::unique_ptr<RpcChannel>> channels;
-  for (std::size_t i = 0; i < concurrency; ++i) {
-    channels.push_back(fabric.make_channel(i));
-  }
-
-  std::size_t issued = 0, completed = 0;
-  SimTime first_completion = 0;
-  SimTime last_completion = 0;
-  std::function<void(std::size_t)> issue = [&](std::size_t slot) {
-    if (issued >= total_ops) return;
-    ++issued;
-    channels[slot]->call(Bytes(rpc_bytes, 0x5a), std::uint32_t(rpc_bytes),
-                         [&, slot](SimDuration, Bytes) {
-                           ++completed;
-                           if (completed == 1) {
-                             first_completion = fabric.loop().now();
-                           }
-                           if (completed == total_ops) {
-                             last_completion = fabric.loop().now();
-                           }
-                           issue(slot);
-                         });
-  };
-  for (std::size_t i = 0; i < concurrency; ++i) issue(i);
+  apps::ClosedLoop rpcs(fabric, {.channels_per_client = concurrency,
+                                 .ops_per_client = total_ops,
+                                 .request_bytes = rpc_bytes,
+                                 .response_bytes = rpc_bytes});
+  rpcs.start();
 
   flush_alloc_tally();
   const std::uint64_t allocs_before =
@@ -132,9 +113,11 @@ SimPerfResult run_scenario(RpcFabricConfig config, std::size_t rpc_bytes,
   r.packets = fabric.client_host().nic().counters().packets +
               fabric.server_host().nic().counters().packets;
   r.allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
-  r.completed = completed;
-  const double window = to_sec(last_completion - first_completion);
-  r.rpcs_per_vsec = window > 0 ? double(completed - 1) / window : 0;
+  const apps::ClosedLoopResult rpc = rpcs.result();
+  r.completed = rpc.completions.size();
+  const double window =
+      to_sec(rpc.last_completion() - rpc.completions.front().at);
+  r.rpcs_per_vsec = window > 0 ? double(r.completed - 1) / window : 0;
   return r;
 }
 
@@ -250,46 +233,30 @@ ShardScalingResult run_shard_scaling(std::size_t shards, std::size_t pairs,
   const SimDuration propagation = usec(100);
   sim::ShardedEngine engine(shards, propagation);
 
-  // Per-pair state: everything in here is only ever touched by the pair's
-  // client shard thread (channel completions run on the client loop), so
-  // pairs on different shards share nothing.
+  // Each pair's closed loop only ever runs on the pair's client shard
+  // thread (channel completions run on the client loop), so pairs on
+  // different shards share nothing.
   struct Pair {
     std::unique_ptr<RpcFabric> fabric;
-    std::vector<std::unique_ptr<RpcChannel>> channels;
-    std::size_t issued = 0;
-    std::size_t completed = 0;
-    SimTime last_completion = 0;
-    std::function<void(std::size_t)> issue;
+    std::unique_ptr<apps::ClosedLoop> rpcs;
   };
-  std::vector<std::unique_ptr<Pair>> fleet;
+  std::vector<Pair> fleet;
 
   for (std::size_t i = 0; i < pairs; ++i) {
     RpcFabricConfig config;
     config.kind = TransportKind::smt_hw;
     config.propagation = propagation;
-    auto pair = std::make_unique<Pair>();
-    pair->fabric = std::make_unique<RpcFabric>(
+    auto fabric = std::make_unique<RpcFabric>(
         config, engine, /*client_shard=*/i % shards,
         /*server_shard=*/(i + 1) % shards);
-    for (std::size_t c = 0; c < concurrency; ++c) {
-      pair->channels.push_back(pair->fabric->make_channel(c));
-    }
-    Pair& p = *pair;
-    p.issue = [&p, rpc_bytes, ops_per_pair](std::size_t slot) {
-      if (p.issued >= ops_per_pair) return;
-      ++p.issued;
-      p.channels[slot]->call(Bytes(rpc_bytes, 0x5a), std::uint32_t(rpc_bytes),
-                             [&p, slot](SimDuration, Bytes) {
-                               ++p.completed;
-                               p.last_completion = p.fabric->loop().now();
-                               p.issue(slot);
-                             });
-    };
-    fleet.push_back(std::move(pair));
+    auto rpcs = std::make_unique<apps::ClosedLoop>(
+        *fabric, apps::ClosedLoopSpec{.channels_per_client = concurrency,
+                                      .ops_per_client = ops_per_pair,
+                                      .request_bytes = rpc_bytes,
+                                      .response_bytes = rpc_bytes});
+    fleet.push_back({std::move(fabric), std::move(rpcs)});
   }
-  for (auto& pair : fleet) {
-    for (std::size_t c = 0; c < concurrency; ++c) pair->issue(c);
-  }
+  for (Pair& pair : fleet) pair.rpcs->start();
 
   const auto wall_start = std::chrono::steady_clock::now();
   const std::size_t events = engine.run();
@@ -300,9 +267,10 @@ ShardScalingResult run_shard_scaling(std::size_t shards, std::size_t pairs,
   r.events = events;
   r.windows = engine.stats().windows;
   r.cross_posts = engine.stats().cross_posts;
-  for (const auto& pair : fleet) {
-    r.completed += pair->completed;
-    r.virtual_end_ns += std::int64_t(pair->last_completion);
+  for (const Pair& pair : fleet) {
+    const apps::ClosedLoopResult rpc = pair.rpcs->result();
+    r.completed += rpc.completions.size();
+    r.virtual_end_ns += std::int64_t(rpc.last_completion());
   }
   return r;
 }

@@ -12,6 +12,8 @@
 //     one-server over an arbitrary fabric (incast).
 //   * RpcChannel — a client-side slot issuing request/response calls and
 //     reporting virtual-time RTTs.
+//   * ClosedLoop — the benches' and tests' one closed-loop driver: N
+//     channels per client, each reissuing when its reply lands.
 //
 // Wire protocol (identical across transports):
 //   request  := corr_id(8) | resp_len(4) | payload
@@ -147,15 +149,6 @@ class RpcFabric {
   RpcFabric(RpcFabricConfig config, stack::Topology& topology,
             std::size_t server_index, std::vector<std::size_t> client_indices);
 
-  /// Validating factories: the same constructions, but misconfiguration
-  /// (bad knobs, shard/lookahead violations) comes back as a Result error
-  /// instead of aborting.
-  static Result<std::unique_ptr<RpcFabric>> create(RpcFabricConfig config);
-  static Result<std::unique_ptr<RpcFabric>> create(RpcFabricConfig config,
-                                                   sim::ShardedEngine& engine,
-                                                   std::size_t client_shard,
-                                                   std::size_t server_shard);
-
   ~RpcFabric();
 
   RpcFabric(const RpcFabric&) = delete;
@@ -231,7 +224,7 @@ class RpcFabric {
     std::size_t app_core = 0;
   };
 
-  struct Unbuilt {};  // factory tag: construct empty, then init()
+  struct Unbuilt {};  // delegation tag: construct empty, then init()
   RpcFabric(RpcFabricConfig config, Unbuilt);
 
   Status init_two_host(sim::ShardedEngine* engine, std::size_t client_shard,
@@ -321,6 +314,73 @@ class RpcChannel {
     DoneCallback done;
   };
   std::map<std::uint64_t, Pending> pending_;
+};
+
+/// The closed-loop workload shape behind the paper's RTT and throughput
+/// figures (§5): every client keeps `channels_per_client` calls in flight,
+/// one per channel, until it has issued `ops_per_client`. Requests are
+/// `request_bytes` of 0x5a asking for `response_bytes` back.
+struct ClosedLoopSpec {
+  std::size_t channels_per_client = 1;
+  std::size_t ops_per_client = 0;
+  std::size_t request_bytes = 0;
+  std::size_t response_bytes = 0;
+};
+
+struct ClosedLoopResult {
+  struct Completion {
+    SimTime at = 0;  // virtual time on the client's loop
+    SimDuration rtt = 0;
+
+    friend bool operator==(const Completion&, const Completion&) = default;
+  };
+
+  std::size_t issued = 0;
+  std::uint64_t response_bytes = 0;
+  /// Client-major; completion order within each client.
+  std::vector<Completion> completions;
+
+  /// The latest completion across all clients (0 if none completed).
+  SimTime last_completion() const noexcept;
+
+  friend bool operator==(const ClosedLoopResult&,
+                         const ClosedLoopResult&) = default;
+};
+
+/// Drives a ClosedLoopSpec over every client of a fabric: each completion
+/// reissues on its own channel from inside its callback. The caller runs
+/// the loop (or engine) between start() and result().
+///
+/// Sharded runs: a completion touches only its own client's state, so
+/// clients on different shard threads share no memory; result() merges
+/// them after the run has joined.
+class ClosedLoop {
+ public:
+  /// Creates channels_per_client channels on each client, client-major
+  /// (channel c of client i sits on app core c). Issues nothing.
+  ClosedLoop(RpcFabric& fabric, ClosedLoopSpec spec);
+
+  ClosedLoop(const ClosedLoop&) = delete;
+  ClosedLoop& operator=(const ClosedLoop&) = delete;
+
+  /// Makes the first call on every channel, in slot order.
+  void start();
+
+  ClosedLoopResult result() const;
+
+ private:
+  struct Client {
+    std::size_t issued = 0;
+    std::uint64_t response_bytes = 0;
+    std::vector<ClosedLoopResult::Completion> completions;
+  };
+
+  void issue(std::size_t slot);
+
+  RpcFabric& fabric_;
+  ClosedLoopSpec spec_;
+  std::vector<std::unique_ptr<RpcChannel>> channels_;  // slot = client-major
+  std::vector<Client> clients_;
 };
 
 }  // namespace smt::apps

@@ -51,10 +51,6 @@ class LinkDirection {
 
   void set_receiver(PacketHandler handler) { receiver_ = std::move(handler); }
 
-  /// Whether a receiver is already wired (topology builders use this to
-  /// reject double-connecting an endpoint).
-  bool has_receiver() const noexcept { return receiver_ != nullptr; }
-
   /// Optional deterministic drop predicate evaluated before the random
   /// loss rate (used by tests to kill specific packets).
   void set_drop_predicate(std::function<bool(const Packet&)> predicate) {

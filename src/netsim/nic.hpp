@@ -244,9 +244,6 @@ class Nic {
 
   /// Attaches the TX side to a link direction and the RX side handler.
   void attach_tx(LinkDirection* tx) { tx_ = tx; }
-  /// Whether the TX side is already wired to a link (topology builders
-  /// use this to reject double-connecting a host).
-  bool tx_attached() const noexcept { return tx_ != nullptr; }
   void set_rx_handler(PacketHandler handler) { rx_handler_ = std::move(handler); }
 
   /// Installs the IRQ→CPU charging hooks (stack::Host does this from its

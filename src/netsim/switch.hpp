@@ -175,6 +175,8 @@ class Switch {
     std::uint64_t dark_transitions = 0;  // healthy->dark flips
     std::uint64_t resteered_flows = 0;   // distinct flows steered off dark
     std::uint64_t dropped_dark = 0;      // every port in the group dark
+
+    friend bool operator==(const Stats&, const Stats&) = default;
   };
   const Stats& stats() const noexcept { return stats_; }
 

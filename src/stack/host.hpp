@@ -461,52 +461,4 @@ inline sim::CpuCharge doorbell_charge(CpuCore* core) {
   return [core](SimDuration cost) { core->charge_irq(cost); };
 }
 
-/// Wires two hosts back-to-back over a link (the paper's topology).
-/// Rejects mis-wiring instead of silently clobbering it: a host whose NIC
-/// is already attached to a link, a link endpoint that already has a
-/// receiver, or the same host on both ends is a configuration error.
-[[nodiscard]] inline Status connect_hosts(Host& a, Host& b, sim::Link& link) {
-  if (&a == &b) {
-    return make_error(Errc::invalid_argument,
-                      "connect_hosts: cannot connect a host to itself");
-  }
-  if (a.nic().tx_attached() || b.nic().tx_attached()) {
-    return make_error(Errc::invalid_argument,
-                      "connect_hosts: a host is already attached to a link");
-  }
-  if (link.a2b().has_receiver() || link.b2a().has_receiver()) {
-    return make_error(Errc::invalid_argument,
-                      "connect_hosts: the link is already connected");
-  }
-  a.nic().attach_tx(&link.a2b());
-  b.nic().attach_tx(&link.b2a());
-  link.a2b().set_receiver([&b](sim::Packet pkt) { b.nic().receive(std::move(pkt)); });
-  link.b2a().set_receiver([&a](sim::Packet pkt) { a.nic().receive(std::move(pkt)); });
-  return Status::success();
-}
-
-/// Cross-shard form: hosts `a` and `b` live on (possibly different) shards
-/// of a ShardedEngine, and the link's two directions become cross-shard
-/// mailbox posts. SHARD AFFINITY is by construction: a Host — its NIC, its
-/// CpuCores, its transports — belongs to the shard whose loop it was built
-/// with (engine.loop(shard)), and every event it schedules stays on that
-/// shard; the ONLY cross-shard edges are the link deliveries wired here.
-/// `a` must have been built on engine.loop(shard_a) and `b` on
-/// engine.loop(shard_b); `link` must be the two-loop form spanning the
-/// same pair, with propagation >= engine.lookahead(). When the shards
-/// coincide (including every --shards 1 run) the wiring is byte-identical
-/// to plain connect_hosts.
-[[nodiscard]] inline Status connect_hosts(Host& a, Host& b, sim::Link& link,
-                                          sim::ShardedEngine& engine,
-                                          std::size_t shard_a,
-                                          std::size_t shard_b) {
-  const Status wired = connect_hosts(a, b, link);
-  if (!wired.ok()) return wired;
-  if (shard_a != shard_b) {
-    link.a2b().set_remote_scheduler(engine.remote_scheduler(shard_a, shard_b));
-    link.b2a().set_remote_scheduler(engine.remote_scheduler(shard_b, shard_a));
-  }
-  return Status::success();
-}
-
 }  // namespace smt::stack

@@ -73,12 +73,24 @@ Result<std::unique_ptr<Topology>> TopologyBuilder::build_impl(
     topo->host_shards_ = {shard0, shard1};
     topo->link_ =
         std::make_unique<sim::Link>(loop0, loop1, scenario_.edge_link);
-    const Status wired =
-        engine ? connect_hosts(*topo->hosts_[0], *topo->hosts_[1],
-                               *topo->link_, *engine, shard0, shard1)
-               : connect_hosts(*topo->hosts_[0], *topo->hosts_[1],
-                               *topo->link_);
-    if (!wired.ok()) return wired.error();
+    // Back-to-back wiring. A host belongs to the shard whose loop built it,
+    // so the link's two directions are the only cross-shard edges: when
+    // the shards differ, each delivery becomes a mailbox post.
+    Host& a = *topo->hosts_[0];
+    Host& b = *topo->hosts_[1];
+    sim::Link& link = *topo->link_;
+    a.nic().attach_tx(&link.a2b());
+    b.nic().attach_tx(&link.b2a());
+    link.a2b().set_receiver(
+        [&b](sim::Packet pkt) { b.nic().receive(std::move(pkt)); });
+    link.b2a().set_receiver(
+        [&a](sim::Packet pkt) { a.nic().receive(std::move(pkt)); });
+    if (engine != nullptr && shard0 != shard1) {
+      link.a2b().set_remote_scheduler(
+          engine->remote_scheduler(shard0, shard1));
+      link.b2a().set_remote_scheduler(
+          engine->remote_scheduler(shard1, shard0));
+    }
   } else {
     if (!shard_overrides_.empty()) {
       return make_error(Errc::invalid_argument,

@@ -8,8 +8,8 @@
 //
 // Shapes:
 //   * DIRECT (the default 1 rack x 2 hosts, no spines): two hosts wired
-//     back-to-back over a Link — bit-for-bit the classic connect_hosts
-//     wiring. This is the 2-host degenerate-case guarantee: anything
+//     back-to-back over a Link — bit-for-bit the classic hand-wired
+//     testbed. This is the 2-host degenerate-case guarantee: anything
 //     built through the builder with the default shape behaves
 //     byte-identically to the hand-wired testbeds it replaced.
 //   * VIA-ToR (via_tor(), 1 rack): hosts hang off one Switch (for

@@ -77,7 +77,6 @@ Result<std::uint64_t> HomaEndpoint::send_segments(
   tx.flow_hash = flow_to(dst).hash();  // hashed once per message
   tx.total_bytes = total_bytes;
   tx.granted_bytes = std::min(total_bytes, config_.unscheduled_bytes);
-  if (tx.granted_bytes == 0 && total_bytes == 0) tx.granted_bytes = 0;
   tx.pre_post = std::move(pre_post);
   std::size_t offset = 0;
   for (SegmentSpec& seg : segments) {

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 namespace smt::apps {
 namespace {
 
@@ -162,6 +166,100 @@ TEST(RpcFabricShape, HwOffloadSavesCpuVsSoftware) {
   };
   EXPECT_LT(busy_for(TransportKind::smt_hw), busy_for(TransportKind::smt_sw));
   EXPECT_LT(busy_for(TransportKind::ktls_hw), busy_for(TransportKind::ktls_sw));
+}
+
+// A 2-rack leaf-spine of 4 hosts: host 0 serves, hosts 1-3 are clients.
+// On a 2-shard engine rack r sits on shard r, so the clients span both.
+template <typename LoopOrEngine>
+std::unique_ptr<stack::Topology> four_hosts(LoopOrEngine& target) {
+  auto built =
+      stack::TopologyBuilder().racks(2).hosts_per_rack(2).spines(1).build(
+          target);
+  EXPECT_TRUE(built.ok());
+  return std::move(built).take();
+}
+
+const std::vector<std::size_t> kClients = {1, 2, 3};
+
+RpcFabricConfig smt_hw() {
+  RpcFabricConfig config;
+  config.kind = TransportKind::smt_hw;
+  return config;
+}
+
+TEST(ClosedLoop, IssuesTheBudgetWithOneCallPerChannel) {
+  sim::EventLoop loop;
+  auto topology = four_hosts(loop);
+  RpcFabric fabric(smt_hw(), *topology, 0, kClients);
+  constexpr std::size_t kChannels = 4, kOps = 30;
+  ClosedLoop rpcs(fabric, {.channels_per_client = kChannels,
+                           .ops_per_client = kOps,
+                           .request_bytes = 256,
+                           .response_bytes = 128});
+  EXPECT_EQ(rpcs.result().issued, 0u);
+  rpcs.start();
+  EXPECT_EQ(rpcs.result().issued, 3 * kChannels);
+  loop.run();
+
+  const ClosedLoopResult r = rpcs.result();
+  EXPECT_EQ(r.issued, 3 * kOps);
+  ASSERT_EQ(r.completions.size(), r.issued);
+  EXPECT_EQ(r.response_bytes, 3 * kOps * 128);
+  // A call is in flight over [at - rtt, at]. A reissue starts at its
+  // predecessor's `at`, so ends sort before starts at equal times.
+  for (std::size_t client = 0; client < kClients.size(); ++client) {
+    std::vector<std::pair<SimTime, int>> edges;
+    for (std::size_t i = 0; i < kOps; ++i) {
+      const ClosedLoopResult::Completion& c = r.completions[client * kOps + i];
+      edges.emplace_back(c.at - c.rtt, +1);
+      edges.emplace_back(c.at, -1);
+    }
+    std::sort(edges.begin(), edges.end());
+    int in_flight = 0;
+    for (const auto& [when, delta] : edges) {
+      in_flight += delta;
+      EXPECT_LE(in_flight, int(kChannels)) << "client " << client;
+    }
+  }
+}
+
+TEST(ClosedLoop, CompletionsOfOneClientAreInTimeOrder) {
+  RpcFabric fabric(smt_hw());
+  ClosedLoop rpcs(fabric, {.channels_per_client = 8,
+                           .ops_per_client = 100,
+                           .request_bytes = 1024,
+                           .response_bytes = 1024});
+  rpcs.start();
+  fabric.loop().run();
+
+  const ClosedLoopResult r = rpcs.result();
+  ASSERT_EQ(r.completions.size(), 100u);
+  for (std::size_t i = 1; i < r.completions.size(); ++i) {
+    EXPECT_LE(r.completions[i - 1].at, r.completions[i].at) << i;
+  }
+  EXPECT_EQ(r.last_completion(), r.completions.back().at);
+}
+
+ClosedLoopResult run_three_clients_on_two_shards() {
+  sim::ShardedEngine engine(2, usec(1));
+  auto topology = four_hosts(engine);
+  RpcFabric fabric(smt_hw(), *topology, 0, kClients);
+  ClosedLoop rpcs(fabric, {.channels_per_client = 2,
+                           .ops_per_client = 20,
+                           .request_bytes = 512,
+                           .response_bytes = 256});
+  rpcs.start();
+  engine.run();
+  return rpcs.result();
+}
+
+TEST(ClosedLoop, TwoShardRunsAreIdentical) {
+  // Clients on both shard threads complete concurrently; each touches
+  // only its own slot, which TSan checks here.
+  const ClosedLoopResult first = run_three_clients_on_two_shards();
+  const ClosedLoopResult second = run_three_clients_on_two_shards();
+  ASSERT_EQ(first.completions.size(), 3u * 20u);
+  EXPECT_TRUE(first == second);
 }
 
 }  // namespace

@@ -15,8 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "apps/rpc.hpp"
@@ -25,17 +23,13 @@ namespace smt::apps {
 namespace {
 
 struct RunSnapshot {
-  std::size_t completed = 0;
-  std::uint64_t rtt_sum_ns = 0;
-  SimTime last_completion = 0;
+  ClosedLoopResult rpc;
   std::uint64_t server_app_busy_ns = 0;
   std::uint64_t server_softirq_busy_ns = 0;
   std::uint64_t server_irq_busy_ns = 0;
   std::uint64_t client_busy_ns = 0;
   sim::NicCounters server_nic;
-  std::uint64_t switch_forwarded = 0;
-  std::uint64_t switch_trimmed = 0;
-  std::uint64_t switch_dropped = 0;
+  sim::Switch::Stats switches;
 
   friend bool operator==(const RunSnapshot&, const RunSnapshot&) = default;
 };
@@ -70,84 +64,51 @@ RunSnapshot run_incast(std::size_t shards) {
   for (std::size_t rack = 1; rack < 8; ++rack) clients.push_back(rack * 16);
   RpcFabric fabric(config, *topology, /*server_index=*/0, clients);
 
-  constexpr std::size_t kOpsPerClient = 24;
-  std::vector<std::unique_ptr<RpcChannel>> channels;
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    channels.push_back(fabric.make_channel(i, 0));
-  }
-  // Completion callbacks run on each client's SHARD THREAD (with 4 shards
-  // the 7 clients span all of them): accumulate strictly per client and
-  // merge only after engine.run() joins the shard threads — shared
-  // accumulators here would be a data race, not just nondeterminism.
-  struct PerClient {
-    std::size_t issued = 0;
-    std::size_t completed = 0;
-    std::uint64_t rtt_sum_ns = 0;
-    SimTime last_completion = 0;
-  };
-  std::vector<PerClient> per_client(clients.size());
-  std::function<void(std::size_t)> issue = [&](std::size_t i) {
-    PerClient& mine = per_client[i];
-    if (mine.issued >= kOpsPerClient) return;
-    ++mine.issued;
-    channels[i]->call(Bytes(256, 0x5a), 1024, [&, i](SimDuration rtt, Bytes) {
-      PerClient& me = per_client[i];
-      ++me.completed;
-      me.rtt_sum_ns += std::uint64_t(rtt);
-      // The callback runs on client i's loop; its now() is the completion
-      // time in that client's virtual clock.
-      me.last_completion = fabric.client_host(i).loop().now();
-      issue(i);
-    });
-  };
-  for (std::size_t i = 0; i < clients.size(); ++i) issue(i);
+  // With 4 shards the 7 clients span every shard thread; ClosedLoop keeps
+  // each client's completions apart until result() merges them.
+  ClosedLoop rpcs(fabric, {.channels_per_client = 1,
+                           .ops_per_client = 24,
+                           .request_bytes = 256,
+                           .response_bytes = 1024});
+  rpcs.start();
   engine.run();
 
   RunSnapshot snap;
-  for (const PerClient& c : per_client) {
-    snap.completed += c.completed;
-    snap.rtt_sum_ns += c.rtt_sum_ns;
-    snap.last_completion = std::max(snap.last_completion, c.last_completion);
-  }
+  snap.rpc = rpcs.result();
   snap.server_app_busy_ns = fabric.server_host().total_app_busy_ns();
   snap.server_softirq_busy_ns = fabric.server_host().total_softirq_busy_ns();
   snap.server_irq_busy_ns = fabric.server_host().total_irq_busy_ns();
   snap.client_busy_ns = fabric.client_busy_ns();
   snap.server_nic = fabric.server_host().nic().counters();
-  const sim::Switch::Stats totals = topology->switch_totals();
-  snap.switch_forwarded = totals.forwarded;
-  snap.switch_trimmed = totals.trimmed;
-  snap.switch_dropped = totals.dropped;
+  snap.switches = topology->switch_totals();
   return snap;
 }
 
 TEST(FabricDeterminism, OneShardRunToRunByteIdentical) {
   const RunSnapshot first = run_incast(1);
   const RunSnapshot second = run_incast(1);
-  ASSERT_EQ(first.completed, 7u * 24u);
-  EXPECT_GT(first.switch_forwarded, 0u);
+  ASSERT_EQ(first.rpc.completions.size(), 7u * 24u);
+  EXPECT_GT(first.switches.forwarded, 0u);
   EXPECT_TRUE(first == second) << "1-shard 128-host run diverged";
 }
 
 TEST(FabricDeterminism, FourShardRunToRunByteIdentical) {
   const RunSnapshot first = run_incast(4);
   const RunSnapshot second = run_incast(4);
-  ASSERT_EQ(first.completed, 7u * 24u);
-  EXPECT_GT(first.switch_forwarded, 0u);
+  ASSERT_EQ(first.rpc.completions.size(), 7u * 24u);
+  EXPECT_GT(first.switches.forwarded, 0u);
   EXPECT_TRUE(first == second) << "4-shard 128-host run diverged";
 }
 
 TEST(FabricDeterminism, ShardCountsPerformIdenticalWork) {
   const RunSnapshot one = run_incast(1);
   const RunSnapshot four = run_incast(4);
-  EXPECT_EQ(one.completed, four.completed);
+  EXPECT_EQ(one.rpc.completions.size(), four.rpc.completions.size());
   EXPECT_EQ(one.server_nic.rx_frames, four.server_nic.rx_frames);
   EXPECT_EQ(one.server_nic.rx_delivered, four.server_nic.rx_delivered);
   EXPECT_EQ(one.server_nic.segments, four.server_nic.segments);
   EXPECT_EQ(one.server_nic.records_encrypted, four.server_nic.records_encrypted);
-  EXPECT_EQ(one.switch_forwarded, four.switch_forwarded);
-  EXPECT_EQ(one.switch_trimmed, four.switch_trimmed);
-  EXPECT_EQ(one.switch_dropped, four.switch_dropped);
+  EXPECT_TRUE(one.switches == four.switches);
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 // and hardware-offload retransmission paths under stress.
 #include <gtest/gtest.h>
 
-#include <functional>
-
 #include "../common/topology_helpers.hpp"
 #include "apps/rpc.hpp"
 #include "crypto/drbg.hpp"
@@ -304,14 +302,8 @@ FaultRunSnapshot run_sharded_fault_workload(std::size_t shards) {
 // --- fabric-core faults: flapping core, dark paths, ECMP re-steering -------
 
 struct CoreFlapSnapshot {
-  std::size_t issued = 0;
-  std::size_t completed = 0;
-  std::uint64_t response_bytes = 0;
-  std::uint64_t rtt_hash = 0;  // client-order FNV over exact virtual RTTs
-  std::uint64_t fault_dropped = 0;
-  std::uint64_t dark_transitions = 0;
-  std::uint64_t resteered_flows = 0;
-  std::uint64_t dropped_dark = 0;
+  apps::ClosedLoopResult rpc;
+  sim::Switch::Stats switches;
 
   friend bool operator==(const CoreFlapSnapshot&,
                          const CoreFlapSnapshot&) = default;
@@ -356,59 +348,13 @@ CoreFlapSnapshot run_core_flap_workload(std::size_t shards) {
   const std::vector<std::size_t> clients = {2, 4, 6};
   apps::RpcFabric fabric(config, *topology, /*server_index=*/0, clients);
 
-  constexpr std::size_t kConcurrency = 2;
-  constexpr std::size_t kOpsPerClient = 8;
-  constexpr std::size_t kRequestBytes = 2048;
-  constexpr std::size_t kResponseBytes = 512;
-
-  std::vector<std::unique_ptr<apps::RpcChannel>> channels;
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    for (std::size_t c = 0; c < kConcurrency; ++c) {
-      channels.push_back(fabric.make_channel(i, c));
-    }
-  }
-
-  // Completions run on each client's shard thread: accumulate per client,
-  // merge after engine.run() joins.
-  struct PerClient {
-    std::size_t issued = 0;
-    std::size_t completed = 0;
-    std::uint64_t response_bytes = 0;
-    std::uint64_t rtt_hash = 0;
-  };
-  std::vector<PerClient> per_client(clients.size());
-  std::function<void(std::size_t)> issue = [&](std::size_t slot) {
-    const std::size_t client = slot / kConcurrency;
-    PerClient& mine = per_client[client];
-    if (mine.issued >= kOpsPerClient) return;
-    ++mine.issued;
-    channels[slot]->call(Bytes(kRequestBytes, 0x5a),
-                         std::uint32_t(kResponseBytes),
-                         [&, client, slot](SimDuration rtt, Bytes response) {
-                           PerClient& me = per_client[client];
-                           ++me.completed;
-                           me.response_bytes += response.size();
-                           me.rtt_hash = me.rtt_hash * 1099511628211ULL ^
-                                         std::uint64_t(rtt);
-                           issue(slot);
-                         });
-  };
-  for (std::size_t slot = 0; slot < channels.size(); ++slot) issue(slot);
+  apps::ClosedLoop rpcs(fabric, {.channels_per_client = 2,
+                                 .ops_per_client = 8,
+                                 .request_bytes = 2048,
+                                 .response_bytes = 512});
+  rpcs.start();
   engine.run();
-
-  CoreFlapSnapshot snap;
-  for (const PerClient& c : per_client) {
-    snap.issued += c.issued;
-    snap.completed += c.completed;
-    snap.response_bytes += c.response_bytes;
-    snap.rtt_hash = snap.rtt_hash * 1099511628211ULL ^ c.rtt_hash;
-  }
-  const sim::Switch::Stats totals = topology->switch_totals();
-  snap.fault_dropped = totals.fault_dropped;
-  snap.dark_transitions = totals.dark_transitions;
-  snap.resteered_flows = totals.resteered_flows;
-  snap.dropped_dark = totals.dropped_dark;
-  return snap;
+  return {rpcs.result(), topology->switch_totals()};
 }
 
 TEST(FaultInjection, CoreFlapShardedByteIdenticalRunToRun) {
@@ -417,12 +363,12 @@ TEST(FaultInjection, CoreFlapShardedByteIdenticalRunToRun) {
 
   // The core fault model actually bit, the health machine marked ports
   // dark, flows were re-steered around them — and nothing was lost.
-  EXPECT_GT(a.fault_dropped, 0u);
-  EXPECT_GT(a.dark_transitions, 0u);
-  EXPECT_GT(a.resteered_flows, 0u);
-  EXPECT_EQ(a.completed, 24u);
-  EXPECT_EQ(a.issued, 24u);
-  EXPECT_EQ(a.response_bytes, 24u * 512u);
+  EXPECT_GT(a.switches.fault_dropped, 0u);
+  EXPECT_GT(a.switches.dark_transitions, 0u);
+  EXPECT_GT(a.switches.resteered_flows, 0u);
+  EXPECT_EQ(a.rpc.completions.size(), 24u);
+  EXPECT_EQ(a.rpc.issued, 24u);
+  EXPECT_EQ(a.rpc.response_bytes, 24u * 512u);
 
   EXPECT_TRUE(a == b) << "2-shard core-flap run diverged run-to-run";
 }
@@ -435,11 +381,11 @@ TEST(FaultInjection, CoreFlapWorkIdenticalAcrossShardCounts) {
   const CoreFlapSnapshot one = run_core_flap_workload(1);
   const CoreFlapSnapshot four = run_core_flap_workload(4);
 
-  EXPECT_EQ(one.issued, four.issued);
-  EXPECT_EQ(one.completed, four.completed);
-  EXPECT_EQ(one.response_bytes, four.response_bytes);
-  EXPECT_GT(one.dark_transitions, 0u);
-  EXPECT_GT(four.dark_transitions, 0u);
+  EXPECT_EQ(one.rpc.issued, four.rpc.issued);
+  EXPECT_EQ(one.rpc.completions.size(), four.rpc.completions.size());
+  EXPECT_EQ(one.rpc.response_bytes, four.rpc.response_bytes);
+  EXPECT_GT(one.switches.dark_transitions, 0u);
+  EXPECT_GT(four.switches.dark_transitions, 0u);
 }
 
 TEST(FaultInjection, ShardedBurstFlapByteIdenticalRunToRun) {

@@ -20,47 +20,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
-#include <vector>
 
+#include "../common/host_snapshot.hpp"
 #include "apps/rpc.hpp"
 
 namespace smt::apps {
 namespace {
 
-struct HostSnapshot {
-  std::uint64_t app_busy_ns = 0;
-  std::uint64_t softirq_busy_ns = 0;
-  std::uint64_t irq_busy_ns = 0;
-  std::vector<sim::RxRingStats> rings;
-  sim::NicCounters nic;
-
-  friend bool operator==(const HostSnapshot&, const HostSnapshot&) = default;
-};
+using test::HostSnapshot;
+using test::snapshot_host;
 
 struct RunSnapshot {
-  SimTime last_completion = 0;  // virtual time of the final RPC completion
-  std::size_t completed = 0;
-  std::uint64_t rtt_sum_ns = 0;
+  ClosedLoopResult rpc;
   HostSnapshot client, server;
 
   friend bool operator==(const RunSnapshot&, const RunSnapshot&) = default;
 };
-
-HostSnapshot snapshot_host(stack::Host& host) {
-  HostSnapshot snap;
-  snap.app_busy_ns = host.total_app_busy_ns();
-  snap.softirq_busy_ns = host.total_softirq_busy_ns();
-  snap.irq_busy_ns = host.total_irq_busy_ns();
-  for (std::size_t r = 0; r < host.nic().rx_ring_count(); ++r) {
-    snap.rings.push_back(host.nic().rx_ring_stats(r));
-  }
-  snap.nic = host.nic().counters();
-  return snap;
-}
 
 // Closed-loop smt_hw workload. `shards == 0` uses the plain single-loop
 // RpcFabric constructor; otherwise the fabric is placed on a ShardedEngine
@@ -80,49 +57,30 @@ RunSnapshot run_workload(std::size_t shards) {
     fabric = std::make_unique<RpcFabric>(config, *engine, 0, shards - 1);
   }
 
-  constexpr std::size_t kConcurrency = 24;
-  constexpr std::size_t kOps = 600;
-  std::vector<std::unique_ptr<RpcChannel>> channels;
-  for (std::size_t i = 0; i < kConcurrency; ++i) {
-    channels.push_back(fabric->make_channel(i));
-  }
-  RunSnapshot snap;
-  std::size_t issued = 0;
-  std::function<void(std::size_t)> issue = [&](std::size_t slot) {
-    if (issued >= kOps) return;
-    ++issued;
-    channels[slot]->call(Bytes(512, 0x5a), 2048,
-                         [&, slot](SimDuration rtt, Bytes) {
-                           ++snap.completed;
-                           snap.rtt_sum_ns += std::uint64_t(rtt);
-                           // loop().now() mid-callback IS the completion
-                           // timestamp, valid in sharded and plain runs.
-                           snap.last_completion = fabric->loop().now();
-                           issue(slot);
-                         });
-  };
-  for (std::size_t i = 0; i < kConcurrency; ++i) issue(i);
+  ClosedLoop rpcs(*fabric, {.channels_per_client = 24,
+                            .ops_per_client = 600,
+                            .request_bytes = 512,
+                            .response_bytes = 2048});
+  rpcs.start();
   if (engine) {
     engine->run();
   } else {
     fabric->loop().run();
   }
 
-  snap.client = snapshot_host(fabric->client_host());
-  snap.server = snapshot_host(fabric->server_host());
-  return snap;
+  return {rpcs.result(), snapshot_host(fabric->client_host()),
+          snapshot_host(fabric->server_host())};
 }
 
 TEST(ShardDeterminism, TwoShardRunToRunByteIdentical) {
   const RunSnapshot first = run_workload(2);
   const RunSnapshot second = run_workload(2);
 
-  ASSERT_EQ(first.completed, 600u);
+  ASSERT_EQ(first.rpc.completions.size(), 600u);
   // The run must actually cross the shard boundary, or this guards nothing.
   EXPECT_GT(first.server.nic.rx_interrupts, 0u);
 
-  EXPECT_EQ(first.last_completion, second.last_completion);
-  EXPECT_EQ(first.rtt_sum_ns, second.rtt_sum_ns);
+  EXPECT_TRUE(first.rpc == second.rpc) << "RPC completions diverged";
   EXPECT_TRUE(first.client == second.client) << "client counters diverged";
   EXPECT_TRUE(first.server == second.server) << "server counters diverged";
   EXPECT_TRUE(first == second);
@@ -135,7 +93,7 @@ TEST(ShardDeterminism, OneShardEngineMatchesPlainFabric) {
   const RunSnapshot plain = run_workload(0);
   const RunSnapshot engine1 = run_workload(1);
 
-  ASSERT_EQ(plain.completed, 600u);
+  ASSERT_EQ(plain.rpc.completions.size(), 600u);
   EXPECT_TRUE(plain == engine1);
 }
 
@@ -154,7 +112,8 @@ TEST(ShardDeterminism, TwoShardPerformsIdenticalWorkToOneShard) {
   const RunSnapshot one = run_workload(1);
   const RunSnapshot two = run_workload(2);
 
-  EXPECT_EQ(one.completed, two.completed);
+  EXPECT_EQ(one.rpc.completions.size(), two.rpc.completions.size());
+  EXPECT_EQ(one.rpc.response_bytes, two.rpc.response_bytes);
   auto expect_same_work = [](const HostSnapshot& a, const HostSnapshot& b,
                              const char* side) {
     EXPECT_EQ(a.nic.segments, b.nic.segments) << side;
@@ -172,8 +131,10 @@ TEST(ShardDeterminism, TwoShardPerformsIdenticalWorkToOneShard) {
   // The schedules stay close even where they are not identical: the tie
   // re-orderings shift the final completion by at most a handful of
   // coalescing hold-offs, not by any macroscopic amount.
-  const SimTime hi = std::max(one.last_completion, two.last_completion);
-  const SimTime lo = std::min(one.last_completion, two.last_completion);
+  const SimTime hi =
+      std::max(one.rpc.last_completion(), two.rpc.last_completion());
+  const SimTime lo =
+      std::min(one.rpc.last_completion(), two.rpc.last_completion());
   EXPECT_LT(hi - lo, hi / 100) << "virtual end times diverged by >1%";
 }
 

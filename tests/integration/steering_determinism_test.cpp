@@ -7,56 +7,22 @@
 // anything but virtual time and the deterministic event order.
 #include <gtest/gtest.h>
 
-#include <vector>
-
+#include "../common/host_snapshot.hpp"
 #include "apps/rpc.hpp"
 
 namespace smt::apps {
 namespace {
 
-struct HostSnapshot {
-  std::uint64_t app_busy_ns = 0;
-  std::uint64_t softirq_busy_ns = 0;
-  std::uint64_t irq_busy_ns = 0;
-  std::vector<std::uint64_t> core_irq_ns;
-  std::vector<std::uint64_t> ring_irq_ns;
-  std::vector<std::size_t> irq_affinity;
-  std::vector<sim::RxRingStats> rings;
-  std::vector<std::size_t> rss_table;
-  sim::NicCounters nic;
-  std::uint64_t ticks = 0, migrations = 0, spreads = 0;
-
-  friend bool operator==(const HostSnapshot&, const HostSnapshot&) = default;
-};
+using test::HostSnapshot;
+using test::snapshot_host;
 
 struct RunSnapshot {
   SimTime final_time = 0;
-  std::size_t completed = 0;
+  ClosedLoopResult rpc;
   HostSnapshot client, server;
 
   friend bool operator==(const RunSnapshot&, const RunSnapshot&) = default;
 };
-
-HostSnapshot snapshot_host(stack::Host& host) {
-  HostSnapshot snap;
-  snap.app_busy_ns = host.total_app_busy_ns();
-  snap.softirq_busy_ns = host.total_softirq_busy_ns();
-  snap.irq_busy_ns = host.total_irq_busy_ns();
-  for (std::size_t i = 0; i < host.softirq_core_count(); ++i) {
-    snap.core_irq_ns.push_back(host.softirq_core(i).irq_busy_ns());
-  }
-  for (std::size_t r = 0; r < host.nic().rx_ring_count(); ++r) {
-    snap.ring_irq_ns.push_back(host.ring_irq_busy_ns(r));
-    snap.irq_affinity.push_back(host.irq_affinity(r));
-    snap.rings.push_back(host.nic().rx_ring_stats(r));
-  }
-  snap.rss_table = host.nic().rss_indirection();
-  snap.nic = host.nic().counters();
-  snap.ticks = host.irq_rebalance_stats().ticks;
-  snap.migrations = host.irq_rebalance_stats().migrations;
-  snap.spreads = host.irq_rebalance_stats().rss_spreads;
-  return snap;
-}
 
 RunSnapshot run_fig7_mix() {
   RpcFabricConfig config;
@@ -65,26 +31,16 @@ RunSnapshot run_fig7_mix() {
   config.irq_rebalance_period = usec(100);   // rebalancer on
   RpcFabric fabric(config);
 
-  constexpr std::size_t kConcurrency = 40;
-  constexpr std::size_t kOps = 1200;
-  std::vector<std::unique_ptr<RpcChannel>> channels;
-  for (std::size_t i = 0; i < kConcurrency; ++i) {
-    channels.push_back(fabric.make_channel(i));
-  }
-  RunSnapshot snap;
-  std::size_t issued = 0;
-  std::function<void(std::size_t)> issue = [&](std::size_t slot) {
-    if (issued >= kOps) return;
-    ++issued;
-    channels[slot]->call(Bytes(1024, 0x5a), 1024, [&, slot](SimDuration, Bytes) {
-      ++snap.completed;
-      issue(slot);
-    });
-  };
-  for (std::size_t i = 0; i < kConcurrency; ++i) issue(i);
+  ClosedLoop rpcs(fabric, {.channels_per_client = 40,
+                           .ops_per_client = 1200,
+                           .request_bytes = 1024,
+                           .response_bytes = 1024});
+  rpcs.start();
   fabric.loop().run();
 
+  RunSnapshot snap;
   snap.final_time = fabric.loop().now();
+  snap.rpc = rpcs.result();
   snap.client = snapshot_host(fabric.client_host());
   snap.server = snapshot_host(fabric.server_host());
   return snap;
@@ -94,7 +50,7 @@ TEST(SteeringDeterminism, IdenticalCountersAcrossRepeatedRuns) {
   const RunSnapshot first = run_fig7_mix();
   const RunSnapshot second = run_fig7_mix();
 
-  ASSERT_EQ(first.completed, 1200u);
+  ASSERT_EQ(first.rpc.completions.size(), 1200u);
   // The run must actually exercise the steering machinery, or this test
   // guards nothing.
   EXPECT_GT(first.server.migrations, 0u);
@@ -102,7 +58,7 @@ TEST(SteeringDeterminism, IdenticalCountersAcrossRepeatedRuns) {
   EXPECT_GT(first.server.nic.rx_interrupts, 0u);
 
   EXPECT_EQ(first.final_time, second.final_time);
-  EXPECT_EQ(first.completed, second.completed);
+  EXPECT_TRUE(first.rpc == second.rpc) << "RPC completions diverged";
   EXPECT_TRUE(first.client == second.client) << "client counters diverged";
   EXPECT_TRUE(first.server == second.server) << "server counters diverged";
   EXPECT_TRUE(first == second);

@@ -271,70 +271,5 @@ TEST(Host, BusyAccountingAggregates) {
   EXPECT_EQ(host.total_softirq_busy_ns(), usec(5));
 }
 
-TEST(Host, ConnectHostsDeliversBothWays) {
-  sim::EventLoop loop;
-  Host a(loop, make_config(1));
-  Host b(loop, make_config(2));
-  sim::Link link(loop, sim::LinkConfig{});
-  ASSERT_TRUE(connect_hosts(a, b, link).ok());
-
-  int a_rx = 0, b_rx = 0;
-  a.register_endpoint(sim::Proto::homa, 5, [&](sim::Packet) { ++a_rx; });
-  b.register_endpoint(sim::Proto::homa, 5, [&](sim::Packet) { ++b_rx; });
-
-  sim::SegmentDescriptor to_b;
-  to_b.segment.hdr.flow.proto = sim::Proto::homa;
-  to_b.segment.hdr.flow.dst_port = 5;
-  a.nic().post_segment(0, to_b);
-  sim::SegmentDescriptor to_a;
-  to_a.segment.hdr.flow.proto = sim::Proto::homa;
-  to_a.segment.hdr.flow.dst_port = 5;
-  b.nic().post_segment(0, to_a);
-  loop.run();
-  EXPECT_EQ(a_rx, 1);
-  EXPECT_EQ(b_rx, 1);
-}
-
-TEST(Host, ConnectHostsRejectsDoubleConnection) {
-  // Regression: re-wiring silently detached a live link endpoint (packets
-  // in flight on the old wiring were lost). Every double-connection shape
-  // is now a configuration error, and the original wiring stays intact.
-  sim::EventLoop loop;
-  Host a(loop, make_config(1));
-  Host b(loop, make_config(2));
-  sim::Link link(loop, sim::LinkConfig{});
-  ASSERT_TRUE(connect_hosts(a, b, link).ok());
-
-  // Same pair again over the same link.
-  EXPECT_EQ(connect_hosts(a, b, link).code(), Errc::invalid_argument);
-
-  // A connected host re-attached over a second link.
-  sim::Link other(loop, sim::LinkConfig{});
-  Host c(loop, make_config(3));
-  EXPECT_EQ(connect_hosts(a, c, other).code(), Errc::invalid_argument);
-  EXPECT_EQ(connect_hosts(c, b, other).code(), Errc::invalid_argument);
-
-  // A used link re-wired to fresh hosts.
-  Host d(loop, make_config(4));
-  EXPECT_EQ(connect_hosts(c, d, link).code(), Errc::invalid_argument);
-
-  // Self-connection.
-  sim::Link loopback(loop, sim::LinkConfig{});
-  EXPECT_EQ(connect_hosts(c, c, loopback).code(), Errc::invalid_argument);
-
-  // The original wiring still delivers.
-  int b_rx = 0;
-  b.register_endpoint(sim::Proto::homa, 9, [&](sim::Packet) { ++b_rx; });
-  sim::SegmentDescriptor to_b;
-  to_b.segment.hdr.flow.proto = sim::Proto::homa;
-  to_b.segment.hdr.flow.dst_port = 9;
-  a.nic().post_segment(0, to_b);
-  loop.run();
-  EXPECT_EQ(b_rx, 1);
-
-  // And the untouched pair can still be wired normally.
-  EXPECT_TRUE(connect_hosts(c, d, other).ok());
-}
-
 }  // namespace
 }  // namespace smt::stack
