@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -98,8 +99,6 @@ stack::HostConfig host_config_of(const RpcFabricConfig& config,
   hc.softirq_cores = config.softirq_cores;
   hc.nic.mtu_payload = config.mtu_payload;
   hc.nic.tso_enabled = config.tso_enabled;
-  // Without TSO the NIC takes only MTU-sized segments (§7 Segmentation).
-  hc.nic.max_tso_bytes = config.tso_enabled ? 65536 : config.mtu_payload;
   hc.nic.tx_burst = config.tx_burst;
   hc.nic.rx_burst = config.rx_burst;
   hc.nic.rx_coalesce_frames = config.rx_coalesce_frames;
@@ -108,12 +107,6 @@ stack::HostConfig host_config_of(const RpcFabricConfig& config,
   hc.nic.rx_ring_size = config.rx_ring_size;
   hc.nic.rss_indirection_size = config.rss_indirection_size;
   hc.nic.max_flow_contexts = config.max_flow_contexts;
-  if (config.per_doorbell_cost) {
-    hc.costs.per_doorbell_cost = *config.per_doorbell_cost;
-  }
-  if (config.per_interrupt_cost) {
-    hc.costs.per_interrupt_cost = *config.per_interrupt_cost;
-  }
   return hc;
 }
 
@@ -185,16 +178,7 @@ Status RpcFabric::init_two_host(sim::ShardedEngine* engine,
   }();
   if (!built.ok()) return built.error();
   owned_topology_ = std::move(built).take();
-  topology_ = owned_topology_.get();
-
-  clients_.resize(1);
-  clients_[0].host = &topology_->host(0);
-  clients_[0].ip = topology_->ip_of(0);
-  server_host_ = &topology_->host(1);
-  server_ip_ = topology_->ip_of(1);
-  client_loop_ = &topology_->loop_of(0);
-  server_loop_ = &topology_->loop_of(1);
-  return Status::success();
+  return init_topology(*owned_topology_, 1, {0});
 }
 
 Status RpcFabric::init_topology(stack::Topology& topology,
@@ -228,16 +212,13 @@ Status RpcFabric::init_topology(stack::Topology& topology,
     }
   }
 
-  topology_ = &topology;
-  server_host_ = &topology.host(server_index);
-  server_ip_ = topology.ip_of(server_index);
-  server_loop_ = &topology.loop_of(server_index);
+  server_.host = &topology.host(server_index);
+  server_.ip = topology.ip_of(server_index);
   clients_.resize(client_indices.size());
   for (std::size_t i = 0; i < client_indices.size(); ++i) {
     clients_[i].host = &topology.host(client_indices[i]);
     clients_[i].ip = topology.ip_of(client_indices[i]);
   }
-  client_loop_ = &clients_[0].host->loop();
   return Status::success();
 }
 
@@ -280,169 +261,104 @@ void RpcFabric::establish_keys() {
 }
 
 void RpcFabric::setup_transports() {
-  // Without TSO the NIC takes only MTU-sized segments (§7 Segmentation).
-  const std::size_t max_tso =
-      config_.tso_enabled ? std::size_t{65536} : config_.mtu_payload;
+  build_endpoint(server_);
+  for (Node& client : clients_) build_endpoint(client);
+}
 
-  // Server-side endpoint.
+void RpcFabric::build_endpoint(Node& node) {
+  const bool server = &node == &server_;
+  const std::uint16_t port = server ? kServerPort : kClientPort;
+  // Endpoints take their segment and record limits from their own host's
+  // NIC (NicConfig::max_segment_bytes()): over an external topology, the
+  // hosts' NICs decide them, not this fabric's config.
+  auto stream_handler = [this, &node](std::uint64_t conn, Bytes data) {
+    on_stream_data(node, conn, std::move(data));
+  };
+  auto message_handler = [this, &node](const auto& meta, Bytes data) {
+    on_message(node, meta.peer, std::move(data));
+  };
   switch (config_.kind) {
-    case TransportKind::tcp: {
-      transport::TcpConfig tc;
-      tc.max_tso_bytes = max_tso;
-      tcp_server_ = std::make_unique<transport::TcpEndpoint>(*server_host_,
-                                                             kServerPort, tc);
-      tcp_server_->set_on_data([this](std::uint64_t conn, Bytes data) {
-        on_server_stream_data(conn, std::move(data));
-      });
+    case TransportKind::tcp:
+      node.tcp = std::make_unique<transport::TcpEndpoint>(*node.host, port);
+      node.tcp->set_on_data(stream_handler);
       break;
-    }
     case TransportKind::ktls_sw:
-    case TransportKind::ktls_hw:
-    case TransportKind::tcpls: {
+    case TransportKind::ktls_hw: {
       baselines::KtlsConfig kc;
-      kc.hw_offload = false;  // rx side is software anyway
-      kc.tcp.max_tso_bytes = max_tso;
-      if (!config_.tso_enabled) {
-        kc.max_record_payload =
-            config_.mtu_payload - tls::record_overhead(suite_);
-      }
-      if (config_.kind == TransportKind::tcpls) {
-        kc.extra_record_cost = nsec(900);
-      }
-      ktls_server_ = std::make_unique<baselines::KtlsEndpoint>(
-          *server_host_, kServerPort, kc);
-      ktls_server_->set_on_accept([this](std::uint64_t conn) {
-        const Status st = ktls_server_->register_session(
-            conn, suite_, server_tx_keys_, client_tx_keys_);
-        assert(st.ok());
-        (void)st;
-      });
-      ktls_server_->set_on_data([this](std::uint64_t conn, Bytes data) {
-        on_server_stream_data(conn, std::move(data));
-      });
+      // Only the client offloads in ktls_hw runs: the server seals its
+      // responses in software, whereas an smt_hw server seals in the NIC.
+      kc.hw_offload = !server && config_.kind == TransportKind::ktls_hw;
+      node.ktls =
+          std::make_unique<baselines::KtlsEndpoint>(*node.host, port, kc);
       break;
     }
-    case TransportKind::homa: {
-      transport::HomaConfig hc;
-      hc.max_tso_bytes = max_tso;
-      homa_server_ = std::make_unique<transport::HomaEndpoint>(
-          *server_host_, kServerPort, hc);
-      homa_server_->set_on_message(
-          [this](transport::HomaEndpoint::MessageMeta meta, Bytes data) {
-            on_server_message(meta.peer, meta.peer.port, std::move(data));
-          });
+    case TransportKind::tcpls:
+      node.ktls = std::make_unique<baselines::TcplsEndpoint>(*node.host, port);
       break;
-    }
+    case TransportKind::homa:
+      node.homa = std::make_unique<transport::HomaEndpoint>(*node.host, port);
+      node.homa->set_on_message(message_handler);
+      break;
     case TransportKind::smt_sw:
     case TransportKind::smt_hw: {
       proto::SmtConfig pc;
       pc.hw_offload = config_.kind == TransportKind::smt_hw;
-      pc.homa.max_tso_bytes = max_tso;
-      if (!config_.tso_enabled) {
-        // Records must fit a single MTU packet without TSO (§7): the
-        // receiver reassembles on TLS record headers.
-        pc.max_record_payload =
-            config_.mtu_payload - proto::record_block_overhead();
-      }
-      smt_server_ =
-          std::make_unique<proto::SmtEndpoint>(*server_host_, kServerPort, pc);
-      smt_server_->set_on_message(
-          [this](proto::SmtEndpoint::MessageMeta meta, Bytes data) {
-            on_server_message(meta.peer, meta.peer.port, std::move(data));
-          });
+      node.smt = std::make_unique<proto::SmtEndpoint>(*node.host, port, pc);
+      node.smt->set_on_message(message_handler);
+      if (server) break;
+      // The same handshake's keys back every session (the benches run
+      // over established sessions).
+      Status st = node.smt->register_session(
+          transport::PeerAddr{server_.ip, kServerPort}, suite_,
+          client_tx_keys_, server_tx_keys_);
+      assert(st.ok());
+      st = server_.smt->register_session(
+          transport::PeerAddr{node.ip, kClientPort}, suite_, server_tx_keys_,
+          client_tx_keys_);
+      assert(st.ok());
+      (void)st;
       break;
     }
   }
-
-  // Client-side endpoints: one per client host. The same handshake's keys
-  // back every session (the benches run over established sessions).
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    ClientNode& node = clients_[i];
-    switch (config_.kind) {
-      case TransportKind::tcp: {
-        transport::TcpConfig tc;
-        tc.max_tso_bytes = max_tso;
-        node.tcp = std::make_unique<transport::TcpEndpoint>(*node.host,
-                                                            kClientPort, tc);
-        node.tcp->set_on_data([this, i](std::uint64_t conn, Bytes data) {
-          auto& channels = clients_[i].stream_channels;
-          const auto it = channels.find(conn);
-          if (it != channels.end()) it->second->on_stream_data(std::move(data));
-        });
-        break;
-      }
-      case TransportKind::ktls_sw:
-      case TransportKind::ktls_hw:
-      case TransportKind::tcpls: {
-        baselines::KtlsConfig kc;
-        kc.hw_offload = config_.kind == TransportKind::ktls_hw;
-        kc.tcp.max_tso_bytes = max_tso;
-        if (!config_.tso_enabled) {
-          kc.max_record_payload =
-              config_.mtu_payload - tls::record_overhead(suite_);
-        }
-        if (config_.kind == TransportKind::tcpls) {
-          kc.extra_record_cost = nsec(900);
-        }
-        node.ktls = std::make_unique<baselines::KtlsEndpoint>(*node.host,
-                                                              kClientPort, kc);
-        node.ktls->set_on_data([this, i](std::uint64_t conn, Bytes data) {
-          auto& channels = clients_[i].stream_channels;
-          const auto it = channels.find(conn);
-          if (it != channels.end()) it->second->on_stream_data(std::move(data));
-        });
-        break;
-      }
-      case TransportKind::homa: {
-        transport::HomaConfig hc;
-        hc.max_tso_bytes = max_tso;
-        node.homa = std::make_unique<transport::HomaEndpoint>(*node.host,
-                                                              kClientPort, hc);
-        node.homa->set_on_message(
-            [this](transport::HomaEndpoint::MessageMeta, Bytes data) {
-              if (data.size() < 8) return;
-              const std::uint64_t corr = load_u64be(data.data());
-              const auto it = channels_.find(corr >> 32);
-              if (it != channels_.end()) it->second->on_response(std::move(data));
-            });
-        break;
-      }
-      case TransportKind::smt_sw:
-      case TransportKind::smt_hw: {
-        proto::SmtConfig pc;
-        pc.hw_offload = config_.kind == TransportKind::smt_hw;
-        pc.homa.max_tso_bytes = max_tso;
-        if (!config_.tso_enabled) {
-          pc.max_record_payload =
-              config_.mtu_payload - proto::record_block_overhead();
-        }
-        node.smt =
-            std::make_unique<proto::SmtEndpoint>(*node.host, kClientPort, pc);
-        Status st = node.smt->register_session(
-            transport::PeerAddr{server_ip_, kServerPort}, suite_,
-            client_tx_keys_, server_tx_keys_);
-        assert(st.ok());
-        st = smt_server_->register_session(
-            transport::PeerAddr{node.ip, kClientPort}, suite_,
-            server_tx_keys_, client_tx_keys_);
+  if (node.ktls) {
+    node.ktls->set_on_data(stream_handler);
+    if (server) {
+      node.ktls->set_on_accept([this](std::uint64_t conn) {
+        const Status st = server_.ktls->register_session(
+            conn, suite_, server_tx_keys_, client_tx_keys_);
         assert(st.ok());
         (void)st;
-        node.smt->set_on_message(
-            [this](proto::SmtEndpoint::MessageMeta, Bytes data) {
-              if (data.size() < 8) return;
-              const std::uint64_t corr = load_u64be(data.data());
-              const auto it = channels_.find(corr >> 32);
-              if (it != channels_.end()) it->second->on_response(std::move(data));
-            });
-        break;
-      }
+      });
     }
   }
 }
 
+void RpcFabric::on_stream_data(Node& node, std::uint64_t conn, Bytes data) {
+  if (&node == &server_) {
+    on_server_stream_data(conn, std::move(data));
+    return;
+  }
+  const auto it = node.stream_channels.find(conn);
+  if (it != node.stream_channels.end()) {
+    it->second->on_stream_data(std::move(data));
+  }
+}
+
+void RpcFabric::on_message(Node& node, transport::PeerAddr peer,
+                           Bytes message) {
+  if (&node == &server_) {
+    on_server_message(peer, std::move(message));
+    return;
+  }
+  if (message.size() < 8) return;
+  const std::uint64_t corr = load_u64be(message.data());
+  const auto it = channels_.find(corr >> 32);
+  if (it != channels_.end()) it->second->on_response(std::move(message));
+}
+
 stack::CpuCore& RpcFabric::server_core_for(std::size_t hint) {
-  if (config_.single_threaded_server) return server_host_->app_core(0);
-  return server_host_->app_core(hint % server_host_->app_core_count());
+  if (config_.single_threaded_server) return server_.host->app_core(0);
+  return server_.host->app_core(hint % server_.host->app_core_count());
 }
 
 void RpcFabric::server_handle_message(ByteView message,
@@ -467,7 +383,7 @@ void RpcFabric::server_handle_message(ByteView message,
       append(response, result.payload);
     }
     stack::CpuCore& core = server_core_for(core_hint);
-    const auto& costs = server_host_->costs();
+    const auto& costs = server_.host->costs();
     // Stream transports: the application reassembles messages from the
     // bytestream itself (§5.3 — Redis keeps partial-read state for TCP
     // clients but not for Homa/SMT ones).
@@ -501,9 +417,9 @@ void RpcFabric::on_server_stream_data(std::uint64_t conn, Bytes data) {
           stack::CpuCore& core = server_core_for(core_hint);
           const Bytes framed = frame_message(response);
           if (config_.kind == TransportKind::tcp) {
-            tcp_server_->send(conn, framed, &core);
+            server_.tcp->send(conn, framed, &core);
           } else {
-            const Status st = ktls_server_->send(conn, framed, &core);
+            const Status st = server_.ktls->send(conn, framed, &core);
             assert(st.ok());
             (void)st;
           }
@@ -512,24 +428,22 @@ void RpcFabric::on_server_stream_data(std::uint64_t conn, Bytes data) {
   }
 }
 
-void RpcFabric::on_server_message(transport::PeerAddr peer,
-                                  std::uint64_t /*client_port*/,
-                                  Bytes message) {
+void RpcFabric::on_server_message(transport::PeerAddr peer, Bytes message) {
   server_handle_message(
       message,
       [this, peer](Bytes response) {
         const std::size_t hint =
             config_.single_threaded_server
                 ? 0
-                : (next_server_core_ % server_host_->app_core_count());
+                : (next_server_core_ % server_.host->app_core_count());
         stack::CpuCore& core = server_core_for(hint);
         if (config_.kind == TransportKind::homa) {
-          const auto st = homa_server_->send_message(peer, std::move(response),
+          const auto st = server_.homa->send_message(peer, std::move(response),
                                                      &core);
           assert(st.ok());
           (void)st;
         } else {
-          const auto st = smt_server_->send_message(peer, std::move(response),
+          const auto st = server_.smt->send_message(peer, std::move(response),
                                                     &core);
           assert(st.ok());
           (void)st;
@@ -561,14 +475,14 @@ RpcChannel::RpcChannel(RpcFabric& fabric, std::uint64_t channel_id,
       app_core_(app_core_index) {
   switch (fabric_.config_.kind) {
     case TransportKind::tcp: {
-      stream_conn_ = node().tcp->connect(fabric_.server_ip_, kServerPort);
+      stream_conn_ = node().tcp->connect(fabric_.server_.ip, kServerPort);
       node().stream_channels[stream_conn_] = this;
       break;
     }
     case TransportKind::ktls_sw:
     case TransportKind::ktls_hw:
     case TransportKind::tcpls: {
-      stream_conn_ = node().ktls->connect(fabric_.server_ip_, kServerPort);
+      stream_conn_ = node().ktls->connect(fabric_.server_.ip, kServerPort);
       node().stream_channels[stream_conn_] = this;
       const Status st = node().ktls->register_session(
           stream_conn_, fabric_.suite_, fabric_.client_tx_keys_,
@@ -615,7 +529,7 @@ void RpcChannel::call(Bytes request, std::uint32_t resp_len,
     }
     case TransportKind::homa: {
       const auto st = node().homa->send_message(
-          transport::PeerAddr{fabric_.server_ip_, kServerPort},
+          transport::PeerAddr{fabric_.server_.ip, kServerPort},
           std::move(message), &core);
       assert(st.ok());
       (void)st;
@@ -624,7 +538,7 @@ void RpcChannel::call(Bytes request, std::uint32_t resp_len,
     case TransportKind::smt_sw:
     case TransportKind::smt_hw: {
       const auto st = node().smt->send_message(
-          transport::PeerAddr{fabric_.server_ip_, kServerPort},
+          transport::PeerAddr{fabric_.server_.ip, kServerPort},
           std::move(message), &core);
       assert(st.ok());
       (void)st;

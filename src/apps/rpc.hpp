@@ -27,7 +27,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "baselines/ktls.hpp"
@@ -80,18 +79,14 @@ struct RpcFabricConfig {
   std::size_t softirq_cores = 4;
   std::size_t mtu_payload = 1500;
   bool tso_enabled = true;
-  /// NIC TX batching: descriptors drained per doorbell and the fixed cost
-  /// of each drain event (doorbell amortisation, see netsim/nic.hpp).
-  /// per_doorbell_cost unset keeps the cost model's calibrated default.
+  /// NIC TX batching: descriptors drained per doorbell (doorbell
+  /// amortisation, see netsim/nic.hpp).
   std::size_t tx_burst = 16;
-  std::optional<SimDuration> per_doorbell_cost;
-  /// NIC RX batching: frames delivered per interrupt, the coalescing
-  /// thresholds, and the fixed cost of each interrupt (see netsim/nic.hpp).
-  /// per_interrupt_cost unset keeps the cost model's calibrated default.
+  /// NIC RX batching: frames delivered per interrupt and the coalescing
+  /// thresholds (see netsim/nic.hpp).
   std::size_t rx_burst = 16;
   std::size_t rx_coalesce_frames = 16;
   double rx_coalesce_usecs = 0.0;
-  std::optional<SimDuration> per_interrupt_cost;
   /// DIM-style adaptive moderation: each RX ring adapts its own hold-off
   /// from the observed per-interrupt frame rate (see netsim/nic.hpp).
   bool adaptive_rx_coalesce = false;
@@ -169,23 +164,23 @@ class RpcFabric {
                                            std::size_t app_core_index);
 
   /// The client-side event loop (the fabric's only loop when not sharded).
-  sim::EventLoop& loop() noexcept { return *client_loop_; }
+  sim::EventLoop& loop() noexcept { return clients_.front().host->loop(); }
   stack::Host& client_host() noexcept { return *clients_.front().host; }
   stack::Host& client_host(std::size_t i) { return *clients_.at(i).host; }
   std::size_t client_count() const noexcept { return clients_.size(); }
-  stack::Host& server_host() noexcept { return *server_host_; }
+  stack::Host& server_host() noexcept { return *server_.host; }
   const RpcFabricConfig& config() const noexcept { return config_; }
 
   /// Total wall-clock the server spent on app cores + softirq (for §5.2
   /// CPU-usage accounting).
   std::uint64_t server_busy_ns() const {
-    return server_host_->total_app_busy_ns() +
-           server_host_->total_softirq_busy_ns();
+    return server_.host->total_app_busy_ns() +
+           server_.host->total_softirq_busy_ns();
   }
   /// Summed over every client host (one host in the two-host form).
   std::uint64_t client_busy_ns() const {
     std::uint64_t total = 0;
-    for (const ClientNode& client : clients_) {
+    for (const Node& client : clients_) {
       total += client.host->total_app_busy_ns() +
                client.host->total_softirq_busy_ns();
     }
@@ -194,11 +189,11 @@ class RpcFabric {
   /// The IRQ-class slice of the busy totals (NIC interrupt servicing +
   /// doorbell MMIO) — subtract it to compare protocol/crypto CPU alone.
   std::uint64_t server_irq_ns() const {
-    return server_host_->total_irq_busy_ns();
+    return server_.host->total_irq_busy_ns();
   }
   std::uint64_t client_irq_ns() const {
     std::uint64_t total = 0;
-    for (const ClientNode& client : clients_) {
+    for (const Node& client : clients_) {
       total += client.host->total_irq_busy_ns();
     }
     return total;
@@ -207,14 +202,17 @@ class RpcFabric {
  private:
   friend class RpcChannel;
 
-  struct ClientNode {
+  /// One host of the fabric, server or client, and its endpoint: exactly
+  /// one of the endpoint pointers is set, per config_.kind (TCPLS runs on
+  /// `ktls`).
+  struct Node {
     stack::Host* host = nullptr;
     std::uint32_t ip = 0;
     std::unique_ptr<transport::TcpEndpoint> tcp;
     std::unique_ptr<baselines::KtlsEndpoint> ktls;
     std::unique_ptr<transport::HomaEndpoint> homa;
     std::unique_ptr<proto::SmtEndpoint> smt;
-    // Stream transports: connection -> channel. Per client node because
+    // Client stream transports: connection -> channel. Per node because
     // connection ids are only unique per endpoint.
     std::map<std::uint64_t, RpcChannel*> stream_channels;
   };
@@ -233,33 +231,24 @@ class RpcFabric {
                        std::vector<std::size_t> client_indices);
   void establish_keys();
   void setup_transports();
+  void build_endpoint(Node& node);
+  void on_stream_data(Node& node, std::uint64_t conn, Bytes data);
+  void on_message(Node& node, transport::PeerAddr peer, Bytes message);
   stack::CpuCore& server_core_for(std::size_t hint);
   void server_handle_message(ByteView message,
                              std::function<void(Bytes)> reply,
                              std::size_t core_hint);
   void on_server_stream_data(std::uint64_t conn, Bytes data);
-  void on_server_message(transport::PeerAddr peer, std::uint64_t client_port,
-                         Bytes message);
+  void on_server_message(transport::PeerAddr peer, Bytes message);
 
   RpcFabricConfig config_;
-  sim::EventLoop loop_;  // owns the fabric's loop when not sharded
-  // Where the hosts live: all point at loop_ in the single-loop form; at
-  // engine shards in the sharded form; at the topology's loops otherwise.
-  sim::EventLoop* client_loop_ = &loop_;
-  sim::EventLoop* server_loop_ = &loop_;
+  sim::EventLoop loop_;  // the hosts' loop in the single-loop form
   crypto::HmacDrbg rng_;
   std::unique_ptr<stack::Topology> owned_topology_;  // two-host forms
-  stack::Topology* topology_ = nullptr;  // owned or external
 
-  std::vector<ClientNode> clients_;
-  stack::Host* server_host_ = nullptr;
-  std::uint32_t server_ip_ = 0;
-
-  // Server-side endpoint (exactly one per config_.kind).
-  std::unique_ptr<transport::TcpEndpoint> tcp_server_;
-  std::unique_ptr<baselines::KtlsEndpoint> ktls_server_;
-  std::unique_ptr<transport::HomaEndpoint> homa_server_;
-  std::unique_ptr<proto::SmtEndpoint> smt_server_;
+  // Sized once by init_*: endpoint handlers hold references to nodes.
+  std::vector<Node> clients_;
+  Node server_;
 
   tls::TrafficKeys client_tx_keys_;  // from a real handshake
   tls::TrafficKeys server_tx_keys_;
@@ -296,7 +285,7 @@ class RpcChannel {
   void on_response(Bytes message);
   void on_stream_data(Bytes data);
 
-  RpcFabric::ClientNode& node() { return fabric_.clients_[client_]; }
+  RpcFabric::Node& node() { return fabric_.clients_[client_]; }
 
   RpcFabric& fabric_;
   std::uint64_t channel_id_;

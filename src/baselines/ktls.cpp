@@ -38,12 +38,17 @@ Status KtlsEndpoint::send(ConnId conn, Bytes plaintext,
   }
   SessionState& state = it->second;
   const auto& costs = host_.costs();
+  // A record must fit one NIC segment: TCP aligns offloaded records to
+  // segments (§4.3), and without TSO a segment is one MTU packet (§7).
+  const std::size_t max_record = std::min(
+      config_.max_record_payload,
+      host_.nic().config().max_segment_bytes() -
+          tls::record_overhead(state.suite));
 
   // The stream's final size is known: reserve it once, then write every
   // record straight into it.
   const std::size_t n_records = std::max<std::size_t>(
-      1, (plaintext.size() + config_.max_record_payload - 1) /
-             config_.max_record_payload);
+      1, (plaintext.size() + max_record - 1) / max_record);
   Bytes stream;
   stream.reserve(plaintext.size() +
                  n_records * tls::record_overhead(state.suite));
@@ -51,7 +56,7 @@ Status KtlsEndpoint::send(ConnId conn, Bytes plaintext,
   std::size_t offset = 0;
   do {
     const std::size_t take =
-        std::min(config_.max_record_payload, plaintext.size() - offset);
+        std::min(max_record, plaintext.size() - offset);
     const ByteView chunk(plaintext.data() + offset, take);
     const std::uint64_t seq = state.tx_seq++;
     if (config_.hw_offload) {

@@ -25,6 +25,8 @@ namespace smt::baselines {
 
 struct KtlsConfig {
   bool hw_offload = false;
+  /// App bytes per record; capped further so a record fits one of the
+  /// host NIC's segments (NicConfig::max_segment_bytes()).
   std::size_t max_record_payload = 16000;
   transport::TcpConfig tcp{};
   /// Extra per-record CPU cost (used by the TCPLS-like variant).

@@ -40,18 +40,6 @@ Nic::Nic(EventLoop& loop, NicConfig config)
       config_(std::move(config)),
       queues_(config_.num_queues),
       rx_rings_(config_.num_queues) {
-  if (!config_.per_doorbell_cost) {
-    config_.per_doorbell_cost = kDefaultPerDoorbellCost;
-  }
-  if (!config_.per_interrupt_cost) {
-    config_.per_interrupt_cost = kDefaultPerInterruptCost;
-  }
-  if (!config_.per_rx_frame_cost) {
-    config_.per_rx_frame_cost = kDefaultPerRxFrameCost;
-  }
-  if (!config_.rss_reprogram_cost) {
-    config_.rss_reprogram_cost = kDefaultRssReprogramCost;
-  }
   // Default indirection table: uniform round-robin over the active rings,
   // the same spread `ethtool -X ... equal N` programs.
   rss_table_.resize(std::max<std::size_t>(1, config_.rss_indirection_size));
@@ -86,7 +74,7 @@ Status Nic::set_rss_indirection(const std::vector<std::size_t>& table,
     }
   }
   ++counters_.rss_reprograms;
-  if (poster) poster(*config_.rss_reprogram_cost);
+  if (poster) poster(config_.rss_reprogram_cost);
   for (std::size_t entry = 0; entry < table.size(); ++entry) {
     if (rss_table_[entry] == table[entry]) {
       // Already routing there (or a pending flip was reverted).
@@ -249,7 +237,7 @@ void Nic::fire_rx_interrupt(std::size_t index) {
   // so a backlogged softirq core delays delivery (the paper's §5.2
   // softirq-thread contention made visible). Without one the cost is pure
   // event-loop delay (raw Nic objects).
-  const SimDuration cost = *config_.per_interrupt_cost;
+  const SimDuration cost = config_.per_interrupt_cost;
   if (irq_run_) {
     counters_.irq_cpu_ns += std::uint64_t(cost);
     irq_run_(index, cost, [this, index] { drain_rx(index); });
@@ -266,7 +254,7 @@ void Nic::drain_rx(std::size_t index) {
   // the same IRQ core; delivery order within the ring is the FIFO deque.
   if (burst > 0 && irq_charge_) {
     const SimDuration frame_cost =
-        *config_.per_rx_frame_cost * SimDuration(burst);
+        config_.per_rx_frame_cost * SimDuration(burst);
     counters_.irq_cpu_ns += std::uint64_t(frame_cost);
     irq_charge_(index, frame_cost);
   }
@@ -395,7 +383,7 @@ void Nic::post_resync(std::size_t queue, std::uint32_t context_id,
 void Nic::post_segment(std::size_t queue, SegmentDescriptor descriptor,
                        CpuCharge poster) {
   assert(queue < queues_.size());
-  assert(descriptor.segment.payload.size() <= config_.max_tso_bytes);
+  assert(descriptor.segment.payload.size() <= config_.max_segment_bytes());
   for (const TlsRecordDesc& rec : descriptor.records) {
     pin_context(rec.context_id);
   }
@@ -421,10 +409,10 @@ void Nic::kick(const CpuCharge& poster) {
   processing_ = true;
   ++counters_.doorbells;
   if (poster) {
-    counters_.doorbell_cpu_ns += std::uint64_t(*config_.per_doorbell_cost);
-    poster(*config_.per_doorbell_cost);
+    counters_.doorbell_cpu_ns += std::uint64_t(config_.per_doorbell_cost);
+    poster(config_.per_doorbell_cost);
   }
-  loop_.schedule(*config_.per_doorbell_cost, [this] {
+  loop_.schedule(config_.per_doorbell_cost, [this] {
     const std::size_t burst = std::min(
         pending_descriptors(), std::max<std::size_t>(1, config_.tx_burst));
     if (burst == 0) {  // defensive: queues only drain here
@@ -479,8 +467,6 @@ void Nic::process_batch(std::size_t burst) {
 
 void Nic::encrypt_records(SegmentDescriptor& descriptor) {
   if (descriptor.records.empty()) return;
-  assert(config_.tls_offload_enabled &&
-         "inline-TLS segment posted with offload disabled");
 
   // Copy-on-write: the transport retains slices of this slab (plaintext
   // for retransmission), so the in-place encryption below must land in a
@@ -530,10 +516,6 @@ void Nic::emit_segment(SegmentDescriptor descriptor) {
   Packet& segment = descriptor.segment;
   const std::size_t mss = config_.mtu_payload;
   const bool is_tcp = segment.hdr.flow.proto == Proto::tcp;
-
-  if (!config_.tso_enabled && segment.payload.size() > mss) {
-    assert(false && "oversized segment posted with TSO disabled");
-  }
 
   // RSS hash: computed ONCE per segment here (memoized into the header)
   // and replicated by TSO into every packet below — the receive path

@@ -9,6 +9,8 @@
 //    the IPID increments per packet; TCP sequence numbers are written for
 //    the TCP protocol number ONLY (undefined transports get none — the
 //    reason Homa/SMT need offset fields, §2.2); checksums likewise.
+//    NicConfig::max_segment_bytes() is the one segment limit every
+//    transport on the host reads: 64 KB with TSO, one MTU without.
 //
 //  * TLS offload — per-flow *contexts* live in (limited) NIC memory and
 //    hold the AEAD key, IV, and a SELF-INCREMENTING record sequence number.
@@ -62,6 +64,8 @@
 //    event-loop delay, as before. TX symmetrically charges
 //    per_doorbell_cost to the core that posted the doorbell-arming
 //    descriptor, via the CpuCharge callback on post_segment/post_resync.
+//    These fixed datapath costs are NicConfig fields, the same for a raw
+//    Nic and a Host-owned one.
 //
 //  * Adaptive moderation (DIM-style) — with adaptive_rx_coalesce set, each
 //    ring adjusts its own effective rx_coalesce_frames/rx_coalesce_usecs
@@ -91,38 +95,30 @@ namespace smt::sim {
 struct NicConfig {
   std::size_t num_queues = 4;
   std::size_t mtu_payload = 1500;    // MTU-sized packet payload budget
-  std::size_t max_tso_bytes = 65536; // max TSO segment payload
   bool tso_enabled = true;
-  bool tls_offload_enabled = true;
   std::size_t max_flow_contexts = 1024;  // in-NIC memory is finite (§4.4.2)
   SimDuration per_descriptor_cost = nsec(80);  // descriptor fetch/DMA setup
   // Batched TX datapath: one doorbell drains up to `tx_burst` descriptors
   // in a single scheduling event, so `per_doorbell_cost` (ring doorbell,
   // scheduling, DMA engine start-up) is paid once per batch instead of
   // once per descriptor. tx_burst = 1 degenerates to the unbatched path.
-  // per_doorbell_cost left unset resolves to CostModel::per_doorbell_cost
-  // for Host-owned NICs (stack/cost_model.hpp is the calibration source)
-  // and to kDefaultPerDoorbellCost for raw Nic objects; an explicit
-  // setting always wins.
   std::size_t tx_burst = 16;
-  std::optional<SimDuration> per_doorbell_cost;
+  SimDuration per_doorbell_cost = nsec(350);
   // Batched RX datapath: one interrupt delivers up to `rx_burst` frames,
-  // amortising `per_interrupt_cost` the same way the doorbell amortises TX.
-  // rx_burst = 1 degenerates to an interrupt per frame. The interrupt is
-  // held off until `rx_coalesce_frames` frames are pending or
-  // `rx_coalesce_usecs` microseconds after the first pending frame arrived
-  // (0 = fire immediately), mirroring ethtool's rx-frames / rx-usecs.
-  // per_interrupt_cost resolves like per_doorbell_cost: CostModel for
-  // Host-owned NICs, kDefaultPerInterruptCost for raw Nic objects.
+  // amortising `per_interrupt_cost` (IRQ entry/exit, NAPI scheduling) the
+  // same way the doorbell amortises TX. rx_burst = 1 degenerates to an
+  // interrupt per frame. The interrupt is held off until
+  // `rx_coalesce_frames` frames are pending or `rx_coalesce_usecs`
+  // microseconds after the first pending frame arrived (0 = fire
+  // immediately), mirroring ethtool's rx-frames / rx-usecs.
   std::size_t rx_burst = 16;
   std::size_t rx_coalesce_frames = 16;
   double rx_coalesce_usecs = 0.0;
-  std::optional<SimDuration> per_interrupt_cost;
+  SimDuration per_interrupt_cost = nsec(1200);
   // Per-frame RX completion work (completion-descriptor fetch, buffer
   // unmap) charged to the IRQ core alongside per_interrupt_cost when an
-  // IrqExecutor is installed. Resolves like per_interrupt_cost: CostModel
-  // for Host-owned NICs, kDefaultPerRxFrameCost for raw Nic objects.
-  std::optional<SimDuration> per_rx_frame_cost;
+  // IrqExecutor is installed; the RX mirror of per_descriptor_cost.
+  SimDuration per_rx_frame_cost = nsec(80);
   // Bounded RX rings: a ring holding rx_ring_size frames tail-drops new
   // arrivals (counted in rx_dropped), like real descriptor rings under
   // overflow. 0 = unbounded (the historical behavior).
@@ -139,27 +135,16 @@ struct NicConfig {
   std::size_t rss_indirection_size = 128;
   // Driver/firmware work to reprogram the indirection table (the ethtool
   // -X ioctl path: table write, hash-key MMIO). Charged to the CpuCharge
-  // passed to set_rss_indirection, when one is provided. Resolves like
-  // per_doorbell_cost: CostModel for Host-owned NICs, the kDefault
-  // constant for raw Nic objects.
-  std::optional<SimDuration> rss_reprogram_cost;
+  // passed to set_rss_indirection, when one is provided.
+  SimDuration rss_reprogram_cost = nsec(1500);
+
+  /// The largest segment the NIC accepts: a 64 KB TSO segment, or one
+  /// MTU-sized packet without TSO (§7 Segmentation). Transports cut their
+  /// sends to this, and SMT and kTLS size records to fit it (§4.3).
+  std::size_t max_segment_bytes() const noexcept {
+    return tso_enabled ? std::size_t{65536} : mtu_payload;
+  }
 };
-
-/// Fallback doorbell cost for NICs constructed without a Host/CostModel;
-/// mirrors CostModel::per_doorbell_cost's default.
-inline constexpr SimDuration kDefaultPerDoorbellCost = nsec(350);
-
-/// Fallback RX interrupt cost for NICs constructed without a Host/CostModel;
-/// mirrors CostModel::per_interrupt_cost's default.
-inline constexpr SimDuration kDefaultPerInterruptCost = nsec(1200);
-
-/// Fallback per-frame RX completion cost for NICs constructed without a
-/// Host/CostModel; mirrors CostModel::per_rx_frame_cost's default.
-inline constexpr SimDuration kDefaultPerRxFrameCost = nsec(80);
-
-/// Fallback RSS indirection-table reprogram cost for NICs constructed
-/// without a Host/CostModel; mirrors CostModel::rss_reprogram_cost.
-inline constexpr SimDuration kDefaultRssReprogramCost = nsec(1500);
 
 /// Runs `done` after charging `cost` of interrupt work to whatever CPU
 /// services ring `ring`'s IRQ vector. Installed by the stack layer (the

@@ -1,5 +1,6 @@
 #include "smt/endpoint.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace smt::proto {
@@ -79,10 +80,15 @@ Result<std::uint64_t> SmtEndpoint::send_message(PeerAddr dst, Bytes plaintext,
   const std::uint64_t msg_id = session.next_msg_id++;
   const std::size_t queue = homa_.queue_for_message(msg_id);
 
+  // Records align to the NIC's segments (§4.3), so a record block must
+  // fit one segment: without TSO, one MTU-sized packet (§7).
+  const std::size_t max_segment =
+      homa_.host().nic().config().max_segment_bytes();
   SegmenterConfig seg_config;
   seg_config.layout = config_.layout;
-  seg_config.max_record_payload = config_.max_record_payload;
-  seg_config.max_tso_bytes = config_.homa.max_tso_bytes;
+  seg_config.max_record_payload = std::min(
+      config_.max_record_payload, max_segment - record_block_overhead());
+  seg_config.max_tso_bytes = max_segment;
   seg_config.hardware_crypto = config_.hw_offload;
 
   bool fresh_tx_lease = false;

@@ -47,36 +47,12 @@ struct CostModel {
                                            // send call (§3.2: TCP serialises
                                            // all transmissions on the socket)
 
-  // --- NIC TX datapath ---------------------------------------------------
-  // Fixed cost of one TX doorbell/drain event (doorbell MMIO, scheduling,
-  // DMA engine start-up), amortised over up to NicConfig::tx_burst
-  // descriptors by the batched datapath. Host applies this value to its
-  // NIC at construction when NicConfig::per_doorbell_cost is unset (an
-  // explicit NIC setting wins).
-  SimDuration per_doorbell_cost = nsec(350);
-
-  // --- NIC RX datapath ---------------------------------------------------
-  // Fixed cost of one RX interrupt/drain event (IRQ entry/exit, NAPI
-  // scheduling), amortised over up to NicConfig::rx_burst frames by the
-  // coalesced RX datapath. Host applies this value to its NIC at
-  // construction when NicConfig::per_interrupt_cost is unset (an explicit
-  // NIC setting wins). Charged to the ring's IRQ-affinity softirq core
-  // (Host's affinity table, default ring i -> core i % softirq_cores), so
-  // interrupt work contends with protocol processing on that core and
-  // shows up in total_softirq_busy_ns / total_irq_busy_ns — the paper's
-  // §5.2 "constrained by the softirq thread" includes exactly this work.
-  SimDuration per_interrupt_cost = nsec(1200);
-  // Per-frame RX completion work inside a drain (completion-descriptor
-  // fetch, buffer unmap), charged to the same IRQ-affinity core. Mirrors
-  // per_descriptor_cost on the TX side. Resolution: NicConfig unset ->
-  // this value, for Host-owned NICs.
-  SimDuration per_rx_frame_cost = nsec(80);
-  // Reprogramming the RSS indirection table (the ethtool -X ioctl path:
-  // table write, hash-key MMIO). Charged to whatever core drives the
-  // reprogram — the irqbalance-style rebalancer bills it to the softirq
-  // core it is spreading load onto. Resolution: NicConfig unset -> this
-  // value, for Host-owned NICs.
-  SimDuration rss_reprogram_cost = nsec(1500);
+  // --- NIC datapath ---------------------------------------------------
+  // The NIC's fixed costs (doorbell, interrupt, per-frame completion, RSS
+  // reprogram) are sim::NicConfig fields, not cost-model fields: one home
+  // for a raw Nic and a Host-owned one alike. The interrupt and per-frame
+  // costs land on the ring's IRQ-affinity softirq core, so the paper's
+  // §5.2 "constrained by the softirq thread" includes that work.
 
   // --- NIC TLS flow contexts --------------------------------------------
   // Driver work to (re)program one NIC TLS flow context: key expansion,
@@ -100,10 +76,6 @@ struct CostModel {
   double copy_per_byte = 0.50;             // kernel<->user copy (~4 GB/s)
   double aead_sw_per_byte = 0.18;          // software AES-GCM (~3.3 GB/s)
   SimDuration aead_sw_per_record = nsec(300);  // per-record setup cost
-  // Homa/Linux copies the complete message at delivery and lacks the
-  // pipelined buffer path TCP has; ByteDance and §5.1 report it trailing
-  // TCP for large messages. Factor applied to the completion copy.
-  double homa_completion_copy_factor = 1.0;
 
   // --- kTLS stream processing -------------------------------------------
   SimDuration ktls_frame_locate = nsec(250);   // find record boundary in stream

@@ -69,7 +69,7 @@ struct IrqRebalanceStats {
 class Host {
  public:
   Host(sim::EventLoop& loop, HostConfig config)
-      : loop_(loop), config_(config), nic_(loop, nic_config_of(config)) {
+      : loop_(loop), config_(config), nic_(loop, config.nic) {
     for (std::size_t i = 0; i < config.app_cores; ++i) app_cores_.emplace_back(loop);
     for (std::size_t i = 0; i < config.softirq_cores; ++i)
       softirq_cores_.emplace_back(loop);
@@ -284,26 +284,6 @@ class Host {
   }
 
  private:
-  /// The cost model is the calibration source for simulation costs: its
-  /// doorbell and interrupt knobs apply to Host-owned NICs whose NicConfig
-  /// left the values unset (an explicit NicConfig setting wins).
-  static sim::NicConfig nic_config_of(const HostConfig& config) {
-    sim::NicConfig nic = config.nic;
-    if (!nic.per_doorbell_cost) {
-      nic.per_doorbell_cost = config.costs.per_doorbell_cost;
-    }
-    if (!nic.per_interrupt_cost) {
-      nic.per_interrupt_cost = config.costs.per_interrupt_cost;
-    }
-    if (!nic.per_rx_frame_cost) {
-      nic.per_rx_frame_cost = config.costs.per_rx_frame_cost;
-    }
-    if (!nic.rss_reprogram_cost) {
-      nic.rss_reprogram_cost = config.costs.rss_reprogram_cost;
-    }
-    return nic;
-  }
-
   void demux(sim::Packet pkt) {
     const auto key = std::make_pair(pkt.hdr.flow.proto, pkt.hdr.flow.dst_port);
     const auto it = endpoints_.find(key);

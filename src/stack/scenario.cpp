@@ -171,10 +171,6 @@ Status validate_host(const HostConfig& config) {
     return make_error(Errc::invalid_argument,
                       "host: mtu_payload must be positive");
   }
-  if (config.nic.max_tso_bytes < config.nic.mtu_payload) {
-    return make_error(Errc::invalid_argument,
-                      "host: max_tso_bytes must be >= mtu_payload");
-  }
   if (config.nic.rss_indirection_size == 0) {
     return make_error(Errc::invalid_argument,
                       "host: rss_indirection_size must be >= 1");
@@ -311,17 +307,8 @@ Result<ScenarioConfig> ScenarioConfig::parse(std::string_view text) {
       if (at.key == "app_cores") st = set_size(h.app_cores);
       else if (at.key == "softirq_cores") st = set_size(h.softirq_cores);
       else if (at.key == "nic_queues") st = set_size(h.nic.num_queues);
-      else if (at.key == "mtu_payload") {
-        st = set_size(h.nic.mtu_payload);
-        if (st.ok() && !h.nic.tso_enabled) h.nic.max_tso_bytes = h.nic.mtu_payload;
-      }
-      else if (at.key == "tso") {
-        st = set_bool(h.nic.tso_enabled);
-        if (st.ok()) {
-          h.nic.max_tso_bytes =
-              h.nic.tso_enabled ? std::size_t{65536} : h.nic.mtu_payload;
-        }
-      }
+      else if (at.key == "mtu_payload") st = set_size(h.nic.mtu_payload);
+      else if (at.key == "tso") st = set_bool(h.nic.tso_enabled);
       else if (at.key == "tx_burst") st = set_size(h.nic.tx_burst);
       else if (at.key == "rx_burst") st = set_size(h.nic.rx_burst);
       else if (at.key == "rx_coalesce_frames") st = set_size(h.nic.rx_coalesce_frames);

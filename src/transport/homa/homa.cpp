@@ -39,14 +39,15 @@ Result<std::uint64_t> HomaEndpoint::send_message(PeerAddr dst, Bytes payload,
     return make_error(Errc::message_too_large,
                       "message exceeds max_message_bytes");
   }
-  // Cut into TSO-sized segments: the message body becomes ONE shared slab
-  // and each segment an O(1) slice of it — no per-segment copy.
+  // Cut into the NIC's largest segments: the message body becomes ONE
+  // shared slab and each segment an O(1) slice of it — no per-segment copy.
+  const std::size_t max_segment = host_.nic().config().max_segment_bytes();
   const std::size_t total = payload.size();
   PayloadSlice slab(std::move(payload));
   std::vector<SegmentSpec> segments;
   std::size_t off = 0;
   do {
-    const std::size_t take = std::min(config_.max_tso_bytes, total - off);
+    const std::size_t take = std::min(max_segment, total - off);
     SegmentSpec seg;
     seg.payload = slab.subslice(off, take);
     segments.push_back(std::move(seg));
@@ -404,12 +405,10 @@ void HomaEndpoint::rx_complete(const RxKey& key) {
   rx_messages_.erase(it);
 
   // Copy cost only: the application-side wakeup (recvmsg return) is
-  // charged by the layer that dispatches to the app thread. The factor
-  // models Homa/Linux's unpipelined full-message delivery (§5.1).
+  // charged by the layer that dispatches to the app thread. Homa/Linux
+  // copies the complete message here, unpipelined (§5.1).
   stack::CpuCore& core = host_.softirq_core(core_index);
-  const auto& costs = host_.costs();
-  const auto copy = SimDuration(double(costs.copy_cost(payload.size())) *
-                                costs.homa_completion_copy_factor);
+  const SimDuration copy = host_.costs().copy_cost(payload.size());
   core.run(copy, [this, meta, payload = std::move(payload)]() mutable {
     if (on_message_) on_message_(meta, std::move(payload));
   });

@@ -32,7 +32,6 @@ struct HomaConfig {
   std::size_t max_message_bytes = 1 << 20;  // Homa default: 1 MB
   std::size_t unscheduled_bytes = 60000;    // first-RTT data (~BDP)
   std::size_t grant_window = 60000;         // granted-ahead bytes
-  std::size_t max_tso_bytes = 65536;
   SimDuration resend_interval = msec(1);    // receiver gap timer
   int max_resends = 20;                     // before the message is dropped
   sim::Proto proto = sim::Proto::homa;      // SMT reuses the engine with

@@ -132,7 +132,8 @@ void TcpEndpoint::push(Connection& conn) {
         std::min<std::uint64_t>(config_.window_bytes - in_flight,
                                 stream_end - conn.snd_nxt);
 
-    std::uint64_t chunk = std::min<std::uint64_t>(budget, config_.max_tso_bytes);
+    std::uint64_t chunk = std::min<std::uint64_t>(
+        budget, host_.nic().config().max_segment_bytes());
     // With TLS offload, segments align to record boundaries so each record
     // is encrypted whole inside one TSO segment (§4.3 alignment).
     if (conn.tls_tx && !conn.record_queue.empty() &&
@@ -493,7 +494,8 @@ void TcpEndpoint::retransmit_head(Connection& conn) {
   // expands to cover whole records so the NIC can re-encrypt them.
   std::uint64_t from = conn.snd_una;
   std::uint64_t to =
-      std::min(conn.snd_nxt, from + std::uint64_t(config_.max_tso_bytes));
+      std::min(conn.snd_nxt,
+               from + std::uint64_t(host_.nic().config().max_segment_bytes()));
   if (conn.tls_tx) {
     auto it = conn.sent_records.upper_bound(from);
     if (it != conn.sent_records.begin()) {

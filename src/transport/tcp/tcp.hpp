@@ -24,7 +24,6 @@
 namespace smt::transport {
 
 struct TcpConfig {
-  std::size_t max_tso_bytes = 65536;
   std::size_t window_bytes = 1 << 20;  // static datacenter window
   /// INITIAL retransmission timeout, used until the first RTT sample
   /// lands (RFC 6298's 1 s analogue, scaled to the datacenter). With

@@ -67,6 +67,8 @@ INSTANTIATE_TEST_SUITE_P(
                       EndToEndParam{TransportKind::smt_hw, 9000, true},
                       EndToEndParam{TransportKind::smt_hw, 1500, false},
                       EndToEndParam{TransportKind::ktls_hw, 1500, true},
+                      EndToEndParam{TransportKind::ktls_hw, 1500, false},
+                      EndToEndParam{TransportKind::tcp, 1500, false},
                       EndToEndParam{TransportKind::ktls_sw, 9000, true},
                       EndToEndParam{TransportKind::tcpls, 1500, true},
                       EndToEndParam{TransportKind::homa, 1500, false}),
@@ -79,6 +81,112 @@ INSTANTIATE_TEST_SUITE_P(
       name += info.param.tso ? "_tso" : "_notso";
       return name;
     });
+
+// Without TSO a NIC segment is one MTU-sized packet (§7 Segmentation).
+// Every endpoint must learn that from its host's NIC: a default-config
+// endpoint on a TSO-off host posts only segments the NIC sends whole.
+class NoTsoHosts : public ::testing::Test {
+ protected:
+  static stack::HostConfig no_tso() {
+    stack::HostConfig hc;
+    hc.nic.tso_enabled = false;
+    return hc;
+  }
+
+  static void expect_unsplit(stack::Host& host) {
+    const sim::NicCounters& nic = host.nic().counters();
+    EXPECT_GT(nic.segments, 1u);
+    EXPECT_EQ(nic.segments, nic.packets);
+  }
+
+  sim::EventLoop loop_;
+  std::unique_ptr<stack::Topology> topology_ =
+      test::two_host_topology(loop_, no_tso());
+  stack::Host& client_ = topology_->host(0);  // ip 1
+  stack::Host& server_ = topology_->host(1);  // ip 2
+  const Bytes message_ = Bytes(8192, 0x6b);
+  const tls::TrafficKeys c2s_{Bytes(16, 0x01), Bytes(12, 0x02)};
+  const tls::TrafficKeys s2c_{Bytes(16, 0x03), Bytes(12, 0x04)};
+  static constexpr auto kSuite = tls::CipherSuite::aes_128_gcm_sha256;
+};
+
+TEST_F(NoTsoHosts, SmtEndpointsPostMtuSizedSegments) {
+  for (const bool hw : {false, true}) {
+    SCOPED_TRACE(hw ? "smt_hw" : "smt_sw");
+    proto::SmtConfig config;
+    config.hw_offload = hw;
+    const std::uint16_t port = hw ? 81 : 80;
+    proto::SmtEndpoint client(client_, port, config);
+    proto::SmtEndpoint server(server_, port, config);
+    ASSERT_TRUE(client.register_session({2, port}, kSuite, c2s_, s2c_).ok());
+    ASSERT_TRUE(server.register_session({1, port}, kSuite, s2c_, c2s_).ok());
+    Bytes received;
+    server.set_on_message([&](proto::SmtEndpoint::MessageMeta, Bytes data) {
+      received = std::move(data);
+    });
+    ASSERT_TRUE(client.send_message({2, port}, message_).ok());
+    loop_.run();
+    EXPECT_EQ(received, message_);
+    expect_unsplit(client_);
+  }
+}
+
+TEST_F(NoTsoHosts, TcpEndpointPostsMtuSizedSegments) {
+  transport::TcpEndpoint client(client_, 1000);
+  transport::TcpEndpoint server(server_, 80);
+  Bytes received;
+  server.set_on_data(
+      [&](std::uint64_t, Bytes data) { append(received, data); });
+  client.send(client.connect(2, 80), message_);
+  loop_.run();
+  EXPECT_EQ(received, message_);
+  expect_unsplit(client_);
+}
+
+TEST_F(NoTsoHosts, KtlsEndpointsPostMtuSizedSegments) {
+  for (const bool hw : {false, true}) {
+    SCOPED_TRACE(hw ? "ktls_hw" : "ktls_sw");
+    const std::uint16_t port = hw ? 81 : 80;
+    baselines::KtlsEndpoint client(client_, port, {.hw_offload = hw});
+    baselines::KtlsEndpoint server(server_, port);
+    server.set_on_accept([&](std::uint64_t conn) {
+      ASSERT_TRUE(server.register_session(conn, kSuite, s2c_, c2s_).ok());
+    });
+    Bytes received;
+    server.set_on_data(
+        [&](std::uint64_t, Bytes data) { append(received, data); });
+    const auto conn = client.connect(2, port);
+    ASSERT_TRUE(client.register_session(conn, kSuite, c2s_, s2c_).ok());
+    ASSERT_TRUE(client.send(conn, message_).ok());
+    loop_.run();
+    EXPECT_EQ(received, message_);
+    expect_unsplit(client_);
+  }
+}
+
+TEST_F(NoTsoHosts, RpcFabricTakesTheTopologyNic) {
+  // A default RpcFabricConfig says TSO on; over an external topology the
+  // hosts' NICs win (see the RpcFabric topology constructor).
+  for (const TransportKind kind :
+       {TransportKind::tcp, TransportKind::ktls_hw, TransportKind::tcpls,
+        TransportKind::homa, TransportKind::smt_sw, TransportKind::smt_hw}) {
+    SCOPED_TRACE(transport_name(kind));
+    sim::EventLoop loop;
+    const auto topology = test::two_host_topology(loop, no_tso());
+    RpcFabricConfig config;
+    config.kind = kind;
+    RpcFabric fabric(config, *topology, /*server_index=*/1, {0});
+    ClosedLoop rpcs(fabric, {.channels_per_client = 1,
+                             .ops_per_client = 2,
+                             .request_bytes = 8192,
+                             .response_bytes = 8192});
+    rpcs.start();
+    loop.run();
+    EXPECT_EQ(rpcs.result().completions.size(), 2u);
+    expect_unsplit(topology->host(0));
+    expect_unsplit(topology->host(1));
+  }
+}
 
 TEST(EndToEndAes256, Suite256WorksEndToEnd) {
   // Drive an SMT session with the 256-bit suite through hosts and NIC.

@@ -234,7 +234,7 @@ TEST_F(RssSteeringTest, ReprogramCostChargedToPoster) {
                                          charged += cost;
                                        })
                   .ok());
-  EXPECT_EQ(charged, kDefaultRssReprogramCost);
+  EXPECT_EQ(charged, nic_.config().rss_reprogram_cost);
 }
 
 }  // namespace

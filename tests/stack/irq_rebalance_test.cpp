@@ -83,9 +83,9 @@ TEST(IrqRebalance, PendingHeldOffFramesDeliverOnOldCoreAcrossMigration) {
   const std::size_t ring = host.nic().rx_queue_for(flow);
   const std::size_t old_core = host.irq_affinity(ring);
   const std::size_t new_core = 1 - old_core;
-  const auto& costs = host.costs();
+  const sim::NicConfig& nic = host.nic().config();
   const std::uint64_t intr4 =  // one 4-frame threshold interrupt
-      std::uint64_t(costs.per_interrupt_cost + 4 * costs.per_rx_frame_cost);
+      std::uint64_t(nic.per_interrupt_cost + 4 * nic.per_rx_frame_cost);
 
   host.enable_irq_rebalance(test_rebalance(/*spread=*/false));
   // Phase 1: 8 groups of 4 frames trip the rx-frames threshold — 8
@@ -113,14 +113,14 @@ TEST(IrqRebalance, PendingHeldOffFramesDeliverOnOldCoreAcrossMigration) {
   // The rebalance tick at 50 us flushed the held-off frames: delivered at
   // tick + per_interrupt_cost under the OLD vector, not at the 200 us
   // hold-off expiry.
-  EXPECT_EQ(delivered[32].first, usec(50) + costs.per_interrupt_cost);
+  EXPECT_EQ(delivered[32].first, usec(50) + nic.per_interrupt_cost);
   EXPECT_EQ(delivered[33].first, delivered[32].first);
   EXPECT_EQ(host.irq_affinity(ring), new_core);
   EXPECT_EQ(host.irq_rebalance_stats().migrations, 1u);
   // All IRQ time so far (8 threshold batches + the flushed 2-frame batch)
   // landed on the old core; the new core has serviced nothing yet.
   const std::uint64_t flush_intr =
-      std::uint64_t(costs.per_interrupt_cost + 2 * costs.per_rx_frame_cost);
+      std::uint64_t(nic.per_interrupt_cost + 2 * nic.per_rx_frame_cost);
   EXPECT_EQ(host.softirq_core(old_core).irq_busy_ns(), 8 * intr4 + flush_intr);
   EXPECT_EQ(host.softirq_core(new_core).irq_busy_ns(), 0u);
 

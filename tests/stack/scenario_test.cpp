@@ -56,7 +56,7 @@ ops_per_client = 8
   EXPECT_EQ(config.host.app_cores, 4u);
   EXPECT_EQ(config.host.nic.num_queues, 4u);
   EXPECT_TRUE(config.host.nic.tso_enabled);
-  EXPECT_EQ(config.host.nic.max_tso_bytes, 65536u);
+  EXPECT_EQ(config.host.nic.max_segment_bytes(), 65536u);
   EXPECT_DOUBLE_EQ(config.edge_link.bandwidth_gbps, 100.0);
   EXPECT_EQ(config.edge_link.propagation, nsec(1500));
   EXPECT_TRUE(config.fabric_link_set);
