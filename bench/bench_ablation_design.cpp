@@ -20,8 +20,9 @@ namespace {
 /// Direct two-host SMT testbed (bypasses RpcFabric to vary SmtConfig).
 double smt_echo_rtt_us(proto::SmtConfig config, std::size_t size,
                        std::size_t pad_to = 0) {
-  sim::EventLoop loop;
-  const auto topology = two_host_topology(loop);
+  sim::ShardedEngine engine(1);
+  sim::EventLoop& loop = engine.loop(0);
+  const auto topology = two_host_topology(engine);
   stack::Host& client_host = topology->host(0);
   stack::Host& server_host = topology->host(1);
 

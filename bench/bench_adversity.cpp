@@ -151,8 +151,8 @@ RowResult run_row(const Adversity& row, TransportKind kind,
                   std::size_t shards) {
   RpcFabricConfig config;
   config.kind = kind;
-  config.propagation = usec(1);
-  config.fault = row.fault;
+  config.link.propagation = usec(1);
+  config.link.fault = row.fault;
 
   sim::ShardedEngine engine(shards, usec(1));
   RpcFabric fabric(config, engine, 0, shards - 1);

@@ -148,8 +148,8 @@ using apps::transport_name;
 /// Two-host back-to-back testbed (host 0 = ip 1, host 1 = ip 2, default
 /// 100 Gb/s link) for benches that drive raw endpoints instead of RpcFabric.
 inline std::unique_ptr<stack::Topology> two_host_topology(
-    sim::EventLoop& loop, const stack::HostConfig& hc = {}) {
-  auto built = stack::TopologyBuilder().host_config(hc).build(loop);
+    sim::ShardedEngine& engine, const stack::HostConfig& hc = {}) {
+  auto built = stack::TopologyBuilder().host_config(hc).build(engine);
   if (!built.ok()) {
     std::fprintf(stderr, "topology error: %s\n", built.error().message.c_str());
     std::abort();

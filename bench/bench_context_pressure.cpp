@@ -52,10 +52,11 @@ struct PressureResult {
 };
 
 PressureResult run_pressure(std::size_t sessions) {
-  sim::EventLoop loop;
+  sim::ShardedEngine engine(1);
+  sim::EventLoop& loop = engine.loop(0);
   stack::HostConfig hc;
   hc.nic.max_flow_contexts = kMaxFlowContexts;
-  const auto topology = two_host_topology(loop, hc);
+  const auto topology = two_host_topology(engine, hc);
   stack::Host& client_host = topology->host(0);
   stack::Host& server_host = topology->host(1);
 

@@ -20,9 +20,9 @@ int main(int argc, char** argv) {
   for (const std::size_t size : sizes) {
     RpcFabricConfig with_tso;
     with_tso.kind = TransportKind::smt_hw;
-    with_tso.tso_enabled = true;
+    with_tso.nic.tso_enabled = true;
     RpcFabricConfig without_tso = with_tso;
-    without_tso.tso_enabled = false;
+    without_tso.nic.tso_enabled = false;
     rtt.push_back({measure_unloaded_rtt_us(with_tso, size),
                    measure_unloaded_rtt_us(without_tso, size)});
     json_metric("fig11_rtt_us_tso_" + std::to_string(size), rtt.back()[0]);

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   for (const std::size_t holdoff : holdoffs) {
     RpcFabricConfig config;
     config.kind = TransportKind::smt_hw;
-    config.rx_coalesce_usecs = double(holdoff);
+    config.nic.rx_coalesce_usecs = double(holdoff);
     const double rtt = measure_unloaded_rtt_us(config, 1024);
     std::printf("%-22zu%12.2f\n", holdoff, rtt);
     json_metric("rtt_us_holdoff" + std::to_string(holdoff), rtt);
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   {
     RpcFabricConfig config;
     config.kind = TransportKind::smt_hw;
-    config.adaptive_rx_coalesce = true;
+    config.nic.adaptive_rx_coalesce = true;
     const double rtt = measure_unloaded_rtt_us(config, 1024);
     std::printf("%-22s%12.2f  (DIM converges to fire-immediately)\n",
                 "adaptive", rtt);

@@ -84,10 +84,14 @@ int main(int argc, char** argv) {
       };
   burst_comparison(
       "Doorbell amortisation", "tx_burst", "tx_burst",
-      [](RpcFabricConfig& config, std::size_t burst) { config.tx_burst = burst; });
+      [](RpcFabricConfig& config, std::size_t burst) {
+        config.nic.tx_burst = burst;
+      });
   burst_comparison(
       "RX interrupt coalescing", "rx_burst", "rx_burst",
-      [](RpcFabricConfig& config, std::size_t burst) { config.rx_burst = burst; });
+      [](RpcFabricConfig& config, std::size_t burst) {
+        config.nic.rx_burst = burst;
+      });
 
   // Per-ring interrupt rates: each RX ring runs its OWN coalescing state
   // (the per-ring ethtool contract), so interrupt counts — and the IRQ CPU

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
       for (const auto kind : kinds) {
         RpcFabricConfig config;
         config.kind = kind;
-        config.mtu_payload = mtu;
+        config.nic.mtu_payload = mtu;
         row.push_back(measure_throughput_rps(config, 8192, concurrency, 6000) /
                       1e6);
         std::printf("%10.3f", row.back());

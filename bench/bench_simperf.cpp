@@ -245,7 +245,7 @@ ShardScalingResult run_shard_scaling(std::size_t shards, std::size_t pairs,
   for (std::size_t i = 0; i < pairs; ++i) {
     RpcFabricConfig config;
     config.kind = TransportKind::smt_hw;
-    config.propagation = propagation;
+    config.link.propagation = propagation;
     auto fabric = std::make_unique<RpcFabric>(
         config, engine, /*client_shard=*/i % shards,
         /*server_shard=*/(i + 1) % shards);

@@ -17,8 +17,9 @@ using namespace smt;
 
 int main() {
   // --- testbed: two hosts, 100 Gb/s back-to-back (builder default) -------
-  sim::EventLoop loop;
-  auto built = stack::TopologyBuilder().build(loop);
+  sim::ShardedEngine engine(1);
+  sim::EventLoop& loop = engine.loop(0);
+  auto built = stack::TopologyBuilder().build(engine);
   if (!built.ok()) {
     std::printf("topology error: %s\n", built.error().message.c_str());
     return 1;

@@ -97,67 +97,46 @@ stack::HostConfig host_config_of(const RpcFabricConfig& config,
   stack::HostConfig hc;
   hc.app_cores = app_cores;
   hc.softirq_cores = config.softirq_cores;
-  hc.nic.mtu_payload = config.mtu_payload;
-  hc.nic.tso_enabled = config.tso_enabled;
-  hc.nic.tx_burst = config.tx_burst;
-  hc.nic.rx_burst = config.rx_burst;
-  hc.nic.rx_coalesce_frames = config.rx_coalesce_frames;
-  hc.nic.rx_coalesce_usecs = config.rx_coalesce_usecs;
-  hc.nic.adaptive_rx_coalesce = config.adaptive_rx_coalesce;
-  hc.nic.rx_ring_size = config.rx_ring_size;
-  hc.nic.rss_indirection_size = config.rss_indirection_size;
-  hc.nic.max_flow_contexts = config.max_flow_contexts;
+  hc.nic = config.nic;
   return hc;
 }
 
 stack::ScenarioConfig to_scenario(const RpcFabricConfig& config) {
   stack::ScenarioConfig scen;  // topology defaults to the direct 2-host shape
   scen.host = host_config_of(config, config.client_app_cores);
-  scen.edge_link.bandwidth_gbps = config.bandwidth_gbps;
-  scen.edge_link.propagation = config.propagation;
-  scen.edge_link.loss_rate = config.loss_rate;
-  scen.edge_link.fault = config.fault;
+  scen.edge_link = config.link;
   scen.workload.transport = transport_key(config.kind);
   return scen;
 }
 
-RpcFabric::RpcFabric(RpcFabricConfig config, Unbuilt)
-    : config_(std::move(config)),
-      rng_(to_bytes(std::string_view("rpc-fabric-seed"))) {
-  handler_ = [](ByteView) { return RpcReply{}; };
-}
-
 RpcFabric::RpcFabric(RpcFabricConfig config)
-    : RpcFabric(std::move(config), Unbuilt{}) {
-  const Status st = init_two_host(nullptr, 0, 0);
-  if (!st.ok()) fail_config(st);
-  establish_keys();
-  setup_transports();
+    : config_(std::move(config)),
+      owned_engine_(std::make_unique<sim::ShardedEngine>(1)) {
+  finish_init(init_two_host(*owned_engine_, 0, 0));
 }
 
 RpcFabric::RpcFabric(RpcFabricConfig config, sim::ShardedEngine& engine,
                      std::size_t client_shard, std::size_t server_shard)
-    : RpcFabric(std::move(config), Unbuilt{}) {
-  const Status st = init_two_host(&engine, client_shard, server_shard);
-  if (!st.ok()) fail_config(st);
-  establish_keys();
-  setup_transports();
+    : config_(std::move(config)) {
+  finish_init(init_two_host(engine, client_shard, server_shard));
 }
 
 RpcFabric::RpcFabric(RpcFabricConfig config, stack::Topology& topology,
                      std::size_t server_index,
                      std::vector<std::size_t> client_indices)
-    : RpcFabric(std::move(config), Unbuilt{}) {
-  const Status st =
-      init_topology(topology, server_index, std::move(client_indices));
-  if (!st.ok()) fail_config(st);
-  establish_keys();
-  setup_transports();
+    : config_(std::move(config)) {
+  finish_init(init_topology(topology, server_index, std::move(client_indices)));
 }
 
 RpcFabric::~RpcFabric() = default;
 
-Status RpcFabric::init_two_host(sim::ShardedEngine* engine,
+void RpcFabric::finish_init(const Status& init) {
+  if (!init.ok()) fail_config(init);
+  establish_keys();
+  setup_transports();
+}
+
+Status RpcFabric::init_two_host(sim::ShardedEngine& engine,
                                 std::size_t client_shard,
                                 std::size_t server_shard) {
   // The classic two-host testbed is the builder's degenerate direct
@@ -166,16 +145,11 @@ Status RpcFabric::init_two_host(sim::ShardedEngine* engine,
   stack::TopologyBuilder builder(to_scenario(config_));
   builder.host_config(0, host_config_of(config_, config_.client_app_cores));
   builder.host_config(1, host_config_of(config_, config_.server_app_cores));
+  builder.host_shard(0, client_shard).host_shard(1, server_shard);
   if (config_.irq_rebalance_period > 0) {
     builder.irq_rebalance_period(config_.irq_rebalance_period);
   }
-  Result<std::unique_ptr<stack::Topology>> built = [&] {
-    if (engine != nullptr) {
-      builder.host_shard(0, client_shard).host_shard(1, server_shard);
-      return builder.build(*engine);
-    }
-    return builder.build(loop_);
-  }();
+  Result<std::unique_ptr<stack::Topology>> built = builder.build(engine);
   if (!built.ok()) return built.error();
   owned_topology_ = std::move(built).take();
   return init_topology(*owned_topology_, 1, {0});

@@ -27,6 +27,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "baselines/ktls.hpp"
@@ -77,43 +78,24 @@ struct RpcFabricConfig {
   std::size_t client_app_cores = 12;  // paper §5.2
   std::size_t server_app_cores = 12;
   std::size_t softirq_cores = 4;
-  std::size_t mtu_payload = 1500;
-  bool tso_enabled = true;
-  /// NIC TX batching: descriptors drained per doorbell (doorbell
-  /// amortisation, see netsim/nic.hpp).
-  std::size_t tx_burst = 16;
-  /// NIC RX batching: frames delivered per interrupt and the coalescing
-  /// thresholds (see netsim/nic.hpp).
-  std::size_t rx_burst = 16;
-  std::size_t rx_coalesce_frames = 16;
-  double rx_coalesce_usecs = 0.0;
-  /// DIM-style adaptive moderation: each RX ring adapts its own hold-off
-  /// from the observed per-interrupt frame rate (see netsim/nic.hpp).
-  bool adaptive_rx_coalesce = false;
-  /// Bounded RX rings (frames per ring, 0 = unbounded): overflow tail-drops.
-  std::size_t rx_ring_size = 0;
-  /// RSS indirection table entries (ethtool -X; see netsim/nic.hpp).
-  std::size_t rss_indirection_size = 128;
+  /// Both hosts' NIC: MTU, TSO, TX/RX batching, coalescing, RSS and the
+  /// flow-context table (see netsim/nic.hpp).
+  sim::NicConfig nic;
+  /// The client<->server link, both directions: bandwidth, propagation
+  /// and the deterministic impairments of the scenario loader's [fault]
+  /// section (see sim::FaultProfile).
+  sim::LinkConfig link;
   /// irqbalance-style periodic IRQ rebalancing on BOTH hosts (0 = off):
   /// every period the hottest ring's vector migrates to the coldest
   /// softirq core, and a majority-load ring's indirection entries are
   /// spread — the single-flow steering fix (see stack/host.hpp).
   SimDuration irq_rebalance_period = 0;
-  /// NIC TLS flow-context table size (finite NIC memory, §4.4.2).
-  std::size_t max_flow_contexts = 1024;
-  double bandwidth_gbps = 100.0;
-  SimDuration propagation = usec(1);
-  double loss_rate = 0.0;
-  /// Deterministic link impairments (burst loss, corruption, reorder,
-  /// flaps) on both directions of the client<->server link — the
-  /// scenario loader's [fault] section (see sim::FaultProfile).
-  sim::FaultProfile fault;
   /// Serialise all server work onto app core 0 (mini-Redis's
   /// single-threaded model, §5.3).
   bool single_threaded_server = false;
 };
 
-/// The single mapping from the flat bench-facing config onto the layered
+/// The single mapping from the bench-facing config onto the layered
 /// scenario (host template, edge link, workload transport): RpcFabric,
 /// benches, and tests all validate through ScenarioConfig::validate().
 stack::ScenarioConfig to_scenario(const RpcFabricConfig& config);
@@ -125,15 +107,17 @@ class RpcChannel;
 
 class RpcFabric {
  public:
+  /// The two-host testbed on a one-shard engine the fabric owns: drive it
+  /// with loop().run().
   explicit RpcFabric(RpcFabricConfig config);
 
   /// Sharded form: the client host lives on engine.loop(client_shard) and
   /// the server host on engine.loop(server_shard); when the shards differ,
   /// the connecting link's packet hops become cross-shard mailbox posts
-  /// (config.propagation must be >= engine.lookahead()). Drive the run
-  /// with engine.run() instead of loop().run(). With client_shard ==
-  /// server_shard — in particular any --shards 1 engine — the fabric is
-  /// byte-identical to the single-loop constructor.
+  /// (config.link.propagation must be >= engine.lookahead()). Drive the
+  /// run with engine.run(). With client_shard == server_shard — in
+  /// particular any --shards 1 engine — the fabric is byte-identical to
+  /// RpcFabric(config).
   RpcFabric(RpcFabricConfig config, sim::ShardedEngine& engine,
             std::size_t client_shard, std::size_t server_shard);
 
@@ -163,7 +147,7 @@ class RpcFabric {
   std::unique_ptr<RpcChannel> make_channel(std::size_t client_index,
                                            std::size_t app_core_index);
 
-  /// The client-side event loop (the fabric's only loop when not sharded).
+  /// The client-side event loop (the fabric's only loop on one shard).
   sim::EventLoop& loop() noexcept { return clients_.front().host->loop(); }
   stack::Host& client_host() noexcept { return *clients_.front().host; }
   stack::Host& client_host(std::size_t i) { return *clients_.at(i).host; }
@@ -222,13 +206,13 @@ class RpcFabric {
     std::size_t app_core = 0;
   };
 
-  struct Unbuilt {};  // delegation tag: construct empty, then init()
-  RpcFabric(RpcFabricConfig config, Unbuilt);
-
-  Status init_two_host(sim::ShardedEngine* engine, std::size_t client_shard,
+  Status init_two_host(sim::ShardedEngine& engine, std::size_t client_shard,
                        std::size_t server_shard);
   Status init_topology(stack::Topology& topology, std::size_t server_index,
                        std::vector<std::size_t> client_indices);
+  /// The constructors' shared tail: aborts on an init error, else runs
+  /// the handshake and builds every endpoint.
+  void finish_init(const Status& init);
   void establish_keys();
   void setup_transports();
   void build_endpoint(Node& node);
@@ -242,8 +226,8 @@ class RpcFabric {
   void on_server_message(transport::PeerAddr peer, Bytes message);
 
   RpcFabricConfig config_;
-  sim::EventLoop loop_;  // the hosts' loop in the single-loop form
-  crypto::HmacDrbg rng_;
+  std::unique_ptr<sim::ShardedEngine> owned_engine_;  // RpcFabric(config)
+  crypto::HmacDrbg rng_{to_bytes(std::string_view("rpc-fabric-seed"))};
   std::unique_ptr<stack::Topology> owned_topology_;  // two-host forms
 
   // Sized once by init_*: endpoint handlers hold references to nodes.
@@ -254,7 +238,7 @@ class RpcFabric {
   tls::TrafficKeys server_tx_keys_;
   tls::CipherSuite suite_ = tls::CipherSuite::aes_128_gcm_sha256;
 
-  RpcHandler handler_;
+  RpcHandler handler_ = [](ByteView) { return RpcReply{}; };
   AsyncRpcHandler async_handler_;
   std::map<std::uint64_t, StreamConnState> server_streams_;
   std::map<std::uint64_t, RpcChannel*> channels_;  // by correlation prefix

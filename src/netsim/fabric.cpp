@@ -49,13 +49,6 @@ Status FabricSpec::validate() const {
   return sim::validate(fabric_fault, "fabric: fabric_fault");
 }
 
-Result<std::unique_ptr<Fabric>> Fabric::create(EventLoop& loop,
-                                               FabricSpec spec) {
-  const Status valid = spec.validate();
-  if (!valid.ok()) return valid.error();
-  return std::unique_ptr<Fabric>(new Fabric(&loop, nullptr, spec));
-}
-
 Result<std::unique_ptr<Fabric>> Fabric::create(ShardedEngine& engine,
                                                FabricSpec spec) {
   const Status valid = spec.validate();
@@ -70,16 +63,16 @@ Result<std::unique_ptr<Fabric>> Fabric::create(ShardedEngine& engine,
                              "fabric hops; fault jitter only adds on top)");
     if (!contract.ok()) return contract.error();
   }
-  return std::unique_ptr<Fabric>(new Fabric(nullptr, &engine, spec));
+  return std::unique_ptr<Fabric>(new Fabric(engine, spec));
 }
 
-Fabric::Fabric(EventLoop* loop, ShardedEngine* engine, FabricSpec spec)
-    : spec_(spec), loop_(loop), engine_(engine) {
+Fabric::Fabric(ShardedEngine& engine, FabricSpec spec)
+    : spec_(spec), engine_(engine) {
   std::uint64_t next_switch = 0;
   auto make_switch = [&](std::size_t shard) {
     SwitchConfig sc = spec_.switch_config;
     sc.ecmp_seed = mix_seed(spec_.ecmp_seed, next_switch++);
-    return std::make_unique<Switch>(loop_for_shard(shard), sc);
+    return std::make_unique<Switch>(engine_.loop(shard), sc);
   };
 
   for (std::size_t r = 0; r < spec_.racks; ++r) {
@@ -164,7 +157,7 @@ std::size_t Fabric::wire(Switch& src, std::size_t src_shard, Switch& dst,
   src.set_port_bandwidth(port, gbps);
   if (src_shard != dst_shard) {
     src.set_port_remote(port,
-                        engine_->remote_scheduler(src_shard, dst_shard),
+                        engine_.remote_scheduler(src_shard, dst_shard),
                         spec_.fabric_latency);
   } else {
     src.set_port_latency(port, spec_.fabric_latency);

@@ -78,12 +78,8 @@ struct FabricSpec {
 
 class Fabric {
  public:
-  /// Single-loop form: every switch schedules on `loop`.
-  static Result<std::unique_ptr<Fabric>> create(EventLoop& loop,
-                                                FabricSpec spec);
-  /// Sharded form: switches are placed per the sharding convention above;
-  /// rejects fabrics whose cross-shard hop latency would violate the
-  /// engine's lookahead.
+  /// Places switches per the sharding convention above; rejects fabrics
+  /// whose cross-shard hop latency would violate the engine's lookahead.
   static Result<std::unique_ptr<Fabric>> create(ShardedEngine& engine,
                                                 FabricSpec spec);
 
@@ -100,18 +96,18 @@ class Fabric {
     return index / spec_.hosts_per_rack;
   }
   /// The shard a rack (and its hosts) belongs to under the fabric's
-  /// placement convention; 0 in the single-loop form.
+  /// placement convention.
   std::size_t shard_of_rack(std::size_t rack) const noexcept {
-    return engine_ == nullptr ? 0 : rack % engine_->shard_count();
+    return rack % engine_.shard_count();
   }
   std::size_t shard_of_host(std::size_t index) const noexcept {
     return shard_of_rack(rack_of_host(index));
   }
   std::size_t shard_of_agg(std::size_t a) const noexcept {
-    return engine_ == nullptr ? 0 : a % engine_->shard_count();
+    return a % engine_.shard_count();
   }
   std::size_t shard_of_spine(std::size_t s) const noexcept {
-    return engine_ == nullptr ? 0 : s % engine_->shard_count();
+    return s % engine_.shard_count();
   }
 
   const FabricSpec& spec() const noexcept { return spec_; }
@@ -126,11 +122,8 @@ class Fabric {
   Switch::Stats totals() const;
 
  private:
-  Fabric(EventLoop* loop, ShardedEngine* engine, FabricSpec spec);
+  Fabric(ShardedEngine& engine, FabricSpec spec);
 
-  EventLoop& loop_for_shard(std::size_t shard) {
-    return engine_ == nullptr ? *loop_ : engine_->loop(shard);
-  }
   /// Wires a switch-to-switch egress port src -> dst (fabric bandwidth,
   /// fabric latency; a cross-shard mailbox hop when the tiers' shards
   /// differ). Returns the port index on `src`.
@@ -138,8 +131,7 @@ class Fabric {
                    std::size_t dst_shard, double gbps);
 
   FabricSpec spec_;
-  EventLoop* loop_ = nullptr;       // single-loop form
-  ShardedEngine* engine_ = nullptr; // sharded form
+  ShardedEngine& engine_;
   std::vector<std::unique_ptr<Switch>> tors_;
   std::vector<std::unique_ptr<Switch>> aggs_;
   std::vector<std::unique_ptr<Switch>> spines_;

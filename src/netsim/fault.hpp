@@ -17,11 +17,12 @@
 
 namespace smt::sim {
 
-/// Deterministic wire impairments beyond a link's uniform `loss_rate`. All
-/// state evolves from `seed` (mixed with the wire's stream index) and
-/// virtual time only, so every fault pattern replays byte-identically per
-/// shard count. Fields default to "off"; `enabled()` gates the per-packet
-/// work.
+/// Deterministic wire impairments. All state evolves from `seed` (mixed
+/// with the wire's stream index) and virtual time only, so every fault
+/// pattern replays byte-identically per shard count. Fields default to
+/// "off"; `enabled()` gates the per-packet work. Uniform loss is
+/// `good_loss_rate` alone: with p_good_to_bad = 0 the chain never leaves
+/// the good state and each packet draws one chance.
 struct FaultProfile {
   // Gilbert–Elliott burst loss: a two-state Markov chain stepped once per
   // packet. Loss is drawn in the CURRENT state, then the transition — so a

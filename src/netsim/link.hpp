@@ -1,5 +1,5 @@
 // Point-to-point simulated link with bandwidth, propagation delay, and a
-// deterministic fault model (uniform loss, Gilbert–Elliott burst loss,
+// deterministic fault model (uniform or Gilbert–Elliott burst loss,
 // corruption, bounded reorder, scheduled flaps), modelling both the paper's
 // back-to-back 100 Gb/s topology (§5 "HW&OS") and the adversity scenario
 // matrix (WAN-grade impairments, bursty outages).
@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "common/rng.hpp"
 #include "common/time.hpp"
 #include "netsim/event.hpp"
 #include "netsim/fault.hpp"
@@ -19,40 +18,36 @@ namespace smt::sim {
 struct LinkConfig {
   double bandwidth_gbps = 100.0;
   SimDuration propagation = usec(1);
-  double loss_rate = 0.0;       // uniform random drop probability
-  std::uint64_t loss_seed = 1;  // deterministic loss pattern
-  FaultProfile fault;           // burst loss / corruption / reorder / flaps
+  /// Loss (uniform: fault.good_loss_rate alone), corruption, reorder and
+  /// flaps, drawn from the fault.seed stream.
+  FaultProfile fault;
 };
 
 /// One direction of a link. Serialisation delay is modelled with a
 /// next-free-time cursor; propagation is added on top.
 ///
-/// RNG streams: the loss RNG and the FaultState's fault RNG each seed from
-/// mix_seed(seed, stream) where `stream` is the direction index (Link uses
-/// 0 for a2b, 1 for b2a; fabric uplinks use the host index), so the two
-/// directions of a Link — built from one LinkConfig — never draw the same
-/// drop pattern. Both streams live on the SENDING endpoint's shard.
+/// RNG stream: the FaultState's fault RNG seeds from
+/// mix_seed(fault.seed, stream) where `stream` is the direction index (Link
+/// uses 0 for a2b, 1 for b2a; fabric uplinks use the host index), so the
+/// two directions of a Link — built from one LinkConfig — never draw the
+/// same drop pattern. The stream lives on the SENDING endpoint's shard.
 ///
 /// Drop accounting contract: `next_free_` advances for EVERY packet,
-/// including ones killed by the flap window, the drop predicate, uniform
-/// loss, or burst loss — a dropped packet still occupied the wire, so loss
+/// including ones killed by the flap window, the drop predicate, or the
+/// fault model's loss — a dropped packet still occupied the wire, so loss
 /// can never inflate measured link capacity. Checks run in a fixed order
-/// (flap, predicate, uniform loss, then FaultState::impair's burst loss,
-/// corruption, jitter) and each drop increments exactly one of the split
-/// counters below.
+/// (flap, predicate, then FaultState::impair's loss, corruption, jitter)
+/// and each drop increments exactly one of the split counters below.
 class LinkDirection {
  public:
   LinkDirection(EventLoop& loop, const LinkConfig& config,
                 std::uint64_t stream = 0)
-      : loop_(loop),
-        config_(config),
-        rng_(mix_seed(config.loss_seed, stream)),
-        fault_(config.fault, stream) {}
+      : loop_(loop), config_(config), fault_(config.fault, stream) {}
 
   void set_receiver(PacketHandler handler) { receiver_ = std::move(handler); }
 
-  /// Optional deterministic drop predicate evaluated before the random
-  /// loss rate (used by tests to kill specific packets).
+  /// Optional deterministic drop predicate evaluated before the fault
+  /// model's random loss (used by tests to kill specific packets).
   void set_drop_predicate(std::function<bool(const Packet&)> predicate) {
     drop_predicate_ = std::move(predicate);
   }
@@ -60,7 +55,7 @@ class LinkDirection {
   /// Marks this direction as CROSS-SHARD: delivery becomes a mailbox post
   /// to the receiver's shard (ShardedEngine::remote_scheduler) stamped
   /// with the arrival time, instead of a local schedule_at. The sender's
-  /// serialisation cursor, counters, and loss/fault RNGs stay on THIS
+  /// serialisation cursor, counters, and fault RNG stay on THIS
   /// shard; only the receiver callback runs remotely. The lookahead
   /// contract requires config.propagation >= the engine's lookahead (fault
   /// jitter only adds on top). Wire before run(): receiver_ and remote_
@@ -88,11 +83,6 @@ class LinkDirection {
       ++dropped_by_predicate_;
       return;
     }
-    if (config_.loss_rate > 0.0 && rng_.chance(config_.loss_rate)) {
-      ++dropped_by_loss_;
-      return;
-    }
-
     const FaultState::Impairment fault = fault_.impair(packet);
     if (fault.killed) {
       ++dropped_by_fault_;
@@ -115,8 +105,7 @@ class LinkDirection {
   std::uint64_t dropped_by_predicate() const noexcept {
     return dropped_by_predicate_;
   }
-  std::uint64_t dropped_by_loss() const noexcept { return dropped_by_loss_; }
-  /// Burst-loss kills + packets sent into a flap window.
+  /// Fault-model loss kills + packets sent into a flap window.
   std::uint64_t dropped_by_fault() const noexcept { return dropped_by_fault_; }
   /// Packets delivered with hdr.corrupted set (counted here at the point of
   /// corruption; the transport counts the matching ingress discards).
@@ -127,15 +116,13 @@ class LinkDirection {
  private:
   EventLoop& loop_;
   LinkConfig config_;
-  Rng rng_;           // uniform loss_rate stream
-  FaultState fault_;  // flaps + burst/corrupt/jitter (independent of rng_)
+  FaultState fault_;  // flaps + loss/corrupt/jitter
   PacketHandler receiver_;
   RemoteScheduler remote_;  // set => cross-shard delivery
   std::function<bool(const Packet&)> drop_predicate_;
   SimTime next_free_ = 0;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t dropped_by_predicate_ = 0;
-  std::uint64_t dropped_by_loss_ = 0;
   std::uint64_t dropped_by_fault_ = 0;
   std::uint64_t packets_corrupted_ = 0;
 };
@@ -148,7 +135,7 @@ class Link {
       : a2b_(loop, config, 0), b2a_(loop, config, 1) {}
 
   /// Cross-shard form: each direction's sender-side state (serialisation
-  /// cursor, counters, loss/fault RNGs) lives on the SENDING endpoint's
+  /// cursor, counters, fault RNG) lives on the SENDING endpoint's
   /// loop, so a Link can span two shards. With a_loop == b_loop this is
   /// identical to the single-loop constructor.
   Link(EventLoop& a_loop, EventLoop& b_loop, const LinkConfig& config)

@@ -78,14 +78,6 @@ Status apply_link_key(const Cursor& at, std::string_view value,
     auto v = parse_double(at, value);
     if (!v.ok()) return v.error();
     link.propagation = usec_to_duration(v.value());
-  } else if (at.key == "loss_rate") {
-    auto v = parse_double(at, value);
-    if (!v.ok()) return v.error();
-    link.loss_rate = v.value();
-  } else if (at.key == "loss_seed") {
-    auto v = parse_u64(at, value);
-    if (!v.ok()) return v.error();
-    link.loss_seed = v.value();
   } else {
     return at.fail("unknown key");
   }
@@ -186,10 +178,6 @@ Status validate_link(const sim::LinkConfig& config) {
   if (config.propagation < 0) {
     return make_error(Errc::invalid_argument,
                       "link: propagation must be >= 0");
-  }
-  if (config.loss_rate < 0.0 || config.loss_rate > 1.0) {
-    return make_error(Errc::invalid_argument,
-                      "link: loss_rate must be within [0, 1]");
   }
   return sim::validate(config.fault, "fault");
 }
@@ -319,15 +307,20 @@ Result<ScenarioConfig> ScenarioConfig::parse(std::string_view text) {
       else if (at.key == "max_flow_contexts") st = set_size(h.nic.max_flow_contexts);
       else return at.fail("unknown key");
     } else if (at.section == "edge_link" || at.section == "fabric_link") {
-      sim::LinkConfig& link = at.section == "edge_link" ? config.edge_link
-                                                        : config.fabric_link;
-      if (at.section == "fabric_link") config.fabric_link_set = true;
+      const bool fabric = at.section == "fabric_link";
+      sim::LinkConfig& link = fabric ? config.fabric_link : config.edge_link;
+      if (fabric) config.fabric_link_set = true;
       if (is_fault_key(at.key)) {
-        return at.fail(at.section == "fabric_link"
-                           ? "fault keys live in [fabric_fault], not the "
-                             "link section"
-                           : "fault keys live in [fault], not the link "
-                             "section");
+        return at.fail(fabric ? "fault keys live in [fabric_fault], not the "
+                                "link section"
+                              : "fault keys live in [fault], not the link "
+                                "section");
+      }
+      if (at.key.starts_with("loss_")) {  // loss lives in the fault model
+        return at.fail(fabric ? "uniform loss is [fabric_fault] "
+                                "good_loss_rate, drawn from its seed"
+                              : "uniform loss is [fault] good_loss_rate, "
+                                "drawn from its seed");
       }
       st = apply_link_key(at, value, link);
     } else if (at.section == "fault") {

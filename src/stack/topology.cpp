@@ -4,8 +4,8 @@
 
 namespace smt::stack {
 
-Result<std::unique_ptr<Topology>> TopologyBuilder::build_impl(
-    sim::EventLoop* loop, sim::ShardedEngine* engine) {
+Result<std::unique_ptr<Topology>> TopologyBuilder::build(
+    sim::ShardedEngine& engine) {
   // The single validation path: every constructor route funnels here.
   if (Status st = scenario_.validate(); !st.ok()) return st.error();
   const TopologySpec& t = scenario_.topology;
@@ -31,43 +31,35 @@ Result<std::unique_ptr<Topology>> TopologyBuilder::build_impl(
   topo->scenario_ = scenario_;
 
   if (t.direct()) {
-    std::size_t shard0 = 0;
-    std::size_t shard1 = 0;
-    if (!shard_overrides_.empty()) {
-      if (engine == nullptr) {
+    for (const auto& [index, shard] : shard_overrides_) {
+      if (index >= n) {
         return make_error(Errc::invalid_argument,
-                          "topology: host_shard() requires build(engine)");
+                          "topology: host_shard override for host " +
+                              std::to_string(index) + " of " +
+                              std::to_string(n));
       }
-      for (const auto& [index, shard] : shard_overrides_) {
-        if (index >= n) {
-          return make_error(Errc::invalid_argument,
-                            "topology: host_shard override for host " +
-                                std::to_string(index) + " of " +
-                                std::to_string(n));
-        }
-        if (shard >= engine->shard_count()) {
-          return make_error(Errc::invalid_argument,
-                            "topology: shard " + std::to_string(shard) +
-                                " out of range (engine has " +
-                                std::to_string(engine->shard_count()) +
-                                " shards)");
-        }
+      if (shard >= engine.shard_count()) {
+        return make_error(Errc::invalid_argument,
+                          "topology: shard " + std::to_string(shard) +
+                              " out of range (engine has " +
+                              std::to_string(engine.shard_count()) +
+                              " shards)");
       }
-      const auto shard_of = [this](std::size_t index) {
-        const auto it = shard_overrides_.find(index);
-        return it == shard_overrides_.end() ? std::size_t{0} : it->second;
-      };
-      shard0 = shard_of(0);
-      shard1 = shard_of(1);
     }
-    if (engine != nullptr && shard0 != shard1 &&
-        scenario_.edge_link.propagation < engine->lookahead()) {
+    const auto shard_of = [this](std::size_t index) {
+      const auto it = shard_overrides_.find(index);
+      return it == shard_overrides_.end() ? std::size_t{0} : it->second;
+    };
+    const std::size_t shard0 = shard_of(0);
+    const std::size_t shard1 = shard_of(1);
+    if (shard0 != shard1 &&
+        scenario_.edge_link.propagation < engine.lookahead()) {
       return make_error(Errc::invalid_argument,
                         "topology: a cross-shard link needs propagation >= "
                         "the engine's lookahead");
     }
-    sim::EventLoop& loop0 = engine ? engine->loop(shard0) : *loop;
-    sim::EventLoop& loop1 = engine ? engine->loop(shard1) : *loop;
+    sim::EventLoop& loop0 = engine.loop(shard0);
+    sim::EventLoop& loop1 = engine.loop(shard1);
     topo->hosts_.push_back(std::make_unique<Host>(loop0, host_config_of(0)));
     topo->hosts_.push_back(std::make_unique<Host>(loop1, host_config_of(1)));
     topo->host_shards_ = {shard0, shard1};
@@ -85,11 +77,9 @@ Result<std::unique_ptr<Topology>> TopologyBuilder::build_impl(
         [&b](sim::Packet pkt) { b.nic().receive(std::move(pkt)); });
     link.b2a().set_receiver(
         [&a](sim::Packet pkt) { a.nic().receive(std::move(pkt)); });
-    if (engine != nullptr && shard0 != shard1) {
-      link.a2b().set_remote_scheduler(
-          engine->remote_scheduler(shard0, shard1));
-      link.b2a().set_remote_scheduler(
-          engine->remote_scheduler(shard1, shard0));
+    if (shard0 != shard1) {
+      link.a2b().set_remote_scheduler(engine.remote_scheduler(shard0, shard1));
+      link.b2a().set_remote_scheduler(engine.remote_scheduler(shard1, shard0));
     }
   } else {
     if (!shard_overrides_.empty()) {
@@ -114,14 +104,13 @@ Result<std::unique_ptr<Topology>> TopologyBuilder::build_impl(
     fs.oversubscription = t.oversubscription;
     fs.ecmp_seed = t.ecmp_seed;
     if (scenario_.fabric_fault_set) fs.fabric_fault = scenario_.fabric_fault;
-    auto fabric = engine ? sim::Fabric::create(*engine, fs)
-                         : sim::Fabric::create(*loop, fs);
+    auto fabric = sim::Fabric::create(engine, fs);
     if (!fabric.ok()) return fabric.error();
     topo->fabric_ = std::move(fabric).take();
 
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t shard = topo->fabric_->shard_of_host(i);
-      sim::EventLoop& host_loop = engine ? engine->loop(shard) : *loop;
+      sim::EventLoop& host_loop = engine.loop(shard);
       topo->hosts_.push_back(
           std::make_unique<Host>(host_loop, host_config_of(i)));
       topo->host_shards_.push_back(shard);

@@ -175,8 +175,8 @@ class TopologyBuilder {
     return *this;
   }
 
-  /// DIRECT mode only: pins host `index` to a shard of build(engine)'s
-  /// engine (fabric placement is rack-affine by construction).
+  /// DIRECT mode only: pins host `index` to a shard of build()'s engine
+  /// (fabric placement is rack-affine by construction).
   TopologyBuilder& host_shard(std::size_t index, std::size_t shard) {
     shard_overrides_[index] = shard;
     return *this;
@@ -188,17 +188,11 @@ class TopologyBuilder {
     return *this;
   }
 
-  Result<std::unique_ptr<Topology>> build(sim::EventLoop& loop) {
-    return build_impl(&loop, nullptr);
-  }
-  Result<std::unique_ptr<Topology>> build(sim::ShardedEngine& engine) {
-    return build_impl(nullptr, &engine);
-  }
+  /// Builds on `engine`. A one-shard engine is the plain single-loop
+  /// simulation: drive it with engine.loop(0).run() or engine.run().
+  Result<std::unique_ptr<Topology>> build(sim::ShardedEngine& engine);
 
  private:
-  Result<std::unique_ptr<Topology>> build_impl(sim::EventLoop* loop,
-                                               sim::ShardedEngine* engine);
-
   ScenarioConfig scenario_;
   std::map<std::size_t, HostConfig> host_overrides_;
   std::map<std::size_t, std::size_t> shard_overrides_;

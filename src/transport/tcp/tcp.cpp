@@ -432,7 +432,7 @@ void TcpEndpoint::update_rtt(Connection& conn, SimDuration sample) {
 }
 
 SimDuration TcpEndpoint::rto_base(const Connection& conn) const {
-  if (!config_.adaptive_rto || !conn.srtt_valid) return config_.rto;
+  if (!conn.srtt_valid) return config_.rto;
   const SimDuration rto = conn.srtt + 4 * conn.rttvar;
   return std::max(config_.min_rto, std::min(config_.max_rto, rto));
 }

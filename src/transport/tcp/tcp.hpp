@@ -26,16 +26,13 @@ namespace smt::transport {
 struct TcpConfig {
   std::size_t window_bytes = 1 << 20;  // static datacenter window
   /// INITIAL retransmission timeout, used until the first RTT sample
-  /// lands (RFC 6298's 1 s analogue, scaled to the datacenter). With
-  /// adaptive_rto off this is also the fixed base for every backoff.
+  /// lands (RFC 6298's 1 s analogue, scaled to the datacenter). After
+  /// that the Jacobson/Karels adaptive RTO takes over: per-connection
+  /// SRTT/RTTVAR from one-at-a-time RTT probes (Karn's rule: a
+  /// retransmission voids the in-flight sample), base RTO = srtt +
+  /// 4*rttvar clamped to [min_rto, max_rto]. The exponential backoff and
+  /// max_rto_retries below ride ON TOP of either base.
   SimDuration rto = msec(10);
-  /// Jacobson/Karels adaptive RTO: per-connection SRTT/RTTVAR from
-  /// one-at-a-time RTT probes (Karn's rule: a retransmission voids the
-  /// in-flight sample), base RTO = srtt + 4*rttvar clamped to
-  /// [min_rto, max_rto]. The exponential backoff and max_rto_retries
-  /// below ride ON TOP of the adaptive base exactly as they did on the
-  /// fixed one.
-  bool adaptive_rto = true;
   /// Clamp floor for the adaptive base. Must comfortably exceed the
   /// receiver's delayed-ACK timer (40 us) or a quiet full window would
   /// fire spurious retransmits; 1 ms is the Linux-ish datacenter floor
@@ -47,7 +44,6 @@ struct TcpConfig {
   /// ETIMEDOUT analogue. Keeps a connection facing a dead or
   /// phase-locked-flapping link from retransmitting forever.
   std::uint32_t max_rto_retries = 10;
-  std::size_t tx_queue = 0;  // NIC queue used by this connection's sends
 };
 
 /// TLS-offload binding for a connection (kTLS-hw mode).
@@ -187,7 +183,7 @@ class TcpEndpoint {
   void arm_rto(Connection& conn);
   void update_rtt(Connection& conn, SimDuration sample);
   /// The pre-backoff RTO: srtt + 4*rttvar clamped to [min_rto, max_rto]
-  /// once a sample exists, config.rto before (or with adaptive_rto off).
+  /// once a sample exists, config.rto before.
   SimDuration rto_base(const Connection& conn) const;
   void deliver_in_order(Connection& conn);
   void retransmit_head(Connection& conn);

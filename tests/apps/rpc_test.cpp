@@ -168,13 +168,46 @@ TEST(RpcFabricShape, HwOffloadSavesCpuVsSoftware) {
   EXPECT_LT(busy_for(TransportKind::ktls_hw), busy_for(TransportKind::ktls_sw));
 }
 
+TEST(RpcFabricShape, NicConfigReachesBothHosts) {
+  RpcFabricConfig config;
+  config.kind = TransportKind::smt_hw;
+  config.nic.num_queues = 2;
+  config.nic.rx_coalesce_frames = 4;
+  config.nic.per_interrupt_cost = nsec(900);
+  RpcFabric fabric(config);
+  for (stack::Host* host : {&fabric.client_host(), &fabric.server_host()}) {
+    const sim::NicConfig& nic = host->nic().config();
+    EXPECT_EQ(nic.num_queues, 2u);
+    EXPECT_EQ(nic.rx_coalesce_frames, 4u);
+    EXPECT_EQ(nic.per_interrupt_cost, nsec(900));
+    EXPECT_EQ(host->nic().rx_ring_count(), 2u);
+  }
+}
+
+TEST(RpcFabricShape, LinkPropagationReachesTheWire) {
+  const auto unloaded_rtt = [](SimDuration propagation) {
+    RpcFabricConfig config;
+    config.kind = TransportKind::smt_hw;
+    config.link.propagation = propagation;
+    RpcFabric fabric(config);
+    auto channel = fabric.make_channel(0);
+    SimDuration rtt = 0;
+    channel->call(Bytes(64, 0x11), 64,
+                  [&](SimDuration d, Bytes) { rtt = d; });
+    fabric.loop().run();
+    EXPECT_GT(rtt, 0);
+    return rtt;
+  };
+  // The request and the response each cross the link once: +2 us each.
+  EXPECT_GE(unloaded_rtt(usec(3)) - unloaded_rtt(usec(1)), usec(4));
+}
+
 // A 2-rack leaf-spine of 4 hosts: host 0 serves, hosts 1-3 are clients.
 // On a 2-shard engine rack r sits on shard r, so the clients span both.
-template <typename LoopOrEngine>
-std::unique_ptr<stack::Topology> four_hosts(LoopOrEngine& target) {
+std::unique_ptr<stack::Topology> four_hosts(sim::ShardedEngine& engine) {
   auto built =
       stack::TopologyBuilder().racks(2).hosts_per_rack(2).spines(1).build(
-          target);
+          engine);
   EXPECT_TRUE(built.ok());
   return std::move(built).take();
 }
@@ -188,8 +221,8 @@ RpcFabricConfig smt_hw() {
 }
 
 TEST(ClosedLoop, IssuesTheBudgetWithOneCallPerChannel) {
-  sim::EventLoop loop;
-  auto topology = four_hosts(loop);
+  sim::ShardedEngine engine(1);
+  auto topology = four_hosts(engine);
   RpcFabric fabric(smt_hw(), *topology, 0, kClients);
   constexpr std::size_t kChannels = 4, kOps = 30;
   ClosedLoop rpcs(fabric, {.channels_per_client = kChannels,
@@ -199,7 +232,7 @@ TEST(ClosedLoop, IssuesTheBudgetWithOneCallPerChannel) {
   EXPECT_EQ(rpcs.result().issued, 0u);
   rpcs.start();
   EXPECT_EQ(rpcs.result().issued, 3 * kChannels);
-  loop.run();
+  engine.run();
 
   const ClosedLoopResult r = rpcs.result();
   EXPECT_EQ(r.issued, 3 * kOps);

@@ -10,7 +10,8 @@ namespace {
 class KtlsTest : public ::testing::TestWithParam<bool> {
  protected:
   KtlsTest()
-      : topology_(test::two_host_topology(loop_, host_config(), link_config())),
+      : topology_(
+            test::two_host_topology(engine_, host_config(), link_config())),
         client_host_(topology_->host(0)),
         server_host_(topology_->host(1)) {
     KtlsConfig config;
@@ -60,7 +61,8 @@ class KtlsTest : public ::testing::TestWithParam<bool> {
     return config;
   }
 
-  sim::EventLoop loop_;
+  sim::ShardedEngine engine_{1};
+  sim::EventLoop& loop_ = engine_.loop(0);
   std::unique_ptr<stack::Topology> topology_;
   stack::Host& client_host_;
   stack::Host& server_host_;
@@ -158,8 +160,8 @@ INSTANTIATE_TEST_SUITE_P(SwAndHw, KtlsTest, ::testing::Values(false, true),
                          });
 
 TEST(TcplsTest, DeliversEncryptedData) {
-  sim::EventLoop loop;
-  const auto topology = test::two_host_topology(loop);
+  sim::ShardedEngine engine(1);
+  const auto topology = test::two_host_topology(engine);
   stack::Host& client_host = topology->host(0);
   stack::Host& server_host = topology->host(1);
 
@@ -184,7 +186,7 @@ TEST(TcplsTest, DeliversEncryptedData) {
                   .ok());
   const Bytes msg(5000, 0x42);
   ASSERT_TRUE(client.send(conn, msg).ok());
-  loop.run();
+  engine.run();
   EXPECT_EQ(received, msg);
 }
 
@@ -192,8 +194,8 @@ TEST(TcplsTest, CostsMoreCpuThanKtlsSw) {
   // The TCPLS-like baseline charges extra per-record work; with the same
   // traffic its app core is busier than kTLS-sw's.
   const auto run_variant = [](bool tcpls) {
-    sim::EventLoop loop;
-    const auto topology = test::two_host_topology(loop);
+    sim::ShardedEngine engine(1);
+    const auto topology = test::two_host_topology(engine);
     stack::Host& client_host = topology->host(0);
     stack::Host& server_host = topology->host(1);
 
@@ -215,7 +217,7 @@ TEST(TcplsTest, CostsMoreCpuThanKtlsSw) {
     for (int i = 0; i < 10; ++i) {
       client->send(conn, Bytes(16000, 0x01), &client_host.app_core(0));
     }
-    loop.run();
+    engine.run();
     return client_host.app_core(0).busy_ns();
   };
   EXPECT_GT(run_variant(true), run_variant(false));

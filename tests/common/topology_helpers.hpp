@@ -13,10 +13,10 @@
 namespace smt::test {
 
 inline std::unique_ptr<stack::Topology> two_host_topology(
-    sim::EventLoop& loop, const stack::HostConfig& hc = {},
+    sim::ShardedEngine& engine, const stack::HostConfig& hc = {},
     const sim::LinkConfig& lc = {}) {
   auto built =
-      stack::TopologyBuilder().host_config(hc).link(lc).build(loop);
+      stack::TopologyBuilder().host_config(hc).link(lc).build(engine);
   if (!built.ok()) {
     ADD_FAILURE() << "topology build failed: " << built.error().message;
     std::abort();

@@ -10,7 +10,8 @@ namespace {
 class HomaTest : public ::testing::Test {
  protected:
   HomaTest()
-      : topology_(test::two_host_topology(loop_, host_config(), link_config())),
+      : topology_(
+            test::two_host_topology(engine_, host_config(), link_config())),
         client_host_(topology_->host(0)),
         server_host_(topology_->host(1)),
         client_(client_host_, 1000),
@@ -35,7 +36,8 @@ class HomaTest : public ::testing::Test {
 
   PeerAddr server_addr() const { return PeerAddr{2, 80}; }
 
-  sim::EventLoop loop_;
+  sim::ShardedEngine engine_{1};
+  sim::EventLoop& loop_ = engine_.loop(0);
   std::unique_ptr<stack::Topology> topology_;
   stack::Host& client_host_;
   stack::Host& server_host_;
@@ -233,12 +235,12 @@ TEST_F(HomaTest, ManyConcurrentMessagesAllComplete) {
 TEST_F(HomaTest, LossyLinkEventuallyDeliversEverything) {
   // A fresh testbed with a lossy link (re-wiring live hosts to a second
   // link is now a configuration error).
-  sim::EventLoop loop;
+  sim::ShardedEngine engine(1);
   sim::LinkConfig lossy;
-  lossy.loss_rate = 0.05;
-  lossy.loss_seed = 9;
+  lossy.fault.good_loss_rate = 0.05;  // uniform loss
+  lossy.fault.seed = 9;
   lossy.propagation = usec(1);
-  const auto topology = test::two_host_topology(loop, host_config(), lossy);
+  const auto topology = test::two_host_topology(engine, host_config(), lossy);
   HomaEndpoint client(topology->host(0), 1000);
   HomaEndpoint server(topology->host(1), 80);
   std::size_t received = 0;
@@ -246,7 +248,8 @@ TEST_F(HomaTest, LossyLinkEventuallyDeliversEverything) {
   for (int i = 0; i < 20; ++i) {
     client.send_message(server_addr(), Bytes(8000, std::uint8_t(i)));
   }
-  loop.run();
+  engine.run();
+  EXPECT_GT(topology->direct_link()->a2b().dropped_by_fault(), 0u);
   EXPECT_EQ(received, 20u);
 }
 

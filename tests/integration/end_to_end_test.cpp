@@ -25,8 +25,8 @@ TEST_P(EndToEnd, MixedSizesAllComplete) {
   const auto param = GetParam();
   RpcFabricConfig config;
   config.kind = param.kind;
-  config.mtu_payload = param.mtu;
-  config.tso_enabled = param.tso;
+  config.nic.mtu_payload = param.mtu;
+  config.nic.tso_enabled = param.tso;
   RpcFabric fabric(config);
   fabric.set_handler([](ByteView request) {
     RpcReply reply;
@@ -99,9 +99,10 @@ class NoTsoHosts : public ::testing::Test {
     EXPECT_EQ(nic.segments, nic.packets);
   }
 
-  sim::EventLoop loop_;
+  sim::ShardedEngine engine_{1};
+  sim::EventLoop& loop_ = engine_.loop(0);
   std::unique_ptr<stack::Topology> topology_ =
-      test::two_host_topology(loop_, no_tso());
+      test::two_host_topology(engine_, no_tso());
   stack::Host& client_ = topology_->host(0);  // ip 1
   stack::Host& server_ = topology_->host(1);  // ip 2
   const Bytes message_ = Bytes(8192, 0x6b);
@@ -171,8 +172,8 @@ TEST_F(NoTsoHosts, RpcFabricTakesTheTopologyNic) {
        {TransportKind::tcp, TransportKind::ktls_hw, TransportKind::tcpls,
         TransportKind::homa, TransportKind::smt_sw, TransportKind::smt_hw}) {
     SCOPED_TRACE(transport_name(kind));
-    sim::EventLoop loop;
-    const auto topology = test::two_host_topology(loop, no_tso());
+    sim::ShardedEngine engine(1);
+    const auto topology = test::two_host_topology(engine, no_tso());
     RpcFabricConfig config;
     config.kind = kind;
     RpcFabric fabric(config, *topology, /*server_index=*/1, {0});
@@ -181,7 +182,7 @@ TEST_F(NoTsoHosts, RpcFabricTakesTheTopologyNic) {
                              .request_bytes = 8192,
                              .response_bytes = 8192});
     rpcs.start();
-    loop.run();
+    engine.run();
     EXPECT_EQ(rpcs.result().completions.size(), 2u);
     expect_unsplit(topology->host(0));
     expect_unsplit(topology->host(1));
@@ -190,8 +191,8 @@ TEST_F(NoTsoHosts, RpcFabricTakesTheTopologyNic) {
 
 TEST(EndToEndAes256, Suite256WorksEndToEnd) {
   // Drive an SMT session with the 256-bit suite through hosts and NIC.
-  sim::EventLoop loop;
-  const auto topology = test::two_host_topology(loop);
+  sim::ShardedEngine engine(1);
+  const auto topology = test::two_host_topology(engine);
   stack::Host& client_host = topology->host(0);
   stack::Host& server_host = topology->host(1);
 
@@ -214,7 +215,7 @@ TEST(EndToEndAes256, Suite256WorksEndToEnd) {
       [&](proto::SmtEndpoint::MessageMeta, Bytes data) { received = std::move(data); });
   const Bytes msg(20000, 0x5f);
   ASSERT_TRUE(client.send_message({2, 80}, msg).ok());
-  loop.run();
+  engine.run();
   EXPECT_EQ(received, msg);
   EXPECT_GT(client_host.nic().counters().records_encrypted, 0u);
 }
@@ -265,8 +266,8 @@ TEST(EndToEndHandshakeToTraffic, ResumedSessionCarriesTraffic) {
   ASSERT_TRUE(s2.on_client_finished(g2.value()).ok());
 
   // Resumed keys drive SMT traffic over the simulated network.
-  sim::EventLoop loop;
-  const auto topology = test::two_host_topology(loop);
+  sim::ShardedEngine engine(1);
+  const auto topology = test::two_host_topology(engine);
   stack::Host& client_host = topology->host(0);
   stack::Host& server_host = topology->host(1);
   proto::SmtEndpoint client(client_host, 1000);
@@ -282,7 +283,7 @@ TEST(EndToEndHandshakeToTraffic, ResumedSessionCarriesTraffic) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(client.send_message({2, 80}, Bytes(100, std::uint8_t(i))).ok());
   }
-  loop.run();
+  engine.run();
   EXPECT_EQ(delivered, 10);
 }
 

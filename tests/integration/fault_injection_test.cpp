@@ -10,8 +10,17 @@
 namespace smt::proto {
 namespace {
 
+/// Uniform loss: the fault model's good state alone (p_good_to_bad = 0).
+sim::FaultProfile uniform_loss(double rate, std::uint64_t seed) {
+  sim::FaultProfile fault;
+  fault.good_loss_rate = rate;
+  fault.seed = seed;
+  return fault;
+}
+
 struct Testbed {
-  sim::EventLoop loop;
+  sim::ShardedEngine engine{1};
+  sim::EventLoop& loop = engine.loop(0);
   std::unique_ptr<stack::Topology> topology;
   stack::Host* client_host = nullptr;
   stack::Host* server_host = nullptr;
@@ -19,15 +28,11 @@ struct Testbed {
   std::unique_ptr<SmtEndpoint> client;
   std::unique_ptr<SmtEndpoint> server;
 
-  explicit Testbed(bool hw_offload, double loss_rate = 0.0,
-                   std::uint64_t loss_seed = 1,
-                   const sim::FaultProfile& fault = {}) {
+  explicit Testbed(bool hw_offload, const sim::FaultProfile& fault = {}) {
     sim::LinkConfig lc;
-    lc.loss_rate = loss_rate;
-    lc.loss_seed = loss_seed;
     lc.propagation = usec(1);
     lc.fault = fault;
-    topology = test::two_host_topology(loop, {}, lc);
+    topology = test::two_host_topology(engine, {}, lc);
     client_host = &topology->host(0);
     server_host = &topology->host(1);
     link = topology->direct_link();
@@ -49,13 +54,18 @@ struct Testbed {
                                        rx, tx)
                     .ok());
   }
+
+  std::uint64_t dropped_by_fault() const {
+    return link->a2b().dropped_by_fault() + link->b2a().dropped_by_fault();
+  }
 };
 
 class LossSweep : public ::testing::TestWithParam<std::tuple<bool, int>> {};
 
 TEST_P(LossSweep, AllMessagesEventuallyDecrypt) {
   const auto [hw, loss_pct] = GetParam();
-  Testbed bed(hw, loss_pct / 100.0, std::uint64_t(loss_pct) * 7 + 1);
+  Testbed bed(hw, uniform_loss(loss_pct / 100.0,
+                               std::uint64_t(loss_pct) * 7 + 1));
   std::map<std::uint64_t, std::size_t> delivered;
   bed.server->set_on_message(
       [&](SmtEndpoint::MessageMeta meta, Bytes data) {
@@ -68,6 +78,7 @@ TEST_P(LossSweep, AllMessagesEventuallyDecrypt) {
     ASSERT_TRUE(bed.client->send_message({2, 80}, Bytes(size, std::uint8_t(i))).ok());
   }
   bed.loop.run();
+  EXPECT_GT(bed.dropped_by_fault(), 0u);  // the stream really dropped packets
   EXPECT_EQ(delivered.size(), std::size_t(kMessages));
   EXPECT_EQ(bed.server->stats().decrypt_failures, 0u)
       << "retransmission must never corrupt records (resync correctness)";
@@ -134,7 +145,7 @@ TEST(FaultInjection, ControlPacketLossRecovered) {
 }
 
 TEST(FaultInjection, BidirectionalLossStress) {
-  Testbed bed(/*hw=*/true, 0.03, 99);
+  Testbed bed(/*hw=*/true, uniform_loss(0.03, 99));
   int client_got = 0, server_got = 0;
   bed.server->set_on_message([&](SmtEndpoint::MessageMeta meta, Bytes data) {
     ++server_got;
@@ -146,6 +157,8 @@ TEST(FaultInjection, BidirectionalLossStress) {
     ASSERT_TRUE(bed.client->send_message({2, 80}, Bytes(3000, std::uint8_t(i))).ok());
   }
   bed.loop.run();
+  EXPECT_GT(bed.link->a2b().dropped_by_fault(), 0u);  // loss both ways
+  EXPECT_GT(bed.link->b2a().dropped_by_fault(), 0u);
   EXPECT_EQ(server_got, 20);
   EXPECT_EQ(client_got, 20);
   EXPECT_EQ(bed.server->stats().decrypt_failures, 0u);
@@ -158,7 +171,7 @@ TEST(FaultInjection, CorruptedPacketsRecoveredLikeLoss) {
   // backstop timers fill the gaps — end-to-end payloads stay intact.
   sim::FaultProfile fault;
   fault.corrupt_rate = 0.05;
-  Testbed bed(/*hw=*/true, 0.0, 1, fault);
+  Testbed bed(/*hw=*/true, fault);
   std::map<std::uint64_t, std::size_t> delivered;
   bed.server->set_on_message([&](SmtEndpoint::MessageMeta meta, Bytes data) {
     delivered[meta.msg_id] = data.size();

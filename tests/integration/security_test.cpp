@@ -10,7 +10,8 @@ namespace smt::proto {
 namespace {
 
 struct AttackBed {
-  sim::EventLoop loop;
+  sim::ShardedEngine engine{1};
+  sim::EventLoop& loop = engine.loop(0);
   std::unique_ptr<stack::Topology> topology;
   stack::Host* client_host = nullptr;
   stack::Host* server_host = nullptr;
@@ -20,7 +21,7 @@ struct AttackBed {
   std::vector<std::pair<std::uint64_t, Bytes>> delivered;
 
   AttackBed() {
-    topology = test::two_host_topology(loop);
+    topology = test::two_host_topology(engine);
     client_host = &topology->host(0);
     server_host = &topology->host(1);
     link = topology->direct_link();

@@ -7,11 +7,10 @@
 // cross-shard ordering contract from netsim/shard.hpp: (when, src, seq)
 // mailbox delivery between windows, never mid-window.
 //
-// Also pinned here: a one-shard engine is byte-identical to the plain
-// single-loop fabric (the --shards 1 contract), and the exact shape of
-// the cross-shard-count guarantee — a 2-shard run performs identical
-// WORK to the 1-shard run (same completions, same frames, same bytes,
-// same records) even though its micro-schedule may legitimately differ:
+// Also pinned here: the exact shape of the cross-shard-count guarantee —
+// a 2-shard run performs identical WORK to the 1-shard run (same
+// completions, same frames, same bytes, same records) even though its
+// micro-schedule may legitimately differ:
 // with 24 concurrent channels and interrupt coalescing, same-timestamp
 // local/remote ties at a host do occur, and the (when, seq) tie then
 // resolves by scheduling order, which sharding changes. That caveat is
@@ -20,8 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
-#include <optional>
 
 #include "../common/host_snapshot.hpp"
 #include "apps/rpc.hpp"
@@ -39,37 +36,25 @@ struct RunSnapshot {
   friend bool operator==(const RunSnapshot&, const RunSnapshot&) = default;
 };
 
-// Closed-loop smt_hw workload. `shards == 0` uses the plain single-loop
-// RpcFabric constructor; otherwise the fabric is placed on a ShardedEngine
-// with the client on shard 0 and the server on shard `shards - 1` (i.e.
-// same shard when shards == 1, a true cross-shard link when shards == 2).
+// Closed-loop smt_hw workload on a ShardedEngine with the client on shard
+// 0 and the server on shard `shards - 1` (i.e. same shard when
+// shards == 1, a true cross-shard link when shards == 2).
 RunSnapshot run_workload(std::size_t shards) {
   RpcFabricConfig config;
   config.kind = TransportKind::smt_hw;
-  config.propagation = usec(2);  // >= engine lookahead, cross-shard safe
+  config.link.propagation = usec(2);  // >= engine lookahead, cross-shard safe
 
-  std::optional<sim::ShardedEngine> engine;
-  std::unique_ptr<RpcFabric> fabric;
-  if (shards == 0) {
-    fabric = std::make_unique<RpcFabric>(config);
-  } else {
-    engine.emplace(shards, config.propagation);
-    fabric = std::make_unique<RpcFabric>(config, *engine, 0, shards - 1);
-  }
-
-  ClosedLoop rpcs(*fabric, {.channels_per_client = 24,
-                            .ops_per_client = 600,
-                            .request_bytes = 512,
-                            .response_bytes = 2048});
+  sim::ShardedEngine engine(shards, config.link.propagation);
+  RpcFabric fabric(config, engine, 0, shards - 1);
+  ClosedLoop rpcs(fabric, {.channels_per_client = 24,
+                           .ops_per_client = 600,
+                           .request_bytes = 512,
+                           .response_bytes = 2048});
   rpcs.start();
-  if (engine) {
-    engine->run();
-  } else {
-    fabric->loop().run();
-  }
+  engine.run();
 
-  return {rpcs.result(), snapshot_host(fabric->client_host()),
-          snapshot_host(fabric->server_host())};
+  return {rpcs.result(), snapshot_host(fabric.client_host()),
+          snapshot_host(fabric.server_host())};
 }
 
 TEST(ShardDeterminism, TwoShardRunToRunByteIdentical) {
@@ -86,21 +71,10 @@ TEST(ShardDeterminism, TwoShardRunToRunByteIdentical) {
   EXPECT_TRUE(first == second);
 }
 
-TEST(ShardDeterminism, OneShardEngineMatchesPlainFabric) {
-  // The --shards 1 contract: an engine-hosted fabric with both hosts on
-  // the single shard is byte-identical to the engineless fabric — same
-  // events, same order, same timestamps, same counters.
-  const RunSnapshot plain = run_workload(0);
-  const RunSnapshot engine1 = run_workload(1);
-
-  ASSERT_EQ(plain.rpc.completions.size(), 600u);
-  EXPECT_TRUE(plain == engine1);
-}
-
 TEST(ShardDeterminism, TwoShardPerformsIdenticalWorkToOneShard) {
   // Cross-SHARD-COUNT guarantee (weaker than run-to-run determinism,
   // which is exact per shard count): the mailbox delivers every
-  // cross-shard packet at exactly the arrival time the single-loop
+  // cross-shard packet at exactly the arrival time the one-shard
   // schedule would have used, so the simulation performs identical work —
   // every RPC completes, every frame and record is identical. What MAY
   // shift is micro-ordering: this workload does produce same-timestamp

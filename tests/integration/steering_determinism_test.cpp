@@ -27,7 +27,7 @@ struct RunSnapshot {
 RunSnapshot run_fig7_mix() {
   RpcFabricConfig config;
   config.kind = TransportKind::smt_hw;
-  config.adaptive_rx_coalesce = true;        // DIM on
+  config.nic.adaptive_rx_coalesce = true;    // DIM on
   config.irq_rebalance_period = usec(100);   // rebalancer on
   RpcFabric fabric(config);
 

@@ -14,7 +14,7 @@ namespace {
 // oversubscribed switch: hosts inject at 100 Gb/s, the switch drains at
 // 20 Gb/s — bursts build the queue that congestion trimming targets.
 struct SwitchedBed {
-  sim::EventLoop loop;
+  sim::ShardedEngine engine{1};
   std::unique_ptr<stack::Topology> topology;
   sim::Switch* sw = nullptr;
   std::unique_ptr<SmtEndpoint> client;
@@ -23,7 +23,8 @@ struct SwitchedBed {
   explicit SwitchedBed(std::size_t queue_bytes) {
     sim::SwitchConfig sc;
     sc.queue_capacity_bytes = queue_bytes;
-    auto built = stack::TopologyBuilder().via_tor().switch_config(sc).build(loop);
+    auto built =
+        stack::TopologyBuilder().via_tor().switch_config(sc).build(engine);
     EXPECT_TRUE(built.ok()) << built.error().message;
     topology = std::move(built).take();
     sw = &topology->fabric()->tor(0);
@@ -58,7 +59,7 @@ TEST(Trimming, SmtThroughUncongestedSwitch) {
       [&](SmtEndpoint::MessageMeta, Bytes data) { received = std::move(data); });
   const Bytes msg(50000, 0x42);
   ASSERT_TRUE(bed.client->send_message({2, 80}, msg).ok());
-  bed.loop.run();
+  bed.engine.run();
   EXPECT_EQ(received, msg);
   EXPECT_EQ(bed.sw->stats().trimmed, 0u);
 }
@@ -74,7 +75,7 @@ TEST(Trimming, CongestionTrimsAndSmtRecoversFast) {
   for (int i = 0; i < kMessages; ++i) {
     ASSERT_TRUE(bed.client->send_message({2, 80}, Bytes(20000, std::uint8_t(i))).ok());
   }
-  bed.loop.run();
+  bed.engine.run();
   // Everything is delivered and decrypts despite trimming.
   EXPECT_EQ(delivered.size(), std::size_t(kMessages));
   for (const auto& [id, size] : delivered) EXPECT_EQ(size, 20000u);
@@ -103,7 +104,7 @@ TEST(Trimming, StubsPreserveExactLossInformation) {
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(bed.client->send_message({2, 80}, Bytes(20000, 0x01)).ok());
   }
-  bed.loop.run();
+  bed.engine.run();
   EXPECT_EQ(done, 8);
   ASSERT_FALSE(resend_ranges.empty());
   for (const auto& [from, to] : resend_ranges) {

@@ -63,10 +63,10 @@ TEST(FabricSpecTest, ValidatesShapes) {
 }
 
 TEST(FabricTest, SingleTorStarDelivers) {
-  EventLoop loop;
+  ShardedEngine engine(1);
   FabricSpec spec;
   spec.hosts_per_rack = 4;
-  auto built = Fabric::create(loop, spec);
+  auto built = Fabric::create(engine, spec);
   ASSERT_TRUE(built.ok());
   auto fabric = std::move(built).take();
 
@@ -78,18 +78,18 @@ TEST(FabricTest, SingleTorStarDelivers) {
   // Host 0 (ip 1) sends to host 2 (ip 3): in the star everything crosses
   // the single ToR.
   fabric->tor(0).receive(packet_for(1, 1000, 3));
-  loop.run();
+  engine.run();
   EXPECT_EQ(delivered[3], 1);
   EXPECT_EQ(fabric->totals().forwarded, 1u);
 }
 
 TEST(FabricTest, TwoTierRoutesAcrossRacks) {
-  EventLoop loop;
+  ShardedEngine engine(1);
   FabricSpec spec;
   spec.racks = 2;
   spec.hosts_per_rack = 2;
   spec.spines = 2;
-  auto built = Fabric::create(loop, spec);
+  auto built = Fabric::create(engine, spec);
   ASSERT_TRUE(built.ok());
   auto fabric = std::move(built).take();
 
@@ -101,7 +101,7 @@ TEST(FabricTest, TwoTierRoutesAcrossRacks) {
 
   fabric->tor(0).receive(packet_for(1, 1000, 2));  // intra-rack
   fabric->tor(0).receive(packet_for(1, 1000, 3));  // ToR -> spine -> ToR
-  loop.run();
+  engine.run();
   EXPECT_EQ(local, 1);
   EXPECT_EQ(remote, 1);
   // The cross-rack packet was forwarded by ToR0, one spine, and ToR1.
@@ -112,14 +112,14 @@ TEST(FabricTest, EcmpPathsDeterministicAndSpreadOnFourSpines) {
   // The satellite requirement: on a 4-spine fabric, a flow's uplink choice
   // is identical across runs and shard counts, and 64 distinct flows use
   // all four spine paths.
-  EventLoop loop_a, loop_b;
+  ShardedEngine engine_a(1), engine_b(1);
   ShardedEngine engine(4, usec(1));
   FabricSpec spec;
   spec.racks = 4;
   spec.hosts_per_rack = 4;
   spec.spines = 4;
-  auto a = Fabric::create(loop_a, spec);
-  auto b = Fabric::create(loop_b, spec);
+  auto a = Fabric::create(engine_a, spec);
+  auto b = Fabric::create(engine_b, spec);
   auto c = Fabric::create(engine, spec);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
@@ -143,14 +143,14 @@ TEST(FabricTest, EcmpPathsDeterministicAndSpreadOnFourSpines) {
 }
 
 TEST(FabricTest, ThreeTierDeliversAcrossPods) {
-  EventLoop loop;
+  ShardedEngine engine(1);
   FabricSpec spec;
   spec.racks = 4;
   spec.hosts_per_rack = 2;
   spec.spines = 2;
   spec.aggs_per_pod = 2;
   spec.racks_per_pod = 2;  // 2 pods
-  auto built = Fabric::create(loop, spec);
+  auto built = Fabric::create(engine, spec);
   ASSERT_TRUE(built.ok());
   auto fabric = std::move(built).take();
   EXPECT_EQ(fabric->tor_count(), 4u);
@@ -165,7 +165,7 @@ TEST(FabricTest, ThreeTierDeliversAcrossPods) {
   // Pod 0 (racks 0-1, ips 1-4) to pod 1 (racks 2-3, ips 5-8): the path is
   // ToR -> agg -> spine -> agg -> ToR.
   fabric->tor(0).receive(packet_for(1, 1000, 7));
-  loop.run();
+  engine.run();
   EXPECT_EQ(delivered[7], 1);
   EXPECT_EQ(fabric->totals().forwarded, 5u);
 }
@@ -181,8 +181,8 @@ TEST(FabricTest, OversubscriptionDerivesUplinkBandwidth) {
   spec.oversubscription = 4.0;
   EXPECT_TRUE(spec.validate().ok());
 
-  EventLoop loop;
-  auto built = Fabric::create(loop, spec);
+  ShardedEngine engine(1);
+  auto built = Fabric::create(engine, spec);
   ASSERT_TRUE(built.ok());
 }
 

@@ -66,8 +66,8 @@ TEST(Link, SlowerLinkTakesLonger) {
 TEST(Link, RandomLossDropsSomePackets) {
   EventLoop loop;
   LinkConfig config;
-  config.loss_rate = 0.5;
-  config.loss_seed = 7;
+  config.fault.good_loss_rate = 0.5;  // uniform: the chain never goes bad
+  config.fault.seed = 7;
   LinkDirection dir(loop, config);
   int received = 0;
   dir.set_receiver([&](Packet) { ++received; });
@@ -76,7 +76,7 @@ TEST(Link, RandomLossDropsSomePackets) {
   EXPECT_GT(received, 350);
   EXPECT_LT(received, 650);
   EXPECT_EQ(dir.packets_sent(), 1000u);
-  EXPECT_EQ(dir.dropped_by_loss(), 1000u - std::uint64_t(received));
+  EXPECT_EQ(dir.dropped_by_fault(), 1000u - std::uint64_t(received));
 }
 
 TEST(Link, DropPredicateKillsTargetedPackets) {
@@ -114,8 +114,8 @@ TEST(Link, DeterministicLossPattern) {
   const auto run_once = [] {
     EventLoop loop;
     LinkConfig config;
-    config.loss_rate = 0.3;
-    config.loss_seed = 42;
+    config.fault.good_loss_rate = 0.3;
+    config.fault.seed = 42;
     LinkDirection dir(loop, config);
     std::vector<int> received;
     int counter = 0;
@@ -131,7 +131,9 @@ TEST(Link, DeterministicLossPattern) {
     loop.run();
     return received;
   };
-  EXPECT_EQ(run_once(), run_once());
+  const std::vector<int> first = run_once();
+  EXPECT_LT(first.size(), 100u);  // the stream really dropped packets
+  EXPECT_EQ(first, run_once());
 }
 
 // --- fault-model bugfixes (adversity PR satellites) ------------------------
@@ -143,8 +145,8 @@ TEST(Link, DirectionsDrawDecorrelatedLossPatterns) {
   const auto run_once = [] {
     EventLoop loop;
     LinkConfig config;
-    config.loss_rate = 0.3;
-    config.loss_seed = 42;
+    config.fault.good_loss_rate = 0.3;
+    config.fault.seed = 42;
     config.propagation = 0;
     Link link(loop, config);
     std::vector<int> a2b_received, b2a_received;
@@ -162,6 +164,8 @@ TEST(Link, DirectionsDrawDecorrelatedLossPatterns) {
     return std::make_pair(a2b_received, b2a_received);
   };
   const auto [a2b, b2a] = run_once();
+  EXPECT_LT(a2b.size(), 200u);  // both streams really dropped packets
+  EXPECT_LT(b2a.size(), 200u);
   EXPECT_NE(a2b, b2a);  // decorrelated streams from one shared seed
   // ...while each stream stays run-to-run deterministic.
   EXPECT_EQ(run_once(), run_once());
@@ -170,8 +174,8 @@ TEST(Link, DirectionsDrawDecorrelatedLossPatterns) {
 TEST(Link, SplitDropCountersChargeOneCauseEach) {
   EventLoop loop;
   LinkConfig config;
-  config.loss_rate = 0.5;
-  config.loss_seed = 7;
+  config.fault.good_loss_rate = 0.5;
+  config.fault.seed = 7;
   LinkDirection dir(loop, config);
   int delivered = 0;
   dir.set_receiver([&](Packet) { ++delivered; });
@@ -185,11 +189,10 @@ TEST(Link, SplitDropCountersChargeOneCauseEach) {
   }
   loop.run();
   EXPECT_EQ(dir.dropped_by_predicate(), 500u);
-  EXPECT_GT(dir.dropped_by_loss(), 0u);
-  EXPECT_EQ(dir.dropped_by_fault(), 0u);
+  EXPECT_GT(dir.dropped_by_fault(), 0u);
   // Every offered packet was delivered or charged to exactly one cause.
   EXPECT_EQ(std::uint64_t(delivered) + dir.dropped_by_predicate() +
-                dir.dropped_by_loss(),
+                dir.dropped_by_fault(),
             dir.packets_sent());
 }
 

@@ -210,10 +210,10 @@ TEST_F(FlowContextManagerTest, InvalidateSessionReleasesAllItsQueues) {
 // failures) while the manager cycles contexts underneath.
 
 TEST(ContextLruEndToEnd, ThrashingSessionsStayCorrect) {
-  sim::EventLoop loop;
+  sim::ShardedEngine engine(1);
   stack::HostConfig hc;
   hc.nic.max_flow_contexts = 4;  // brutal: fewer contexts than sessions
-  const auto topology = test::two_host_topology(loop, hc);
+  const auto topology = test::two_host_topology(engine, hc);
   stack::Host& client_host = topology->host(0);
   stack::Host& server_host = topology->host(1);
 
@@ -257,10 +257,10 @@ TEST(ContextLruEndToEnd, ThrashingSessionsStayCorrect) {
                       ->send_message(server_addr,
                                      Bytes(600 + 10 * s, std::uint8_t(round)))
                       .ok());
-      loop.run();
+      engine.run();
     }
   }
-  loop.run();
+  engine.run();
 
   EXPECT_EQ(delivered, kSessions * kRounds);
   const auto& nic = client_host.nic().counters();
@@ -281,10 +281,10 @@ TEST(ContextLruEndToEnd, ThrashingSessionsStayCorrect) {
 }
 
 TEST(ContextLruEndToEnd, RekeyInvalidatesAndRecovers) {
-  sim::EventLoop loop;
+  sim::ShardedEngine engine(1);
   stack::HostConfig hc;
   hc.nic.max_flow_contexts = 8;
-  const auto topology = test::two_host_topology(loop, hc);
+  const auto topology = test::two_host_topology(engine, hc);
   stack::Host& client_host = topology->host(0);
   stack::Host& server_host = topology->host(1);
 
@@ -311,7 +311,7 @@ TEST(ContextLruEndToEnd, RekeyInvalidatesAndRecovers) {
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(client.send_message(server_addr, Bytes(500, 0x01)).ok());
   }
-  loop.run();
+  engine.run();
   ASSERT_EQ(delivered, 6u);
   EXPECT_GT(client_host.nic().active_contexts(), 0u);
 
@@ -331,7 +331,7 @@ TEST(ContextLruEndToEnd, RekeyInvalidatesAndRecovers) {
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(client.send_message(server_addr, Bytes(500, 0x02)).ok());
   }
-  loop.run();
+  engine.run();
   EXPECT_EQ(delivered, 12u);
   EXPECT_EQ(client_host.nic().counters().out_of_sequence_records, 0u);
   EXPECT_EQ(server.stats().decrypt_failures, 0u);
@@ -343,10 +343,10 @@ TEST(ContextLruEndToEnd, ServerSideRxContextPressure) {
   // manager. The table thrashes (evictions + re-establishments on the
   // SERVER host) while every message still decrypts; replies create TX
   // pressure on the same table concurrently.
-  sim::EventLoop loop;
+  sim::ShardedEngine engine(1);
   stack::HostConfig hc;
   hc.nic.max_flow_contexts = 4;
-  const auto topology = test::two_host_topology(loop, hc);
+  const auto topology = test::two_host_topology(engine, hc);
   stack::Host& client_host = topology->host(0);
   stack::Host& server_host = topology->host(1);
 
@@ -393,10 +393,10 @@ TEST(ContextLruEndToEnd, ServerSideRxContextPressure) {
       ASSERT_TRUE(clients[s]
                       ->send_message(server_addr, Bytes(400, std::uint8_t(s)))
                       .ok());
-      loop.run();
+      engine.run();
     }
   }
-  loop.run();
+  engine.run();
 
   EXPECT_EQ(delivered, kSessions * kRounds);
   EXPECT_EQ(echoed, kSessions * kRounds);

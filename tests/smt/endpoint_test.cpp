@@ -16,7 +16,8 @@ class SmtEndpointTest : public ::testing::TestWithParam<bool> {
  protected:
   SmtEndpointTest()
       : rng_(to_bytes(std::string_view("smt-endpoint-test"))),
-        topology_(test::two_host_topology(loop_, host_config(), link_config())),
+        topology_(
+            test::two_host_topology(engine_, host_config(), link_config())),
         client_host_(topology_->host(0)),
         server_host_(topology_->host(1)) {
 
@@ -86,7 +87,8 @@ class SmtEndpointTest : public ::testing::TestWithParam<bool> {
   PeerAddr server_addr() const { return PeerAddr{2, 80}; }
 
   crypto::HmacDrbg rng_;
-  sim::EventLoop loop_;
+  sim::ShardedEngine engine_{1};
+  sim::EventLoop& loop_ = engine_.loop(0);
   std::unique_ptr<stack::Topology> topology_;
   stack::Host& client_host_;
   stack::Host& server_host_;
@@ -299,10 +301,10 @@ class SmtHwTest : public ::testing::Test {
 };
 
 TEST(SmtHwContexts, OneContextPerQueuePerSession) {
-  sim::EventLoop loop;
+  sim::ShardedEngine engine(1);
   stack::HostConfig hc;
   hc.nic.num_queues = 4;
-  const auto topology = test::two_host_topology(loop, hc);
+  const auto topology = test::two_host_topology(engine, hc);
   stack::Host& client_host = topology->host(0);
   stack::Host& server_host = topology->host(1);
 
@@ -331,7 +333,7 @@ TEST(SmtHwContexts, OneContextPerQueuePerSession) {
   for (int i = 0; i < 32; ++i) {
     ASSERT_TRUE(client.send_message(PeerAddr{2, 80}, Bytes(100, std::uint8_t(i))).ok());
   }
-  loop.run();
+  engine.run();
   EXPECT_EQ(delivered, 32);
   EXPECT_LE(client.stats().contexts_created, 4u);
   EXPECT_EQ(client_host.nic().counters().out_of_sequence_records, 0u);

@@ -126,9 +126,9 @@ TEST(ScenarioValidateTest, SingleValidationPathCatchesEachLayer) {
   EXPECT_EQ(config.validate().code(), Errc::invalid_argument);
   config.host.app_cores = 1;
 
-  config.edge_link.loss_rate = 1.5;
+  config.edge_link.fault.good_loss_rate = 1.5;
   EXPECT_EQ(config.validate().code(), Errc::invalid_argument);
-  config.edge_link.loss_rate = 0.0;
+  config.edge_link.fault.good_loss_rate = 0.0;
 
   config.switch_config.queue_capacity_bytes = 0;
   EXPECT_EQ(config.validate().code(), Errc::invalid_argument);
@@ -277,6 +277,26 @@ TEST(ScenarioParseTest, FaultKeysInLinkSectionsPointAtFaultSections) {
       "[fabric_link]\nbad_loss_rate = 0.5\n");
   ASSERT_FALSE(fabric.ok());
   EXPECT_NE(fabric.error().message.find("[fabric_fault]"), std::string::npos)
+      << fabric.error().message;
+}
+
+TEST(ScenarioParseTest, LinkLossKeysPointAtTheFaultModel) {
+  // Uniform loss has one home, the fault model's good state: a loss key
+  // in a link section is a pointed error, not a silently ignored one.
+  for (const char* text :
+       {"[edge_link]\nloss_rate = 0.1\n", "[edge_link]\nloss_seed = 3\n"}) {
+    const auto parsed = ScenarioConfig::parse(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_NE(parsed.error().message.find("[fault] good_loss_rate"),
+              std::string::npos)
+        << parsed.error().message;
+    EXPECT_NE(parsed.error().message.find("seed"), std::string::npos);
+  }
+  const auto fabric =
+      ScenarioConfig::parse("[fabric_link]\nloss_rate = 0.1\n");
+  ASSERT_FALSE(fabric.ok());
+  EXPECT_NE(fabric.error().message.find("[fabric_fault] good_loss_rate"),
+            std::string::npos)
       << fabric.error().message;
 }
 

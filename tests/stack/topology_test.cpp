@@ -10,8 +10,9 @@ namespace smt::stack {
 namespace {
 
 TEST(TopologyBuilderTest, DefaultShapeIsTwoHostDirect) {
-  sim::EventLoop loop;
-  auto built = TopologyBuilder().build(loop);
+  sim::ShardedEngine engine(1);
+  sim::EventLoop& loop = engine.loop(0);
+  auto built = TopologyBuilder().build(engine);
   ASSERT_TRUE(built.ok());
   auto topology = std::move(built).take();
   EXPECT_EQ(topology->host_count(), 2u);
@@ -36,8 +37,8 @@ void send_raw(Host& from, std::uint32_t dst_ip, std::uint16_t dst_port) {
 }
 
 TEST(TopologyBuilderTest, DirectModeDeliversBothWays) {
-  sim::EventLoop loop;
-  auto topology = std::move(TopologyBuilder().build(loop)).take();
+  sim::ShardedEngine engine(1);
+  auto topology = std::move(TopologyBuilder().build(engine)).take();
   int a_got = 0, b_got = 0;
   topology->host(0).register_endpoint(sim::Proto::smt, 80,
                                       [&](sim::Packet) { ++a_got; });
@@ -45,13 +46,13 @@ TEST(TopologyBuilderTest, DirectModeDeliversBothWays) {
                                       [&](sim::Packet) { ++b_got; });
   send_raw(topology->host(0), topology->ip_of(1), 80);
   send_raw(topology->host(1), topology->ip_of(0), 80);
-  loop.run();
+  engine.run();
   EXPECT_EQ(a_got, 1);
   EXPECT_EQ(b_got, 1);
 }
 
 TEST(TopologyBuilderTest, PerHostOverridesApply) {
-  sim::EventLoop loop;
+  sim::ShardedEngine engine(1);
   HostConfig base;
   base.app_cores = 2;
   HostConfig big;
@@ -59,7 +60,7 @@ TEST(TopologyBuilderTest, PerHostOverridesApply) {
   auto built = TopologyBuilder()
                    .host_config(base)
                    .host_config(1, big)
-                   .build(loop);
+                   .build(engine);
   ASSERT_TRUE(built.ok());
   auto topology = std::move(built).take();
   EXPECT_EQ(topology->host(0).app_core_count(), 2u);
@@ -69,17 +70,17 @@ TEST(TopologyBuilderTest, PerHostOverridesApply) {
 }
 
 TEST(TopologyBuilderTest, RejectsInvalidShape) {
-  sim::EventLoop loop;
-  const auto built = TopologyBuilder().racks(4).build(loop);  // no spines
+  sim::ShardedEngine engine(1);
+  const auto built = TopologyBuilder().racks(4).build(engine);  // no spines
   ASSERT_FALSE(built.ok());
   EXPECT_EQ(built.code(), Errc::invalid_argument);
 }
 
 TEST(TopologyBuilderTest, RejectsInvalidHostTemplate) {
-  sim::EventLoop loop;
+  sim::ShardedEngine engine(1);
   HostConfig hc;
   hc.app_cores = 0;
-  const auto built = TopologyBuilder().host_config(hc).build(loop);
+  const auto built = TopologyBuilder().host_config(hc).build(engine);
   ASSERT_FALSE(built.ok());
   EXPECT_EQ(built.code(), Errc::invalid_argument);
 }
@@ -144,8 +145,8 @@ TEST(TopologyBuilderTest, FabricShardPlacementIsRackAffine) {
 }
 
 TEST(TopologyBuilderTest, ViaTorRoutesThroughOneSwitch) {
-  sim::EventLoop loop;
-  auto built = TopologyBuilder().via_tor().build(loop);
+  sim::ShardedEngine engine(1);
+  auto built = TopologyBuilder().via_tor().build(engine);
   ASSERT_TRUE(built.ok());
   auto topology = std::move(built).take();
   ASSERT_NE(topology->fabric(), nullptr);
@@ -157,15 +158,15 @@ TEST(TopologyBuilderTest, ViaTorRoutesThroughOneSwitch) {
   topology->host(1).register_endpoint(sim::Proto::smt, 80,
                                       [&](sim::Packet) { ++got; });
   send_raw(topology->host(0), topology->ip_of(1), 80);
-  loop.run();
+  engine.run();
   EXPECT_EQ(got, 1);
   EXPECT_EQ(topology->switch_totals().forwarded, 1u);
 }
 
 TEST(TopologyBuilderTest, FabricModeDeliversAcrossRacks) {
-  sim::EventLoop loop;
+  sim::ShardedEngine engine(1);
   auto built =
-      TopologyBuilder().racks(2).hosts_per_rack(2).spines(2).build(loop);
+      TopologyBuilder().racks(2).hosts_per_rack(2).spines(2).build(engine);
   ASSERT_TRUE(built.ok());
   auto topology = std::move(built).take();
 
@@ -173,7 +174,7 @@ TEST(TopologyBuilderTest, FabricModeDeliversAcrossRacks) {
   topology->host(3).register_endpoint(sim::Proto::smt, 80,
                                       [&](sim::Packet) { ++got; });
   send_raw(topology->host(0), topology->ip_of(3), 80);
-  loop.run();
+  engine.run();
   EXPECT_EQ(got, 1);
   // ToR0 -> spine -> ToR1: three switch traversals.
   EXPECT_EQ(topology->switch_totals().forwarded, 3u);
@@ -185,8 +186,8 @@ TEST(TopologyBuilderTest, BuilderSeededFromScenarioConfig) {
   scenario.topology.hosts_per_rack = 2;
   scenario.topology.spines = 1;
   scenario.host.app_cores = 3;
-  sim::EventLoop loop;
-  auto built = TopologyBuilder(scenario).build(loop);
+  sim::ShardedEngine engine(1);
+  auto built = TopologyBuilder(scenario).build(engine);
   ASSERT_TRUE(built.ok());
   auto topology = std::move(built).take();
   EXPECT_EQ(topology->host_count(), 4u);

@@ -11,7 +11,8 @@ namespace {
 class TcpTest : public ::testing::Test {
  protected:
   TcpTest()
-      : topology_(test::two_host_topology(loop_, host_config(), link_config())),
+      : topology_(
+            test::two_host_topology(engine_, host_config(), link_config())),
         client_host_(topology_->host(0)),
         server_host_(topology_->host(1)),
         client_(client_host_, 1000),
@@ -37,7 +38,8 @@ class TcpTest : public ::testing::Test {
     return config;
   }
 
-  sim::EventLoop loop_;
+  sim::ShardedEngine engine_{1};
+  sim::EventLoop& loop_ = engine_.loop(0);
   std::unique_ptr<stack::Topology> topology_;
   stack::Host& client_host_;
   stack::Host& server_host_;
@@ -201,11 +203,12 @@ TEST_F(TcpTest, PeriodicFlapDividingRtoStillTerminates) {
   // phase-locks every retransmission into the same down window (the sim
   // has no timer jitter to drift out of it). Before RTO backoff + the
   // retry cap this was a livelock — loop_.run() never returned.
-  sim::EventLoop loop;
+  sim::ShardedEngine engine(1);
+  sim::EventLoop& loop = engine.loop(0);
   sim::LinkConfig lc = link_config();
   lc.fault.flap_period = msec(2);
   lc.fault.flap_down = usec(200);
-  auto topology = test::two_host_topology(loop, host_config(), lc);
+  auto topology = test::two_host_topology(engine, host_config(), lc);
   TcpEndpoint client(topology->host(0), 1000);
   TcpEndpoint server(topology->host(1), 80);
   Bytes received;
@@ -240,17 +243,16 @@ TEST_F(TcpTest, SmoothedRttPopulatedAfterCleanTransfer) {
 /// recovers the drop. (Not loop.now() — the loop drains stale
 /// epoch-guarded RTO timers as no-ops, so its end time reflects the
 /// longest ever-armed timer, not delivery.)
-SimTime run_tail_drop_recovery(bool adaptive) {
-  sim::EventLoop loop;
+SimTime run_tail_drop_recovery() {
+  sim::ShardedEngine engine(1);
+  sim::EventLoop& loop = engine.loop(0);
   stack::HostConfig hc;
   hc.app_cores = 2;
   hc.softirq_cores = 2;
   sim::LinkConfig lc;
   lc.propagation = usec(1);
-  auto topology = test::two_host_topology(loop, hc, lc);
-  TcpConfig config;
-  config.adaptive_rto = adaptive;
-  TcpEndpoint client(topology->host(0), 1000, config);
+  auto topology = test::two_host_topology(engine, hc, lc);
+  TcpEndpoint client(topology->host(0), 1000);
   TcpEndpoint server(topology->host(1), 80);
   Bytes received;
   SimTime last_byte_at = 0;
@@ -277,37 +279,36 @@ SimTime run_tail_drop_recovery(bool adaptive) {
   loop.run();
   EXPECT_EQ(received.size(), 22000u);
   EXPECT_EQ(dropped, 1);
-  if (adaptive) {
-    // Karn's rule: the retransmission must not have polluted the
-    // estimate with a bogus RTO-length sample.
-    const auto srtt = client.smoothed_rtt(conn);
-    EXPECT_TRUE(srtt.has_value() && *srtt < usec(500));
-  }
+  // Karn's rule: the retransmission must not have polluted the estimate
+  // with a bogus RTO-length sample.
+  const auto srtt = client.smoothed_rtt(conn);
+  EXPECT_TRUE(srtt.has_value() && *srtt < usec(500));
   return last_byte_at;
 }
 
-TEST_F(TcpTest, AdaptiveRtoRecoversTailLossFasterThanFixed) {
+TEST_F(TcpTest, AdaptiveRtoRecoversTailLossFasterThanInitialRto) {
   // With a warmed-up estimator the adaptive base is the 1 ms min_rto
-  // floor (datacenter srtt + 4*rttvar is far below it); the fixed base
-  // is the 10 ms initial RTO. Same drop, ~9 ms less dead air.
-  const SimTime adaptive = run_tail_drop_recovery(true);
-  const SimTime fixed = run_tail_drop_recovery(false);
-  EXPECT_LT(adaptive, fixed);
-  EXPECT_GT(fixed - adaptive, msec(5));
-  EXPECT_LT(adaptive, msec(4));  // 500 us + ~1 ms RTO + recovery
+  // floor (datacenter srtt + 4*rttvar is far below it), not the 10 ms
+  // initial RTO: the drop is recovered by that floor-clamped RTO.
+  const TcpConfig defaults;
+  const SimTime recovered = run_tail_drop_recovery() - usec(500);
+  EXPECT_GE(recovered, defaults.min_rto);  // only the RTO recovers it
+  EXPECT_LT(recovered, defaults.rto);
+  EXPECT_LT(recovered, msec(4));  // ~1 ms RTO + recovery
 }
 
 TEST_F(TcpTest, AdaptiveRtoKeepsAbandonmentBounded) {
-  // The retry cap rides on the adaptive base exactly as it did on the
-  // fixed one: a black-holed connection still abandons after
-  // max_rto_retries fires, it just gets there sooner.
-  sim::EventLoop loop;
+  // The retry cap rides on the adaptive base: a black-holed connection
+  // still abandons after max_rto_retries fires, it just gets there sooner
+  // than from the initial RTO.
+  sim::ShardedEngine engine(1);
+  sim::EventLoop& loop = engine.loop(0);
   stack::HostConfig hc;
   hc.app_cores = 2;
   hc.softirq_cores = 2;
   sim::LinkConfig lc;
   lc.propagation = usec(1);
-  auto topology = test::two_host_topology(loop, hc, lc);
+  auto topology = test::two_host_topology(engine, hc, lc);
   TcpEndpoint client(topology->host(0), 1000);  // adaptive on by default
   TcpEndpoint server(topology->host(1), 80);
   const auto conn = client.connect(2, 80);
