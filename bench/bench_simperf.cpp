@@ -85,6 +85,7 @@ struct SimPerfResult {
   std::uint64_t allocs = 0;     // operator new calls during the run
   std::uint64_t completed = 0;  // RPCs completed
   double rpcs_per_vsec = 0;     // virtual-time throughput (must not change)
+  std::size_t pending_high_water = 0;  // most events pending at once
 };
 
 /// Closed-loop fig7-style run: `concurrency` outstanding RPCs over 12
@@ -110,6 +111,7 @@ SimPerfResult run_scenario(RpcFabricConfig config, std::size_t rpc_bytes,
   r.wall_sec = std::chrono::duration<double>(wall_end - wall_start).count();
   r.virtual_sec = to_sec(fabric.loop().now());
   r.events = events;
+  r.pending_high_water = fabric.loop().pending_high_water();
   r.packets = fabric.client_host().nic().counters().packets +
               fabric.server_host().nic().counters().packets;
   r.allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
@@ -290,9 +292,9 @@ int main(int argc, char** argv) {
   std::printf("Simulator wall-clock performance (fig7 scenario, c=%zu, "
               "%zu ops)\n",
               concurrency, total_ops);
-  std::printf("%-14s %12s %12s %14s %12s %12s %12s\n", "scenario",
+  std::printf("%-14s %12s %12s %14s %12s %12s %12s %12s\n", "scenario",
               "wall_ms", "events/s", "packets/s", "ms/vsec", "allocs/rpc",
-              "MRPC/vs");
+              "MRPC/vs", "pending_hw");
 
   const std::vector<std::size_t> sizes = smoke()
                                              ? std::vector<std::size_t>{1024}
@@ -307,9 +309,11 @@ int main(int argc, char** argv) {
     const double packets_per_sec = double(r.packets) / r.wall_sec;
     const double ms_per_vsec = r.wall_sec * 1e3 / r.virtual_sec;
     const double allocs_per_rpc = double(r.allocs) / double(r.completed);
-    std::printf("smt-hw %5zuB %12.1f %12.0f %14.0f %12.1f %12.1f %12.3f\n",
+    std::printf("smt-hw %5zuB %12.1f %12.0f %14.0f %12.1f %12.1f %12.3f "
+                "%12zu\n",
                 rpc_bytes, r.wall_sec * 1e3, events_per_sec, packets_per_sec,
-                ms_per_vsec, allocs_per_rpc, r.rpcs_per_vsec / 1e6);
+                ms_per_vsec, allocs_per_rpc, r.rpcs_per_vsec / 1e6,
+                r.pending_high_water);
     if (rpc_bytes == 1024) {
       json_metric("events_per_sec", events_per_sec);
       json_metric("packets_per_sec", packets_per_sec);
@@ -318,6 +322,7 @@ int main(int argc, char** argv) {
       json_metric("virtual_mrpc_per_sec", r.rpcs_per_vsec / 1e6);
       json_metric("events", double(r.events));
       json_metric("completed", double(r.completed));
+      json_metric("pending_high_water", double(r.pending_high_water));
     }
   }
   // --- shard scaling sweep -------------------------------------------------

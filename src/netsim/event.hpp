@@ -8,20 +8,30 @@
 // event per packet hop, CPU charge, and timer, so the per-event constant
 // is the simulator's own throughput ceiling:
 //
-//   * EventCallback is a move-only callable with a 48-byte small-buffer
-//     store: the common capture sets (this + a key + a couple of scalars,
-//     or a wrapped std::function) run with ZERO heap allocations per
-//     scheduled event. Larger captures fall back to one heap cell.
+//   * EventCallback is a move-only callable with a 128-byte small-buffer
+//     store: every per-packet closure (link delivery, switch forwarding,
+//     transport softirq work carrying a Packet or PayloadSlice) runs with
+//     ZERO heap allocations per scheduled event. Larger captures fall back
+//     to one heap cell.
 //   * Events live in a free-listed pool; the priority queue is an indexed
 //     4-ary min-heap of 24-byte (when, seq, index) slots, so sift
 //     operations move small PODs instead of whole closures, and draining
 //     pops by MOVE — the old std::priority_queue engine *copied*
 //     queue_.top() (a full std::function deep-copy, including any captured
 //     packet payload) for every event executed.
+//   * schedule() returns a TimerId and cancel() takes the event out: its
+//     closure is destroyed and its pool slot recycled at once, and its
+//     heap slot goes stale (the pool slot no longer carries its seq). The
+//     loop pops stale slots off the top after every pop and cancel, so the
+//     top is always live, and compacts the heap in O(n) once stale slots
+//     outnumber live ones. A timer whose work became a no-op (an acked
+//     message's backstop) therefore stops costing a pool slot.
 //
 // The (when, seq) FIFO tie-break contract is bit-identical to the previous
-// engine: virtual-time results cannot change, only the wall-clock cost of
-// producing them.
+// engine: seqs are assigned at schedule time, keys are unique, so the
+// surviving events run in the same order whether or not others were
+// cancelled. Virtual-time results cannot change, only the wall-clock cost
+// of producing them.
 #pragma once
 
 #include <algorithm>
@@ -45,7 +55,7 @@ namespace smt::sim {
 /// noexcept move) are stored in line — no allocation per scheduled event.
 class EventCallback {
  public:
-  static constexpr std::size_t kInlineCapacity = 48;
+  static constexpr std::size_t kInlineCapacity = 128;
 
   EventCallback() noexcept = default;
 
@@ -142,6 +152,15 @@ class EventCallback {
   const Ops* ops_ = nullptr;
 };
 
+/// Handle to one scheduled event, for EventLoop::cancel. `seq` is the
+/// event's generation: the loop never reuses a seq, so a handle whose event
+/// already ran or was cancelled can never name a later event in the same
+/// pool slot. A default-constructed TimerId names no event.
+struct TimerId {
+  std::uint32_t index = 0xffffffffu;
+  std::uint64_t seq = 0;
+};
+
 class EventLoop {
  public:
   using Callback = EventCallback;
@@ -149,24 +168,44 @@ class EventLoop {
   SimTime now() const noexcept { return now_; }
 
   /// Schedules `fn` to run `delay` nanoseconds from now (>= 0).
-  void schedule(SimDuration delay, Callback fn) {
-    schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(fn));
+  TimerId schedule(SimDuration delay, Callback fn) {
+    return schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(fn));
   }
 
   /// Schedules `fn` at an absolute virtual time (clamped to now).
-  void schedule_at(SimTime when, Callback fn) {
+  TimerId schedule_at(SimTime when, Callback fn) {
     if (when < now_) when = now_;
+    const std::uint64_t seq = next_seq_++;
     std::uint32_t index;
     if (free_head_ != kNone) {
       index = free_head_;
-      free_head_ = pool_[index].next_free;
-      pool_[index].fn = std::move(fn);
+      PooledEvent& event = pool_[index];
+      free_head_ = event.next_free;
+      event.fn = std::move(fn);
+      event.seq = seq;
     } else {
       index = std::uint32_t(pool_.size());
-      pool_.emplace_back(PooledEvent{std::move(fn), kNone});
+      pool_.emplace_back(PooledEvent{std::move(fn), seq, kNone});
     }
-    heap_.push_back(HeapSlot{when, next_seq_++, index});
+    heap_.push_back(HeapSlot{when, seq, index});
     sift_up(heap_.size() - 1);
+    high_water_ = std::max(high_water_, pending());
+    return TimerId{index, seq};
+  }
+
+  /// Ensures the event `id` never runs. Its closure (and everything it
+  /// captured) is destroyed before cancel returns. A handle whose event
+  /// already ran or was already cancelled is a no-op, as is a default
+  /// TimerId. Cancelling never reorders the events that remain.
+  void cancel(TimerId id) {
+    if (id.index >= pool_.size() || pool_[id.index].seq != id.seq) return;
+    // Destroyed on return, after the bookkeeping: a capture whose
+    // destructor schedules or cancels sees a consistent loop.
+    const Callback doomed = std::move(pool_[id.index].fn);
+    release(id.index);
+    ++stale_;
+    drop_stale_top();
+    if (stale_ > heap_.size() - stale_) compact();
   }
 
   /// Runs events until the queue drains or `deadline` passes.
@@ -194,8 +233,9 @@ class EventLoop {
   /// Sentinel returned by earliest() when no events are pending.
   static constexpr SimTime kNoEvent = std::numeric_limits<SimTime>::max();
 
-  /// Timestamp of the earliest pending event, or kNoEvent. The sharded
-  /// engine's coordinator uses this to pick each barrier window's floor.
+  /// Timestamp of the earliest pending (not cancelled) event, or kNoEvent.
+  /// The sharded engine's coordinator uses this to pick each barrier
+  /// window's floor.
   SimTime earliest() const noexcept {
     return heap_.empty() ? kNoEvent : heap_.front().when;
   }
@@ -220,14 +260,21 @@ class EventLoop {
   bool stopped() const noexcept { return stopped_; }
   void reset_stop() noexcept { stopped_ = false; }
 
-  bool empty() const noexcept { return heap_.empty(); }
-  std::size_t pending() const noexcept { return heap_.size(); }
+  /// Pending events, cancelled ones excluded.
+  bool empty() const noexcept { return pending() == 0; }
+  std::size_t pending() const noexcept { return heap_.size() - stale_; }
+  /// The most events ever pending at once (cancelled ones excluded): the
+  /// size the callback pool grew to.
+  std::size_t pending_high_water() const noexcept { return high_water_; }
 
  private:
   static constexpr std::uint32_t kNone = 0xffffffffu;
+  static constexpr std::uint64_t kFreeSeq =
+      std::numeric_limits<std::uint64_t>::max();
 
   /// Sift keys: 24-byte PODs ordered by (when, seq); the closure stays put
-  /// in the pool while the heap rearranges.
+  /// in the pool while the heap rearranges. A slot is stale (its event was
+  /// cancelled) when its pool slot no longer carries its seq.
   struct HeapSlot {
     SimTime when;
     std::uint64_t seq;
@@ -235,6 +282,7 @@ class EventLoop {
   };
   struct PooledEvent {
     Callback fn;
+    std::uint64_t seq = kFreeSeq;  // the queued event's seq; kFreeSeq if none
     std::uint32_t next_free = kNone;
   };
 
@@ -243,19 +291,57 @@ class EventLoop {
     return a.seq < b.seq;  // FIFO among same-time events
   }
 
+  bool live(const HeapSlot& slot) const noexcept {
+    return pool_[slot.index].seq == slot.seq;
+  }
+
+  /// Returns a pool slot (whose closure was moved out) to the free list.
+  void release(std::uint32_t index) noexcept {
+    pool_[index].seq = kFreeSeq;
+    pool_[index].next_free = free_head_;
+    free_head_ = index;
+  }
+
   /// Pops and runs the earliest event. The callback is moved out (never
   /// copied) and its pool slot is recycled before it runs, so a callback
-  /// that schedules new events reuses the hottest slot.
+  /// that schedules new events reuses the hottest slot, and a callback
+  /// that cancels its own TimerId is a no-op.
   void run_top() {
     const HeapSlot top = heap_.front();
     Callback fn = std::move(pool_[top.index].fn);
-    pool_[top.index].next_free = free_head_;
-    free_head_ = top.index;
+    release(top.index);
+    pop_top();
+    drop_stale_top();
+    now_ = top.when;
+    fn();
+  }
+
+  void pop_top() {
     heap_.front() = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) sift_down(0);
-    now_ = top.when;
-    fn();
+  }
+
+  /// Keeps the top live, so earliest() and the run loops never see a
+  /// cancelled event.
+  void drop_stale_top() {
+    while (stale_ > 0 && !live(heap_.front())) {
+      pop_top();
+      --stale_;
+    }
+  }
+
+  /// Drops every stale slot and rebuilds the heap bottom-up in O(n). Keys
+  /// are unique, so the pop order depends only on the set of live keys.
+  void compact() {
+    heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                               [this](const HeapSlot& s) { return !live(s); }),
+                heap_.end());
+    stale_ = 0;
+    if (heap_.size() < 2) return;
+    for (std::size_t pos = (heap_.size() - 2) / 4 + 1; pos-- > 0;) {
+      sift_down(pos);
+    }
   }
 
   void sift_up(std::size_t pos) {
@@ -290,7 +376,9 @@ class EventLoop {
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   bool stopped_ = false;
-  std::vector<HeapSlot> heap_;
+  std::vector<HeapSlot> heap_;     // live slots, plus stale_ cancelled ones
+  std::size_t stale_ = 0;
+  std::size_t high_water_ = 0;
   std::vector<PooledEvent> pool_;  // free-listed closure storage
   std::uint32_t free_head_ = kNone;
 };

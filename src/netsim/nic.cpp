@@ -165,15 +165,15 @@ void Nic::reset() {
   rss_pending_.clear();
 
   // RX: queued frames are lost (visible as ring drops), hold-off timers
-  // are voided via the generation counter, and moderation/DIM reseeds
-  // exactly like the constructor. `draining` stays: a scheduled drain
-  // observes an empty ring, delivers nothing, and clears itself.
+  // are cancelled, and moderation/DIM reseeds exactly like the
+  // constructor. `draining` stays: a scheduled drain observes an empty
+  // ring, delivers nothing, and clears itself.
   for (RxRing& ring : rx_rings_) {
     ring.dropped += ring.frames.size();
     counters_.rx_dropped += ring.frames.size();
     ring.frames.clear();
     ring.timer_armed = false;
-    ++ring.timer_gen;
+    loop_.cancel(ring.hold_off);
     if (config_.adaptive_rx_coalesce) {
       ring.dim_level = dim_seed_level(
           std::max<std::size_t>(1, config_.rx_coalesce_frames));
@@ -210,23 +210,24 @@ void Nic::maybe_fire_rx_interrupt(std::size_t index) {
     return;
   }
   if (ring.timer_armed) return;
-  // Hold off, hoping more frames coalesce. The generation counter voids
-  // this timer if the frame threshold fires the interrupt first.
+  // Hold off, hoping more frames coalesce. fire_rx_interrupt and reset()
+  // cancel this timer, so when it runs it is still the ring's live one.
   ring.timer_armed = true;
-  const std::uint64_t gen = ++ring.timer_gen;
-  loop_.schedule(SimDuration(ring.coalesce_usecs * 1e3), [this, index, gen] {
-    RxRing& r = rx_rings_[index];
-    if (gen != r.timer_gen) return;  // superseded
-    r.timer_armed = false;
-    if (!r.draining && !r.frames.empty()) fire_rx_interrupt(index);
-  });
+  ring.hold_off =
+      loop_.schedule(SimDuration(ring.coalesce_usecs * 1e3), [this, index] {
+        RxRing& r = rx_rings_[index];
+        r.timer_armed = false;
+        if (!r.draining && !r.frames.empty()) fire_rx_interrupt(index);
+      });
 }
 
 void Nic::fire_rx_interrupt(std::size_t index) {
   RxRing& ring = rx_rings_[index];
   ring.draining = true;
+  // The hold-off timer was waiting for this interrupt: cancel it, so only
+  // a hold-off armed after this drain can fire the ring's next one.
   ring.timer_armed = false;
-  ++ring.timer_gen;  // void any pending hold-off timer
+  loop_.cancel(ring.hold_off);
   ++ring.interrupts;
   ++counters_.rx_interrupts;
   // The fixed interrupt cost (vector dispatch, IRQ entry/exit, NAPI

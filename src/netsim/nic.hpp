@@ -404,7 +404,7 @@ class Nic {
     std::deque<Packet> frames;
     bool draining = false;       // interrupt fired, drain event in flight
     bool timer_armed = false;    // rx_coalesce_usecs hold-off pending
-    std::uint64_t timer_gen = 0; // invalidates superseded hold-off timers
+    TimerId hold_off;            // that timer, cancelled when superseded
     // Effective moderation; seeded from NicConfig, adjusted per ring by
     // the DIM controller when adaptive_rx_coalesce is on.
     std::size_t coalesce_frames = 1;

@@ -123,17 +123,18 @@ void HomaEndpoint::pump_tx(TxMessage& tx, stack::CpuCore* core) {
 
   if (tx.next_segment >= tx.segments.size() && !tx.gc_armed) {
     tx.gc_armed = true;
-    arm_tx_retry(TxKey{tx.dst, tx.msg_id});
+    arm_tx_retry(tx);
   }
 }
 
-void HomaEndpoint::arm_tx_retry(const TxKey& key) {
+void HomaEndpoint::arm_tx_retry(TxMessage& tx) {
   // Sender-side backstop: if the receiver never ACKs (all packets of the
   // message lost, so receiver-driven RESEND cannot trigger — or the ACK
   // itself was lost), retransmit the whole message a few times, then give
   // up. Duplicates are harmless: the receiver's interval merge and, one
-  // layer up, SMT's replay filter absorb them.
-  host_.loop().schedule(config_.resend_interval * 5, [this, key] {
+  // layer up, SMT's replay filter absorb them. handle_ack cancels it.
+  const TxKey key{tx.dst, tx.msg_id};
+  tx.backstop = host_.loop().schedule(config_.resend_interval * 5, [this, key] {
     const auto it = tx_messages_.find(key);
     if (it == tx_messages_.end()) return;  // acked and freed
     TxMessage& tx = it->second;
@@ -149,7 +150,7 @@ void HomaEndpoint::arm_tx_retry(const TxKey& key) {
     for (std::size_t i = 0; i < tx.segments.size(); ++i) {
       post_segment_for(tx, i, nullptr);
     }
-    arm_tx_retry(key);
+    arm_tx_retry(tx);
   });
 }
 
@@ -402,6 +403,9 @@ void HomaEndpoint::rx_complete(const RxKey& key) {
   MessageMeta meta{rx.peer, rx.msg_id, rx.softirq_core, rx.rx_queue};
   Bytes payload = std::move(rx.buffer);
   const std::size_t core_index = rx.softirq_core;
+  // The resend timer's rx_messages_.find(key) misses from here on (and
+  // recently_completed_ keeps the key from being recreated): a no-op.
+  host_.loop().cancel(rx.resend_timer);
   rx_messages_.erase(it);
 
   // Copy cost only: the application-side wakeup (recvmsg return) is
@@ -418,38 +422,39 @@ void HomaEndpoint::arm_resend_timer(const RxKey& key) {
   auto it = rx_messages_.find(key);
   if (it == rx_messages_.end() || it->second.timer_armed) return;
   it->second.timer_armed = true;
-  host_.loop().schedule(config_.resend_interval, [this, key] {
-    auto it2 = rx_messages_.find(key);
-    if (it2 == rx_messages_.end()) return;
-    RxMessage& rx = it2->second;
-    rx.timer_armed = false;
-    const SimTime idle = host_.loop().now() - rx.last_activity;
-    if (idle >= config_.resend_interval) {
-      if (++rx.resend_count > config_.max_resends) {
-        ++stats_.messages_expired;
-        rx_messages_.erase(it2);
-        return;
-      }
-      // First missing range.
-      std::size_t missing_begin = 0;
-      std::size_t missing_end = rx.total_bytes;
-      for (const auto& [s, e] : rx.intervals) {
-        if (s == missing_begin) {
-          missing_begin = e;
-        } else {
-          missing_end = s;
-          break;
+  it->second.resend_timer =
+      host_.loop().schedule(config_.resend_interval, [this, key] {
+        auto it2 = rx_messages_.find(key);
+        if (it2 == rx_messages_.end()) return;
+        RxMessage& rx = it2->second;
+        rx.timer_armed = false;
+        const SimTime idle = host_.loop().now() - rx.last_activity;
+        if (idle >= config_.resend_interval) {
+          if (++rx.resend_count > config_.max_resends) {
+            ++stats_.messages_expired;
+            rx_messages_.erase(it2);
+            return;
+          }
+          // First missing range.
+          std::size_t missing_begin = 0;
+          std::size_t missing_end = rx.total_bytes;
+          for (const auto& [s, e] : rx.intervals) {
+            if (s == missing_begin) {
+              missing_begin = e;
+            } else {
+              missing_end = s;
+              break;
+            }
+          }
+          if (missing_begin < missing_end) {
+            ++stats_.resends_requested;
+            send_ctrl(rx.peer, PacketType::resend, rx.msg_id,
+                      std::uint32_t(missing_begin) + 1,
+                      std::uint32_t(missing_end));
+          }
         }
-      }
-      if (missing_begin < missing_end) {
-        ++stats_.resends_requested;
-        send_ctrl(rx.peer, PacketType::resend, rx.msg_id,
-                  std::uint32_t(missing_begin) + 1,
-                  std::uint32_t(missing_end));
-      }
-    }
-    arm_resend_timer(key);
-  });
+        arm_resend_timer(key);
+      });
 }
 
 void HomaEndpoint::handle_grant(const Packet& pkt) {
@@ -520,6 +525,9 @@ void HomaEndpoint::handle_ack(const Packet& pkt) {
   const auto it = tx_messages_.find(TxKey{peer, pkt.hdr.msg_id});
   if (it == tx_messages_.end()) return;
   const std::uint64_t msg_id = it->first.second;
+  // The backstop's tx_messages_.find(key) misses once the message is
+  // erased ("acked and freed"): a no-op, so it leaves the event heap now.
+  host_.loop().cancel(it->second.backstop);
   tx_messages_.erase(it);
   if (on_sent_) on_sent_(peer, msg_id);
 }

@@ -173,6 +173,7 @@ class HomaEndpoint {
     std::size_t sent_bytes = 0;     // high-water mark of transmitted bytes
     std::size_t granted_bytes = 0;  // receiver's grant high-water mark
     bool gc_armed = false;
+    sim::TimerId backstop;  // the armed arm_tx_retry timer
     int retries = 0;  // sender-side full retransmissions (lost first RTT)
     PrePostHook pre_post;
   };
@@ -190,6 +191,7 @@ class HomaEndpoint {
     SimTime last_activity = 0;
     int resend_count = 0;
     bool timer_armed = false;
+    sim::TimerId resend_timer;  // the latest arm_resend_timer timer
   };
 
   using RxKey = std::pair<PeerAddr, std::uint64_t>;
@@ -209,7 +211,7 @@ class HomaEndpoint {
   void maybe_grant(RxMessage& rx);
   void arm_resend_timer(const RxKey& key);
   void pump_tx(TxMessage& tx, stack::CpuCore* core);
-  void arm_tx_retry(const TxKey& key);
+  void arm_tx_retry(TxMessage& tx);
   void post_segment_for(TxMessage& tx, std::size_t seg_index,
                         stack::CpuCore* core);
   void send_ctrl(PeerAddr dst, sim::PacketType type, std::uint64_t msg_id,

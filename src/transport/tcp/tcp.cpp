@@ -400,7 +400,7 @@ void TcpEndpoint::handle_ack(Connection& conn, const Packet& pkt) {
           conn.send_buffer.begin() + std::ptrdiff_t(keep_from - conn.buf_base));
       conn.buf_base = keep_from;
     }
-    ++conn.rto_epoch;
+    advance_rto_epoch(conn);
     conn.rto_backoff = 0;  // forward progress: back to the base RTO
     if (conn.snd_nxt > conn.snd_una) arm_rto(conn);
     push(conn);  // ack-clocked transmission
@@ -450,7 +450,7 @@ void TcpEndpoint::arm_rto(Connection& conn) {
   // starts 10x sooner than the fixed pre-sample RTO.
   const SimDuration delay =
       rto_base(conn) << std::min<std::uint32_t>(conn.rto_backoff, 6);
-  host_.loop().schedule(delay, [this, id, epoch] {
+  conn.rto_timers.push_back(host_.loop().schedule(delay, [this, id, epoch] {
     auto it = connections_.find(id);
     if (it == connections_.end()) return;
     Connection& c = it->second;
@@ -465,10 +465,19 @@ void TcpEndpoint::arm_rto(Connection& conn) {
     }
     ++stats_.rto_fires;
     ++stats_.retransmits;
-    ++c.rto_epoch;
+    advance_rto_epoch(c);
     retransmit_head(c);
     arm_rto(c);
-  });
+  }));
+}
+
+void TcpEndpoint::advance_rto_epoch(Connection& conn) {
+  ++conn.rto_epoch;
+  // Every timer armed under the old epoch now returns at its
+  // `c.rto_epoch != epoch` check ("progress happened"): a no-op, so it
+  // leaves the event heap. (The one running now, if any, is already out.)
+  for (const sim::TimerId timer : conn.rto_timers) host_.loop().cancel(timer);
+  conn.rto_timers.clear();
 }
 
 std::optional<sim::FiveTuple> TcpEndpoint::flow_of(ConnId conn) const {

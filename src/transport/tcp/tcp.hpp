@@ -140,8 +140,10 @@ class TcpEndpoint {
     std::uint64_t snd_una = 0;  // first unacked stream offset
     std::uint64_t snd_nxt = 0;  // next stream offset to send
     std::uint32_t dup_acks = 0;
-    bool rto_armed = false;
     std::uint64_t rto_epoch = 0;
+    // RTO timers armed under rto_epoch (arm_rto may arm several per
+    // epoch); advance_rto_epoch cancels them all.
+    std::vector<sim::TimerId> rto_timers;
     std::uint32_t rto_backoff = 0;  // consecutive fires since last progress
     // Jacobson/Karels RTT estimation (adaptive RTO). One probe at a
     // time: a fresh transmission arms it, the cumulative ACK covering
@@ -181,6 +183,7 @@ class TcpEndpoint {
                       bool is_retransmit);
   void send_ack(Connection& conn);
   void arm_rto(Connection& conn);
+  void advance_rto_epoch(Connection& conn);
   void update_rtt(Connection& conn, SimDuration sample);
   /// The pre-backoff RTO: srtt + 4*rttvar clamped to [min_rto, max_rto]
   /// once a sample exists, config.rto before.

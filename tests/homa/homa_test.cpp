@@ -232,6 +232,31 @@ TEST_F(HomaTest, ManyConcurrentMessagesAllComplete) {
   EXPECT_EQ(received_.size(), std::size_t(kCount));
 }
 
+TEST_F(HomaTest, AckedMessagesLeaveNoTimersPending) {
+  // A lossless exchange arms the receiver's resend timer (the large
+  // message waits on grants) and each sender backstop; the ACK path
+  // cancels both. So nothing is pending once the last ACK and the last
+  // delivery are processed, and run() ends there instead of at the 5 ms
+  // backstop.
+  std::size_t events_seen = 0;
+  std::size_t pending_at_last = 1;
+  SimTime last_at = -1;
+  const auto note = [&] {
+    ++events_seen;
+    pending_at_last = loop_.pending();
+    last_at = loop_.now();
+  };
+  client_.set_on_sent([&](PeerAddr, std::uint64_t) { note(); });
+  server_.set_on_message([&](HomaEndpoint::MessageMeta, Bytes) { note(); });
+  client_.send_message(server_addr(), Bytes(100, 0x01));
+  client_.send_message(server_addr(), Bytes(150000, 0x02));
+  loop_.run();
+  ASSERT_EQ(events_seen, 4u);  // two ACKs, two deliveries
+  EXPECT_EQ(pending_at_last, 0u);
+  EXPECT_EQ(loop_.now(), last_at);
+  EXPECT_LT(last_at, HomaConfig{}.resend_interval);
+}
+
 TEST_F(HomaTest, LossyLinkEventuallyDeliversEverything) {
   // A fresh testbed with a lossy link (re-wiring live hosts to a second
   // link is now a configuration error).

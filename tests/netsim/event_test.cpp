@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace smt::sim {
 namespace {
@@ -109,11 +112,12 @@ struct CopyCounter {
   void operator()() const {}
 };
 
-/// Same, but too big for the 48-byte inline store — exercises the heap
-/// fallback, which must ALSO never copy (it relocates by pointer).
+/// Same, but too big for the inline store — exercises the heap fallback,
+/// which must ALSO never copy (it relocates by pointer).
 struct BigCopyCounter : CopyCounter {
   using CopyCounter::CopyCounter;
-  std::uint64_t pad[8] = {};
+  std::uint64_t pad[EventCallback::kInlineCapacity / sizeof(std::uint64_t)] =
+      {};
 };
 }  // namespace
 
@@ -174,6 +178,192 @@ TEST(EventLoop, PendingCount) {
   EXPECT_EQ(loop.pending(), 2u);
   loop.run();
   EXPECT_TRUE(loop.empty());
+}
+
+TEST(EventLoop, CancelledEventNeverRuns) {
+  EventLoop loop;
+  std::vector<int> order;
+  loop.schedule(usec(1), [&] { order.push_back(1); });
+  const TimerId two = loop.schedule(usec(2), [&] { order.push_back(2); });
+  loop.schedule(usec(3), [&] { order.push_back(3); });
+  loop.cancel(two);
+  EXPECT_EQ(loop.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+}
+
+TEST(EventLoop, PendingEarliestAndEmptyExcludeCancelled) {
+  EventLoop loop;
+  const TimerId a = loop.schedule(usec(1), [] {});
+  const TimerId b = loop.schedule(usec(2), [] {});
+  const TimerId c = loop.schedule(usec(3), [] {});
+  loop.cancel(a);  // the earliest: earliest() must move past it
+  EXPECT_EQ(loop.pending(), 2u);
+  EXPECT_EQ(loop.earliest(), usec(2));
+  loop.cancel(c);  // not at the top
+  EXPECT_EQ(loop.pending(), 1u);
+  EXPECT_EQ(loop.earliest(), usec(2));
+  EXPECT_FALSE(loop.empty());
+  loop.cancel(b);
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_TRUE(loop.empty());
+  EXPECT_EQ(loop.earliest(), EventLoop::kNoEvent);
+  // Nothing left to run: the clock stays where it was, not at 3 us.
+  EXPECT_EQ(loop.run(), 0u);
+  EXPECT_EQ(loop.now(), 0);
+  EXPECT_EQ(loop.pending_high_water(), 3u);
+}
+
+TEST(EventLoop, StaleAndDoubleCancelAreNoOps) {
+  EventLoop loop;
+  int ran = 0;
+  const TimerId first = loop.schedule(usec(1), [&] { ++ran; });
+  loop.run();
+  ASSERT_EQ(ran, 1);
+  // The next event reuses the first one's pool slot; the old handle must
+  // not name it.
+  const TimerId second = loop.schedule(usec(1), [&] { ++ran; });
+  ASSERT_EQ(second.index, first.index);
+  loop.cancel(first);
+  loop.cancel(TimerId{});
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.cancel(second);
+  loop.cancel(second);
+  EXPECT_EQ(loop.pending(), 0u);
+  const TimerId third = loop.schedule(usec(1), [&] { ++ran; });
+  loop.cancel(second);  // stale again, now that a third event holds the slot
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run();
+  EXPECT_EQ(ran, 2);
+  loop.cancel(third);  // already ran
+  EXPECT_TRUE(loop.empty());
+}
+
+TEST(EventLoop, CancelFromOwnCallbackIsANoOp) {
+  EventLoop loop;
+  TimerId self;
+  int ran = 0;
+  self = loop.schedule(usec(1), [&] {
+    ++ran;
+    loop.cancel(self);
+    loop.schedule(usec(1), [&] { ++ran; });
+  });
+  loop.run();
+  EXPECT_EQ(ran, 2);
+}
+
+TEST(EventLoop, CancelDestroysCapturesAtOnce) {
+  EventLoop loop;
+  auto token = std::make_shared<int>(0);
+  struct Big {
+    std::shared_ptr<int> held;
+    char pad[EventCallback::kInlineCapacity] = {};
+    void operator()() const {}
+  };
+  const TimerId small = loop.schedule(usec(1), [held = token] { (void)held; });
+  const TimerId big = loop.schedule(usec(2), Big{token});
+  loop.schedule(usec(3), [] {});
+  ASSERT_EQ(token.use_count(), 3);
+  loop.cancel(small);  // inline store
+  EXPECT_EQ(token.use_count(), 2);
+  loop.cancel(big);  // heap fallback
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventLoop, CompactionKeepsOrderWhenMostEventsAreCancelled) {
+  // A live event at the top pins every cancelled slot below it, so the
+  // stale slots outnumber the live ones and the heap is rebuilt; the
+  // survivors must still run in (when, seq) order.
+  EventLoop loop;
+  std::vector<int> order;
+  loop.schedule(0, [&] { order.push_back(-1); });
+  std::vector<TimerId> ids;
+  for (int i = 0; i < 1000; ++i) {
+    ids.push_back(loop.schedule(usec(1000 - i % 97),
+                                [&order, i] { order.push_back(i); }));
+  }
+  std::vector<int> expected;
+  for (int i = 0; i < 1000; ++i) {
+    if (i % 4 == 0) {
+      expected.push_back(i);
+    } else {
+      loop.cancel(ids[std::size_t(i)]);
+    }
+  }
+  EXPECT_EQ(loop.pending(), 251u);
+  std::stable_sort(expected.begin(), expected.end(), [](int a, int b) {
+    return 1000 - a % 97 < 1000 - b % 97;
+  });
+  expected.insert(expected.begin(), -1);
+  EXPECT_EQ(loop.run(), 251u);
+  EXPECT_EQ(order, expected);
+}
+
+/// One randomised schedule, run two ways. Events get random times with
+/// many ties; a quarter are cancelled up front, and each running event may
+/// cancel a random other one (which may already have run, or been
+/// cancelled) and schedule a child. `cancel` = true cancels for real;
+/// false runs every event but turns the victims into no-ops. The two runs
+/// must execute the survivors in the same order.
+struct TwinRun {
+  std::vector<int> order;
+  std::size_t executed = 0;
+  std::size_t voided = 0;
+};
+
+TwinRun run_twin(bool cancel) {
+  constexpr int kEvents = 10000;
+  Rng rng(20261017);
+  std::vector<SimTime> when(kEvents);
+  std::vector<int> victim(kEvents, -1);
+  std::vector<SimDuration> child_delay(kEvents, -1);
+  for (int i = 0; i < kEvents; ++i) {
+    when[std::size_t(i)] = SimTime(rng.next_below(2000));
+    if (rng.chance(0.8)) victim[std::size_t(i)] = int(rng.next_below(kEvents));
+    if (rng.chance(0.3)) {
+      child_delay[std::size_t(i)] = SimDuration(rng.next_below(50));
+    }
+  }
+  EventLoop loop;
+  TwinRun result;
+  std::vector<TimerId> ids(kEvents);
+  std::vector<bool> dead(kEvents, false);
+  auto void_event = [&](int i) {
+    if (cancel) {
+      loop.cancel(ids[std::size_t(i)]);
+    } else {
+      dead[std::size_t(i)] = true;
+    }
+  };
+  for (int i = 0; i < kEvents; ++i) {
+    ids[std::size_t(i)] = loop.schedule_at(when[std::size_t(i)], [&, i] {
+      if (dead[std::size_t(i)]) {
+        ++result.voided;
+        return;
+      }
+      result.order.push_back(i);
+      if (victim[std::size_t(i)] >= 0) void_event(victim[std::size_t(i)]);
+      if (child_delay[std::size_t(i)] >= 0) {
+        loop.schedule(child_delay[std::size_t(i)],
+                      [&result, i] { result.order.push_back(kEvents + i); });
+      }
+    });
+  }
+  for (int i = 0; i < kEvents; ++i) {
+    if (rng.chance(0.25)) void_event(i);
+  }
+  result.executed = loop.run();
+  return result;
+}
+
+TEST(EventLoop, CancellingMatchesNoOpTwinRun) {
+  const TwinRun cancelled = run_twin(true);
+  const TwinRun noop = run_twin(false);
+  EXPECT_EQ(cancelled.order, noop.order);
+  EXPECT_EQ(cancelled.voided, 0u);
+  EXPECT_EQ(cancelled.executed, noop.executed - noop.voided);
+  // About half the original events never ran.
+  EXPECT_GT(noop.voided, 4000u);
+  EXPECT_LT(noop.voided, 6000u);
 }
 
 }  // namespace

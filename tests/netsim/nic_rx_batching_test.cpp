@@ -122,6 +122,27 @@ TEST_F(NicRxBatchingTest, FrameThresholdFiresBeforeTimer) {
   EXPECT_EQ(times.back(), nsec(1200));
 }
 
+TEST_F(NicRxBatchingTest, SupersededHoldOffIsCancelled) {
+  // Frame 0 arms a 50 us hold-off; the 3rd frame fires the interrupt at
+  // t = 0 and cancels it, leaving only the drain pending. A frame at 30 us
+  // arms a fresh hold-off and must wait the full 50 us: the superseded
+  // timer (due at 50 us) must not interrupt for it early.
+  NicConfig config = make_config();
+  config.rx_coalesce_usecs = 50.0;
+  config.rx_coalesce_frames = 3;
+  Nic nic(loop_, config);
+  std::vector<SimTime> times;
+  nic.set_rx_handler([&](Packet) { times.push_back(loop_.now()); });
+  for (std::uint64_t i = 0; i < 3; ++i) nic.receive(make_packet(i));
+  EXPECT_EQ(loop_.pending(), 1u);
+  loop_.schedule(usec(30), [&] { nic.receive(make_packet(3)); });
+  loop_.run();
+  ASSERT_EQ(times.size(), 4u);
+  EXPECT_EQ(nic.counters().rx_interrupts, 2u);
+  EXPECT_EQ(times[2], nsec(1200));
+  EXPECT_EQ(times[3], usec(30) + usec(50) + nsec(1200));
+}
+
 TEST_F(NicRxBatchingTest, HoldOffTimerFiresBelowThreshold) {
   NicConfig config = make_config();
   config.rx_coalesce_usecs = 10.0;

@@ -221,6 +221,28 @@ TEST(ShardedEngine, TwoShardByteIdenticalToOneShard) {
   EXPECT_GT(two.stats().cross_posts, 0u);
 }
 
+TEST(ShardedEngine, CancelledFarEventAddsNoWindow) {
+  // Shard 1 arms a far-future timer and cancels it from its next event:
+  // the barrier floor must never see it, so the run has exactly the
+  // windows of one that never armed it, and shard 1's clock stops at its
+  // last live event.
+  const auto run = [](bool arm_far) {
+    ShardedEngine engine(2, usec(1));
+    engine.loop(0).schedule_at(usec(10), [] {});
+    TimerId far;
+    if (arm_far) far = engine.loop(1).schedule_at(msec(5), [] {});
+    engine.loop(1).schedule_at(usec(5), [&engine, far] {
+      engine.loop(1).cancel(far);
+    });
+    engine.run();
+    return std::make_pair(engine.stats().windows, engine.now(1));
+  };
+  const auto plain = run(false);
+  const auto cancelled = run(true);
+  EXPECT_EQ(cancelled.first, plain.first);
+  EXPECT_EQ(cancelled.second, usec(5));
+}
+
 TEST(ShardedEngine, SwitchRemoteEgressDeliversCrossShard) {
   // Host-facing egress port on shard 1, switch fabric on shard 0: after
   // queueing + serialisation on the switch's shard, delivery is posted at

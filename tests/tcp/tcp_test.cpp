@@ -237,6 +237,19 @@ TEST_F(TcpTest, SmoothedRttPopulatedAfterCleanTransfer) {
   EXPECT_EQ(client_.stats().rto_fires, 0u);  // estimator never misfired
 }
 
+TEST_F(TcpTest, AckedTransferLeavesNoRtoTimersPending) {
+  // Every ACK that advances snd_una cancels the RTO timers armed before
+  // it, so nothing is pending once the last ACK is processed: run() ends
+  // there, not when the stale RTOs would have come due.
+  const auto conn = client_.connect(2, 80);
+  client_.send(conn, Bytes(50000, 0x42));
+  loop_.run();
+  EXPECT_EQ(server_received_.size(), 50000u);
+  EXPECT_EQ(client_.unacked_bytes(conn), 0u);
+  EXPECT_LT(loop_.now(), TcpConfig{}.min_rto);
+  EXPECT_EQ(client_.stats().rto_fires, 0u);
+}
+
 /// One RTO-only loss (the LAST packet of a quiet window, so no dup-ACK
 /// fast retransmit can save it) after a warmed-up estimator. Returns the
 /// virtual time the last byte arrived: dominated by the RTO that
