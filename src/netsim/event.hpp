@@ -9,10 +9,14 @@
 // is the simulator's own throughput ceiling:
 //
 //   * EventCallback is a move-only callable with a 128-byte small-buffer
-//     store: every per-packet closure (link delivery, switch forwarding,
-//     transport softirq work carrying a Packet or PayloadSlice) runs with
-//     ZERO heap allocations per scheduled event. Larger captures fall back
-//     to one heap cell.
+//     store; larger captures fall back to one heap cell per scheduled
+//     event. A Packet is 104 bytes, so a closure carrying one has 24 bytes
+//     left for everything else it captures. Switch forwarding (this, port
+//     index, fault jitter, packet) uses exactly 128; link delivery and
+//     switch remote egress are smaller. The static_assert after Packet in
+//     netsim/packet.hpp holds that budget, and
+//     tests/netsim/datapath_alloc_test.cpp checks each hop makes no
+//     allocation.
 //   * Events live in a free-listed pool; the priority queue is an indexed
 //     4-ary min-heap of 24-byte (when, seq, index) slots, so sift
 //     operations move small PODs instead of whole closures, and draining

@@ -76,7 +76,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <vector>
@@ -86,6 +85,7 @@
 #include "netsim/event.hpp"
 #include "netsim/link.hpp"
 #include "netsim/packet.hpp"
+#include "netsim/recycling.hpp"
 #include "crypto/gcm.hpp"
 #include "tls/cipher.hpp"
 #include "tls/keyschedule.hpp"
@@ -401,7 +401,7 @@ class Nic {
   /// N active rings shared one threshold and interrupted ~N times as often
   /// as the per-ring ethtool contract specifies.
   struct RxRing {
-    std::deque<Packet> frames;
+    RecyclingDeque<Packet> frames;
     bool draining = false;       // interrupt fired, drain event in flight
     bool timer_armed = false;    // rx_coalesce_usecs hold-off pending
     TimerId hold_off;            // that timer, cancelled when superseded
@@ -443,7 +443,7 @@ class Nic {
   IrqExecutor irq_run_;
   IrqCharge irq_charge_;
 
-  std::vector<std::deque<Descriptor>> queues_;
+  std::vector<RecyclingDeque<Descriptor>> queues_;
   std::size_t pending_ = 0;    // descriptors across all queues
   std::size_t rr_cursor_ = 0;  // round-robin scan position
   bool processing_ = false;

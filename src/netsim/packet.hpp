@@ -13,6 +13,8 @@
 
 #include "common/bytes.hpp"
 #include "common/payload_slice.hpp"
+#include "common/time.hpp"
+#include "netsim/event.hpp"
 
 namespace smt::sim {
 
@@ -67,30 +69,37 @@ enum class PacketType : std::uint8_t {
 /// + options space used by the message transports (12).
 constexpr std::size_t kWireHeaderBytes = 70;
 
+// Fields are grouped by size so the header packs into 72 bytes: the
+// fields total 71, leaving one byte of padding. The size is load-bearing;
+// see the static_assert after Packet.
 struct PacketHeader {
-  FiveTuple flow;
-  PacketType type = PacketType::data;
+  // Options space, replicated by TSO across a segment's packets.
+  std::uint64_t msg_id = 0;
 
-  // Network layer.
-  std::uint16_t ip_id = 0;  // incremented per packet by TSO (§4.3)
+  FiveTuple flow;
 
   // TCP-overlay common header fields.
   std::uint32_t seq = 0;  // TCP sequence number (TCP only; TSO does not
                           // write it for other protocols, §2.2)
   std::uint32_t ack = 0;
-  std::uint16_t window = 0;
-  bool checksum_valid = false;  // TSO checksums TCP only (§7)
 
-  // Options space, replicated by TSO across a segment's packets.
-  std::uint64_t msg_id = 0;
+  // Options space (continued).
   std::uint32_t msg_len = 0;
   std::uint32_t tso_off = 0;     // segment position within the message
-  std::uint16_t ipid_base = 0;   // IPID of the segment's first packet
   std::uint32_t resend_off = 0;  // explicit offset for retransmissions
   std::uint32_t grant_off = 0;   // GRANT: receiver-granted byte offset
+  std::uint32_t trimmed_len = 0; // original payload length of the stub
+
+  // Network layer.
+  std::uint16_t ip_id = 0;  // incremented per packet by TSO (§4.3)
+
+  std::uint16_t window = 0;      // TCP-overlay common header
+  std::uint16_t ipid_base = 0;   // options: IPID of the segment's 1st packet
+
+  PacketType type = PacketType::data;
+  bool checksum_valid = false;  // TSO checksums TCP only (§7)
   std::uint8_t priority = 0;     // network priority (SRPT)
   bool trimmed = false;          // NDP-style trimmed stub (payload cut)
-  std::uint32_t trimmed_len = 0; // original payload length of the stub
 
   // Set by the wire fault model (FaultProfile::corrupt_rate): the frame
   // arrives but its integrity check — GCM tag, TCP checksum — fails.
@@ -133,6 +142,19 @@ struct Packet {
     return payload.size() + kWireHeaderBytes;
   }
 };
+
+// Every packet hop schedules a closure that carries the Packet by value,
+// and one that outgrows EventCallback's inline store costs a heap
+// allocation per hop. The widest is switch forwarding (Switch::drain:
+// this, port index, fault jitter, packet), at exactly 128 bytes; switch
+// remote egress (this, port index, packet) and link delivery
+// (LinkDirection::send: this, packet) are smaller. Growing PacketHeader
+// by even 8 bytes breaks this.
+static_assert(sizeof(void*) + sizeof(std::size_t) + sizeof(SimDuration) +
+                      sizeof(Packet) <=
+                  EventCallback::kInlineCapacity,
+              "switch forwarding, switch remote egress and link delivery "
+              "closures must fit EventCallback's inline store");
 
 /// Handler invoked on packet delivery.
 using PacketHandler = std::function<void(Packet)>;

@@ -114,7 +114,9 @@ void ShardedEngine::post_from(std::size_t src, std::size_t dst, SimTime when,
 void ShardedEngine::drain_inboxes() {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    std::vector<Mail> batch;
+    // Double-buffered: the inbox and the empty spare trade places, and
+    // the posts drain from the spare.
+    std::vector<Mail>& batch = shard.spare;
     {
       const smt::MutexLock lock(shard.inbox_mutex);
       batch.swap(shard.inbox);
@@ -122,19 +124,21 @@ void ShardedEngine::drain_inboxes() {
     if (batch.empty()) continue;
     // (when, src, seq): a single source's same-time posts keep their
     // program order (its seqs are monotone even under interleaving);
-    // cross-source ties break by shard id. Deterministic run-to-run.
-    std::stable_sort(batch.begin(), batch.end(),
-                     [](const Mail& a, const Mail& b) {
-                       if (a.when != b.when) return a.when < b.when;
-                       if (a.src != b.src) return a.src < b.src;
-                       return a.seq < b.seq;
-                     });
+    // cross-source ties break by shard id. seq is unique per inbox, so no
+    // two keys tie and std::sort yields exactly the stable order, without
+    // stable_sort's scratch buffer. Deterministic run-to-run.
+    std::sort(batch.begin(), batch.end(), [](const Mail& a, const Mail& b) {
+      if (a.when != b.when) return a.when < b.when;
+      if (a.src != b.src) return a.src < b.src;
+      return a.seq < b.seq;
+    });
     for (Mail& mail : batch) {
       assert(mail.when >= shard.loop.now() &&
              "mailbox delivery behind the destination shard's clock");
       shard.loop.schedule_at(mail.when, std::move(mail.fn));
     }
     stats_.cross_posts += batch.size();
+    batch.clear();  // keeps the capacity for the next window
   }
 }
 

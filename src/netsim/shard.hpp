@@ -21,7 +21,7 @@
 // passed. Mailboxes are drained BETWEEN windows by the barrier's
 // phase-completion step — exactly one thread runs it while every other
 // worker is parked — in a fixed deterministic order:
-// destination shards in index order, and each inbox stable-sorted by
+// destination shards in index order, and each inbox sorted by
 // (when, src shard, per-inbox post sequence). A single source shard's
 // posts keep their program order; ties across sources break by shard id.
 // Run-to-run, a fixed shard count and seed therefore replays the exact
@@ -139,6 +139,10 @@ class ShardedEngine {
     smt::Mutex inbox_mutex;
     std::vector<Mail> inbox SMT_GUARDED_BY(inbox_mutex);
     std::uint64_t inbox_seq SMT_GUARDED_BY(inbox_mutex) = 0;
+    // The inbox's twin: drain_inboxes (under parked_) swaps it in and
+    // drains the posts through it, so it is empty between drains and
+    // neither buffer is reallocated once grown.
+    std::vector<Mail> spare;
     std::size_t executed = 0;  // events run by this shard's worker
   };
 

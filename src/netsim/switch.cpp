@@ -1,5 +1,7 @@
 #include "netsim/switch.hpp"
 
+#include <cassert>
+
 namespace smt::sim {
 
 Status validate(const SwitchConfig& config) {
@@ -95,7 +97,7 @@ void Switch::drain(std::size_t port_index) {
     return;
   }
   // Strict priority: control/trimmed stubs first.
-  std::deque<Packet>& queue =
+  RecyclingDeque<Packet>& queue =
       port.high_queue.empty() ? port.data_queue : port.high_queue;
   Packet pkt = std::move(queue.front());
   queue.pop_front();
@@ -162,18 +164,20 @@ void Switch::observe_fault_drop(std::size_t port_index) {
   port.dark = true;
   ++stats_.dark_transitions;
   ++port.stats.dark_transitions;
-  schedule_probe(port_index, ++port.probe_epoch);
+  schedule_probe(port_index);
 }
 
-void Switch::schedule_probe(std::size_t port_index, std::uint64_t epoch) {
-  loop_.schedule(config_.health_probe_interval, [this, port_index, epoch] {
+void Switch::schedule_probe(std::size_t port_index) {
+  TimerId& probe = ports_[port_index].probe;
+  loop_.cancel(probe);  // one probe per port: a new one supersedes
+  probe = loop_.schedule(config_.health_probe_interval, [this, port_index] {
     Port& port = ports_[port_index];
-    if (!port.dark || port.probe_epoch != epoch) return;
+    assert(port.dark && "only a dark port has a probe armed");
     if (port.fault.down_at(loop_.now())) {
       // Probe lost into the flap window: stay dark, re-arm. Pure phase
       // arithmetic — probes never draw from the fault RNG, so packet
       // draws replay identically whatever the health state does.
-      schedule_probe(port_index, epoch);
+      schedule_probe(port_index);
       return;
     }
     // Restore: the port rejoins every ECMP group it is ranked in (the

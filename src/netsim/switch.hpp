@@ -33,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <set>
 #include <vector>
@@ -43,6 +42,7 @@
 #include "netsim/event.hpp"
 #include "netsim/fault.hpp"
 #include "netsim/packet.hpp"
+#include "netsim/recycling.hpp"
 
 namespace smt::sim {
 
@@ -202,8 +202,8 @@ class Switch {
  private:
   struct Port {
     PacketHandler deliver;
-    std::deque<Packet> high_queue;  // control + trimmed stubs
-    std::deque<Packet> data_queue;
+    RecyclingDeque<Packet> high_queue;  // control + trimmed stubs
+    RecyclingDeque<Packet> data_queue;
     RemoteScheduler remote;  // set => egress crosses a shard boundary
     std::size_t queued_bytes = 0;
     SimDuration egress_latency = 0;
@@ -217,7 +217,7 @@ class Switch {
     // Health state machine (config_.health_dark_threshold > 0).
     bool dark = false;
     std::size_t consecutive_fault_drops = 0;
-    std::uint64_t probe_epoch = 0;  // stale-probe guard
+    TimerId probe;  // the armed probe/restore timer
     // Flow hashes steered off this port while dark — an ordered set so
     // the distinct-flow count is deterministic and re-insertion is free.
     std::set<std::uint64_t> resteered;
@@ -284,7 +284,7 @@ class Switch {
   /// A fault kill is a health observation: count it, and past the
   /// threshold go dark and arm the probe/restore schedule.
   void observe_fault_drop(std::size_t port_index);
-  void schedule_probe(std::size_t port_index, std::uint64_t epoch);
+  void schedule_probe(std::size_t port_index);
 
   EventLoop& loop_;
   SwitchConfig config_;

@@ -197,7 +197,7 @@ class Host {
   void enable_irq_rebalance(IrqRebalanceConfig config) {
     rebalance_config_ = config;
     rebalance_on_ = true;
-    ++rebalance_gen_;
+    loop_.cancel(rebalance_timer_);  // re-armed below with the new period
     // Baseline the deltas at enable time: load charged before enabling
     // must not count as this period's imbalance.
     for (std::size_t i = 0; i < softirq_cores_.size(); ++i) {
@@ -209,7 +209,7 @@ class Host {
   void disable_irq_rebalance() {
     rebalance_on_ = false;
     rebalance_armed_ = false;
-    ++rebalance_gen_;  // invalidates any in-flight tick
+    loop_.cancel(rebalance_timer_);
   }
   const IrqRebalanceStats& irq_rebalance_stats() const noexcept {
     return rebalance_stats_;
@@ -300,9 +300,7 @@ class Host {
 
   void arm_rebalance() {
     rebalance_armed_ = true;
-    const std::uint64_t gen = rebalance_gen_;
-    loop_.schedule(rebalance_config_.period, [this, gen] {
-      if (!rebalance_on_ || gen != rebalance_gen_) return;
+    rebalance_timer_ = loop_.schedule(rebalance_config_.period, [this] {
       rebalance_armed_ = false;
       rebalance_tick();
     });
@@ -421,7 +419,7 @@ class Host {
   IrqRebalanceStats rebalance_stats_;
   bool rebalance_on_ = false;
   bool rebalance_armed_ = false;
-  std::uint64_t rebalance_gen_ = 0;  // invalidates stale scheduled ticks
+  sim::TimerId rebalance_timer_;  // the armed tick; enable/disable cancel it
   std::vector<std::uint64_t> last_core_irq_ns_;  // delta baselines
   std::vector<std::uint64_t> last_ring_irq_ns_;
 

@@ -331,31 +331,31 @@ void HomaEndpoint::rx_insert(RxMessage& rx, std::size_t offset,
   if (data.empty() && rx.total_bytes == 0) return;
   if (offset + data.size() > rx.total_bytes) return;  // malformed; drop
 
-  // Merge [offset, end) into the received-interval map, counting only
-  // newly covered bytes (duplicates from spurious retransmits are free).
-  std::size_t begin = offset;
-  std::size_t end = offset + data.size();
+  // Merge [offset, end) into the received-interval map in place, counting
+  // only newly covered bytes (duplicates from spurious retransmits are
+  // free). In-order arrivals extend the interval before them, so a message
+  // delivered in order allocates one map node, not one per packet.
+  const std::size_t begin = offset;
+  const std::size_t end = offset + data.size();
   std::copy(data.begin(), data.end(),
             rx.buffer.begin() + std::ptrdiff_t(offset));
 
   auto it = rx.intervals.upper_bound(begin);
-  if (it != rx.intervals.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= begin) {
-      begin = prev->first;
-      end = std::max(end, prev->second);
-      it = rx.intervals.erase(prev);
-    }
+  std::size_t absorbed = 0;  // bytes already covered by merged intervals
+  if (it != rx.intervals.begin() && std::prev(it)->second >= begin) {
+    it = std::prev(it);
+    absorbed = it->second - it->first;
+    it->second = std::max(it->second, end);
+  } else {
+    it = rx.intervals.emplace_hint(it, begin, end);
   }
-  while (it != rx.intervals.end() && it->first <= end) {
-    end = std::max(end, it->second);
-    it = rx.intervals.erase(it);
+  for (auto next = std::next(it);
+       next != rx.intervals.end() && next->first <= it->second;
+       next = rx.intervals.erase(next)) {
+    absorbed += next->second - next->first;
+    it->second = std::max(it->second, next->second);
   }
-  // Recompute covered bytes delta.
-  std::size_t covered = 0;
-  rx.intervals[begin] = end;
-  for (const auto& [s, e] : rx.intervals) covered += e - s;
-  rx.received_bytes = covered;
+  rx.received_bytes += (it->second - it->first) - absorbed;
 }
 
 void HomaEndpoint::maybe_grant(RxMessage& rx) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "../common/topology_helpers.hpp"
 
 namespace smt::transport {
@@ -255,6 +258,78 @@ TEST_F(HomaTest, AckedMessagesLeaveNoTimersPending) {
   EXPECT_EQ(pending_at_last, 0u);
   EXPECT_EQ(loop_.now(), last_at);
   EXPECT_LT(last_at, HomaConfig{}.resend_interval);
+}
+
+// Reassembly: a message's data packets, hand-built the way TSO cuts them
+// (IPID offsets within one segment), or as a retransmission carrying an
+// explicit resend offset.
+sim::Packet homa_data(std::uint64_t msg_id, const PayloadSlice& message,
+                      std::size_t offset, std::size_t length,
+                      std::size_t mtu, bool retransmit) {
+  sim::Packet pkt;
+  pkt.hdr.flow = sim::FiveTuple{1, 2, 1000, 80, sim::Proto::homa};
+  pkt.hdr.msg_id = msg_id;
+  pkt.hdr.msg_len = std::uint32_t(message.size());
+  pkt.hdr.ipid_base = 100;
+  if (retransmit) {
+    pkt.hdr.ip_id = 100;
+    pkt.hdr.resend_off = std::uint32_t(offset) + 1;
+  } else {
+    pkt.hdr.ip_id = std::uint16_t(100 + offset / mtu);
+  }
+  pkt.payload = message.subslice(offset, length);
+  return pkt;
+}
+
+TEST_F(HomaTest, ShuffledDuplicatedOverlappingPacketsReassembleExactly) {
+  const std::size_t mtu = server_host_.nic().config().mtu_payload;
+  Bytes bytes(10 * mtu + 321);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = std::uint8_t(i * 7 + 3);
+  }
+  const PayloadSlice message(bytes);
+  std::vector<sim::Packet> in_order;
+  for (std::size_t off = 0; off < message.size(); off += mtu) {
+    in_order.push_back(homa_data(1, message, off,
+                                 std::min(mtu, message.size() - off), mtu,
+                                 false));
+  }
+
+  // The same message again under id 2: originals shuffled, a few sent
+  // twice, and retransmits whose ranges straddle packet boundaries. The
+  // last original packet is held back so the message completes on it.
+  std::vector<sim::Packet> adversarial;
+  for (const sim::Packet& pkt : in_order) {
+    sim::Packet copy = pkt;
+    copy.hdr.msg_id = 2;
+    adversarial.push_back(std::move(copy));
+  }
+  std::mt19937 rng(7);
+  std::shuffle(adversarial.begin(), adversarial.end() - 1, rng);
+  const std::vector<sim::Packet> originals = adversarial;
+  adversarial.insert(adversarial.begin() + 3, originals[1]);
+  adversarial.insert(adversarial.begin() + 6, originals[4]);
+  adversarial.insert(adversarial.begin() + 2,
+                     homa_data(2, message, mtu / 2, mtu, mtu, true));
+  adversarial.insert(adversarial.begin() + 8,
+                     homa_data(2, message, 4 * mtu + 17, 3 * mtu, mtu, true));
+  adversarial.insert(adversarial.end() - 1,
+                     homa_data(2, message, 9 * mtu - 5, 10, mtu, true));
+
+  for (sim::Packet& pkt : in_order) server_host_.nic().receive(std::move(pkt));
+  loop_.run();
+  for (sim::Packet& pkt : adversarial) {
+    server_host_.nic().receive(std::move(pkt));
+  }
+  loop_.run();
+
+  ASSERT_EQ(received_.size(), 2u);
+  EXPECT_EQ(received_[0].first.msg_id, 1u);
+  EXPECT_EQ(received_[1].first.msg_id, 2u);
+  EXPECT_EQ(received_[0].first.peer, received_[1].first.peer);
+  EXPECT_EQ(received_[0].second, bytes);
+  EXPECT_EQ(received_[1].second, bytes);
+  EXPECT_EQ(server_.stats().messages_received, 2u);
 }
 
 TEST_F(HomaTest, LossyLinkEventuallyDeliversEverything) {
