@@ -98,6 +98,7 @@ stack::HostConfig host_config_of(const RpcFabricConfig& config,
   hc.app_cores = app_cores;
   hc.softirq_cores = config.softirq_cores;
   hc.nic = config.nic;
+  hc.irq_rebalance_period = config.irq_rebalance_period;
   return hc;
 }
 
@@ -146,9 +147,6 @@ Status RpcFabric::init_two_host(sim::ShardedEngine& engine,
   builder.host_config(0, host_config_of(config_, config_.client_app_cores));
   builder.host_config(1, host_config_of(config_, config_.server_app_cores));
   builder.host_shard(0, client_shard).host_shard(1, server_shard);
-  if (config_.irq_rebalance_period > 0) {
-    builder.irq_rebalance_period(config_.irq_rebalance_period);
-  }
   Result<std::unique_ptr<stack::Topology>> built = builder.build(engine);
   if (!built.ok()) return built.error();
   owned_topology_ = std::move(built).take();

@@ -6,7 +6,7 @@ namespace smt::baselines {
 
 KtlsEndpoint::KtlsEndpoint(stack::Host& host, std::uint16_t port,
                            KtlsConfig config)
-    : host_(host), config_(std::move(config)), tcp_(host, port, config_.tcp) {
+    : host_(host), config_(std::move(config)), tcp_(host, port) {
   tcp_.set_on_data([this](ConnId conn, Bytes data) {
     on_stream_data(conn, std::move(data));
   });
@@ -41,7 +41,7 @@ Status KtlsEndpoint::send(ConnId conn, Bytes plaintext,
   // A record must fit one NIC segment: TCP aligns offloaded records to
   // segments (§4.3), and without TSO a segment is one MTU packet (§7).
   const std::size_t max_record = std::min(
-      config_.max_record_payload,
+      tls::kMaxRecordPayload,
       host_.nic().config().max_segment_bytes() -
           tls::record_overhead(state.suite));
 

@@ -25,10 +25,6 @@ namespace smt::baselines {
 
 struct KtlsConfig {
   bool hw_offload = false;
-  /// App bytes per record; capped further so a record fits one of the
-  /// host NIC's segments (NicConfig::max_segment_bytes()).
-  std::size_t max_record_payload = 16000;
-  transport::TcpConfig tcp{};
   /// Extra per-record CPU cost (used by the TCPLS-like variant).
   SimDuration extra_record_cost = 0;
 };
@@ -92,15 +88,13 @@ class KtlsEndpoint {
 /// aggregation overhead; cannot use TLS offload (§2.1).
 class TcplsEndpoint : public KtlsEndpoint {
  public:
-  TcplsEndpoint(stack::Host& host, std::uint16_t port,
-                transport::TcpConfig tcp = {})
-      : KtlsEndpoint(host, port, make_config(std::move(tcp))) {}
+  TcplsEndpoint(stack::Host& host, std::uint16_t port)
+      : KtlsEndpoint(host, port, make_config()) {}
 
  private:
-  static KtlsConfig make_config(transport::TcpConfig tcp) {
+  static KtlsConfig make_config() {
     KtlsConfig config;
     config.hw_offload = false;  // custom nonce: no NIC offload (§2.1)
-    config.tcp = std::move(tcp);
     config.extra_record_cost = nsec(900);  // stream multiplexing/aggregation
     return config;
   }

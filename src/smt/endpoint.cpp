@@ -5,17 +5,10 @@
 
 namespace smt::proto {
 
-namespace {
-transport::HomaConfig force_smt_proto(transport::HomaConfig config) {
-  config.proto = sim::Proto::smt;
-  return config;
-}
-}  // namespace
-
 SmtEndpoint::SmtEndpoint(stack::Host& host, std::uint16_t port,
                          SmtConfig config)
     : config_(std::move(config)),
-      homa_(host, port, force_smt_proto(config_.homa)) {
+      homa_(host, port, sim::Proto::smt) {
   homa_.set_on_message(
       [this](transport::HomaEndpoint::MessageMeta meta, Bytes wire) {
         on_wire_message(meta, std::move(wire));

@@ -40,12 +40,11 @@ namespace smt::proto {
 using transport::PeerAddr;
 
 struct SmtConfig {
-  transport::HomaConfig homa;     // proto is forced to sim::Proto::smt
   SeqnoLayout layout{};           // 48/16 split by default
   bool hw_offload = false;        // SMT-hw vs SMT-sw
   /// App bytes per record; capped further so a record block fits one of
   /// the host NIC's segments (NicConfig::max_segment_bytes()).
-  std::size_t max_record_payload = 16000;
+  std::size_t max_record_payload = tls::kMaxRecordPayload;
 };
 
 class SmtEndpoint {

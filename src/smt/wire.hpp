@@ -45,7 +45,7 @@ struct WireMessage {
 
 struct SegmenterConfig {
   SeqnoLayout layout{};
-  std::size_t max_record_payload = 16000;  // app bytes per record (< 16 KB)
+  std::size_t max_record_payload = tls::kMaxRecordPayload;  // app bytes/record
   std::size_t max_tso_bytes = 65536;
   bool hardware_crypto = false;
   std::uint32_t nic_context_id = 0;  // ignored in software mode; the

@@ -20,6 +20,8 @@
 
 namespace smt::stack {
 
+/// The calibration table. Every host runs the one instance, kCosts below:
+/// the paper compares the stacks at fixed costs, so none is a knob.
 struct CostModel {
   // --- syscall / scheduling -------------------------------------------
   SimDuration syscall = nsec(900);         // sendmsg/recvmsg entry+exit
@@ -92,5 +94,7 @@ struct CostModel {
     return aead_sw_per_record + SimDuration(double(bytes) * aead_sw_per_byte);
   }
 };
+
+inline constexpr CostModel kCosts{};
 
 }  // namespace smt::stack

@@ -30,34 +30,9 @@ struct HostConfig {
   std::size_t app_cores = 12;      // paper §5.2: 12 application threads
   std::size_t softirq_cores = 4;   // paper §5.2: 4 stack threads
   sim::NicConfig nic;
-  CostModel costs;
-};
-
-/// Policy knobs for the irqbalance-style periodic rebalancer.
-struct IrqRebalanceConfig {
-  /// Sampling period (irqbalance's --interval, scaled to sim time).
-  SimDuration period = usec(100);
-  /// Hysteresis: a migration needs the hottest core's IRQ delta to exceed
-  /// the coldest core's by BOTH this ratio and an absolute floor — a
-  /// balanced load must produce zero migrations, not ping-pong. The floor
-  /// is max(min_imbalance, period / 10): like irqbalance's load deviation
-  /// threshold it scales with the sampling window, so a latency probe
-  /// trickling a few interrupts per period never triggers a migration.
-  double imbalance_ratio = 2.0;
-  SimDuration min_imbalance = usec(5);
-  /// A migration also requires the hottest core to have spent at least
-  /// this fraction of the period on IRQ work. A mostly-idle system is
-  /// trivially "imbalanced" (a lone flow's interrupts all hit one core
-  /// while the others read zero), but migrating it buys nothing and taxes
-  /// the latency path with flushes and context re-leases — irqbalance's
-  /// refusal to balance at trivial load.
-  double min_hot_fraction = 0.20;
-  /// Single-flow escape hatch: when ONE ring carries the majority of the
-  /// IRQ load (RSS cannot spread a single flow by hashing), also reprogram
-  /// the indirection-table entries feeding that ring onto the rings whose
-  /// affinity cores are coldest. Over successive periods the flow rotates
-  /// rings/cores instead of soaking one softirq core.
-  bool spread_indirection = true;
+  /// irqbalance-style periodic IRQ rebalancing from construction on, with
+  /// this sampling period (0 = off; see Host::enable_irq_rebalance).
+  SimDuration irq_rebalance_period = 0;
 };
 
 struct IrqRebalanceStats {
@@ -104,6 +79,9 @@ class Host {
           ring_irq_ns_[ring] += std::uint64_t(cost);
           softirq_cores_[last_fired_core_[ring]].charge_irq(cost);
         });
+    if (config.irq_rebalance_period > 0) {
+      enable_irq_rebalance(config.irq_rebalance_period);
+    }
   }
 
   Host(const Host&) = delete;
@@ -132,7 +110,7 @@ class Host {
     flow_contexts_.invalidate_all();
   }
   const HostConfig& config() const noexcept { return config_; }
-  const CostModel& costs() const noexcept { return config_.costs; }
+  const CostModel& costs() const noexcept { return kCosts; }
   std::uint32_t ip() const noexcept { return config_.ip; }
 
   CpuCore& app_core(std::size_t i) { return app_cores_.at(i); }
@@ -180,22 +158,39 @@ class Host {
 
   /// --- irqbalance-style periodic re-affinity ----------------------------
 
-  /// Enables the rebalancer: every `period`, per-core irq_busy_ns deltas
-  /// are sampled; when the hottest core exceeds the coldest by the
-  /// hysteresis bounds, the hottest ring affined to it is flushed (pending
-  /// frames drain under the OLD vector) and repinned to the coldest core.
-  /// With spread_indirection (default), a ring carrying the majority of
-  /// the IRQ load also gets its indirection-table entries spread across
-  /// the coldest rings — the single-flow escape hatch.
+  /// Hysteresis: a migration needs the hottest core's IRQ delta to exceed
+  /// the coldest core's by BOTH this ratio and an absolute floor — a
+  /// balanced load must produce zero migrations, not ping-pong. The floor
+  /// is max(kMinImbalance, period / 10): like irqbalance's load deviation
+  /// threshold it scales with the sampling window, so a latency probe
+  /// trickling a few interrupts per period never triggers a migration.
+  static constexpr double kImbalanceRatio = 2.0;
+  static constexpr SimDuration kMinImbalance = usec(5);
+  /// A migration also requires the hottest core to have spent at least
+  /// this fraction of the period on IRQ work. A mostly-idle system is
+  /// trivially "imbalanced" (a lone flow's interrupts all hit one core
+  /// while the others read zero), but migrating it buys nothing and taxes
+  /// the latency path with flushes and context re-leases — irqbalance's
+  /// refusal to balance at trivial load.
+  static constexpr double kMinHotFraction = 0.20;
+
+  /// Enables the rebalancer: every `period` (irqbalance's --interval,
+  /// scaled to sim time), per-core irq_busy_ns deltas are sampled; when
+  /// the hottest core exceeds the coldest by the hysteresis bounds above,
+  /// the hottest ring affined to it is flushed (pending frames drain
+  /// under the OLD vector) and repinned to the coldest core.
+  /// `spread_indirection` is the single-flow escape hatch: when ONE ring
+  /// carries the majority of the IRQ load (RSS cannot spread a single
+  /// flow by hashing), its indirection-table entries are also spread onto
+  /// the rings whose affinity cores are coldest, so over successive
+  /// periods the flow rotates rings/cores instead of soaking one softirq
+  /// core. Only tests turn it off, to watch a migration on its own.
   /// The timer goes dormant while the NIC is idle (and re-arms from the
   /// next interrupt), so EventLoop::run() still terminates.
-  void enable_irq_rebalance(SimDuration period) {
-    IrqRebalanceConfig config;
-    config.period = period;
-    enable_irq_rebalance(config);
-  }
-  void enable_irq_rebalance(IrqRebalanceConfig config) {
-    rebalance_config_ = config;
+  void enable_irq_rebalance(SimDuration period,
+                            bool spread_indirection = true) {
+    rebalance_period_ = period;
+    rebalance_spread_ = spread_indirection;
     rebalance_on_ = true;
     loop_.cancel(rebalance_timer_);  // re-armed below with the new period
     // Baseline the deltas at enable time: load charged before enabling
@@ -300,7 +295,7 @@ class Host {
 
   void arm_rebalance() {
     rebalance_armed_ = true;
-    rebalance_timer_ = loop_.schedule(rebalance_config_.period, [this] {
+    rebalance_timer_ = loop_.schedule(rebalance_period_, [this] {
       rebalance_armed_ = false;
       rebalance_tick();
     });
@@ -330,14 +325,12 @@ class Host {
       if (core_delta[i] < core_delta[cold]) cold = i;
     }
     const std::uint64_t floor =
-        std::max(std::uint64_t(rebalance_config_.min_imbalance),
-                 std::uint64_t(rebalance_config_.period / 10));
+        std::max(std::uint64_t(kMinImbalance),
+                 std::uint64_t(rebalance_period_ / 10));
     const bool imbalanced =
         cores > 1 && core_delta[hot] - core_delta[cold] > floor &&
-        double(core_delta[hot]) >
-            rebalance_config_.imbalance_ratio * double(core_delta[cold]) &&
-        double(core_delta[hot]) > rebalance_config_.min_hot_fraction *
-                                      double(rebalance_config_.period);
+        double(core_delta[hot]) > kImbalanceRatio * double(core_delta[cold]) &&
+        double(core_delta[hot]) > kMinHotFraction * double(rebalance_period_);
     if (imbalanced) {
       // The hottest ring whose vector points at the hot core.
       std::size_t victim = rings;
@@ -357,7 +350,7 @@ class Host {
         nic_.flush_rx_ring(victim);
         set_irq_affinity(victim, cold);
         ++rebalance_stats_.migrations;
-        if (rebalance_config_.spread_indirection && rings > 1 &&
+        if (rebalance_spread_ && rings > 1 &&
             victim_delta * 2 > total_delta) {
           spread_ring_entries(victim, core_delta, cold);
         }
@@ -415,7 +408,8 @@ class Host {
   std::vector<std::uint64_t> ring_irq_ns_;  // per-ring IRQ time, cumulative
 
   // irqbalance-style rebalancer state.
-  IrqRebalanceConfig rebalance_config_;
+  SimDuration rebalance_period_ = 0;
+  bool rebalance_spread_ = true;
   IrqRebalanceStats rebalance_stats_;
   bool rebalance_on_ = false;
   bool rebalance_armed_ = false;

@@ -133,12 +133,6 @@ Result<std::unique_ptr<Topology>> TopologyBuilder::build(
       topo->uplinks_.push_back(std::move(uplink));
     }
   }
-
-  if (irq_rebalance_period_ > 0) {
-    for (const auto& host : topo->hosts_) {
-      host->enable_irq_rebalance(irq_rebalance_period_);
-    }
-  }
   return topo;
 }
 

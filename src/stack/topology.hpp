@@ -182,12 +182,6 @@ class TopologyBuilder {
     return *this;
   }
 
-  /// Enables the irqbalance-style rebalancer on every host (0 = off).
-  TopologyBuilder& irq_rebalance_period(SimDuration period) {
-    irq_rebalance_period_ = period;
-    return *this;
-  }
-
   /// Builds on `engine`. A one-shard engine is the plain single-loop
   /// simulation: drive it with engine.loop(0).run() or engine.run().
   Result<std::unique_ptr<Topology>> build(sim::ShardedEngine& engine);
@@ -196,7 +190,6 @@ class TopologyBuilder {
   ScenarioConfig scenario_;
   std::map<std::size_t, HostConfig> host_overrides_;
   std::map<std::size_t, std::size_t> shard_overrides_;
-  SimDuration irq_rebalance_period_ = 0;
 };
 
 }  // namespace smt::stack

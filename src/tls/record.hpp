@@ -32,6 +32,11 @@ enum class ContentType : std::uint8_t {
 /// Maximum plaintext per record (RFC 8446 §5.1): 2^14 bytes.
 constexpr std::size_t kMaxRecordPlaintext = 16384;
 
+/// App bytes per record that SMT and kTLS cut messages into: under the
+/// 16 KB record limit (§4.3). Endpoints cap it further so a record fits
+/// one of their NIC's segments (NicConfig::max_segment_bytes()).
+constexpr std::size_t kMaxRecordPayload = 16000;
+
 /// Record header size on the wire: type(1) + legacy version(2) + length(2).
 constexpr std::size_t kRecordHeaderSize = 5;
 

@@ -15,13 +15,13 @@ constexpr SimDuration kCompletedRetention = msec(30);
 }  // namespace
 
 HomaEndpoint::HomaEndpoint(stack::Host& host, std::uint16_t port,
-                           HomaConfig config)
-    : host_(host), port_(port), config_(config) {
-  host_.register_endpoint(config_.proto, port_,
+                           sim::Proto proto)
+    : host_(host), port_(port), proto_(proto) {
+  host_.register_endpoint(proto_, port_,
                           [this](Packet pkt) { on_packet(std::move(pkt)); });
 }
 
-HomaEndpoint::~HomaEndpoint() { host_.unregister_endpoint(config_.proto, port_); }
+HomaEndpoint::~HomaEndpoint() { host_.unregister_endpoint(proto_, port_); }
 
 sim::FiveTuple HomaEndpoint::flow_to(PeerAddr dst) const {
   sim::FiveTuple flow;
@@ -29,15 +29,15 @@ sim::FiveTuple HomaEndpoint::flow_to(PeerAddr dst) const {
   flow.dst_ip = dst.ip;
   flow.src_port = port_;
   flow.dst_port = dst.port;
-  flow.proto = config_.proto;
+  flow.proto = proto_;
   return flow;
 }
 
 Result<std::uint64_t> HomaEndpoint::send_message(PeerAddr dst, Bytes payload,
                                                  stack::CpuCore* app_core) {
-  if (payload.size() > config_.max_message_bytes) {
+  if (payload.size() > kMaxMessageBytes) {
     return make_error(Errc::message_too_large,
-                      "message exceeds max_message_bytes");
+                      "message exceeds Homa's 1 MB limit");
   }
   // Cut into the NIC's largest segments: the message body becomes ONE
   // shared slab and each segment an O(1) slice of it — no per-segment copy.
@@ -61,9 +61,9 @@ Result<std::uint64_t> HomaEndpoint::send_segments(
     PeerAddr dst, std::vector<SegmentSpec> segments, std::size_t total_bytes,
     std::optional<std::uint64_t> explicit_id, stack::CpuCore* app_core,
     PrePostHook pre_post) {
-  if (total_bytes > config_.max_message_bytes) {
+  if (total_bytes > kMaxMessageBytes) {
     return make_error(Errc::message_too_large,
-                      "message exceeds max_message_bytes");
+                      "message exceeds Homa's 1 MB limit");
   }
   const std::uint64_t msg_id = explicit_id.value_or(next_msg_id_++);
   if (explicit_id && *explicit_id >= next_msg_id_) next_msg_id_ = *explicit_id + 1;
@@ -77,7 +77,7 @@ Result<std::uint64_t> HomaEndpoint::send_segments(
   tx.msg_id = msg_id;
   tx.flow_hash = flow_to(dst).hash();  // hashed once per message
   tx.total_bytes = total_bytes;
-  tx.granted_bytes = std::min(total_bytes, config_.unscheduled_bytes);
+  tx.granted_bytes = std::min(total_bytes, kUnscheduledBytes);
   tx.pre_post = std::move(pre_post);
   std::size_t offset = 0;
   for (SegmentSpec& seg : segments) {
@@ -134,7 +134,7 @@ void HomaEndpoint::arm_tx_retry(TxMessage& tx) {
   // up. Duplicates are harmless: the receiver's interval merge and, one
   // layer up, SMT's replay filter absorb them. handle_ack cancels it.
   const TxKey key{tx.dst, tx.msg_id};
-  tx.backstop = host_.loop().schedule(config_.resend_interval * 5, [this, key] {
+  tx.backstop = host_.loop().schedule(kResendInterval * 5, [this, key] {
     const auto it = tx_messages_.find(key);
     if (it == tx_messages_.end()) return;  // acked and freed
     TxMessage& tx = it->second;
@@ -359,10 +359,10 @@ void HomaEndpoint::rx_insert(RxMessage& rx, std::size_t offset,
 }
 
 void HomaEndpoint::maybe_grant(RxMessage& rx) {
-  if (rx.total_bytes <= config_.unscheduled_bytes) return;
-  if (rx.granted_bytes == 0) rx.granted_bytes = config_.unscheduled_bytes;
+  if (rx.total_bytes <= kUnscheduledBytes) return;
+  if (rx.granted_bytes == 0) rx.granted_bytes = kUnscheduledBytes;
   const std::size_t target =
-      std::min(rx.total_bytes, rx.received_bytes + config_.grant_window);
+      std::min(rx.total_bytes, rx.received_bytes + kGrantWindow);
   if (target <= rx.granted_bytes) return;
   rx.granted_bytes = target;
   ++stats_.grants_sent;
@@ -388,7 +388,7 @@ void HomaEndpoint::rx_complete(const RxKey& key) {
   }
   // Count bound on top of the time bound: at high fan-in one retention
   // window can complete more messages than the table should hold.
-  while (completed_order_.size() > config_.dedup_history_limit) {
+  while (completed_order_.size() > kDedupHistoryLimit) {
     recently_completed_.erase(completed_order_.front().second);
     completed_order_.pop_front();
   }
@@ -423,14 +423,14 @@ void HomaEndpoint::arm_resend_timer(const RxKey& key) {
   if (it == rx_messages_.end() || it->second.timer_armed) return;
   it->second.timer_armed = true;
   it->second.resend_timer =
-      host_.loop().schedule(config_.resend_interval, [this, key] {
+      host_.loop().schedule(kResendInterval, [this, key] {
         auto it2 = rx_messages_.find(key);
         if (it2 == rx_messages_.end()) return;
         RxMessage& rx = it2->second;
         rx.timer_armed = false;
         const SimTime idle = host_.loop().now() - rx.last_activity;
-        if (idle >= config_.resend_interval) {
-          if (++rx.resend_count > config_.max_resends) {
+        if (idle >= kResendInterval) {
+          if (++rx.resend_count > kMaxResends) {
             ++stats_.messages_expired;
             rx_messages_.erase(it2);
             return;

@@ -4,7 +4,7 @@
 //   * message-based: the unit of delivery is a complete message, delivered
 //     to the application only when fully reassembled (the §5.1 large-RPC
 //     caveat versus TCP streaming);
-//   * receiver-driven: the first `unscheduled_bytes` travel on the first
+//   * receiver-driven: the first `kUnscheduledBytes` travel on the first
 //     RTT; the rest is released by GRANT packets from the receiver;
 //   * out-of-order message delivery: losses stall only their own message;
 //   * SRPT core scheduling: each inbound message picks the least-loaded
@@ -27,21 +27,6 @@
 #include "stack/host.hpp"
 
 namespace smt::transport {
-
-struct HomaConfig {
-  std::size_t max_message_bytes = 1 << 20;  // Homa default: 1 MB
-  std::size_t unscheduled_bytes = 60000;    // first-RTT data (~BDP)
-  std::size_t grant_window = 60000;         // granted-ahead bytes
-  SimDuration resend_interval = msec(1);    // receiver gap timer
-  int max_resends = 20;                     // before the message is dropped
-  sim::Proto proto = sim::Proto::homa;      // SMT reuses the engine with
-                                            // its own protocol number
-  /// Hard cap on completed-message dedup entries. The window is primarily
-  /// TIME-bounded (see kCompletedRetention), but a burst of many short
-  /// messages inside one retention window could otherwise grow it without
-  /// limit — per-host state must stay memory-bounded at any fan-in.
-  std::size_t dedup_history_limit = 4096;
-};
 
 /// Identifies a peer endpoint.
 struct PeerAddr {
@@ -91,7 +76,22 @@ class HomaEndpoint {
   /// part of the completion identity.
   using SentHandler = std::function<void(PeerAddr peer, std::uint64_t msg_id)>;
 
-  HomaEndpoint(stack::Host& host, std::uint16_t port, HomaConfig config = {});
+  // Homa's stock settings; every comparison in the paper runs them.
+  static constexpr std::size_t kMaxMessageBytes = 1 << 20;  // Homa: 1 MB
+  static constexpr std::size_t kUnscheduledBytes = 60000;  // first RTT (~BDP)
+  static constexpr std::size_t kGrantWindow = 60000;  // granted-ahead bytes
+  static constexpr SimDuration kResendInterval = msec(1);  // receiver gap timer
+  static constexpr int kMaxResends = 20;  // before the message is dropped
+  /// Hard cap on completed-message dedup entries. The window is primarily
+  /// TIME-bounded (see kCompletedRetention), but a burst of many short
+  /// messages inside one retention window could otherwise grow it without
+  /// limit — per-host state must stay memory-bounded at any fan-in.
+  static constexpr std::size_t kDedupHistoryLimit = 4096;
+
+  /// `proto` is the protocol number the endpoint registers and sends
+  /// under: SMT reuses this engine with its own (sim::Proto::smt).
+  HomaEndpoint(stack::Host& host, std::uint16_t port,
+               sim::Proto proto = sim::Proto::homa);
   ~HomaEndpoint();
 
   HomaEndpoint(const HomaEndpoint&) = delete;
@@ -150,7 +150,7 @@ class HomaEndpoint {
 
   /// Live sizes of the endpoint's per-peer state tables, for the
   /// memory-boundedness audit: after a quiesced run tx/rx must be empty
-  /// and dedup_entries <= the configured history limit.
+  /// and dedup_entries <= kDedupHistoryLimit.
   struct TableAudit {
     std::size_t tx_messages = 0;
     std::size_t rx_messages = 0;
@@ -221,7 +221,7 @@ class HomaEndpoint {
 
   stack::Host& host_;
   std::uint16_t port_;
-  HomaConfig config_;
+  sim::Proto proto_;
   MessageHandler on_message_;
   SentHandler on_sent_;
   std::map<TxKey, TxMessage> tx_messages_;

@@ -22,9 +22,8 @@ std::uint64_t packet_stream_offset(const Packet& pkt) noexcept {
 }
 }  // namespace
 
-TcpEndpoint::TcpEndpoint(stack::Host& host, std::uint16_t port,
-                         TcpConfig config)
-    : host_(host), port_(port), config_(config) {
+TcpEndpoint::TcpEndpoint(stack::Host& host, std::uint16_t port)
+    : host_(host), port_(port) {
   host_.register_endpoint(Proto::tcp, port_,
                           [this](Packet pkt) { on_packet(std::move(pkt)); });
 }
@@ -110,7 +109,7 @@ void TcpEndpoint::send(ConnId conn, Bytes data, stack::CpuCore* app_core,
   }
   append(c.send_buffer, data);
 
-  const auto costs = host_.costs();
+  const auto& costs = host_.costs();
   if (app_core != nullptr) {
     const SimDuration cost =
         costs.syscall + costs.tcp_send_lock + costs.copy_cost(data.size());
@@ -127,9 +126,9 @@ void TcpEndpoint::push(Connection& conn) {
   const std::uint64_t stream_end = conn.buf_base + conn.send_buffer.size();
   while (conn.snd_nxt < stream_end) {
     const std::uint64_t in_flight = conn.snd_nxt - conn.snd_una;
-    if (in_flight >= config_.window_bytes) break;
+    if (in_flight >= kWindowBytes) break;
     std::uint64_t budget =
-        std::min<std::uint64_t>(config_.window_bytes - in_flight,
+        std::min<std::uint64_t>(kWindowBytes - in_flight,
                                 stream_end - conn.snd_nxt);
 
     std::uint64_t chunk = std::min<std::uint64_t>(
@@ -432,9 +431,9 @@ void TcpEndpoint::update_rtt(Connection& conn, SimDuration sample) {
 }
 
 SimDuration TcpEndpoint::rto_base(const Connection& conn) const {
-  if (!conn.srtt_valid) return config_.rto;
+  if (!conn.srtt_valid) return kInitialRto;
   const SimDuration rto = conn.srtt + 4 * conn.rttvar;
-  return std::max(config_.min_rto, std::min(config_.max_rto, rto));
+  return std::max(kMinRto, std::min(kMaxRto, rto));
 }
 
 void TcpEndpoint::arm_rto(Connection& conn) {
@@ -456,7 +455,7 @@ void TcpEndpoint::arm_rto(Connection& conn) {
     Connection& c = it->second;
     if (c.rto_epoch != epoch) return;       // progress happened
     if (c.snd_nxt == c.snd_una) return;     // nothing outstanding
-    if (++c.rto_backoff > config_.max_rto_retries) {
+    if (++c.rto_backoff > kMaxRtoRetries) {
       // ETIMEDOUT analogue (tcp_retries2): the peer is unreachable even
       // at the widest backoff. Stop retransmitting; the connection stays
       // wedged (unacked data pinned) but the event loop can drain.

@@ -23,29 +23,6 @@
 
 namespace smt::transport {
 
-struct TcpConfig {
-  std::size_t window_bytes = 1 << 20;  // static datacenter window
-  /// INITIAL retransmission timeout, used until the first RTT sample
-  /// lands (RFC 6298's 1 s analogue, scaled to the datacenter). After
-  /// that the Jacobson/Karels adaptive RTO takes over: per-connection
-  /// SRTT/RTTVAR from one-at-a-time RTT probes (Karn's rule: a
-  /// retransmission voids the in-flight sample), base RTO = srtt +
-  /// 4*rttvar clamped to [min_rto, max_rto]. The exponential backoff and
-  /// max_rto_retries below ride ON TOP of either base.
-  SimDuration rto = msec(10);
-  /// Clamp floor for the adaptive base. Must comfortably exceed the
-  /// receiver's delayed-ACK timer (40 us) or a quiet full window would
-  /// fire spurious retransmits; 1 ms is the Linux-ish datacenter floor
-  /// and still 10x sharper than the pre-sample initial RTO.
-  SimDuration min_rto = msec(1);
-  SimDuration max_rto = msec(100);  // clamp ceiling (before backoff)
-  /// Consecutive RTO fires (exponential backoff, capped at 64x the base)
-  /// before the sender stops retransmitting — the tcp_retries2 /
-  /// ETIMEDOUT analogue. Keeps a connection facing a dead or
-  /// phase-locked-flapping link from retransmitting forever.
-  std::uint32_t max_rto_retries = 10;
-};
-
 /// TLS-offload binding for a connection (kTLS-hw mode).
 struct TcpTlsTxContext {
   std::uint32_t nic_context_id = 0;
@@ -60,7 +37,30 @@ class TcpEndpoint {
   using DataHandler = std::function<void(ConnId, Bytes)>;
   using AcceptHandler = std::function<void(ConnId)>;
 
-  TcpEndpoint(stack::Host& host, std::uint16_t port, TcpConfig config = {});
+  /// Static datacenter window.
+  static constexpr std::size_t kWindowBytes = 1 << 20;
+
+  /// INITIAL retransmission timeout, used until the first RTT sample
+  /// lands (RFC 6298's 1 s analogue, scaled to the datacenter). After
+  /// that the Jacobson/Karels adaptive RTO takes over: per-connection
+  /// SRTT/RTTVAR from one-at-a-time RTT probes (Karn's rule: a
+  /// retransmission voids the in-flight sample), base RTO = srtt +
+  /// 4*rttvar clamped to [kMinRto, kMaxRto]. The exponential backoff and
+  /// kMaxRtoRetries below ride ON TOP of either base.
+  static constexpr SimDuration kInitialRto = msec(10);
+  /// Clamp floor for the adaptive base. Must comfortably exceed the
+  /// receiver's delayed-ACK timer (40 us) or a quiet full window would
+  /// fire spurious retransmits; 1 ms is the Linux-ish datacenter floor
+  /// and still 10x sharper than the pre-sample initial RTO.
+  static constexpr SimDuration kMinRto = msec(1);
+  static constexpr SimDuration kMaxRto = msec(100);  // ceiling (pre-backoff)
+  /// Consecutive RTO fires (exponential backoff, capped at 64x the base)
+  /// before the sender stops retransmitting — the tcp_retries2 /
+  /// ETIMEDOUT analogue. Keeps a connection facing a dead or
+  /// phase-locked-flapping link from retransmitting forever.
+  static constexpr std::uint32_t kMaxRtoRetries = 10;
+
+  TcpEndpoint(stack::Host& host, std::uint16_t port);
   ~TcpEndpoint();
 
   TcpEndpoint(const TcpEndpoint&) = delete;
@@ -110,7 +110,7 @@ class TcpEndpoint {
     std::uint64_t retransmits = 0;
     std::uint64_t fast_retransmits = 0;
     std::uint64_t rto_fires = 0;
-    std::uint64_t rto_abandoned = 0;  // connections that hit max_rto_retries
+    std::uint64_t rto_abandoned = 0;  // connections that hit kMaxRtoRetries
     std::uint64_t dup_acks = 0;
     std::uint64_t corrupt_dropped = 0;  // ingress discards of link-corrupted
                                         // packets (fault model); recovered
@@ -185,15 +185,14 @@ class TcpEndpoint {
   void arm_rto(Connection& conn);
   void advance_rto_epoch(Connection& conn);
   void update_rtt(Connection& conn, SimDuration sample);
-  /// The pre-backoff RTO: srtt + 4*rttvar clamped to [min_rto, max_rto]
-  /// once a sample exists, config.rto before.
+  /// The pre-backoff RTO: srtt + 4*rttvar clamped to [kMinRto, kMaxRto]
+  /// once a sample exists, kInitialRto before.
   SimDuration rto_base(const Connection& conn) const;
   void deliver_in_order(Connection& conn);
   void retransmit_head(Connection& conn);
 
   stack::Host& host_;
   std::uint16_t port_;
-  TcpConfig config_;
   DataHandler on_data_;
   AcceptHandler on_accept_;
   std::map<ConnId, Connection> connections_;

@@ -1,12 +1,14 @@
-// Shared determinism-test snapshot: every per-host counter a run can
+// Shared determinism-test snapshots: every per-host counter a run can
 // leave behind (CPU busy time by class, per-core and per-ring IRQ time,
 // IRQ affinity, RX ring stats, the RSS table, NIC counters and the IRQ
-// rebalancer's tallies), comparable with one ==.
+// rebalancer's tallies), and a two-host RpcFabric run (its final virtual
+// time, every RPC completion and both hosts), each comparable with one ==.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "apps/rpc.hpp"
 #include "stack/host.hpp"
 
 namespace smt::test {
@@ -45,6 +47,23 @@ inline HostSnapshot snapshot_host(stack::Host& host) {
   snap.migrations = host.irq_rebalance_stats().migrations;
   snap.spreads = host.irq_rebalance_stats().rss_spreads;
   return snap;
+}
+
+struct FabricSnapshot {
+  SimTime final_time = 0;  // the client host's clock once the run drains
+  apps::ClosedLoopResult rpc;
+  HostSnapshot client, server;
+
+  friend bool operator==(const FabricSnapshot&,
+                         const FabricSnapshot&) = default;
+};
+
+/// Call after the run has drained (loop().run() or engine.run()).
+inline FabricSnapshot snapshot_fabric(apps::RpcFabric& fabric,
+                                      const apps::ClosedLoop& rpcs) {
+  return {fabric.loop().now(), rpcs.result(),
+          snapshot_host(fabric.client_host()),
+          snapshot_host(fabric.server_host())};
 }
 
 }  // namespace smt::test

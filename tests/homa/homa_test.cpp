@@ -257,7 +257,7 @@ TEST_F(HomaTest, AckedMessagesLeaveNoTimersPending) {
   ASSERT_EQ(events_seen, 4u);  // two ACKs, two deliveries
   EXPECT_EQ(pending_at_last, 0u);
   EXPECT_EQ(loop_.now(), last_at);
-  EXPECT_LT(last_at, HomaConfig{}.resend_interval);
+  EXPECT_LT(last_at, HomaEndpoint::kResendInterval);
 }
 
 // Reassembly: a message's data packets, hand-built the way TSO cuts them

@@ -26,20 +26,13 @@
 namespace smt::apps {
 namespace {
 
+using test::FabricSnapshot;
 using test::HostSnapshot;
-using test::snapshot_host;
-
-struct RunSnapshot {
-  ClosedLoopResult rpc;
-  HostSnapshot client, server;
-
-  friend bool operator==(const RunSnapshot&, const RunSnapshot&) = default;
-};
 
 // Closed-loop smt_hw workload on a ShardedEngine with the client on shard
 // 0 and the server on shard `shards - 1` (i.e. same shard when
 // shards == 1, a true cross-shard link when shards == 2).
-RunSnapshot run_workload(std::size_t shards) {
+FabricSnapshot run_workload(std::size_t shards) {
   RpcFabricConfig config;
   config.kind = TransportKind::smt_hw;
   config.link.propagation = usec(2);  // >= engine lookahead, cross-shard safe
@@ -53,18 +46,18 @@ RunSnapshot run_workload(std::size_t shards) {
   rpcs.start();
   engine.run();
 
-  return {rpcs.result(), snapshot_host(fabric.client_host()),
-          snapshot_host(fabric.server_host())};
+  return test::snapshot_fabric(fabric, rpcs);
 }
 
 TEST(ShardDeterminism, TwoShardRunToRunByteIdentical) {
-  const RunSnapshot first = run_workload(2);
-  const RunSnapshot second = run_workload(2);
+  const FabricSnapshot first = run_workload(2);
+  const FabricSnapshot second = run_workload(2);
 
   ASSERT_EQ(first.rpc.completions.size(), 600u);
   // The run must actually cross the shard boundary, or this guards nothing.
   EXPECT_GT(first.server.nic.rx_interrupts, 0u);
 
+  EXPECT_EQ(first.final_time, second.final_time);
   EXPECT_TRUE(first.rpc == second.rpc) << "RPC completions diverged";
   EXPECT_TRUE(first.client == second.client) << "client counters diverged";
   EXPECT_TRUE(first.server == second.server) << "server counters diverged";
@@ -83,8 +76,8 @@ TEST(ShardDeterminism, TwoShardPerformsIdenticalWorkToOneShard) {
   // the final timestamp) can differ by the tie resolution — byte-exact
   // 1-vs-N equality for tie-free scenarios is pinned separately in
   // netsim/shard_test.cpp.
-  const RunSnapshot one = run_workload(1);
-  const RunSnapshot two = run_workload(2);
+  const FabricSnapshot one = run_workload(1);
+  const FabricSnapshot two = run_workload(2);
 
   EXPECT_EQ(one.rpc.completions.size(), two.rpc.completions.size());
   EXPECT_EQ(one.rpc.response_bytes, two.rpc.response_bytes);

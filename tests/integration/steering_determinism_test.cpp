@@ -13,18 +13,9 @@
 namespace smt::apps {
 namespace {
 
-using test::HostSnapshot;
-using test::snapshot_host;
+using test::FabricSnapshot;
 
-struct RunSnapshot {
-  SimTime final_time = 0;
-  ClosedLoopResult rpc;
-  HostSnapshot client, server;
-
-  friend bool operator==(const RunSnapshot&, const RunSnapshot&) = default;
-};
-
-RunSnapshot run_fig7_mix() {
+FabricSnapshot run_fig7_mix() {
   RpcFabricConfig config;
   config.kind = TransportKind::smt_hw;
   config.nic.adaptive_rx_coalesce = true;    // DIM on
@@ -38,17 +29,12 @@ RunSnapshot run_fig7_mix() {
   rpcs.start();
   fabric.loop().run();
 
-  RunSnapshot snap;
-  snap.final_time = fabric.loop().now();
-  snap.rpc = rpcs.result();
-  snap.client = snapshot_host(fabric.client_host());
-  snap.server = snapshot_host(fabric.server_host());
-  return snap;
+  return test::snapshot_fabric(fabric, rpcs);
 }
 
 TEST(SteeringDeterminism, IdenticalCountersAcrossRepeatedRuns) {
-  const RunSnapshot first = run_fig7_mix();
-  const RunSnapshot second = run_fig7_mix();
+  const FabricSnapshot first = run_fig7_mix();
+  const FabricSnapshot second = run_fig7_mix();
 
   ASSERT_EQ(first.rpc.completions.size(), 1200u);
   // The run must actually exercise the steering machinery, or this test

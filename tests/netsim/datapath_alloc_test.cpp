@@ -4,12 +4,9 @@
 // free lists have warmed up. A failure here means a per-hop closure
 // outgrew EventCallback's inline store (see the static_assert in
 // netsim/packet.hpp) or a packet FIFO stopped recycling its nodes.
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include <gtest/gtest.h>
 
+#include "../common/alloc_counter.hpp"
 #include "../common/topology_helpers.hpp"
 #include "netsim/link.hpp"
 #include "netsim/nic.hpp"
@@ -17,35 +14,11 @@
 #include "netsim/switch.hpp"
 #include "transport/homa/homa.hpp"
 
-namespace {
-// Atomic: the cross-shard case allocates (or must not) on worker threads.
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace smt::sim {
 namespace {
 
-std::size_t allocations() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
-
-template <typename Fn>
-std::size_t allocations_in(Fn&& fn) {
-  const std::size_t before = allocations();
-  fn();
-  return allocations() - before;
-}
+using test::allocations;
+using test::allocations_in;
 
 /// `count` packets to `dst_ip`, payloads built up front so the measured
 /// region sees only the hops.

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "../common/topology_helpers.hpp"
 #include "crypto/drbg.hpp"
 #include "tls/engine.hpp"
@@ -145,6 +148,54 @@ TEST_P(SmtEndpointTest, PlaintextMetadataVisibleOnWire) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST_P(SmtEndpointTest, SharesItsPortWithPlainHomaUnderItsOwnProtocol) {
+  // SMT is Homa under its own protocol number (§4): a plain Homa endpoint
+  // on the same port of the same host is a different socket. The host
+  // demuxes on (protocol, port), so each endpoint sees only its traffic.
+  transport::HomaEndpoint homa_server(server_host_, 80);
+  transport::HomaEndpoint homa_client(client_host_, 1000);
+  std::vector<Bytes> homa_received;
+  homa_server.set_on_message(
+      [&homa_received](transport::HomaEndpoint::MessageMeta, Bytes data) {
+        homa_received.push_back(std::move(data));
+      });
+  std::map<sim::Proto, std::vector<Bytes>> data_by_proto;
+  topology_->direct_link()->a2b().set_receiver(
+      [this, &data_by_proto](sim::Packet pkt) {
+        if (pkt.hdr.type == sim::PacketType::data) {
+          data_by_proto[pkt.hdr.flow.proto].push_back(pkt.payload.to_bytes());
+        }
+        server_host_.nic().receive(std::move(pkt));
+      });
+
+  const Bytes smt_msg(64, 0x5a);
+  const Bytes homa_msg(200, 0x11);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client_->send_message(server_addr(), smt_msg).ok());
+    if (i < 2) {
+      ASSERT_TRUE(homa_client.send_message(server_addr(), homa_msg).ok());
+    }
+  }
+  loop_.run();
+
+  ASSERT_EQ(received_.size(), 3u);
+  for (const auto& [meta, data] : received_) EXPECT_EQ(data, smt_msg);
+  ASSERT_EQ(homa_received.size(), 2u);
+  for (const Bytes& data : homa_received) EXPECT_EQ(data, homa_msg);
+  EXPECT_EQ(server_->stats().decrypt_failures, 0u);
+  // Every single-packet message crossed the wire under its own protocol:
+  // SMT's three as ciphertext, plain Homa's two in the clear.
+  ASSERT_EQ(data_by_proto.size(), 2u);
+  ASSERT_EQ(data_by_proto[sim::Proto::smt].size(), 3u);
+  for (const Bytes& payload : data_by_proto[sim::Proto::smt]) {
+    EXPECT_EQ(std::search(payload.begin(), payload.end(), smt_msg.begin(),
+                          smt_msg.end()),
+              payload.end());
+  }
+  EXPECT_EQ(data_by_proto[sim::Proto::homa],
+            std::vector<Bytes>(2, homa_msg));
 }
 
 TEST_P(SmtEndpointTest, ManyMessagesAllDeliveredUniquely) {

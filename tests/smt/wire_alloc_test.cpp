@@ -2,38 +2,17 @@
 // global operator new with a counting one, so each case can assert the
 // exact number of heap allocations one call makes. The counts are exact
 // per build: a rise means a new temporary on the per-message path.
-#include <cstdlib>
-#include <new>
 #include <optional>
 
 #include <gtest/gtest.h>
 
+#include "../common/alloc_counter.hpp"
 #include "smt/wire.hpp"
-
-namespace {
-std::size_t g_allocations = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace smt::proto {
 namespace {
 
-template <typename Fn>
-std::size_t allocations_in(Fn&& fn) {
-  const std::size_t before = g_allocations;
-  fn();
-  return g_allocations - before;
-}
+using test::allocations_in;
 
 tls::TrafficKeys test_keys() {
   tls::TrafficKeys keys;

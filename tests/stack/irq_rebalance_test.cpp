@@ -30,13 +30,7 @@ sim::Packet make_packet(std::uint64_t msg_id, std::uint16_t src_port = 1234) {
   return pkt;
 }
 
-IrqRebalanceConfig test_rebalance(bool spread) {
-  IrqRebalanceConfig config;
-  config.period = usec(50);
-  config.min_imbalance = usec(1);
-  config.spread_indirection = spread;
-  return config;
-}
+constexpr SimDuration kPeriod = usec(50);
 
 TEST(IrqRebalance, MovesHotRingAffinityToIdlestCoreWithinOnePeriod) {
   sim::EventLoop loop;
@@ -50,7 +44,7 @@ TEST(IrqRebalance, MovesHotRingAffinityToIdlestCoreWithinOnePeriod) {
   const std::size_t busy = (hot + 1) % 3;  // some IRQ load, but not idlest
   const std::size_t idlest = 3 - hot - busy;
 
-  host.enable_irq_rebalance(test_rebalance(/*spread=*/false));
+  host.enable_irq_rebalance(kPeriod, /*spread_indirection=*/false);
   // `busy` carries real (but smaller) IRQ load in the same window, so the
   // rebalancer must pick `idlest`, not just "any other core".
   host.softirq_core(busy).charge_irq(usec(30));
@@ -87,7 +81,7 @@ TEST(IrqRebalance, PendingHeldOffFramesDeliverOnOldCoreAcrossMigration) {
   const std::uint64_t intr4 =  // one 4-frame threshold interrupt
       std::uint64_t(nic.per_interrupt_cost + 4 * nic.per_rx_frame_cost);
 
-  host.enable_irq_rebalance(test_rebalance(/*spread=*/false));
+  host.enable_irq_rebalance(kPeriod, /*spread_indirection=*/false);
   // Phase 1: 8 groups of 4 frames trip the rx-frames threshold — 8
   // interrupts (~12 us) on old_core inside the first period.
   std::uint64_t next_id = 0;
@@ -151,7 +145,7 @@ TEST(IrqRebalance, BalancedLoadProducesZeroMigrations) {
     ++port_b;
   }
 
-  host.enable_irq_rebalance(test_rebalance(/*spread=*/true));
+  host.enable_irq_rebalance(kPeriod);
   for (int i = 0; i < 60; ++i) {
     loop.schedule(nsec(1500) * SimDuration(i), [&host, i, port_a, port_b] {
       host.nic().receive(make_packet(2 * i, port_a));
@@ -179,7 +173,7 @@ TEST(IrqRebalance, SingleFlowSpreadRotatesRingsWithoutReordering) {
     order.push_back(pkt.hdr.msg_id);
   });
 
-  host.enable_irq_rebalance(test_rebalance(/*spread=*/true));
+  host.enable_irq_rebalance(kPeriod);
   for (int i = 0; i < 200; ++i) {
     loop.schedule(usec(2) * SimDuration(i),
                   [&host, i] { host.nic().receive(make_packet(i)); });
@@ -208,7 +202,7 @@ TEST(IrqRebalance, DormantWhenIdleAndRearmedByInterrupts) {
   Host host(loop, make_config(2));
   host.register_endpoint(sim::Proto::smt, 7, [](sim::Packet) {});
 
-  host.enable_irq_rebalance(test_rebalance(/*spread=*/false));
+  host.enable_irq_rebalance(kPeriod);
   loop.run();  // would hang forever if the tick re-armed unconditionally
   EXPECT_EQ(host.irq_rebalance_stats().ticks, 1u);
 
@@ -225,6 +219,21 @@ TEST(IrqRebalance, DormantWhenIdleAndRearmedByInterrupts) {
   host.nic().receive(make_packet(2));
   loop.run();
   EXPECT_EQ(host.irq_rebalance_stats().ticks, ticks);
+}
+
+TEST(IrqRebalance, HostConfigPeriodEnablesItFromConstruction) {
+  // HostConfig::irq_rebalance_period arms the sampler in the constructor,
+  // before anything else is scheduled: its one idle tick lands exactly
+  // one period in, and a zero period leaves the host without one.
+  sim::EventLoop loop;
+  HostConfig config = make_config(2);
+  config.irq_rebalance_period = kPeriod;
+  Host host(loop, config);
+  Host plain(loop, make_config(2));
+  loop.run();
+  EXPECT_EQ(loop.now(), kPeriod);
+  EXPECT_EQ(host.irq_rebalance_stats().ticks, 1u);
+  EXPECT_EQ(plain.irq_rebalance_stats().ticks, 0u);
 }
 
 }  // namespace

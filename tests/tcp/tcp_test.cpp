@@ -185,7 +185,7 @@ TEST_F(TcpTest, TwoConnectionsIndependent) {
 TEST_F(TcpTest, RtoBackoffAbandonsUnreachablePeer) {
   // Kill the forward direction entirely: no data ever arrives, no ACK ever
   // comes back. The RTO must back off exponentially and give up after
-  // max_rto_retries instead of retransmitting every 10 ms forever — with
+  // kMaxRtoRetries instead of retransmitting every 10 ms forever — with
   // an unbounded RTO the loop below would never drain.
   topology_->direct_link()->a2b().set_drop_predicate(
       [](const sim::Packet&) { return true; });
@@ -194,7 +194,7 @@ TEST_F(TcpTest, RtoBackoffAbandonsUnreachablePeer) {
   loop_.run();  // terminates only because retransmission is bounded
   EXPECT_TRUE(server_received_.empty());
   EXPECT_EQ(client_.stats().rto_abandoned, 1u);
-  EXPECT_LE(client_.stats().rto_fires, 10u);  // TcpConfig::max_rto_retries
+  EXPECT_LE(client_.stats().rto_fires, 10u);  // TcpEndpoint::kMaxRtoRetries
   EXPECT_GT(client_.unacked_bytes(conn), 0u);  // wedged, not silently acked
 }
 
@@ -246,7 +246,7 @@ TEST_F(TcpTest, AckedTransferLeavesNoRtoTimersPending) {
   loop_.run();
   EXPECT_EQ(server_received_.size(), 50000u);
   EXPECT_EQ(client_.unacked_bytes(conn), 0u);
-  EXPECT_LT(loop_.now(), TcpConfig{}.min_rto);
+  EXPECT_LT(loop_.now(), TcpEndpoint::kMinRto);
   EXPECT_EQ(client_.stats().rto_fires, 0u);
 }
 
@@ -300,19 +300,18 @@ SimTime run_tail_drop_recovery() {
 }
 
 TEST_F(TcpTest, AdaptiveRtoRecoversTailLossFasterThanInitialRto) {
-  // With a warmed-up estimator the adaptive base is the 1 ms min_rto
+  // With a warmed-up estimator the adaptive base is the 1 ms kMinRto
   // floor (datacenter srtt + 4*rttvar is far below it), not the 10 ms
   // initial RTO: the drop is recovered by that floor-clamped RTO.
-  const TcpConfig defaults;
   const SimTime recovered = run_tail_drop_recovery() - usec(500);
-  EXPECT_GE(recovered, defaults.min_rto);  // only the RTO recovers it
-  EXPECT_LT(recovered, defaults.rto);
+  EXPECT_GE(recovered, TcpEndpoint::kMinRto);  // only the RTO recovers it
+  EXPECT_LT(recovered, TcpEndpoint::kInitialRto);
   EXPECT_LT(recovered, msec(4));  // ~1 ms RTO + recovery
 }
 
 TEST_F(TcpTest, AdaptiveRtoKeepsAbandonmentBounded) {
   // The retry cap rides on the adaptive base: a black-holed connection
-  // still abandons after max_rto_retries fires, it just gets there sooner
+  // still abandons after kMaxRtoRetries fires, it just gets there sooner
   // than from the initial RTO.
   sim::ShardedEngine engine(1);
   sim::EventLoop& loop = engine.loop(0);
