@@ -33,19 +33,60 @@ bool cpu_has_clmul() noexcept {
   return supported;
 }
 
-/// GF(2^128) multiply with the GCM polynomial via carry-less multiply —
-/// the Intel GCM white-paper algorithm (Karatsuba-free 4-multiply form
-/// with the shift-left-by-1 bit-reflection fixup and sparse reduction).
-/// Operands and result are byte-reflected (big-endian-loaded) blocks.
-__attribute__((target("pclmul,ssse3"))) inline __m128i gf_mul_clmul(
+/// Copies n < 16 bytes with fixed-size moves. GCC inlines a
+/// variable-length memcpy as `rep movsq`, whose startup costs more than
+/// a whole small record's GHASH.
+inline void copy_partial_block(std::uint8_t* dst, const std::uint8_t* src,
+                               std::size_t n) noexcept {
+  std::size_t i = 0;
+  for (std::size_t width = 8; width > 0; width /= 2) {
+    if (n & width) {
+      std::memcpy(dst + i, src + i, width);
+      i += width;
+    }
+  }
+}
+
+/// Loads a 16-byte block byte-reflected: the PCLMUL engine's operand form.
+__attribute__((target("ssse3"))) inline __m128i load_reflected(
+    const std::uint8_t* p) noexcept {
+  const __m128i bswap = _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
+                                     12, 13, 14, 15);
+  return _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), bswap);
+}
+
+/// An unreduced 256-bit carry-less product, or a sum of them: lo and hi
+/// are the outer 64x64 products, mid the sum of the two cross products.
+/// The bit-reflection shift and the reduction are both linear, so a sum
+/// of products needs only one gf_reduce.
+struct ClmulSum {
+  __m128i lo, mid, hi;
+};
+
+__attribute__((target("pclmul"))) inline ClmulSum clmul_product(
     __m128i a, __m128i b) noexcept {
-  __m128i lo = _mm_clmulepi64_si128(a, b, 0x00);
-  __m128i m1 = _mm_clmulepi64_si128(a, b, 0x10);
-  __m128i m2 = _mm_clmulepi64_si128(a, b, 0x01);
-  __m128i hi = _mm_clmulepi64_si128(a, b, 0x11);
-  m1 = _mm_xor_si128(m1, m2);
-  lo = _mm_xor_si128(lo, _mm_slli_si128(m1, 8));
-  hi = _mm_xor_si128(hi, _mm_srli_si128(m1, 8));
+  return {_mm_clmulepi64_si128(a, b, 0x00),
+          _mm_xor_si128(_mm_clmulepi64_si128(a, b, 0x10),
+                        _mm_clmulepi64_si128(a, b, 0x01)),
+          _mm_clmulepi64_si128(a, b, 0x11)};
+}
+
+__attribute__((target("pclmul"))) inline void clmul_add(ClmulSum& sum,
+                                                        __m128i a,
+                                                        __m128i b) noexcept {
+  const ClmulSum p = clmul_product(a, b);
+  sum.lo = _mm_xor_si128(sum.lo, p.lo);
+  sum.mid = _mm_xor_si128(sum.mid, p.mid);
+  sum.hi = _mm_xor_si128(sum.hi, p.hi);
+}
+
+/// Reduces a ClmulSum to its GF(2^128) element with the GCM polynomial —
+/// the Intel GCM white-paper algorithm (shift-left-by-1 bit-reflection
+/// fixup, then sparse reduction). Operands and result are byte-reflected.
+inline __m128i gf_reduce(const ClmulSum& sum) noexcept {
+  __m128i lo = _mm_xor_si128(sum.lo, _mm_slli_si128(sum.mid, 8));
+  __m128i hi = _mm_xor_si128(sum.hi, _mm_srli_si128(sum.mid, 8));
 
   // The operands are bit-reflected, so the 255-bit product sits one bit
   // low: shift the whole 256-bit value left by 1.
@@ -79,77 +120,75 @@ __attribute__((target("pclmul,ssse3"))) inline __m128i gf_mul_clmul(
   return _mm_xor_si128(hi, lo);
 }
 
-/// Precomputes H^1..H^4 (reflected form) for the 4-way aggregated GHASH.
+__attribute__((target("pclmul"))) inline __m128i gf_mul_clmul(
+    __m128i a, __m128i b) noexcept {
+  return gf_reduce(clmul_product(a, b));
+}
+
+/// GHASH stride: blocks folded per reduction, and so H powers kept.
+constexpr std::size_t kGhashStride = 8;
+
+/// Precomputes H^1..H^8 (reflected form; out_pows[i] = H^(i+1)) for the
+/// aggregated GHASH.
 __attribute__((target("pclmul,ssse3"))) void ghash_init_clmul(
-    const std::uint8_t* h_bytes, std::uint8_t out_pows[64]) noexcept {
-  const __m128i bswap = _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
-                                     12, 13, 14, 15);
-  const __m128i h = _mm_shuffle_epi8(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(h_bytes)), bswap);
+    const std::uint8_t* h_bytes, __m128i* out_pows) noexcept {
+  const __m128i h = load_reflected(h_bytes);
   __m128i pow = h;
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out_pows), pow);
-  for (int i = 1; i < 4; ++i) {
+  _mm_storeu_si128(out_pows, pow);
+  for (std::size_t i = 1; i < kGhashStride; ++i) {
     pow = gf_mul_clmul(pow, h);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out_pows + 16 * i), pow);
+    _mm_storeu_si128(out_pows + i, pow);
   }
 }
 
-/// GHASH over aad || ciphertext || length block, PCLMUL engine. Four
-/// blocks at a time: y4 = (y^x1)·H^4 ^ x2·H^3 ^ x3·H^2 ^ x4·H — the four
-/// products are independent, so the multiplies pipeline instead of
-/// serialising on the y dependency.
-/// One data run folded into the GHASH accumulator `y`. A named function
-/// rather than a lambda: GCC 12 lambdas do not inherit the enclosing
-/// function's target attribute, so intrinsics inside them fail to inline.
+/// One data run folded into the GHASH accumulator `y`, PCLMUL engine.
+/// Eight blocks per reduction:
+///   y' = (y^x1)·H^8 ^ x2·H^7 ^ ... ^ x8·H
+/// The eight products are independent, so the multiplies pipeline instead
+/// of serialising on the y dependency, and their unreduced sum takes a
+/// single gf_reduce. The last n <= 8 blocks (a partial final block
+/// zero-padded, as GHASH defines it) fold in one batch against H^n..H.
+/// A named function rather than a lambda: GCC 12 lambdas do not inherit
+/// the enclosing function's target attribute, so intrinsics inside them
+/// fail to inline.
 __attribute__((target("pclmul,ssse3"))) __m128i ghash_absorb_clmul(
     __m128i y, const __m128i* h_pows, ByteView data) noexcept {
-  const __m128i bswap = _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
-                                     12, 13, 14, 15);
-  const __m128i h1 = _mm_loadu_si128(h_pows);
-  std::size_t off = 0;
-  // 4-block aggregated stride (only whole blocks qualify).
-  while (data.size() - off >= 64) {
-    const std::uint8_t* p = data.data() + off;
-    const __m128i x1 = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), bswap);
-    const __m128i x2 = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16)), bswap);
-    const __m128i x3 = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 32)), bswap);
-    const __m128i x4 = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 48)), bswap);
-    const __m128i t1 =
-        gf_mul_clmul(_mm_xor_si128(y, x1), _mm_loadu_si128(h_pows + 3));
-    const __m128i t2 = gf_mul_clmul(x2, _mm_loadu_si128(h_pows + 2));
-    const __m128i t3 = gf_mul_clmul(x3, _mm_loadu_si128(h_pows + 1));
-    const __m128i t4 = gf_mul_clmul(x4, h1);
-    y = _mm_xor_si128(_mm_xor_si128(t1, t2), _mm_xor_si128(t3, t4));
-    off += 64;
-  }
-  while (off < data.size()) {
-    const std::size_t take = std::min<std::size_t>(16, data.size() - off);
-    __m128i x;
-    if (take == 16) {
-      x = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(data.data() + off));
-    } else {
-      alignas(16) std::uint8_t block[16] = {};
-      std::memcpy(block, data.data() + off, take);
-      x = _mm_load_si128(reinterpret_cast<const __m128i*>(block));
+  const std::uint8_t* p = data.data();
+  std::size_t left = data.size();
+  while (left >= 16 * kGhashStride) {
+    ClmulSum sum = clmul_product(_mm_xor_si128(y, load_reflected(p)),
+                                 _mm_loadu_si128(h_pows + kGhashStride - 1));
+    for (std::size_t j = 1; j < kGhashStride; ++j) {
+      clmul_add(sum, load_reflected(p + 16 * j),
+                _mm_loadu_si128(h_pows + kGhashStride - 1 - j));
     }
-    y = _mm_xor_si128(y, _mm_shuffle_epi8(x, bswap));
-    y = gf_mul_clmul(y, h1);
-    off += take;
+    y = gf_reduce(sum);
+    p += 16 * kGhashStride;
+    left -= 16 * kGhashStride;
   }
-  return y;
+  if (left == 0) return y;
+  const std::size_t n = (left + 15) / 16;
+  alignas(16) std::uint8_t padded[16] = {};
+  const std::uint8_t* last = p + 16 * (n - 1);
+  if (left % 16 != 0) {
+    copy_partial_block(padded, last, left % 16);
+    last = padded;
+  }
+  ClmulSum sum = clmul_product(
+      _mm_xor_si128(y, load_reflected(n == 1 ? last : p)),
+      _mm_loadu_si128(h_pows + n - 1));
+  for (std::size_t j = 1; j < n; ++j) {
+    clmul_add(sum, load_reflected(j == n - 1 ? last : p + 16 * j),
+              _mm_loadu_si128(h_pows + n - 1 - j));
+  }
+  return gf_reduce(sum);
 }
 
 __attribute__((target("pclmul,ssse3"))) void ghash_clmul(
-    const std::uint8_t* h_pows_bytes, ByteView aad, ByteView ciphertext,
+    const __m128i* h_pows, ByteView aad, ByteView ciphertext,
     std::uint8_t out[16]) noexcept {
   const __m128i bswap = _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
                                      12, 13, 14, 15);
-  const __m128i* h_pows = reinterpret_cast<const __m128i*>(h_pows_bytes);
   __m128i y = _mm_setzero_si128();
   y = ghash_absorb_clmul(y, h_pows, aad);
   y = ghash_absorb_clmul(y, h_pows, ciphertext);
@@ -164,79 +203,83 @@ __attribute__((target("pclmul,ssse3"))) void ghash_clmul(
                    _mm_shuffle_epi8(y, bswap));
 }
 
-/// AES-CTR keystream XOR, 4 blocks per iteration: AESENC has multi-cycle
-/// latency but single-cycle throughput, so four independent counter
-/// blocks keep the unit busy where the one-block-at-a-time loop stalled.
+/// AES-CTR keystream XOR over N whole blocks, counters ctr+1..ctr+N:
+/// AESENC has multi-cycle latency but sub-cycle throughput, so N
+/// independent counter blocks keep the unit busy where one block at a
+/// time would stall. `prefix` is the counter block with its trailing
+/// 32-bit counter zeroed. `out` may equal `in`: each block is read
+/// before it is written.
+template <std::size_t N>
+__attribute__((target("aes,ssse3"))) inline void ctr_blocks_aesni(
+    const __m128i* keys, int rounds, __m128i prefix, std::uint32_t ctr,
+    const std::uint8_t* in, std::uint8_t* out) noexcept {
+  const __m128i bswap32 = _mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6,
+                                       7, 0, 1, 2, 3);
+  const __m128i k0 = _mm_loadu_si128(keys);
+  __m128i s[N];
+  for (std::size_t j = 0; j < N; ++j) {
+    const __m128i counter = _mm_shuffle_epi8(
+        _mm_set_epi32(int(ctr + 1 + j), 0, 0, 0), bswap32);
+    s[j] = _mm_xor_si128(_mm_or_si128(prefix, counter), k0);
+  }
+  for (int round = 1; round < rounds; ++round) {
+    const __m128i rk = _mm_loadu_si128(keys + round);
+    for (std::size_t j = 0; j < N; ++j) s[j] = _mm_aesenc_si128(s[j], rk);
+  }
+  const __m128i rk_last = _mm_loadu_si128(keys + rounds);
+  for (std::size_t j = 0; j < N; ++j) {
+    const __m128i ks = _mm_aesenclast_si128(s[j], rk_last);
+    const __m128i x =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 16 * j));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16 * j),
+                     _mm_xor_si128(x, ks));
+  }
+}
+
+/// AES-CTR keystream XOR: 8 blocks per iteration, then one 4-block step,
+/// then single blocks; a partial final block goes through a padded copy.
 __attribute__((target("aes,ssse3"))) void ctr_xor_aesni(
     const std::uint8_t* rk, int rounds, const std::uint8_t j0[16],
     ByteView in, std::uint8_t* out) noexcept {
   const __m128i* keys = reinterpret_cast<const __m128i*>(rk);
   // The 96-bit nonce prefix is fixed; only the trailing 32-bit counter
-  // changes. Build counter blocks by ORing the big-endian counter into
-  // the masked template (no lambda: see ghash_absorb_clmul's note).
+  // changes.
   alignas(16) std::uint8_t counter_bytes[16];
   std::memcpy(counter_bytes, j0, 16);
   std::uint32_t ctr = load_u32be(counter_bytes + 12);
   std::memset(counter_bytes + 12, 0, 4);
   const __m128i prefix =
       _mm_load_si128(reinterpret_cast<const __m128i*>(counter_bytes));
-  const __m128i bswap32 = _mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6,
-                                       7, 0, 1, 2, 3);
-#define SMT_CTR_BLOCK(c)                                                   \
-  _mm_or_si128(prefix,                                                     \
-               _mm_shuffle_epi8(_mm_set_epi32(int(c), 0, 0, 0), bswap32))
 
-  const __m128i k0 = _mm_loadu_si128(keys);
-  std::size_t off = 0;
-  while (in.size() - off >= 64) {
-    __m128i s0 = _mm_xor_si128(SMT_CTR_BLOCK(ctr + 1), k0);
-    __m128i s1 = _mm_xor_si128(SMT_CTR_BLOCK(ctr + 2), k0);
-    __m128i s2 = _mm_xor_si128(SMT_CTR_BLOCK(ctr + 3), k0);
-    __m128i s3 = _mm_xor_si128(SMT_CTR_BLOCK(ctr + 4), k0);
+  const std::uint8_t* src = in.data();
+  std::size_t left = in.size();
+  while (left >= 128) {
+    ctr_blocks_aesni<8>(keys, rounds, prefix, ctr, src, out);
+    ctr += 8;
+    src += 128;
+    out += 128;
+    left -= 128;
+  }
+  if (left >= 64) {
+    ctr_blocks_aesni<4>(keys, rounds, prefix, ctr, src, out);
     ctr += 4;
-    for (int round = 1; round < rounds; ++round) {
-      const __m128i rk_r = _mm_loadu_si128(keys + round);
-      s0 = _mm_aesenc_si128(s0, rk_r);
-      s1 = _mm_aesenc_si128(s1, rk_r);
-      s2 = _mm_aesenc_si128(s2, rk_r);
-      s3 = _mm_aesenc_si128(s3, rk_r);
-    }
-    const __m128i rk_last = _mm_loadu_si128(keys + rounds);
-    s0 = _mm_aesenclast_si128(s0, rk_last);
-    s1 = _mm_aesenclast_si128(s1, rk_last);
-    s2 = _mm_aesenclast_si128(s2, rk_last);
-    s3 = _mm_aesenclast_si128(s3, rk_last);
-    const std::uint8_t* src = in.data() + off;
-    std::uint8_t* dst = out + off;
-    const auto ld = [](const std::uint8_t* p) noexcept {
-      return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    };
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst),
-                     _mm_xor_si128(ld(src), s0));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 16),
-                     _mm_xor_si128(ld(src + 16), s1));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 32),
-                     _mm_xor_si128(ld(src + 32), s2));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 48),
-                     _mm_xor_si128(ld(src + 48), s3));
-    off += 64;
+    src += 64;
+    out += 64;
+    left -= 64;
   }
-  while (off < in.size()) {
+  while (left >= 16) {
+    ctr_blocks_aesni<1>(keys, rounds, prefix, ctr, src, out);
     ++ctr;
-    __m128i s = _mm_xor_si128(SMT_CTR_BLOCK(ctr), k0);
-    for (int round = 1; round < rounds; ++round) {
-      s = _mm_aesenc_si128(s, _mm_loadu_si128(keys + round));
-    }
-    s = _mm_aesenclast_si128(s, _mm_loadu_si128(keys + rounds));
-    alignas(16) std::uint8_t keystream[16];
-    _mm_store_si128(reinterpret_cast<__m128i*>(keystream), s);
-    const std::size_t take = std::min<std::size_t>(16, in.size() - off);
-    for (std::size_t i = 0; i < take; ++i) {
-      out[off + i] = in[off + i] ^ keystream[i];
-    }
-    off += take;
+    src += 16;
+    out += 16;
+    left -= 16;
   }
-#undef SMT_CTR_BLOCK
+  if (left > 0) {
+    alignas(16) std::uint8_t block[16] = {};
+    copy_partial_block(block, src, left);
+    ctr_blocks_aesni<1>(keys, rounds, prefix, ctr, block, block);
+    copy_partial_block(out, block, left);
+  }
 }
 #endif  // SMT_GHASH_CLMUL
 
@@ -277,26 +320,28 @@ constexpr std::uint64_t kReduce4[16] = {
 }  // namespace
 
 AesGcm::AesGcm(ByteView key) : aes_(key) {
-  std::uint8_t zero[16] = {};
-  aes_.encrypt_block(zero, h_bytes_.data());
+  // GHASH key H = E_K(0^128).
+  std::uint8_t h_bytes[16];
+  const std::uint8_t zero[16] = {};
+  aes_.encrypt_block(zero, h_bytes);
 #ifdef SMT_GHASH_CLMUL
-  // The carry-less-multiply engine consumes H (and its powers) directly;
-  // skip the table build (16 slow 128-iteration GF multiplies) entirely.
+  // The carry-less-multiply engine consumes H's powers directly; skip the
+  // table build (16 slow 128-iteration GF multiplies) entirely.
   if (cpu_has_clmul()) {
-    ghash_init_clmul(h_bytes_.data(), h_pows_.data());
+    ghash_init_clmul(h_bytes, reinterpret_cast<__m128i*>(ghash_key_.data()));
     return;
   }
 #endif
-  const U128 h{load_u64be(h_bytes_.data()), load_u64be(h_bytes_.data() + 8)};
+  const U128 h{load_u64be(h_bytes), load_u64be(h_bytes + 8)};
 
-  // h_table_[i] = (i as 4-bit poly) * H. Built with the slow multiply.
+  // ghash_key_[i] = (i as 4-bit poly) * H. Built with the slow multiply.
   for (int i = 0; i < 16; ++i) {
     U128 x{};
     // Place nibble i in the top 4 bits of the 128-bit value.
     x.hi = std::uint64_t(i) << 60;
     const U128 prod = gf_mul_slow(x, h);
-    h_table_[i][0] = prod.hi;
-    h_table_[i][1] = prod.lo;
+    ghash_key_[i][0] = prod.hi;
+    ghash_key_[i][1] = prod.lo;
   }
 }
 
@@ -304,7 +349,8 @@ AesGcm::Block AesGcm::ghash(ByteView aad, ByteView ciphertext) const noexcept {
 #ifdef SMT_GHASH_CLMUL
   if (cpu_has_clmul()) {
     Block out;
-    ghash_clmul(h_pows_.data(), aad, ciphertext, out.data());
+    ghash_clmul(reinterpret_cast<const __m128i*>(ghash_key_.data()), aad,
+                ciphertext, out.data());
     return out;
   }
 #endif
@@ -324,8 +370,8 @@ AesGcm::Block AesGcm::ghash(ByteView aad, ByteView ciphertext) const noexcept {
         z.lo = (z.lo >> 4) | (z.hi << 60);
         z.hi = (z.hi >> 4) ^ kReduce4[rem];
       }
-      z.hi ^= h_table_[nibble][0];
-      z.lo ^= h_table_[nibble][1];
+      z.hi ^= ghash_key_[nibble][0];
+      z.lo ^= ghash_key_[nibble][1];
     }
     return z;
   };
@@ -421,7 +467,7 @@ bool AesGcm::open_into(ByteView nonce, ByteView aad,
                        MutByteView plaintext) const noexcept {
   if (ciphertext_and_tag.size() < kTagSize) return false;
   const std::size_t ct_len = ciphertext_and_tag.size() - kTagSize;
-  assert(plaintext.size() == ct_len && "output must match the ciphertext");
+  if (plaintext.size() != ct_len) return false;
   const ByteView ciphertext = ciphertext_and_tag.first(ct_len);
   const ByteView tag = ciphertext_and_tag.subspan(ct_len);
 

@@ -35,7 +35,8 @@ class AesGcm {
 
   /// Verifies `ciphertext_and_tag` and decrypts it into `plaintext`, which
   /// must be exactly the ciphertext's length. Returns false, writing
-  /// nothing, on authentication failure or a too-short input.
+  /// nothing, on authentication failure, a too-short input or an output
+  /// of any other length.
   bool open_into(ByteView nonce, ByteView aad, ByteView ciphertext_and_tag,
                  MutByteView plaintext) const noexcept;
 
@@ -49,16 +50,14 @@ class AesGcm {
                     ByteView ciphertext) const noexcept;
 
   Aes aes_;
-  // GHASH key H = E_K(0^128), raw (consumed by the runtime-dispatched
-  // PCLMUL path) and pre-expanded into a 4-bit multiplication table
-  // (Shoup's method) for the portable path. The table is only built when
-  // the CPU lacks carry-less multiply — both engines compute the identical
+  // GHASH key material, expanded from H = E_K(0^128) for the one engine
+  // this process runs (the dispatch is fixed per process): the PCLMUL
+  // path's H^1..H^8 in reflected form (first 128 B, for its 8-block
+  // aggregated stride), or the portable path's 4-bit multiplication table
+  // (Shoup's method, all 256 B). The PCLMUL path accesses it only as
+  // __m128i, a may_alias vector type. Both engines compute the identical
   // GF(2^128) product, so dispatch never changes bytes.
-  alignas(16) std::array<std::uint8_t, 16> h_bytes_{};
-  // H^1..H^4 in the PCLMUL path's reflected form, for the 4-way
-  // aggregated GHASH stride (unused when the table path runs).
-  alignas(16) std::array<std::uint8_t, 64> h_pows_{};
-  std::array<std::array<std::uint64_t, 2>, 16> h_table_{};
+  alignas(16) std::array<std::array<std::uint64_t, 2>, 16> ghash_key_{};
 };
 
 }  // namespace smt::crypto

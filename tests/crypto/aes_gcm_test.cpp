@@ -4,6 +4,7 @@
 #include "common/rng.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/gcm.hpp"
+#include "crypto/sha256.hpp"
 
 namespace smt::crypto {
 namespace {
@@ -146,6 +147,132 @@ TEST(Gcm, Aes256RoundTrip) {
   EXPECT_EQ(*opened, pt);
 }
 
+// Deterministic test bytes: a 32-bit xorshift stream, so the known
+// answers below depend on nothing but this function.
+Bytes pattern(std::size_t n, std::uint32_t seed) {
+  Bytes out(n);
+  std::uint32_t x = 0x9e3779b9u ^ seed;
+  for (auto& b : out) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = std::uint8_t(x >> 24);
+  }
+  return out;
+}
+
+struct GcmKnownAnswer {
+  std::size_t pt_len;
+  std::size_t aad_len;
+  const char* tag;
+  const char* ct_sha256;
+};
+
+// Seals of pattern(pt_len, pt_len) under AAD pattern(aad_len, aad_len << 16),
+// key pattern(16, 1) and nonce pattern(12, 2), computed with the portable
+// engine and confirmed against OpenSSL. The NIST vectors stop at 64 B;
+// these reach the hardware engine's 8-block strides, its 4-block and
+// single-block CTR tails, its batched GHASH remainders and partial final
+// blocks, and (200 B of AAD) the AAD's own 8-block stride. A seal/open
+// round trip cannot catch a bug that seal and open share, such as a wrong
+// H-power order; a fixed answer can.
+constexpr GcmKnownAnswer kLongKnownAnswers[] = {
+    {127, 0, "59adaaa1156e186ec9b2fffa078435e3",
+     "90043438c338adb9fc145b2e0e04a2e7d95541cb1f1d3a25adc7e12e19c5946c"},
+    {127, 5, "bbd0bd7927f5afb92fc42958e2345305",
+     "90043438c338adb9fc145b2e0e04a2e7d95541cb1f1d3a25adc7e12e19c5946c"},
+    {127, 13, "5db2bb832040bc2e3c296da6ad8f1c06",
+     "90043438c338adb9fc145b2e0e04a2e7d95541cb1f1d3a25adc7e12e19c5946c"},
+    {127, 200, "55c9d732034f44a201c304bd3e89b5db",
+     "90043438c338adb9fc145b2e0e04a2e7d95541cb1f1d3a25adc7e12e19c5946c"},
+    {128, 0, "5b9413a9127220ea1da1338bec5232e5",
+     "64c58462663eace5e2bf3a089e7800e8e3934352865f3d795eae4ee31ec979c3"},
+    {128, 5, "b9e9047120e9973dfbd7e52909e25403",
+     "64c58462663eace5e2bf3a089e7800e8e3934352865f3d795eae4ee31ec979c3"},
+    {128, 13, "5f8b028b275c84aae83aa1d746591b00",
+     "64c58462663eace5e2bf3a089e7800e8e3934352865f3d795eae4ee31ec979c3"},
+    {128, 200, "57f06e3a04537c26d5d0c8ccd55fb2dd",
+     "64c58462663eace5e2bf3a089e7800e8e3934352865f3d795eae4ee31ec979c3"},
+    {129, 0, "d5ec578a8c9dce7aa6dea463a738a3f4",
+     "56ce7a049977e1254891642c6f12843d9d63ae94ae46126f32d95ffbb9c2e9b2"},
+    {129, 5, "94e3c3ed3d696511188c7e2e34f003ee",
+     "56ce7a049977e1254891642c6f12843d9d63ae94ae46126f32d95ffbb9c2e9b2"},
+    {129, 13, "5b4f593e5758fac8883fdefd9acc537c",
+     "56ce7a049977e1254891642c6f12843d9d63ae94ae46126f32d95ffbb9c2e9b2"},
+    {129, 200, "99f7f4fcca581c8b2588d6c34ac1c3cc",
+     "56ce7a049977e1254891642c6f12843d9d63ae94ae46126f32d95ffbb9c2e9b2"},
+    {143, 0, "d0a71e852e1aa9a5fb94570f0a2f0557",
+     "4b75506e35272a553930b7f22fb1429811283a71f75b2c06878971e482a36329"},
+    {143, 5, "91a88ae29fee02ce45c68d4299e7a54d",
+     "4b75506e35272a553930b7f22fb1429811283a71f75b2c06878971e482a36329"},
+    {143, 13, "5e041031f5df9d17d5752d9137dbf5df",
+     "4b75506e35272a553930b7f22fb1429811283a71f75b2c06878971e482a36329"},
+    {143, 200, "9cbcbdf368df7b5478c225afe7d6656f",
+     "4b75506e35272a553930b7f22fb1429811283a71f75b2c06878971e482a36329"},
+    {255, 0, "96325a3fc54e2efa4959c67d6234a162",
+     "2ae78c9007df8f372ef600a0652d65e22d2c5e6d85dd46bb353eff1665335bdb"},
+    {255, 5, "17bebe5e0e73b369f4d7007e3a0829cb",
+     "2ae78c9007df8f372ef600a0652d65e22d2c5e6d85dd46bb353eff1665335bdb"},
+    {255, 13, "e212dbb4b673c19cd9de69e8ec20505c",
+     "2ae78c9007df8f372ef600a0652d65e22d2c5e6d85dd46bb353eff1665335bdb"},
+    {255, 200, "b9bfdd6da9432e7a5823075d375f4a81",
+     "2ae78c9007df8f372ef600a0652d65e22d2c5e6d85dd46bb353eff1665335bdb"},
+    {256, 0, "8dcad9200b5b9db03b42feec12c45420",
+     "78dc19314bab6733a1c741adc8f5cfb1d2dfe800d62c7c3d00adb35d5f91e3fe"},
+    {256, 5, "0c463d41c066002386cc38ef4af8dc89",
+     "78dc19314bab6733a1c741adc8f5cfb1d2dfe800d62c7c3d00adb35d5f91e3fe"},
+    {256, 13, "f9ea58ab786672d6abc551799cd0a51e",
+     "78dc19314bab6733a1c741adc8f5cfb1d2dfe800d62c7c3d00adb35d5f91e3fe"},
+    {256, 200, "a2475e7267569d302a383fcc47afbfc3",
+     "78dc19314bab6733a1c741adc8f5cfb1d2dfe800d62c7c3d00adb35d5f91e3fe"},
+    {1029, 0, "af79218fb4acbf75fd6fd57ca2329988",
+     "cf99e1dcce5352ed9a8cb332567060ba4d53927abdd59d4ad6bb9608ec221d85"},
+    {1029, 5, "34b0f95868d4cf3042503d66a5934839",
+     "cf99e1dcce5352ed9a8cb332567060ba4d53927abdd59d4ad6bb9608ec221d85"},
+    {1029, 13, "f3c46eaed9d59c2cb786398aa9f77a95",
+     "cf99e1dcce5352ed9a8cb332567060ba4d53927abdd59d4ad6bb9608ec221d85"},
+    {1029, 200, "ff6ab2258e89998eb4040fdc5b3b3a09",
+     "cf99e1dcce5352ed9a8cb332567060ba4d53927abdd59d4ad6bb9608ec221d85"},
+    {16385, 0, "56056b9dfcefe778e9846781e1a79ced",
+     "5123216cca520036d5fbdf4755b16cef65d2333045eda2b141d302480db062c6"},
+    {16385, 5, "be2170dbf19734fad858c841a421545c",
+     "5123216cca520036d5fbdf4755b16cef65d2333045eda2b141d302480db062c6"},
+    {16385, 13, "36549c95d926aa8a9423e2f04d979f17",
+     "5123216cca520036d5fbdf4755b16cef65d2333045eda2b141d302480db062c6"},
+    {16385, 200, "3e28985a0188ddc04893faa084ce8b32",
+     "5123216cca520036d5fbdf4755b16cef65d2333045eda2b141d302480db062c6"},
+    {16401, 0, "242da21d2bb403a5f3b407f2e5c99bbb",
+     "43fd95a27c49baf8ec5b957565d9a1b4ac9ba0c329d9899cfd5901725f5c6a0a"},
+    {16401, 5, "da74a12ef719745291fb09eac80ae8cf",
+     "43fd95a27c49baf8ec5b957565d9a1b4ac9ba0c329d9899cfd5901725f5c6a0a"},
+    {16401, 13, "385a3bf4025b3c3bfeff4346adbb1c38",
+     "43fd95a27c49baf8ec5b957565d9a1b4ac9ba0c329d9899cfd5901725f5c6a0a"},
+    {16401, 200, "e44e0f018a8003841b5a9551d20ae607",
+     "43fd95a27c49baf8ec5b957565d9a1b4ac9ba0c329d9899cfd5901725f5c6a0a"},
+};
+
+TEST(Gcm, KnownAnswersPastNistLengths) {
+  const AesGcm gcm(pattern(16, 1));
+  const Bytes nonce = pattern(12, 2);
+  for (const GcmKnownAnswer& answer : kLongKnownAnswers) {
+    SCOPED_TRACE(::testing::Message() << "pt " << answer.pt_len << " aad "
+                                      << answer.aad_len);
+    const Bytes pt = pattern(answer.pt_len, std::uint32_t(answer.pt_len));
+    const Bytes aad =
+        pattern(answer.aad_len, std::uint32_t(answer.aad_len) << 16);
+    const Bytes sealed = gcm.seal(nonce, aad, pt);
+    ASSERT_EQ(sealed.size(), pt.size() + AesGcm::kTagSize);
+    const ByteView ct(sealed.data(), pt.size());
+    const auto digest = Sha256::digest(ct);
+    EXPECT_EQ(to_hex(ByteView(digest.data(), digest.size())),
+              answer.ct_sha256);
+    EXPECT_EQ(to_hex(ByteView(sealed).subspan(pt.size())), answer.tag);
+    const auto opened = gcm.open(nonce, aad, sealed);
+    ASSERT_TRUE(opened.has_value());
+    EXPECT_EQ(*opened, pt);
+  }
+}
+
 // Property sweep: every plaintext/AAD length combination near block
 // boundaries round-trips and rejects single-bit tampering.
 class GcmLengthSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -178,13 +305,14 @@ TEST_P(GcmLengthSweep, RoundTripAndTamper) {
 
 INSTANTIATE_TEST_SUITE_P(
     Lengths, GcmLengthSweep,
-    ::testing::Combine(::testing::Values(0, 1, 15, 16, 17, 31, 32, 33, 255),
-                       ::testing::Values(0, 1, 16, 20)));
+    ::testing::Combine(::testing::Values(0, 1, 15, 16, 17, 31, 32, 33, 127,
+                                         128, 129, 143, 255, 256),
+                       ::testing::Values(0, 1, 16, 20, 128, 200)));
 
 // The in-place seal (the NIC offload and record-layer path) must produce
-// exactly seal()'s bytes — across the CTR engine's 4-block stride, its
-// single-block tail and a partial final block — and open_into must invert
-// it into a separate buffer.
+// exactly seal()'s bytes — across the CTR engine's 8-block stride, its
+// 4-block step, its single-block tail and a partial final block — and
+// open_into must invert it into a separate buffer.
 class GcmInPlace
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
 
@@ -216,6 +344,28 @@ TEST_P(GcmInPlace, MatchesSealAndOpensInto) {
   EXPECT_EQ(untouched, Bytes(pt_len, 0xee));
 }
 
+// An output buffer of any length but the ciphertext's is refused in every
+// build type, before anything is written: a shorter one would otherwise
+// take ciphertext-length bytes.
+TEST(Gcm, OpenIntoRejectsMismatchedOutputLength) {
+  const AesGcm gcm(Bytes(16, 0x11));
+  const Bytes iv(AesGcm::kNonceSize, 0x22);
+  const Bytes aad = from_hex("1703030000");
+  const Bytes sealed = gcm.seal(iv, aad, Bytes(100, 0x5a));
+
+  Bytes backing(120, 0xee);
+  const MutByteView out(backing);
+  for (const std::size_t len : {std::size_t{0}, std::size_t{99},
+                                std::size_t{101}, std::size_t{120}}) {
+    SCOPED_TRACE(len);
+    EXPECT_FALSE(gcm.open_into(iv, aad, sealed, out.first(len)));
+    EXPECT_EQ(backing, Bytes(120, 0xee));
+  }
+  EXPECT_TRUE(gcm.open_into(iv, aad, sealed, out.first(100)));
+  EXPECT_EQ(Bytes(backing.begin(), backing.begin() + 100), Bytes(100, 0x5a));
+  EXPECT_EQ(Bytes(backing.begin() + 100, backing.end()), Bytes(20, 0xee));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Lengths, GcmInPlace,
     ::testing::Combine(::testing::Values(std::size_t{16}, std::size_t{32}),
@@ -223,8 +373,13 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{15}, std::size_t{16},
                                          std::size_t{17}, std::size_t{63},
                                          std::size_t{64}, std::size_t{65},
+                                         std::size_t{127}, std::size_t{128},
+                                         std::size_t{129}, std::size_t{143},
+                                         std::size_t{191}, std::size_t{192},
+                                         std::size_t{255}, std::size_t{256},
                                          std::size_t{1000},
-                                         std::size_t{16001})));
+                                         std::size_t{16001},
+                                         std::size_t{16385})));
 
 }  // namespace
 }  // namespace smt::crypto
