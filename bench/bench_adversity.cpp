@@ -345,11 +345,9 @@ int main(int argc, char** argv) {
   std::printf("%-12s %-8s %13s %9s %9s %12s %10s\n", "scenario", "transport",
               "goodput_gbps", "p50_us", "p99_us", "cpu_us_rpc", "completed");
 
-  std::size_t completed_total = 0;
   for (const Adversity& row : rows) {
     for (const TransportKind kind : kinds) {
       const RowResult r = run_row(row, kind, shards);
-      completed_total += r.completed;
       std::printf("%-12s %-8s %13.3f %9.1f %9.1f %12.2f %7zu/%zu\n", row.name,
                   apps::transport_key(kind), r.goodput_gbps, r.p50_us,
                   r.p99_us, r.cpu_us_per_rpc, r.completed, r.issued);
@@ -361,15 +359,6 @@ int main(int argc, char** argv) {
       json_metric("adversity_completed_" + key, double(r.completed));
     }
   }
-  // The committed baseline compares these two: the count is exact (pure
-  // virtual-time determinism) and the clean-row goodput guards the
-  // no-fault datapath the same way virtual_mrpc_per_sec does.
-  json_metric("adversity_completed_total", double(completed_total));
-  {
-    const RowResult clean = run_row(rows[0], TransportKind::smt_hw, shards);
-    json_metric("adversity_goodput_gbps_clean", clean.goodput_gbps);
-  }
-
   // ---- Fabric-core fault matrix --------------------------------------
   const std::vector<CoreRow> core_rows = core_matrix();
   std::printf("\nCore-fault matrix: 4-rack leaf-spine Clos, flapping core "
@@ -377,16 +366,12 @@ int main(int argc, char** argv) {
   std::printf("%-16s %-8s %13s %9s %11s %6s %8s %9s\n", "scenario",
               "transport", "goodput_gbps", "p99_us", "completed", "dark",
               "resteer", "darkdrop");
-  std::size_t corefault_completed_total = 0;
   std::uint64_t corefault_resteered_total = 0;
-  std::uint64_t corefault_dark_total = 0;
   for (const CoreRow& row : core_rows) {
     for (const TransportKind kind : kinds) {
       const CoreResult r = run_core_row(row, kind, shards);
       const sim::Switch::Stats& s = r.switches;
-      corefault_completed_total += r.row.completed;
       corefault_resteered_total += s.resteered_flows;
-      corefault_dark_total += s.dark_transitions;
       std::printf("%-16s %-8s %13.3f %9.1f %8zu/%zu %6llu %8llu %9llu\n",
                   row.name.c_str(), apps::transport_key(kind),
                   r.row.goodput_gbps, r.row.p99_us, r.row.completed,
@@ -404,10 +389,6 @@ int main(int argc, char** argv) {
       json_metric("corefault_dropped_dark_" + key, double(s.dropped_dark));
     }
   }
-  json_metric("corefault_completed_total", double(corefault_completed_total));
-  json_metric("corefault_resteered_flows",
-              double(corefault_resteered_total));
-  json_metric("corefault_dark_transitions", double(corefault_dark_total));
   if (corefault_resteered_total == 0) {
     // The whole point of the matrix is the re-steering path; a core-fault
     // run that never re-steers means the health machine or the group

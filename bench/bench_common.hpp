@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -48,11 +49,12 @@ inline bool smoke() { return smoke_flag(); }
 
 /// --- one-line JSON results ----------------------------------------------
 ///
-/// When BENCH_JSON_DIR is set (CI does this for the smoke runs), every
+/// When BENCH_JSON_DIR is set (the ctest smoke registrations set it), every
 /// bench writes `<dir>/<bench-name>.json` at exit: one line with the bench
 /// name, mode, and whatever headline metrics the bench recorded via
-/// json_metric(). CI collects the files into a workflow artifact so runs
-/// are comparable across commits without parsing stdout tables.
+/// json_metric(). The `bench_golden` ctest compares the smoke runs' files
+/// with the committed ones in bench/golden/, so runs are comparable across
+/// commits without parsing stdout tables.
 
 // Intentionally leaked: the atexit writer below must be able to read these
 // after every normally-destructed static is gone, regardless of the order
@@ -83,7 +85,12 @@ inline void write_json_result() {
   std::fprintf(out, "{\"bench\":\"%s\",\"smoke\":%s", bench_name().c_str(),
                smoke() ? "true" : "false");
   for (const auto& [key, value] : json_metrics()) {
-    std::fprintf(out, ",\"%s\":%.6g", key.c_str(), value);
+    // Shortest round-trip form: the printed value parses back to the exact
+    // double, so a committed result pins the value bit for bit.
+    char text[32];
+    const auto printed = std::to_chars(text, text + sizeof text, value);
+    std::fprintf(out, ",\"%s\":%.*s", key.c_str(),
+                 int(printed.ptr - text), text);
   }
   std::fprintf(out, "}\n");
   std::fclose(out);
@@ -132,7 +139,7 @@ struct Percentiles {
 };
 
 /// Sorts the samples and indexes v[n/2] and v[(n-1)*0.99] — the exact
-/// formulas behind the committed baseline_smoke_* rows. {0, 0} if empty.
+/// formulas behind the committed bench/golden/ values. {0, 0} if empty.
 inline Percentiles exact_percentiles(std::vector<double> v) {
   if (v.empty()) return {};
   std::sort(v.begin(), v.end());

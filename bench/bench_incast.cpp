@@ -174,12 +174,6 @@ int main(int argc, char** argv) {
     json_metric("incast_goodput_gbps_" + key, r.goodput_gbps);
     json_metric("incast_p99_us_" + key, r.p99_us);
     json_metric("incast_drops_" + key, r.drops);
-    if (kind == TransportKind::smt_hw || kinds.size() == 1) {
-      // Headline keys (the smt_hw row, or the scenario's only transport).
-      json_metric("incast_goodput_gbps", r.goodput_gbps);
-      json_metric("incast_p99_us", r.p99_us);
-      json_metric("incast_drops", r.drops);
-    }
   }
   return 0;
 }

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <new>
+#include <optional>
 
 #include "bench_common.hpp"
 
@@ -137,8 +138,8 @@ double peak_rss_mib() {
 // crosses a shard boundary whenever S > 1, and S=1 degenerates to the
 // plain single-threaded engine. Wall-clock events/s across S is THE
 // headline number for the sharded engine; virtual-time results stay
-// deterministic per shard count (shardN_virtual_end_ns is the witness CI
-// can compare across runs).
+// deterministic per shard count: every repetition at every shard count
+// must end at the same shardN_virtual_end_ns, or the bench fails.
 
 struct ShardScalingResult {
   double wall_sec = 0;
@@ -338,6 +339,10 @@ int main(int argc, char** argv) {
   // 1-shard-then-N-shard sequence confounds scaling with host drift.
   // Interleaving rides every shard count through the same throttle
   // phases, and the min is the standard noise-robust wall-clock estimate.
+  // Every run must also end at the same virtual time: the sweep is the
+  // cross-shard determinism witness, so a repetition or shard count that
+  // diverges fails the bench.
+  bool diverged = false;
   const auto sweep_shards =
       [&](const char* tag, int reps,
           const std::function<ShardScalingResult(std::size_t)>& scenario) {
@@ -345,9 +350,21 @@ int main(int argc, char** argv) {
                     "wall_ms", "events/s", "windows", "cross_posts",
                     "virt_end_ns", "speedup");
         std::vector<ShardScalingResult> best(shard_counts.size());
+        std::optional<std::int64_t> witness;
         for (int rep = 0; rep < reps; ++rep) {
           for (std::size_t i = 0; i < shard_counts.size(); ++i) {
             const ShardScalingResult r = scenario(shard_counts[i]);
+            if (!witness) witness = r.virtual_end_ns;
+            if (r.virtual_end_ns != *witness) {
+              std::fprintf(stderr,
+                           "DETERMINISM FAILURE: %s sweep ended at %lld ns "
+                           "with %zu shard(s) in repetition %d, %lld ns in "
+                           "the first run\n",
+                           tag, static_cast<long long>(r.virtual_end_ns),
+                           shard_counts[i], rep,
+                           static_cast<long long>(*witness));
+              diverged = true;
+            }
             if (best[i].wall_sec == 0 || r.wall_sec < best[i].wall_sec) {
               best[i] = r;
             }
@@ -404,5 +421,5 @@ int main(int argc, char** argv) {
 
   json_metric("peak_rss_mib", peak_rss_mib());
   std::printf("peak RSS: %.1f MiB\n", peak_rss_mib());
-  return 0;
+  return diverged ? 1 : 0;
 }

@@ -74,7 +74,7 @@ Status Nic::set_rss_indirection(const std::vector<std::size_t>& table,
     }
   }
   ++counters_.rss_reprograms;
-  if (poster) poster(config_.rss_reprogram_cost);
+  if (poster) poster(kRssReprogramCost);
   for (std::size_t entry = 0; entry < table.size(); ++entry) {
     if (rss_table_[entry] == table[entry]) {
       // Already routing there (or a pending flip was reverted).
@@ -238,7 +238,7 @@ void Nic::fire_rx_interrupt(std::size_t index) {
   // so a backlogged softirq core delays delivery (the paper's §5.2
   // softirq-thread contention made visible). Without one the cost is pure
   // event-loop delay (raw Nic objects).
-  const SimDuration cost = config_.per_interrupt_cost;
+  const SimDuration cost = kPerInterruptCost;
   if (irq_run_) {
     counters_.irq_cpu_ns += std::uint64_t(cost);
     irq_run_(index, cost, [this, index] { drain_rx(index); });
@@ -254,8 +254,7 @@ void Nic::drain_rx(std::size_t index) {
   // Per-frame completion work (descriptor fetch, buffer unmap) billed to
   // the same IRQ core; delivery order within the ring is the FIFO deque.
   if (burst > 0 && irq_charge_) {
-    const SimDuration frame_cost =
-        config_.per_rx_frame_cost * SimDuration(burst);
+    const SimDuration frame_cost = kPerRxFrameCost * SimDuration(burst);
     counters_.irq_cpu_ns += std::uint64_t(frame_cost);
     irq_charge_(index, frame_cost);
   }
@@ -271,7 +270,7 @@ void Nic::drain_rx(std::size_t index) {
   ring.draining = false;
   if (config_.adaptive_rx_coalesce) dim_update(ring, burst, budget);
   // Back-to-back interrupts while frames remain (NAPI re-poll); each new
-  // batch pays its own per_interrupt_cost, but leftover frames — which
+  // batch pays its own kPerInterruptCost, but leftover frames — which
   // already waited out a hold-off — are never held for a fresh one.
   if (!ring.frames.empty()) {
     fire_rx_interrupt(index);
@@ -410,17 +409,17 @@ void Nic::kick(const CpuCharge& poster) {
   processing_ = true;
   ++counters_.doorbells;
   if (poster) {
-    counters_.doorbell_cpu_ns += std::uint64_t(config_.per_doorbell_cost);
-    poster(config_.per_doorbell_cost);
+    counters_.doorbell_cpu_ns += std::uint64_t(kPerDoorbellCost);
+    poster(kPerDoorbellCost);
   }
-  loop_.schedule(config_.per_doorbell_cost, [this] {
+  loop_.schedule(kPerDoorbellCost, [this] {
     const std::size_t burst = std::min(
         pending_descriptors(), std::max<std::size_t>(1, config_.tx_burst));
     if (burst == 0) {  // defensive: queues only drain here
       processing_ = false;
       return;
     }
-    loop_.schedule(config_.per_descriptor_cost * SimDuration(burst),
+    loop_.schedule(kPerDescriptorCost * SimDuration(burst),
                    [this, burst] { process_batch(burst); });
   });
 }

@@ -26,9 +26,9 @@
 //    hazard that motivates SMT's per-queue flow contexts.
 //
 //  * Doorbell batching — posting arms a doorbell; each drain event pays
-//    per_doorbell_cost once and then consumes up to tx_burst descriptors
+//    kPerDoorbellCost once and then consumes up to tx_burst descriptors
 //    (round-robin across queues, FIFO within a queue) at
-//    per_descriptor_cost each, amortising the fixed overhead the same way
+//    kPerDescriptorCost each, amortising the fixed overhead the same way
 //    xmit_more/doorbell coalescing does on real hardware.
 //
 //  * RSS indirection table — RX ring selection is NOT a direct
@@ -47,7 +47,7 @@
 //    coalescing state is PER RING, matching the ethtool rx-frames/rx-usecs
 //    contract: ring i's interrupt fires when ITS pending count reaches
 //    rx_coalesce_frames, or rx_coalesce_usecs after ITS first pending
-//    frame, whichever is first; each interrupt pays per_interrupt_cost
+//    frame, whichever is first; each interrupt pays kPerInterruptCost
 //    once and then delivers up to rx_burst frames from that ring. (A
 //    host-global threshold would make the interrupt rate collapse into one
 //    shared budget — with 4 active rings, ~4x the configured rate.)
@@ -57,15 +57,15 @@
 //
 //  * IRQ→CPU charging — when the owning layer installs an IrqExecutor
 //    (stack::Host maps ring i to softirq core i % softirq_cores via its
-//    IRQ-affinity table), per_interrupt_cost and the per-frame completion
+//    IRQ-affinity table), kPerInterruptCost and the per-frame completion
 //    work are charged to that CPU: interrupts contend with protocol
 //    processing and delivery is delayed while the core is backlogged.
 //    Without an executor (raw Nic objects) the costs degrade to pure
 //    event-loop delay, as before. TX symmetrically charges
-//    per_doorbell_cost to the core that posted the doorbell-arming
+//    kPerDoorbellCost to the core that posted the doorbell-arming
 //    descriptor, via the CpuCharge callback on post_segment/post_resync.
-//    These fixed datapath costs are NicConfig fields, the same for a raw
-//    Nic and a Host-owned one.
+//    These fixed datapath costs are Nic constants, the same for a raw Nic
+//    and a Host-owned one.
 //
 //  * Adaptive moderation (DIM-style) — with adaptive_rx_coalesce set, each
 //    ring adjusts its own effective rx_coalesce_frames/rx_coalesce_usecs
@@ -97,28 +97,20 @@ struct NicConfig {
   std::size_t mtu_payload = 1500;    // MTU-sized packet payload budget
   bool tso_enabled = true;
   std::size_t max_flow_contexts = 1024;  // in-NIC memory is finite (§4.4.2)
-  SimDuration per_descriptor_cost = nsec(80);  // descriptor fetch/DMA setup
   // Batched TX datapath: one doorbell drains up to `tx_burst` descriptors
-  // in a single scheduling event, so `per_doorbell_cost` (ring doorbell,
-  // scheduling, DMA engine start-up) is paid once per batch instead of
-  // once per descriptor. tx_burst = 1 degenerates to the unbatched path.
+  // in a single scheduling event, so Nic::kPerDoorbellCost is paid once
+  // per batch instead of once per descriptor. tx_burst = 1 degenerates to
+  // the unbatched path.
   std::size_t tx_burst = 16;
-  SimDuration per_doorbell_cost = nsec(350);
   // Batched RX datapath: one interrupt delivers up to `rx_burst` frames,
-  // amortising `per_interrupt_cost` (IRQ entry/exit, NAPI scheduling) the
-  // same way the doorbell amortises TX. rx_burst = 1 degenerates to an
-  // interrupt per frame. The interrupt is held off until
-  // `rx_coalesce_frames` frames are pending or `rx_coalesce_usecs`
-  // microseconds after the first pending frame arrived (0 = fire
-  // immediately), mirroring ethtool's rx-frames / rx-usecs.
+  // amortising Nic::kPerInterruptCost the same way the doorbell amortises
+  // TX. rx_burst = 1 degenerates to an interrupt per frame. The interrupt
+  // is held off until `rx_coalesce_frames` frames are pending or
+  // `rx_coalesce_usecs` microseconds after the first pending frame arrived
+  // (0 = fire immediately), mirroring ethtool's rx-frames / rx-usecs.
   std::size_t rx_burst = 16;
   std::size_t rx_coalesce_frames = 16;
   double rx_coalesce_usecs = 0.0;
-  SimDuration per_interrupt_cost = nsec(1200);
-  // Per-frame RX completion work (completion-descriptor fetch, buffer
-  // unmap) charged to the IRQ core alongside per_interrupt_cost when an
-  // IrqExecutor is installed; the RX mirror of per_descriptor_cost.
-  SimDuration per_rx_frame_cost = nsec(80);
   // Bounded RX rings: a ring holding rx_ring_size frames tail-drops new
   // arrivals (counted in rx_dropped), like real descriptor rings under
   // overflow. 0 = unbounded (the historical behavior).
@@ -133,10 +125,6 @@ struct NicConfig {
   // a uniform round-robin over the active rings (entry i -> ring i %
   // num_queues), reprogrammable via Nic::set_rss_indirection.
   std::size_t rss_indirection_size = 128;
-  // Driver/firmware work to reprogram the indirection table (the ethtool
-  // -X ioctl path: table write, hash-key MMIO). Charged to the CpuCharge
-  // passed to set_rss_indirection, when one is provided.
-  SimDuration rss_reprogram_cost = nsec(1500);
 
   /// The largest segment the NIC accepts: a 64 KB TSO segment, or one
   /// MTU-sized packet without TSO (§7 Segmentation). Transports cut their
@@ -193,7 +181,7 @@ struct NicCounters {
   std::uint64_t rx_frames = 0;          // frames accepted into RX rings
   std::uint64_t rx_delivered = 0;       // frames handed to the RX handler
   std::uint64_t rx_interrupts = 0;      // RX drain events (each pays
-                                        // per_interrupt_cost once)
+                                        // kPerInterruptCost once)
   std::uint64_t max_rx_batch = 0;       // largest RX batch delivered
   std::uint64_t rx_dropped = 0;         // tail-dropped on a full RX ring
   std::uint64_t irq_cpu_ns = 0;         // interrupt work charged to cores
@@ -225,6 +213,23 @@ struct RxRingStats {
 
 class Nic {
  public:
+  /// Fixed datapath costs, the same for every NIC (ARCHITECTURE.md
+  /// "Configuration surface").
+  /// Descriptor fetch and DMA setup, per TX descriptor.
+  static constexpr SimDuration kPerDescriptorCost = nsec(80);
+  /// Ring doorbell, scheduling and DMA engine start-up, per TX batch.
+  static constexpr SimDuration kPerDoorbellCost = nsec(350);
+  /// IRQ entry/exit and NAPI scheduling, per RX interrupt.
+  static constexpr SimDuration kPerInterruptCost = nsec(1200);
+  /// Per-frame RX completion work (completion-descriptor fetch, buffer
+  /// unmap) charged to the IRQ core alongside kPerInterruptCost when an
+  /// IrqExecutor is installed; the RX mirror of kPerDescriptorCost.
+  static constexpr SimDuration kPerRxFrameCost = nsec(80);
+  /// Driver/firmware work to reprogram the indirection table (the ethtool
+  /// -X ioctl path: table write, hash-key MMIO). Charged to the CpuCharge
+  /// passed to set_rss_indirection, when one is provided.
+  static constexpr SimDuration kRssReprogramCost = nsec(1500);
+
   Nic(EventLoop& loop, NicConfig config);
 
   /// Attaches the TX side to a link direction and the RX side handler.
@@ -305,7 +310,7 @@ class Nic {
   /// Reprograms the whole indirection table (the ethtool -X contract: the
   /// full table is written in one ioctl). Rejects a size mismatch or any
   /// entry naming a ring >= num_queues. `poster`, when set, is charged
-  /// rss_reprogram_cost (the driver's table-write/MMIO work).
+  /// kRssReprogramCost (the driver's table-write/MMIO work).
   ///
   /// Order guarantee: an entry whose old ring still holds pending frames
   /// keeps steering to the old ring until that ring fully drains (its
@@ -360,7 +365,7 @@ class Nic {
 
   /// Posts a resync descriptor: sets the context's internal counter when
   /// the NIC *processes* it (not when posted!). `poster`, when set, is the
-  /// CPU charge of the core doing the post — it pays per_doorbell_cost if
+  /// CPU charge of the core doing the post — it pays kPerDoorbellCost if
   /// this post arms the doorbell (coalesced posts ride the armed batch).
   void post_resync(std::size_t queue, std::uint32_t context_id,
                    std::uint64_t new_seq, CpuCharge poster = nullptr);

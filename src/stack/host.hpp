@@ -178,19 +178,16 @@ class Host {
   /// scaled to sim time), per-core irq_busy_ns deltas are sampled; when
   /// the hottest core exceeds the coldest by the hysteresis bounds above,
   /// the hottest ring affined to it is flushed (pending frames drain
-  /// under the OLD vector) and repinned to the coldest core.
-  /// `spread_indirection` is the single-flow escape hatch: when ONE ring
-  /// carries the majority of the IRQ load (RSS cannot spread a single
-  /// flow by hashing), its indirection-table entries are also spread onto
-  /// the rings whose affinity cores are coldest, so over successive
-  /// periods the flow rotates rings/cores instead of soaking one softirq
-  /// core. Only tests turn it off, to watch a migration on its own.
+  /// under the OLD vector) and repinned to the coldest core. The
+  /// single-flow escape hatch: when ONE ring carries the majority of the
+  /// IRQ load (RSS cannot spread a single flow by hashing), its
+  /// indirection-table entries are also spread onto the rings whose
+  /// affinity cores are coldest, so over successive periods the flow
+  /// rotates rings/cores instead of soaking one softirq core.
   /// The timer goes dormant while the NIC is idle (and re-arms from the
   /// next interrupt), so EventLoop::run() still terminates.
-  void enable_irq_rebalance(SimDuration period,
-                            bool spread_indirection = true) {
+  void enable_irq_rebalance(SimDuration period) {
     rebalance_period_ = period;
-    rebalance_spread_ = spread_indirection;
     rebalance_on_ = true;
     loop_.cancel(rebalance_timer_);  // re-armed below with the new period
     // Baseline the deltas at enable time: load charged before enabling
@@ -350,8 +347,7 @@ class Host {
         nic_.flush_rx_ring(victim);
         set_irq_affinity(victim, cold);
         ++rebalance_stats_.migrations;
-        if (rebalance_spread_ && rings > 1 &&
-            victim_delta * 2 > total_delta) {
+        if (rings > 1 && victim_delta * 2 > total_delta) {
           spread_ring_entries(victim, core_delta, cold);
         }
       }
@@ -409,7 +405,6 @@ class Host {
 
   // irqbalance-style rebalancer state.
   SimDuration rebalance_period_ = 0;
-  bool rebalance_spread_ = true;
   IrqRebalanceStats rebalance_stats_;
   bool rebalance_on_ = false;
   bool rebalance_armed_ = false;
@@ -425,7 +420,7 @@ class Host {
 };
 
 /// Adapts a CpuCore into the NIC's doorbell-charging callback for
-/// post_segment/post_resync: the posting core pays per_doorbell_cost when
+/// post_segment/post_resync: the posting core pays Nic::kPerDoorbellCost when
 /// its post arms the doorbell. nullptr in, nullptr out (posts with no
 /// known posting core — timer retries — stay uncharged, pure delay).
 inline sim::CpuCharge doorbell_charge(CpuCore* core) {

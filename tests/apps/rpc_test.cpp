@@ -173,13 +173,11 @@ TEST(RpcFabricShape, NicConfigReachesBothHosts) {
   config.kind = TransportKind::smt_hw;
   config.nic.num_queues = 2;
   config.nic.rx_coalesce_frames = 4;
-  config.nic.per_interrupt_cost = nsec(900);
   RpcFabric fabric(config);
   for (stack::Host* host : {&fabric.client_host(), &fabric.server_host()}) {
     const sim::NicConfig& nic = host->nic().config();
     EXPECT_EQ(nic.num_queues, 2u);
     EXPECT_EQ(nic.rx_coalesce_frames, 4u);
-    EXPECT_EQ(nic.per_interrupt_cost, nsec(900));
     EXPECT_EQ(host->nic().rx_ring_count(), 2u);
   }
 }

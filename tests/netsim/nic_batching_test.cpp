@@ -21,8 +21,6 @@ class NicBatchingTest : public ::testing::Test {
   static NicConfig make_config() {
     NicConfig config;
     config.tx_burst = 4;
-    config.per_descriptor_cost = nsec(80);
-    config.per_doorbell_cost = nsec(350);
     return config;
   }
 

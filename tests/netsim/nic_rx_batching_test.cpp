@@ -16,7 +16,6 @@ class NicRxBatchingTest : public ::testing::Test {
     config.rx_burst = 4;
     config.rx_coalesce_frames = 4;
     config.rx_coalesce_usecs = 0.0;
-    config.per_interrupt_cost = nsec(1200);
     return config;
   }
 
@@ -71,7 +70,7 @@ TEST_F(NicRxBatchingTest, InterruptCostDelaysDelivery) {
 
 TEST_F(NicRxBatchingTest, BurstAmortisesInterruptCost) {
   // 4 frames arriving back-to-back drain in ONE interrupt: the batch pays
-  // per_interrupt_cost once instead of four times.
+  // kPerInterruptCost once instead of four times.
   for (std::uint64_t i = 0; i < 4; ++i) nic_.receive(make_packet(i));
   loop_.run();
   ASSERT_EQ(arrivals_.size(), 4u);

@@ -19,7 +19,6 @@ class RssSteeringTest : public ::testing::Test {
     config.rx_burst = 16;
     config.rx_coalesce_frames = 16;
     config.rx_coalesce_usecs = 0.0;  // fire immediately
-    config.per_interrupt_cost = nsec(1200);
     return config;
   }
 
@@ -234,7 +233,7 @@ TEST_F(RssSteeringTest, ReprogramCostChargedToPoster) {
                                          charged += cost;
                                        })
                   .ok());
-  EXPECT_EQ(charged, nic_.config().rss_reprogram_cost);
+  EXPECT_EQ(charged, Nic::kRssReprogramCost);
 }
 
 }  // namespace

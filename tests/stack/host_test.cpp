@@ -166,11 +166,10 @@ TEST(Host, RxInterruptChargedToAffinityCore) {
   host.nic().receive(pkt);
   loop.run();
 
-  // per_interrupt_cost + one frame's completion work, all on the affinity
+  // kPerInterruptCost + one frame's completion work, all on the affinity
   // core, all tagged as IRQ-class time.
-  const sim::NicConfig& nic = host.nic().config();
   const std::uint64_t expected =
-      std::uint64_t(nic.per_interrupt_cost + nic.per_rx_frame_cost);
+      std::uint64_t(sim::Nic::kPerInterruptCost + sim::Nic::kPerRxFrameCost);
   EXPECT_EQ(host.softirq_core(core).irq_busy_ns(), expected);
   EXPECT_EQ(host.total_irq_busy_ns(), expected);
   EXPECT_EQ(host.total_softirq_busy_ns(), expected);  // included in busy
@@ -211,10 +210,9 @@ TEST(Host, RxDeliveryDelayedBehindBackloggedAffinityCore) {
   loop.run();
 
   ASSERT_EQ(delivered_at.size(), 2u);
-  // Drain ran only after the backlog cleared + per_interrupt_cost; both
+  // Drain ran only after the backlog cleared + kPerInterruptCost; both
   // frames of the batch delivered then, in arrival order.
-  EXPECT_EQ(delivered_at[0],
-            usec(100) + host.nic().config().per_interrupt_cost);
+  EXPECT_EQ(delivered_at[0], usec(100) + sim::Nic::kPerInterruptCost);
   EXPECT_EQ(delivered_at[1], delivered_at[0]);
   EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2}));
 }
@@ -254,12 +252,10 @@ TEST(Host, DoorbellChargedToPostingCore) {
   CpuCore& poster = host.app_core(0);
   host.nic().post_segment(0, std::move(d), doorbell_charge(&poster));
   loop.run();
-  EXPECT_EQ(poster.irq_busy_ns(),
-            std::uint64_t(host.nic().config().per_doorbell_cost));
-  EXPECT_EQ(host.nic().counters().doorbell_cpu_ns,
-            std::uint64_t(host.nic().config().per_doorbell_cost));
-  EXPECT_EQ(host.total_irq_busy_ns(),
-            std::uint64_t(host.nic().config().per_doorbell_cost));
+  const auto doorbell = std::uint64_t(sim::Nic::kPerDoorbellCost);
+  EXPECT_EQ(poster.irq_busy_ns(), doorbell);
+  EXPECT_EQ(host.nic().counters().doorbell_cpu_ns, doorbell);
+  EXPECT_EQ(host.total_irq_busy_ns(), doorbell);
 }
 
 TEST(Host, BusyAccountingAggregates) {

@@ -30,13 +30,17 @@ sim::Packet make_packet(std::uint64_t msg_id, std::uint16_t src_port = 1234) {
   return pkt;
 }
 
+using sim::Nic;
+
 constexpr SimDuration kPeriod = usec(50);
 
 TEST(IrqRebalance, MovesHotRingAffinityToIdlestCoreWithinOnePeriod) {
   sim::EventLoop loop;
   Host host(loop, make_config(3));
-  std::size_t delivered = 0;
-  host.register_endpoint(sim::Proto::smt, 7, [&](sim::Packet) { ++delivered; });
+  std::vector<std::pair<SimTime, std::uint64_t>> delivered;
+  host.register_endpoint(sim::Proto::smt, 7, [&](sim::Packet pkt) {
+    delivered.emplace_back(loop.now(), pkt.hdr.msg_id);
+  });
 
   const sim::FiveTuple flow = make_packet(0).hdr.flow;
   const std::size_t ring = host.nic().rx_queue_for(flow);
@@ -44,22 +48,45 @@ TEST(IrqRebalance, MovesHotRingAffinityToIdlestCoreWithinOnePeriod) {
   const std::size_t busy = (hot + 1) % 3;  // some IRQ load, but not idlest
   const std::size_t idlest = 3 - hot - busy;
 
-  host.enable_irq_rebalance(kPeriod, /*spread_indirection=*/false);
+  host.enable_irq_rebalance(kPeriod);
   // `busy` carries real (but smaller) IRQ load in the same window, so the
   // rebalancer must pick `idlest`, not just "any other core".
   host.softirq_core(busy).charge_irq(usec(30));
   // Flood the ring: one frame every 1.5 us fires one interrupt each
-  // (default rx-usecs = 0), ~38 us of IRQ on `hot` inside the 50 us period.
+  // (default rx-usecs = 0), 38.4 us of IRQ on `hot` inside the 50 us period.
   for (int i = 0; i < 30; ++i) {
     loop.schedule(nsec(1500) * SimDuration(i),
                   [&host, i] { host.nic().receive(make_packet(i)); });
   }
   loop.run();
 
-  EXPECT_EQ(delivered, 30u);
+  // Every frame exactly once, in order, one interrupt after its arrival:
+  // the last lands at 44.7 us, so the 50 us tick finds the ring empty and
+  // its flush fires nothing.
+  ASSERT_EQ(delivered.size(), 30u);
+  for (std::uint64_t i = 0; i < delivered.size(); ++i) {
+    EXPECT_EQ(delivered[i].second, i) << "frame " << i;
+    EXPECT_EQ(delivered[i].first,
+              nsec(1500) * SimDuration(i) + Nic::kPerInterruptCost)
+        << "frame " << i;
+  }
   EXPECT_EQ(host.irq_affinity(ring), idlest);
   EXPECT_EQ(host.irq_rebalance_stats().migrations, 1u);
-  EXPECT_GT(host.ring_irq_busy_ns(ring), 0u);
+  // The flood is all of the ring's load, so the ring's indirection entries
+  // are spread onto the other rings too. The ring was idle at the tick,
+  // so every entry flips at once and the flow now hashes elsewhere.
+  EXPECT_EQ(host.irq_rebalance_stats().rss_spreads, 1u);
+  EXPECT_EQ(host.nic().counters().rss_deferred_entries, 0u);
+  EXPECT_NE(host.nic().rx_queue_for(flow), ring);
+  // Per-core IRQ time: the 30 interrupts on `hot`, the charged 30 us on
+  // `busy`, and on `idlest` only the table write of the spread.
+  const auto per_frame =
+      std::uint64_t(Nic::kPerInterruptCost + Nic::kPerRxFrameCost);
+  EXPECT_EQ(host.softirq_core(hot).irq_busy_ns(), 30 * per_frame);
+  EXPECT_EQ(host.ring_irq_busy_ns(ring), 30 * per_frame);
+  EXPECT_EQ(host.softirq_core(busy).irq_busy_ns(), std::uint64_t(usec(30)));
+  EXPECT_EQ(host.softirq_core(idlest).irq_busy_ns(),
+            std::uint64_t(Nic::kRssReprogramCost));
 }
 
 TEST(IrqRebalance, PendingHeldOffFramesDeliverOnOldCoreAcrossMigration) {
@@ -77,11 +104,10 @@ TEST(IrqRebalance, PendingHeldOffFramesDeliverOnOldCoreAcrossMigration) {
   const std::size_t ring = host.nic().rx_queue_for(flow);
   const std::size_t old_core = host.irq_affinity(ring);
   const std::size_t new_core = 1 - old_core;
-  const sim::NicConfig& nic = host.nic().config();
   const std::uint64_t intr4 =  // one 4-frame threshold interrupt
-      std::uint64_t(nic.per_interrupt_cost + 4 * nic.per_rx_frame_cost);
+      std::uint64_t(Nic::kPerInterruptCost + 4 * Nic::kPerRxFrameCost);
 
-  host.enable_irq_rebalance(kPeriod, /*spread_indirection=*/false);
+  host.enable_irq_rebalance(kPeriod);
   // Phase 1: 8 groups of 4 frames trip the rx-frames threshold — 8
   // interrupts (~12 us) on old_core inside the first period.
   std::uint64_t next_id = 0;
@@ -105,25 +131,47 @@ TEST(IrqRebalance, PendingHeldOffFramesDeliverOnOldCoreAcrossMigration) {
     EXPECT_EQ(delivered[i].second, i) << "frame " << i;
   }
   // The rebalance tick at 50 us flushed the held-off frames: delivered at
-  // tick + per_interrupt_cost under the OLD vector, not at the 200 us
+  // tick + kPerInterruptCost under the OLD vector, not at the 200 us
   // hold-off expiry.
-  EXPECT_EQ(delivered[32].first, usec(50) + nic.per_interrupt_cost);
+  EXPECT_EQ(delivered[32].first, usec(50) + Nic::kPerInterruptCost);
   EXPECT_EQ(delivered[33].first, delivered[32].first);
   EXPECT_EQ(host.irq_affinity(ring), new_core);
   EXPECT_EQ(host.irq_rebalance_stats().migrations, 1u);
-  // All IRQ time so far (8 threshold batches + the flushed 2-frame batch)
-  // landed on the old core; the new core has serviced nothing yet.
+  // The ring carried all the load, so its entries are spread as well. The
+  // flushed ring was still draining at the tick, so all 32 of its entries
+  // flip only once that drain is done: the two flushed frames cannot be
+  // overtaken.
+  EXPECT_EQ(host.irq_rebalance_stats().rss_spreads, 1u);
+  EXPECT_EQ(host.nic().counters().rss_deferred_entries, 32u);
+  // All interrupt time so far (8 threshold batches + the flushed 2-frame
+  // batch) landed on the old core; the new core was charged only the
+  // spread's table write.
   const std::uint64_t flush_intr =
-      std::uint64_t(nic.per_interrupt_cost + 2 * nic.per_rx_frame_cost);
+      std::uint64_t(Nic::kPerInterruptCost + 2 * Nic::kPerRxFrameCost);
+  const auto reprogram = std::uint64_t(Nic::kRssReprogramCost);
   EXPECT_EQ(host.softirq_core(old_core).irq_busy_ns(), 8 * intr4 + flush_intr);
-  EXPECT_EQ(host.softirq_core(new_core).irq_busy_ns(), 0u);
+  EXPECT_EQ(host.softirq_core(new_core).irq_busy_ns(), reprogram);
 
-  // Frames arriving after the migration interrupt the NEW core.
+  // Frames arriving after the migration follow the flow's new entry. The
+  // spread dealt the ring's entries round robin over the other rings,
+  // those pinned to the cold core first, and this flow's entry drew the
+  // one ring still pinned to the old core.
+  const std::size_t moved_to = host.nic().rx_queue_for(flow);
+  EXPECT_NE(moved_to, ring);
+  EXPECT_EQ(host.irq_affinity(moved_to), old_core);
+  const SimTime phase3 = loop.now();
   for (int i = 0; i < 4; ++i) host.nic().receive(make_packet(next_id++));
   loop.run();
-  EXPECT_EQ(delivered.size(), 38u);
-  EXPECT_EQ(host.softirq_core(new_core).irq_busy_ns(), intr4);
-  EXPECT_EQ(host.softirq_core(old_core).irq_busy_ns(), 8 * intr4 + flush_intr);
+  ASSERT_EQ(delivered.size(), 38u);
+  for (std::uint64_t i = 34; i < delivered.size(); ++i) {
+    EXPECT_EQ(delivered[i].second, i) << "frame " << i;
+    EXPECT_EQ(delivered[i].first, phase3 + Nic::kPerInterruptCost);
+  }
+  EXPECT_EQ(host.ring_irq_busy_ns(moved_to), intr4);
+  EXPECT_EQ(host.softirq_core(old_core).irq_busy_ns(),
+            8 * intr4 + flush_intr + intr4);
+  EXPECT_EQ(host.softirq_core(new_core).irq_busy_ns(), reprogram);
+  EXPECT_EQ(host.irq_rebalance_stats().migrations, 1u);
 }
 
 TEST(IrqRebalance, BalancedLoadProducesZeroMigrations) {

@@ -6,10 +6,11 @@
 
 Each directory holds the `<bench>.json` files the benches write when
 BENCH_JSON_DIR is set (see bench/bench_common.hpp), typically one
-`--smoke` run of every bench at two commits:
+`--smoke` run of every bench. The `bench_golden` ctest compares the
+committed bench/golden/ with the fresh `ctest -L bench_smoke` output in
+build/bench-json/; two builds compare the same way:
 
-    BENCH_JSON_DIR=/tmp/a ctest -L bench_smoke   # in the first build
-    BENCH_JSON_DIR=/tmp/b ctest -L bench_smoke   # in the second build
+    python3 tools/compare_bench_json.py build-a/bench-json build-b/bench-json
 
 Every value is virtual-time and deterministic, so the two directories must
 match exactly: the same files, the same keys, the same printed values. The
