@@ -94,8 +94,9 @@ struct RowResult {
   double cpu_us_per_rpc = 0;
   std::size_t completed = 0;
   std::size_t issued = 0;
-
-  friend bool operator==(const RowResult&, const RowResult&) = default;
+  // The whole run, for the smoke determinism self-check.
+  apps::ClosedLoopResult rpc;
+  stack::Topology::Counters counters;
 };
 
 /// Goodput over delivered request + response payload, RTT percentiles and
@@ -103,6 +104,8 @@ struct RowResult {
 RowResult summarize(RpcFabric& fabric, const apps::ClosedLoopResult& rpc,
                     std::size_t bytes_per_rpc) {
   RowResult result;
+  result.rpc = rpc;
+  result.counters = fabric.topology().counters();
   result.issued = rpc.issued;
   result.completed = rpc.completions.size();
   const Percentiles rtt = rtt_percentiles_us(rpc);
@@ -250,15 +253,8 @@ stack::ScenarioConfig core_scenario() {
   return scenario;
 }
 
-struct CoreResult {
-  RowResult row;
-  sim::Switch::Stats switches;  // summed over every switch
-
-  friend bool operator==(const CoreResult&, const CoreResult&) = default;
-};
-
-CoreResult run_core_row(const CoreRow& core, TransportKind kind,
-                        std::size_t shards) {
+RowResult run_core_row(const CoreRow& core, TransportKind kind,
+                       std::size_t shards) {
   const stack::ScenarioConfig scenario = core_scenario();
   sim::ShardedEngine engine(shards, usec(1));
   auto built = stack::TopologyBuilder(scenario).build(engine);
@@ -301,9 +297,7 @@ CoreResult run_core_row(const CoreRow& core, TransportKind kind,
 
   rpcs.start();
   engine.run();
-  return {summarize(fabric, rpcs.result(),
-                    w.request_bytes + w.response_bytes),
-          topology->switch_totals()};
+  return summarize(fabric, rpcs.result(), w.request_bytes + w.response_bytes);
 }
 
 std::vector<CoreRow> core_matrix() {
@@ -369,20 +363,19 @@ int main(int argc, char** argv) {
   std::uint64_t corefault_resteered_total = 0;
   for (const CoreRow& row : core_rows) {
     for (const TransportKind kind : kinds) {
-      const CoreResult r = run_core_row(row, kind, shards);
-      const sim::Switch::Stats& s = r.switches;
+      const RowResult r = run_core_row(row, kind, shards);
+      const sim::Switch::Stats& s = r.counters.switch_totals;
       corefault_resteered_total += s.resteered_flows;
       std::printf("%-16s %-8s %13.3f %9.1f %8zu/%zu %6llu %8llu %9llu\n",
                   row.name.c_str(), apps::transport_key(kind),
-                  r.row.goodput_gbps, r.row.p99_us, r.row.completed,
-                  r.row.issued,
+                  r.goodput_gbps, r.p99_us, r.completed, r.issued,
                   static_cast<unsigned long long>(s.dark_transitions),
                   static_cast<unsigned long long>(s.resteered_flows),
                   static_cast<unsigned long long>(s.dropped_dark));
       const std::string key = row.name + "_" + apps::transport_key(kind);
-      json_metric("corefault_goodput_gbps_" + key, r.row.goodput_gbps);
-      json_metric("corefault_p99_us_" + key, r.row.p99_us);
-      json_metric("corefault_completed_" + key, double(r.row.completed));
+      json_metric("corefault_goodput_gbps_" + key, r.goodput_gbps);
+      json_metric("corefault_p99_us_" + key, r.p99_us);
+      json_metric("corefault_completed_" + key, double(r.completed));
       json_metric("corefault_dark_transitions_" + key,
                   double(s.dark_transitions));
       json_metric("corefault_resteered_" + key, double(s.resteered_flows));
@@ -400,27 +393,27 @@ int main(int argc, char** argv) {
   }
 
   if (smoke()) {
-    // Determinism self-check: the nastiest fault row must replay
-    // byte-identically run-to-run at this shard count.
-    if (run_row(rows[2], TransportKind::smt_hw, shards) !=
-        run_row(rows[2], TransportKind::smt_hw, shards)) {
-      std::fprintf(stderr,
-                   "DETERMINISM FAILURE: burst_flap smt_hw diverged "
-                   "run-to-run at %zu shard(s)\n", shards);
-      return 1;
+    // Determinism self-check: the nastiest link-fault row and the core-flap
+    // row must replay byte-identically run-to-run at this shard count, every
+    // RPC completion and every counter of the topology alike.
+    const std::pair<const char*, std::function<RowResult()>> checks[] = {
+        {"burst_flap",
+         [&] { return run_row(rows[2], TransportKind::smt_hw, shards); }},
+        {"core_flap", [&] {
+           return run_core_row(core_rows[0], TransportKind::smt_hw, shards);
+         }}};
+    for (const auto& [name, run] : checks) {
+      const RowResult a = run();
+      const RowResult b = run();
+      if (a.rpc != b.rpc || a.counters != b.counters) {
+        std::fprintf(stderr,
+                     "DETERMINISM FAILURE: %s smt_hw diverged run-to-run at "
+                     "%zu shard(s)\n", name, shards);
+        return 1;
+      }
+      std::printf("determinism self-check: %s x smt_hw byte-identical "
+                  "run-to-run at %zu shard(s)\n", name, shards);
     }
-    std::printf("determinism self-check: burst_flap x smt_hw byte-identical "
-                "run-to-run at %zu shard(s)\n", shards);
-    // Same contract for the core-fault matrix, health counters included.
-    if (run_core_row(core_rows[0], TransportKind::smt_hw, shards) !=
-        run_core_row(core_rows[0], TransportKind::smt_hw, shards)) {
-      std::fprintf(stderr,
-                   "DETERMINISM FAILURE: core_flap smt_hw diverged "
-                   "run-to-run at %zu shard(s)\n", shards);
-      return 1;
-    }
-    std::printf("determinism self-check: core_flap x smt_hw byte-identical "
-                "run-to-run at %zu shard(s)\n", shards);
   }
   return 0;
 }

@@ -184,6 +184,7 @@ Status RpcFabric::init_topology(stack::Topology& topology,
     }
   }
 
+  topology_ = &topology;
   server_.host = &topology.host(server_index);
   server_.ip = topology.ip_of(server_index);
   clients_.resize(client_indices.size());

@@ -153,6 +153,8 @@ class RpcFabric {
   stack::Host& client_host(std::size_t i) { return *clients_.at(i).host; }
   std::size_t client_count() const noexcept { return clients_.size(); }
   stack::Host& server_host() noexcept { return *server_.host; }
+  /// The network the fabric runs over, owned or external.
+  stack::Topology& topology() noexcept { return *topology_; }
   const RpcFabricConfig& config() const noexcept { return config_; }
 
   /// Total wall-clock the server spent on app cores + softirq (for §5.2
@@ -229,6 +231,7 @@ class RpcFabric {
   std::unique_ptr<sim::ShardedEngine> owned_engine_;  // RpcFabric(config)
   crypto::HmacDrbg rng_{to_bytes(std::string_view("rpc-fabric-seed"))};
   std::unique_ptr<stack::Topology> owned_topology_;  // two-host forms
+  stack::Topology* topology_ = nullptr;
 
   // Sized once by init_*: endpoint handlers hold references to nodes.
   std::vector<Node> clients_;

@@ -213,22 +213,16 @@ Switch& Fabric::attach_host(std::size_t index, PacketHandler deliver) {
 
 Switch::Stats Fabric::totals() const {
   Switch::Stats total;
-  auto add = [&total](const std::vector<std::unique_ptr<Switch>>& tier) {
-    for (const auto& sw : tier) {
-      total.forwarded += sw->stats().forwarded;
-      total.trimmed += sw->stats().trimmed;
-      total.dropped += sw->stats().dropped;
-      total.fault_dropped += sw->stats().fault_dropped;
-      total.corrupted += sw->stats().corrupted;
-      total.dark_transitions += sw->stats().dark_transitions;
-      total.resteered_flows += sw->stats().resteered_flows;
-      total.dropped_dark += sw->stats().dropped_dark;
-    }
-  };
-  add(tors_);
-  add(aggs_);
-  add(spines_);
+  for (const Switch* sw : switches()) total += sw->stats();
   return total;
+}
+
+std::vector<const Switch*> Fabric::switches() const {
+  std::vector<const Switch*> all;
+  for (const auto* tier : {&tors_, &aggs_, &spines_}) {
+    for (const auto& sw : *tier) all.push_back(sw.get());
+  }
+  return all;
 }
 
 }  // namespace smt::sim

@@ -120,6 +120,8 @@ class Fabric {
 
   /// Aggregate counters over every switch in the fabric.
   Switch::Stats totals() const;
+  /// Every switch: the ToRs, then the aggs, then the spines.
+  std::vector<const Switch*> switches() const;
 
  private:
   Fabric(ShardedEngine& engine, FabricSpec spec);

@@ -73,22 +73,22 @@ class LinkDirection {
     // A flap kill still charges the slot (contract above).
     const bool down = fault_.flap(now, next_free_);
     next_free_ = std::max(now, next_free_) + serialization;
-    ++packets_sent_;
+    ++stats_.packets_sent;
     if (down) {
-      ++dropped_by_fault_;
+      ++stats_.dropped_by_fault;
       return;
     }
 
     if (drop_predicate_ && drop_predicate_(packet)) {
-      ++dropped_by_predicate_;
+      ++stats_.dropped_by_predicate;
       return;
     }
     const FaultState::Impairment fault = fault_.impair(packet);
     if (fault.killed) {
-      ++dropped_by_fault_;
+      ++stats_.dropped_by_fault;
       return;
     }
-    if (fault.corrupted) ++packets_corrupted_;
+    if (fault.corrupted) ++stats_.packets_corrupted;
 
     const SimTime arrival = next_free_ + config_.propagation + fault.jitter;
     auto deliver = [this, pkt = std::move(packet)]() mutable {
@@ -101,17 +101,18 @@ class LinkDirection {
     }
   }
 
-  std::uint64_t packets_sent() const noexcept { return packets_sent_; }
-  std::uint64_t dropped_by_predicate() const noexcept {
-    return dropped_by_predicate_;
-  }
-  /// Fault-model loss kills + packets sent into a flap window.
-  std::uint64_t dropped_by_fault() const noexcept { return dropped_by_fault_; }
-  /// Packets delivered with hdr.corrupted set (counted here at the point of
-  /// corruption; the transport counts the matching ingress discards).
-  std::uint64_t packets_corrupted() const noexcept {
-    return packets_corrupted_;
-  }
+  struct Stats {
+    std::uint64_t packets_sent = 0;
+    std::uint64_t dropped_by_predicate = 0;
+    /// Fault-model loss kills + packets sent into a flap window.
+    std::uint64_t dropped_by_fault = 0;
+    /// Packets delivered with hdr.corrupted set (counted here at the point
+    /// of corruption; the transport counts the matching ingress discards).
+    std::uint64_t packets_corrupted = 0;
+
+    friend bool operator==(const Stats&, const Stats&) = default;
+  };
+  const Stats& stats() const noexcept { return stats_; }
 
  private:
   EventLoop& loop_;
@@ -121,10 +122,7 @@ class LinkDirection {
   RemoteScheduler remote_;  // set => cross-shard delivery
   std::function<bool(const Packet&)> drop_predicate_;
   SimTime next_free_ = 0;
-  std::uint64_t packets_sent_ = 0;
-  std::uint64_t dropped_by_predicate_ = 0;
-  std::uint64_t dropped_by_fault_ = 0;
-  std::uint64_t packets_corrupted_ = 0;
+  Stats stats_;
 };
 
 /// Full-duplex link: direction a2b and b2a. The directions share one

@@ -42,22 +42,25 @@ Nic::Nic(EventLoop& loop, NicConfig config)
       rx_rings_(config_.num_queues) {
   // Default indirection table: uniform round-robin over the active rings,
   // the same spread `ethtool -X ... equal N` programs.
-  rss_table_.resize(std::max<std::size_t>(1, config_.rss_indirection_size));
+  rss_table_.resize(kRssIndirectionSize);
   for (std::size_t entry = 0; entry < rss_table_.size(); ++entry) {
     rss_table_[entry] = entry % config_.num_queues;
   }
-  for (RxRing& ring : rx_rings_) {
-    if (config_.adaptive_rx_coalesce) {
-      ring.dim_level = dim_seed_level(
-          std::max<std::size_t>(1, config_.rx_coalesce_frames));
-      ring.coalesce_frames = kDimLadder[ring.dim_level].frames;
-      ring.coalesce_usecs = kDimLadder[ring.dim_level].usecs;
-    } else {
-      ring.coalesce_frames =
-          std::max<std::size_t>(1, config_.rx_coalesce_frames);
-      ring.coalesce_usecs = config_.rx_coalesce_usecs;
-    }
+  for (RxRing& ring : rx_rings_) seed_moderation(ring);
+}
+
+void Nic::seed_moderation(RxRing& ring) const {
+  if (config_.adaptive_rx_coalesce) {
+    ring.dim_level =
+        dim_seed_level(std::max<std::size_t>(1, config_.rx_coalesce_frames));
+    ring.coalesce_frames = kDimLadder[ring.dim_level].frames;
+    ring.coalesce_usecs = kDimLadder[ring.dim_level].usecs;
+  } else {
+    ring.coalesce_frames = std::max<std::size_t>(1, config_.rx_coalesce_frames);
+    ring.coalesce_usecs = config_.rx_coalesce_usecs;
   }
+  ring.dim_ewma = 0.0;
+  ring.dim_streak = 0;
 }
 
 Status Nic::set_rss_indirection(const std::vector<std::size_t>& table,
@@ -132,13 +135,11 @@ void Nic::receive(Packet packet) {
     // Descriptor ring overflow: real hardware tail-drops; the loss is
     // visible to the transport as a gap, never as reordering.
     ++ring.dropped;
-    ++counters_.rx_dropped;
     return;
   }
   if (packet.hdr.corrupted) ++counters_.rx_corrupt_frames;
   ring.frames.push_back(std::move(packet));
   ++ring.frames_total;
-  ++counters_.rx_frames;
   maybe_fire_rx_interrupt(index);
 }
 
@@ -170,22 +171,10 @@ void Nic::reset() {
   // ring, delivers nothing, and clears itself.
   for (RxRing& ring : rx_rings_) {
     ring.dropped += ring.frames.size();
-    counters_.rx_dropped += ring.frames.size();
     ring.frames.clear();
     ring.timer_armed = false;
     loop_.cancel(ring.hold_off);
-    if (config_.adaptive_rx_coalesce) {
-      ring.dim_level = dim_seed_level(
-          std::max<std::size_t>(1, config_.rx_coalesce_frames));
-      ring.coalesce_frames = kDimLadder[ring.dim_level].frames;
-      ring.coalesce_usecs = kDimLadder[ring.dim_level].usecs;
-    } else {
-      ring.coalesce_frames =
-          std::max<std::size_t>(1, config_.rx_coalesce_frames);
-      ring.coalesce_usecs = config_.rx_coalesce_usecs;
-    }
-    ring.dim_ewma = 0.0;
-    ring.dim_streak = 0;
+    seed_moderation(ring);
   }
 
   next_ip_id_ = 1;
@@ -229,7 +218,6 @@ void Nic::fire_rx_interrupt(std::size_t index) {
   ring.timer_armed = false;
   loop_.cancel(ring.hold_off);
   ++ring.interrupts;
-  ++counters_.rx_interrupts;
   // The fixed interrupt cost (vector dispatch, IRQ entry/exit, NAPI
   // scheduling) is paid once; the burst is sized when the drain RUNS, so
   // frames arriving inside the interrupt window join the batch. With an
@@ -240,7 +228,7 @@ void Nic::fire_rx_interrupt(std::size_t index) {
   // event-loop delay (raw Nic objects).
   const SimDuration cost = kPerInterruptCost;
   if (irq_run_) {
-    counters_.irq_cpu_ns += std::uint64_t(cost);
+    ring.irq_ns += std::uint64_t(cost);
     irq_run_(index, cost, [this, index] { drain_rx(index); });
   } else {
     loop_.schedule(cost, [this, index] { drain_rx(index); });
@@ -255,14 +243,14 @@ void Nic::drain_rx(std::size_t index) {
   // the same IRQ core; delivery order within the ring is the FIFO deque.
   if (burst > 0 && irq_charge_) {
     const SimDuration frame_cost = kPerRxFrameCost * SimDuration(burst);
-    counters_.irq_cpu_ns += std::uint64_t(frame_cost);
+    ring.irq_ns += std::uint64_t(frame_cost);
     irq_charge_(index, frame_cost);
   }
   for (std::size_t i = 0; i < burst; ++i) {
     Packet pkt = std::move(ring.frames.front());
     ring.frames.pop_front();
     ++ring.delivered;
-    deliver(std::move(pkt));
+    if (rx_handler_) rx_handler_(std::move(pkt));
   }
 
   counters_.max_rx_batch =
@@ -312,9 +300,16 @@ void Nic::dim_update(RxRing& ring, std::size_t drained, std::size_t budget) {
   ring.coalesce_usecs = kDimLadder[ring.dim_level].usecs;
 }
 
-void Nic::deliver(Packet packet) {
-  ++counters_.rx_delivered;
-  if (rx_handler_) rx_handler_(std::move(packet));
+NicCounters Nic::counters() const {
+  NicCounters sum = counters_;
+  for (const RxRing& ring : rx_rings_) {
+    sum.rx_frames += ring.frames_total;
+    sum.rx_delivered += ring.delivered;
+    sum.rx_interrupts += ring.interrupts;
+    sum.rx_dropped += ring.dropped;
+    sum.irq_cpu_ns += ring.irq_ns;
+  }
+  return sum;
 }
 
 Result<std::uint32_t> Nic::create_flow_context(tls::CipherSuite suite,

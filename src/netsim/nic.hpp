@@ -120,11 +120,6 @@ struct NicConfig {
   // static rx_coalesce_frames/rx_coalesce_usecs pair (which only seeds the
   // starting level).
   bool adaptive_rx_coalesce = false;
-  // RSS indirection table entries (ethtool -X). The five-tuple hash
-  // indexes this table; each entry names an RX ring. The default table is
-  // a uniform round-robin over the active rings (entry i -> ring i %
-  // num_queues), reprogrammable via Nic::set_rss_indirection.
-  std::size_t rss_indirection_size = 128;
 
   /// The largest segment the NIC accepts: a 64 KB TSO segment, or one
   /// MTU-sized packet without TSO (§7 Segmentation). Transports cut their
@@ -178,6 +173,7 @@ struct NicCounters {
   std::uint64_t context_misses = 0;   // record referenced a missing context
   std::uint64_t doorbells = 0;        // TX batch drain events
   std::uint64_t max_burst_drained = 0;  // largest batch seen
+  // rx_frames/delivered/interrupts/dropped and irq_cpu_ns: RxRingStats sums.
   std::uint64_t rx_frames = 0;          // frames accepted into RX rings
   std::uint64_t rx_delivered = 0;       // frames handed to the RX handler
   std::uint64_t rx_interrupts = 0;      // RX drain events (each pays
@@ -198,13 +194,14 @@ struct NicCounters {
   friend bool operator==(const NicCounters&, const NicCounters&) = default;
 };
 
-/// Per-ring RX observability: the figures the per-ring ethtool contract is
-/// stated in (interrupt rate must scale with active rings).
+/// One RX ring's counters, the only store of the NIC's RX facts (the
+/// per-ring ethtool contract is stated in them), and its moderation.
 struct RxRingStats {
   std::uint64_t frames = 0;       // accepted into this ring
   std::uint64_t delivered = 0;    // handed to the RX handler
   std::uint64_t interrupts = 0;   // interrupts this ring fired
-  std::uint64_t dropped = 0;      // tail-dropped (bounded ring overflow)
+  std::uint64_t dropped = 0;      // tail-dropped, or lost to a reset
+  std::uint64_t irq_ns = 0;       // IRQ work charged via the IRQ hooks
   std::size_t coalesce_frames = 0;  // effective threshold (DIM may adjust)
   double coalesce_usecs = 0.0;      // effective hold-off (DIM may adjust)
 
@@ -213,6 +210,12 @@ struct RxRingStats {
 
 class Nic {
  public:
+  /// RSS indirection table entries (ethtool -X). The five-tuple hash
+  /// indexes this table; each entry names an RX ring. The default table is
+  /// a uniform round-robin over the active rings (entry i -> ring i %
+  /// num_queues), reprogrammable via set_rss_indirection.
+  static constexpr std::size_t kRssIndirectionSize = 128;
+
   /// Fixed datapath costs, the same for every NIC (ARCHITECTURE.md
   /// "Configuration surface").
   /// Descriptor fetch and DMA setup, per TX descriptor.
@@ -272,8 +275,9 @@ class Nic {
   /// Per-ring counters and effective (possibly DIM-adjusted) moderation.
   RxRingStats rx_ring_stats(std::size_t ring) const {
     const RxRing& r = rx_rings_.at(ring);
-    return RxRingStats{r.frames_total, r.delivered,   r.interrupts,
-                       r.dropped,      r.coalesce_frames, r.coalesce_usecs};
+    return RxRingStats{r.frames_total,    r.delivered, r.interrupts,
+                       r.dropped,         r.irq_ns,    r.coalesce_frames,
+                       r.coalesce_usecs};
   }
   std::size_t rx_ring_count() const noexcept { return rx_rings_.size(); }
 
@@ -375,7 +379,8 @@ class Nic {
                     CpuCharge poster = nullptr);
 
   const NicConfig& config() const noexcept { return config_; }
-  const NicCounters& counters() const noexcept { return counters_; }
+  /// The device counters; the RX fields are sums over the rings.
+  NicCounters counters() const;
 
  private:
   struct FlowContext {
@@ -420,11 +425,12 @@ class Nic {
     double dim_ewma = 0.0;
     std::size_t dim_level = 0;
     int dim_streak = 0;
-    // Counters (aggregated copies live in NicCounters).
+    // Counters: the only store of the NIC's RX facts.
     std::uint64_t frames_total = 0;
     std::uint64_t delivered = 0;
     std::uint64_t interrupts = 0;
     std::uint64_t dropped = 0;
+    std::uint64_t irq_ns = 0;
   };
 
   void kick(const CpuCharge& poster);
@@ -439,7 +445,9 @@ class Nic {
   void drain_rx(std::size_t ring);
   void resolve_rss_pending(std::size_t drained_ring);
   void dim_update(RxRing& ring, std::size_t drained, std::size_t budget);
-  void deliver(Packet packet);
+  /// Effective moderation and DIM state as configured (construction,
+  /// reset).
+  void seed_moderation(RxRing& ring) const;
 
   EventLoop& loop_;
   NicConfig config_;
@@ -464,7 +472,7 @@ class Nic {
   std::uint32_t next_context_id_ = 1;
   std::uint16_t next_ip_id_ = 1;
 
-  NicCounters counters_;
+  NicCounters counters_;  // everything but the per-ring RX sums
 };
 
 }  // namespace smt::sim

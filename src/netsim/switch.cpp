@@ -24,7 +24,7 @@ Status validate(const SwitchConfig& config) {
 void Switch::receive(Packet pkt) {
   const std::vector<std::size_t>* group = lookup_group(pkt.hdr);
   if (group == nullptr) {
-    ++stats_.dropped;
+    ++unrouted_dropped_;
     return;
   }
   std::size_t port_index = select_nominal(*group, pkt.hdr);
@@ -36,12 +36,10 @@ void Switch::receive(Packet pkt) {
     const std::size_t steered = select_healthy(*group, pkt.hdr);
     if (steered == kNoRoute) {
       // Every port in the group is dark: nothing can carry the packet.
-      ++stats_.dropped_dark;
       ++nominal.stats.dropped_dark;
       return;
     }
     if (nominal.resteered.insert(pkt.hdr.flow_hash()).second) {
-      ++stats_.resteered_flows;
       ++nominal.stats.resteered_flows;
     }
     port_index = steered;
@@ -58,11 +56,9 @@ void Switch::receive(Packet pkt) {
       pkt.hdr.trimmed = true;
       pkt.hdr.trimmed_len = std::uint32_t(pkt.payload.size());
       pkt.payload.clear();
-      ++stats_.trimmed;
       ++port.stats.trimmed;
       enqueue(port_index, std::move(pkt), /*high_priority=*/true);
     } else {
-      ++stats_.dropped;
       ++port.stats.dropped;
     }
     return;
@@ -81,7 +77,6 @@ void Switch::enqueue(std::size_t port_index, Packet pkt, bool high_priority) {
   } else {
     port.data_queue.push_back(std::move(pkt));
   }
-  ++stats_.forwarded;
   ++port.stats.forwarded;
   if (!port.draining) {
     port.draining = true;
@@ -110,7 +105,6 @@ void Switch::drain(std::size_t port_index) {
   fault.killed = port.fault.flap(loop_.now(), port.next_free);
   if (!fault.killed) fault = port.fault.impair(pkt);
   if (fault.corrupted) {
-    ++stats_.corrupted;
     ++port.stats.corrupted;
   }
 
@@ -122,7 +116,6 @@ void Switch::drain(std::size_t port_index) {
   port.next_free = start + serialization;
 
   if (fault.killed) {
-    ++stats_.fault_dropped;
     ++port.stats.fault_dropped;
     observe_fault_drop(port_index);
     loop_.schedule_at(port.next_free,
@@ -162,7 +155,6 @@ void Switch::observe_fault_drop(std::size_t port_index) {
   if (config_.health_dark_threshold == 0 || port.dark) return;
   if (++port.consecutive_fault_drops < config_.health_dark_threshold) return;
   port.dark = true;
-  ++stats_.dark_transitions;
   ++port.stats.dark_transitions;
   schedule_probe(port_index);
 }

@@ -166,6 +166,8 @@ class Switch {
   /// overflow.
   void receive(Packet pkt);
 
+  /// One field list for a port, a switch (the sum of its ports) and a
+  /// fabric (Fabric::totals(), the sum of its switches).
   struct Stats {
     std::uint64_t forwarded = 0;
     std::uint64_t trimmed = 0;
@@ -176,26 +178,38 @@ class Switch {
     std::uint64_t resteered_flows = 0;   // distinct flows steered off dark
     std::uint64_t dropped_dark = 0;      // every port in the group dark
 
+    Stats& operator+=(const Stats& o) noexcept {
+      forwarded += o.forwarded;
+      trimmed += o.trimmed;
+      dropped += o.dropped;
+      fault_dropped += o.fault_dropped;
+      corrupted += o.corrupted;
+      dark_transitions += o.dark_transitions;
+      resteered_flows += o.resteered_flows;
+      dropped_dark += o.dropped_dark;
+      return *this;
+    }
     friend bool operator==(const Stats&, const Stats&) = default;
   };
-  const Stats& stats() const noexcept { return stats_; }
 
-  /// Per-egress-port counters (overflow drops/trims are charged to the
-  /// port whose queue overflowed; dark-path counters to the port the
-  /// flow NOMINALLY hashed onto).
-  struct PortStats {
-    std::uint64_t forwarded = 0;
-    std::uint64_t trimmed = 0;
-    std::uint64_t dropped = 0;
+  /// Per-egress-port counters, the only store of the switch's facts
+  /// (overflow drops/trims are charged to the port whose queue overflowed;
+  /// dark-path counters to the port the flow NOMINALLY hashed onto).
+  struct PortStats : Stats {
     std::size_t max_queued_bytes = 0;
-    std::uint64_t fault_dropped = 0;
-    std::uint64_t corrupted = 0;
-    std::uint64_t dark_transitions = 0;
-    std::uint64_t resteered_flows = 0;
-    std::uint64_t dropped_dark = 0;
+
+    friend bool operator==(const PortStats&, const PortStats&) = default;
   };
   const PortStats& port_stats(std::size_t port) const {
     return ports_.at(port).stats;
+  }
+
+  /// The sum over ports, plus the unrouted packets (which reach no port).
+  Stats stats() const noexcept {
+    Stats total;
+    total.dropped = unrouted_dropped_;
+    for (const Port& port : ports_) total += port.stats;
+    return total;
   }
   std::size_t port_count() const noexcept { return ports_.size(); }
 
@@ -291,7 +305,7 @@ class Switch {
   std::vector<Port> ports_;
   std::map<std::uint32_t, std::vector<std::size_t>> routes_;
   std::vector<std::size_t> default_route_;
-  Stats stats_;
+  std::uint64_t unrouted_dropped_ = 0;
 };
 
 }  // namespace smt::sim

@@ -185,7 +185,6 @@ Result<std::uint64_t> SmtEndpoint::send_message(PeerAddr dst, Bytes plaintext,
                                   message.total_wire_bytes, msg_id, app_core,
                                   std::move(hook));
   if (!sent.ok()) return sent.error();
-  ++stats_.messages_sent;
   return msg_id;
 }
 

@@ -84,7 +84,6 @@ class SmtEndpoint {
   stack::Host& host() noexcept { return homa_.host(); }
 
   struct Stats {
-    std::uint64_t messages_sent = 0;
     std::uint64_t messages_delivered = 0;
     std::uint64_t replays_dropped = 0;
     std::uint64_t decrypt_failures = 0;

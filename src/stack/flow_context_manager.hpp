@@ -71,6 +71,8 @@ class FlowContextManager {
     std::uint64_t evictions = 0;
     std::uint64_t reestablished = 0;     // misses for previously-held keys
     std::uint64_t acquire_failures = 0;  // no capacity and no idle victim
+
+    friend bool operator==(const Stats&, const Stats&) = default;
   };
 
   /// Returns the lease for `key`, touching it in LRU order. On a miss a

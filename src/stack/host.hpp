@@ -39,6 +39,27 @@ struct IrqRebalanceStats {
   std::uint64_t ticks = 0;        // sampling periods evaluated
   std::uint64_t migrations = 0;   // ring affinity repins
   std::uint64_t rss_spreads = 0;  // indirection-table spreads issued
+
+  friend bool operator==(const IrqRebalanceStats&,
+                         const IrqRebalanceStats&) = default;
+};
+
+/// Everything a host has counted (its part of Topology::counters()), read
+/// from the one place that counts each fact.
+struct HostCounters {
+  SimTime now = 0;  // the host's loop clock: the last event its shard ran
+  std::uint64_t app_busy_ns = 0;
+  std::uint64_t softirq_busy_ns = 0;
+  std::uint64_t irq_busy_ns = 0;
+  std::vector<std::uint64_t> core_irq_ns;  // per softirq core
+  std::vector<std::size_t> irq_affinity;   // per RX ring
+  std::vector<sim::RxRingStats> rings;     // incl. per-ring IRQ time
+  std::vector<std::size_t> rss_table;
+  sim::NicCounters nic;
+  FlowContextManager::Stats flow_contexts;
+  IrqRebalanceStats rebalance;
+
+  friend bool operator==(const HostCounters&, const HostCounters&) = default;
 };
 
 class Host {
@@ -58,7 +79,6 @@ class Host {
       irq_affinity_[i] = i % softirq_cores_.size();
     }
     last_fired_core_ = irq_affinity_;
-    ring_irq_ns_.assign(irq_affinity_.size(), 0);
     last_ring_irq_ns_.assign(irq_affinity_.size(), 0);
     last_core_irq_ns_.assign(softirq_cores_.size(), 0);
     nic_.set_irq_executor(
@@ -70,13 +90,11 @@ class Host {
           // /proc/irq/*/smp_affinity).
           const std::size_t core = irq_affinity_[ring];
           last_fired_core_[ring] = core;
-          ring_irq_ns_[ring] += std::uint64_t(cost);
           softirq_cores_[core].run_irq(cost, std::move(fn));
           note_irq_activity();
         },
         [this](std::size_t ring, SimDuration cost) {
           ring %= irq_affinity_.size();
-          ring_irq_ns_[ring] += std::uint64_t(cost);
           softirq_cores_[last_fired_core_[ring]].charge_irq(cost);
         });
     if (config.irq_rebalance_period > 0) {
@@ -149,13 +167,6 @@ class Host {
     irq_affinity_.at(ring) = core % softirq_cores_.size();
   }
 
-  /// IRQ time charged through ring `ring`'s vector so far (interrupt entry
-  /// plus per-frame completion work) — the per-ring figure the rebalancer
-  /// samples to find the hottest ring on the hottest core.
-  std::uint64_t ring_irq_busy_ns(std::size_t ring) const {
-    return ring_irq_ns_.at(ring);
-  }
-
   /// --- irqbalance-style periodic re-affinity ----------------------------
 
   /// Hysteresis: a migration needs the hottest core's IRQ delta to exceed
@@ -195,7 +206,9 @@ class Host {
     for (std::size_t i = 0; i < softirq_cores_.size(); ++i) {
       last_core_irq_ns_[i] = softirq_cores_[i].irq_busy_ns();
     }
-    last_ring_irq_ns_ = ring_irq_ns_;
+    for (std::size_t r = 0; r < last_ring_irq_ns_.size(); ++r) {
+      last_ring_irq_ns_[r] = nic_.rx_ring_stats(r).irq_ns;
+    }
     arm_rebalance();
   }
   void disable_irq_rebalance() {
@@ -205,6 +218,26 @@ class Host {
   }
   const IrqRebalanceStats& irq_rebalance_stats() const noexcept {
     return rebalance_stats_;
+  }
+
+  HostCounters counters() const {
+    HostCounters c;
+    c.now = loop_.now();
+    c.app_busy_ns = total_app_busy_ns();
+    c.softirq_busy_ns = total_softirq_busy_ns();
+    c.irq_busy_ns = total_irq_busy_ns();
+    for (const CpuCore& core : softirq_cores_) {
+      c.core_irq_ns.push_back(core.irq_busy_ns());
+    }
+    c.irq_affinity = irq_affinity_;
+    for (std::size_t r = 0; r < nic_.rx_ring_count(); ++r) {
+      c.rings.push_back(nic_.rx_ring_stats(r));
+    }
+    c.rss_table = nic_.rss_indirection();
+    c.nic = nic_.counters();
+    c.flow_contexts = flow_contexts_.stats();
+    c.rebalance = rebalance_stats_;
+    return c;
   }
 
   /// Least-loaded softirq core (Homa/SMT per-message distribution),
@@ -313,8 +346,9 @@ class Host {
     }
     std::vector<std::uint64_t> ring_delta(rings);
     for (std::size_t r = 0; r < rings; ++r) {
-      ring_delta[r] = ring_irq_ns_[r] - last_ring_irq_ns_[r];
-      last_ring_irq_ns_[r] = ring_irq_ns_[r];
+      const std::uint64_t cur = nic_.rx_ring_stats(r).irq_ns;
+      ring_delta[r] = cur - last_ring_irq_ns_[r];
+      last_ring_irq_ns_[r] = cur;
     }
     std::size_t hot = 0, cold = 0;
     for (std::size_t i = 1; i < cores; ++i) {
@@ -401,7 +435,6 @@ class Host {
   // The core each ring's LAST interrupt fired on: the drain's per-frame
   // charge follows the fire-time vector even across a mid-drain repin.
   std::vector<std::size_t> last_fired_core_;
-  std::vector<std::uint64_t> ring_irq_ns_;  // per-ring IRQ time, cumulative
 
   // irqbalance-style rebalancer state.
   SimDuration rebalance_period_ = 0;

@@ -163,10 +163,6 @@ Status validate_host(const HostConfig& config) {
     return make_error(Errc::invalid_argument,
                       "host: mtu_payload must be positive");
   }
-  if (config.nic.rss_indirection_size == 0) {
-    return make_error(Errc::invalid_argument,
-                      "host: rss_indirection_size must be >= 1");
-  }
   return Status::success();
 }
 
@@ -303,7 +299,6 @@ Result<ScenarioConfig> ScenarioConfig::parse(std::string_view text) {
       else if (at.key == "rx_coalesce_usecs") st = set_double(h.nic.rx_coalesce_usecs);
       else if (at.key == "adaptive_rx_coalesce") st = set_bool(h.nic.adaptive_rx_coalesce);
       else if (at.key == "rx_ring_size") st = set_size(h.nic.rx_ring_size);
-      else if (at.key == "rss_indirection_size") st = set_size(h.nic.rss_indirection_size);
       else if (at.key == "max_flow_contexts") st = set_size(h.nic.max_flow_contexts);
       else return at.fail("unknown key");
     } else if (at.section == "edge_link" || at.section == "fabric_link") {

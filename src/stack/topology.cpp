@@ -136,4 +136,21 @@ Result<std::unique_ptr<Topology>> TopologyBuilder::build(
   return topo;
 }
 
+Topology::Counters Topology::counters() const {
+  Counters c;
+  for (const auto& host : hosts_) c.hosts.push_back(host->counters());
+  if (link_) c.links = {link_->a2b().stats(), link_->b2a().stats()};
+  for (const auto& uplink : uplinks_) c.links.push_back(uplink->stats());
+  if (fabric_) {
+    for (const sim::Switch* sw : fabric_->switches()) {
+      auto& ports = c.switch_ports.emplace_back();
+      for (std::size_t p = 0; p < sw->port_count(); ++p) {
+        ports.push_back(sw->port_stats(p));
+      }
+    }
+  }
+  c.switch_totals = switch_totals();
+  return c;
+}
+
 }  // namespace smt::stack

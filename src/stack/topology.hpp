@@ -75,6 +75,20 @@ class Topology {
     return fabric_ ? fabric_->totals() : sim::Switch::Stats{};
   }
 
+  /// Everything the network has counted, comparable with one ==: the
+  /// determinism tests' whole-run witness. Read it after the run drains.
+  struct Counters {
+    std::vector<HostCounters> hosts;
+    /// DIRECT: the link's a2b and b2a; switched: each host's uplink.
+    std::vector<sim::LinkDirection::Stats> links;
+    /// Per switch (ToRs, aggs, spines), its ports' counters.
+    std::vector<std::vector<sim::Switch::PortStats>> switch_ports;
+    sim::Switch::Stats switch_totals;
+
+    friend bool operator==(const Counters&, const Counters&) = default;
+  };
+  Counters counters() const;
+
   const ScenarioConfig& scenario() const noexcept { return scenario_; }
 
  private:
@@ -123,14 +137,6 @@ class TopologyBuilder {
     scenario_.topology.via_tor = true;
     return *this;
   }
-  TopologyBuilder& oversubscription(double ratio) {
-    scenario_.topology.oversubscription = ratio;
-    return *this;
-  }
-  TopologyBuilder& ecmp_seed(std::uint64_t seed) {
-    scenario_.topology.ecmp_seed = seed;
-    return *this;
-  }
 
   /// The host template every host is built from (.ip is overwritten).
   TopologyBuilder& host_config(const HostConfig& config) {
@@ -146,19 +152,6 @@ class TopologyBuilder {
   /// Edge links: host<->ToR in switched modes, the direct link otherwise.
   TopologyBuilder& link(const sim::LinkConfig& config) {
     scenario_.edge_link = config;
-    return *this;
-  }
-  /// Switch-to-switch links (defaults to the edge link's parameters).
-  /// Link-fault injection on the edge links (the scenario loader's
-  /// [fault] section): burst loss, corruption, reorder/jitter, flaps.
-  TopologyBuilder& fault(const sim::FaultProfile& profile) {
-    scenario_.edge_link.fault = profile;
-    return *this;
-  }
-
-  TopologyBuilder& fabric_link(const sim::LinkConfig& config) {
-    scenario_.fabric_link = config;
-    scenario_.fabric_link_set = true;
     return *this;
   }
   /// Fault injection on the fabric-core (switch-to-switch) wires — the

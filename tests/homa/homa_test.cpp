@@ -349,7 +349,7 @@ TEST_F(HomaTest, LossyLinkEventuallyDeliversEverything) {
     client.send_message(server_addr(), Bytes(8000, std::uint8_t(i)));
   }
   engine.run();
-  EXPECT_GT(topology->direct_link()->a2b().dropped_by_fault(), 0u);
+  EXPECT_GT(topology->direct_link()->a2b().stats().dropped_by_fault, 0u);
   EXPECT_EQ(received, 20u);
 }
 

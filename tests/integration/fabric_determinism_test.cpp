@@ -2,7 +2,9 @@
 // fabric (4 spines, 2 aggs/pod, 4 racks/pod) built through
 // stack::TopologyBuilder, driven by the N-host RpcFabric incast shape
 // (one client per remote rack -> one server), must be byte-identical
-// run-to-run under sim::ShardedEngine — at 1 shard and at 4 shards.
+// run-to-run under sim::ShardedEngine — at 1 shard and at 4 shards: every
+// RPC completion and the whole Topology::counters() record (all 128 hosts,
+// every uplink, every switch port).
 //
 // Run-to-run determinism is exact PER shard count: the builder places
 // rack r on shard r % shards, cross-shard fabric hops go through the
@@ -14,7 +16,7 @@
 // shard_determinism_test.cpp for the two-host statement of that caveat).
 #include <gtest/gtest.h>
 
-#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "apps/rpc.hpp"
@@ -22,22 +24,11 @@
 namespace smt::apps {
 namespace {
 
-struct RunSnapshot {
-  ClosedLoopResult rpc;
-  std::uint64_t server_app_busy_ns = 0;
-  std::uint64_t server_softirq_busy_ns = 0;
-  std::uint64_t server_irq_busy_ns = 0;
-  std::uint64_t client_busy_ns = 0;
-  sim::NicCounters server_nic;
-  sim::Switch::Stats switches;
-
-  friend bool operator==(const RunSnapshot&, const RunSnapshot&) = default;
-};
-
 // One closed-loop client per remote rack (7 clients -> the rack-0 server):
 // every RPC crosses the fabric, most cross pods, and with 4 shards every
 // client lives on a different shard than at 1 shard.
-RunSnapshot run_incast(std::size_t shards) {
+std::pair<ClosedLoopResult, stack::Topology::Counters> run_incast(
+    std::size_t shards) {
   sim::ShardedEngine engine(shards, usec(1));
 
   stack::HostConfig hc;
@@ -72,43 +63,38 @@ RunSnapshot run_incast(std::size_t shards) {
                            .response_bytes = 1024});
   rpcs.start();
   engine.run();
-
-  RunSnapshot snap;
-  snap.rpc = rpcs.result();
-  snap.server_app_busy_ns = fabric.server_host().total_app_busy_ns();
-  snap.server_softirq_busy_ns = fabric.server_host().total_softirq_busy_ns();
-  snap.server_irq_busy_ns = fabric.server_host().total_irq_busy_ns();
-  snap.client_busy_ns = fabric.client_busy_ns();
-  snap.server_nic = fabric.server_host().nic().counters();
-  snap.switches = topology->switch_totals();
-  return snap;
+  return {rpcs.result(), topology->counters()};
 }
 
 TEST(FabricDeterminism, OneShardRunToRunByteIdentical) {
-  const RunSnapshot first = run_incast(1);
-  const RunSnapshot second = run_incast(1);
-  ASSERT_EQ(first.rpc.completions.size(), 7u * 24u);
-  EXPECT_GT(first.switches.forwarded, 0u);
-  EXPECT_TRUE(first == second) << "1-shard 128-host run diverged";
+  const auto [rpc1, counters1] = run_incast(1);
+  const auto [rpc2, counters2] = run_incast(1);
+  ASSERT_EQ(rpc1.completions.size(), 7u * 24u);
+  EXPECT_GT(counters1.switch_totals.forwarded, 0u);
+  EXPECT_TRUE(rpc1 == rpc2) << "1-shard 128-host RPCs diverged";
+  EXPECT_TRUE(counters1 == counters2) << "1-shard 128-host counters diverged";
 }
 
 TEST(FabricDeterminism, FourShardRunToRunByteIdentical) {
-  const RunSnapshot first = run_incast(4);
-  const RunSnapshot second = run_incast(4);
-  ASSERT_EQ(first.rpc.completions.size(), 7u * 24u);
-  EXPECT_GT(first.switches.forwarded, 0u);
-  EXPECT_TRUE(first == second) << "4-shard 128-host run diverged";
+  const auto [rpc1, counters1] = run_incast(4);
+  const auto [rpc2, counters2] = run_incast(4);
+  ASSERT_EQ(rpc1.completions.size(), 7u * 24u);
+  EXPECT_GT(counters1.switch_totals.forwarded, 0u);
+  EXPECT_TRUE(rpc1 == rpc2) << "4-shard 128-host RPCs diverged";
+  EXPECT_TRUE(counters1 == counters2) << "4-shard 128-host counters diverged";
 }
 
 TEST(FabricDeterminism, ShardCountsPerformIdenticalWork) {
-  const RunSnapshot one = run_incast(1);
-  const RunSnapshot four = run_incast(4);
-  EXPECT_EQ(one.rpc.completions.size(), four.rpc.completions.size());
-  EXPECT_EQ(one.server_nic.rx_frames, four.server_nic.rx_frames);
-  EXPECT_EQ(one.server_nic.rx_delivered, four.server_nic.rx_delivered);
-  EXPECT_EQ(one.server_nic.segments, four.server_nic.segments);
-  EXPECT_EQ(one.server_nic.records_encrypted, four.server_nic.records_encrypted);
-  EXPECT_TRUE(one.switches == four.switches);
+  const auto [one, one_counters] = run_incast(1);
+  const auto [four, four_counters] = run_incast(4);
+  EXPECT_EQ(one.completions.size(), four.completions.size());
+  const sim::NicCounters& one_server = one_counters.hosts.at(0).nic;
+  const sim::NicCounters& four_server = four_counters.hosts.at(0).nic;
+  EXPECT_EQ(one_server.rx_frames, four_server.rx_frames);
+  EXPECT_EQ(one_server.rx_delivered, four_server.rx_delivered);
+  EXPECT_EQ(one_server.segments, four_server.segments);
+  EXPECT_EQ(one_server.records_encrypted, four_server.records_encrypted);
+  EXPECT_TRUE(one_counters.switch_totals == four_counters.switch_totals);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 // and hardware-offload retransmission paths under stress.
 #include <gtest/gtest.h>
 
-#include "../common/topology_helpers.hpp"
 #include "apps/rpc.hpp"
 #include "crypto/drbg.hpp"
 #include "smt/endpoint.hpp"
@@ -18,9 +17,11 @@ sim::FaultProfile uniform_loss(double rate, std::uint64_t seed) {
   return fault;
 }
 
+/// Two hosts on a direct link, an SMT session between them: the client
+/// on shard 0, the server on shard `shards - 1`.
 struct Testbed {
-  sim::ShardedEngine engine{1};
-  sim::EventLoop& loop = engine.loop(0);
+  sim::ShardedEngine engine;
+  sim::EventLoop& loop;
   std::unique_ptr<stack::Topology> topology;
   stack::Host* client_host = nullptr;
   stack::Host* server_host = nullptr;
@@ -28,11 +29,17 @@ struct Testbed {
   std::unique_ptr<SmtEndpoint> client;
   std::unique_ptr<SmtEndpoint> server;
 
-  explicit Testbed(bool hw_offload, const sim::FaultProfile& fault = {}) {
+  explicit Testbed(bool hw_offload, const sim::FaultProfile& fault = {},
+                   std::size_t shards = 1)
+      : engine(shards), loop(engine.loop(0)) {
     sim::LinkConfig lc;
     lc.propagation = usec(1);
     lc.fault = fault;
-    topology = test::two_host_topology(engine, {}, lc);
+    auto built =
+        stack::TopologyBuilder().link(lc).host_shard(1, shards - 1).build(
+            engine);
+    EXPECT_TRUE(built.ok());
+    topology = std::move(built).take();
     client_host = &topology->host(0);
     server_host = &topology->host(1);
     link = topology->direct_link();
@@ -56,7 +63,8 @@ struct Testbed {
   }
 
   std::uint64_t dropped_by_fault() const {
-    return link->a2b().dropped_by_fault() + link->b2a().dropped_by_fault();
+    return link->a2b().stats().dropped_by_fault +
+           link->b2a().stats().dropped_by_fault;
   }
 };
 
@@ -157,8 +165,8 @@ TEST(FaultInjection, BidirectionalLossStress) {
     ASSERT_TRUE(bed.client->send_message({2, 80}, Bytes(3000, std::uint8_t(i))).ok());
   }
   bed.loop.run();
-  EXPECT_GT(bed.link->a2b().dropped_by_fault(), 0u);  // loss both ways
-  EXPECT_GT(bed.link->b2a().dropped_by_fault(), 0u);
+  EXPECT_GT(bed.link->a2b().stats().dropped_by_fault, 0u);  // loss both ways
+  EXPECT_GT(bed.link->b2a().stats().dropped_by_fault, 0u);
   EXPECT_EQ(server_got, 20);
   EXPECT_EQ(client_got, 20);
   EXPECT_EQ(bed.server->stats().decrypt_failures, 0u);
@@ -188,7 +196,7 @@ TEST(FaultInjection, CorruptedPacketsRecoveredLikeLoss) {
          "reassembly/decrypt";
   // The accounting chain agrees end to end: link flagged -> NIC saw ->
   // transport dropped (client-to-server direction).
-  const std::uint64_t flagged = bed.link->a2b().packets_corrupted();
+  const std::uint64_t flagged = bed.link->a2b().stats().packets_corrupted;
   EXPECT_GT(flagged, 0u);
   EXPECT_GE(bed.server_host->nic().counters().rx_corrupt_frames, flagged);
 }
@@ -233,23 +241,13 @@ TEST(FaultInjection, NicResetMidRunRecoversTransparently) {
 
 // --- faults under the sharded engine (satellite: determinism) --------------
 
-struct FaultRunSnapshot {
-  std::size_t delivered = 0;
-  std::uint64_t payload_bytes = 0;
-  std::uint64_t order_hash = 0;  // delivery order, msg_id-sensitive
-  std::uint64_t a2b_sent = 0, a2b_fault = 0, a2b_corrupt = 0;
-  std::uint64_t b2a_sent = 0, b2a_fault = 0, b2a_corrupt = 0;
-  std::uint64_t server_decrypt_failures = 0;
-  sim::NicCounters client_nic, server_nic;
-
-  friend bool operator==(const FaultRunSnapshot&,
-                         const FaultRunSnapshot&) = default;
-};
-
 // Burst loss + flaps + corruption on a cross-shard link: the fault RNG and
 // flap phase live on the SENDING shard, so the pattern must replay
-// byte-identically run-to-run at any fixed shard count.
-FaultRunSnapshot run_sharded_fault_workload(std::size_t shards) {
+// byte-identically run-to-run at any fixed shard count: every delivery, in
+// order, and every counter of the topology.
+std::pair<std::vector<std::pair<std::uint64_t, std::size_t>>,
+          stack::Topology::Counters>
+run_sharded_fault_workload(std::size_t shards) {
   sim::FaultProfile fault;
   fault.p_good_to_bad = 0.02;
   fault.p_bad_to_good = 0.2;
@@ -260,67 +258,23 @@ FaultRunSnapshot run_sharded_fault_workload(std::size_t shards) {
   fault.flap_offset = usec(100);
   fault.seed = 1234;
 
-  sim::ShardedEngine engine(shards, usec(1));
-  sim::LinkConfig lc;
-  lc.propagation = usec(1);
-  lc.fault = fault;
-  auto built = stack::TopologyBuilder()
-                   .link(lc)
-                   .host_shard(0, 0)
-                   .host_shard(1, shards - 1)
-                   .build(engine);
-  EXPECT_TRUE(built.ok());
-  auto topology = std::move(built).take();
-
-  SmtConfig config;
-  config.hw_offload = true;
-  SmtEndpoint client(topology->host(0), 1000, config);
-  SmtEndpoint server(topology->host(1), 80, config);
-  tls::TrafficKeys tx{Bytes(16, 0x21), Bytes(12, 0x22)};
-  tls::TrafficKeys rx{Bytes(16, 0x23), Bytes(12, 0x24)};
-  EXPECT_TRUE(
-      client.register_session({2, 80}, tls::CipherSuite::aes_128_gcm_sha256,
-                              tx, rx)
-          .ok());
-  EXPECT_TRUE(
-      server.register_session({1, 1000}, tls::CipherSuite::aes_128_gcm_sha256,
-                              rx, tx)
-          .ok());
-
-  FaultRunSnapshot snap;
-  server.set_on_message([&](SmtEndpoint::MessageMeta meta, Bytes data) {
-    ++snap.delivered;
-    snap.payload_bytes += data.size();
-    snap.order_hash = snap.order_hash * 1099511628211ULL ^ meta.msg_id;
+  Testbed bed(/*hw=*/true, fault, shards);
+  std::vector<std::pair<std::uint64_t, std::size_t>> delivered;
+  bed.server->set_on_message([&](SmtEndpoint::MessageMeta meta, Bytes data) {
+    delivered.emplace_back(meta.msg_id, data.size());
   });
   for (int i = 0; i < 25; ++i) {
     EXPECT_TRUE(
-        client.send_message({2, 80}, Bytes(3000, std::uint8_t(i))).ok());
+        bed.client->send_message({2, 80}, Bytes(3000, std::uint8_t(i))).ok());
   }
-  engine.run();
+  bed.engine.run();
 
-  sim::Link* link = topology->direct_link();
-  snap.a2b_sent = link ? link->a2b().packets_sent() : 0;
-  snap.a2b_fault = link ? link->a2b().dropped_by_fault() : 0;
-  snap.a2b_corrupt = link ? link->a2b().packets_corrupted() : 0;
-  snap.b2a_sent = link ? link->b2a().packets_sent() : 0;
-  snap.b2a_fault = link ? link->b2a().dropped_by_fault() : 0;
-  snap.b2a_corrupt = link ? link->b2a().packets_corrupted() : 0;
-  snap.server_decrypt_failures = server.stats().decrypt_failures;
-  snap.client_nic = topology->host(0).nic().counters();
-  snap.server_nic = topology->host(1).nic().counters();
-  return snap;
+  // The stack recovered everything the fault model dropped.
+  EXPECT_EQ(bed.server->stats().decrypt_failures, 0u);
+  return {delivered, bed.topology->counters()};
 }
 
 // --- fabric-core faults: flapping core, dark paths, ECMP re-steering -------
-
-struct CoreFlapSnapshot {
-  apps::ClosedLoopResult rpc;
-  sim::Switch::Stats switches;
-
-  friend bool operator==(const CoreFlapSnapshot&,
-                         const CoreFlapSnapshot&) = default;
-};
 
 // RPC traffic crossing a 4-rack leaf-spine core whose wires flap on a
 // FLAP-ONLY fault profile (pure phase arithmetic, no RNG): ports go dark,
@@ -328,7 +282,8 @@ struct CoreFlapSnapshot {
 // keeps the kill pattern a pure function of virtual time, so the work done
 // (RPCs issued/completed, bytes returned) is identical at ANY shard count
 // — and each fixed shard count must replay byte-identically run-to-run.
-CoreFlapSnapshot run_core_flap_workload(std::size_t shards) {
+std::pair<apps::ClosedLoopResult, stack::Topology::Counters>
+run_core_flap_workload(std::size_t shards) {
   sim::FaultProfile fault;
   fault.flap_period = usec(400);
   fault.flap_down = usec(60);
@@ -367,54 +322,58 @@ CoreFlapSnapshot run_core_flap_workload(std::size_t shards) {
                                  .response_bytes = 512});
   rpcs.start();
   engine.run();
-  return {rpcs.result(), topology->switch_totals()};
+  return {rpcs.result(), topology->counters()};
 }
 
 TEST(FaultInjection, CoreFlapShardedByteIdenticalRunToRun) {
-  const CoreFlapSnapshot a = run_core_flap_workload(2);
-  const CoreFlapSnapshot b = run_core_flap_workload(2);
+  const auto [rpc1, counters1] = run_core_flap_workload(2);
+  const auto [rpc2, counters2] = run_core_flap_workload(2);
 
   // The core fault model actually bit, the health machine marked ports
   // dark, flows were re-steered around them — and nothing was lost.
-  EXPECT_GT(a.switches.fault_dropped, 0u);
-  EXPECT_GT(a.switches.dark_transitions, 0u);
-  EXPECT_GT(a.switches.resteered_flows, 0u);
-  EXPECT_EQ(a.rpc.completions.size(), 24u);
-  EXPECT_EQ(a.rpc.issued, 24u);
-  EXPECT_EQ(a.rpc.response_bytes, 24u * 512u);
+  const sim::Switch::Stats& switches = counters1.switch_totals;
+  EXPECT_GT(switches.fault_dropped, 0u);
+  EXPECT_GT(switches.dark_transitions, 0u);
+  EXPECT_GT(switches.resteered_flows, 0u);
+  EXPECT_EQ(rpc1.completions.size(), 24u);
+  EXPECT_EQ(rpc1.issued, 24u);
+  EXPECT_EQ(rpc1.response_bytes, 24u * 512u);
 
-  EXPECT_TRUE(a == b) << "2-shard core-flap run diverged run-to-run";
+  EXPECT_TRUE(rpc1 == rpc2) << "2-shard core-flap RPCs diverged run-to-run";
+  EXPECT_TRUE(counters1 == counters2)
+      << "2-shard core-flap counters diverged run-to-run";
 }
 
 TEST(FaultInjection, CoreFlapWorkIdenticalAcrossShardCounts) {
   // Flap kills are pure time functions (no RNG), so sharding must not
   // change WHAT happens — every RPC completes with the same bytes at 1
   // and 4 shards (exact event interleavings at equal timestamps may
-  // differ, so this compares work, not the full snapshot).
-  const CoreFlapSnapshot one = run_core_flap_workload(1);
-  const CoreFlapSnapshot four = run_core_flap_workload(4);
+  // differ, so this compares work, not the full record).
+  const auto [one, one_counters] = run_core_flap_workload(1);
+  const auto [four, four_counters] = run_core_flap_workload(4);
 
-  EXPECT_EQ(one.rpc.issued, four.rpc.issued);
-  EXPECT_EQ(one.rpc.completions.size(), four.rpc.completions.size());
-  EXPECT_EQ(one.rpc.response_bytes, four.rpc.response_bytes);
-  EXPECT_GT(one.switches.dark_transitions, 0u);
-  EXPECT_GT(four.switches.dark_transitions, 0u);
+  EXPECT_EQ(one.issued, four.issued);
+  EXPECT_EQ(one.completions.size(), four.completions.size());
+  EXPECT_EQ(one.response_bytes, four.response_bytes);
+  EXPECT_GT(one_counters.switch_totals.dark_transitions, 0u);
+  EXPECT_GT(four_counters.switch_totals.dark_transitions, 0u);
 }
 
 TEST(FaultInjection, ShardedBurstFlapByteIdenticalRunToRun) {
-  const FaultRunSnapshot one_a = run_sharded_fault_workload(1);
-  const FaultRunSnapshot one_b = run_sharded_fault_workload(1);
-  const FaultRunSnapshot two_a = run_sharded_fault_workload(2);
-  const FaultRunSnapshot two_b = run_sharded_fault_workload(2);
+  const auto one_a = run_sharded_fault_workload(1);
+  const auto one_b = run_sharded_fault_workload(1);
+  const auto two_a = run_sharded_fault_workload(2);
+  const auto two_b = run_sharded_fault_workload(2);
 
   // The fault model actually bit (bursts + flaps dropped traffic) and the
   // stack recovered everything anyway.
-  EXPECT_GT(two_a.a2b_fault + two_a.b2a_fault, 0u);
-  EXPECT_EQ(two_a.delivered, 25u);
-  EXPECT_EQ(two_a.server_decrypt_failures, 0u);
-  EXPECT_EQ(one_a.delivered, 25u);
+  const std::vector<sim::LinkDirection::Stats>& links = two_a.second.links;
+  EXPECT_GT(links.at(0).dropped_by_fault + links.at(1).dropped_by_fault, 0u);
+  EXPECT_EQ(two_a.first.size(), 25u);
+  EXPECT_EQ(one_a.first.size(), 25u);
 
-  // Byte-identical run-to-run, per shard count.
+  // Byte-identical run-to-run, per shard count: every delivery in order,
+  // and every host's and link direction's counters.
   EXPECT_TRUE(one_a == one_b) << "1-shard fault run diverged run-to-run";
   EXPECT_TRUE(two_a == two_b) << "2-shard fault run diverged run-to-run";
 }

@@ -1,9 +1,10 @@
 // Determinism regression for the sharded engine driving the full stack:
 // an RpcFabric (smt_hw, the richest datapath — TLS records, NIC TX
 // offload, coalesced RX, softirq charging) with its two hosts on TWO
-// different shards must produce byte-identical counters run-to-run, even
-// though the shards execute on concurrent OS threads and every packet
-// hop crosses the shard boundary through the mailbox. This locks in the
+// different shards must produce byte-identical RPC completions and
+// topology counters run-to-run, even though the shards execute on
+// concurrent OS threads and every packet hop crosses the shard boundary
+// through the mailbox. This locks in the
 // cross-shard ordering contract from netsim/shard.hpp: (when, src, seq)
 // mailbox delivery between windows, never mid-window.
 //
@@ -19,20 +20,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
-#include "../common/host_snapshot.hpp"
 #include "apps/rpc.hpp"
 
 namespace smt::apps {
 namespace {
 
-using test::FabricSnapshot;
-using test::HostSnapshot;
-
 // Closed-loop smt_hw workload on a ShardedEngine with the client on shard
 // 0 and the server on shard `shards - 1` (i.e. same shard when
 // shards == 1, a true cross-shard link when shards == 2).
-FabricSnapshot run_workload(std::size_t shards) {
+std::pair<ClosedLoopResult, stack::Topology::Counters> run_workload(
+    std::size_t shards) {
   RpcFabricConfig config;
   config.kind = TransportKind::smt_hw;
   config.link.propagation = usec(2);  // >= engine lookahead, cross-shard safe
@@ -46,22 +45,19 @@ FabricSnapshot run_workload(std::size_t shards) {
   rpcs.start();
   engine.run();
 
-  return test::snapshot_fabric(fabric, rpcs);
+  return {rpcs.result(), fabric.topology().counters()};
 }
 
 TEST(ShardDeterminism, TwoShardRunToRunByteIdentical) {
-  const FabricSnapshot first = run_workload(2);
-  const FabricSnapshot second = run_workload(2);
+  const auto [rpc1, counters1] = run_workload(2);
+  const auto [rpc2, counters2] = run_workload(2);
 
-  ASSERT_EQ(first.rpc.completions.size(), 600u);
+  ASSERT_EQ(rpc1.completions.size(), 600u);
   // The run must actually cross the shard boundary, or this guards nothing.
-  EXPECT_GT(first.server.nic.rx_interrupts, 0u);
+  EXPECT_GT(counters1.hosts.at(1).nic.rx_interrupts, 0u);
 
-  EXPECT_EQ(first.final_time, second.final_time);
-  EXPECT_TRUE(first.rpc == second.rpc) << "RPC completions diverged";
-  EXPECT_TRUE(first.client == second.client) << "client counters diverged";
-  EXPECT_TRUE(first.server == second.server) << "server counters diverged";
-  EXPECT_TRUE(first == second);
+  EXPECT_TRUE(rpc1 == rpc2) << "RPC completions diverged";
+  EXPECT_TRUE(counters1 == counters2) << "topology counters diverged";
 }
 
 TEST(ShardDeterminism, TwoShardPerformsIdenticalWorkToOneShard) {
@@ -76,32 +72,30 @@ TEST(ShardDeterminism, TwoShardPerformsIdenticalWorkToOneShard) {
   // the final timestamp) can differ by the tie resolution — byte-exact
   // 1-vs-N equality for tie-free scenarios is pinned separately in
   // netsim/shard_test.cpp.
-  const FabricSnapshot one = run_workload(1);
-  const FabricSnapshot two = run_workload(2);
+  const auto [one, one_counters] = run_workload(1);
+  const auto [two, two_counters] = run_workload(2);
 
-  EXPECT_EQ(one.rpc.completions.size(), two.rpc.completions.size());
-  EXPECT_EQ(one.rpc.response_bytes, two.rpc.response_bytes);
-  auto expect_same_work = [](const HostSnapshot& a, const HostSnapshot& b,
-                             const char* side) {
-    EXPECT_EQ(a.nic.segments, b.nic.segments) << side;
-    EXPECT_EQ(a.nic.packets, b.nic.packets) << side;
-    EXPECT_EQ(a.nic.records_encrypted, b.nic.records_encrypted) << side;
-    EXPECT_EQ(a.nic.out_of_sequence_records, b.nic.out_of_sequence_records)
-        << side;
-    EXPECT_EQ(a.nic.rx_frames, b.nic.rx_frames) << side;
-    EXPECT_EQ(a.nic.rx_delivered, b.nic.rx_delivered) << side;
-    EXPECT_EQ(a.nic.rx_dropped, b.nic.rx_dropped) << side;
-    EXPECT_EQ(a.nic.context_misses, b.nic.context_misses) << side;
-  };
-  expect_same_work(one.client, two.client, "client");
-  expect_same_work(one.server, two.server, "server");
+  EXPECT_EQ(one.completions.size(), two.completions.size());
+  EXPECT_EQ(one.response_bytes, two.response_bytes);
+  const char* const sides[] = {"client", "server"};
+  for (std::size_t h = 0; h < 2; ++h) {
+    const sim::NicCounters& a = one_counters.hosts.at(h).nic;
+    const sim::NicCounters& b = two_counters.hosts.at(h).nic;
+    EXPECT_EQ(a.segments, b.segments) << sides[h];
+    EXPECT_EQ(a.packets, b.packets) << sides[h];
+    EXPECT_EQ(a.records_encrypted, b.records_encrypted) << sides[h];
+    EXPECT_EQ(a.out_of_sequence_records, b.out_of_sequence_records)
+        << sides[h];
+    EXPECT_EQ(a.rx_frames, b.rx_frames) << sides[h];
+    EXPECT_EQ(a.rx_delivered, b.rx_delivered) << sides[h];
+    EXPECT_EQ(a.rx_dropped, b.rx_dropped) << sides[h];
+    EXPECT_EQ(a.context_misses, b.context_misses) << sides[h];
+  }
   // The schedules stay close even where they are not identical: the tie
   // re-orderings shift the final completion by at most a handful of
   // coalescing hold-offs, not by any macroscopic amount.
-  const SimTime hi =
-      std::max(one.rpc.last_completion(), two.rpc.last_completion());
-  const SimTime lo =
-      std::min(one.rpc.last_completion(), two.rpc.last_completion());
+  const SimTime hi = std::max(one.last_completion(), two.last_completion());
+  const SimTime lo = std::min(one.last_completion(), two.last_completion());
   EXPECT_LT(hi - lo, hi / 100) << "virtual end times diverged by >1%";
 }
 

@@ -1,21 +1,20 @@
 // Determinism regression for the steering subsystem: the fig7-style
 // traffic mix, run twice with the same seed and with BOTH the irqbalance
 // rebalancer and DIM-style adaptive coalescing active, must produce
-// byte-identical NIC and host counters. This locks in the "delivery always
+// byte-identical RPC completions and topology counters. This locks in the "delivery always
 // via the event loop" invariant from the RX datapath for the new
 // reprogram/migration machinery: no steering decision may depend on
 // anything but virtual time and the deterministic event order.
 #include <gtest/gtest.h>
 
-#include "../common/host_snapshot.hpp"
+#include <utility>
+
 #include "apps/rpc.hpp"
 
 namespace smt::apps {
 namespace {
 
-using test::FabricSnapshot;
-
-FabricSnapshot run_fig7_mix() {
+std::pair<ClosedLoopResult, stack::Topology::Counters> run_fig7_mix() {
   RpcFabricConfig config;
   config.kind = TransportKind::smt_hw;
   config.nic.adaptive_rx_coalesce = true;    // DIM on
@@ -29,25 +28,23 @@ FabricSnapshot run_fig7_mix() {
   rpcs.start();
   fabric.loop().run();
 
-  return test::snapshot_fabric(fabric, rpcs);
+  return {rpcs.result(), fabric.topology().counters()};
 }
 
 TEST(SteeringDeterminism, IdenticalCountersAcrossRepeatedRuns) {
-  const FabricSnapshot first = run_fig7_mix();
-  const FabricSnapshot second = run_fig7_mix();
+  const auto [rpc1, counters1] = run_fig7_mix();
+  const auto [rpc2, counters2] = run_fig7_mix();
 
-  ASSERT_EQ(first.rpc.completions.size(), 1200u);
+  ASSERT_EQ(rpc1.completions.size(), 1200u);
   // The run must actually exercise the steering machinery, or this test
   // guards nothing.
-  EXPECT_GT(first.server.migrations, 0u);
-  EXPECT_GT(first.server.nic.rss_reprograms, 0u);
-  EXPECT_GT(first.server.nic.rx_interrupts, 0u);
+  const stack::HostCounters& server = counters1.hosts.at(1);
+  EXPECT_GT(server.rebalance.migrations, 0u);
+  EXPECT_GT(server.nic.rss_reprograms, 0u);
+  EXPECT_GT(server.nic.rx_interrupts, 0u);
 
-  EXPECT_EQ(first.final_time, second.final_time);
-  EXPECT_TRUE(first.rpc == second.rpc) << "RPC completions diverged";
-  EXPECT_TRUE(first.client == second.client) << "client counters diverged";
-  EXPECT_TRUE(first.server == second.server) << "server counters diverged";
-  EXPECT_TRUE(first == second);
+  EXPECT_TRUE(rpc1 == rpc2) << "RPC completions diverged";
+  EXPECT_TRUE(counters1 == counters2) << "topology counters diverged";
 }
 
 }  // namespace

@@ -260,9 +260,9 @@ TEST(FaultParity, LinkAndSwitchPortImpairIdentically) {
   EXPECT_GT(jittered, 0u);
 
   // Both wire kinds record the same fates.
-  EXPECT_EQ(link.dropped_by_fault(), kPackets - via_link.size());
-  EXPECT_EQ(sw.stats().fault_dropped, link.dropped_by_fault());
-  EXPECT_EQ(link.packets_corrupted(), corrupted);
+  EXPECT_EQ(link.stats().dropped_by_fault, kPackets - via_link.size());
+  EXPECT_EQ(sw.stats().fault_dropped, link.stats().dropped_by_fault);
+  EXPECT_EQ(link.stats().packets_corrupted, corrupted);
   EXPECT_EQ(sw.stats().corrupted, corrupted);
   EXPECT_EQ(sw.port_stats(port).corrupted, corrupted);
 }

@@ -75,8 +75,8 @@ TEST(Link, RandomLossDropsSomePackets) {
   loop.run();
   EXPECT_GT(received, 350);
   EXPECT_LT(received, 650);
-  EXPECT_EQ(dir.packets_sent(), 1000u);
-  EXPECT_EQ(dir.dropped_by_fault(), 1000u - std::uint64_t(received));
+  EXPECT_EQ(dir.stats().packets_sent, 1000u);
+  EXPECT_EQ(dir.stats().dropped_by_fault, 1000u - std::uint64_t(received));
 }
 
 TEST(Link, DropPredicateKillsTargetedPackets) {
@@ -188,12 +188,12 @@ TEST(Link, SplitDropCountersChargeOneCauseEach) {
     dir.send(pkt);
   }
   loop.run();
-  EXPECT_EQ(dir.dropped_by_predicate(), 500u);
-  EXPECT_GT(dir.dropped_by_fault(), 0u);
+  EXPECT_EQ(dir.stats().dropped_by_predicate, 500u);
+  EXPECT_GT(dir.stats().dropped_by_fault, 0u);
   // Every offered packet was delivered or charged to exactly one cause.
-  EXPECT_EQ(std::uint64_t(delivered) + dir.dropped_by_predicate() +
-                dir.dropped_by_fault(),
-            dir.packets_sent());
+  EXPECT_EQ(std::uint64_t(delivered) + dir.stats().dropped_by_predicate +
+                dir.stats().dropped_by_fault,
+            dir.stats().packets_sent);
 }
 
 // Contract: next_free_ advances for killed packets too — a dropped packet
@@ -220,7 +220,7 @@ TEST(Link, DroppedPacketsStillChargeSerialisation) {
   // The killed middle packet held [120, 240): the third arrives at 360,
   // NOT 240 — the wire was not returned to the link.
   EXPECT_EQ(arrivals[1], 360);
-  EXPECT_EQ(dir.dropped_by_predicate(), 1u);
+  EXPECT_EQ(dir.stats().dropped_by_predicate, 1u);
 }
 
 // --- fault model (tentpole) ------------------------------------------------
@@ -263,9 +263,9 @@ TEST(Link, CorruptionDeliversFlaggedPackets) {
   loop.run();
   // Deliver-but-flag: nothing is dropped at the link...
   EXPECT_EQ(clean + corrupted, 1000);
-  EXPECT_EQ(dir.dropped_by_fault(), 0u);
+  EXPECT_EQ(dir.stats().dropped_by_fault, 0u);
   // ...and the corruption counter matches what receivers saw.
-  EXPECT_EQ(dir.packets_corrupted(), std::uint64_t(corrupted));
+  EXPECT_EQ(dir.stats().packets_corrupted, std::uint64_t(corrupted));
   EXPECT_GT(corrupted, 150);
   EXPECT_LT(corrupted, 450);
 }
@@ -322,8 +322,8 @@ TEST(Link, FlapWindowDropsEverythingAndResetsCursor) {
     loop.schedule_at(usec(i), [&] { dir.send(make_packet(1430)); });
   }
   loop.run();
-  EXPECT_EQ(dir.packets_sent(), 20u);
-  EXPECT_EQ(dir.dropped_by_fault(), 8u);
+  EXPECT_EQ(dir.stats().packets_sent, 20u);
+  EXPECT_EQ(dir.stats().dropped_by_fault, 8u);
   EXPECT_EQ(arrivals.size(), 12u);
   // Every survivor was sent onto an idle wire: arrival = send + 120 ns.
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
@@ -358,7 +358,7 @@ TEST(Link, FlapUpTransitionResetsSerialisationCursor) {
   });
   loop.run();
   EXPECT_EQ(probe_arrival, usec(6) + 120);
-  EXPECT_EQ(dir.dropped_by_fault(), 1u);
+  EXPECT_EQ(dir.stats().dropped_by_fault, 1u);
 }
 
 }  // namespace

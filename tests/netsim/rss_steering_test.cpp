@@ -60,7 +60,7 @@ class RssSteeringTest : public ::testing::Test {
 
 TEST_F(RssSteeringTest, DefaultTableIsUniformRoundRobinOverActiveRings) {
   const std::vector<std::size_t> table = nic_.rss_indirection();
-  ASSERT_EQ(table.size(), nic_.config().rss_indirection_size);
+  ASSERT_EQ(table.size(), Nic::kRssIndirectionSize);
   ASSERT_EQ(table.size(), 128u);
   std::vector<std::size_t> per_ring(nic_.config().num_queues, 0);
   for (std::size_t entry = 0; entry < table.size(); ++entry) {
@@ -173,38 +173,23 @@ TEST_F(RssSteeringTest, ReprogramFlushesHeldOffOldRing) {
 }
 
 TEST_F(RssSteeringTest, ManyFlowHashSpreadHitsEveryTableEntry) {
-  // With a small table, a modest set of distinct five-tuples must exercise
-  // EVERY entry (the SplitMix64-finalised hash spreads the low bits): 64
-  // flows over an 8-entry table.
-  NicConfig config = make_config();
-  config.rss_indirection_size = 8;
-  Nic nic(loop_, config);
-  std::size_t delivered = 0;
-  nic.set_rx_handler([&](Packet) { ++delivered; });
-
+  // A modest set of distinct five-tuples must exercise EVERY entry (the
+  // SplitMix64-finalised hash spreads the low bits): 1024 flows over the
+  // 128-entry table.
   std::set<std::size_t> entries_hit;
   std::set<std::size_t> rings_hit;
-  for (std::uint16_t port = 100; port < 164; ++port) {  // 64 flows
+  for (std::uint16_t port = 100; port < 1124; ++port) {  // 1024 flows
     const Packet pkt = make_packet(port, port);
-    entries_hit.insert(pkt.hdr.flow.hash() % nic.rss_indirection().size());
-    rings_hit.insert(nic.rx_queue_for(pkt.hdr.flow));
-    nic.receive(pkt);
+    entries_hit.insert(pkt.hdr.flow.hash() % nic_.rss_indirection().size());
+    rings_hit.insert(nic_.rx_queue_for(pkt.hdr.flow));
+    nic_.receive(pkt);
   }
   loop_.run();
-  EXPECT_EQ(entries_hit.size(), 8u);  // every table entry
-  EXPECT_EQ(rings_hit.size(), nic.config().num_queues);  // every ring
-  EXPECT_EQ(delivered, 64u);
-  for (std::size_t ring = 0; ring < nic.config().num_queues; ++ring) {
-    EXPECT_GT(nic.rx_ring_stats(ring).frames, 0u) << "ring " << ring;
-  }
-}
-
-TEST_F(RssSteeringTest, SingleEntryTableDegeneratesToOneRing) {
-  NicConfig config = make_config();
-  config.rss_indirection_size = 1;
-  Nic nic(loop_, config);
-  for (std::uint16_t port = 100; port < 120; ++port) {
-    EXPECT_EQ(nic.rx_queue_for(make_packet(0, port).hdr.flow), 0u);
+  EXPECT_EQ(entries_hit.size(), Nic::kRssIndirectionSize);  // every entry
+  EXPECT_EQ(rings_hit.size(), nic_.config().num_queues);    // every ring
+  EXPECT_EQ(arrivals_.size(), 1024u);
+  for (std::size_t ring = 0; ring < nic_.config().num_queues; ++ring) {
+    EXPECT_GT(nic_.rx_ring_stats(ring).frames, 0u) << "ring " << ring;
   }
 }
 

@@ -51,6 +51,9 @@ TEST_F(SwitchTest, UnroutableDropped) {
   sw_.receive(data_packet(99, 100));
   loop_.run();
   EXPECT_EQ(sw_.stats().dropped, 1u);
+  // An unrouted packet reaches no port, so no port counts it.
+  EXPECT_EQ(sw_.port_stats(port_a_), Switch::PortStats{});
+  EXPECT_EQ(sw_.port_stats(port_b_), Switch::PortStats{});
   EXPECT_TRUE(to_a_.empty() && to_b_.empty());
 }
 
@@ -400,6 +403,57 @@ TEST(SwitchHealth, AllPortsDarkDropsAndCounts) {
   EXPECT_EQ(sw.port_stats(port).dropped_dark, 1u);
   EXPECT_EQ(sw.stats().dropped, 0u);  // dark drops are their own cause
   EXPECT_TRUE(out.empty());
+}
+
+TEST(SwitchHealth, StatsAreThePortSumsPlusUnroutedDrops) {
+  // The ports are the only store of a switch's facts: after traffic that
+  // forwards, trims, tail-drops, fault-drops, corrupts and re-steers,
+  // stats() is exactly their sum plus the packets no route accepted.
+  EventLoop loop;
+  SwitchConfig c;
+  c.queue_capacity_bytes = 4 * 1024;
+  c.health_dark_threshold = 1;
+  Switch sw(loop, c);
+  for (int i = 0; i < 4; ++i) sw.add_port([](Packet) {});
+  sw.set_route(1, 0);            // the congested port
+  sw.set_route(5, 2);            // pinned to the port that goes dark
+  sw.set_ecmp_route(7, {2, 3});  // re-steered off port 2 while dark
+  sw.set_port_fault(2, down_early_fault(), /*stream=*/0);
+  FaultProfile corrupting;
+  corrupting.corrupt_rate = 0.5;
+  corrupting.seed = 9;
+  sw.set_port_fault(3, corrupting, /*stream=*/1);
+
+  const auto send = [&sw](std::uint32_t dst, std::uint16_t port,
+                          std::size_t bytes) {
+    Packet pkt;
+    pkt.hdr = flow_header(1, port, dst);
+    pkt.hdr.type = PacketType::data;
+    pkt.payload.assign(bytes, 0x5a);
+    sw.receive(std::move(pkt));
+  };
+  send(1, 1000, c.queue_capacity_bytes - kWireHeaderBytes);  // fills port 0
+  for (int i = 0; i < 2; ++i) send(1, 1000, 0);     // header-only: dropped
+  for (int i = 0; i < 3; ++i) send(1, 1000, 1400);  // trimmed
+  send(5, 999, 64);                                 // killed: port 2 dark
+  send(99, 1000, 64);                               // no route
+  loop.schedule_at(usec(50), [&] {
+    for (std::uint16_t port = 1000; port < 1032; ++port) send(7, port, 64);
+  });
+  loop.run();
+
+  const Switch::Stats stats = sw.stats();
+  EXPECT_GT(stats.forwarded, 0u);
+  EXPECT_GT(stats.trimmed, 0u);
+  EXPECT_GT(stats.fault_dropped, 0u);
+  EXPECT_GT(stats.corrupted, 0u);
+  EXPECT_GT(stats.dark_transitions, 0u);
+  EXPECT_GT(stats.resteered_flows, 0u);
+  Switch::Stats sum;
+  sum.dropped = 1;  // the unrouted packet
+  for (std::size_t p = 0; p < sw.port_count(); ++p) sum += sw.port_stats(p);
+  EXPECT_EQ(sw.port_stats(0).dropped, 2u);  // the tail drops
+  EXPECT_EQ(stats, sum);
 }
 
 TEST(SwitchHealth, ResteeredFlowsCountsDistinctFlows) {

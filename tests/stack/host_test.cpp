@@ -181,6 +181,51 @@ TEST(Host, RxInterruptChargedToAffinityCore) {
   EXPECT_EQ(host.nic().counters().irq_cpu_ns, expected);
 }
 
+TEST(Host, NicRxTotalsAreTheSumsOverRings) {
+  // The RX rings are the only store of the NIC's RX facts: counters()
+  // sums them, through IRQ charging and a reset that drops queued frames.
+  sim::EventLoop loop;
+  HostConfig config = make_config(1);
+  config.nic.rx_coalesce_frames = 4;
+  config.nic.rx_coalesce_usecs = 50.0;  // a partial batch waits for a reset
+  Host host(loop, config);
+  host.register_endpoint(sim::Proto::smt, 7, [](sim::Packet) {});
+  const auto send = [&host](std::uint16_t from, std::uint16_t to) {
+    for (std::uint16_t port = from; port < to; ++port) {
+      sim::Packet pkt;
+      pkt.hdr.set_flow({9, 1, port, 7, sim::Proto::smt});
+      host.nic().receive(pkt);
+    }
+  };
+  send(1000, 1040);
+  loop.run();
+  send(1040, 1050);
+  loop.run_until(loop.now() + usec(10));  // full batches drain, the rest wait
+  host.reset_nic();
+  loop.run();
+
+  sim::RxRingStats sum;
+  for (std::size_t r = 0; r < host.nic().rx_ring_count(); ++r) {
+    const sim::RxRingStats ring = host.nic().rx_ring_stats(r);
+    sum.frames += ring.frames;
+    sum.delivered += ring.delivered;
+    sum.interrupts += ring.interrupts;
+    sum.dropped += ring.dropped;
+    sum.irq_ns += ring.irq_ns;
+  }
+  const sim::NicCounters c = host.nic().counters();
+  EXPECT_EQ(c.rx_frames, 50u);
+  EXPECT_GT(c.rx_delivered, 0u);
+  EXPECT_GT(c.rx_dropped, 0u);  // the reset found frames queued
+  EXPECT_EQ(c.rx_delivered + c.rx_dropped, c.rx_frames);
+  EXPECT_EQ(c.rx_frames, sum.frames);
+  EXPECT_EQ(c.rx_delivered, sum.delivered);
+  EXPECT_EQ(c.rx_interrupts, sum.interrupts);
+  EXPECT_EQ(c.rx_dropped, sum.dropped);
+  EXPECT_EQ(c.irq_cpu_ns, sum.irq_ns);
+  EXPECT_EQ(c.irq_cpu_ns, host.total_irq_busy_ns());
+}
+
 TEST(Host, RxDeliveryDelayedBehindBackloggedAffinityCore) {
   // The §5.2 story: interrupt servicing CONTENDS with protocol work. A
   // backlogged affinity core postpones the ring's drain — delivery waits

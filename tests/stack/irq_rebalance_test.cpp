@@ -83,7 +83,7 @@ TEST(IrqRebalance, MovesHotRingAffinityToIdlestCoreWithinOnePeriod) {
   const auto per_frame =
       std::uint64_t(Nic::kPerInterruptCost + Nic::kPerRxFrameCost);
   EXPECT_EQ(host.softirq_core(hot).irq_busy_ns(), 30 * per_frame);
-  EXPECT_EQ(host.ring_irq_busy_ns(ring), 30 * per_frame);
+  EXPECT_EQ(host.nic().rx_ring_stats(ring).irq_ns, 30 * per_frame);
   EXPECT_EQ(host.softirq_core(busy).irq_busy_ns(), std::uint64_t(usec(30)));
   EXPECT_EQ(host.softirq_core(idlest).irq_busy_ns(),
             std::uint64_t(Nic::kRssReprogramCost));
@@ -167,7 +167,7 @@ TEST(IrqRebalance, PendingHeldOffFramesDeliverOnOldCoreAcrossMigration) {
     EXPECT_EQ(delivered[i].second, i) << "frame " << i;
     EXPECT_EQ(delivered[i].first, phase3 + Nic::kPerInterruptCost);
   }
-  EXPECT_EQ(host.ring_irq_busy_ns(moved_to), intr4);
+  EXPECT_EQ(host.nic().rx_ring_stats(moved_to).irq_ns, intr4);
   EXPECT_EQ(host.softirq_core(old_core).irq_busy_ns(),
             8 * intr4 + flush_intr + intr4);
   EXPECT_EQ(host.softirq_core(new_core).irq_busy_ns(), reprogram);
