@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <string>
@@ -42,54 +43,67 @@ std::optional<Bytes> extract_frame(Bytes& buffer) {
   std::abort();
 }
 
+/// Every per-transport fact the fabric prints or branches on, in
+/// TransportKind's declaration order.
+struct TransportInfo {
+  TransportKind kind;
+  const char* key;   // scenario files and JSON metrics
+  const char* name;  // printed tables
+  bool message_based;
+  bool encrypted;
+};
+
+constexpr TransportInfo kTransports[] = {
+    {TransportKind::tcp, "tcp", "TCP", false, false},
+    {TransportKind::ktls_sw, "ktls_sw", "kTLS-sw", false, true},
+    {TransportKind::ktls_hw, "ktls_hw", "kTLS-hw", false, true},
+    {TransportKind::homa, "homa", "Homa", true, false},
+    {TransportKind::smt_sw, "smt_sw", "SMT-sw", true, true},
+    {TransportKind::smt_hw, "smt_hw", "SMT-hw", true, true},
+    {TransportKind::tcpls, "tcpls", "TCPLS", false, true},
+};
+
+constexpr bool table_follows_enum() {
+  for (std::size_t i = 0; i < std::size(kTransports); ++i) {
+    if (std::size_t(kTransports[i].kind) != i) return false;
+  }
+  return std::size(kTransports) == std::size_t(TransportKind::tcpls) + 1;
+}
+static_assert(table_follows_enum(),
+              "kTransports lists every TransportKind in declaration order");
+
+const TransportInfo& info(TransportKind kind) noexcept {
+  return kTransports[std::size_t(kind)];
+}
+
 }  // namespace
 
 const char* transport_name(TransportKind kind) noexcept {
-  switch (kind) {
-    case TransportKind::tcp: return "TCP";
-    case TransportKind::ktls_sw: return "kTLS-sw";
-    case TransportKind::ktls_hw: return "kTLS-hw";
-    case TransportKind::homa: return "Homa";
-    case TransportKind::smt_sw: return "SMT-sw";
-    case TransportKind::smt_hw: return "SMT-hw";
-    case TransportKind::tcpls: return "TCPLS";
-  }
-  return "?";
+  return info(kind).name;
 }
 
 const char* transport_key(TransportKind kind) noexcept {
-  switch (kind) {
-    case TransportKind::tcp: return "tcp";
-    case TransportKind::ktls_sw: return "ktls_sw";
-    case TransportKind::ktls_hw: return "ktls_hw";
-    case TransportKind::homa: return "homa";
-    case TransportKind::smt_sw: return "smt_sw";
-    case TransportKind::smt_hw: return "smt_hw";
-    case TransportKind::tcpls: return "tcpls";
-  }
-  return "?";
+  return info(kind).key;
 }
 
 Result<TransportKind> parse_transport(std::string_view name) {
-  for (const TransportKind kind :
-       {TransportKind::tcp, TransportKind::ktls_sw, TransportKind::ktls_hw,
-        TransportKind::homa, TransportKind::smt_sw, TransportKind::smt_hw,
-        TransportKind::tcpls}) {
-    if (name == transport_key(kind)) return kind;
+  std::string keys;
+  for (const TransportInfo& t : kTransports) {
+    if (name == t.key) return t.kind;
+    if (!keys.empty()) keys += ", ";
+    keys += t.key;
   }
   return make_error(Errc::invalid_argument,
                     "unknown transport '" + std::string(name) +
-                        "' (expected one of tcp, ktls_sw, ktls_hw, homa, "
-                        "smt_sw, smt_hw, tcpls)");
+                        "' (expected one of " + keys + ")");
 }
 
 bool is_message_based(TransportKind kind) noexcept {
-  return kind == TransportKind::homa || kind == TransportKind::smt_sw ||
-         kind == TransportKind::smt_hw;
+  return info(kind).message_based;
 }
 
 bool is_encrypted(TransportKind kind) noexcept {
-  return kind != TransportKind::tcp && kind != TransportKind::homa;
+  return info(kind).encrypted;
 }
 
 stack::HostConfig host_config_of(const RpcFabricConfig& config,
@@ -134,7 +148,8 @@ RpcFabric::~RpcFabric() = default;
 void RpcFabric::finish_init(const Status& init) {
   if (!init.ok()) fail_config(init);
   establish_keys();
-  setup_transports();
+  build_endpoint(server_);
+  for (Node& client : clients_) build_endpoint(client);
 }
 
 Status RpcFabric::init_two_host(sim::ShardedEngine& engine,
@@ -233,11 +248,6 @@ void RpcFabric::establish_keys() {
   server_tx_keys_ = client_hs.secrets().server_keys;
 }
 
-void RpcFabric::setup_transports() {
-  build_endpoint(server_);
-  for (Node& client : clients_) build_endpoint(client);
-}
-
 void RpcFabric::build_endpoint(Node& node) {
   const bool server = &node == &server_;
   const std::uint16_t port = server ? kServerPort : kClientPort;
@@ -248,7 +258,7 @@ void RpcFabric::build_endpoint(Node& node) {
     on_stream_data(node, conn, std::move(data));
   };
   auto message_handler = [this, &node](const auto& meta, Bytes data) {
-    on_message(node, meta.peer, std::move(data));
+    on_message(node, Route{0, meta.peer}, std::move(data));
   };
   switch (config_.kind) {
     case TransportKind::tcp:
@@ -306,21 +316,69 @@ void RpcFabric::build_endpoint(Node& node) {
   }
 }
 
-void RpcFabric::on_stream_data(Node& node, std::uint64_t conn, Bytes data) {
-  if (&node == &server_) {
-    on_server_stream_data(conn, std::move(data));
-    return;
+std::uint64_t RpcFabric::open_stream(Node& node) {
+  std::uint64_t conn = 0;
+  if (node.tcp) {
+    conn = node.tcp->connect(server_.ip, kServerPort);
+  } else if (node.ktls) {
+    conn = node.ktls->connect(server_.ip, kServerPort);
+    const Status st = node.ktls->register_session(conn, suite_,
+                                                  client_tx_keys_,
+                                                  server_tx_keys_);
+    assert(st.ok());
+    (void)st;
+  } else {
+    return 0;  // message transports address the server, not a connection
   }
-  const auto it = node.stream_channels.find(conn);
-  if (it != node.stream_channels.end()) {
-    it->second->on_stream_data(std::move(data));
+  node.streams.try_emplace(conn);
+  return conn;
+}
+
+void RpcFabric::send(Node& node, const Route& route, Bytes message,
+                     stack::CpuCore& core) {
+  bool sent = true;
+  switch (config_.kind) {
+    case TransportKind::tcp:
+      node.tcp->send(route.conn, frame_message(message), &core);
+      break;
+    case TransportKind::ktls_sw:
+    case TransportKind::ktls_hw:
+    case TransportKind::tcpls:
+      sent = node.ktls->send(route.conn, frame_message(message), &core).ok();
+      break;
+    case TransportKind::homa:
+      sent = node.homa->send_message(route.peer, std::move(message), &core)
+                 .ok();
+      break;
+    case TransportKind::smt_sw:
+    case TransportKind::smt_hw:
+      sent =
+          node.smt->send_message(route.peer, std::move(message), &core).ok();
+      break;
+  }
+  assert(sent);
+  (void)sent;
+}
+
+void RpcFabric::on_stream_data(Node& node, std::uint64_t conn, Bytes data) {
+  auto it = node.streams.find(conn);
+  if (it == node.streams.end()) {
+    // A client's streams live from open_stream to ~RpcChannel: late bytes
+    // for a closed channel are dropped. The server learns a connection
+    // from its first bytes and gives it the next app core.
+    if (&node != &server_) return;
+    it = node.streams.emplace(conn, Stream{{}, next_server_core_++}).first;
+  }
+  Stream& stream = it->second;
+  append(stream.rx, data);
+  while (auto message = extract_frame(stream.rx)) {
+    on_message(node, Route{conn, {}}, std::move(*message));
   }
 }
 
-void RpcFabric::on_message(Node& node, transport::PeerAddr peer,
-                           Bytes message) {
+void RpcFabric::on_message(Node& node, const Route& route, Bytes message) {
   if (&node == &server_) {
-    on_server_message(peer, std::move(message));
+    server_handle_message(route, message);
     return;
   }
   if (message.size() < 8) return;
@@ -334,9 +392,13 @@ stack::CpuCore& RpcFabric::server_core_for(std::size_t hint) {
   return server_.host->app_core(hint % server_.host->app_core_count());
 }
 
-void RpcFabric::server_handle_message(ByteView message,
-                                      std::function<void(Bytes)> reply,
-                                      std::size_t core_hint) {
+void RpcFabric::server_handle_message(const Route& route, ByteView message) {
+  // A stream's requests run on the app core its connection was given; a
+  // message request takes the next one as it arrives.
+  const bool stream = !is_message_based(config_.kind);
+  const std::size_t core_hint = stream
+                                    ? server_.streams.at(route.conn).app_core
+                                    : next_server_core_++;
   if (message.size() < kRpcHeader) return;
   const std::uint64_t corr = load_u64be(message.data());
   const std::uint32_t resp_len = load_u32be(message.data() + 8);
@@ -345,8 +407,8 @@ void RpcFabric::server_handle_message(ByteView message,
   // Completes the RPC once the handler produced a result: charges wakeup +
   // dispatch + handler CPU on a server app thread, then sends the reply
   // from that context.
-  auto complete = [this, corr, resp_len, core_hint,
-                   reply = std::move(reply)](RpcReply result) mutable {
+  auto complete = [this, route, stream, corr, resp_len,
+                   core_hint](RpcReply result) {
     Bytes response;
     response.reserve(8 + std::max<std::size_t>(result.payload.size(), resp_len));
     append_u64be(response, corr);
@@ -360,12 +422,15 @@ void RpcFabric::server_handle_message(ByteView message,
     // Stream transports: the application reassembles messages from the
     // bytestream itself (§5.3 — Redis keeps partial-read state for TCP
     // clients but not for Homa/SMT ones).
-    const SimDuration framing =
-        is_message_based(config_.kind) ? 0 : costs.stream_app_framing;
+    const SimDuration framing = stream ? costs.stream_app_framing : 0;
     core.run(costs.wakeup + costs.epoll_dispatch + framing + result.cpu_cost,
-             [reply = std::move(reply),
+             [this, route, stream, &core,
               response = std::move(response)]() mutable {
-               reply(std::move(response));
+               // A message reply leaves from the core next_server_core_
+               // names when it is sent, not from the one that ran its
+               // handler: a known quirk, kept so results do not move.
+               send(server_, route, std::move(response),
+                    stream ? core : server_core_for(next_server_core_));
              });
   };
 
@@ -374,55 +439,6 @@ void RpcFabric::server_handle_message(ByteView message,
   } else {
     complete(handler_(payload));
   }
-}
-
-void RpcFabric::on_server_stream_data(std::uint64_t conn, Bytes data) {
-  auto [it, created] = server_streams_.try_emplace(conn);
-  if (created) it->second.app_core = next_server_core_++;
-  StreamConnState& state = it->second;
-  append(state.rx_buffer, data);
-
-  while (auto message = extract_frame(state.rx_buffer)) {
-    const std::size_t core_hint = state.app_core;
-    server_handle_message(
-        *message,
-        [this, conn, core_hint](Bytes response) {
-          stack::CpuCore& core = server_core_for(core_hint);
-          const Bytes framed = frame_message(response);
-          if (config_.kind == TransportKind::tcp) {
-            server_.tcp->send(conn, framed, &core);
-          } else {
-            const Status st = server_.ktls->send(conn, framed, &core);
-            assert(st.ok());
-            (void)st;
-          }
-        },
-        core_hint);
-  }
-}
-
-void RpcFabric::on_server_message(transport::PeerAddr peer, Bytes message) {
-  server_handle_message(
-      message,
-      [this, peer](Bytes response) {
-        const std::size_t hint =
-            config_.single_threaded_server
-                ? 0
-                : (next_server_core_ % server_.host->app_core_count());
-        stack::CpuCore& core = server_core_for(hint);
-        if (config_.kind == TransportKind::homa) {
-          const auto st = server_.homa->send_message(peer, std::move(response),
-                                                     &core);
-          assert(st.ok());
-          (void)st;
-        } else {
-          const auto st = server_.smt->send_message(peer, std::move(response),
-                                                    &core);
-          assert(st.ok());
-          (void)st;
-        }
-      },
-      next_server_core_++);
 }
 
 std::unique_ptr<RpcChannel> RpcFabric::make_channel(
@@ -445,34 +461,13 @@ RpcChannel::RpcChannel(RpcFabric& fabric, std::uint64_t channel_id,
     : fabric_(fabric),
       channel_id_(channel_id),
       client_(client_index),
-      app_core_(app_core_index) {
-  switch (fabric_.config_.kind) {
-    case TransportKind::tcp: {
-      stream_conn_ = node().tcp->connect(fabric_.server_.ip, kServerPort);
-      node().stream_channels[stream_conn_] = this;
-      break;
-    }
-    case TransportKind::ktls_sw:
-    case TransportKind::ktls_hw:
-    case TransportKind::tcpls: {
-      stream_conn_ = node().ktls->connect(fabric_.server_.ip, kServerPort);
-      node().stream_channels[stream_conn_] = this;
-      const Status st = node().ktls->register_session(
-          stream_conn_, fabric_.suite_, fabric_.client_tx_keys_,
-          fabric_.server_tx_keys_);
-      assert(st.ok());
-      (void)st;
-      break;
-    }
-    default:
-      message_port_ = kClientPort;
-      break;
-  }
-}
+      app_core_(app_core_index),
+      route_{fabric.open_stream(node()),
+             transport::PeerAddr{fabric.server_.ip, kServerPort}} {}
 
 RpcChannel::~RpcChannel() {
   fabric_.channels_.erase(channel_id_);
-  if (stream_conn_ != 0) node().stream_channels.erase(stream_conn_);
+  node().streams.erase(route_.conn);
 }
 
 void RpcChannel::call(Bytes request, std::uint32_t resp_len,
@@ -485,50 +480,11 @@ void RpcChannel::call(Bytes request, std::uint32_t resp_len,
   append(message, request);
 
   pending_[corr] = Pending{node().host->loop().now(), std::move(done)};
-
-  stack::CpuCore& core = node().host->app_core(app_core_);
-  switch (fabric_.config_.kind) {
-    case TransportKind::tcp:
-      node().tcp->send(stream_conn_, frame_message(message), &core);
-      break;
-    case TransportKind::ktls_sw:
-    case TransportKind::ktls_hw:
-    case TransportKind::tcpls: {
-      const Status st =
-          node().ktls->send(stream_conn_, frame_message(message), &core);
-      assert(st.ok());
-      (void)st;
-      break;
-    }
-    case TransportKind::homa: {
-      const auto st = node().homa->send_message(
-          transport::PeerAddr{fabric_.server_.ip, kServerPort},
-          std::move(message), &core);
-      assert(st.ok());
-      (void)st;
-      break;
-    }
-    case TransportKind::smt_sw:
-    case TransportKind::smt_hw: {
-      const auto st = node().smt->send_message(
-          transport::PeerAddr{fabric_.server_.ip, kServerPort},
-          std::move(message), &core);
-      assert(st.ok());
-      (void)st;
-      break;
-    }
-  }
-}
-
-void RpcChannel::on_stream_data(Bytes data) {
-  append(rx_buffer_, data);
-  while (auto message = extract_frame(rx_buffer_)) {
-    on_response(std::move(*message));
-  }
+  fabric_.send(node(), route_, std::move(message),
+               node().host->app_core(app_core_));
 }
 
 void RpcChannel::on_response(Bytes message) {
-  if (message.size() < 8) return;
   const std::uint64_t corr = load_u64be(message.data());
   const auto it = pending_.find(corr);
   if (it == pending_.end()) return;

@@ -18,9 +18,15 @@
 // Wire protocol (identical across transports):
 //   request  := corr_id(8) | resp_len(4) | payload
 //   response := corr_id(8) | payload(resp_len)
-// Stream transports add a 4-byte length prefix per message (the framing
-// RPC-over-TCP protocols need, §2); message transports map one message to
-// one RPC.
+// corr_id's upper 32 bits name the client's channel.
+//
+// Every transport takes one route. A message leaves through one send, the
+// only code that tells the seven apart, and arrives at one on_message: the
+// server serves it, a client hands it to the channel its corr_id names.
+// The one difference is framing: a stream transport (TCP, kTLS, TCPLS)
+// length-prefixes each message on a connection per channel and each host
+// reassembles it (the framing RPC-over-TCP protocols need, §2); a message
+// transport (Homa, SMT) carries it whole.
 #pragma once
 
 #include <cstdint>
@@ -188,6 +194,19 @@ class RpcFabric {
  private:
   friend class RpcChannel;
 
+  /// Where a message goes: the connection on a stream transport, the
+  /// peer's address on a message transport (a channel's route holds both).
+  struct Route {
+    std::uint64_t conn = 0;
+    transport::PeerAddr peer;
+  };
+
+  /// A connection's reassembly buffer; on the server, its requests' core.
+  struct Stream {
+    Bytes rx;
+    std::size_t app_core = 0;
+  };
+
   /// One host of the fabric, server or client, and its endpoint: exactly
   /// one of the endpoint pointers is set, per config_.kind (TCPLS runs on
   /// `ktls`).
@@ -198,14 +217,9 @@ class RpcFabric {
     std::unique_ptr<baselines::KtlsEndpoint> ktls;
     std::unique_ptr<transport::HomaEndpoint> homa;
     std::unique_ptr<proto::SmtEndpoint> smt;
-    // Client stream transports: connection -> channel. Per node because
-    // connection ids are only unique per endpoint.
-    std::map<std::uint64_t, RpcChannel*> stream_channels;
-  };
-
-  struct StreamConnState {
-    Bytes rx_buffer;
-    std::size_t app_core = 0;
+    // Stream transports' connections, per node because connection ids are
+    // only unique per endpoint.
+    std::map<std::uint64_t, Stream> streams;
   };
 
   Status init_two_host(sim::ShardedEngine& engine, std::size_t client_shard,
@@ -216,16 +230,19 @@ class RpcFabric {
   /// the handshake and builds every endpoint.
   void finish_init(const Status& init);
   void establish_keys();
-  void setup_transports();
   void build_endpoint(Node& node);
+  /// Connects a client's new stream to the server (0 on message transports).
+  std::uint64_t open_stream(Node& node);
+  /// The one place the transports differ: frames `message` onto the
+  /// route's stream, or sends it whole to the route's peer.
+  void send(Node& node, const Route& route, Bytes message,
+            stack::CpuCore& core);
+  /// Reassembles a stream's frames; each goes to on_message.
   void on_stream_data(Node& node, std::uint64_t conn, Bytes data);
-  void on_message(Node& node, transport::PeerAddr peer, Bytes message);
+  /// Every message: the server serves it, a client hands it to its channel.
+  void on_message(Node& node, const Route& route, Bytes message);
   stack::CpuCore& server_core_for(std::size_t hint);
-  void server_handle_message(ByteView message,
-                             std::function<void(Bytes)> reply,
-                             std::size_t core_hint);
-  void on_server_stream_data(std::uint64_t conn, Bytes data);
-  void on_server_message(transport::PeerAddr peer, Bytes message);
+  void server_handle_message(const Route& route, ByteView message);
 
   RpcFabricConfig config_;
   std::unique_ptr<sim::ShardedEngine> owned_engine_;  // RpcFabric(config)
@@ -243,7 +260,6 @@ class RpcFabric {
 
   RpcHandler handler_ = [](ByteView) { return RpcReply{}; };
   AsyncRpcHandler async_handler_;
-  std::map<std::uint64_t, StreamConnState> server_streams_;
   std::map<std::uint64_t, RpcChannel*> channels_;  // by correlation prefix
   std::uint64_t next_channel_id_ = 1;
   std::size_t next_server_core_ = 0;
@@ -269,8 +285,8 @@ class RpcChannel {
   RpcChannel(RpcFabric& fabric, std::uint64_t channel_id,
              std::size_t client_index, std::size_t app_core_index);
 
+  /// `message` holds at least its 8-byte corr_id.
   void on_response(Bytes message);
-  void on_stream_data(Bytes data);
 
   RpcFabric::Node& node() { return fabric_.clients_[client_]; }
 
@@ -279,11 +295,7 @@ class RpcChannel {
   std::size_t client_;   // index into fabric_.clients_
   std::size_t app_core_;
   std::uint64_t next_call_ = 0;
-
-  // Stream transports: this channel's private connection + rx reassembly.
-  std::uint64_t stream_conn_ = 0;
-  Bytes rx_buffer_;
-  std::uint16_t message_port_ = 0;  // message transports: client port
+  RpcFabric::Route route_;  // its own connection, or the server's address
 
   struct Pending {
     SimTime issued_at;

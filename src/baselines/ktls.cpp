@@ -76,9 +76,7 @@ Status KtlsEndpoint::send(ConnId conn, Bytes plaintext,
     if (config_.hw_offload) {
       app_core->charge(costs.offload_metadata * SimDuration(n_records));
     } else {
-      app_core->charge(costs.aead_sw_cost(stream.size()) -
-                       costs.aead_sw_per_record +
-                       costs.aead_sw_per_record * SimDuration(n_records));
+      app_core->charge(costs.aead_sw_cost(stream.size(), n_records));
     }
     if (config_.extra_record_cost > 0) {
       app_core->charge(config_.extra_record_cost * SimDuration(n_records));
@@ -131,9 +129,7 @@ void KtlsEndpoint::on_stream_data(ConnId conn, Bytes data) {
   const auto flow = tcp_.flow_of(conn);
   const auto& costs = host_.costs();
   SimDuration cost = costs.ktls_frame_locate * SimDuration(records) +
-                     costs.aead_sw_cost(consumed_bytes) -
-                     costs.aead_sw_per_record +
-                     costs.aead_sw_per_record * SimDuration(records);
+                     costs.aead_sw_cost(consumed_bytes, records);
   if (config_.extra_record_cost > 0) {
     cost += config_.extra_record_cost * SimDuration(records);
   }

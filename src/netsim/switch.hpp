@@ -128,8 +128,6 @@ class Switch {
     default_route_ = std::move(ports);
   }
 
-  void set_ecmp_seed(std::uint64_t seed) { config_.ecmp_seed = seed; }
-
   /// Applies a FaultProfile to an egress port through the same FaultState
   /// pipeline as LinkDirection. Flaps and Gilbert–Elliott loss kill the
   /// packet at serialisation time (the slot is still charged: a killed

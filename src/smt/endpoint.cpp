@@ -118,10 +118,8 @@ Result<std::uint64_t> SmtEndpoint::send_message(PeerAddr dst, Bytes plaintext,
       // establishment is real work, not a free alloc (§4.4.2).
       if (fresh_tx_lease) app_core->charge(costs.context_establish);
     } else {
-      app_core->charge(costs.aead_sw_cost(message.total_wire_bytes) -
-                       costs.aead_sw_per_record +
-                       costs.aead_sw_per_record *
-                           SimDuration(message.record_count));
+      app_core->charge(
+          costs.aead_sw_cost(message.total_wire_bytes, message.record_count));
     }
   }
 

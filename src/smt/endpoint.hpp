@@ -99,16 +99,9 @@ class SmtEndpoint {
   const transport::HomaEndpoint::Stats& homa_stats() const {
     return homa_.stats();
   }
-  /// Per-host state audit: session table size plus the underlying Homa
-  /// engine's live message/dedup tables.
-  std::size_t session_count() const noexcept { return sessions_.size(); }
+  /// State audit: the underlying Homa engine's live message/dedup tables.
   transport::HomaEndpoint::TableAudit table_audit() const noexcept {
     return homa_.table_audit();
-  }
-  /// Host-wide LRU context-cache stats (hits/misses/evictions are shared
-  /// across every endpoint on the host).
-  const stack::FlowContextManager::Stats& context_stats() const {
-    return homa_.host().flow_contexts().stats();
   }
 
  private:

@@ -67,9 +67,6 @@ class CpuCore {
     return decay_load(irq_load_, load_epoch(loop_->now()) - irq_load_epoch_);
   }
 
-  /// Time at which currently queued work drains.
-  SimTime free_at() const noexcept { return free_at_; }
-
   /// Outstanding backlog relative to now (for least-loaded choices).
   SimDuration backlog() const noexcept {
     const SimTime now = loop_->now();

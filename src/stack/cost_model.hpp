@@ -90,8 +90,11 @@ struct CostModel {
   SimDuration copy_cost(std::size_t bytes) const noexcept {
     return SimDuration(double(bytes) * copy_per_byte);
   }
-  SimDuration aead_sw_cost(std::size_t bytes) const noexcept {
-    return aead_sw_per_record + SimDuration(double(bytes) * aead_sw_per_byte);
+  /// Software AEAD over `bytes` sealed or opened as `records` records.
+  SimDuration aead_sw_cost(std::size_t bytes,
+                           std::size_t records = 1) const noexcept {
+    return aead_sw_per_record * SimDuration(records) +
+           SimDuration(double(bytes) * aead_sw_per_byte);
   }
 };
 

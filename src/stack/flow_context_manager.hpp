@@ -99,12 +99,6 @@ class FlowContextManager {
   std::size_t size() const noexcept { return entries_.size(); }
   const Stats& stats() const noexcept { return stats_; }
 
-  /// Fraction of acquires that missed (context had to be [re]established).
-  double miss_rate() const noexcept {
-    const std::uint64_t total = stats_.hits + stats_.misses;
-    return total == 0 ? 0.0 : double(stats_.misses) / double(total);
-  }
-
  private:
   struct Entry {
     Lease lease;

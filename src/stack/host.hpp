@@ -152,9 +152,6 @@ class Host {
   CpuCore& softirq_for_hash(std::size_t flow_hash) {
     return softirq_cores_[flow_hash % softirq_cores_.size()];
   }
-  std::size_t softirq_index_for_hash(std::size_t flow_hash) const {
-    return flow_hash % softirq_cores_.size();
-  }
 
   /// The softirq core servicing RX ring `ring`'s interrupt vector.
   std::size_t irq_affinity(std::size_t ring) const {

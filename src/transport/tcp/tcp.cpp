@@ -191,25 +191,30 @@ void TcpEndpoint::transmit_range(Connection& conn, std::uint64_t from,
   // other pending segments slip between resync and segment (§3.2 hazard).
   std::vector<std::pair<std::uint32_t, std::uint64_t>> resyncs;
   if (conn.tls_tx) {
-    // Attach record descriptors for records fully inside this range, and
-    // shadow-track the NIC counter, posting resyncs when it diverges —
-    // the tls_device driver logic (§2.3 / Figure 2).
+    // Attaches one record's descriptor, and shadow-tracks the NIC counter,
+    // posting a resync where it diverges — the tls_device driver logic
+    // (§2.3 / Figure 2). Consecutive records then ride the self-increment
+    // (one resync per run).
+    auto attach = [&](const RecordBoundary& rec) {
+      if (conn.tls_tx->driver_shadow_seq != rec.record_seq) {
+        resyncs.emplace_back(conn.tls_tx->nic_context_id, rec.record_seq);
+      }
+      sim::TlsRecordDesc desc;
+      desc.context_id = conn.tls_tx->nic_context_id;
+      desc.record_offset = std::size_t(rec.stream_off - from);
+      desc.plaintext_len = rec.plaintext_len;
+      desc.record_seq = rec.record_seq;
+      d.records.push_back(desc);
+      conn.tls_tx->driver_shadow_seq = rec.record_seq + 1;
+    };
     if (!is_retransmit) {
+      // Fresh data: the queued records fully inside this range.
       while (!conn.record_queue.empty() &&
              conn.record_queue.front().stream_off >= from &&
              conn.record_queue.front().stream_off + conn.record_queue.front().wire_len <= to) {
-        RecordBoundary rec = conn.record_queue.front();
+        const RecordBoundary rec = conn.record_queue.front();
         conn.record_queue.pop_front();
-        if (conn.tls_tx->driver_shadow_seq != rec.record_seq) {
-          resyncs.emplace_back(conn.tls_tx->nic_context_id, rec.record_seq);
-        }
-        sim::TlsRecordDesc desc;
-        desc.context_id = conn.tls_tx->nic_context_id;
-        desc.record_offset = std::size_t(rec.stream_off - from);
-        desc.plaintext_len = rec.plaintext_len;
-        desc.record_seq = rec.record_seq;
-        d.records.push_back(desc);
-        conn.tls_tx->driver_shadow_seq = rec.record_seq + 1;
+        attach(rec);
         conn.sent_records[rec.stream_off] = rec;
       }
     } else {
@@ -222,18 +227,7 @@ void TcpEndpoint::transmit_range(Connection& conn, std::uint64_t from,
         const RecordBoundary& rec = rec_it->second;
         if (rec.stream_off < from || rec.stream_off + rec.wire_len > to)
           continue;  // partially covered; the caller re-sends whole records
-        // Resync only where the hardware counter diverges; consecutive
-        // records then ride the self-increment (one resync per run).
-        if (conn.tls_tx->driver_shadow_seq != rec.record_seq) {
-          resyncs.emplace_back(conn.tls_tx->nic_context_id, rec.record_seq);
-        }
-        sim::TlsRecordDesc desc;
-        desc.context_id = conn.tls_tx->nic_context_id;
-        desc.record_offset = std::size_t(rec.stream_off - from);
-        desc.plaintext_len = rec.plaintext_len;
-        desc.record_seq = rec.record_seq;
-        d.records.push_back(desc);
-        conn.tls_tx->driver_shadow_seq = rec.record_seq + 1;
+        attach(rec);
       }
     }
   }

@@ -119,7 +119,6 @@ class TcpEndpoint {
   const Stats& stats() const noexcept { return stats_; }
 
   /// Live connection-table size (per-host state audit).
-  std::size_t connection_count() const noexcept { return connections_.size(); }
 
  private:
   struct RecordBoundary {

@@ -113,6 +113,33 @@ TEST_P(RpcFabricTest, ServerBusyAccountingGrows) {
   EXPECT_GT(fabric.client_busy_ns(), 0u);
 }
 
+TEST_P(RpcFabricTest, ResponseToADestroyedChannelIsDropped) {
+  RpcFabricConfig config;
+  config.kind = GetParam();
+  RpcFabric fabric(config);
+  int served = 0;
+  fabric.set_handler([&](ByteView) {
+    ++served;
+    return RpcReply{};  // echo
+  });
+  auto closed = fabric.make_channel(0);
+  auto live = fabric.make_channel(1);
+  bool closed_fired = false;
+  bool live_done = false;
+  closed->call(Bytes(64, 0x33), 64,
+               [&](SimDuration, Bytes) { closed_fired = true; });
+  closed.reset();  // its request is already on its way to the server
+  live->call(Bytes(64, 0x44), 64, [&](SimDuration, Bytes response) {
+    live_done = true;
+    EXPECT_EQ(response.size(), 64u);
+  });
+  fabric.loop().run();
+  EXPECT_EQ(served, 2);  // the server still answered the closed channel
+  EXPECT_FALSE(closed_fired);
+  EXPECT_TRUE(live_done);
+  EXPECT_EQ(live->inflight(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllTransports, RpcFabricTest,
     ::testing::Values(TransportKind::tcp, TransportKind::ktls_sw,
@@ -212,11 +239,13 @@ std::unique_ptr<stack::Topology> four_hosts(sim::ShardedEngine& engine) {
 
 const std::vector<std::size_t> kClients = {1, 2, 3};
 
-RpcFabricConfig smt_hw() {
+RpcFabricConfig config_for(TransportKind kind) {
   RpcFabricConfig config;
-  config.kind = TransportKind::smt_hw;
+  config.kind = kind;
   return config;
 }
+
+RpcFabricConfig smt_hw() { return config_for(TransportKind::smt_hw); }
 
 TEST(ClosedLoop, IssuesTheBudgetWithOneCallPerChannel) {
   sim::ShardedEngine engine(1);
@@ -271,10 +300,10 @@ TEST(ClosedLoop, CompletionsOfOneClientAreInTimeOrder) {
   EXPECT_EQ(r.last_completion(), r.completions.back().at);
 }
 
-ClosedLoopResult run_three_clients_on_two_shards() {
+ClosedLoopResult run_three_clients_on_two_shards(TransportKind kind) {
   sim::ShardedEngine engine(2, usec(1));
   auto topology = four_hosts(engine);
-  RpcFabric fabric(smt_hw(), *topology, 0, kClients);
+  RpcFabric fabric(config_for(kind), *topology, 0, kClients);
   ClosedLoop rpcs(fabric, {.channels_per_client = 2,
                            .ops_per_client = 20,
                            .request_bytes = 512,
@@ -286,11 +315,16 @@ ClosedLoopResult run_three_clients_on_two_shards() {
 
 TEST(ClosedLoop, TwoShardRunsAreIdentical) {
   // Clients on both shard threads complete concurrently; each touches
-  // only its own slot, which TSan checks here.
-  const ClosedLoopResult first = run_three_clients_on_two_shards();
-  const ClosedLoopResult second = run_three_clients_on_two_shards();
-  ASSERT_EQ(first.completions.size(), 3u * 20u);
-  EXPECT_TRUE(first == second);
+  // only its own slot and its own host's streams, which TSan checks here
+  // for the message path and both stream paths.
+  for (const TransportKind kind :
+       {TransportKind::smt_hw, TransportKind::ktls_hw, TransportKind::tcp}) {
+    SCOPED_TRACE(transport_name(kind));
+    const ClosedLoopResult first = run_three_clients_on_two_shards(kind);
+    const ClosedLoopResult second = run_three_clients_on_two_shards(kind);
+    ASSERT_EQ(first.completions.size(), 3u * 20u);
+    EXPECT_TRUE(first == second);
+  }
 }
 
 }  // namespace
