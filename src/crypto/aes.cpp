@@ -1,7 +1,8 @@
 #include "crypto/aes.hpp"
 
 #include <cassert>
-#include <cstdlib>
+
+#include "crypto/hw_tier.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define SMT_AES_NI 1
@@ -13,20 +14,6 @@ namespace smt::crypto {
 namespace {
 
 #ifdef SMT_AES_NI
-/// Runtime CPU dispatch: resolved once, then a perfectly predicted branch.
-bool cpu_has_aesni() noexcept {
-  // SMT_DISABLE_HW_CRYPTO forces the portable T-table engine (see the
-  // matching predicate in gcm.cpp; CI covers the fallback through it).
-  // getenv is safe here: resolved once under the static-init guard, and
-  // nothing in this process calls setenv.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  static const bool disabled = std::getenv("SMT_DISABLE_HW_CRYPTO") != nullptr;
-  static const bool supported =
-      __builtin_cpu_supports("aes") && __builtin_cpu_supports("sse2") &&
-      !disabled;
-  return supported;
-}
-
 /// Hardware block transform. The round keys are the SAME expanded schedule
 /// the portable path uses, just in FIPS byte order — both engines compute
 /// the identical function, so dispatch can never change simulated bytes.
@@ -138,7 +125,7 @@ Aes::Aes(ByteView key) {
 void Aes::encrypt_block(const std::uint8_t in[kBlockSize],
                         std::uint8_t out[kBlockSize]) const noexcept {
 #ifdef SMT_AES_NI
-  if (cpu_has_aesni()) {
+  if (hw_tier() != HwTier::portable) {
     encrypt_block_aesni(round_key_bytes_.data(), rounds_, in, out);
     return;
   }

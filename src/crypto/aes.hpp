@@ -1,10 +1,11 @@
 // AES block cipher (FIPS 197), 128- and 256-bit keys.
 //
-// Two interchangeable engines behind one interface, selected at runtime:
+// Two interchangeable engines behind one interface, selected at runtime by
+// crypto::hw_tier() (crypto/hw_tier.hpp):
 //   * AES-NI (x86-64 `aes` extension, function-multiversioned so the
-//     binary still runs on CPUs without it) — the simulator does real
-//     crypto for byte fidelity, so the block transform is squarely on the
-//     wall-clock hot path;
+//     binary still runs on CPUs without it) on either hardware tier — the
+//     simulator does real crypto for byte fidelity, so the block transform
+//     is squarely on the wall-clock hot path;
 //   * portable T-table implementation, validated against FIPS vectors.
 // Both produce identical bytes; the dispatch only changes wall-clock cost.
 // Only encryption is implemented — every mode used here (CTR inside GCM)

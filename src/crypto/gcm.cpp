@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
+
+#include "crypto/hw_tier.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define SMT_GHASH_CLMUL 1
@@ -15,24 +16,6 @@ namespace smt::crypto {
 namespace {
 
 #ifdef SMT_GHASH_CLMUL
-/// Runtime CPU dispatch, resolved once.
-bool cpu_has_clmul() noexcept {
-  // One predicate for every GCM fast path (GHASH's pclmul+ssse3 and the
-  // pipelined CTR's aes): the extensions ship together on real CPUs, and a
-  // single flag keeps the dispatch branches trivially predictable.
-  // SMT_DISABLE_HW_CRYPTO forces the portable engines — CI registers a
-  // second crypto test run with it set, so the fallback path keeps full
-  // NIST-vector coverage on hosts whose CPUs would never take it.
-  // getenv is safe here: resolved once under the static-init guard, and
-  // nothing in this process calls setenv.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  static const bool disabled = std::getenv("SMT_DISABLE_HW_CRYPTO") != nullptr;
-  static const bool supported = __builtin_cpu_supports("pclmul") &&
-                                __builtin_cpu_supports("ssse3") &&
-                                __builtin_cpu_supports("aes") && !disabled;
-  return supported;
-}
-
 /// Copies n < 16 bytes with fixed-size moves. GCC inlines a
 /// variable-length memcpy as `rep movsq`, whose startup costs more than
 /// a whole small record's GHASH.
@@ -125,19 +108,25 @@ __attribute__((target("pclmul"))) inline __m128i gf_mul_clmul(
   return gf_reduce(clmul_product(a, b));
 }
 
-/// GHASH stride: blocks folded per reduction, and so H powers kept.
+/// GHASH stride of the aesni engine: blocks folded per reduction.
 constexpr std::size_t kGhashStride = 8;
+/// The wide engine's: 16 blocks per reduction, four per VPCLMULQDQ.
+constexpr std::size_t kWideGhashStride = 16;
 
-/// Precomputes H^1..H^8 (reflected form; out_pows[i] = H^(i+1)) for the
-/// aggregated GHASH.
+/// Precomputes H^1..H^16 (reflected form; out_pows[i] = H^(i+1)) for the
+/// aggregated GHASH: the aesni engine reads the first eight, the wide
+/// engine all sixteen. Each power is the product of two halves,
+/// H^n = H^ceil(n/2)·H^floor(n/2), so the chain of dependent multiplies
+/// is four deep rather than fifteen: key setup runs once per flow context.
 __attribute__((target("pclmul,ssse3"))) void ghash_init_clmul(
     const std::uint8_t* h_bytes, __m128i* out_pows) noexcept {
-  const __m128i h = load_reflected(h_bytes);
-  __m128i pow = h;
-  _mm_storeu_si128(out_pows, pow);
-  for (std::size_t i = 1; i < kGhashStride; ++i) {
-    pow = gf_mul_clmul(pow, h);
-    _mm_storeu_si128(out_pows + i, pow);
+  __m128i pows[kWideGhashStride];
+  pows[0] = load_reflected(h_bytes);
+  for (std::size_t n = 2; n <= kWideGhashStride; ++n) {
+    pows[n - 1] = gf_mul_clmul(pows[(n + 1) / 2 - 1], pows[n / 2 - 1]);
+  }
+  for (std::size_t i = 0; i < kWideGhashStride; ++i) {
+    _mm_storeu_si128(out_pows + i, pows[i]);
   }
 }
 
@@ -184,18 +173,16 @@ __attribute__((target("pclmul,ssse3"))) __m128i ghash_absorb_clmul(
   return gf_reduce(sum);
 }
 
-__attribute__((target("pclmul,ssse3"))) void ghash_clmul(
-    const __m128i* h_pows, ByteView aad, ByteView ciphertext,
-    std::uint8_t out[16]) noexcept {
+/// GHASH's last step: the length block folded in, one multiply by H, and
+/// the result written back in GCM byte order.
+__attribute__((target("pclmul,ssse3"))) void ghash_finish_clmul(
+    __m128i y, const __m128i* h_pows, std::size_t aad_len,
+    std::size_t ciphertext_len, std::uint8_t out[16]) noexcept {
   const __m128i bswap = _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
                                      12, 13, 14, 15);
-  __m128i y = _mm_setzero_si128();
-  y = ghash_absorb_clmul(y, h_pows, aad);
-  y = ghash_absorb_clmul(y, h_pows, ciphertext);
-
-  const __m128i lengths = _mm_set_epi64x(
-      std::int64_t(std::uint64_t(aad.size()) * 8),
-      std::int64_t(std::uint64_t(ciphertext.size()) * 8));
+  const __m128i lengths =
+      _mm_set_epi64x(std::int64_t(std::uint64_t(aad_len) * 8),
+                     std::int64_t(std::uint64_t(ciphertext_len) * 8));
   y = _mm_xor_si128(y, lengths);
   y = gf_mul_clmul(y, _mm_loadu_si128(h_pows));
 
@@ -281,6 +268,221 @@ __attribute__((target("aes,ssse3"))) void ctr_xor_aesni(
     copy_partial_block(out, block, left);
   }
 }
+
+// ---- The wide engine: VAES + VPCLMULQDQ on 512-bit registers. ----------
+//
+// The functions below take whole 512 B strides only (32 blocks, 8 zmm
+// registers); AesGcm's members send the AAD, the tail and every record
+// shorter than one stride to the aesni functions above, carrying the
+// counter and the GHASH accumulator across. None of them calls out: GCC
+// clears the upper register halves (vzeroupper) on return but not before a
+// tail call, and legacy-SSE code run with those halves dirty is several
+// times slower, here and everywhere after it. They are named functions
+// rather than lambdas for the reason given at ghash_absorb_clmul. GCC 12's
+// unmasked forms of several 512-bit shuffles, broadcasts and extracts (and
+// the 512-to-256/128-bit casts built on them) pass an undefined vector
+// through and trip -Wmaybe-uninitialized, so the code uses their maskz forms
+// with a full mask, which compile to the same instructions.
+#define SMT_GCM_WIDE_TARGET \
+  "aes,pclmul,ssse3,avx2,avx512f,avx512bw,vaes,vpclmulqdq"
+
+/// Bytes per wide iteration.
+constexpr std::size_t kWideStride = 512;
+
+/// The leading bytes of an n-byte run that the wide engine takes: its whole
+/// strides on the wide tier, none otherwise. The length alone decides, so a
+/// record shorter than one stride runs the aesni code exactly.
+inline std::size_t wide_bytes(std::size_t n) noexcept {
+  return hw_tier() == HwTier::wide ? n - n % kWideStride : 0;
+}
+
+/// j0 advanced past `blocks` counter blocks: where the aesni tail resumes
+/// after the wide strides.
+inline std::array<std::uint8_t, 16> advance_counter(
+    const std::array<std::uint8_t, 16>& j0, std::size_t blocks) noexcept {
+  std::array<std::uint8_t, 16> out = j0;
+  store_u32be(out.data() + 12,
+              load_u32be(j0.data() + 12) + std::uint32_t(blocks));
+  return out;
+}
+
+/// Byte-reflects each of a register's four blocks: GHASH's operand form.
+__attribute__((target(SMT_GCM_WIDE_TARGET))) inline __m512i reflect4(
+    __m512i v) noexcept {
+  const __m512i bswap = _mm512_set4_epi32(0x00010203, 0x04050607, 0x08090a0b,
+                                          0x0c0d0e0f);
+  return _mm512_shuffle_epi8(v, bswap);
+}
+
+/// H^16..H^1 as four operands: lane j of pows[g] holds H^(16 - 4g - j), the
+/// power that block 4g + j of a 16-block group is multiplied by. h16 is
+/// H^16 alone, for the accumulator's own product.
+struct WideHashKey {
+  __m512i pows[4];
+  __m128i h16;
+};
+
+__attribute__((target(SMT_GCM_WIDE_TARGET))) inline WideHashKey
+load_wide_hash_key(const __m128i* h_pows) noexcept {
+  WideHashKey key;
+  for (std::size_t g = 0; g < 4; ++g) {
+    // H^(13-4g)..H^(16-4g) in ascending lanes; reverse the lane order.
+    const __m512i ascending = _mm512_loadu_si512(h_pows + 12 - 4 * g);
+    key.pows[g] = _mm512_maskz_shuffle_i64x2(0xff, ascending, ascending, 0x1b);
+  }
+  key.h16 = _mm_loadu_si128(h_pows + 15);
+  return key;
+}
+
+/// Four ClmulSums side by side, one per lane.
+struct ClmulSum4 {
+  __m512i lo, mid, hi;
+};
+
+__attribute__((target(SMT_GCM_WIDE_TARGET))) inline ClmulSum4 clmul_product4(
+    __m512i a, __m512i b) noexcept {
+  return {_mm512_clmulepi64_epi128(a, b, 0x00),
+          _mm512_xor_si512(_mm512_clmulepi64_epi128(a, b, 0x10),
+                           _mm512_clmulepi64_epi128(a, b, 0x01)),
+          _mm512_clmulepi64_epi128(a, b, 0x11)};
+}
+
+__attribute__((target(SMT_GCM_WIDE_TARGET))) inline void clmul_add4(
+    ClmulSum4& sum, __m512i a, __m512i b) noexcept {
+  const ClmulSum4 p = clmul_product4(a, b);
+  sum.lo = _mm512_xor_si512(sum.lo, p.lo);
+  sum.mid = _mm512_xor_si512(sum.mid, p.mid);
+  sum.hi = _mm512_xor_si512(sum.hi, p.hi);
+}
+
+/// The XOR of a register's four 128-bit lanes.
+__attribute__((target(SMT_GCM_WIDE_TARGET))) inline __m128i fold_lanes(
+    __m512i v) noexcept {
+  const __m256i half =
+      _mm256_xor_si256(_mm512_maskz_extracti64x4_epi64(0xf, v, 0),
+                       _mm512_maskz_extracti64x4_epi64(0xf, v, 1));
+  return _mm_xor_si128(_mm256_castsi256_si128(half),
+                       _mm256_extracti128_si256(half, 1));
+}
+
+/// One 512 B stride of blocks, x[0..7] in memory order, folded into `y`
+/// with one reduction per 16-block group:
+///   y' = y·H^16 ^ x1·H^16 ^ x2·H^15 ^ ... ^ x16·H
+/// Each VPCLMULQDQ multiplies four blocks by their four powers, and the
+/// lane sums fold to one unreduced product. None of that waits for y, so
+/// the chain from one group's y to the next is only y·H^16 and gf_reduce.
+__attribute__((target(SMT_GCM_WIDE_TARGET))) inline __m128i ghash_stride_wide(
+    __m128i y, const WideHashKey& key, const __m512i x[8]) noexcept {
+  for (std::size_t group = 0; group < 8; group += 4) {
+    ClmulSum4 blocks = clmul_product4(reflect4(x[group]), key.pows[0]);
+    for (std::size_t g = 1; g < 4; ++g) {
+      clmul_add4(blocks, reflect4(x[group + g]), key.pows[g]);
+    }
+    ClmulSum sum{fold_lanes(blocks.lo), fold_lanes(blocks.mid),
+                 fold_lanes(blocks.hi)};
+    clmul_add(sum, y, key.h16);
+    y = gf_reduce(sum);
+  }
+  return y;
+}
+
+/// The first stride's counter blocks in add-ready form: lane j holds the
+/// counter block of block j + 1 with its 32-bit counter in native byte
+/// order, so one add per register steps all four lanes.
+__attribute__((target(SMT_GCM_WIDE_TARGET))) inline __m512i first_counters_wide(
+    const std::uint8_t j0[16]) noexcept {
+  alignas(16) std::uint8_t block[16];
+  std::memcpy(block, j0, 16);
+  const std::uint32_t first = load_u32be(j0 + 12) + 1;
+  std::memcpy(block + 12, &first, 4);
+  const __m512i base = _mm512_maskz_broadcast_i32x4(
+      0xffff, _mm_load_si128(reinterpret_cast<const __m128i*>(block)));
+  return _mm512_add_epi32(base, _mm512_set_epi32(3, 0, 0, 0, 2, 0, 0, 0, 1, 0,
+                                                 0, 0, 0, 0, 0, 0));
+}
+
+/// AES-CTR keystream XOR over one 512 B stride, advancing `counters` past
+/// it and leaving the output blocks in `x`. As in ctr_blocks_aesni, the
+/// counter wraps within its 32 bits and `out` may equal `in`.
+__attribute__((target(SMT_GCM_WIDE_TARGET))) inline void ctr_stride_wide(
+    const __m128i* keys, int rounds, __m512i& counters, const std::uint8_t* in,
+    std::uint8_t* out, __m512i x[8]) noexcept {
+  // Per lane: bytes 0..11 (the nonce) stay, the counter goes big-endian.
+  const __m512i to_block = _mm512_set4_epi32(0x0c0d0e0f, 0x0b0a0908,
+                                             0x07060504, 0x03020100);
+  const __m512i four = _mm512_set4_epi32(4, 0, 0, 0);
+  const __m512i k0 =
+      _mm512_maskz_broadcast_i32x4(0xffff, _mm_loadu_si128(keys));
+  for (std::size_t j = 0; j < 8; ++j) {
+    x[j] = _mm512_xor_si512(_mm512_shuffle_epi8(counters, to_block), k0);
+    counters = _mm512_add_epi32(counters, four);
+  }
+  for (int round = 1; round < rounds; ++round) {
+    const __m512i rk =
+        _mm512_maskz_broadcast_i32x4(0xffff, _mm_loadu_si128(keys + round));
+    for (std::size_t j = 0; j < 8; ++j) x[j] = _mm512_aesenc_epi128(x[j], rk);
+  }
+  const __m512i rk_last =
+      _mm512_maskz_broadcast_i32x4(0xffff, _mm_loadu_si128(keys + rounds));
+  for (std::size_t j = 0; j < 8; ++j) {
+    x[j] = _mm512_xor_si512(_mm512_loadu_si512(in + 64 * j),
+                            _mm512_aesenclast_epi128(x[j], rk_last));
+    _mm512_storeu_si512(out + 64 * j, x[j]);
+  }
+}
+
+/// GHASH absorb over whole strides.
+__attribute__((target(SMT_GCM_WIDE_TARGET))) __m128i ghash_strides_wide(
+    __m128i y, const __m128i* h_pows, ByteView data) noexcept {
+  const WideHashKey key = load_wide_hash_key(h_pows);
+  for (std::size_t off = 0; off < data.size(); off += kWideStride) {
+    __m512i x[8];
+    for (std::size_t j = 0; j < 8; ++j) {
+      x[j] = _mm512_loadu_si512(data.data() + off + 64 * j);
+    }
+    y = ghash_stride_wide(y, key, x);
+  }
+  return y;
+}
+
+/// AES-CTR keystream XOR over whole strides, counters j0+1 onwards.
+__attribute__((target(SMT_GCM_WIDE_TARGET))) void ctr_strides_wide(
+    const std::uint8_t* rk, int rounds, const std::uint8_t j0[16],
+    ByteView in, std::uint8_t* out) noexcept {
+  const __m128i* keys = reinterpret_cast<const __m128i*>(rk);
+  __m512i counters = first_counters_wide(j0);
+  for (std::size_t off = 0; off < in.size(); off += kWideStride) {
+    __m512i x[8];
+    ctr_stride_wide(keys, rounds, counters, in.data() + off, out + off, x);
+  }
+}
+
+/// The wide seal over whole strides, in place, folding the ciphertext into
+/// `y`: one stitched pass in which each iteration encrypts a stride and
+/// GHASHes the one before it. The two are independent, so the AES and
+/// carry-less-multiply units work side by side. The previous stride is
+/// read back from memory, a whole iteration after its stores; the last one
+/// is hashed from the registers that produced it, since reading stores
+/// back straight away stalls on store forwarding.
+__attribute__((target(SMT_GCM_WIDE_TARGET))) __m128i seal_strides_wide(
+    const std::uint8_t* rk, int rounds, const std::uint8_t j0[16],
+    const __m128i* h_pows, __m128i y, MutByteView text) noexcept {
+  const __m128i* keys = reinterpret_cast<const __m128i*>(rk);
+  const WideHashKey key = load_wide_hash_key(h_pows);
+  __m512i counters = first_counters_wide(j0);
+  std::uint8_t* p = text.data();
+  __m512i ct[8];
+  ctr_stride_wide(keys, rounds, counters, p, p, ct);
+  for (std::size_t off = kWideStride; off < text.size(); off += kWideStride) {
+    ctr_stride_wide(keys, rounds, counters, p + off, p + off, ct);
+    __m512i prev[8];
+    for (std::size_t j = 0; j < 8; ++j) {
+      prev[j] = _mm512_loadu_si512(p + off - kWideStride + 64 * j);
+    }
+    y = ghash_stride_wide(y, key, prev);
+  }
+  return ghash_stride_wide(y, key, ct);
+}
 #endif  // SMT_GHASH_CLMUL
 
 struct U128 {
@@ -325,9 +527,9 @@ AesGcm::AesGcm(ByteView key) : aes_(key) {
   const std::uint8_t zero[16] = {};
   aes_.encrypt_block(zero, h_bytes);
 #ifdef SMT_GHASH_CLMUL
-  // The carry-less-multiply engine consumes H's powers directly; skip the
+  // The carry-less-multiply engines consume H's powers directly; skip the
   // table build (16 slow 128-iteration GF multiplies) entirely.
-  if (cpu_has_clmul()) {
+  if (hw_tier() != HwTier::portable) {
     ghash_init_clmul(h_bytes, reinterpret_cast<__m128i*>(ghash_key_.data()));
     return;
   }
@@ -347,10 +549,14 @@ AesGcm::AesGcm(ByteView key) : aes_(key) {
 
 AesGcm::Block AesGcm::ghash(ByteView aad, ByteView ciphertext) const noexcept {
 #ifdef SMT_GHASH_CLMUL
-  if (cpu_has_clmul()) {
+  if (hw_tier() != HwTier::portable) {
+    const auto* h_pows = reinterpret_cast<const __m128i*>(ghash_key_.data());
+    __m128i y = ghash_absorb_clmul(_mm_setzero_si128(), h_pows, aad);
+    const std::size_t wide = wide_bytes(ciphertext.size());
+    if (wide > 0) y = ghash_strides_wide(y, h_pows, ciphertext.first(wide));
+    y = ghash_absorb_clmul(y, h_pows, ciphertext.subspan(wide));
     Block out;
-    ghash_clmul(reinterpret_cast<const __m128i*>(ghash_key_.data()), aad,
-                ciphertext, out.data());
+    ghash_finish_clmul(y, h_pows, aad.size(), ciphertext.size(), out.data());
     return out;
   }
 #endif
@@ -406,8 +612,15 @@ AesGcm::Block AesGcm::ghash(ByteView aad, ByteView ciphertext) const noexcept {
 void AesGcm::ctr_xor(const Block& j0, ByteView in,
                      std::uint8_t* out) const noexcept {
 #ifdef SMT_GHASH_CLMUL
-  if (cpu_has_clmul()) {
-    ctr_xor_aesni(aes_.round_key_bytes(), aes_.rounds(), j0.data(), in, out);
+  if (hw_tier() != HwTier::portable) {
+    const std::size_t wide = wide_bytes(in.size());
+    if (wide > 0) {
+      ctr_strides_wide(aes_.round_key_bytes(), aes_.rounds(), j0.data(),
+                       in.first(wide), out);
+    }
+    ctr_xor_aesni(aes_.round_key_bytes(), aes_.rounds(),
+                  advance_counter(j0, wide / 16).data(), in.subspan(wide),
+                  out + wide);
     return;
   }
 #endif
@@ -426,9 +639,31 @@ void AesGcm::ctr_xor(const Block& j0, ByteView in,
   }
 }
 
-AesGcm::Block AesGcm::compute_tag(const Block& j0, ByteView aad,
-                                  ByteView ciphertext) const noexcept {
-  const Block s = ghash(aad, ciphertext);
+AesGcm::Block AesGcm::encrypt_and_ghash(const Block& j0, ByteView aad,
+                                        MutByteView text) const noexcept {
+#ifdef SMT_GHASH_CLMUL
+  // The wide seal is one stitched pass; the aesni engine's is CTR, then
+  // GHASH over the ciphertext, as is the wide engine's over its tail.
+  if (const std::size_t wide = wide_bytes(text.size()); wide > 0) {
+    const auto* h_pows = reinterpret_cast<const __m128i*>(ghash_key_.data());
+    __m128i y = ghash_absorb_clmul(_mm_setzero_si128(), h_pows, aad);
+    y = seal_strides_wide(aes_.round_key_bytes(), aes_.rounds(), j0.data(),
+                          h_pows, y, text.first(wide));
+    const MutByteView tail = text.subspan(wide);
+    ctr_xor_aesni(aes_.round_key_bytes(), aes_.rounds(),
+                  advance_counter(j0, wide / 16).data(), tail, tail.data());
+    y = ghash_absorb_clmul(y, h_pows, tail);
+    Block s;
+    ghash_finish_clmul(y, h_pows, aad.size(), text.size(), s.data());
+    return s;
+  }
+#endif
+  // CTR is position-wise, so the keystream XOR may write over its input.
+  ctr_xor(j0, text, text.data());
+  return ghash(aad, text);
+}
+
+AesGcm::Block AesGcm::mask_tag(const Block& j0, const Block& s) const noexcept {
   std::uint8_t ek_j0[16];
   aes_.encrypt_block(j0.data(), ek_j0);
   Block tag;
@@ -449,9 +684,8 @@ void AesGcm::seal_in_place(ByteView nonce, ByteView aad,
   assert(plaintext_and_tag.size() >= kTagSize && "no room for the tag");
   const std::size_t pt_len = plaintext_and_tag.size() - kTagSize;
   const Block j0 = initial_counter(nonce);
-  // CTR is position-wise, so the keystream XOR may write over its input.
-  ctr_xor(j0, plaintext_and_tag.first(pt_len), plaintext_and_tag.data());
-  const Block tag = compute_tag(j0, aad, plaintext_and_tag.first(pt_len));
+  const Block tag =
+      mask_tag(j0, encrypt_and_ghash(j0, aad, plaintext_and_tag.first(pt_len)));
   std::memcpy(plaintext_and_tag.data() + pt_len, tag.data(), kTagSize);
 }
 
@@ -472,7 +706,8 @@ bool AesGcm::open_into(ByteView nonce, ByteView aad,
   const ByteView tag = ciphertext_and_tag.subspan(ct_len);
 
   const Block j0 = initial_counter(nonce);
-  const Block expected = compute_tag(j0, aad, ciphertext);
+  // Verify first: a failed open must write nothing.
+  const Block expected = mask_tag(j0, ghash(aad, ciphertext));
   if (!ct_equal(ByteView(expected.data(), expected.size()), tag)) return false;
 
   ctr_xor(j0, ciphertext, plaintext.data());

@@ -46,17 +46,22 @@ class AesGcm {
   static Block initial_counter(ByteView nonce) noexcept;
   Block ghash(ByteView aad, ByteView ciphertext) const noexcept;
   void ctr_xor(const Block& j0, ByteView in, std::uint8_t* out) const noexcept;
-  Block compute_tag(const Block& j0, ByteView aad,
-                    ByteView ciphertext) const noexcept;
+  /// Encrypts `text` in place and returns GHASH(aad, ciphertext).
+  Block encrypt_and_ghash(const Block& j0, ByteView aad,
+                          MutByteView text) const noexcept;
+  /// The tag: a GHASH output masked with E_K(J0).
+  Block mask_tag(const Block& j0, const Block& s) const noexcept;
 
   Aes aes_;
   // GHASH key material, expanded from H = E_K(0^128) for the one engine
-  // this process runs (the dispatch is fixed per process): the PCLMUL
-  // path's H^1..H^8 in reflected form (first 128 B, for its 8-block
-  // aggregated stride), or the portable path's 4-bit multiplication table
-  // (Shoup's method, all 256 B). The PCLMUL path accesses it only as
-  // __m128i, a may_alias vector type. Both engines compute the identical
-  // GF(2^128) product, so dispatch never changes bytes.
+  // this process runs (crypto::hw_tier() is fixed per process): the
+  // carry-less-multiply engines' H^1..H^16 in reflected form (all 256 B;
+  // the aesni engine's 8-block stride reads H^1..H^8, the wide engine's
+  // 16-block reduction all sixteen), or the portable engine's 4-bit
+  // multiplication table (Shoup's method, all 256 B). The hardware engines
+  // access it only as __m128i/__m512i, may_alias vector types. All three
+  // engines compute the identical GF(2^128) product, so dispatch never
+  // changes bytes. Every flow context holds an AesGcm, so this stays 256 B.
   alignas(16) std::array<std::array<std::uint64_t, 2>, 16> ghash_key_{};
 };
 

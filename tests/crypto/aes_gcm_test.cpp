@@ -35,6 +35,13 @@ TEST(Aes, KeyBitsReported) {
   EXPECT_EQ(Aes(Bytes(32, 0)).key_bits(), 256u);
 }
 
+// Every flow context holds an AesGcm, and bench/suite's ktls_stream keeps
+// about a thousand alive: a prototype that stored H^1..H^32 (512 B instead
+// of 256 B of GHASH key) raised its heap peak from 3.116 to 3.360 MiB
+// (+7.8%). A new engine's key material has to fit in ghash_key_.
+static_assert(sizeof(AesGcm) <= 752,
+              "AesGcm grew: every flow context pays for it");
+
 // McGrew-Viega GCM spec test case 1: empty plaintext, zero key/IV.
 TEST(Gcm, SpecCase1EmptyPlaintext) {
   AesGcm gcm(Bytes(16, 0));
@@ -171,11 +178,14 @@ struct GcmKnownAnswer {
 // Seals of pattern(pt_len, pt_len) under AAD pattern(aad_len, aad_len << 16),
 // key pattern(16, 1) and nonce pattern(12, 2), computed with the portable
 // engine and confirmed against OpenSSL. The NIST vectors stop at 64 B;
-// these reach the hardware engine's 8-block strides, its 4-block and
+// these reach the aesni engine's 8-block strides, its 4-block and
 // single-block CTR tails, its batched GHASH remainders and partial final
-// blocks, and (200 B of AAD) the AAD's own 8-block stride. A seal/open
-// round trip cannot catch a bug that seal and open share, such as a wrong
-// H-power order; a fixed answer can.
+// blocks, and (200 B of AAD) the AAD's own 8-block stride; and the wide
+// engine's 512 B strides: one stride less a byte (all aesni), one, one
+// plus a byte, two, two with a 17 B tail, and 16001 B, a full TLS record
+// of 16000 B payload plus its content-type byte. A seal/open round trip
+// cannot catch a bug that seal and open share, such as a wrong H-power
+// order; a fixed answer can.
 constexpr GcmKnownAnswer kLongKnownAnswers[] = {
     {127, 0, "59adaaa1156e186ec9b2fffa078435e3",
      "90043438c338adb9fc145b2e0e04a2e7d95541cb1f1d3a25adc7e12e19c5946c"},
@@ -225,6 +235,38 @@ constexpr GcmKnownAnswer kLongKnownAnswers[] = {
      "78dc19314bab6733a1c741adc8f5cfb1d2dfe800d62c7c3d00adb35d5f91e3fe"},
     {256, 200, "a2475e7267569d302a383fcc47afbfc3",
      "78dc19314bab6733a1c741adc8f5cfb1d2dfe800d62c7c3d00adb35d5f91e3fe"},
+    {511, 0, "7b5e8a0eaf517137116ae4a2a904201e",
+     "0cc961887621ca6eefce08245581652956f622d17273e3031cdca363c51a24d6"},
+    {511, 5, "a3ea98967997e5c51e7a15a3d0543842",
+     "0cc961887621ca6eefce08245581652956f622d17273e3031cdca363c51a24d6"},
+    {511, 13, "f453aa17ea9b62db3f0ba581f1ca840a",
+     "0cc961887621ca6eefce08245581652956f622d17273e3031cdca363c51a24d6"},
+    {511, 200, "6b2f00bcaa94764fc73cefe7bf3d161f",
+     "0cc961887621ca6eefce08245581652956f622d17273e3031cdca363c51a24d6"},
+    {512, 0, "f532529fb00f6390dc742a3b4682fdc9",
+     "7e06fbf5ec862f2d4614e4fc4ba980b62133db171ccefa31d4e56173d8fe7a96"},
+    {512, 5, "2d86400766c9f762d364db3a3fd2e595",
+     "7e06fbf5ec862f2d4614e4fc4ba980b62133db171ccefa31d4e56173d8fe7a96"},
+    {512, 13, "7a3f7286f5c5707cf2156b181e4c59dd",
+     "7e06fbf5ec862f2d4614e4fc4ba980b62133db171ccefa31d4e56173d8fe7a96"},
+    {512, 200, "e543d82db5ca64e80a22217e50bbcbc8",
+     "7e06fbf5ec862f2d4614e4fc4ba980b62133db171ccefa31d4e56173d8fe7a96"},
+    {513, 0, "de68adbf18dd4d1a4740f7a08b7809e2",
+     "bd204be6b14a4654fa234922bed1fabe93b5bec1dce77f32340edb590a744d9d"},
+    {513, 5, "9eebf432d06e600ffdd6d66420229994",
+     "bd204be6b14a4654fa234922bed1fabe93b5bec1dce77f32340edb590a744d9d"},
+    {513, 13, "e070f15cf86a6f0fc4f4dddaf7ec44c2",
+     "bd204be6b14a4654fa234922bed1fabe93b5bec1dce77f32340edb590a744d9d"},
+    {513, 200, "70137369553546477e0304de581b578b",
+     "bd204be6b14a4654fa234922bed1fabe93b5bec1dce77f32340edb590a744d9d"},
+    {1024, 0, "18d04d48a3af9926d3ee6e645261b161",
+     "45db872cefebf1ed0c1a53206e9b0ee2487d6a941a2836d0074d54936ee4c394"},
+    {1024, 5, "e8ced323bf5fb81f9037607097b4c6c1",
+     "45db872cefebf1ed0c1a53206e9b0ee2487d6a941a2836d0074d54936ee4c394"},
+    {1024, 13, "70f938bf5a0016cfb369aae8925c6b7f",
+     "45db872cefebf1ed0c1a53206e9b0ee2487d6a941a2836d0074d54936ee4c394"},
+    {1024, 200, "c190eaaaf0c89b361a4ba679256c1e74",
+     "45db872cefebf1ed0c1a53206e9b0ee2487d6a941a2836d0074d54936ee4c394"},
     {1029, 0, "af79218fb4acbf75fd6fd57ca2329988",
      "cf99e1dcce5352ed9a8cb332567060ba4d53927abdd59d4ad6bb9608ec221d85"},
     {1029, 5, "34b0f95868d4cf3042503d66a5934839",
@@ -233,6 +275,22 @@ constexpr GcmKnownAnswer kLongKnownAnswers[] = {
      "cf99e1dcce5352ed9a8cb332567060ba4d53927abdd59d4ad6bb9608ec221d85"},
     {1029, 200, "ff6ab2258e89998eb4040fdc5b3b3a09",
      "cf99e1dcce5352ed9a8cb332567060ba4d53927abdd59d4ad6bb9608ec221d85"},
+    {1041, 0, "9f99b3da98caf944803deb515f386dc2",
+     "671e6ace398e514dd1f49d3818a04899c47dc3ae5c26ce87995618a7dd434e74"},
+    {1041, 5, "9256107227a22b19525fd8748670873a",
+     "671e6ace398e514dd1f49d3818a04899c47dc3ae5c26ce87995618a7dd434e74"},
+    {1041, 13, "0beaf3a436fe5483afbf237954c9a0bd",
+     "671e6ace398e514dd1f49d3818a04899c47dc3ae5c26ce87995618a7dd434e74"},
+    {1041, 200, "2d31a7ed6344798c83cf37fb42c996de",
+     "671e6ace398e514dd1f49d3818a04899c47dc3ae5c26ce87995618a7dd434e74"},
+    {16001, 0, "97a75146b79efabe02851b6746dd4d19",
+     "82fe7ace6f182c1584d6d27338cce2ba581b1385f931de01b5a31882dad3811b"},
+    {16001, 5, "199077aee4301abcef54ba7a411b9ac5",
+     "82fe7ace6f182c1584d6d27338cce2ba581b1385f931de01b5a31882dad3811b"},
+    {16001, 13, "4ef554ff80600791f2dd2a1ce33008f2",
+     "82fe7ace6f182c1584d6d27338cce2ba581b1385f931de01b5a31882dad3811b"},
+    {16001, 200, "2968ddc48769e2055b0983cdf09adcc5",
+     "82fe7ace6f182c1584d6d27338cce2ba581b1385f931de01b5a31882dad3811b"},
     {16385, 0, "56056b9dfcefe778e9846781e1a79ced",
      "5123216cca520036d5fbdf4755b16cef65d2333045eda2b141d302480db062c6"},
     {16385, 5, "be2170dbf19734fad858c841a421545c",
@@ -310,9 +368,10 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 1, 16, 20, 128, 200)));
 
 // The in-place seal (the NIC offload and record-layer path) must produce
-// exactly seal()'s bytes — across the CTR engine's 8-block stride, its
-// 4-block step, its single-block tail and a partial final block — and
-// open_into must invert it into a separate buffer.
+// exactly seal()'s bytes — across the aesni CTR's 8-block stride, its
+// 4-block step, its single-block tail and a partial final block, and the
+// wide engine's 512 B stride edges — and open_into must invert it into a
+// separate buffer, writing nothing when the tag fails.
 class GcmInPlace
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
 
@@ -377,7 +436,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{129}, std::size_t{143},
                                          std::size_t{191}, std::size_t{192},
                                          std::size_t{255}, std::size_t{256},
-                                         std::size_t{1000},
+                                         std::size_t{511}, std::size_t{512},
+                                         std::size_t{513}, std::size_t{1000},
+                                         std::size_t{1024},
                                          std::size_t{16001},
                                          std::size_t{16385})));
 

@@ -1,17 +1,23 @@
 #!/usr/bin/env python3
-"""Checks that the hardware and portable crypto engines give identical runs.
+"""Checks that every crypto engine gives identical runs.
 
     python3 tools/crypto_engine_equivalence.py BENCH_BINARY...
 
-Runs every given bench binary with --smoke twice: once with the hardware
-AES-GCM engine the CPU selects (SMT_DISABLE_HW_CRYPTO removed from the
-environment) and once with SMT_DISABLE_HW_CRYPTO=1, which forces the
-portable engine. Each run writes its JSON result line into its own
-BENCH_JSON_DIR, and tools/compare_bench_json.py must find the two
-directories identical. The benches' printed output must match as well:
-outside bench_simperf every printed value is virtual time, so the engine
-that computed the bytes must not show. Exit status: 0 when identical, 1 on
-any difference or failed run, 2 on a usage error.
+Runs every given bench binary with --smoke three times, once per setting
+of SMT_DISABLE_HW_CRYPTO:
+
+    unset   the best AES-GCM engine the CPU has (wide on VAES/VPCLMULQDQ
+            hosts, aesni on other AES-NI hosts);
+    wide    capped at the aesni engine;
+    1       the portable engine.
+
+On a host without the wide engine the first two runs take the same engine
+and the check still passes. Each run writes its JSON result line into its
+own BENCH_JSON_DIR, and tools/compare_bench_json.py must find every
+directory identical to the first. The benches' printed output must match
+as well: outside bench_simperf every printed value is virtual time, so the
+engine that computed the bytes must not show. Exit status: 0 when
+identical, 1 on any difference or failed run, 2 on a usage error.
 """
 
 import os
@@ -23,13 +29,17 @@ from pathlib import Path
 COMPARE = Path(__file__).resolve().parent / "compare_bench_json.py"
 RUN_TIMEOUT_S = 120
 
+# (name, SMT_DISABLE_HW_CRYPTO value or None to unset it); the first is
+# the reference the others are compared with.
+SETTINGS = [("default", None), ("wide", "wide"), ("portable", "1")]
 
-def run_all(binaries, json_dir, portable):
-    """Each binary's stdout for one engine, or None after a failed run."""
+
+def run_all(binaries, json_dir, disable):
+    """Each binary's stdout under one setting, or None after a failed run."""
     env = dict(os.environ, BENCH_JSON_DIR=str(json_dir))
     env.pop("SMT_DISABLE_HW_CRYPTO", None)
-    if portable:
-        env["SMT_DISABLE_HW_CRYPTO"] = "1"
+    if disable is not None:
+        env["SMT_DISABLE_HW_CRYPTO"] = disable
     outputs = {}
     for binary in binaries:
         try:
@@ -40,8 +50,8 @@ def run_all(binaries, json_dir, portable):
             print("%s: %s" % (binary, error))
             return None
         if result.returncode != 0:
-            print("%s (portable=%s) exited %d:\n%s" %
-                  (binary, portable, result.returncode, result.stderr))
+            print("%s (SMT_DISABLE_HW_CRYPTO=%s) exited %d:\n%s" %
+                  (binary, disable, result.returncode, result.stderr))
             return None
         outputs[binary] = result.stdout
     return outputs
@@ -53,26 +63,28 @@ def main():
         print(__doc__.strip(), file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        hw_dir = Path(tmp) / "hw"
-        portable_dir = Path(tmp) / "portable"
-        hw_dir.mkdir()
-        portable_dir.mkdir()
-        hw = run_all(binaries, hw_dir, portable=False)
-        portable = run_all(binaries, portable_dir, portable=True)
-        if hw is None or portable is None:
+        dirs, runs = {}, {}
+        for name, disable in SETTINGS:
+            dirs[name] = Path(tmp) / name
+            dirs[name].mkdir()
+            runs[name] = run_all(binaries, dirs[name], disable)
+        if any(outputs is None for outputs in runs.values()):
             return 1
         status = 0
-        for binary in binaries:
-            if hw[binary] != portable[binary]:
-                print("%s: printed output differs between engines" % binary)
+        reference = SETTINGS[0][0]
+        for name, _ in SETTINGS[1:]:
+            for binary in binaries:
+                if runs[name][binary] != runs[reference][binary]:
+                    print("%s: printed output differs between %s and %s" %
+                          (binary, reference, name))
+                    status = 1
+            compared = subprocess.run(
+                [sys.executable, str(COMPARE), str(dirs[reference]),
+                 str(dirs[name])], check=False)
+            if compared.returncode != 0:
                 status = 1
-        compared = subprocess.run(
-            [sys.executable, str(COMPARE), str(hw_dir), str(portable_dir)],
-            check=False)
-        if compared.returncode != 0:
-            status = 1
     if status == 0:
-        print("identical on both engines: %s" %
+        print("identical on every engine: %s" %
               " ".join(Path(b).name for b in binaries))
     return status
 
