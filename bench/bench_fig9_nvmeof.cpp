@@ -35,17 +35,26 @@ int main(int argc, char** argv) {
       TransportKind::homa,   TransportKind::smt_sw,  TransportKind::smt_hw};
   const std::vector<std::size_t> iodepths = sweep<std::size_t>({1, 2, 4, 6, 8});
 
+  // Each (transport, iodepth) cell is simulated once; both tables print
+  // from the stored stats.
+  std::vector<std::vector<LatencyStats>> cells;  // [iodepth][transport]
+  for (const std::size_t iodepth : iodepths) {
+    cells.emplace_back();
+    for (const auto kind : kinds) {
+      cells.back().push_back(run_fio(kind, iodepth));
+    }
+  }
+
   for (const char* which : {"P50", "P99"}) {
     std::printf("\n== Figure 9: NVMe-oF %s latency [us], 4 KB random reads ==\n",
                 which);
     std::printf("%-8s", "iodepth");
     for (const auto kind : kinds) std::printf("%10s", transport_name(kind));
     std::printf("\n");
-    for (const std::size_t iodepth : iodepths) {
-      std::printf("%-8zu", iodepth);
+    for (std::size_t d = 0; d < iodepths.size(); ++d) {
+      std::printf("%-8zu", iodepths[d]);
       std::vector<double> row;
-      for (const auto kind : kinds) {
-        const LatencyStats stats = run_fio(kind, iodepth);
+      for (const LatencyStats& stats : cells[d]) {
         row.push_back((which[1] == '5' ? stats.p50() : stats.p99()) / 1e3);
         std::printf("%10.1f", row.back());
       }

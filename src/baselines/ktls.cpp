@@ -13,6 +13,26 @@ KtlsEndpoint::KtlsEndpoint(stack::Host& host, std::uint16_t port,
   tcp_.set_on_accept([this](ConnId conn) {
     if (on_accept_) on_accept_(conn);
   });
+  if (config_.hw_offload) {
+    tcp_.set_pre_post([this](ConnId conn, std::size_t queue,
+                             sim::SegmentDescriptor& desc,
+                             stack::CpuCore* core) {
+      const auto it = sessions_.find(conn);
+      if (it == sessions_.end()) return;
+      const SessionState& state = it->second;
+      host_.flow_contexts().bind_tx(
+          {sim::Proto::tcp, state.tx_tag, std::uint32_t(queue)}, state.suite,
+          state.tx->keys(), desc, core);
+    });
+  }
+}
+
+KtlsEndpoint::~KtlsEndpoint() {
+  // Return every leased NIC context to the host-wide pool.
+  if (!config_.hw_offload) return;
+  for (const auto& [conn, session] : sessions_) {
+    host_.flow_contexts().invalidate_session(sim::Proto::tcp, session.tx_tag);
+  }
 }
 
 Status KtlsEndpoint::register_session(ConnId conn, tls::CipherSuite suite,
@@ -23,8 +43,17 @@ Status KtlsEndpoint::register_session(ConnId conn, tls::CipherSuite suite,
   state.tx.emplace(suite, tx_keys);
   state.rx.emplace(suite, rx_keys);
   if (config_.hw_offload) {
-    const Status enabled = tcp_.enable_tls_offload(conn, suite, tx_keys, 0);
-    if (!enabled.ok()) return enabled;
+    // Lease the connection's TX context up front, uncharged (setsockopt
+    // programs it); every post re-binds it, re-establishing after loss.
+    const auto flow = tcp_.flow_of(conn);
+    if (!flow) return make_error(Errc::not_connected, "no such connection");
+    state.tx_tag = stack::session_tag(flow->src_port, flow->dst_ip,
+                                      flow->dst_port);
+    const auto lease = host_.flow_contexts().acquire(
+        {sim::Proto::tcp, state.tx_tag,
+         std::uint32_t(host_.nic().tx_queue_for(*flow))},
+        suite, tx_keys, 0);
+    if (!lease.ok()) return lease.error();
   }
   sessions_[conn] = std::move(state);
   return Status::success();
@@ -61,7 +90,9 @@ Status KtlsEndpoint::send(ConnId conn, Bytes plaintext,
     const std::uint64_t seq = state.tx_seq++;
     if (config_.hw_offload) {
       // Plaintext record shell; the NIC encrypts in line.
-      marks.push_back({stream.size(), take + 1, seq});
+      marks.push_back(
+          {stream.size(), take + tls::record_overhead(state.suite), take + 1,
+           seq});
       tls::append_record_shell(stream, tls::ContentType::application_data,
                                chunk, 0);
     } else {

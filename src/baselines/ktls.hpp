@@ -4,9 +4,16 @@
 // record sequence space. Modes:
 //   * kTLS-sw — the kernel encrypts/decrypts in software;
 //   * kTLS-hw — transmit-side records are encrypted in line by the NIC's
-//     autonomous offload (flow context + resync on retransmission); the
-//     receive side is ALWAYS software (§5: "We don't use receive-side
-//     offload for kTLS"), like SMT.
+//     autonomous offload; the receive side is ALWAYS software (§5: "We
+//     don't use receive-side offload for kTLS"), like SMT.
+//
+// kTLS-hw drives the tls_device path (§2.3 / Figure 2) through the host's
+// FlowContextManager, as SMT-hw does: each connection leases one TX
+// context at register_session, and TCP's pre-post hook binds each segment's
+// records to it (FlowContextManager::bind_tx). Consecutive records ride the
+// NIC's self-increment; a retransmitted record is resynced ("Out-resync"),
+// and a context lost to eviction or a NIC reset re-establishes at the next
+// post.
 //
 // The same class backs the TCPLS-like baseline (§5.5): TCPLS's custom
 // nonce computation is incompatible with NIC TLS offload (§2.1), and its
@@ -37,6 +44,10 @@ class KtlsEndpoint {
   using AcceptHandler = std::function<void(ConnId)>;
 
   KtlsEndpoint(stack::Host& host, std::uint16_t port, KtlsConfig config = {});
+  ~KtlsEndpoint();
+
+  KtlsEndpoint(const KtlsEndpoint&) = delete;
+  KtlsEndpoint& operator=(const KtlsEndpoint&) = delete;
 
   void set_on_data(DataHandler handler) { on_data_ = std::move(handler); }
   void set_on_accept(AcceptHandler handler) { on_accept_ = std::move(handler); }
@@ -46,7 +57,7 @@ class KtlsEndpoint {
   }
 
   /// Registers the session keys on the connection (setsockopt TLS_TX/RX).
-  /// In hw mode this also allocates the NIC flow context.
+  /// In hw mode this also leases the connection's NIC TX flow context.
   Status register_session(ConnId conn, tls::CipherSuite suite,
                           const tls::TrafficKeys& tx_keys,
                           const tls::TrafficKeys& rx_keys);
@@ -70,6 +81,7 @@ class KtlsEndpoint {
     std::optional<tls::RecordProtection> rx;
     std::uint64_t tx_seq = 0;  // single per-connection record space
     std::uint64_t rx_seq = 0;
+    std::uint64_t tx_tag = 0;  // hw mode: the TX lease's session tag
     Bytes rx_stream;  // undecrypted stream awaiting full records
   };
 

@@ -39,7 +39,6 @@ struct U256 {
   bool is_zero() const noexcept {
     return (limbs[0] | limbs[1] | limbs[2] | limbs[3]) == 0;
   }
-  bool is_odd() const noexcept { return limbs[0] & 1; }
 
   bool bit(int i) const noexcept {
     return (limbs[std::size_t(i) / 64] >> (std::size_t(i) % 64)) & 1;

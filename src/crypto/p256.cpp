@@ -27,7 +27,6 @@ struct JacPoint {
 
 const U256& P256::p() noexcept { return kP; }
 const U256& P256::n() noexcept { return kN; }
-const U256& P256::b() noexcept { return kB; }
 const U256& P256::gx() noexcept { return kGx; }
 const U256& P256::gy() noexcept { return kGy; }
 

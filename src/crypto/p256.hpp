@@ -16,7 +16,6 @@ namespace smt::crypto {
 struct P256 {
   static const U256& p() noexcept;  // field prime
   static const U256& n() noexcept;  // group order
-  static const U256& b() noexcept;  // curve coefficient (a = -3)
   static const U256& gx() noexcept;
   static const U256& gy() noexcept;
 };

@@ -18,7 +18,8 @@ SmtEndpoint::SmtEndpoint(stack::Host& host, std::uint16_t port,
 SmtEndpoint::~SmtEndpoint() {
   // Return every leased NIC context to the host-wide pool.
   for (const auto& [peer, session] : sessions_) {
-    homa_.host().flow_contexts().invalidate_session(session_tag(peer));
+    homa_.host().flow_contexts().invalidate_session(sim::Proto::smt,
+                                                      session_tag(peer));
   }
 }
 
@@ -45,7 +46,8 @@ Status SmtEndpoint::rekey_session(PeerAddr peer, tls::CipherSuite suite,
   }
   Session& session = it->second;
   // Release stale NIC contexts; new keys need fresh ones.
-  homa_.host().flow_contexts().invalidate_session(session_tag(peer));
+  homa_.host().flow_contexts().invalidate_session(sim::Proto::smt,
+                                                      session_tag(peer));
   session.suite = suite;
   session.tx.emplace(suite, tx_keys);
   session.rx.emplace(suite, rx_keys);
@@ -92,13 +94,9 @@ Result<std::uint64_t> SmtEndpoint::send_message(PeerAddr dst, Bytes plaintext,
     // manager may have evicted and re-established the context.
     const std::uint64_t first_seq = config_.layout.compose(msg_id, 0);
     auto lease = homa_.host().flow_contexts().acquire(
-        stack::FlowKey{session_tag(dst), std::uint32_t(queue)}, session.suite,
-        session.tx->keys(), first_seq);
+        tx_key(dst, queue), session.suite, session.tx->keys(), first_seq);
     if (!lease.ok()) return lease.error();
-    if (lease.value()->fresh) {
-      ++stats_.contexts_created;
-      fresh_tx_lease = true;
-    }
+    fresh_tx_lease = lease.value()->fresh;
     seg_config.nic_context_id = lease.value()->nic_context_id;
   }
 
@@ -124,49 +122,19 @@ Result<std::uint64_t> SmtEndpoint::send_message(PeerAddr dst, Bytes plaintext,
   }
 
   // Hardware mode: the pre-post hook late-binds the (session, queue) flow
-  // context at post time. It re-acquires the lease from the shared LRU
-  // manager — transparently re-establishing it if it was evicted since the
-  // send was issued — rewrites the records' context ids, and posts a
-  // resync whenever the hardware counter would diverge: context *reuse*
+  // context at post time through the shared manager — transparently
+  // re-establishing it if it was evicted since the send was issued — and
+  // resyncs whenever the hardware counter would diverge: context *reuse*
   // across messages (§4.4.2).
   transport::PrePostHook hook;
   if (config_.hw_offload) {
     hook = [this, dst](std::size_t q, sim::SegmentDescriptor& desc,
                        stack::CpuCore* post_core) {
-      if (desc.records.empty()) return;
       auto it = sessions_.find(dst);
       if (it == sessions_.end()) return;
-      Session& session2 = it->second;
-      auto lease = homa_.host().flow_contexts().acquire(
-          stack::FlowKey{session_tag(dst), std::uint32_t(q)}, session2.suite,
-          session2.tx->keys(), desc.records.front().record_seq);
-      if (!lease.ok()) {
-        // No capacity and no idle victim: the records keep their stale
-        // context ids, the NIC counts a context miss, and the receiver
-        // rejects the unencrypted shell — a visible, not silent, failure.
-        ++stats_.context_acquire_failures;
-        return;
-      }
-      stack::FlowContextManager::Lease& ctx = *lease.value();
-      if (ctx.fresh) {
-        ++stats_.contexts_created;
-        // Evicted-then-reacquired at post time: the driver re-programs the
-        // NIC context on whichever core is posting (app core for first
-        // transmissions, softirq for grant-released/resent segments).
-        if (post_core != nullptr) {
-          post_core->charge(homa_.host().costs().context_establish);
-        }
-      }
-      for (sim::TlsRecordDesc& rec : desc.records) {
-        rec.context_id = ctx.nic_context_id;
-        if (ctx.shadow_seq != rec.record_seq) {
-          homa_.host().nic().post_resync(q, ctx.nic_context_id,
-                                         rec.record_seq,
-                                         stack::doorbell_charge(post_core));
-          ++stats_.resyncs_posted;
-        }
-        ctx.shadow_seq = rec.record_seq + 1;
-      }
+      homa_.host().flow_contexts().bind_tx(tx_key(dst, q), it->second.suite,
+                                           it->second.tx->keys(), desc,
+                                           post_core);
     };
   }
 
@@ -219,8 +187,8 @@ void SmtEndpoint::on_wire_message(transport::HomaEndpoint::MessageMeta meta,
   if (config_.hw_offload) {
     const std::uint64_t first_seq = config_.layout.compose(meta.msg_id, 0);
     auto lease = host.flow_contexts().acquire(
-        stack::FlowKey{session_tag(meta.peer), std::uint32_t(meta.rx_queue),
-                       stack::FlowDir::rx},
+        stack::FlowKey{sim::Proto::smt, session_tag(meta.peer),
+                       std::uint32_t(meta.rx_queue), stack::FlowDir::rx},
         session.suite, session.rx->keys(), first_seq);
     if (lease.ok()) {
       const std::size_t records =

@@ -88,9 +88,6 @@ class SmtEndpoint {
     std::uint64_t replays_dropped = 0;
     std::uint64_t decrypt_failures = 0;
     std::uint64_t no_session_drops = 0;
-    std::uint64_t contexts_created = 0;  // fresh TX leases (incl. re-established)
-    std::uint64_t resyncs_posted = 0;
-    std::uint64_t context_acquire_failures = 0;  // mid-flight lease loss
     std::uint64_t rx_contexts_created = 0;  // fresh RX leases (incl. re-est.)
     std::uint64_t rx_resyncs = 0;  // RX context reused across messages
     std::uint64_t rx_context_acquire_failures = 0;  // fell back to sw decrypt
@@ -115,11 +112,12 @@ class SmtEndpoint {
 
   void on_wire_message(transport::HomaEndpoint::MessageMeta meta, Bytes wire);
 
-  /// The shared manager's session identity for `peer` on this endpoint:
-  /// local port (48..63) | peer ip (16..47) | peer port (0..15).
+  /// The shared manager's session identity for `peer` on this endpoint.
   std::uint64_t session_tag(PeerAddr peer) const noexcept {
-    return (std::uint64_t(homa_.port()) << 48) |
-           (std::uint64_t(peer.ip) << 16) | std::uint64_t(peer.port);
+    return stack::session_tag(homa_.port(), peer.ip, peer.port);
+  }
+  stack::FlowKey tx_key(PeerAddr peer, std::size_t queue) const noexcept {
+    return {sim::Proto::smt, session_tag(peer), std::uint32_t(queue)};
   }
 
   SmtConfig config_;

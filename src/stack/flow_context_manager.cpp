@@ -1,5 +1,7 @@
 #include "stack/flow_context_manager.hpp"
 
+#include "stack/host.hpp"
+
 namespace smt::stack {
 
 Result<FlowContextManager::Lease*> FlowContextManager::acquire(
@@ -57,12 +59,34 @@ bool FlowContextManager::evict_one_idle() {
   return false;
 }
 
-void FlowContextManager::invalidate_session(std::uint64_t session_tag) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->first.session_tag != session_tag) {
-      ++it;
-      continue;
+void FlowContextManager::bind_tx(const FlowKey& key, tls::CipherSuite suite,
+                                 const tls::TrafficKeys& keys,
+                                 sim::SegmentDescriptor& desc, CpuCore* core) {
+  if (desc.records.empty()) return;
+  auto lease = acquire(key, suite, keys, desc.records.front().record_seq);
+  if (!lease.ok()) return;
+  Lease& ctx = *lease.value();
+  // A lease (re)established at post time: the driver programs the NIC
+  // context on whichever core is posting.
+  if (ctx.fresh && core != nullptr) core->charge(kCosts.context_establish);
+  for (sim::TlsRecordDesc& rec : desc.records) {
+    rec.context_id = ctx.nic_context_id;
+    if (ctx.shadow_seq != rec.record_seq) {
+      nic_.post_resync(key.queue, ctx.nic_context_id, rec.record_seq,
+                       doorbell_charge(core));
     }
+    ctx.shadow_seq = rec.record_seq + 1;
+  }
+}
+
+void FlowContextManager::invalidate_session(sim::Proto proto,
+                                            std::uint64_t session_tag) {
+  const FlowKey first{proto, session_tag};
+  const auto in_session = [&](const FlowKey& key) {
+    return key.proto == proto && key.session_tag == session_tag;
+  };
+  for (auto it = entries_.lower_bound(first);
+       it != entries_.end() && in_session(it->first);) {
     nic_.release_flow_context(it->second.lease.nic_context_id);
     lru_.erase(it->second.lru_pos);
     it = entries_.erase(it);
@@ -71,10 +95,10 @@ void FlowContextManager::invalidate_session(std::uint64_t session_tag) {
   // churn and keeps `reestablished` from counting across key epochs (a
   // rekeyed session's first acquire is a fresh establishment, not a
   // re-establishment of the dead epoch's context).
-  ever_held_.erase(ever_held_.lower_bound(FlowKey{session_tag, 0}),
-                   session_tag == ~std::uint64_t{0}
-                       ? ever_held_.end()
-                       : ever_held_.lower_bound(FlowKey{session_tag + 1, 0}));
+  for (auto it = ever_held_.lower_bound(first);
+       it != ever_held_.end() && in_session(*it);) {
+    it = ever_held_.erase(it);
+  }
 }
 
 void FlowContextManager::invalidate_all() {

@@ -1,4 +1,5 @@
-// Shared LRU flow-context manager.
+// Shared LRU flow-context manager: the host's only allocator of NIC TLS
+// flow contexts, and the one driver both SMT-hw and kTLS-hw use.
 //
 // NIC TLS flow contexts live in finite NIC memory (§4.4.2). The seed code
 // gave every (session, queue) pair a context for life and errored out when
@@ -6,14 +7,17 @@
 // manager instead treats NIC memory as a cache shared by every endpoint on
 // the host:
 //
-//   * leases are keyed by (session_tag, queue, direction) and kept in LRU
+//   * leases are keyed by (proto, session_tag, queue, dir) and kept in LRU
 //     order — TX and RX contexts share one table, as on real hardware;
 //   * when the NIC table is full, the least-recently-used *idle* context
 //     (no in-flight descriptors referencing it) is evicted to make room;
 //   * an evicted key is transparently re-established on next use — the
 //     fresh NIC context is seeded with the first record sequence number of
-//     the message about to be sent, so re-establishment needs no wire
-//     resync and produces no out-of-sequence records.
+//     the descriptor about to be posted, so re-establishment needs no wire
+//     resync and produces no out-of-sequence records;
+//   * bind_tx() is the tls_device driver step (§2.3 / Figure 2): just
+//     before a TX post it late-binds the records to their lease and posts a
+//     resync wherever they diverge from the shadow record counter.
 //
 // This is what lets SMT scale to sessions >> max_flow_contexts: cold
 // sessions cost nothing but a table entry, hot sessions keep their
@@ -33,16 +37,28 @@
 
 namespace smt::stack {
 
+class CpuCore;
+
 /// Traffic direction of a NIC flow context. TX contexts encrypt outbound
 /// records in line; RX contexts decrypt inbound records (the receive half
 /// of the offload — both directions compete for the same finite NIC
 /// context memory, so servers feel context pressure too).
 enum class FlowDir : std::uint8_t { tx = 0, rx = 1 };
 
-/// Identity of one NIC flow context: a caller-defined session tag (the SMT
-/// endpoint packs local port + peer address) plus the NIC queue and the
-/// traffic direction.
+/// The session tag SMT and kTLS both key their leases by: local port
+/// (48..63) | peer ip (16..47) | peer port (0..15).
+constexpr std::uint64_t session_tag(std::uint16_t local_port,
+                                    std::uint32_t peer_ip,
+                                    std::uint16_t peer_port) noexcept {
+  return (std::uint64_t(local_port) << 48) | (std::uint64_t(peer_ip) << 16) |
+         std::uint64_t(peer_port);
+}
+
+/// Identity of one NIC flow context: the protocol that owns the session
+/// and its session tag (an SMT endpoint and a kTLS connection may share
+/// one), plus the NIC queue and the traffic direction.
 struct FlowKey {
+  sim::Proto proto{};
   std::uint64_t session_tag = 0;
   std::uint32_t queue = 0;
   FlowDir dir = FlowDir::tx;
@@ -58,7 +74,7 @@ class FlowContextManager {
 
   /// Driver-side view of one NIC context. `shadow_seq` tracks what the
   /// hardware counter will be after the descriptors posted so far; the
-  /// endpoint posts a resync whenever the next record diverges from it.
+  /// driver posts a resync whenever the next record diverges from it.
   struct Lease {
     std::uint32_t nic_context_id = 0;
     std::uint64_t shadow_seq = 0;
@@ -83,9 +99,19 @@ class FlowContextManager {
   Result<Lease*> acquire(const FlowKey& key, tls::CipherSuite suite,
                          const tls::TrafficKeys& keys, std::uint64_t first_seq);
 
-  /// Releases every context belonging to `session_tag` (rekey, teardown).
+  /// Late-binds `desc`, about to be posted on `key.queue`: re-acquires
+  /// `key`'s lease seeded with the first record's seq (a fresh lease
+  /// charges CostModel::context_establish to `core`), rewrites each record's
+  /// context id, and posts a resync (doorbell charged to `core`) wherever
+  /// the shadow counter diverges. On a failed acquire the records keep
+  /// stale ids, so the NIC counts a context miss. No records: no-op.
+  void bind_tx(const FlowKey& key, tls::CipherSuite suite,
+               const tls::TrafficKeys& keys, sim::SegmentDescriptor& desc,
+               CpuCore* core);
+
+  /// Releases every context of `proto`'s `session_tag` (rekey, teardown).
   /// Safe while descriptors are in flight — the NIC defers the free.
-  void invalidate_session(std::uint64_t session_tag);
+  void invalidate_session(sim::Proto proto, std::uint64_t session_tag);
 
   /// Drops every lease without touching the NIC — the device already
   /// forgot them (Nic::reset()). Outstanding Lease pointers dangle; the

@@ -97,11 +97,6 @@ Bytes KeySchedule::resumption_master_secret(ByteView transcript_hash) const {
   return crypto::derive_secret(master_secret_, "res master", transcript_hash);
 }
 
-Bytes KeySchedule::exporter_master_secret(ByteView transcript_hash) const {
-  assert(!master_secret_.empty());
-  return crypto::derive_secret(master_secret_, "exp master", transcript_hash);
-}
-
 Bytes KeySchedule::ticket_psk(ByteView resumption_master_secret,
                               ByteView ticket_nonce) {
   return crypto::hkdf_expand_label(resumption_master_secret, "resumption",

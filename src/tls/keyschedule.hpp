@@ -59,7 +59,6 @@ class KeySchedule {
   Bytes client_app_traffic_secret(ByteView transcript_hash) const;
   Bytes server_app_traffic_secret(ByteView transcript_hash) const;
   Bytes resumption_master_secret(ByteView transcript_hash) const;
-  Bytes exporter_master_secret(ByteView transcript_hash) const;
 
   /// PSK for a resumption ticket (RFC 8446 §4.6.1).
   static Bytes ticket_psk(ByteView resumption_master_secret,

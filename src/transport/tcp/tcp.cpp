@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "tls/record.hpp"
-
 namespace smt::transport {
 
 using sim::Packet;
@@ -76,20 +74,6 @@ TcpEndpoint::Connection& TcpEndpoint::ensure_connection(
   return it->second;
 }
 
-Status TcpEndpoint::enable_tls_offload(ConnId conn, tls::CipherSuite suite,
-                                       const tls::TrafficKeys& keys,
-                                       std::uint64_t initial_seq) {
-  auto it = connections_.find(conn);
-  if (it == connections_.end()) {
-    return make_error(Errc::not_connected, "no such connection");
-  }
-  auto ctx = host_.nic().create_flow_context(suite, keys, initial_seq);
-  if (!ctx.ok()) return ctx.error();
-  it->second.tls_tx = TcpTlsTxContext{ctx.value(), initial_seq};
-  it->second.tls_suite = suite;
-  return Status::success();
-}
-
 void TcpEndpoint::send(ConnId conn, Bytes data, stack::CpuCore* app_core,
                        std::vector<RecordMark> records) {
   auto it = connections_.find(conn);
@@ -97,15 +81,9 @@ void TcpEndpoint::send(ConnId conn, Bytes data, stack::CpuCore* app_core,
   Connection& c = it->second;
 
   const std::uint64_t base = c.buf_base + c.send_buffer.size();
-  for (const RecordMark& mark : records) {
-    RecordBoundary boundary;
-    boundary.stream_off = base + mark.offset;
-    boundary.plaintext_len = mark.plaintext_len;
-    boundary.record_seq = mark.record_seq;
-    // Wire length: header + plaintext + tag.
-    boundary.wire_len = tls::kRecordHeaderSize + mark.plaintext_len +
-                        tls::tag_length(c.tls_suite);
-    c.record_queue.push_back(boundary);
+  for (RecordMark& mark : records) {
+    mark.offset += base;
+    c.record_queue.push_back(mark);
   }
   append(c.send_buffer, data);
 
@@ -133,11 +111,11 @@ void TcpEndpoint::push(Connection& conn) {
 
     std::uint64_t chunk = std::min<std::uint64_t>(
         budget, host_.nic().config().max_segment_bytes());
-    // With TLS offload, segments align to record boundaries so each record
-    // is encrypted whole inside one TSO segment (§4.3 alignment).
-    if (conn.tls_tx && !conn.record_queue.empty() &&
-        conn.record_queue.front().stream_off == conn.snd_nxt) {
-      const RecordBoundary& rec = conn.record_queue.front();
+    // Segments align to marked records so each record is encrypted whole
+    // inside one TSO segment (§4.3 alignment).
+    if (!conn.record_queue.empty() &&
+        conn.record_queue.front().offset == conn.snd_nxt) {
+      const RecordMark& rec = conn.record_queue.front();
       if (rec.wire_len > budget) break;  // window too small; wait for acks
       chunk = rec.wire_len;
     }
@@ -183,52 +161,35 @@ void TcpEndpoint::transmit_range(Connection& conn, std::uint64_t from,
 
   // XPS-style static queue choice (the NIC owns RX steering; TX queue
   // selection is the host's, and must stay stable per flow for the §3.2
-  // resync/segment same-queue guarantee below).
+  // resync/segment same-queue guarantee the pre-post hook relies on).
   const std::size_t queue = host_.nic().tx_queue_for_hash(conn.flow_hash);
 
-  // Resyncs must be posted to the NIC queue immediately before their
-  // segment, in the same serialised step — posting them early would let
-  // other pending segments slip between resync and segment (§3.2 hazard).
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> resyncs;
-  if (conn.tls_tx) {
-    // Attaches one record's descriptor, and shadow-tracks the NIC counter,
-    // posting a resync where it diverges — the tls_device driver logic
-    // (§2.3 / Figure 2). Consecutive records then ride the self-increment
-    // (one resync per run).
-    auto attach = [&](const RecordBoundary& rec) {
-      if (conn.tls_tx->driver_shadow_seq != rec.record_seq) {
-        resyncs.emplace_back(conn.tls_tx->nic_context_id, rec.record_seq);
-      }
-      sim::TlsRecordDesc desc;
-      desc.context_id = conn.tls_tx->nic_context_id;
-      desc.record_offset = std::size_t(rec.stream_off - from);
-      desc.plaintext_len = rec.plaintext_len;
-      desc.record_seq = rec.record_seq;
-      d.records.push_back(desc);
-      conn.tls_tx->driver_shadow_seq = rec.record_seq + 1;
-    };
-    if (!is_retransmit) {
-      // Fresh data: the queued records fully inside this range.
-      while (!conn.record_queue.empty() &&
-             conn.record_queue.front().stream_off >= from &&
-             conn.record_queue.front().stream_off + conn.record_queue.front().wire_len <= to) {
-        const RecordBoundary rec = conn.record_queue.front();
-        conn.record_queue.pop_front();
-        attach(rec);
-        conn.sent_records[rec.stream_off] = rec;
-      }
-    } else {
-      // Retransmission: the stored stream bytes are plaintext (the NIC
-      // encrypted the original transmission), so the covering records are
-      // re-encrypted with an explicit resync each (the "Out-resync" path).
-      auto rec_it = conn.sent_records.upper_bound(from);
-      if (rec_it != conn.sent_records.begin()) --rec_it;
-      for (; rec_it != conn.sent_records.end() && rec_it->first < to; ++rec_it) {
-        const RecordBoundary& rec = rec_it->second;
-        if (rec.stream_off < from || rec.stream_off + rec.wire_len > to)
-          continue;  // partially covered; the caller re-sends whole records
-        attach(rec);
-      }
+  // One NIC record descriptor per marked record wholly inside the range,
+  // for the pre-post hook to bind. A retransmission re-sends the covering
+  // records, whose stored bytes are plaintext: the NIC re-encrypts them.
+  const auto attach = [&](const RecordMark& rec) {
+    sim::TlsRecordDesc desc;
+    desc.record_offset = std::size_t(rec.offset - from);
+    desc.plaintext_len = rec.plaintext_len;
+    desc.record_seq = rec.record_seq;
+    d.records.push_back(desc);
+  };
+  if (!is_retransmit) {
+    while (!conn.record_queue.empty()) {
+      const RecordMark rec = conn.record_queue.front();
+      if (rec.offset < from || rec.offset + rec.wire_len > to) break;
+      conn.record_queue.pop_front();
+      attach(rec);
+      conn.sent_records[rec.offset] = rec;
+    }
+  } else {
+    auto rec_it = conn.sent_records.upper_bound(from);
+    if (rec_it != conn.sent_records.begin()) --rec_it;
+    for (; rec_it != conn.sent_records.end() && rec_it->first < to; ++rec_it) {
+      const RecordMark& rec = rec_it->second;
+      if (rec.offset < from || rec.offset + rec.wire_len > to)
+        continue;  // partially covered; the caller re-sends whole records
+      attach(rec);
     }
   }
 
@@ -240,11 +201,11 @@ void TcpEndpoint::transmit_range(Connection& conn, std::uint64_t from,
   const SimDuration cost =
       costs.tso_build + costs.tcp_tx_packet * SimDuration(npkts == 0 ? 1 : npkts);
   stack::CpuCore& core = host_.softirq_for_hash(conn.flow_hash);
-  core.run(cost, [this, queue, &core, resyncs = std::move(resyncs),
+  // The hook runs in the post's own serialised step, so any resync it posts
+  // lands immediately before its segment (the §3.2 hazard otherwise).
+  core.run(cost, [this, id = conn_id(conn.flow), queue, &core,
                   desc = std::move(d)]() mutable {
-    for (const auto& [ctx, seq] : resyncs) {
-      host_.nic().post_resync(queue, ctx, seq, stack::doorbell_charge(&core));
-    }
+    if (pre_post_) pre_post_(id, queue, desc, &core);
     host_.nic().post_segment(queue, std::move(desc),
                              stack::doorbell_charge(&core));
   });
@@ -492,28 +453,25 @@ std::optional<SimDuration> TcpEndpoint::smoothed_rtt(ConnId conn) const {
 }
 
 void TcpEndpoint::retransmit_head(Connection& conn) {
-  // Go-back-one-segment: resend from snd_una. With TLS offload the range
-  // expands to cover whole records so the NIC can re-encrypt them.
+  // Go-back-one-segment: resend from snd_una. The range expands to cover
+  // whole marked records so the NIC can re-encrypt them.
   std::uint64_t from = conn.snd_una;
   std::uint64_t to =
       std::min(conn.snd_nxt,
                from + std::uint64_t(host_.nic().config().max_segment_bytes()));
-  if (conn.tls_tx) {
-    auto it = conn.sent_records.upper_bound(from);
-    if (it != conn.sent_records.begin()) {
-      --it;
-      if (it->second.stream_off + it->second.wire_len > from) {
-        from = it->second.stream_off;  // include the whole covering record
-      }
+  auto it = conn.sent_records.upper_bound(from);
+  if (it != conn.sent_records.begin()) {
+    --it;
+    if (it->second.offset + it->second.wire_len > from) {
+      from = it->second.offset;  // include the whole covering record
     }
-    // Snap `to` to a record end when it lands mid-record.
-    auto cover = conn.sent_records.upper_bound(to);
-    if (cover != conn.sent_records.begin()) {
-      --cover;
-      const std::uint64_t rec_end =
-          cover->second.stream_off + cover->second.wire_len;
-      if (cover->second.stream_off < to && rec_end > to) to = rec_end;
-    }
+  }
+  // Snap `to` to a record end when it lands mid-record.
+  auto cover = conn.sent_records.upper_bound(to);
+  if (cover != conn.sent_records.begin()) {
+    --cover;
+    const std::uint64_t rec_end = cover->second.offset + cover->second.wire_len;
+    if (cover->second.offset < to && rec_end > to) to = rec_end;
   }
   if (to > from) transmit_range(conn, from, to, /*is_retransmit=*/true);
 }

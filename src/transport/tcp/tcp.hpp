@@ -8,9 +8,11 @@
 //     one softirq core -> head-of-line blocking under concurrency (§2);
 //   * serialised transmission: one in-flight window, retransmissions go
 //     through the same ordered path (§3.2);
-//   * kTLS hook: sends may carry TLS-record metadata so the NIC encrypts
-//     in line; the driver shadow-tracks the flow context's record counter
-//     and posts resyncs exactly like the kernel's tls_device path (§2.3).
+//   * record marks: sends may mark opaque records (kTLS's TLS records)
+//     that segmentation keeps whole and retransmission re-sends whole,
+//     each carried as a NIC record descriptor; the endpoint's pre-post
+//     hook binds those descriptors to a flow context (§2.3). TCP itself
+//     holds no TLS state.
 #pragma once
 
 #include <cstdint>
@@ -23,12 +25,6 @@
 
 namespace smt::transport {
 
-/// TLS-offload binding for a connection (kTLS-hw mode).
-struct TcpTlsTxContext {
-  std::uint32_t nic_context_id = 0;
-  std::uint64_t driver_shadow_seq = 0;  // driver's view of the NIC counter
-};
-
 class TcpEndpoint {
  public:
   using ConnId = std::uint64_t;
@@ -36,6 +32,12 @@ class TcpEndpoint {
   /// softirq core after per-packet and copy costs are charged.
   using DataHandler = std::function<void(ConnId, Bytes)>;
   using AcceptHandler = std::function<void(ConnId)>;
+  /// Runs on the posting softirq `core` just before each data segment is
+  /// posted to NIC queue `queue`, descriptor still mutable: where kTLS-hw
+  /// binds its records to a flow context (§2.3). One per endpoint.
+  using PrePostHook = std::function<void(ConnId, std::size_t queue,
+                                         sim::SegmentDescriptor&,
+                                         stack::CpuCore* core)>;
 
   /// Static datacenter window.
   static constexpr std::size_t kWindowBytes = 1 << 20;
@@ -68,26 +70,25 @@ class TcpEndpoint {
 
   void set_on_data(DataHandler handler) { on_data_ = std::move(handler); }
   void set_on_accept(AcceptHandler handler) { on_accept_ = std::move(handler); }
+  void set_pre_post(PrePostHook hook) { pre_post_ = std::move(hook); }
 
   /// Opens a connection (SYN exchange is implicit: the peer auto-accepts).
   ConnId connect(std::uint32_t dst_ip, std::uint16_t dst_port);
 
   /// Appends bytes to the stream. `app_core` is the syscall context the
   /// costs are charged to (nullptr = charge nothing, for pure-protocol
-  /// tests). `records` optionally mark TLS records inside `data` for NIC
-  /// inline encryption (offsets relative to the start of `data`).
+  /// tests). `records` optionally mark records inside `data` for NIC
+  /// inline encryption: segments align to them and retransmissions re-send
+  /// them whole.
   struct RecordMark {
-    std::size_t offset;         // where the record header starts in `data`
+    std::uint64_t offset;  // record start: in `data` as passed to send(),
+                           // in the stream once queued
+    std::size_t wire_len;       // full wire record length
     std::size_t plaintext_len;  // inner plaintext length (w/ type byte)
     std::uint64_t record_seq;
   };
   void send(ConnId conn, Bytes data, stack::CpuCore* app_core = nullptr,
             std::vector<RecordMark> records = {});
-
-  /// Enables NIC TLS offload on a connection (kTLS-hw).
-  Status enable_tls_offload(ConnId conn, tls::CipherSuite suite,
-                            const tls::TrafficKeys& keys,
-                            std::uint64_t initial_seq);
 
   /// Bytes not yet acknowledged (for drain checks in tests).
   std::size_t unacked_bytes(ConnId conn) const;
@@ -118,16 +119,7 @@ class TcpEndpoint {
   };
   const Stats& stats() const noexcept { return stats_; }
 
-  /// Live connection-table size (per-host state audit).
-
  private:
-  struct RecordBoundary {
-    std::uint64_t stream_off;   // where the record starts in the stream
-    std::size_t wire_len;       // full wire record length
-    std::size_t plaintext_len;
-    std::uint64_t record_seq;
-  };
-
   struct Connection {
     sim::FiveTuple flow;  // local perspective (src = this host)
     std::size_t flow_hash = 0;  // memoized flow.hash(): per-packet queue and
@@ -154,10 +146,8 @@ class TcpEndpoint {
     bool rtt_probe_armed = false;
     std::uint64_t rtt_probe_end = 0;  // stream offset the sample waits on
     SimTime rtt_probe_sent_at = 0;
-    std::deque<RecordBoundary> record_queue;  // records not yet fully sent
-    std::map<std::uint64_t, RecordBoundary> sent_records;  // by stream_off
-    std::optional<TcpTlsTxContext> tls_tx;
-    tls::CipherSuite tls_suite = tls::CipherSuite::aes_128_gcm_sha256;
+    std::deque<RecordMark> record_queue;  // records not yet fully sent
+    std::map<std::uint64_t, RecordMark> sent_records;  // by stream offset
     // Receive side.
     std::uint64_t rcv_nxt = 0;
     // seq -> payload view. Out-of-order segments park their SLICE (pinning
@@ -194,6 +184,7 @@ class TcpEndpoint {
   std::uint16_t port_;
   DataHandler on_data_;
   AcceptHandler on_accept_;
+  PrePostHook pre_post_;
   std::map<ConnId, Connection> connections_;
   std::vector<std::uint16_t> ephemeral_ports_;
   std::uint16_t next_ephemeral_port_ = 40000;

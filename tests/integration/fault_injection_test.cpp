@@ -239,6 +239,34 @@ TEST(FaultInjection, NicResetMidRunRecoversTransparently) {
   EXPECT_GT(bed.client_host->flow_contexts().stats().reestablished, 0u);
 }
 
+TEST(FaultInjection, KtlsHwSurvivesClientNicReset) {
+  // kTLS-hw leases its TX contexts from the client's FlowContextManager,
+  // as SMT-hw does. A client NIC reset mid-run drops them with the device;
+  // each connection's next post re-establishes its context seeded at that
+  // record, so no record names a lost context and every RPC completes.
+  apps::RpcFabricConfig config;
+  config.kind = apps::TransportKind::ktls_hw;
+  config.link.propagation = usec(1);
+  apps::RpcFabric fabric(config);
+  constexpr std::size_t kOps = 400;
+  apps::ClosedLoop rpcs(fabric, {.channels_per_client = 8,
+                                 .ops_per_client = kOps,
+                                 .request_bytes = 2048,
+                                 .response_bytes = 512});
+  fabric.loop().schedule_at(usec(100),
+                            [&] { fabric.client_host().reset_nic(); });
+  rpcs.start();
+  fabric.loop().run();
+
+  const apps::ClosedLoopResult result = rpcs.result();
+  EXPECT_EQ(result.issued, kOps);
+  EXPECT_EQ(result.completions.size(), kOps);
+  const sim::NicCounters nic = fabric.client_host().nic().counters();
+  EXPECT_EQ(nic.resets, 1u);
+  EXPECT_EQ(nic.context_misses, 0u);
+  EXPECT_GT(fabric.client_host().flow_contexts().stats().reestablished, 0u);
+}
+
 // --- faults under the sharded engine (satellite: determinism) --------------
 
 // Burst loss + flaps + corruption on a cross-shard link: the fault RNG and

@@ -5,6 +5,7 @@
 
 #include "../common/topology_helpers.hpp"
 
+#include "baselines/ktls.hpp"
 #include "smt/endpoint.hpp"
 #include "stack/flow_context_manager.hpp"
 
@@ -13,6 +14,8 @@ namespace {
 
 using stack::FlowContextManager;
 using stack::FlowKey;
+
+constexpr sim::Proto kSmt = sim::Proto::smt;
 
 tls::TrafficKeys test_keys(std::uint8_t tag) {
   return {Bytes(16, tag), Bytes(12, std::uint8_t(tag + 1))};
@@ -33,7 +36,7 @@ class FlowContextManagerTest : public ::testing::Test {
   FlowContextManager::Lease* must_acquire(std::uint64_t session,
                                           std::uint32_t queue,
                                           std::uint64_t first_seq) {
-    auto lease = manager_.acquire(FlowKey{session, queue},
+    auto lease = manager_.acquire(FlowKey{kSmt, session, queue},
                                   tls::CipherSuite::aes_128_gcm_sha256,
                                   test_keys(0x10), first_seq);
     EXPECT_TRUE(lease.ok());
@@ -63,9 +66,9 @@ TEST_F(FlowContextManagerTest, EvictsLeastRecentlyUsedIdleContext) {
   must_acquire(1, 0, 101);  // touch session 1: session 2 is now LRU
   must_acquire(3, 0, 300);  // table full -> evicts session 2
   EXPECT_EQ(manager_.stats().evictions, 1u);
-  EXPECT_TRUE(manager_.holds(FlowKey{1, 0}));
-  EXPECT_FALSE(manager_.holds(FlowKey{2, 0}));
-  EXPECT_TRUE(manager_.holds(FlowKey{3, 0}));
+  EXPECT_TRUE(manager_.holds(FlowKey{kSmt, 1, 0}));
+  EXPECT_FALSE(manager_.holds(FlowKey{kSmt, 2, 0}));
+  EXPECT_TRUE(manager_.holds(FlowKey{kSmt, 3, 0}));
   EXPECT_EQ(nic_.active_contexts(), 2u);
 }
 
@@ -98,8 +101,8 @@ TEST_F(FlowContextManagerTest, InFlightContextIsNotEvicted) {
 
   must_acquire(2, 0, 200);
   must_acquire(3, 0, 300);  // must evict session 2, not in-flight session 1
-  EXPECT_TRUE(manager_.holds(FlowKey{1, 0}));
-  EXPECT_FALSE(manager_.holds(FlowKey{2, 0}));
+  EXPECT_TRUE(manager_.holds(FlowKey{kSmt, 1, 0}));
+  EXPECT_FALSE(manager_.holds(FlowKey{kSmt, 2, 0}));
 
   // With BOTH remaining contexts in flight, acquisition fails cleanly.
   sim::TlsRecordDesc rec3 = rec;
@@ -107,7 +110,7 @@ TEST_F(FlowContextManagerTest, InFlightContextIsNotEvicted) {
   sim::SegmentDescriptor d3 = d;
   d3.records[0] = rec3;
   nic_.post_segment(1, d3);
-  auto lease = manager_.acquire(FlowKey{4, 0},
+  auto lease = manager_.acquire(FlowKey{kSmt, 4, 0},
                                 tls::CipherSuite::aes_128_gcm_sha256,
                                 test_keys(0x10), 400);
   EXPECT_FALSE(lease.ok());
@@ -116,7 +119,7 @@ TEST_F(FlowContextManagerTest, InFlightContextIsNotEvicted) {
 
   // Once the ring drains, eviction works again.
   loop_.run();
-  EXPECT_TRUE(manager_.acquire(FlowKey{4, 0},
+  EXPECT_TRUE(manager_.acquire(FlowKey{kSmt, 4, 0},
                                tls::CipherSuite::aes_128_gcm_sha256,
                                test_keys(0x10), 400)
                   .ok());
@@ -127,14 +130,14 @@ TEST_F(FlowContextManagerTest, DirectionsAreDistinctContexts) {
   // contexts — they hold different keys and different counters — but
   // compete for the same finite table.
   const auto* tx = must_acquire(1, 0, 100);
-  auto rx_lease = manager_.acquire(FlowKey{1, 0, stack::FlowDir::rx},
+  auto rx_lease = manager_.acquire(FlowKey{kSmt, 1, 0, stack::FlowDir::rx},
                                    tls::CipherSuite::aes_128_gcm_sha256,
                                    test_keys(0x20), 500);
   ASSERT_TRUE(rx_lease.ok());
   EXPECT_NE(rx_lease.value()->nic_context_id, tx->nic_context_id);
   EXPECT_EQ(nic_.active_contexts(), 2u);
   // Re-acquiring the RX key hits; the TX entry is untouched.
-  auto again = manager_.acquire(FlowKey{1, 0, stack::FlowDir::rx},
+  auto again = manager_.acquire(FlowKey{kSmt, 1, 0, stack::FlowDir::rx},
                                 tls::CipherSuite::aes_128_gcm_sha256,
                                 test_keys(0x20), 500);
   ASSERT_TRUE(again.ok());
@@ -147,7 +150,7 @@ TEST_F(FlowContextManagerTest, RxContextEvictionAndReestablishment) {
   // eviction victim. An evicted RX key transparently re-establishes on the
   // next inbound message for its flow.
   auto acquire_rx = [this](std::uint64_t session, std::uint64_t first_seq) {
-    return manager_.acquire(FlowKey{session, 0, stack::FlowDir::rx},
+    return manager_.acquire(FlowKey{kSmt, session, 0, stack::FlowDir::rx},
                             tls::CipherSuite::aes_128_gcm_sha256,
                             test_keys(0x30), first_seq);
   };
@@ -155,7 +158,7 @@ TEST_F(FlowContextManagerTest, RxContextEvictionAndReestablishment) {
   ASSERT_TRUE(acquire_rx(2, 200).ok());
   ASSERT_TRUE(acquire_rx(3, 300).ok());  // table of 2: evicts session 1
   EXPECT_EQ(manager_.stats().evictions, 1u);
-  EXPECT_FALSE(manager_.holds(FlowKey{1, 0, stack::FlowDir::rx}));
+  EXPECT_FALSE(manager_.holds(FlowKey{kSmt, 1, 0, stack::FlowDir::rx}));
 
   auto back = acquire_rx(1, 150);  // evicts session 2, re-establishes 1
   ASSERT_TRUE(back.ok());
@@ -167,16 +170,16 @@ TEST_F(FlowContextManagerTest, RxContextEvictionAndReestablishment) {
 }
 
 TEST_F(FlowContextManagerTest, InvalidateSessionReleasesBothDirections) {
-  ASSERT_TRUE(manager_.acquire(FlowKey{5, 0, stack::FlowDir::tx},
+  ASSERT_TRUE(manager_.acquire(FlowKey{kSmt, 5, 0, stack::FlowDir::tx},
                                tls::CipherSuite::aes_128_gcm_sha256,
                                test_keys(0x40), 0)
                   .ok());
-  ASSERT_TRUE(manager_.acquire(FlowKey{5, 0, stack::FlowDir::rx},
+  ASSERT_TRUE(manager_.acquire(FlowKey{kSmt, 5, 0, stack::FlowDir::rx},
                                tls::CipherSuite::aes_128_gcm_sha256,
                                test_keys(0x41), 0)
                   .ok());
   EXPECT_EQ(manager_.size(), 2u);
-  manager_.invalidate_session(5);
+  manager_.invalidate_session(kSmt, 5);
   EXPECT_EQ(manager_.size(), 0u);
   EXPECT_EQ(nic_.active_contexts(), 0u);
 }
@@ -187,20 +190,75 @@ TEST_F(FlowContextManagerTest, InvalidateSessionReleasesAllItsQueues) {
   sim::Nic nic(loop_, config);
   FlowContextManager manager(nic);
   for (std::uint32_t q = 0; q < 4; ++q) {
-    EXPECT_TRUE(manager.acquire(FlowKey{7, q},
+    EXPECT_TRUE(manager.acquire(FlowKey{kSmt, 7, q},
                                 tls::CipherSuite::aes_128_gcm_sha256,
                                 test_keys(1), q)
                     .ok());
   }
-  EXPECT_TRUE(manager.acquire(FlowKey{8, 0},
+  EXPECT_TRUE(manager.acquire(FlowKey{kSmt, 8, 0},
                               tls::CipherSuite::aes_128_gcm_sha256,
                               test_keys(2), 0)
                   .ok());
   EXPECT_EQ(manager.size(), 5u);
-  manager.invalidate_session(7);
+  manager.invalidate_session(kSmt, 7);
   EXPECT_EQ(manager.size(), 1u);
   EXPECT_EQ(nic.active_contexts(), 1u);
-  EXPECT_TRUE(manager.holds(FlowKey{8, 0}));
+  EXPECT_TRUE(manager.holds(FlowKey{kSmt, 8, 0}));
+}
+
+TEST_F(FlowContextManagerTest, ProtocolsSharingATagAreDistinctSessions) {
+  // An SMT session tag and a kTLS connection id can coincide; the
+  // protocol keeps their leases and their invalidation apart.
+  const FlowKey smt_key{kSmt, 9, 0};
+  const FlowKey tcp_key{sim::Proto::tcp, 9, 0};
+  const auto suite = tls::CipherSuite::aes_128_gcm_sha256;
+  ASSERT_TRUE(manager_.acquire(smt_key, suite, test_keys(0x50), 0).ok());
+  ASSERT_TRUE(manager_.acquire(tcp_key, suite, test_keys(0x52), 0).ok());
+  EXPECT_EQ(manager_.stats().misses, 2u);
+  manager_.invalidate_session(sim::Proto::tcp, 9);
+  EXPECT_TRUE(manager_.holds(smt_key));
+  EXPECT_FALSE(manager_.holds(tcp_key));
+  EXPECT_EQ(nic_.active_contexts(), 1u);
+}
+
+TEST_F(FlowContextManagerTest, BindTxLateBindsAndResyncsOnlyOnDivergence) {
+  const FlowKey key{kSmt, 1, 0};
+  const auto suite = tls::CipherSuite::aes_128_gcm_sha256;
+  const auto descriptor = [](std::vector<std::uint64_t> seqs) {
+    sim::SegmentDescriptor d;
+    for (const std::uint64_t seq : seqs) {
+      sim::TlsRecordDesc rec;
+      rec.context_id = 999;  // stale: bind_tx must rewrite it
+      rec.record_seq = seq;
+      d.records.push_back(rec);
+    }
+    return d;
+  };
+
+  // First post: a fresh lease seeded at the first record, no resync.
+  sim::SegmentDescriptor first = descriptor({100, 101});
+  manager_.bind_tx(key, suite, test_keys(0x60), first, nullptr);
+  const std::uint32_t id = first.records[0].context_id;
+  EXPECT_NE(id, 999u);
+  EXPECT_EQ(first.records[1].context_id, id);
+  EXPECT_EQ(nic_.context_seq(id), 100u);
+  // Consecutive records ride the self-increment; a repeated record (a
+  // retransmission) diverges from the shadow counter and is resynced,
+  // as is the record after it.
+  sim::SegmentDescriptor next = descriptor({102});
+  manager_.bind_tx(key, suite, test_keys(0x60), next, nullptr);
+  sim::SegmentDescriptor again = descriptor({101});
+  manager_.bind_tx(key, suite, test_keys(0x60), again, nullptr);
+  sim::SegmentDescriptor after = descriptor({103});
+  manager_.bind_tx(key, suite, test_keys(0x60), after, nullptr);
+  // No records: nothing to bind, the lease is not even touched.
+  sim::SegmentDescriptor plain;
+  manager_.bind_tx(key, suite, test_keys(0x60), plain, nullptr);
+  loop_.run();
+  EXPECT_EQ(again.records[0].context_id, id);
+  EXPECT_EQ(nic_.counters().resyncs, 2u);
+  EXPECT_EQ(manager_.stats().misses, 1u);
+  EXPECT_EQ(manager_.stats().hits, 3u);
 }
 
 // --- endpoint-level thrash test -------------------------------------------
@@ -417,6 +475,70 @@ TEST(ContextLruEndToEnd, ServerSideRxContextPressure) {
   for (const auto& client : clients) {
     EXPECT_EQ(client->stats().decrypt_failures, 0u);
   }
+}
+
+TEST(ContextLruEndToEnd, SmtAndKtlsWithOneSessionTagStayApart) {
+  // The client's SMT endpoint listens on port 40000 and its kTLS
+  // connection leaves from ephemeral port 40000, both to port 80 on one
+  // peer: the same session tag. Their TX leases must stay distinct
+  // contexts under distinct keys, or records go out under the wrong key.
+  sim::ShardedEngine engine(1);
+  const auto topology = test::two_host_topology(engine, stack::HostConfig{});
+  stack::Host& client_host = topology->host(0);
+  stack::Host& server_host = topology->host(1);
+  const auto suite = tls::CipherSuite::aes_128_gcm_sha256;
+
+  SmtConfig smt_config;
+  smt_config.hw_offload = true;
+  SmtEndpoint smt_client(client_host, 40000, smt_config);
+  SmtEndpoint smt_server(server_host, 80, smt_config);
+  ASSERT_TRUE(smt_client
+                  .register_session(PeerAddr{2, 80}, suite, test_keys(0x70),
+                                    test_keys(0x72))
+                  .ok());
+  ASSERT_TRUE(smt_server
+                  .register_session(PeerAddr{1, 40000}, suite,
+                                    test_keys(0x72), test_keys(0x70))
+                  .ok());
+
+  baselines::KtlsConfig ktls_config;
+  ktls_config.hw_offload = true;
+  baselines::KtlsEndpoint ktls_client(client_host, 1000, ktls_config);
+  baselines::KtlsEndpoint ktls_server(server_host, 80);
+  ktls_server.set_on_accept([&](baselines::KtlsEndpoint::ConnId conn) {
+    ASSERT_TRUE(ktls_server
+                    .register_session(conn, suite, test_keys(0x76),
+                                      test_keys(0x74))
+                    .ok());
+  });
+  const auto conn = ktls_client.connect(2, 80);
+  ASSERT_EQ(ktls_client.tcp().flow_of(conn)->src_port, 40000);
+  ASSERT_TRUE(ktls_client
+                  .register_session(conn, suite, test_keys(0x74),
+                                    test_keys(0x76))
+                  .ok());
+
+  int smt_delivered = 0;
+  smt_server.set_on_message(
+      [&](SmtEndpoint::MessageMeta, Bytes) { ++smt_delivered; });
+  std::size_t ktls_bytes = 0;
+  ktls_server.set_on_data([&](baselines::KtlsEndpoint::ConnId, Bytes data) {
+    ktls_bytes += data.size();
+  });
+  engine.loop(0).run();  // the server accepts and registers its keys
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(
+        smt_client.send_message(PeerAddr{2, 80}, Bytes(3000, std::uint8_t(i)))
+            .ok());
+    ASSERT_TRUE(ktls_client.send(conn, Bytes(3000, std::uint8_t(i))).ok());
+  }
+  engine.loop(0).run();
+
+  EXPECT_EQ(smt_delivered, 8);
+  EXPECT_EQ(ktls_bytes, 8u * 3000u);
+  EXPECT_EQ(smt_server.stats().decrypt_failures, 0u);
+  EXPECT_EQ(ktls_server.stats().decrypt_failures, 0u);
+  EXPECT_EQ(client_host.nic().counters().context_misses, 0u);
 }
 
 }  // namespace

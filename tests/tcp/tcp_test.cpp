@@ -38,6 +38,19 @@ class TcpTest : public ::testing::Test {
     return config;
   }
 
+  /// kTLS-hw's driver step on the client: the pre-post hook binds every
+  /// record-carrying segment to the connection's leased TX context.
+  void offload_client_tls(const tls::TrafficKeys& keys) {
+    client_.set_pre_post([this, keys](TcpEndpoint::ConnId conn,
+                                      std::size_t queue,
+                                      sim::SegmentDescriptor& desc,
+                                      stack::CpuCore* core) {
+      client_host_.flow_contexts().bind_tx(
+          stack::FlowKey{sim::Proto::tcp, conn, std::uint32_t(queue)},
+          tls::CipherSuite::aes_128_gcm_sha256, keys, desc, core);
+    });
+  }
+
   sim::ShardedEngine engine_{1};
   sim::EventLoop& loop_ = engine_.loop(0);
   std::unique_ptr<stack::Topology> topology_;
@@ -343,10 +356,7 @@ TEST_F(TcpTest, TlsOffloadRecordsEncryptedOnWire) {
   keys.key = Bytes(16, 0x31);
   keys.iv = Bytes(12, 0x32);
   const auto conn = client_.connect(2, 80);
-  ASSERT_TRUE(client_
-                  .enable_tls_offload(conn, tls::CipherSuite::aes_128_gcm_sha256,
-                                      keys, 0)
-                  .ok());
+  offload_client_tls(keys);
 
   // Build a plaintext record shell: header + body + tag space.
   const Bytes body = to_bytes(std::string_view("secret payload"));
@@ -359,7 +369,7 @@ TEST_F(TcpTest, TlsOffloadRecordsEncryptedOnWire) {
   wire.resize(wire.size() + 16, 0);
 
   std::vector<TcpEndpoint::RecordMark> marks;
-  marks.push_back({0, body.size() + 1, 0});
+  marks.push_back({0, wire.size(), body.size() + 1, 0});
   client_.send(conn, wire, nullptr, std::move(marks));
   loop_.run();
 
@@ -378,10 +388,7 @@ TEST_F(TcpTest, TlsOffloadRetransmitResyncs) {
   keys.key = Bytes(16, 0x41);
   keys.iv = Bytes(12, 0x42);
   const auto conn = client_.connect(2, 80);
-  ASSERT_TRUE(client_
-                  .enable_tls_offload(conn, tls::CipherSuite::aes_128_gcm_sha256,
-                                      keys, 0)
-                  .ok());
+  offload_client_tls(keys);
 
   // Drop the first data packet so the record is retransmitted; the driver
   // must resync the NIC context and the receiver still decrypts.
@@ -403,7 +410,7 @@ TEST_F(TcpTest, TlsOffloadRetransmitResyncs) {
   append_u8(wire, 23);
   wire.resize(wire.size() + 16, 0);
   std::vector<TcpEndpoint::RecordMark> marks;
-  marks.push_back({0, body.size() + 1, 0});
+  marks.push_back({0, wire.size(), body.size() + 1, 0});
   client_.send(conn, wire, nullptr, std::move(marks));
   loop_.run();
 
@@ -425,10 +432,7 @@ TEST_F(TcpTest, TlsOffloadRetransmitAfterMidRecordAck) {
   keys.key = Bytes(16, 0x51);
   keys.iv = Bytes(12, 0x52);
   const auto conn = client_.connect(2, 80);
-  ASSERT_TRUE(client_
-                  .enable_tls_offload(conn, tls::CipherSuite::aes_128_gcm_sha256,
-                                      keys, 0)
-                  .ok());
+  offload_client_tls(keys);
 
   Bytes body(4000, 0);
   for (std::size_t i = 0; i < body.size(); ++i) body[i] = std::uint8_t(i * 7);
@@ -452,7 +456,7 @@ TEST_F(TcpTest, TlsOffloadRetransmitAfterMidRecordAck) {
         return data_packets >= 2 && data_packets <= first_packets;
       });
   std::vector<TcpEndpoint::RecordMark> marks;
-  marks.push_back({0, body.size() + 1, 0});
+  marks.push_back({0, wire.size(), body.size() + 1, 0});
   client_.send(conn, wire, nullptr, std::move(marks));
   loop_.run();
 
