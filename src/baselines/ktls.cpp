@@ -21,7 +21,7 @@ KtlsEndpoint::KtlsEndpoint(stack::Host& host, std::uint16_t port,
       if (it == sessions_.end()) return;
       const SessionState& state = it->second;
       host_.flow_contexts().bind_tx(
-          {sim::Proto::tcp, state.tx_tag, std::uint32_t(queue)}, state.suite,
+          {sim::Proto::tcp, conn, std::uint32_t(queue)}, state.suite,
           state.tx->keys(), desc, core);
     });
   }
@@ -31,7 +31,7 @@ KtlsEndpoint::~KtlsEndpoint() {
   // Return every leased NIC context to the host-wide pool.
   if (!config_.hw_offload) return;
   for (const auto& [conn, session] : sessions_) {
-    host_.flow_contexts().invalidate_session(sim::Proto::tcp, session.tx_tag);
+    host_.flow_contexts().invalidate_session(sim::Proto::tcp, conn);
   }
 }
 
@@ -47,10 +47,8 @@ Status KtlsEndpoint::register_session(ConnId conn, tls::CipherSuite suite,
     // programs it); every post re-binds it, re-establishing after loss.
     const auto flow = tcp_.flow_of(conn);
     if (!flow) return make_error(Errc::not_connected, "no such connection");
-    state.tx_tag = stack::session_tag(flow->src_port, flow->dst_ip,
-                                      flow->dst_port);
     const auto lease = host_.flow_contexts().acquire(
-        {sim::Proto::tcp, state.tx_tag,
+        {sim::Proto::tcp, conn,
          std::uint32_t(host_.nic().tx_queue_for(*flow))},
         suite, tx_keys, 0);
     if (!lease.ok()) return lease.error();
@@ -62,7 +60,7 @@ Status KtlsEndpoint::register_session(ConnId conn, tls::CipherSuite suite,
 Status KtlsEndpoint::send(ConnId conn, Bytes plaintext,
                           stack::CpuCore* app_core) {
   auto it = sessions_.find(conn);
-  if (it == sessions_.end()) {
+  if (it == sessions_.end() || !it->second.rx) {
     return make_error(Errc::not_connected, "no kTLS session on connection");
   }
   SessionState& state = it->second;
@@ -122,6 +120,15 @@ void KtlsEndpoint::on_stream_data(ConnId conn, Bytes data) {
   auto it = sessions_.find(conn);
   if (it == sessions_.end()) return;  // keys not registered yet
   SessionState& state = it->second;
+  if (!state.rx) return;  // dropped by an earlier receive failure
+  // A receive failure drops the session: later data is ignored and send()
+  // fails. Only its receive half goes, since TCP may still retransmit
+  // records bound to the TX context.
+  const auto drop = [&] {
+    ++stats_.decrypt_failures;
+    state.rx.reset();
+    state.rx_stream = Bytes();
+  };
   append(state.rx_stream, data);
 
   // Locate and decrypt complete records. Receive-side crypto is software
@@ -132,9 +139,8 @@ void KtlsEndpoint::on_stream_data(ConnId conn, Bytes data) {
   while (state.rx_stream.size() >= tls::kRecordHeaderSize) {
     const auto body_len = tls::parse_record_length(
         ByteView(state.rx_stream.data(), tls::kRecordHeaderSize));
-    if (!body_len.ok()) {
-      ++stats_.decrypt_failures;  // stream desync; drop connection state
-      sessions_.erase(it);
+    if (!body_len.ok()) {  // stream desync
+      drop();
       return;
     }
     const std::size_t record_len = tls::kRecordHeaderSize + body_len.value();
@@ -143,8 +149,7 @@ void KtlsEndpoint::on_stream_data(ConnId conn, Bytes data) {
     auto opened = state.rx->open_into(
         state.rx_seq, ByteView(state.rx_stream.data(), record_len), delivered);
     if (!opened.ok()) {
-      ++stats_.decrypt_failures;
-      sessions_.erase(it);
+      drop();
       return;
     }
     ++state.rx_seq;

@@ -78,10 +78,9 @@ class KtlsEndpoint {
   struct SessionState {
     tls::CipherSuite suite = tls::CipherSuite::aes_128_gcm_sha256;
     std::optional<tls::RecordProtection> tx;
-    std::optional<tls::RecordProtection> rx;
+    std::optional<tls::RecordProtection> rx;  // empty once dropped
     std::uint64_t tx_seq = 0;  // single per-connection record space
     std::uint64_t rx_seq = 0;
-    std::uint64_t tx_tag = 0;  // hw mode: the TX lease's session tag
     Bytes rx_stream;  // undecrypted stream awaiting full records
   };
 

@@ -112,9 +112,11 @@ class SmtEndpoint {
 
   void on_wire_message(transport::HomaEndpoint::MessageMeta meta, Bytes wire);
 
-  /// The shared manager's session identity for `peer` on this endpoint.
+  /// The shared manager's session identity for `peer` on this endpoint:
+  /// local port (48..63) | peer ip (16..47) | peer port (0..15).
   std::uint64_t session_tag(PeerAddr peer) const noexcept {
-    return stack::session_tag(homa_.port(), peer.ip, peer.port);
+    return (std::uint64_t(homa_.port()) << 48) |
+           (std::uint64_t(peer.ip) << 16) | std::uint64_t(peer.port);
   }
   stack::FlowKey tx_key(PeerAddr peer, std::size_t queue) const noexcept {
     return {sim::Proto::smt, session_tag(peer), std::uint32_t(queue)};

@@ -105,4 +105,13 @@ class CpuCore {
   std::uint64_t irq_load_epoch_ = 0;  // last decay epoch applied
 };
 
+/// Adapts a CpuCore into the NIC's doorbell-charging callback (sim::CpuCharge)
+/// for post_segment/post_resync: the posting core pays Nic::kPerDoorbellCost
+/// when its post arms the doorbell. nullptr in, nullptr out (posts with no
+/// known posting core — timer retries — stay uncharged, pure delay).
+inline std::function<void(SimDuration)> doorbell_charge(CpuCore* core) {
+  if (core == nullptr) return nullptr;
+  return [core](SimDuration cost) { core->charge_irq(cost); };
+}
+
 }  // namespace smt::stack

@@ -1,6 +1,7 @@
 #include "stack/flow_context_manager.hpp"
 
-#include "stack/host.hpp"
+#include "stack/core.hpp"
+#include "stack/cost_model.hpp"
 
 namespace smt::stack {
 

@@ -45,18 +45,10 @@ class CpuCore;
 /// context memory, so servers feel context pressure too).
 enum class FlowDir : std::uint8_t { tx = 0, rx = 1 };
 
-/// The session tag SMT and kTLS both key their leases by: local port
-/// (48..63) | peer ip (16..47) | peer port (0..15).
-constexpr std::uint64_t session_tag(std::uint16_t local_port,
-                                    std::uint32_t peer_ip,
-                                    std::uint16_t peer_port) noexcept {
-  return (std::uint64_t(local_port) << 48) | (std::uint64_t(peer_ip) << 16) |
-         std::uint64_t(peer_port);
-}
-
 /// Identity of one NIC flow context: the protocol that owns the session
-/// and its session tag (an SMT endpoint and a kTLS connection may share
-/// one), plus the NIC queue and the traffic direction.
+/// and that protocol's session tag (the SMT endpoint packs local port +
+/// peer address; kTLS uses the TCP connection id), plus the NIC queue and
+/// the traffic direction. Tags of different protocols never collide.
 struct FlowKey {
   sim::Proto proto{};
   std::uint64_t session_tag = 0;

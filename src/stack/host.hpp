@@ -449,13 +449,4 @@ class Host {
   std::map<std::pair<sim::Proto, std::uint16_t>, Endpoint> endpoints_;
 };
 
-/// Adapts a CpuCore into the NIC's doorbell-charging callback for
-/// post_segment/post_resync: the posting core pays Nic::kPerDoorbellCost when
-/// its post arms the doorbell. nullptr in, nullptr out (posts with no
-/// known posting core — timer retries — stay uncharged, pure delay).
-inline sim::CpuCharge doorbell_charge(CpuCore* core) {
-  if (core == nullptr) return nullptr;
-  return [core](SimDuration cost) { core->charge_irq(cost); };
-}
-
 }  // namespace smt::stack

@@ -137,6 +137,40 @@ TEST_P(KtlsTest, LossRecoveredAndStillDecrypts) {
   EXPECT_EQ(server_->stats().decrypt_failures, 0u);
 }
 
+TEST_P(KtlsTest, ReceiveFailureKeepsRetransmissionsEncrypted) {
+  // The server answers the first data with a garbage record, so the client
+  // drops its session while a lost segment near the stream's end still
+  // awaits retransmission. The dropped session fails later sends, but TCP
+  // still re-sends its records: in hw mode they must stay bound to the NIC
+  // context, or they would leave as plaintext shells.
+  server_->set_on_accept([this](KtlsEndpoint::ConnId conn) {
+    ASSERT_TRUE(server_
+                    ->register_session(conn,
+                                       tls::CipherSuite::aes_128_gcm_sha256,
+                                       server_tx_, client_tx_)
+                    .ok());
+    server_->tcp().send(conn, Bytes(64, 0xff));
+  });
+  int dropped = 0;
+  topology_->direct_link()->a2b().set_drop_predicate(
+      [&dropped](const sim::Packet& pkt) {
+        return pkt.hdr.type == sim::PacketType::data &&
+               pkt.hdr.seq >= 150000 && dropped++ == 0;
+      });
+  Bytes data(200000, 0);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = std::uint8_t(i % 251);
+  ASSERT_TRUE(client_->send(conn_, data).ok());
+  loop_.run();
+
+  EXPECT_GT(dropped, 0);
+  EXPECT_EQ(client_->tcp().stats().retransmits, 1u);
+  EXPECT_EQ(client_->stats().decrypt_failures, 1u);
+  EXPECT_EQ(client_->send(conn_, Bytes(10, 0)).code(), Errc::not_connected);
+  EXPECT_EQ(server_received_, data);
+  EXPECT_EQ(server_->stats().decrypt_failures, 0u);
+  EXPECT_EQ(client_host_.nic().counters().context_misses, 0u);
+}
+
 TEST_P(KtlsTest, SendWithoutSessionFails) {
   KtlsEndpoint bare(client_host_, 1001, KtlsConfig{});
   const auto conn = bare.connect(2, 80);

@@ -477,11 +477,11 @@ TEST(ContextLruEndToEnd, ServerSideRxContextPressure) {
   }
 }
 
-TEST(ContextLruEndToEnd, SmtAndKtlsWithOneSessionTagStayApart) {
+TEST(ContextLruEndToEnd, SmtAndKtlsOnOnePortAndPeerStayApart) {
   // The client's SMT endpoint listens on port 40000 and its kTLS
   // connection leaves from ephemeral port 40000, both to port 80 on one
-  // peer: the same session tag. Their TX leases must stay distinct
-  // contexts under distinct keys, or records go out under the wrong key.
+  // peer. Their TX leases must stay distinct contexts, or records go out
+  // under the wrong key.
   sim::ShardedEngine engine(1);
   const auto topology = test::two_host_topology(engine, stack::HostConfig{});
   stack::Host& client_host = topology->host(0);

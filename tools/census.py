@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Symbol census: which smt:: functions of libsmt_core.a does a binary link?
 
-Usage: tools/census.py BUILD_DIR [--jobs N]
+Usage: tools/census.py BUILD_DIR
 
 Builds the tree into BUILD_DIR/tree and the standalone benchmark suite
 (bench/suite) into BUILD_DIR/suite, both at -O0 with -ffunction-sections
 -fdata-sections and linked with -Wl,--gc-sections: nothing is inlined away,
-and every function a binary keeps is one it can reach. It then compares the
-`nm` of the tree's libsmt_core.a with the `nm` of every binary and prints
-two lists of demangled smt:: functions (global or weak text symbols):
+and every function a binary keeps is one it can reach. The builds run one
+job per CPU, or CMAKE_BUILD_PARALLEL_LEVEL jobs when that is set. It then
+compares the `nm` of the tree's libsmt_core.a with the `nm` of every binary
+and prints two lists of demangled smt:: functions (global or weak text
+symbols):
 
   * linked by no binary: dead code, candidates for deletion;
   * linked only by test binaries: code its tests alone keep alive. The
@@ -40,11 +42,12 @@ CENSUS_FLAGS = [
 ]
 
 
-def build(source: Path, build_dir: Path, jobs: int, *extra: str) -> None:
+def build(source: Path, build_dir: Path, *extra: str) -> None:
     subprocess.run(["cmake", "-S", str(source), "-B", str(build_dir),
                     *CENSUS_FLAGS, *extra],
                    check=True, stdout=subprocess.DEVNULL)
-    subprocess.run(["cmake", "--build", str(build_dir), "-j", str(jobs)],
+    jobs = os.environ.get("CMAKE_BUILD_PARALLEL_LEVEL", str(os.cpu_count()))
+    subprocess.run(["cmake", "--build", str(build_dir), "-j", jobs],
                    check=True, stdout=subprocess.DEVNULL)
 
 
@@ -89,14 +92,13 @@ def main() -> int:
         description=__doc__.split("\n\n")[0],
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("build_dir", type=Path)
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     args = parser.parse_args()
 
     tree = args.build_dir.resolve() / "tree"
     suite = args.build_dir.resolve() / "suite"
     # -Werror stays off: -O0 sees different warnings than the gated builds.
-    build(ROOT, tree, args.jobs, "-DSMT_WERROR=OFF")
-    build(ROOT / "bench" / "suite", suite, args.jobs)
+    build(ROOT, tree, "-DSMT_WERROR=OFF")
+    build(ROOT / "bench" / "suite", suite)
 
     library = functions(tree / "libsmt_core.a")
     non_test_names, test_names = binary_names()
