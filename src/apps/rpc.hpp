@@ -31,12 +31,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "baselines/ktls.hpp"
+#include "common/hash.hpp"
 #include "crypto/drbg.hpp"
 #include "netsim/link.hpp"
 #include "netsim/shard.hpp"
@@ -219,7 +220,7 @@ class RpcFabric {
     std::unique_ptr<proto::SmtEndpoint> smt;
     // Stream transports' connections, per node because connection ids are
     // only unique per endpoint.
-    std::map<std::uint64_t, Stream> streams;
+    std::unordered_map<std::uint64_t, Stream, TableHash> streams;
   };
 
   Status init_two_host(sim::ShardedEngine& engine, std::size_t client_shard,
@@ -260,7 +261,8 @@ class RpcFabric {
 
   RpcHandler handler_ = [](ByteView) { return RpcReply{}; };
   AsyncRpcHandler async_handler_;
-  std::map<std::uint64_t, RpcChannel*> channels_;  // by correlation prefix
+  // By correlation prefix.
+  std::unordered_map<std::uint64_t, RpcChannel*, TableHash> channels_;
   std::uint64_t next_channel_id_ = 1;
   std::size_t next_server_core_ = 0;
 };
@@ -301,7 +303,7 @@ class RpcChannel {
     SimTime issued_at;
     DoneCallback done;
   };
-  std::map<std::uint64_t, Pending> pending_;
+  std::unordered_map<std::uint64_t, Pending, TableHash> pending_;
 };
 
 /// The closed-loop workload shape behind the paper's RTT and throughput

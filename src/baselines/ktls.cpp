@@ -30,7 +30,7 @@ KtlsEndpoint::KtlsEndpoint(stack::Host& host, std::uint16_t port,
 KtlsEndpoint::~KtlsEndpoint() {
   // Return every leased NIC context to the host-wide pool.
   if (!config_.hw_offload) return;
-  for (const auto& [conn, session] : sessions_) {
+  for (const ConnId conn : sorted_keys(sessions_)) {
     host_.flow_contexts().invalidate_session(sim::Proto::tcp, conn);
   }
 }

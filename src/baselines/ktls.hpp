@@ -22,9 +22,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <unordered_map>
 
+#include "common/hash.hpp"
 #include "tls/record.hpp"
 #include "transport/tcp/tcp.hpp"
 
@@ -91,7 +92,7 @@ class KtlsEndpoint {
   transport::TcpEndpoint tcp_;
   DataHandler on_data_;
   AcceptHandler on_accept_;
-  std::map<ConnId, SessionState> sessions_;
+  std::unordered_map<ConnId, SessionState, TableHash> sessions_;
   Stats stats_;
 };
 

@@ -33,10 +33,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/result.hpp"
 #include "common/time.hpp"
 #include "netsim/event.hpp"
@@ -235,17 +236,6 @@ class Switch {
     std::set<std::uint64_t> resteered;
   };
 
-  // SplitMix64/Murmur finalizer: decorrelates the shared flow hash across
-  // switches without rehashing the 5-tuple.
-  static std::uint64_t mix64(std::uint64_t h) noexcept {
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    h *= 0xc4ceb9fe1a85ec53ULL;
-    h ^= h >> 33;
-    return h;
-  }
-
   /// The route group for a header, nullptr if unroutable (no entry and
   /// no default, or an empty group).
   const std::vector<std::size_t>* lookup_group(const PacketHeader& hdr) const {
@@ -301,7 +291,8 @@ class Switch {
   EventLoop& loop_;
   SwitchConfig config_;
   std::vector<Port> ports_;
-  std::map<std::uint32_t, std::vector<std::size_t>> routes_;
+  std::unordered_map<std::uint32_t, std::vector<std::size_t>, TableHash>
+      routes_;
   std::vector<std::size_t> default_route_;
   std::uint64_t unrouted_dropped_ = 0;
 };

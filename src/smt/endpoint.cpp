@@ -17,7 +17,7 @@ SmtEndpoint::SmtEndpoint(stack::Host& host, std::uint16_t port,
 
 SmtEndpoint::~SmtEndpoint() {
   // Return every leased NIC context to the host-wide pool.
-  for (const auto& [peer, session] : sessions_) {
+  for (const PeerAddr& peer : sorted_keys(sessions_)) {
     homa_.host().flow_contexts().invalidate_session(sim::Proto::smt,
                                                       session_tag(peer));
   }

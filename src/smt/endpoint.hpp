@@ -27,9 +27,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <unordered_map>
 
+#include "common/hash.hpp"
 #include "smt/replay_filter.hpp"
 #include "smt/seqno.hpp"
 #include "smt/wire.hpp"
@@ -125,7 +126,7 @@ class SmtEndpoint {
   SmtConfig config_;
   transport::HomaEndpoint homa_;
   MessageHandler on_message_;
-  std::map<PeerAddr, Session> sessions_;
+  std::unordered_map<PeerAddr, Session, TableHash> sessions_;
   Stats stats_;
 };
 

@@ -8,11 +8,14 @@
 //
 // Senders allocate IDs monotonically, so the filter keeps a compact
 // low-water mark plus the sparse set of out-of-order IDs above it; memory
-// stays bounded no matter how many messages a session carries.
+// stays bounded no matter how many messages a session carries. The sparse
+// set is a sorted vector: it holds the few IDs that overtook an earlier
+// one, so a node per ID would cost an allocation per reordered message.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <set>
+#include <vector>
 
 namespace smt::proto {
 
@@ -27,16 +30,21 @@ class MessageIdFilter {
       auto it = above_.begin();
       while (it != above_.end() && *it == next_expected_) {
         ++next_expected_;
-        it = above_.erase(it);
+        ++it;
       }
+      above_.erase(above_.begin(), it);
       return true;
     }
-    return above_.insert(msg_id).second;
+    const auto it = std::lower_bound(above_.begin(), above_.end(), msg_id);
+    if (it != above_.end() && *it == msg_id) return false;
+    above_.insert(it, msg_id);
+    return true;
   }
 
   /// True if the ID has been seen (without recording anything).
   bool seen(std::uint64_t msg_id) const {
-    return msg_id < next_expected_ || above_.count(msg_id) > 0;
+    return msg_id < next_expected_ ||
+           std::binary_search(above_.begin(), above_.end(), msg_id);
   }
 
   /// All IDs below this are known-seen.
@@ -53,7 +61,7 @@ class MessageIdFilter {
 
  private:
   std::uint64_t next_expected_ = 0;
-  std::set<std::uint64_t> above_;
+  std::vector<std::uint64_t> above_;  // ascending, all > next_expected_
 };
 
 }  // namespace smt::proto

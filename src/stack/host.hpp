@@ -12,9 +12,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <unordered_map>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "netsim/event.hpp"
 #include "netsim/nic.hpp"
 #include "netsim/packet.hpp"
@@ -446,7 +447,9 @@ class Host {
   // is logically a query, but fair tie-breaking needs rotation state).
   mutable std::size_t least_loaded_rr_ = 0;
 
-  std::map<std::pair<sim::Proto, std::uint16_t>, Endpoint> endpoints_;
+  std::unordered_map<std::pair<sim::Proto, std::uint16_t>, Endpoint,
+                     TableHash>
+      endpoints_;
 };
 
 }  // namespace smt::stack

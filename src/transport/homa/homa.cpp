@@ -379,7 +379,7 @@ void HomaEndpoint::rx_complete(const RxKey& key) {
 
   // Remember the identity briefly to drop spurious retransmissions.
   const SimTime now = host_.loop().now();
-  recently_completed_[key] = now;
+  recently_completed_.insert(key);
   completed_order_.emplace_back(now, key);
   while (!completed_order_.empty() &&
          completed_order_.front().first + kCompletedRetention < now) {

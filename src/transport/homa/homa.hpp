@@ -23,7 +23,10 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <unordered_map>
+#include <unordered_set>
 
+#include "common/hash.hpp"
 #include "stack/host.hpp"
 
 namespace smt::transport {
@@ -34,6 +37,10 @@ struct PeerAddr {
   std::uint16_t port = 0;
   friend auto operator<=>(const PeerAddr&, const PeerAddr&) = default;
 };
+
+constexpr std::uint64_t hash_word(const PeerAddr& peer) noexcept {
+  return (std::uint64_t(peer.ip) << 16) | peer.port;
+}
 
 /// A pre-built TSO segment of an outgoing message (SMT supplies these;
 /// plain Homa builds them internally). The payload is a slice of a shared
@@ -224,11 +231,12 @@ class HomaEndpoint {
   sim::Proto proto_;
   MessageHandler on_message_;
   SentHandler on_sent_;
-  std::map<TxKey, TxMessage> tx_messages_;
-  std::map<RxKey, RxMessage> rx_messages_;
+  std::unordered_map<TxKey, TxMessage, TableHash> tx_messages_;
+  std::unordered_map<RxKey, RxMessage, TableHash> rx_messages_;
   // Recently completed messages, kept briefly so spurious retransmissions
   // are recognised and dropped (§4.3) without unbounded memory.
-  std::map<RxKey, SimTime> recently_completed_;
+  // completed_order_ holds them oldest first, with their completion time.
+  std::unordered_set<RxKey, TableHash> recently_completed_;
   std::deque<std::pair<SimTime, RxKey>> completed_order_;
   std::uint64_t next_msg_id_ = 1;
   Stats stats_;

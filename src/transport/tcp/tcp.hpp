@@ -20,7 +20,9 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <unordered_map>
 
+#include "common/hash.hpp"
 #include "stack/host.hpp"
 
 namespace smt::transport {
@@ -185,7 +187,7 @@ class TcpEndpoint {
   DataHandler on_data_;
   AcceptHandler on_accept_;
   PrePostHook pre_post_;
-  std::map<ConnId, Connection> connections_;
+  std::unordered_map<ConnId, Connection, TableHash> connections_;
   std::vector<std::uint16_t> ephemeral_ports_;
   std::uint16_t next_ephemeral_port_ = 40000;
   Stats stats_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 
 #include "../common/topology_helpers.hpp"
@@ -351,6 +352,84 @@ TEST_F(HomaTest, LossyLinkEventuallyDeliversEverything) {
   engine.run();
   EXPECT_GT(topology->direct_link()->a2b().stats().dropped_by_fault, 0u);
   EXPECT_EQ(received, 20u);
+}
+
+// The completed-message dedup window (§4.3): a message's identity is kept
+// for 30 ms and at most kDedupHistoryLimit completions, oldest first out.
+
+TEST_F(HomaTest, DuplicateOfCompletedMessageInsideWindowIsAbsorbed) {
+  std::vector<sim::Packet> captured;
+  topology_->direct_link()->a2b().set_receiver([&](sim::Packet pkt) {
+    if (pkt.hdr.type == sim::PacketType::data) captured.push_back(pkt);
+    server_host_.nic().receive(std::move(pkt));
+  });
+  client_.send_message(server_addr(), Bytes(300, 0x11));
+  loop_.run();
+  ASSERT_EQ(received_.size(), 1u);
+  ASSERT_EQ(captured.size(), 1u);
+  EXPECT_EQ(server_.table_audit().dedup_entries, 1u);
+
+  // A late duplicate, well inside the 30 ms window.
+  const SimTime completed_at = loop_.now();
+  loop_.schedule(msec(10), [&] {
+    server_host_.nic().receive(sim::Packet(captured.front()));
+  });
+  loop_.run();
+  EXPECT_LT(loop_.now(), completed_at + msec(30));
+  EXPECT_EQ(received_.size(), 1u);
+  EXPECT_EQ(server_.stats().messages_received, 1u);
+  EXPECT_EQ(server_.table_audit().rx_messages, 0u);
+}
+
+TEST_F(HomaTest, DedupWindowIsCappedAtHistoryLimitOldestFirst) {
+  constexpr std::size_t kMessages = HomaEndpoint::kDedupHistoryLimit + 1;
+  std::map<std::uint64_t, sim::Packet> data_by_id;  // one packet each
+  topology_->direct_link()->a2b().set_receiver([&](sim::Packet pkt) {
+    if (pkt.hdr.type == sim::PacketType::data) {
+      data_by_id.emplace(pkt.hdr.msg_id, pkt);
+    }
+    server_host_.nic().receive(std::move(pkt));
+  });
+  for (std::size_t i = 0; i < kMessages; ++i) {
+    ASSERT_TRUE(client_.send_message(server_addr(), Bytes(64, 0x22)).ok());
+  }
+  loop_.run();
+  ASSERT_EQ(received_.size(), kMessages);
+  ASSERT_EQ(data_by_id.size(), kMessages);
+  // Every completion fell inside one retention window, so only the count
+  // bound can have dropped the first completion's entry.
+  ASSERT_LT(loop_.now(), msec(30));
+  EXPECT_EQ(server_.table_audit().dedup_entries,
+            HomaEndpoint::kDedupHistoryLimit);
+
+  // The oldest completion's retransmission is reassembled again; the
+  // second-oldest's is still absorbed.
+  const std::uint64_t oldest = received_[0].first.msg_id;
+  const std::uint64_t second = received_[1].first.msg_id;
+  server_host_.nic().receive(sim::Packet(data_by_id.at(second)));
+  server_host_.nic().receive(sim::Packet(data_by_id.at(oldest)));
+  loop_.run();
+  ASSERT_EQ(received_.size(), kMessages + 1);
+  EXPECT_EQ(received_.back().first.msg_id, oldest);
+  EXPECT_EQ(server_.stats().messages_received, kMessages + 1);
+  EXPECT_EQ(server_.table_audit().dedup_entries,
+            HomaEndpoint::kDedupHistoryLimit);
+}
+
+TEST_F(HomaTest, DedupEntriesOlderThanRetentionArePrunedByNextCompletion) {
+  client_.send_message(server_addr(), Bytes(64, 0x33));
+  loop_.run();
+  ASSERT_EQ(received_.size(), 1u);
+  EXPECT_EQ(server_.table_audit().dedup_entries, 1u);
+
+  // A second message completes more than 30 ms after the first: its
+  // completion prunes the first one's entry and records its own.
+  loop_.schedule(msec(31), [&] {
+    client_.send_message(server_addr(), Bytes(64, 0x44));
+  });
+  loop_.run();
+  ASSERT_EQ(received_.size(), 2u);
+  EXPECT_EQ(server_.table_audit().dedup_entries, 1u);
 }
 
 }  // namespace

@@ -325,6 +325,64 @@ TEST_P(SmtEndpointTest, RekeyResetsMessageIdSpace) {
   EXPECT_EQ(received_[1].first.msg_id, 0u);  // ID space reset
 }
 
+TEST_P(SmtEndpointTest, RekeyOfOnePeerLeavesAnotherPeersReplayFilterInForce) {
+  // A second client on the client host: another peer of the same server,
+  // with its own session.
+  SmtConfig config;
+  config.hw_offload = GetParam();
+  SmtEndpoint other(client_host_, 1001, config);
+  const PeerAddr other_addr{1, 1001};
+  tls::TrafficKeys up, down;
+  up.key = Bytes(16, 0x71);
+  up.iv = Bytes(12, 0x72);
+  down.key = Bytes(16, 0x73);
+  down.iv = Bytes(12, 0x74);
+  const auto suite = tls::CipherSuite::aes_128_gcm_sha256;
+  ASSERT_TRUE(other.register_session(server_addr(), suite, up, down).ok());
+  ASSERT_TRUE(server_->register_session(other_addr, suite, down, up).ok());
+
+  std::vector<sim::Packet> captured;
+  topology_->direct_link()->a2b().set_receiver([&](sim::Packet pkt) {
+    if (pkt.hdr.type == sim::PacketType::data &&
+        pkt.hdr.flow.src_port == other_addr.port) {
+      captured.push_back(pkt);
+    }
+    server_host_.nic().receive(std::move(pkt));
+  });
+  const auto replay = [&] {
+    for (const sim::Packet& pkt : captured) {
+      server_host_.nic().receive(sim::Packet(pkt));
+    }
+    loop_.run();
+  };
+  ASSERT_TRUE(other.send_message(server_addr(), Bytes(10, 7)).ok());
+  loop_.run();
+  ASSERT_EQ(received_.size(), 1u);
+  ASSERT_FALSE(captured.empty());
+  const auto reassembled = server_->homa_stats().messages_received;
+  const auto replays = server_->stats().replays_dropped;
+
+  // Inside Homa's 30 ms dedup window a late duplicate never reaches SMT.
+  replay();
+  EXPECT_EQ(server_->homa_stats().messages_received, reassembled);
+  EXPECT_EQ(server_->stats().replays_dropped, replays);
+
+  // Rekeying the FIRST client's session flushes Homa's dedup state for
+  // every peer: the other peer's duplicate is reassembled again, and its
+  // own session's rx_filter, untouched by the rekey, drops it.
+  tls::TrafficKeys new_tx, new_rx;
+  new_tx.key = Bytes(16, 0x61);
+  new_tx.iv = Bytes(12, 0x62);
+  new_rx.key = Bytes(16, 0x63);
+  new_rx.iv = Bytes(12, 0x64);
+  ASSERT_TRUE(
+      server_->rekey_session(PeerAddr{1, 1000}, suite, new_rx, new_tx).ok());
+  replay();
+  EXPECT_EQ(server_->homa_stats().messages_received, reassembled + 1);
+  EXPECT_EQ(server_->stats().replays_dropped, replays + 1);
+  EXPECT_EQ(received_.size(), 1u);
+}
+
 TEST_P(SmtEndpointTest, BidirectionalTraffic) {
   client_->set_on_message([this](SmtEndpoint::MessageMeta, Bytes data) {
     received_.emplace_back(SmtEndpoint::MessageMeta{}, std::move(data));
