@@ -87,6 +87,7 @@ struct SimPerfResult {
   std::uint64_t completed = 0;  // RPCs completed
   double rpcs_per_vsec = 0;     // virtual-time throughput (must not change)
   std::size_t pending_high_water = 0;  // most events pending at once
+  std::uint64_t digest = 0;            // EventLoop::digest() after the run
 };
 
 /// Closed-loop fig7-style run: `concurrency` outstanding RPCs over 12
@@ -113,6 +114,7 @@ SimPerfResult run_scenario(RpcFabricConfig config, std::size_t rpc_bytes,
   r.virtual_sec = to_sec(fabric.loop().now());
   r.events = events;
   r.pending_high_water = fabric.loop().pending_high_water();
+  r.digest = fabric.loop().digest();
   r.packets = fabric.client_host().nic().counters().packets +
               fabric.server_host().nic().counters().packets;
   r.allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
@@ -148,6 +150,7 @@ struct ShardScalingResult {
   std::uint64_t windows = 0;
   std::uint64_t cross_posts = 0;
   std::int64_t virtual_end_ns = 0;  // sum of per-pair last completions
+  std::uint64_t digest = 0;         // ShardedEngine::digest()
 };
 
 /// Compute-bound multi-host ring: 8 forwarding nodes over S shards,
@@ -219,6 +222,7 @@ ShardScalingResult run_shard_ring(std::size_t shards, std::size_t rounds) {
   r.events = events;
   r.windows = engine.stats().windows;
   r.cross_posts = engine.stats().cross_posts;
+  r.digest = engine.digest();
   for (std::size_t h = 0; h < kHosts; ++h) {
     r.completed += nodes[h]->forwarded;
     r.virtual_end_ns += std::int64_t(engine.now(h % shards));
@@ -270,6 +274,7 @@ ShardScalingResult run_shard_scaling(std::size_t shards, std::size_t pairs,
   r.events = events;
   r.windows = engine.stats().windows;
   r.cross_posts = engine.stats().cross_posts;
+  r.digest = engine.digest();
   for (const Pair& pair : fleet) {
     const apps::ClosedLoopResult rpc = pair.rpcs->result();
     r.completed += rpc.completions.size();
@@ -324,6 +329,9 @@ int main(int argc, char** argv) {
       json_metric("events", double(r.events));
       json_metric("completed", double(r.completed));
       json_metric("pending_high_water", double(r.pending_high_water));
+      // Masked to 53 bits: a JSON double holds it exactly.
+      json_metric("event_digest",
+                  double(r.digest & ((std::uint64_t(1) << 53) - 1)));
     }
   }
   // --- shard scaling sweep -------------------------------------------------
@@ -341,7 +349,8 @@ int main(int argc, char** argv) {
   // phases, and the min is the standard noise-robust wall-clock estimate.
   // Every run must also end at the same virtual time: the sweep is the
   // cross-shard determinism witness, so a repetition or shard count that
-  // diverges fails the bench.
+  // diverges fails the bench. Each shard count must also repeat its event
+  // digest: the same schedule, not just the same end.
   bool diverged = false;
   const auto sweep_shards =
       [&](const char* tag, int reps,
@@ -351,6 +360,8 @@ int main(int argc, char** argv) {
                     "virt_end_ns", "speedup");
         std::vector<ShardScalingResult> best(shard_counts.size());
         std::optional<std::int64_t> witness;
+        std::vector<std::optional<std::uint64_t>> digests(
+            shard_counts.size());
         for (int rep = 0; rep < reps; ++rep) {
           for (std::size_t i = 0; i < shard_counts.size(); ++i) {
             const ShardScalingResult r = scenario(shard_counts[i]);
@@ -363,6 +374,14 @@ int main(int argc, char** argv) {
                            tag, static_cast<long long>(r.virtual_end_ns),
                            shard_counts[i], rep,
                            static_cast<long long>(*witness));
+              diverged = true;
+            }
+            if (!digests[i]) digests[i] = r.digest;
+            if (r.digest != *digests[i]) {
+              std::fprintf(stderr,
+                           "DETERMINISM FAILURE: %s sweep with %zu shard(s) "
+                           "ran a different schedule in repetition %d\n",
+                           tag, shard_counts[i], rep);
               diverged = true;
             }
             if (best[i].wall_sec == 0 || r.wall_sec < best[i].wall_sec) {

@@ -50,6 +50,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/time.hpp"
 
 namespace smt::sim {
@@ -271,6 +272,11 @@ class EventLoop {
   /// size the callback pool grew to.
   std::size_t pending_high_water() const noexcept { return high_water_; }
 
+  /// Running hash of every executed event's (when, seq), in execution
+  /// order. Two runs with equal digests ran the same schedule, which is
+  /// stronger than equal outputs (docs/determinism.md "Event ordering").
+  std::uint64_t digest() const noexcept { return digest_; }
+
  private:
   static constexpr std::uint32_t kNone = 0xffffffffu;
   static constexpr std::uint64_t kFreeSeq =
@@ -317,6 +323,7 @@ class EventLoop {
     pop_top();
     drop_stale_top();
     now_ = top.when;
+    digest_ = mix64(digest_ ^ std::uint64_t(top.when)) + top.seq;
     fn();
   }
 
@@ -383,6 +390,7 @@ class EventLoop {
   std::vector<HeapSlot> heap_;     // live slots, plus stale_ cancelled ones
   std::size_t stale_ = 0;
   std::size_t high_water_ = 0;
+  std::uint64_t digest_ = 0;
   std::vector<PooledEvent> pool_;  // free-listed closure storage
   std::uint32_t free_head_ = kNone;
 };

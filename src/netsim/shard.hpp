@@ -48,6 +48,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/result.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/time.hpp"
@@ -121,6 +122,17 @@ class ShardedEngine {
   /// Deterministic for a fixed shard count and seed (windows and
   /// cross_posts are 0 in one-shard mode, where no window machinery runs).
   const Stats& stats() const noexcept { return stats_; }
+
+  /// The shards' EventLoop::digest()s folded in shard order. Deterministic
+  /// for a fixed shard count and seed; a one-shard engine's digest is its
+  /// loop's.
+  std::uint64_t digest() const noexcept {
+    std::uint64_t folded = 0;
+    for (const auto& shard : shards_) {
+      folded = mix64(folded) ^ shard->loop.digest();
+    }
+    return folded;
+  }
 
  private:
   struct Mail {

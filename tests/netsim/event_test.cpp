@@ -298,6 +298,22 @@ TEST(EventLoop, CompactionKeepsOrderWhenMostEventsAreCancelled) {
   EXPECT_EQ(order, expected);
 }
 
+TEST(EventLoop, DigestPinsTheSchedule) {
+  const auto digest_of = [](SimTime late) {
+    EventLoop loop;
+    loop.schedule(usec(2), [] {});
+    loop.schedule(usec(1), [&loop, late] { loop.schedule_at(late, [] {}); });
+    loop.schedule(usec(1), [] {});
+    loop.run();
+    return loop.digest();
+  };
+  EXPECT_EQ(EventLoop{}.digest(), 0u);
+  EXPECT_EQ(digest_of(usec(3)), digest_of(usec(3)));
+  EXPECT_NE(digest_of(usec(3)), digest_of(usec(3) + 1));
+  // Same times, other seqs: the late event now runs before the 2 us one.
+  EXPECT_NE(digest_of(usec(3)), digest_of(usec(2) - 1));
+}
+
 /// One randomised schedule, run two ways. Events get random times with
 /// many ties; a quarter are cancelled up front, and each running event may
 /// cancel a random other one (which may already have run, or been
