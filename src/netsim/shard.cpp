@@ -11,10 +11,28 @@
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace smt::sim {
 
 namespace {
+
+/// The CPUs the calling thread may run on, which its workers inherit: the
+/// worker pool's cap. hardware_concurrency() counts the machine's cores and
+/// ignores affinity, so under `taskset -c 2` a two-shard run got two
+/// workers spin-waiting on one CPU for each other's barrier arrival.
+std::size_t usable_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0 && CPU_COUNT(&set) > 0) {
+    return std::size_t(CPU_COUNT(&set));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 inline void cpu_relax() noexcept {
 #if defined(__x86_64__)
@@ -53,8 +71,8 @@ class SpinBarrier {
       if (++spins < 4096) {
         cpu_relax();
       } else {
-        // Safety valve for oversubscribed hosts (other processes, or
-        // hardware_concurrency lying): stop burning the core.
+        // Safety valve for oversubscribed hosts (other processes on the
+        // pool's CPUs): stop burning the core.
         std::this_thread::yield();
         spins = 0;
       }
@@ -163,14 +181,13 @@ std::size_t ShardedEngine::run() {
   std::size_t executed_before = 0;
   for (const auto& shard : shards_) executed_before += shard->executed;
 
-  // Worker pool: never more threads than cores. A worker owns the shards
-  // s ≡ w (mod T) and runs them sequentially inside each window — the
-  // window schedule is a per-shard property (mailboxes are drained only
-  // between windows), so neither the worker count nor the shard→worker
-  // assignment can change any event order. Results depend on the shard
-  // COUNT alone, not on the machine's core count.
-  const std::size_t hw = std::thread::hardware_concurrency();
-  const std::size_t pool = std::min(n, hw == 0 ? n : hw);
+  // Worker pool: never more threads than usable CPUs. A worker owns the
+  // shards s ≡ w (mod T) and runs them sequentially inside each window —
+  // the window schedule is a per-shard property (mailboxes are drained
+  // only between windows), so neither the worker count nor the
+  // shard→worker assignment can change any event order. Results depend on
+  // the shard COUNT alone, not on the machine's core count.
+  const std::size_t pool = std::min(n, usable_cpus());
 
   // ONE barrier round per window: the last worker to arrive runs the
   // completion step — drains mailboxes, picks the next window (or flags

@@ -1,7 +1,7 @@
 // Sharded multi-threaded simulation engine.
 //
 // One EventLoop per shard, driven in parallel by a pool of OS threads
-// (one per shard, capped at the core count — a worker runs its shards
+// (one per shard, capped at the usable CPUs — a worker runs its shards
 // sequentially inside each window, so the schedule depends on the shard
 // count alone, never on the machine). Shards synchronize conservatively
 // in barrier windows (a time-stepped variant of null-message

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <array>
 #include <cstdio>
 #include <memory>
@@ -220,6 +224,51 @@ TEST(ShardedEngine, TwoShardByteIdenticalToOneShard) {
   EXPECT_EQ(sharded, run_pingpong(two_again, 0, 1));
   EXPECT_GT(two.stats().cross_posts, 0u);
 }
+
+TEST(ShardedEngine, DigestFoldsTheShardLoopsInOrder) {
+  ShardedEngine one(1, usec(1));
+  run_pingpong(one, 0, 0);
+  EXPECT_NE(one.digest(), 0u);
+  EXPECT_EQ(one.digest(), one.loop(0).digest());
+  ShardedEngine two(2, usec(1));
+  run_pingpong(two, 0, 1);
+  ShardedEngine two_again(2, usec(1));
+  run_pingpong(two_again, 0, 1);
+  EXPECT_EQ(two.digest(), two_again.digest());
+  EXPECT_EQ(two.digest(), mix64(two.loop(0).digest()) ^ two.loop(1).digest());
+  // Swapping the shards' roles runs another schedule on each loop.
+  ShardedEngine swapped(2, usec(1));
+  run_pingpong(swapped, 1, 0);
+  EXPECT_NE(swapped.digest(), two.digest());
+}
+
+#if defined(__linux__)
+TEST(ShardedEngine, TwoShardsOnOneCpuMatchAnUnrestrictedRun) {
+  // The worker pool is sized by the CPUs this thread may use, so pinned
+  // to one CPU the two shards share one worker. The schedule depends on
+  // the shard count alone: the results and the digest cannot move.
+  ShardedEngine free_run(2, usec(1));
+  const std::string unrestricted = run_pingpong(free_run, 0, 1);
+
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  int first_cpu = 0;
+  while (!CPU_ISSET(first_cpu, &saved)) ++first_cpu;
+  cpu_set_t one_cpu;
+  CPU_ZERO(&one_cpu);
+  CPU_SET(first_cpu, &one_cpu);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one_cpu, &one_cpu), 0);
+  ShardedEngine pinned(2, usec(1));
+  const std::string restricted = run_pingpong(pinned, 0, 1);
+  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+
+  EXPECT_EQ(restricted, unrestricted);
+  EXPECT_EQ(pinned.digest(), free_run.digest());
+  EXPECT_EQ(pinned.stats().windows, free_run.stats().windows);
+  EXPECT_EQ(pinned.stats().cross_posts, free_run.stats().cross_posts);
+}
+#endif
 
 TEST(ShardedEngine, CancelledFarEventAddsNoWindow) {
   // Shard 1 arms a far-future timer and cancels it from its next event:

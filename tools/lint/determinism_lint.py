@@ -18,7 +18,8 @@ Rules (each finding names its rule id):
   ambient-entropy       std::rand/srand/rand_r/drand48, std::random_device —
                         all randomness must come from seeded DRBG/PRNGs
                         (crypto/drbg.hpp, common/rng.hpp).
-  hardware-concurrency  std::thread::hardware_concurrency — results must
+  hardware-concurrency  std::thread::hardware_concurrency,
+                        sched_getaffinity, CPU_COUNT — results must
                         depend on the shard COUNT, never the machine.
   unordered-iteration   range-for over a variable declared as
                         std::unordered_{map,set} in the same file or its
@@ -95,7 +96,7 @@ SIMPLE_RULES = [
      "std::random_device is hardware entropy — seeds must come from the "
      "scenario so runs replay"),
     ("hardware-concurrency",
-     re.compile(r"hardware_concurrency"),
+     re.compile(r"hardware_concurrency|sched_getaffinity|CPU_COUNT"),
      "core-count probe — simulated results must depend on the shard "
      "count alone, never the machine"),
 ]
