@@ -42,7 +42,10 @@ class LinkDirection {
  public:
   LinkDirection(EventLoop& loop, const LinkConfig& config,
                 std::uint64_t stream = 0)
-      : loop_(loop), config_(config), fault_(config.fault, stream) {}
+      : loop_(loop),
+        lane_(loop.new_lane()),
+        config_(config),
+        fault_(config.fault, stream) {}
 
   void set_receiver(PacketHandler handler) { receiver_ = std::move(handler); }
 
@@ -97,7 +100,9 @@ class LinkDirection {
     if (remote_) {
       remote_(arrival, std::move(deliver));  // cross-shard mailbox post
     } else {
-      loop_.schedule_at(arrival, std::move(deliver));
+      // Arrivals follow the serialisation cursor, so they queue on the
+      // direction's lane (jitter that reorders them takes the heap).
+      loop_.schedule_at(lane_, arrival, std::move(deliver));
     }
   }
 
@@ -116,6 +121,7 @@ class LinkDirection {
 
  private:
   EventLoop& loop_;
+  LaneId lane_;  // local deliveries
   LinkConfig config_;
   FaultState fault_;  // flaps + loss/corrupt/jitter
   PacketHandler receiver_;

@@ -138,8 +138,9 @@ void Switch::drain(std::size_t port_index) {
                  });
     } else if (out.egress_latency + jitter > 0) {
       // Local port with a cable run: propagation is pipelined — the
-      // packet is in flight while the port serialises the next one.
-      loop_.schedule(out.egress_latency + jitter,
+      // packet is in flight while the port serialises the next one, so
+      // the deliveries queue on the port's lane.
+      loop_.schedule(out.egress_lane, out.egress_latency + jitter,
                      [this, port_index, pkt = std::move(pkt)]() mutable {
                        ports_[port_index].deliver(std::move(pkt));
                      });

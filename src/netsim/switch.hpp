@@ -82,6 +82,7 @@ class Switch {
   std::size_t add_port(PacketHandler deliver) {
     Port port;
     port.deliver = std::move(deliver);
+    port.egress_lane = loop_.new_lane();
     ports_.push_back(std::move(port));
     return ports_.size() - 1;
   }
@@ -223,6 +224,7 @@ class Switch {
     double bandwidth_gbps = 0.0;  // 0 = switch-wide default
     SimTime next_free = 0;
     bool draining = false;
+    LaneId egress_lane;  // local deliveries through the cable run
     PortStats stats;
     // Fabric-link fault state (set_port_fault): the same sender-side
     // pipeline as LinkDirection, one decorrelated RNG stream per port.

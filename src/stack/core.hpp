@@ -22,17 +22,19 @@ class CpuCore {
   /// shard's thread. Host construction guarantees this (a Host's cores
   /// share the Host's loop); cross-shard work reaches a core only via a
   /// mailbox post that runs on the owning shard.
-  explicit CpuCore(sim::EventLoop& loop) : loop_(&loop) {}
+  explicit CpuCore(sim::EventLoop& loop)
+      : loop_(&loop), lane_(loop.new_lane()) {}
 
   /// Enqueues `cost` nanoseconds of work; `fn` runs at completion.
   /// Takes the event loop's move-only small-buffer callback directly, so
   /// a lambda passed here lands in the loop's inline storage without an
-  /// intermediate std::function heap cell.
+  /// intermediate std::function heap cell. free_at_ never moves back, so
+  /// the completions queue on the core's lane.
   void run(SimDuration cost, sim::EventLoop::Callback fn) {
     const SimTime start = std::max(loop_->now(), free_at_);
     free_at_ = start + cost;
     busy_ns_ += cost;
-    loop_->schedule_at(free_at_, std::move(fn));
+    loop_->schedule_at(lane_, free_at_, std::move(fn));
   }
 
   /// Charges CPU time without a completion callback.
@@ -98,6 +100,7 @@ class CpuCore {
   }
 
   sim::EventLoop* loop_;
+  sim::LaneId lane_;  // the run queue's completions
   SimTime free_at_ = 0;
   std::uint64_t busy_ns_ = 0;
   std::uint64_t irq_ns_ = 0;

@@ -16,7 +16,11 @@ constexpr SimDuration kCompletedRetention = msec(30);
 
 HomaEndpoint::HomaEndpoint(stack::Host& host, std::uint16_t port,
                            sim::Proto proto)
-    : host_(host), port_(port), proto_(proto) {
+    : host_(host),
+      port_(port),
+      proto_(proto),
+      backstop_lane_(host.loop().new_lane()),
+      resend_lane_(host.loop().new_lane()) {
   host_.register_endpoint(proto_, port_,
                           [this](Packet pkt) { on_packet(std::move(pkt)); });
 }
@@ -134,7 +138,8 @@ void HomaEndpoint::arm_tx_retry(TxMessage& tx) {
   // up. Duplicates are harmless: the receiver's interval merge and, one
   // layer up, SMT's replay filter absorb them. handle_ack cancels it.
   const TxKey key{tx.dst, tx.msg_id};
-  tx.backstop = host_.loop().schedule(kResendInterval * 5, [this, key] {
+  const SimDuration delay = kResendInterval * 5;
+  tx.backstop = host_.loop().schedule(backstop_lane_, delay, [this, key] {
     const auto it = tx_messages_.find(key);
     if (it == tx_messages_.end()) return;  // acked and freed
     TxMessage& tx = it->second;
@@ -423,7 +428,7 @@ void HomaEndpoint::arm_resend_timer(const RxKey& key) {
   if (it == rx_messages_.end() || it->second.timer_armed) return;
   it->second.timer_armed = true;
   it->second.resend_timer =
-      host_.loop().schedule(kResendInterval, [this, key] {
+      host_.loop().schedule(resend_lane_, kResendInterval, [this, key] {
         auto it2 = rx_messages_.find(key);
         if (it2 == rx_messages_.end()) return;
         RxMessage& rx = it2->second;

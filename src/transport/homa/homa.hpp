@@ -229,6 +229,10 @@ class HomaEndpoint {
   stack::Host& host_;
   std::uint16_t port_;
   sim::Proto proto_;
+  // Fixed-delay timers are armed in time order, so each kind queues on
+  // its own lane.
+  sim::LaneId backstop_lane_;
+  sim::LaneId resend_lane_;
   MessageHandler on_message_;
   SentHandler on_sent_;
   std::unordered_map<TxKey, TxMessage, TableHash> tx_messages_;

@@ -21,7 +21,10 @@ std::uint64_t packet_stream_offset(const Packet& pkt) noexcept {
 }  // namespace
 
 TcpEndpoint::TcpEndpoint(stack::Host& host, std::uint16_t port)
-    : host_(host), port_(port) {
+    : host_(host),
+      port_(port),
+      rto_lane_(host.loop().new_lane()),
+      ack_lane_(host.loop().new_lane()) {
   host_.register_endpoint(Proto::tcp, port_,
                           [this](Packet pkt) { on_packet(std::move(pkt)); });
 }
@@ -266,7 +269,7 @@ void TcpEndpoint::handle_data(Connection& conn, Packet pkt) {
                send_ack(c);
              } else if (!c.ack_timer_armed) {
                c.ack_timer_armed = true;
-               host_.loop().schedule(usec(40), [this, id] {
+               host_.loop().schedule(ack_lane_, usec(40), [this, id] {
                  auto it2 = connections_.find(id);
                  if (it2 == connections_.end()) return;
                  Connection& c2 = it2->second;
@@ -404,7 +407,8 @@ void TcpEndpoint::arm_rto(Connection& conn) {
   // starts 10x sooner than the fixed pre-sample RTO.
   const SimDuration delay =
       rto_base(conn) << std::min<std::uint32_t>(conn.rto_backoff, 6);
-  conn.rto_timers.push_back(host_.loop().schedule(delay, [this, id, epoch] {
+  sim::EventLoop& loop = host_.loop();
+  conn.rto_timers.push_back(loop.schedule(rto_lane_, delay, [this, id, epoch] {
     auto it = connections_.find(id);
     if (it == connections_.end()) return;
     Connection& c = it->second;

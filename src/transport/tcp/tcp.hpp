@@ -184,6 +184,10 @@ class TcpEndpoint {
 
   stack::Host& host_;
   std::uint16_t port_;
+  // Timers armed in time order queue on a lane per kind; an RTO shorter
+  // than the last one armed (a new base, a backoff reset) takes the heap.
+  sim::LaneId rto_lane_;
+  sim::LaneId ack_lane_;
   DataHandler on_data_;
   AcceptHandler on_accept_;
   PrePostHook pre_post_;

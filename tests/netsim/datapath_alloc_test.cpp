@@ -51,6 +51,33 @@ TEST(DatapathAllocTest, LinkSendToDeliverAllocatesNothing) {
   EXPECT_EQ(delivered, 2 * kBurst);
 }
 
+TEST(DatapathAllocTest, LanePushAndPopAllocatesNothing) {
+  // Lane events live in the event pool and link through it: once the
+  // pool has grown to a burst's depth, pushing onto a lane, cancelling
+  // its front and middle, and running it make no allocation.
+  EventLoop loop;
+  const LaneId lane = loop.new_lane();
+  std::size_t ran = 0;
+  std::vector<TimerId> ids;
+  ids.reserve(2);
+  auto burst = [&] {
+    ids.clear();
+    return allocations_in([&] {
+      for (std::size_t i = 0; i < kBurst; ++i) {
+        const TimerId id = loop.schedule(lane, SimDuration(i), [&ran] {
+          ++ran;
+        });
+        if (i == 0 || i == kBurst / 2) ids.push_back(id);
+      }
+      for (const TimerId id : ids) loop.cancel(id);
+      loop.run();
+    });
+  };
+  burst();  // warm-up: the pool and heap grow to a burst's depth
+  EXPECT_EQ(burst(), 0u);
+  EXPECT_EQ(ran, 2 * (kBurst - 2));
+}
+
 TEST(DatapathAllocTest, SwitchEnqueueDrainDeliverAllocatesNothing) {
   // A burst queues behind the egress port (the FIFO spans several deque
   // nodes), and each drain schedules the forwarding closure carrying the

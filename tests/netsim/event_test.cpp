@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -380,6 +385,284 @@ TEST(EventLoop, CancellingMatchesNoOpTwinRun) {
   // About half the original events never ran.
   EXPECT_GT(noop.voided, 4000u);
   EXPECT_LT(noop.voided, 6000u);
+}
+
+
+// --- lanes ----------------------------------------------------------------
+
+TEST(EventLoop, LaneRunsInTimeOrderAmongHeapEvents) {
+  EventLoop loop;
+  const LaneId lane = loop.new_lane();
+  std::vector<int> order;
+  loop.schedule_at(lane, usec(1), [&] { order.push_back(1); });
+  loop.schedule_at(lane, usec(3), [&] { order.push_back(3); });
+  loop.schedule_at(usec(2), [&] { order.push_back(2); });
+  loop.schedule_at(usec(3), [&] { order.push_back(4); });  // after lane's 3
+  loop.schedule_at(lane, usec(3), [&] { order.push_back(5); });
+  EXPECT_EQ(loop.pending(), 5u);
+  EXPECT_EQ(loop.earliest(), usec(1));
+  EXPECT_EQ(loop.run(), 5u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(EventLoop, EarlierThanTheLaneTailFallsBackToTheHeap) {
+  EventLoop loop;
+  const LaneId lane = loop.new_lane();
+  std::vector<int> order;
+  loop.schedule_at(lane, usec(10), [&] { order.push_back(10); });
+  loop.schedule_at(lane, usec(20), [&] { order.push_back(20); });
+  // Earlier than the tail: still runs at its own time, before the tail.
+  loop.schedule_at(lane, usec(15), [&] { order.push_back(15); });
+  loop.schedule_at(lane, usec(5), [&] { order.push_back(5); });
+  // Back in order behind the tail: the lane takes it again.
+  loop.schedule_at(lane, usec(20), [&] {
+    order.push_back(21);
+    // A past time clamps to now, then queues behind the (empty) lane.
+    loop.schedule_at(lane, usec(1), [&] { order.push_back(int(loop.now())); });
+  });
+  loop.schedule(lane, usec(30), [&] { order.push_back(30); });
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{5, 10, 15, 20, 21, 20000, 30}));
+}
+
+TEST(EventLoop, LaneCancelsAtFrontMiddleAndTail) {
+  EventLoop loop;
+  const LaneId lane = loop.new_lane();
+  std::vector<int> order;
+  std::vector<TimerId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(loop.schedule_at(lane, usec(i), [&order, i] {
+      order.push_back(i);
+    }));
+  }
+  loop.schedule_at(usec(2), [&] { order.push_back(100); });
+  loop.cancel(ids[0]);  // the front: its successor takes a heap slot
+  loop.cancel(ids[3]);  // the middle
+  loop.cancel(ids[5]);  // the tail: the next push queues behind 4
+  EXPECT_EQ(loop.pending(), 4u);
+  EXPECT_EQ(loop.earliest(), usec(1));
+  loop.schedule_at(lane, usec(4), [&] { order.push_back(6); });
+  EXPECT_EQ(loop.pending_high_water(), 7u);
+  loop.cancel(ids[1]);  // the new front
+  EXPECT_EQ(loop.earliest(), usec(2));
+  EXPECT_EQ(loop.run(), 4u);
+  EXPECT_EQ(order, (std::vector<int>{2, 100, 4, 6}));
+  EXPECT_TRUE(loop.empty());
+  EXPECT_EQ(loop.pending_high_water(), 7u);
+}
+
+TEST(EventLoop, PendingCountsLaneEventsLikeHeapEvents) {
+  EventLoop lanes;
+  EventLoop heap;
+  const LaneId lane = lanes.new_lane();
+  std::vector<TimerId> in_lane, in_heap;
+  for (int i = 0; i < 8; ++i) {
+    in_lane.push_back(lanes.schedule(lane, usec(i), [] {}));
+    in_heap.push_back(heap.schedule(usec(i), [] {}));
+  }
+  for (const int i : {0, 4, 7, 4}) {
+    lanes.cancel(in_lane[std::size_t(i)]);
+    heap.cancel(in_heap[std::size_t(i)]);
+    EXPECT_EQ(lanes.pending(), heap.pending());
+    EXPECT_EQ(lanes.earliest(), heap.earliest());
+  }
+  lanes.schedule(lane, usec(9), [] {});
+  heap.schedule(usec(9), [] {});
+  EXPECT_EQ(lanes.pending_high_water(), heap.pending_high_water());
+  EXPECT_EQ(lanes.run_until(usec(3)), heap.run_until(usec(3)));
+  EXPECT_EQ(lanes.pending(), heap.pending());
+  EXPECT_EQ(lanes.run(), heap.run());
+  EXPECT_EQ(lanes.digest(), heap.digest());
+  EXPECT_EQ(lanes.pending_high_water(), 8u);
+}
+
+TEST(EventLoop, CompactionDropsStaleLaneFronts) {
+  // Every lane's front is cancelled (a stale heap slot each, and the
+  // successor takes a slot of its own), then half the successors too:
+  // stale slots outnumber live ones and the heap is rebuilt. The
+  // survivors still run in (when, seq) order.
+  EventLoop loop;
+  std::vector<std::pair<SimTime, int>> order;
+  loop.schedule(0, [&] { order.emplace_back(0, -1); });
+  std::vector<std::pair<TimerId, TimerId>> ids;
+  std::vector<std::pair<SimTime, int>> expected{{0, -1}};
+  for (int i = 0; i < 300; ++i) {
+    const LaneId lane = loop.new_lane();
+    const SimTime first = usec(1000 - i % 97);
+    const TimerId front = loop.schedule_at(lane, first, [] {});
+    const TimerId next = loop.schedule_at(lane, first + 5, [&, i, first] {
+      order.emplace_back(first + 5, i);
+    });
+    loop.schedule_at(lane, first + 9, [&, i, first] {
+      order.emplace_back(first + 9, 1000 + i);
+    });
+    ids.emplace_back(front, next);
+    if (i % 2 == 1) expected.emplace_back(first + 5, i);
+    expected.emplace_back(first + 9, 1000 + i);
+  }
+  for (const auto& [front, next] : ids) loop.cancel(front);
+  EXPECT_EQ(loop.pending(), 601u);
+  for (std::size_t i = 0; i < ids.size(); i += 2) loop.cancel(ids[i].second);
+  EXPECT_EQ(loop.pending(), 451u);
+  // Same time: the lane scheduled first (lower i) runs first.
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  EXPECT_EQ(loop.run(), 451u);
+  EXPECT_EQ(order, expected);
+}
+
+/// A seeded differential run: random schedules on four lanes (in order,
+/// behind the lane's last live event, or out of order, which falls back to
+/// the heap) and on the heap, cancels of a lane's front, middle and tail
+/// and of random handles, some from inside callbacks, all driven through
+/// run_until, run_ready_before and run. The reference model is the set of
+/// pending (when, seq) keys: every executed event must be its least, and
+/// pending() and earliest() must match it after every step.
+class LaneDifferential {
+ public:
+  explicit LaneDifferential(std::uint64_t seed) : rng_(seed) {
+    for (auto& lane : lanes_) lane.id = loop_.new_lane();
+  }
+
+  void run() {
+    for (int step = 0; step < 10000; ++step) {
+      const std::uint64_t op = rng_.next_below(10);
+      if (op < 5) {
+        schedule_random();
+      } else if (op < 8) {
+        cancel_random();
+      } else if (op == 8) {
+        const SimTime until = loop_.now() + SimTime(rng_.next_below(40));
+        loop_.run_until(until);
+        EXPECT_EQ(loop_.now(), until);
+      } else {
+        loop_.run_ready_before(loop_.now() + SimTime(rng_.next_below(40)));
+      }
+      check_model();
+    }
+    loop_.run();
+    check_model();
+    EXPECT_TRUE(model_.empty());
+  }
+
+  std::size_t executed() const { return executed_; }
+  std::size_t lane_cancels() const { return lane_cancels_; }
+  std::size_t fallbacks() const { return fallbacks_; }
+
+ private:
+  struct Lane {
+    LaneId id;
+    std::deque<std::size_t> members;  // live lane events, in lane order
+  };
+
+  void check_model() {
+    ASSERT_EQ(loop_.pending(), model_.size());
+    EXPECT_EQ(loop_.earliest(),
+              model_.empty() ? EventLoop::kNoEvent : model_.begin()->first);
+  }
+
+  void schedule_random() {
+    const SimTime now = loop_.now();
+    const std::size_t lane_index = rng_.next_below(lanes_.size() + 1);
+    const std::size_t k = ids_.size();
+    ids_.emplace_back();
+    when_.emplace_back();
+    lane_of_.push_back(-1);
+    auto fn = [this, k] { on_run(k); };
+    if (lane_index == lanes_.size()) {
+      const SimTime when = now + SimTime(rng_.next_below(60)) - 5;
+      ids_[k] = loop_.schedule_at(when, fn);
+      when_[k] = std::max(when, now);
+      model_.emplace(when_[k], ids_[k].seq);
+      return;
+    }
+    Lane& lane = lanes_[lane_index];
+    const SimTime tail =
+        lane.members.empty() ? now : when_[lane.members.back()];
+    // Mostly at or after the tail; otherwise anywhere from now up to it.
+    const SimTime when =
+        rng_.chance(0.75)
+            ? tail + SimTime(rng_.next_below(8))
+            : now + SimTime(rng_.next_below(std::uint64_t(tail - now) + 1));
+    ids_[k] = loop_.schedule_at(lane.id, when, fn);
+    when_[k] = std::max(when, now);
+    model_.emplace(when_[k], ids_[k].seq);
+    if (lane.members.empty() || when_[k] >= tail) {
+      lane.members.push_back(k);
+      lane_of_[k] = int(lane_index);
+    } else {
+      ++fallbacks_;
+    }
+  }
+
+  void cancel_random() {
+    const std::size_t lane_index = rng_.next_below(lanes_.size() + 1);
+    if (lane_index < lanes_.size() && !lanes_[lane_index].members.empty()) {
+      std::deque<std::size_t>& members = lanes_[lane_index].members;
+      const std::uint64_t where = rng_.next_below(3);
+      const std::size_t pos = where == 0   ? 0
+                              : where == 1 ? members.size() - 1
+                                           : rng_.next_below(members.size());
+      ++lane_cancels_;
+      cancel(members[pos]);
+    } else if (!ids_.empty()) {
+      cancel(rng_.next_below(ids_.size()));  // may have run or be gone
+    }
+  }
+
+  void cancel(std::size_t k) {
+    model_.erase({when_[k], ids_[k].seq});
+    forget(k);
+    loop_.cancel(ids_[k]);
+  }
+
+  /// Drops `k` from its lane's membership list, if it is there.
+  void forget(std::size_t k) {
+    if (lane_of_[k] < 0) return;
+    std::deque<std::size_t>& members = lanes_[std::size_t(lane_of_[k])].members;
+    members.erase(std::find(members.begin(), members.end(), k));
+    lane_of_[k] = -1;
+  }
+
+  void on_run(std::size_t k) {
+    ++executed_;
+    ASSERT_FALSE(model_.empty());
+    const std::pair<SimTime, std::uint64_t> expected = *model_.begin();
+    EXPECT_EQ(expected.first, loop_.now());
+    EXPECT_EQ(expected.second, ids_[k].seq);
+    model_.erase(model_.begin());
+    if (lane_of_[k] >= 0) {
+      EXPECT_EQ(lanes_[std::size_t(lane_of_[k])].members.front(), k);
+    }
+    forget(k);
+    // Callbacks schedule and cancel too.
+    if (rng_.chance(0.3)) schedule_random();
+    if (rng_.chance(0.2)) cancel_random();
+  }
+
+  EventLoop loop_;
+  Rng rng_;
+  std::array<Lane, 4> lanes_;
+  std::vector<TimerId> ids_;
+  std::vector<SimTime> when_;  // as clamped at schedule time
+  std::vector<int> lane_of_;  // lane index while a lane member, else -1
+  std::set<std::pair<SimTime, std::uint64_t>> model_;
+  std::size_t executed_ = 0;
+  std::size_t lane_cancels_ = 0;
+  std::size_t fallbacks_ = 0;
+};
+
+TEST(EventLoop, LanesMatchTheReferenceOrder) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    LaneDifferential run(seed);
+    run.run();
+    EXPECT_GT(run.executed(), 4000u);
+    EXPECT_GT(run.lane_cancels(), 800u);
+    EXPECT_GT(run.fallbacks(), 150u);
+  }
 }
 
 }  // namespace
