@@ -225,6 +225,7 @@ class EventLoop {
   /// lane's last event would break the lane's order, so that event takes
   /// a heap slot instead, as schedule_at(when, fn).
   TimerId schedule_at(LaneId lane, SimTime when, Callback&& fn) {
+    assert(lane.index < lanes_.size() && "a lane from this loop's new_lane");
     if (when < now_) when = now_;
     Lane& queue = lanes_[lane.index];
     if (queue.tail != kNone && when < pool_[queue.tail].when) {
@@ -271,10 +272,7 @@ class EventLoop {
     release(id.index);
     if (!had_slot) return;
     ++stale_;
-    if (successor != kNone) {
-      pool_[successor].prev = kNone;
-      push(successor);
-    }
+    if (successor != kNone) push(successor);
     drop_stale_top();
     if (stale_ > heap_.size() - stale_) compact();
   }

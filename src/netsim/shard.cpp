@@ -44,9 +44,9 @@ inline void cpu_relax() noexcept {
 // spin-then-yield waiting. std::barrier's futex sleep/wake costs tens of
 // microseconds per window on virtualized hosts (sandboxed runners
 // intercept the syscall), which dwarfs a typical window's event work;
-// spinning costs ~1 us. The worker pool never exceeds the core count
-// (see ShardedEngine::run), so a spinning waiter occupies an otherwise
-// idle core, not a busy one.
+// spinning costs ~1 us. The worker pool never exceeds the CPUs the run
+// may use (see ShardedEngine::run), so a spinning waiter occupies an
+// otherwise idle CPU, not a busy one.
 class SpinBarrier {
  public:
   explicit SpinBarrier(std::size_t n) : n_(n) {}
