@@ -252,7 +252,7 @@ class EventLoop {
   /// already ran or was already cancelled is a no-op, as is a default
   /// TimerId. Cancelling never reorders the events that remain.
   void cancel(TimerId id) {
-    if (id.index >= pool_.size() || pool_[id.index].seq != id.seq) return;
+    if (!scheduled(id)) return;
     PooledEvent& event = pool_[id.index];
     // Destroyed on return, after the bookkeeping: a capture whose
     // destructor schedules or cancels sees a consistent loop.
@@ -275,6 +275,15 @@ class EventLoop {
     if (successor != kNone) push(successor);
     drop_stale_top();
     if (stale_ > heap_.size() - stale_) compact();
+  }
+
+  /// True while the event `id` is pending: it has neither run nor been
+  /// cancelled. False inside the event's own callback (its pool slot is
+  /// released before the callback runs) and for a default TimerId. This
+  /// is the only record of whether a timer is pending; keep no flag
+  /// beside a TimerId.
+  bool scheduled(TimerId id) const noexcept {
+    return id.index < pool_.size() && pool_[id.index].seq == id.seq;
   }
 
   /// Runs events until the queue drains or `deadline` passes.

@@ -172,7 +172,6 @@ void Nic::reset() {
   for (RxRing& ring : rx_rings_) {
     ring.dropped += ring.frames.size();
     ring.frames.clear();
-    ring.timer_armed = false;
     loop_.cancel(ring.hold_off);
     seed_moderation(ring);
   }
@@ -198,14 +197,12 @@ void Nic::maybe_fire_rx_interrupt(std::size_t index) {
     fire_rx_interrupt(index);
     return;
   }
-  if (ring.timer_armed) return;
+  if (loop_.scheduled(ring.hold_off)) return;
   // Hold off, hoping more frames coalesce. fire_rx_interrupt and reset()
   // cancel this timer, so when it runs it is still the ring's live one.
-  ring.timer_armed = true;
   ring.hold_off =
       loop_.schedule(SimDuration(ring.coalesce_usecs * 1e3), [this, index] {
-        RxRing& r = rx_rings_[index];
-        r.timer_armed = false;
+        const RxRing& r = rx_rings_[index];
         if (!r.draining && !r.frames.empty()) fire_rx_interrupt(index);
       });
 }
@@ -214,8 +211,7 @@ void Nic::fire_rx_interrupt(std::size_t index) {
   RxRing& ring = rx_rings_[index];
   ring.draining = true;
   // The hold-off timer was waiting for this interrupt: cancel it, so only
-  // a hold-off armed after this drain can fire the ring's next one.
-  ring.timer_armed = false;
+  // a hold-off scheduled after this drain can fire the ring's next one.
   loop_.cancel(ring.hold_off);
   ++ring.interrupts;
   // The fixed interrupt cost (vector dispatch, IRQ entry/exit, NAPI
@@ -400,7 +396,7 @@ void Nic::kick(const CpuCharge& poster) {
   // after it wait for the next doorbell, which fires back-to-back from
   // process_batch() while the rings are non-empty. The core whose post
   // arms the doorbell pays the MMIO/scheduling cost (posts that coalesce
-  // into an already-armed batch ride for free — xmit_more's entire point).
+  // into an already-open batch ride for free — xmit_more's entire point).
   processing_ = true;
   ++counters_.doorbells;
   if (poster) {

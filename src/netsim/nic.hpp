@@ -372,7 +372,7 @@ class Nic {
   /// Posts a resync descriptor: sets the context's internal counter when
   /// the NIC *processes* it (not when posted!). `poster`, when set, is the
   /// CPU charge of the core doing the post — it pays kPerDoorbellCost if
-  /// this post arms the doorbell (coalesced posts ride the armed batch).
+  /// this post arms the doorbell (coalesced posts ride the open batch).
   void post_resync(std::size_t queue, std::uint32_t context_id,
                    std::uint64_t new_seq, CpuCharge poster = nullptr);
 
@@ -415,8 +415,7 @@ class Nic {
   struct RxRing {
     RecyclingDeque<Packet> frames;
     bool draining = false;       // interrupt fired, drain event in flight
-    bool timer_armed = false;    // rx_coalesce_usecs hold-off pending
-    TimerId hold_off;            // that timer, cancelled when superseded
+    TimerId hold_off;            // rx_coalesce_usecs hold-off, if pending
     // Effective moderation; seeded from NicConfig, adjusted per ring by
     // the DIM controller when adaptive_rx_coalesce is on.
     std::size_t coalesce_frames = 1;

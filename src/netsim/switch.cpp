@@ -165,7 +165,7 @@ void Switch::schedule_probe(std::size_t port_index) {
   loop_.cancel(probe);  // one probe per port: a new one supersedes
   probe = loop_.schedule(config_.health_probe_interval, [this, port_index] {
     Port& port = ports_[port_index];
-    assert(port.dark && "only a dark port has a probe armed");
+    assert(port.dark && "only a dark port has a probe pending");
     if (port.fault.down_at(loop_.now())) {
       // Probe lost into the flap window: stay dark, re-arm. Pure phase
       // arithmetic — probes never draw from the fault RNG, so packet

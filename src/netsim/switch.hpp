@@ -232,7 +232,7 @@ class Switch {
     // Health state machine (config_.health_dark_threshold > 0).
     bool dark = false;
     std::size_t consecutive_fault_drops = 0;
-    TimerId probe;  // the armed probe/restore timer
+    TimerId probe;  // the pending probe/restore timer
     // Flow hashes steered off this port while dark — an ordered set so
     // the distinct-flow count is deterministic and re-insertion is free.
     std::set<std::uint64_t> resteered;

@@ -197,8 +197,7 @@ class Host {
   /// next interrupt), so EventLoop::run() still terminates.
   void enable_irq_rebalance(SimDuration period) {
     rebalance_period_ = period;
-    rebalance_on_ = true;
-    loop_.cancel(rebalance_timer_);  // re-armed below with the new period
+    loop_.cancel(rebalance_timer_);  // rescheduled below with the new period
     // Baseline the deltas at enable time: load charged before enabling
     // must not count as this period's imbalance.
     for (std::size_t i = 0; i < softirq_cores_.size(); ++i) {
@@ -210,8 +209,7 @@ class Host {
     arm_rebalance();
   }
   void disable_irq_rebalance() {
-    rebalance_on_ = false;
-    rebalance_armed_ = false;
+    rebalance_period_ = 0;
     loop_.cancel(rebalance_timer_);
   }
   const IrqRebalanceStats& irq_rebalance_stats() const noexcept {
@@ -315,18 +313,19 @@ class Host {
   }
 
   /// Called from the IRQ executor on every interrupt: a dormant rebalancer
-  /// wakes up. Keeping the timer armed only while interrupts flow is what
+  /// wakes up. Keeping a tick pending only while interrupts flow is what
   /// lets EventLoop::run() drain to completion with the rebalancer on.
   void note_irq_activity() {
-    if (rebalance_on_ && !rebalance_armed_) arm_rebalance();
+    if (rebalance_period_ > 0) arm_rebalance();
   }
 
+  /// Arms the next tick unless one is pending. A tick that flushes a
+  /// ring raises an interrupt, which arms the next tick before the tick
+  /// itself would: both land one period out, so there is one chain.
   void arm_rebalance() {
-    rebalance_armed_ = true;
-    rebalance_timer_ = loop_.schedule(rebalance_period_, [this] {
-      rebalance_armed_ = false;
-      rebalance_tick();
-    });
+    if (loop_.scheduled(rebalance_timer_)) return;
+    rebalance_timer_ =
+        loop_.schedule(rebalance_period_, [this] { rebalance_tick(); });
   }
 
   void rebalance_tick() {
@@ -384,11 +383,7 @@ class Host {
         }
       }
     }
-    if (active) {
-      arm_rebalance();
-    } else {
-      rebalance_armed_ = false;  // dormant until the next interrupt
-    }
+    if (active) arm_rebalance();  // otherwise dormant until the next interrupt
   }
 
   /// Reprograms every indirection entry feeding `victim` onto the other
@@ -435,11 +430,9 @@ class Host {
   std::vector<std::size_t> last_fired_core_;
 
   // irqbalance-style rebalancer state.
-  SimDuration rebalance_period_ = 0;
+  SimDuration rebalance_period_ = 0;  // 0: off
   IrqRebalanceStats rebalance_stats_;
-  bool rebalance_on_ = false;
-  bool rebalance_armed_ = false;
-  sim::TimerId rebalance_timer_;  // the armed tick; enable/disable cancel it
+  sim::TimerId rebalance_timer_;  // the next tick; enable/disable cancel it
   std::vector<std::uint64_t> last_core_irq_ns_;  // delta baselines
   std::vector<std::uint64_t> last_ring_irq_ns_;
 

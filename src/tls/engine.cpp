@@ -155,6 +155,10 @@ Result<Bytes> ClientHandshake::on_server_flight(ByteView flight) {
     if (!shlo) {
       return make_error(Errc::protocol_violation, "bad ServerHello");
     }
+    // RFC 8446 §4.1.3: a server may only pick a suite the client offered.
+    if (shlo->suite != config_.suite) {
+      return make_error(Errc::protocol_violation, "cipher suite mismatch");
+    }
     transcript_.add(first.raw);
   }
   ++index;

@@ -125,8 +125,8 @@ void HomaEndpoint::pump_tx(TxMessage& tx, stack::CpuCore* core) {
     ++tx.next_segment;
   }
 
-  if (tx.next_segment >= tx.segments.size() && !tx.gc_armed) {
-    tx.gc_armed = true;
+  if (tx.next_segment >= tx.segments.size() &&
+      !host_.loop().scheduled(tx.backstop)) {
     arm_tx_retry(tx);
   }
 }
@@ -159,16 +159,29 @@ void HomaEndpoint::arm_tx_retry(TxMessage& tx) {
   });
 }
 
+sim::PacketHeader HomaEndpoint::data_header(const TxMessage& tx,
+                                            std::size_t tso_off) const {
+  sim::PacketHeader hdr;
+  hdr.flow = flow_to(tx.dst);
+  hdr.type = PacketType::data;
+  hdr.msg_id = tx.msg_id;
+  hdr.msg_len = std::uint32_t(tx.total_bytes);
+  hdr.tso_off = std::uint32_t(tso_off);
+  return hdr;
+}
+
+std::size_t HomaEndpoint::data_offset(const sim::PacketHeader& hdr) const {
+  if (hdr.resend_off != 0) return hdr.resend_off - 1;
+  const std::uint16_t delta = std::uint16_t(hdr.ip_id - hdr.ipid_base);
+  return hdr.tso_off + std::size_t(delta) * host_.nic().config().mtu_payload;
+}
+
 void HomaEndpoint::post_segment_for(TxMessage& tx, std::size_t seg_index,
                                     stack::CpuCore* core) {
   const SegmentSpec& seg = tx.segments[seg_index];
 
   sim::SegmentDescriptor d;
-  d.segment.hdr.flow = flow_to(tx.dst);
-  d.segment.hdr.type = PacketType::data;
-  d.segment.hdr.msg_id = tx.msg_id;
-  d.segment.hdr.msg_len = std::uint32_t(tx.total_bytes);
-  d.segment.hdr.tso_off = std::uint32_t(seg.tso_off);
+  d.segment.hdr = data_header(tx, seg.tso_off);
   d.segment.payload = seg.payload;  // slice copy: refcount bump, no bytes
   d.records = seg.records;
 
@@ -229,15 +242,7 @@ void HomaEndpoint::handle_data(Packet pkt) {
   // fires a RESEND immediately instead of waiting for the gap timer.
   if (pkt.hdr.trimmed) {
     if (recently_completed_.count(key)) return;
-    std::size_t offset;
-    if (pkt.hdr.resend_off != 0) {
-      offset = pkt.hdr.resend_off - 1;
-    } else {
-      const std::uint16_t delta =
-          std::uint16_t(pkt.hdr.ip_id - pkt.hdr.ipid_base);
-      offset =
-          pkt.hdr.tso_off + std::size_t(delta) * host_.nic().config().mtu_payload;
-    }
+    const std::size_t offset = data_offset(pkt.hdr);
     ++stats_.trim_resends;
     send_ctrl(peer, PacketType::resend, pkt.hdr.msg_id,
               std::uint32_t(offset) + 1,
@@ -276,16 +281,7 @@ void HomaEndpoint::handle_data(Packet pkt) {
   }
   rx.last_activity = host_.loop().now();
 
-  // Intra-segment packet offset from the IPID (§4.3); retransmitted
-  // packets carry an explicit offset instead.
-  std::size_t offset;
-  if (pkt.hdr.resend_off != 0) {
-    offset = pkt.hdr.resend_off - 1;
-  } else {
-    const std::uint16_t delta =
-        std::uint16_t(pkt.hdr.ip_id - pkt.hdr.ipid_base);
-    offset = pkt.hdr.tso_off + std::size_t(delta) * host_.nic().config().mtu_payload;
-  }
+  const std::size_t offset = data_offset(pkt.hdr);
 
   stack::CpuCore& core = host_.softirq_core(rx.softirq_core);
   const auto& costs = host_.costs();
@@ -425,14 +421,15 @@ void HomaEndpoint::rx_complete(const RxKey& key) {
 
 void HomaEndpoint::arm_resend_timer(const RxKey& key) {
   auto it = rx_messages_.find(key);
-  if (it == rx_messages_.end() || it->second.timer_armed) return;
-  it->second.timer_armed = true;
+  if (it == rx_messages_.end() ||
+      host_.loop().scheduled(it->second.resend_timer)) {
+    return;
+  }
   it->second.resend_timer =
       host_.loop().schedule(resend_lane_, kResendInterval, [this, key] {
         auto it2 = rx_messages_.find(key);
         if (it2 == rx_messages_.end()) return;
         RxMessage& rx = it2->second;
-        rx.timer_armed = false;
         const SimTime idle = host_.loop().now() - rx.last_activity;
         if (idle >= kResendInterval) {
           if (++rx.resend_count > kMaxResends) {
@@ -505,11 +502,7 @@ void HomaEndpoint::handle_resend(const Packet& pkt) {
         const std::size_t pkt_end = std::min(off + mss, seg_end);
         if (pkt_end <= lo || off >= hi) continue;
         sim::SegmentDescriptor d;
-        d.segment.hdr.flow = flow_to(tx.dst);
-        d.segment.hdr.type = PacketType::data;
-        d.segment.hdr.msg_id = tx.msg_id;
-        d.segment.hdr.msg_len = std::uint32_t(tx.total_bytes);
-        d.segment.hdr.tso_off = std::uint32_t(seg_begin);
+        d.segment.hdr = data_header(tx, seg_begin);
         d.segment.hdr.resend_off = std::uint32_t(off) + 1;  // explicit offset
         d.segment.payload = tx.segments[i].payload.subslice(
             off - seg_begin, pkt_end - off);

@@ -179,8 +179,7 @@ class HomaEndpoint {
     std::size_t next_segment = 0;   // first not-yet-transmitted segment
     std::size_t sent_bytes = 0;     // high-water mark of transmitted bytes
     std::size_t granted_bytes = 0;  // receiver's grant high-water mark
-    bool gc_armed = false;
-    sim::TimerId backstop;  // the armed arm_tx_retry timer
+    sim::TimerId backstop;  // arm_tx_retry's timer, from when all is sent
     int retries = 0;  // sender-side full retransmissions (lost first RTT)
     PrePostHook pre_post;
   };
@@ -197,7 +196,6 @@ class HomaEndpoint {
     std::size_t rx_queue = 0;      // NIC RX ring (RSS), set at first packet
     SimTime last_activity = 0;
     int resend_count = 0;
-    bool timer_armed = false;
     sim::TimerId resend_timer;  // the latest arm_resend_timer timer
   };
 
@@ -221,6 +219,13 @@ class HomaEndpoint {
   void arm_tx_retry(TxMessage& tx);
   void post_segment_for(TxMessage& tx, std::size_t seg_index,
                         stack::CpuCore* core);
+  /// The header of `tx`'s data segment that starts at message offset
+  /// `tso_off`.
+  sim::PacketHeader data_header(const TxMessage& tx,
+                                std::size_t tso_off) const;
+  /// A data packet's message offset: the explicit one a retransmission
+  /// carries, otherwise its segment's offset plus the IPID delta (§4.3).
+  std::size_t data_offset(const sim::PacketHeader& hdr) const;
   void send_ctrl(PeerAddr dst, sim::PacketType type, std::uint64_t msg_id,
                  std::uint32_t resend_off, std::uint32_t grant_off,
                  stack::CpuCore* core = nullptr);
@@ -229,7 +234,7 @@ class HomaEndpoint {
   stack::Host& host_;
   std::uint16_t port_;
   sim::Proto proto_;
-  // Fixed-delay timers are armed in time order, so each kind queues on
+  // Fixed-delay timers are scheduled in time order, so each kind queues on
   // its own lane.
   sim::LaneId backstop_lane_;
   sim::LaneId resend_lane_;

@@ -267,18 +267,17 @@ void TcpEndpoint::handle_data(Connection& conn, Packet pkt) {
              if (!c.out_of_order.empty() || ++c.ack_pending >= 2) {
                c.ack_pending = 0;
                send_ack(c);
-             } else if (!c.ack_timer_armed) {
-               c.ack_timer_armed = true;
-               host_.loop().schedule(ack_lane_, usec(40), [this, id] {
-                 auto it2 = connections_.find(id);
-                 if (it2 == connections_.end()) return;
-                 Connection& c2 = it2->second;
-                 c2.ack_timer_armed = false;
-                 if (c2.ack_pending > 0) {
-                   c2.ack_pending = 0;
-                   send_ack(c2);
-                 }
-               });
+             } else if (!host_.loop().scheduled(c.ack_timer)) {
+               c.ack_timer =
+                   host_.loop().schedule(ack_lane_, usec(40), [this, id] {
+                     auto it2 = connections_.find(id);
+                     if (it2 == connections_.end()) return;
+                     Connection& c2 = it2->second;
+                     if (c2.ack_pending > 0) {
+                       c2.ack_pending = 0;
+                       send_ack(c2);
+                     }
+                   });
              }
            });
 }
@@ -357,7 +356,9 @@ void TcpEndpoint::handle_ack(Connection& conn, const Packet& pkt) {
           conn.send_buffer.begin() + std::ptrdiff_t(keep_from - conn.buf_base));
       conn.buf_base = keep_from;
     }
-    advance_rto_epoch(conn);
+    // The pending RTO waited on bytes now acked: cancel it, so the
+    // re-arm below starts a full (un-backed-off) timeout from now.
+    host_.loop().cancel(conn.rto);
     conn.rto_backoff = 0;  // forward progress: back to the base RTO
     if (conn.snd_nxt > conn.snd_una) arm_rto(conn);
     push(conn);  // ack-clocked transmission
@@ -395,7 +396,10 @@ SimDuration TcpEndpoint::rto_base(const Connection& conn) const {
 }
 
 void TcpEndpoint::arm_rto(Connection& conn) {
-  const std::uint64_t epoch = conn.rto_epoch;
+  sim::EventLoop& loop = host_.loop();
+  // Every RTO scheduled between two progress points has the same delay, so
+  // the one already pending is the one that would fire first.
+  if (loop.scheduled(conn.rto)) return;
   const ConnId id = conn_id(conn.flow);
   // Exponential backoff (Karn), capped at 64x base. Without it a fixed
   // 10 ms RTO phase-locks with any periodic link fault whose period
@@ -407,13 +411,10 @@ void TcpEndpoint::arm_rto(Connection& conn) {
   // starts 10x sooner than the fixed pre-sample RTO.
   const SimDuration delay =
       rto_base(conn) << std::min<std::uint32_t>(conn.rto_backoff, 6);
-  sim::EventLoop& loop = host_.loop();
-  conn.rto_timers.push_back(loop.schedule(rto_lane_, delay, [this, id, epoch] {
+  conn.rto = loop.schedule(rto_lane_, delay, [this, id] {
     auto it = connections_.find(id);
     if (it == connections_.end()) return;
     Connection& c = it->second;
-    if (c.rto_epoch != epoch) return;       // progress happened
-    if (c.snd_nxt == c.snd_una) return;     // nothing outstanding
     if (++c.rto_backoff > kMaxRtoRetries) {
       // ETIMEDOUT analogue (tcp_retries2): the peer is unreachable even
       // at the widest backoff. Stop retransmitting; the connection stays
@@ -423,19 +424,9 @@ void TcpEndpoint::arm_rto(Connection& conn) {
     }
     ++stats_.rto_fires;
     ++stats_.retransmits;
-    advance_rto_epoch(c);
     retransmit_head(c);
     arm_rto(c);
-  }));
-}
-
-void TcpEndpoint::advance_rto_epoch(Connection& conn) {
-  ++conn.rto_epoch;
-  // Every timer armed under the old epoch now returns at its
-  // `c.rto_epoch != epoch` check ("progress happened"): a no-op, so it
-  // leaves the event heap. (The one running now, if any, is already out.)
-  for (const sim::TimerId timer : conn.rto_timers) host_.loop().cancel(timer);
-  conn.rto_timers.clear();
+  });
 }
 
 std::optional<sim::FiveTuple> TcpEndpoint::flow_of(ConnId conn) const {

@@ -133,10 +133,7 @@ class TcpEndpoint {
     std::uint64_t snd_una = 0;  // first unacked stream offset
     std::uint64_t snd_nxt = 0;  // next stream offset to send
     std::uint32_t dup_acks = 0;
-    std::uint64_t rto_epoch = 0;
-    // RTO timers armed under rto_epoch (arm_rto may arm several per
-    // epoch); advance_rto_epoch cancels them all.
-    std::vector<sim::TimerId> rto_timers;
+    sim::TimerId rto;  // the retransmission timer; progress cancels it
     std::uint32_t rto_backoff = 0;  // consecutive fires since last progress
     // Jacobson/Karels RTT estimation (adaptive RTO). One probe at a
     // time: a fresh transmission arms it, the cumulative ACK covering
@@ -157,7 +154,7 @@ class TcpEndpoint {
     // receive side's single copy.
     std::map<std::uint64_t, PayloadSlice> out_of_order;
     std::uint32_t ack_pending = 0;  // delayed-ACK counter
-    bool ack_timer_armed = false;
+    sim::TimerId ack_timer;         // the delayed-ACK timer, never cancelled
   };
 
   ConnId conn_id(const sim::FiveTuple& flow) const noexcept {
@@ -173,8 +170,8 @@ class TcpEndpoint {
   void transmit_range(Connection& conn, std::uint64_t from, std::uint64_t to,
                       bool is_retransmit);
   void send_ack(Connection& conn);
+  /// Starts the retransmission timer unless it is already pending.
   void arm_rto(Connection& conn);
-  void advance_rto_epoch(Connection& conn);
   void update_rtt(Connection& conn, SimDuration sample);
   /// The pre-backoff RTO: srtt + 4*rttvar clamped to [kMinRto, kMaxRto]
   /// once a sample exists, kInitialRto before.
@@ -184,8 +181,9 @@ class TcpEndpoint {
 
   stack::Host& host_;
   std::uint16_t port_;
-  // Timers armed in time order queue on a lane per kind; an RTO shorter
-  // than the last one armed (a new base, a backoff reset) takes the heap.
+  // Timers scheduled in time order queue on a lane per kind; an RTO
+  // shorter than the last one queued (a new base, a backoff reset) takes
+  // the heap.
   sim::LaneId rto_lane_;
   sim::LaneId ack_lane_;
   DataHandler on_data_;

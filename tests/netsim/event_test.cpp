@@ -256,6 +256,52 @@ TEST(EventLoop, CancelFromOwnCallbackIsANoOp) {
   EXPECT_EQ(ran, 2);
 }
 
+TEST(EventLoop, ScheduledIsTrueExactlyWhilePending) {
+  for (const bool on_lane : {false, true}) {
+    SCOPED_TRACE(on_lane ? "lane events" : "heap events");
+    EventLoop loop;
+    const LaneId lane = loop.new_lane();
+    const auto schedule = [&](SimDuration delay, EventLoop::Callback&& fn) {
+      return on_lane ? loop.schedule(lane, delay, std::move(fn))
+                     : loop.schedule(delay, std::move(fn));
+    };
+    EXPECT_FALSE(loop.scheduled(TimerId{}));
+
+    TimerId first;
+    int seen_inside = -1;
+    first = schedule(usec(1), [&] { seen_inside = loop.scheduled(first); });
+    const TimerId second = schedule(usec(2), [] {});  // behind a lane front
+    const TimerId third = schedule(usec(3), [] {});
+    EXPECT_TRUE(loop.scheduled(first));
+    EXPECT_TRUE(loop.scheduled(second));
+    EXPECT_TRUE(loop.scheduled(third));
+
+    loop.run_until(usec(1));
+    EXPECT_EQ(seen_inside, 0);  // false inside its own callback
+    EXPECT_FALSE(loop.scheduled(first));
+    EXPECT_TRUE(loop.scheduled(second));
+
+    loop.cancel(second);
+    EXPECT_FALSE(loop.scheduled(second));
+    EXPECT_TRUE(loop.scheduled(third));
+
+    // New events reuse the freed pool slots; the old handles stay false.
+    const TimerId reuses_second = schedule(usec(4), [] {});
+    const TimerId reuses_first = schedule(usec(5), [] {});
+    ASSERT_EQ(reuses_second.index, second.index);
+    ASSERT_EQ(reuses_first.index, first.index);
+    EXPECT_FALSE(loop.scheduled(first));
+    EXPECT_FALSE(loop.scheduled(second));
+    EXPECT_TRUE(loop.scheduled(reuses_second));
+    EXPECT_TRUE(loop.scheduled(reuses_first));
+
+    loop.run();
+    EXPECT_FALSE(loop.scheduled(third));
+    EXPECT_FALSE(loop.scheduled(reuses_second));
+    EXPECT_FALSE(loop.scheduled(reuses_first));
+  }
+}
+
 TEST(EventLoop, CancelDestroysCapturesAtOnce) {
   EventLoop loop;
   auto token = std::make_shared<int>(0);

@@ -174,6 +174,56 @@ TEST(IrqRebalance, PendingHeldOffFramesDeliverOnOldCoreAcrossMigration) {
   EXPECT_EQ(host.irq_rebalance_stats().migrations, 1u);
 }
 
+TEST(IrqRebalance, FlushingMigrationKeepsOneTickChain) {
+  // The shape of PendingHeldOffFramesDeliverOnOldCoreAcrossMigration, with
+  // load that keeps the rebalancer busy for many periods. The 50 us tick's
+  // flush raises an interrupt, which arms the next tick from inside the
+  // tick; the tick must not arm a second one beside it.
+  sim::EventLoop loop;
+  HostConfig config = make_config(2);
+  config.nic.rx_coalesce_frames = 4;
+  config.nic.rx_coalesce_usecs = 200.0;
+  Host host(loop, config);
+  std::vector<std::pair<SimTime, std::uint64_t>> delivered;
+  host.register_endpoint(sim::Proto::smt, 7, [&](sim::Packet pkt) {
+    delivered.emplace_back(loop.now(), pkt.hdr.msg_id);
+  });
+  const std::size_t ring = host.nic().rx_queue_for(make_packet(0).hdr.flow);
+  const std::size_t old_core = host.irq_affinity(ring);
+
+  host.enable_irq_rebalance(kPeriod);
+  std::uint64_t next_id = 0;
+  const auto group_at = [&](SimDuration when, int frames) {
+    loop.schedule(when, [&host, &next_id, frames] {
+      for (int i = 0; i < frames; ++i) {
+        host.nic().receive(make_packet(next_id++));
+      }
+    });
+  };
+  for (int group = 0; group < 8; ++group) group_at(usec(5) * group, 4);
+  group_at(usec(40), 2);  // held off until the 50 us tick flushes them
+  for (SimDuration t = usec(60); t <= usec(450); t += usec(10)) {
+    group_at(t, 4);
+  }
+  loop.run_until(usec(550));
+
+  // One tick per elapsed period: 50, 100, ..., 550 us.
+  EXPECT_EQ(host.irq_rebalance_stats().ticks, 11u);
+  EXPECT_EQ(host.irq_rebalance_stats().migrations, 1u);
+  EXPECT_EQ(host.irq_affinity(ring), 1 - old_core);
+  ASSERT_EQ(delivered.size(), 34u + 40u * 4u);
+  for (std::uint64_t i = 0; i < delivered.size(); ++i) {
+    EXPECT_EQ(delivered[i].second, i) << "frame " << i;
+  }
+  EXPECT_EQ(delivered[32].first, usec(50) + Nic::kPerInterruptCost);
+  EXPECT_EQ(delivered[33].first, delivered[32].first);
+  for (std::uint64_t i = 34; i < delivered.size(); ++i) {
+    const SimTime arrival = usec(60) + usec(10) * SimDuration((i - 34) / 4);
+    EXPECT_EQ(delivered[i].first, arrival + Nic::kPerInterruptCost)
+        << "frame " << i;
+  }
+}
+
 TEST(IrqRebalance, BalancedLoadProducesZeroMigrations) {
   sim::EventLoop loop;
   Host host(loop, make_config(2));

@@ -211,6 +211,29 @@ TEST_F(TcpTest, RtoBackoffAbandonsUnreachablePeer) {
   EXPECT_GT(client_.unacked_bytes(conn), 0u);  // wedged, not silently acked
 }
 
+TEST_F(TcpTest, OneRtoPendingPerConnection) {
+  // Every RTO armed between two progress points has the same backed-off
+  // delay, so the first one armed is the one that fires: back-to-back
+  // sends keep one timer pending, and the abandonment is counted once.
+  topology_->direct_link()->a2b().set_drop_predicate(
+      [](const sim::Packet&) { return true; });
+  const auto conn = client_.connect(2, 80);
+  for (int i = 0; i < 3; ++i) client_.send(conn, Bytes(100, 0x5a));
+  loop_.run_until(msec(5));
+  EXPECT_EQ(loop_.pending(), 1u);  // the RTO due at 10 ms
+  // Sends after the tenth and last fire (at 3190 ms) find the timer that
+  // will abandon the connection pending.
+  loop_.run_until(msec(3200));
+  client_.send(conn, Bytes(100, 0x5b));
+  client_.send(conn, Bytes(100, 0x5c));
+  loop_.run();
+  EXPECT_EQ(client_.stats().rto_fires, 10u);  // TcpEndpoint::kMaxRtoRetries
+  EXPECT_EQ(client_.stats().rto_abandoned, 1u);
+  // 10 ms, then doubling to the 640 ms cap: the eleventh timer, at
+  // 3830 ms, abandons the connection and is the last event.
+  EXPECT_EQ(loop_.now(), msec(3830));
+}
+
 TEST_F(TcpTest, PeriodicFlapDividingRtoStillTerminates) {
   // Regression: a link flap whose period divides the fixed 10 ms RTO
   // phase-locks every retransmission into the same down window (the sim

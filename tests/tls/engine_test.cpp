@@ -154,6 +154,30 @@ TEST_F(EngineTest, TamperedServerFlightRejected) {
   EXPECT_FALSE(client->on_server_flight(tampered).ok());
 }
 
+TEST_F(EngineTest, ServerHelloWithUnofferedSuiteRejected) {
+  auto client = std::make_unique<ClientHandshake>(client_config(), rng_);
+  auto server = std::make_unique<ServerHandshake>(server_config(), rng_);
+  auto flight1 = client->start();
+  auto server_flight = server->on_client_flight(flight1.value());
+  auto messages = split_flight(server_flight.value());
+  ASSERT_TRUE(messages && !messages->empty());
+  auto shlo = ServerHello::parse((*messages)[0].body);
+  ASSERT_TRUE(shlo);
+  ASSERT_EQ(shlo->suite, CipherSuite::aes_128_gcm_sha256);
+  shlo->suite = CipherSuite::aes_256_gcm_sha256;
+  Bytes tampered = shlo->serialize();
+  for (std::size_t i = 1; i < messages->size(); ++i) {
+    append(tampered, (*messages)[i].raw);
+  }
+  const auto flight2 = client->on_server_flight(tampered);
+  ASSERT_FALSE(flight2.ok());
+  EXPECT_EQ(flight2.error().message, "cipher suite mismatch");
+  // Rejected as the ServerHello is parsed, before the key exchange.
+  for (const auto& [label, us] : client->timings().ops) {
+    EXPECT_NE(label, "C2.2 ECDH Exchange");
+  }
+}
+
 TEST_F(EngineTest, ResumptionWithTicket) {
   // First connection: full handshake, server issues a ticket.
   auto [client1, server1] = run_handshake(client_config(), server_config());
