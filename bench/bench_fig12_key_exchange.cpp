@@ -82,7 +82,6 @@ std::pair<double, double> run_handshake(Pki& pki, Method method) {
     sc.pregen_ephemeral = crypto::ecdh_keypair_from_seed(pki.rng.generate(32));
   }
 
-  static PskInfo session_psk;  // carried from a setup full handshake below
   switch (method) {
     case Method::init_1rtt:
       break;
@@ -99,7 +98,6 @@ std::pair<double, double> run_handshake(Pki& pki, Method method) {
     case Method::rsmp:
     case Method::rsmp_fs: {
       // Setup connection to mint a ticket (outside the measured path).
-      Pki setup;
       ClientConfig scc = cc;
       scc.psk.reset();
       scc.smt_ticket.reset();
@@ -111,11 +109,11 @@ std::pair<double, double> run_handshake(Pki& pki, Method method) {
       auto f2 = c0.on_server_flight(sf.value());
       (void)s0.on_client_finished(f2.value());
       auto [ticket_bytes, psk] = s0.make_session_ticket();
-      session_psk = psk;
       cc.psk = psk;
       cc.early_data = true;
       cc.psk_ecdhe = method == Method::rsmp_fs;
-      sc.psk_lookup = [](ByteView id) -> std::optional<Bytes> {
+      sc.psk_lookup =
+          [session_psk = psk](ByteView id) -> std::optional<Bytes> {
         if (to_bytes(id) == session_psk.identity) return session_psk.key;
         return std::nullopt;
       };

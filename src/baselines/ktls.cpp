@@ -131,8 +131,10 @@ void KtlsEndpoint::on_stream_data(ConnId conn, Bytes data) {
   };
   append(state.rx_stream, data);
 
-  // Locate and decrypt complete records. Receive-side crypto is software
-  // for both kTLS and SMT (§5, §7), charged to the flow's softirq core.
+  // Locate and decrypt complete records. kTLS receive-side crypto is
+  // always software here (§5, §7), even with hw_offload, charged to the
+  // flow's softirq core; SMT-hw instead decrypts on the NIC whenever its
+  // inbound message holds an RX flow context.
   Bytes delivered;
   std::size_t records = 0;
   std::size_t consumed_bytes = 0;

@@ -286,23 +286,19 @@ class EventLoop {
     return id.index < pool_.size() && pool_[id.index].seq == id.seq;
   }
 
-  /// Runs events until the queue drains or `deadline` passes.
-  /// Returns the number of events executed.
+  /// Runs every event at or before `deadline`, then advances now() to
+  /// `deadline`. Returns the number of events executed.
   std::size_t run_until(SimTime deadline) {
-    std::size_t executed = 0;
-    while (!heap_.empty() && when_of(heap_.front().key) <= deadline &&
-           !stopped_) {
-      run_top();
-      ++executed;
-    }
-    if (now_ < deadline && !stopped_) now_ = deadline;
+    const std::size_t executed =
+        deadline == kNoEvent ? run() : run_ready_before(deadline + 1);
+    if (now_ < deadline) now_ = deadline;
     return executed;
   }
 
-  /// Runs until the queue is empty (or stop() is called).
+  /// Runs until the queue is empty.
   std::size_t run() {
     std::size_t executed = 0;
-    while (!heap_.empty() && !stopped_) {
+    while (!heap_.empty()) {
       run_top();
       ++executed;
     }
@@ -323,22 +319,15 @@ class EventLoop {
   /// Unlike run_until, now() is NOT advanced to the horizon: it stays at
   /// the last executed event, so a cross-shard arrival scheduled later for
   /// any time >= horizon is never clamped forward. This is the per-window
-  /// drive of the sharded engine (see netsim/shard.hpp); single-threaded
-  /// callers keep using run()/run_until, whose behaviour is unchanged.
+  /// drive of the sharded engine (see netsim/shard.hpp), and run_until's.
   std::size_t run_ready_before(SimTime horizon) {
     std::size_t executed = 0;
-    while (!heap_.empty() && when_of(heap_.front().key) < horizon &&
-           !stopped_) {
+    while (!heap_.empty() && when_of(heap_.front().key) < horizon) {
       run_top();
       ++executed;
     }
     return executed;
   }
-
-  /// Stops the loop from inside a callback.
-  void stop() noexcept { stopped_ = true; }
-  bool stopped() const noexcept { return stopped_; }
-  void reset_stop() noexcept { stopped_ = false; }
 
   /// Pending events, cancelled ones excluded.
   bool empty() const noexcept { return live_ == 0; }
@@ -547,7 +536,6 @@ class EventLoop {
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  bool stopped_ = false;
   std::vector<HeapSlot> heap_;     // live slots, plus stale_ cancelled ones
   std::size_t stale_ = 0;
   std::size_t live_ = 0;           // pending events, cancelled ones excluded

@@ -37,9 +37,9 @@ Status FabricSpec::validate() const {
                       "fabric: racks_per_pod without aggs_per_pod has no "
                       "meaning (no aggregation tier)");
   }
-  if (edge_bandwidth_gbps <= 0.0 || fabric_bandwidth_gbps < 0.0) {
+  if (edge_bandwidth_gbps <= 0.0) {
     return make_error(Errc::invalid_argument,
-                      "fabric: bandwidths must be positive");
+                      "fabric: edge bandwidth must be positive");
   }
   if (oversubscription < 0.0) {
     return make_error(Errc::invalid_argument,
@@ -71,7 +71,7 @@ Fabric::Fabric(ShardedEngine& engine, FabricSpec spec)
   std::uint64_t next_switch = 0;
   auto make_switch = [&](std::size_t shard) {
     SwitchConfig sc = spec_.switch_config;
-    sc.ecmp_seed = mix_seed(spec_.ecmp_seed, next_switch++);
+    sc.ecmp_seed = mix_seed(kEcmpSeed, next_switch++);
     return std::make_unique<Switch>(engine_.loop(shard), sc);
   };
 
@@ -88,11 +88,11 @@ Fabric::Fabric(ShardedEngine& engine, FabricSpec spec)
     spines_.push_back(make_switch(shard_of_spine(s)));
   }
 
-  // ToR uplink bandwidth: explicit fabric bandwidth, or derived from the
+  // ToR uplink bandwidth: the edge bandwidth, or derived from the
   // oversubscription ratio against the rack's aggregate edge capacity.
   const std::size_t tor_fanout =
       pods > 0 ? spec_.aggs_per_pod : spec_.spines;
-  tor_uplink_gbps_ = spec_.fabric_gbps();
+  tor_uplink_gbps_ = spec_.edge_bandwidth_gbps;
   if (spec_.oversubscription > 0.0 && tor_fanout > 0) {
     tor_uplink_gbps_ = spec_.edge_bandwidth_gbps *
                        double(spec_.hosts_per_rack) /
@@ -116,7 +116,7 @@ Fabric::Fabric(ShardedEngine& engine, FabricSpec spec)
                                             tor_uplink_gbps_));
         agg_down_ports_[a].push_back(wire(*aggs_[a], shard_of_agg(a),
                                           *tors_[r], shard_of_rack(r),
-                                          spec_.fabric_gbps()));
+                                          spec_.edge_bandwidth_gbps));
       }
       tors_[r]->set_default_route(tor_uplink_ports_[r]);
     }
@@ -124,10 +124,10 @@ Fabric::Fabric(ShardedEngine& engine, FabricSpec spec)
       for (std::size_t s = 0; s < spines_.size(); ++s) {
         agg_up_ports_[a].push_back(wire(*aggs_[a], shard_of_agg(a),
                                         *spines_[s], shard_of_spine(s),
-                                        spec_.fabric_gbps()));
+                                        spec_.edge_bandwidth_gbps));
         spine_down_ports_[s][a] = wire(*spines_[s], shard_of_spine(s),
                                        *aggs_[a], shard_of_agg(a),
-                                       spec_.fabric_gbps());
+                                       spec_.edge_bandwidth_gbps);
       }
       aggs_[a]->set_default_route(agg_up_ports_[a]);
     }
@@ -142,7 +142,7 @@ Fabric::Fabric(ShardedEngine& engine, FabricSpec spec)
                                             tor_uplink_gbps_));
         spine_down_ports_[s][r] = wire(*spines_[s], shard_of_spine(s),
                                        *tors_[r], shard_of_rack(r),
-                                       spec_.fabric_gbps());
+                                       spec_.edge_bandwidth_gbps);
       }
       tors_[r]->set_default_route(tor_uplink_ports_[r]);
     }

@@ -45,14 +45,12 @@ struct FabricSpec {
   /// Host-facing (edge) ports: ToR downlinks and host uplinks.
   double edge_bandwidth_gbps = 100.0;
   SimDuration edge_latency = usec(1);
-  /// Switch-to-switch ports. 0 bandwidth = same as edge.
-  double fabric_bandwidth_gbps = 0.0;
+  /// Switch-to-switch ports: the edge bandwidth (ToR uplinks may be
+  /// oversubscribed, below) with this latency.
   SimDuration fabric_latency = usec(1);
   /// > 0 derives ToR uplink bandwidth from the classic ratio:
   /// uplink_gbps = edge_gbps * hosts_per_rack / (uplinks * oversub).
   double oversubscription = 0.0;
-  /// Base for the per-switch ECMP hash perturbation seeds.
-  std::uint64_t ecmp_seed = 0x9e3779b97f4a7c15ull;
   /// Fault profile applied to every switch-to-switch (fabric-core) wire.
   /// Each wire gets a decorrelated RNG stream from a fabric-wide wire
   /// index, and flap phases are ALSO decorrelated per wire (offset
@@ -69,15 +67,15 @@ struct FabricSpec {
   std::size_t pods() const noexcept {
     return aggs_per_pod == 0 ? 0 : racks / resolved_racks_per_pod();
   }
-  double fabric_gbps() const noexcept {
-    return fabric_bandwidth_gbps > 0.0 ? fabric_bandwidth_gbps
-                                       : edge_bandwidth_gbps;
-  }
   Status validate() const;
 };
 
 class Fabric {
  public:
+  /// Base for the per-switch ECMP hash perturbation seeds: switch i (ToRs,
+  /// then aggs, then spines) gets mix_seed(kEcmpSeed, i).
+  static constexpr std::uint64_t kEcmpSeed = 0x9e3779b97f4a7c15ull;
+
   /// Places switches per the sharding convention above; rejects fabrics
   /// whose cross-shard hop latency would violate the engine's lookahead.
   static Result<std::unique_ptr<Fabric>> create(ShardedEngine& engine,
@@ -126,8 +124,8 @@ class Fabric {
  private:
   Fabric(ShardedEngine& engine, FabricSpec spec);
 
-  /// Wires a switch-to-switch egress port src -> dst (fabric bandwidth,
-  /// fabric latency; a cross-shard mailbox hop when the tiers' shards
+  /// Wires a switch-to-switch egress port src -> dst (`gbps`, fabric
+  /// latency; a cross-shard mailbox hop when the tiers' shards
   /// differ). Returns the port index on `src`.
   std::size_t wire(Switch& src, std::size_t src_shard, Switch& dst,
                    std::size_t dst_shard, double gbps);

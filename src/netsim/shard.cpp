@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
@@ -212,46 +209,17 @@ std::size_t ShardedEngine::run() {
     parked_.release();
   };
 
-  // Read once before the pool starts; single-threaded here.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const bool trace = std::getenv("SMT_SHARD_TRACE") != nullptr;
   std::vector<std::thread> workers;
   workers.reserve(pool);
   for (std::size_t w = 0; w < pool; ++w) {
-    workers.emplace_back([this, &gate, &between_windows, w, n, pool, trace] {
-      std::uint64_t work_ns = 0, wait_ns = 0, ran = 0;
+    workers.emplace_back([this, &gate, &between_windows, w, n, pool] {
       for (;;) {
-        if (trace) {
-          // Work/wait breakdown (SMT_SHARD_TRACE=1): where does each
-          // worker's wall time go — event execution or the barrier?
-          const auto t0 = std::chrono::steady_clock::now();
-          gate.arrive_and_wait(between_windows);
-          const auto t1 = std::chrono::steady_clock::now();
-          wait_ns += std::uint64_t(std::chrono::nanoseconds(t1 - t0).count());
-          if (done_) break;
-          for (std::size_t s = w; s < n; s += pool) {
-            Shard& shard = *shards_[s];
-            const std::size_t e = shard.loop.run_ready_before(horizon_);
-            shard.executed += e;
-            ran += e;
-          }
-          work_ns += std::uint64_t(std::chrono::nanoseconds(
-                                       std::chrono::steady_clock::now() - t1)
-                                       .count());
-        } else {
-          gate.arrive_and_wait(between_windows);
-          if (done_) break;
-          for (std::size_t s = w; s < n; s += pool) {
-            Shard& shard = *shards_[s];
-            shard.executed += shard.loop.run_ready_before(horizon_);
-          }
+        gate.arrive_and_wait(between_windows);
+        if (done_) break;
+        for (std::size_t s = w; s < n; s += pool) {
+          Shard& shard = *shards_[s];
+          shard.executed += shard.loop.run_ready_before(horizon_);
         }
-      }
-      if (trace) {
-        std::fprintf(stderr,
-                     "[shard worker %zu] events=%llu work=%.1fms wait=%.1fms\n",
-                     w, static_cast<unsigned long long>(ran), work_ns / 1e6,
-                     wait_ns / 1e6);
       }
     });
   }

@@ -5,10 +5,6 @@
 namespace smt::sim {
 
 Status validate(const SwitchConfig& config) {
-  if (config.port_bandwidth_gbps <= 0.0) {
-    return make_error(Errc::invalid_argument,
-                      "switch: port bandwidth must be positive");
-  }
   if (config.queue_capacity_bytes == 0) {
     return make_error(Errc::invalid_argument,
                       "switch: queue capacity must be positive");
@@ -80,7 +76,7 @@ void Switch::enqueue(std::size_t port_index, Packet pkt, bool high_priority) {
   ++port.stats.forwarded;
   if (!port.draining) {
     port.draining = true;
-    loop_.schedule(config_.forwarding_latency,
+    loop_.schedule(kForwardingLatency,
                    [this, port_index] { drain(port_index); });
   }
 }
@@ -108,10 +104,8 @@ void Switch::drain(std::size_t port_index) {
     ++port.stats.corrupted;
   }
 
-  const double gbps = port.bandwidth_gbps > 0.0 ? port.bandwidth_gbps
-                                                : config_.port_bandwidth_gbps;
   const double bits = double(pkt.wire_size()) * 8.0;
-  const SimDuration serialization = SimDuration(bits / gbps);
+  const SimDuration serialization = SimDuration(bits / port.bandwidth_gbps);
   const SimTime start = std::max(loop_.now(), port.next_free);
   port.next_free = start + serialization;
 

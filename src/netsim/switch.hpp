@@ -48,8 +48,6 @@
 namespace smt::sim {
 
 struct SwitchConfig {
-  double port_bandwidth_gbps = 100.0;
-  SimDuration forwarding_latency = nsec(300);
   std::size_t queue_capacity_bytes = 64 * 1024;  // shallow DC buffers
   bool trimming_enabled = true;  // NDP-style trim-on-overflow
   std::uint64_t ecmp_seed = 0;   // per-switch flow-hash perturbation
@@ -73,6 +71,8 @@ Status validate(const SwitchConfig& config);
 class Switch {
  public:
   static constexpr std::size_t kNoRoute = std::size_t(-1);
+  /// Ingress-to-egress lookup delay before a port starts draining.
+  static constexpr SimDuration kForwardingLatency = nsec(300);
 
   Switch(EventLoop& loop, SwitchConfig config)
       : loop_(loop), config_(config) {}
@@ -107,8 +107,8 @@ class Switch {
     ports_.at(port).egress_latency = latency;
   }
 
-  /// Per-port egress bandwidth override (0 = the switch-wide default).
-  /// Fabrics use this for oversubscribed uplinks.
+  /// A port's egress bandwidth (100 Gb/s until set). Fabric sets every
+  /// port it builds: the edge rate, or a ToR uplink's oversubscribed rate.
   void set_port_bandwidth(std::size_t port, double gbps) {
     ports_.at(port).bandwidth_gbps = gbps;
   }
@@ -221,7 +221,7 @@ class Switch {
     RemoteScheduler remote;  // set => egress crosses a shard boundary
     std::size_t queued_bytes = 0;
     SimDuration egress_latency = 0;
-    double bandwidth_gbps = 0.0;  // 0 = switch-wide default
+    double bandwidth_gbps = 100.0;  // until set_port_bandwidth
     SimTime next_free = 0;
     bool draining = false;
     LaneId egress_lane;  // local deliveries through the cable run

@@ -40,8 +40,9 @@ struct CostModel {
   // the paper's "~700 K RPC/s constrained by the softirq thread"
   // (§5.2/§5.3): a per-message cost for every inbound message plus a
   // per-packet cost for multi-packet (scheduled-path) messages. This is
-  // the transport's throughput ceiling; it adds no unloaded latency
-  // because it runs in parallel with the message's own softirq core.
+  // the transport's throughput ceiling. HomaEndpoint gates the packet's
+  // own protocol work behind this step, so it is on the unloaded path as
+  // well: about 1.1 us of RTT at 64 B (ROADMAP direction 1).
   SimDuration homa_pacer_per_message = nsec(550);
   SimDuration homa_pacer_per_packet = nsec(280);
   SimDuration ctrl_packet = nsec(250);     // grants/acks/resends
@@ -51,7 +52,7 @@ struct CostModel {
 
   // --- NIC datapath ---------------------------------------------------
   // The NIC's fixed costs (doorbell, interrupt, per-frame completion, RSS
-  // reprogram) are sim::NicConfig fields, not cost-model fields: one home
+  // reprogram) are sim::Nic::k* constants, not cost-model fields: one home
   // for a raw Nic and a Host-owned one alike. The interrupt and per-frame
   // costs land on the ring's IRQ-affinity softirq core, so the paper's
   // §5.2 "constrained by the softirq thread" includes that work.

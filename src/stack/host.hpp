@@ -32,7 +32,7 @@ struct HostConfig {
   std::size_t softirq_cores = 4;   // paper §5.2: 4 stack threads
   sim::NicConfig nic;
   /// irqbalance-style periodic IRQ rebalancing from construction on, with
-  /// this sampling period (0 = off; see Host::enable_irq_rebalance).
+  /// this sampling period (0 = off; see Host's "Rebalancer" comment).
   SimDuration irq_rebalance_period = 0;
 };
 
@@ -98,9 +98,7 @@ class Host {
           ring %= irq_affinity_.size();
           softirq_cores_[last_fired_core_[ring]].charge_irq(cost);
         });
-    if (config.irq_rebalance_period > 0) {
-      enable_irq_rebalance(config.irq_rebalance_period);
-    }
+    if (config_.irq_rebalance_period > 0) arm_rebalance();
   }
 
   Host(const Host&) = delete;
@@ -183,35 +181,19 @@ class Host {
   /// refusal to balance at trivial load.
   static constexpr double kMinHotFraction = 0.20;
 
-  /// Enables the rebalancer: every `period` (irqbalance's --interval,
-  /// scaled to sim time), per-core irq_busy_ns deltas are sampled; when
-  /// the hottest core exceeds the coldest by the hysteresis bounds above,
-  /// the hottest ring affined to it is flushed (pending frames drain
-  /// under the OLD vector) and repinned to the coldest core. The
-  /// single-flow escape hatch: when ONE ring carries the majority of the
-  /// IRQ load (RSS cannot spread a single flow by hashing), its
-  /// indirection-table entries are also spread onto the rings whose
-  /// affinity cores are coldest, so over successive periods the flow
-  /// rotates rings/cores instead of soaking one softirq core.
-  /// The timer goes dormant while the NIC is idle (and re-arms from the
-  /// next interrupt), so EventLoop::run() still terminates.
-  void enable_irq_rebalance(SimDuration period) {
-    rebalance_period_ = period;
-    loop_.cancel(rebalance_timer_);  // rescheduled below with the new period
-    // Baseline the deltas at enable time: load charged before enabling
-    // must not count as this period's imbalance.
-    for (std::size_t i = 0; i < softirq_cores_.size(); ++i) {
-      last_core_irq_ns_[i] = softirq_cores_[i].irq_busy_ns();
-    }
-    for (std::size_t r = 0; r < last_ring_irq_ns_.size(); ++r) {
-      last_ring_irq_ns_[r] = nic_.rx_ring_stats(r).irq_ns;
-    }
-    arm_rebalance();
-  }
-  void disable_irq_rebalance() {
-    rebalance_period_ = 0;
-    loop_.cancel(rebalance_timer_);
-  }
+  /// Rebalancer (on when HostConfig::irq_rebalance_period > 0, armed by
+  /// the constructor): every period (irqbalance's --interval, scaled to
+  /// sim time), per-core irq_busy_ns deltas are sampled; when the hottest
+  /// core exceeds the coldest by the hysteresis bounds above, the hottest
+  /// ring affined to it is flushed (pending frames drain under the OLD
+  /// vector) and repinned to the coldest core. The single-flow escape
+  /// hatch: when ONE ring carries the majority of the IRQ load (RSS cannot
+  /// spread a single flow by hashing), its indirection-table entries are
+  /// also spread onto the rings whose affinity cores are coldest, so over
+  /// successive periods the flow rotates rings/cores instead of soaking
+  /// one softirq core. The timer goes dormant while the NIC is idle (and
+  /// re-arms from the next interrupt), so EventLoop::run() still
+  /// terminates.
   const IrqRebalanceStats& irq_rebalance_stats() const noexcept {
     return rebalance_stats_;
   }
@@ -316,7 +298,7 @@ class Host {
   /// wakes up. Keeping a tick pending only while interrupts flow is what
   /// lets EventLoop::run() drain to completion with the rebalancer on.
   void note_irq_activity() {
-    if (rebalance_period_ > 0) arm_rebalance();
+    if (config_.irq_rebalance_period > 0) arm_rebalance();
   }
 
   /// Arms the next tick unless one is pending. A tick that flushes a
@@ -324,8 +306,8 @@ class Host {
   /// itself would: both land one period out, so there is one chain.
   void arm_rebalance() {
     if (loop_.scheduled(rebalance_timer_)) return;
-    rebalance_timer_ =
-        loop_.schedule(rebalance_period_, [this] { rebalance_tick(); });
+    rebalance_timer_ = loop_.schedule(config_.irq_rebalance_period,
+                                      [this] { rebalance_tick(); });
   }
 
   void rebalance_tick() {
@@ -354,11 +336,12 @@ class Host {
     }
     const std::uint64_t floor =
         std::max(std::uint64_t(kMinImbalance),
-                 std::uint64_t(rebalance_period_ / 10));
+                 std::uint64_t(config_.irq_rebalance_period / 10));
     const bool imbalanced =
         cores > 1 && core_delta[hot] - core_delta[cold] > floor &&
         double(core_delta[hot]) > kImbalanceRatio * double(core_delta[cold]) &&
-        double(core_delta[hot]) > kMinHotFraction * double(rebalance_period_);
+        double(core_delta[hot]) >
+            kMinHotFraction * double(config_.irq_rebalance_period);
     if (imbalanced) {
       // The hottest ring whose vector points at the hot core.
       std::size_t victim = rings;
@@ -430,9 +413,8 @@ class Host {
   std::vector<std::size_t> last_fired_core_;
 
   // irqbalance-style rebalancer state.
-  SimDuration rebalance_period_ = 0;  // 0: off
   IrqRebalanceStats rebalance_stats_;
-  sim::TimerId rebalance_timer_;  // the next tick; enable/disable cancel it
+  sim::TimerId rebalance_timer_;  // the next tick
   std::vector<std::uint64_t> last_core_irq_ns_;  // delta baselines
   std::vector<std::uint64_t> last_ring_irq_ns_;
 

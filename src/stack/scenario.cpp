@@ -132,13 +132,7 @@ bool is_fault_key(std::string_view key) {
 Status validate_topology(const TopologySpec& spec) {
   // The shape rules live with the fabric; map and reuse them so the two
   // layers can never drift apart.
-  if (spec.direct() || (spec.via_tor && spec.spines == 0)) {
-    if (spec.racks != 1) {
-      return make_error(Errc::invalid_argument,
-                        "topology: via_tor requires a single rack");
-    }
-    return Status::success();
-  }
+  if (spec.direct()) return Status::success();
   sim::FabricSpec fs;
   fs.racks = spec.racks;
   fs.hosts_per_rack = spec.hosts_per_rack;
@@ -146,7 +140,6 @@ Status validate_topology(const TopologySpec& spec) {
   fs.aggs_per_pod = spec.aggs_per_pod;
   fs.racks_per_pod = spec.racks_per_pod;
   fs.oversubscription = spec.oversubscription;
-  fs.ecmp_seed = spec.ecmp_seed;
   return fs.validate();
 }
 
@@ -194,9 +187,6 @@ Status ScenarioConfig::validate() const {
   if (Status st = validate_topology(topology); !st.ok()) return st;
   if (Status st = validate_host(host); !st.ok()) return st;
   if (Status st = validate_link(edge_link); !st.ok()) return st;
-  if (fabric_link_set) {
-    if (Status st = validate_link(fabric_link); !st.ok()) return st;
-  }
   if (fabric_fault_set) {
     if (Status st = sim::validate(fabric_fault, "fabric_fault"); !st.ok()) {
       return st;
@@ -234,9 +224,9 @@ Result<ScenarioConfig> ScenarioConfig::parse(std::string_view text) {
       }
       at.section = trim(line.substr(1, line.size() - 2));
       if (at.section != "topology" && at.section != "host" &&
-          at.section != "edge_link" && at.section != "fabric_link" &&
-          at.section != "fault" && at.section != "fabric_fault" &&
-          at.section != "switch" && at.section != "workload") {
+          at.section != "edge_link" && at.section != "fault" &&
+          at.section != "fabric_fault" && at.section != "switch" &&
+          at.section != "workload") {
         at.key = {};
         return at.fail("unknown section");
       }
@@ -279,13 +269,8 @@ Result<ScenarioConfig> ScenarioConfig::parse(std::string_view text) {
       else if (at.key == "spines") st = set_size(t.spines);
       else if (at.key == "aggs_per_pod") st = set_size(t.aggs_per_pod);
       else if (at.key == "racks_per_pod") st = set_size(t.racks_per_pod);
-      else if (at.key == "via_tor") st = set_bool(t.via_tor);
       else if (at.key == "oversubscription") st = set_double(t.oversubscription);
-      else if (at.key == "ecmp_seed") {
-        auto v = parse_u64(at, value);
-        if (!v.ok()) return v.error();
-        t.ecmp_seed = v.value();
-      } else return at.fail("unknown key");
+      else return at.fail("unknown key");
     } else if (at.section == "host") {
       HostConfig& h = config.host;
       if (at.key == "app_cores") st = set_size(h.app_cores);
@@ -301,23 +286,15 @@ Result<ScenarioConfig> ScenarioConfig::parse(std::string_view text) {
       else if (at.key == "rx_ring_size") st = set_size(h.nic.rx_ring_size);
       else if (at.key == "max_flow_contexts") st = set_size(h.nic.max_flow_contexts);
       else return at.fail("unknown key");
-    } else if (at.section == "edge_link" || at.section == "fabric_link") {
-      const bool fabric = at.section == "fabric_link";
-      sim::LinkConfig& link = fabric ? config.fabric_link : config.edge_link;
-      if (fabric) config.fabric_link_set = true;
+    } else if (at.section == "edge_link") {
       if (is_fault_key(at.key)) {
-        return at.fail(fabric ? "fault keys live in [fabric_fault], not the "
-                                "link section"
-                              : "fault keys live in [fault], not the link "
-                                "section");
+        return at.fail("fault keys live in [fault], not the link section");
       }
       if (at.key.starts_with("loss_")) {  // loss lives in the fault model
-        return at.fail(fabric ? "uniform loss is [fabric_fault] "
-                                "good_loss_rate, drawn from its seed"
-                              : "uniform loss is [fault] good_loss_rate, "
-                                "drawn from its seed");
+        return at.fail(
+            "uniform loss is [fault] good_loss_rate, drawn from its seed");
       }
-      st = apply_link_key(at, value, link);
+      st = apply_link_key(at, value, config.edge_link);
     } else if (at.section == "fault") {
       // [fault] impairs the EDGE links only (host<->host direct,
       // host<->ToR uplinks) — the adversity matrix's WAN/access shape.
@@ -336,13 +313,7 @@ Result<ScenarioConfig> ScenarioConfig::parse(std::string_view text) {
       st = apply_fault_key(at, value, config.fabric_fault);
     } else if (at.section == "switch") {
       sim::SwitchConfig& s = config.switch_config;
-      if (at.key == "port_bandwidth_gbps") st = set_double(s.port_bandwidth_gbps);
-      else if (at.key == "forwarding_latency_ns") {
-        auto v = parse_u64(at, value);
-        if (!v.ok()) return v.error();
-        s.forwarding_latency = SimDuration(v.value());
-      }
-      else if (at.key == "queue_capacity_bytes") st = set_size(s.queue_capacity_bytes);
+      if (at.key == "queue_capacity_bytes") st = set_size(s.queue_capacity_bytes);
       else if (at.key == "trimming") st = set_bool(s.trimming_enabled);
       else if (at.key == "dark_threshold") st = set_size(s.health_dark_threshold);
       else if (at.key == "probe_interval_us") {

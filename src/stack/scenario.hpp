@@ -4,8 +4,9 @@
 //   ScenarioConfig
 //     ├── TopologySpec   — shape: racks, spines, pods, oversubscription
 //     ├── HostConfig     — the per-host template (cores, NIC, cost model)
-//     ├── LinkConfig     — edge (host<->ToR / direct) and fabric links
-//     ├── SwitchConfig   — queueing, trimming, port bandwidth
+//     ├── LinkConfig     — every link: host<->ToR / direct, and the
+//     │                    switch-to-switch wires' rate and propagation
+//     ├── SwitchConfig   — queueing, trimming, link health
 //     └── WorkloadSpec   — what the benches drive over the topology
 //
 // One validation path: every constructor route (fluent TopologyBuilder,
@@ -36,16 +37,13 @@ struct TopologySpec {
   std::size_t spines = 0;         // 0 = no fabric tier
   std::size_t aggs_per_pod = 0;   // 0 = 2-tier leaf-spine when spines > 0
   std::size_t racks_per_pod = 0;  // 0 = one pod
-  /// Route the 2-host case through a single ToR switch instead of a
-  /// direct link (for switch/trimming scenarios).
-  bool via_tor = false;
   double oversubscription = 0.0;  // 0 = off (see netsim/fabric.hpp)
-  std::uint64_t ecmp_seed = 0x9e3779b97f4a7c15ull;
 
   std::size_t host_count() const noexcept { return racks * hosts_per_rack; }
   /// Direct host<->host wiring (no switch): exactly two hosts, no fabric.
+  /// Every other shape hangs its hosts off ToR switches.
   bool direct() const noexcept {
-    return racks == 1 && hosts_per_rack == 2 && spines == 0 && !via_tor;
+    return racks == 1 && hosts_per_rack == 2 && spines == 0;
   }
 };
 
@@ -69,13 +67,11 @@ Status validate_workload(const WorkloadSpec& spec);
 struct ScenarioConfig {
   TopologySpec topology;
   HostConfig host;              // template; .ip is assigned per host
+  /// Every link's rate and propagation; its fault profile (`[fault]`)
+  /// impairs the edge links only.
   sim::LinkConfig edge_link;
-  sim::LinkConfig fabric_link;  // used only when fabric_link_set
-  bool fabric_link_set = false;
   /// `[fabric_fault]`: impairments on the switch-to-switch core wires
-  /// (netsim/fabric.hpp applies it to every fabric port). Kept separate
-  /// from fabric_link so the edge-link fallback for unset fabric links
-  /// can never drag edge faults into the core.
+  /// (netsim/fabric.hpp applies it to every fabric port).
   sim::FaultProfile fabric_fault;
   bool fabric_fault_set = false;
   sim::SwitchConfig switch_config;

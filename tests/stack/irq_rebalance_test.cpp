@@ -11,11 +11,16 @@
 namespace smt::stack {
 namespace {
 
+constexpr SimDuration kPeriod = usec(50);
+
+/// A host with the rebalancer on: the constructor arms its first tick one
+/// period out, before anything else is scheduled.
 HostConfig make_config(std::size_t softirq_cores) {
   HostConfig config;
   config.ip = 1;
   config.app_cores = 2;
   config.softirq_cores = softirq_cores;
+  config.irq_rebalance_period = kPeriod;
   return config;
 }
 
@@ -32,8 +37,6 @@ sim::Packet make_packet(std::uint64_t msg_id, std::uint16_t src_port = 1234) {
 
 using sim::Nic;
 
-constexpr SimDuration kPeriod = usec(50);
-
 TEST(IrqRebalance, MovesHotRingAffinityToIdlestCoreWithinOnePeriod) {
   sim::EventLoop loop;
   Host host(loop, make_config(3));
@@ -48,7 +51,6 @@ TEST(IrqRebalance, MovesHotRingAffinityToIdlestCoreWithinOnePeriod) {
   const std::size_t busy = (hot + 1) % 3;  // some IRQ load, but not idlest
   const std::size_t idlest = 3 - hot - busy;
 
-  host.enable_irq_rebalance(kPeriod);
   // `busy` carries real (but smaller) IRQ load in the same window, so the
   // rebalancer must pick `idlest`, not just "any other core".
   host.softirq_core(busy).charge_irq(usec(30));
@@ -107,7 +109,6 @@ TEST(IrqRebalance, PendingHeldOffFramesDeliverOnOldCoreAcrossMigration) {
   const std::uint64_t intr4 =  // one 4-frame threshold interrupt
       std::uint64_t(Nic::kPerInterruptCost + 4 * Nic::kPerRxFrameCost);
 
-  host.enable_irq_rebalance(kPeriod);
   // Phase 1: 8 groups of 4 frames trip the rx-frames threshold — 8
   // interrupts (~12 us) on old_core inside the first period.
   std::uint64_t next_id = 0;
@@ -191,7 +192,6 @@ TEST(IrqRebalance, FlushingMigrationKeepsOneTickChain) {
   const std::size_t ring = host.nic().rx_queue_for(make_packet(0).hdr.flow);
   const std::size_t old_core = host.irq_affinity(ring);
 
-  host.enable_irq_rebalance(kPeriod);
   std::uint64_t next_id = 0;
   const auto group_at = [&](SimDuration when, int frames) {
     loop.schedule(when, [&host, &next_id, frames] {
@@ -243,7 +243,6 @@ TEST(IrqRebalance, BalancedLoadProducesZeroMigrations) {
     ++port_b;
   }
 
-  host.enable_irq_rebalance(kPeriod);
   for (int i = 0; i < 60; ++i) {
     loop.schedule(nsec(1500) * SimDuration(i), [&host, i, port_a, port_b] {
       host.nic().receive(make_packet(2 * i, port_a));
@@ -271,7 +270,6 @@ TEST(IrqRebalance, SingleFlowSpreadRotatesRingsWithoutReordering) {
     order.push_back(pkt.hdr.msg_id);
   });
 
-  host.enable_irq_rebalance(kPeriod);
   for (int i = 0; i < 200; ++i) {
     loop.schedule(usec(2) * SimDuration(i),
                   [&host, i] { host.nic().receive(make_packet(i)); });
@@ -300,7 +298,6 @@ TEST(IrqRebalance, DormantWhenIdleAndRearmedByInterrupts) {
   Host host(loop, make_config(2));
   host.register_endpoint(sim::Proto::smt, 7, [](sim::Packet) {});
 
-  host.enable_irq_rebalance(kPeriod);
   loop.run();  // would hang forever if the tick re-armed unconditionally
   EXPECT_EQ(host.irq_rebalance_stats().ticks, 1u);
 
@@ -309,14 +306,6 @@ TEST(IrqRebalance, DormantWhenIdleAndRearmedByInterrupts) {
   // The interrupt re-armed the sampler; its tick saw the activity and one
   // more idle tick put it back to sleep.
   EXPECT_GE(host.irq_rebalance_stats().ticks, 2u);
-
-  host.disable_irq_rebalance();
-  host.nic().receive(make_packet(1));
-  loop.run();  // disabled: no new ticks
-  const std::uint64_t ticks = host.irq_rebalance_stats().ticks;
-  host.nic().receive(make_packet(2));
-  loop.run();
-  EXPECT_EQ(host.irq_rebalance_stats().ticks, ticks);
 }
 
 TEST(IrqRebalance, HostConfigPeriodEnablesItFromConstruction) {
@@ -324,10 +313,10 @@ TEST(IrqRebalance, HostConfigPeriodEnablesItFromConstruction) {
   // before anything else is scheduled: its one idle tick lands exactly
   // one period in, and a zero period leaves the host without one.
   sim::EventLoop loop;
-  HostConfig config = make_config(2);
-  config.irq_rebalance_period = kPeriod;
-  Host host(loop, config);
-  Host plain(loop, make_config(2));
+  Host host(loop, make_config(2));
+  HostConfig plain_config = make_config(2);
+  plain_config.irq_rebalance_period = 0;
+  Host plain(loop, plain_config);
   loop.run();
   EXPECT_EQ(loop.now(), kPeriod);
   EXPECT_EQ(host.irq_rebalance_stats().ticks, 1u);

@@ -17,7 +17,6 @@ spines = 4
 aggs_per_pod = 2
 racks_per_pod = 4
 oversubscription = 4.0
-ecmp_seed = 42
 
 [host]
 app_cores = 4
@@ -28,10 +27,6 @@ tso = true
 [edge_link]
 bandwidth_gbps = 100
 propagation_us = 1.5
-
-[fabric_link]
-bandwidth_gbps = 400
-propagation_us = 2
 
 [switch]
 queue_capacity_bytes = 131072
@@ -52,15 +47,12 @@ ops_per_client = 8
   EXPECT_EQ(config.topology.aggs_per_pod, 2u);
   EXPECT_EQ(config.topology.racks_per_pod, 4u);
   EXPECT_DOUBLE_EQ(config.topology.oversubscription, 4.0);
-  EXPECT_EQ(config.topology.ecmp_seed, 42u);
   EXPECT_EQ(config.host.app_cores, 4u);
   EXPECT_EQ(config.host.nic.num_queues, 4u);
   EXPECT_TRUE(config.host.nic.tso_enabled);
   EXPECT_EQ(config.host.nic.max_segment_bytes(), 65536u);
   EXPECT_DOUBLE_EQ(config.edge_link.bandwidth_gbps, 100.0);
   EXPECT_EQ(config.edge_link.propagation, nsec(1500));
-  EXPECT_TRUE(config.fabric_link_set);
-  EXPECT_DOUBLE_EQ(config.fabric_link.bandwidth_gbps, 400.0);
   EXPECT_EQ(config.switch_config.queue_capacity_bytes, 131072u);
   EXPECT_EQ(config.workload.transport, "homa");
   EXPECT_EQ(config.workload.request_bytes, 16384u);
@@ -84,6 +76,35 @@ TEST(ScenarioParseTest, UnknownKeyReportsLineNumber) {
   EXPECT_NE(parsed.error().message.find("line 3"), std::string::npos)
       << parsed.error().message;
   EXPECT_NE(parsed.error().message.find("rakcs"), std::string::npos);
+}
+
+TEST(ScenarioParseTest, RemovedKeysAndSectionsReportLineNumbers) {
+  // Settings the simulator does not have (fabric wires take the edge
+  // link's rate and propagation; a switch port's rate, the forwarding
+  // latency and the ECMP seed are not configuration): each is a hard
+  // error on its own line, never a silently ignored setting.
+  struct Case {
+    const char* text;
+    const char* name;
+  };
+  for (const Case& c : {
+           Case{"[topology]\nracks = 1\nvia_tor = true\n", "via_tor"},
+           Case{"[topology]\nracks = 1\necmp_seed = 42\n", "ecmp_seed"},
+           Case{"[switch]\ntrimming = true\nport_bandwidth_gbps = 1\n",
+                "port_bandwidth_gbps"},
+           Case{"[switch]\ntrimming = true\nforwarding_latency_ns = 300\n",
+                "forwarding_latency_ns"},
+           Case{"[edge_link]\nbandwidth_gbps = 100\n[fabric_link]\n",
+                "fabric_link"},
+       }) {
+    const auto parsed = ScenarioConfig::parse(c.text);
+    ASSERT_FALSE(parsed.ok()) << c.name;
+    EXPECT_EQ(parsed.code(), Errc::invalid_argument) << c.name;
+    EXPECT_NE(parsed.error().message.find("line 3"), std::string::npos)
+        << parsed.error().message;
+    EXPECT_NE(parsed.error().message.find(c.name), std::string::npos)
+        << parsed.error().message;
+  }
 }
 
 TEST(ScenarioParseTest, UnknownSectionRejected) {
@@ -137,6 +158,10 @@ TEST(ScenarioValidateTest, SingleValidationPathCatchesEachLayer) {
   config.workload.concurrency = 0;
   EXPECT_EQ(config.validate().code(), Errc::invalid_argument);
   config.workload.concurrency = 1;
+
+  config.topology.racks = 2;  // two racks need a spine tier
+  EXPECT_EQ(config.validate().code(), Errc::invalid_argument);
+  config.topology.racks = 1;
 
   EXPECT_TRUE(config.validate().ok());
 }
@@ -273,11 +298,6 @@ TEST(ScenarioParseTest, FaultKeysInLinkSectionsPointAtFaultSections) {
   ASSERT_FALSE(edge.ok());
   EXPECT_NE(edge.error().message.find("[fault]"), std::string::npos)
       << edge.error().message;
-  const auto fabric = ScenarioConfig::parse(
-      "[fabric_link]\nbad_loss_rate = 0.5\n");
-  ASSERT_FALSE(fabric.ok());
-  EXPECT_NE(fabric.error().message.find("[fabric_fault]"), std::string::npos)
-      << fabric.error().message;
 }
 
 TEST(ScenarioParseTest, LinkLossKeysPointAtTheFaultModel) {
@@ -292,12 +312,6 @@ TEST(ScenarioParseTest, LinkLossKeysPointAtTheFaultModel) {
         << parsed.error().message;
     EXPECT_NE(parsed.error().message.find("seed"), std::string::npos);
   }
-  const auto fabric =
-      ScenarioConfig::parse("[fabric_link]\nloss_rate = 0.1\n");
-  ASSERT_FALSE(fabric.ok());
-  EXPECT_NE(fabric.error().message.find("[fabric_fault] good_loss_rate"),
-            std::string::npos)
-      << fabric.error().message;
 }
 
 TEST(ScenarioValidateTest, HealthKnobsValidated) {
@@ -307,16 +321,6 @@ TEST(ScenarioValidateTest, HealthKnobsValidated) {
   EXPECT_EQ(config.validate().code(), Errc::invalid_argument);
   config.switch_config.health_probe_interval = usec(100);
   EXPECT_TRUE(config.validate().ok());
-}
-
-TEST(ScenarioValidateTest, ViaTorRequiresSingleRack) {
-  TopologySpec spec;
-  spec.via_tor = true;
-  spec.racks = 2;
-  EXPECT_EQ(validate_topology(spec).code(), Errc::invalid_argument);
-  spec.racks = 1;
-  spec.hosts_per_rack = 4;
-  EXPECT_TRUE(validate_topology(spec).ok());
 }
 
 }  // namespace

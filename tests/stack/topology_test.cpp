@@ -144,14 +144,18 @@ TEST(TopologyBuilderTest, FabricShardPlacementIsRackAffine) {
   }
 }
 
-TEST(TopologyBuilderTest, ViaTorRoutesThroughOneSwitch) {
+TEST(TopologyBuilderTest, SingleRackRoutesThroughOneTor) {
+  // 1 rack x 3 hosts, no spines: one ToR switch, no direct link. Host 2
+  // stays idle.
   sim::ShardedEngine engine(1);
-  auto built = TopologyBuilder().via_tor().build(engine);
+  auto built = TopologyBuilder().hosts_per_rack(3).build(engine);
   ASSERT_TRUE(built.ok());
   auto topology = std::move(built).take();
   ASSERT_NE(topology->fabric(), nullptr);
   EXPECT_EQ(topology->direct_link(), nullptr);
   EXPECT_EQ(topology->fabric()->tor_count(), 1u);
+  EXPECT_EQ(topology->fabric()->spine_count(), 0u);
+  EXPECT_EQ(topology->host_count(), 3u);
   ASSERT_NE(topology->uplink(0), nullptr);
 
   int got = 0;

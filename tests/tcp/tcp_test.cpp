@@ -234,6 +234,29 @@ TEST_F(TcpTest, OneRtoPendingPerConnection) {
   EXPECT_EQ(loop_.now(), msec(3830));
 }
 
+TEST_F(TcpTest, AbandonedConnectionStaysAbandoned) {
+  // After the abandoning fire, later sends still put their bytes on the
+  // wire but arm no new RTO: no second round of retries, and the
+  // abandonment is counted once per connection, not once per send.
+  topology_->direct_link()->a2b().set_drop_predicate(
+      [](const sim::Packet&) { return true; });
+  const auto conn = client_.connect(2, 80);
+  client_.send(conn, Bytes(100, 0x5a));
+  loop_.run();
+  EXPECT_EQ(client_.stats().rto_abandoned, 1u);
+  EXPECT_EQ(loop_.now(), msec(3830));
+  for (int round = 0; round < 3; ++round) {
+    const SimTime start = loop_.now();
+    client_.send(conn, Bytes(100, std::uint8_t(0x5b + round)));
+    loop_.run();
+    EXPECT_EQ(client_.stats().rto_abandoned, 1u) << "round " << round;
+    EXPECT_EQ(client_.stats().rto_fires, 10u) << "round " << round;
+    // Only the dropped transmission ran: far short of any RTO.
+    EXPECT_LT(loop_.now(), start + usec(10)) << "round " << round;
+  }
+  EXPECT_GT(client_.unacked_bytes(conn), 0u);
+}
+
 TEST_F(TcpTest, PeriodicFlapDividingRtoStillTerminates) {
   // Regression: a link flap whose period divides the fixed 10 ms RTO
   // phase-locks every retransmission into the same down window (the sim

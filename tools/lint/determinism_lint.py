@@ -36,8 +36,8 @@ or the line directly above it:
 
     // determinism-lint: allow(<rule>) <reason>
 
-Allowlist — the engine/bench boundary where wall time is legitimate by
-design (shard worker wall-diagnostics, bench wall measurement) is
+Allowlist — the engine/bench boundary where machine facts are legitimate
+by design (the shard worker-pool cap, bench wall measurement) is
 allowlisted below so it needs no pragma clutter; everything else in src/
 must be clean or carry a pragma.
 
@@ -58,9 +58,6 @@ EXTENSIONS = {".cpp", ".hpp", ".cc", ".h"}
 
 # (path-prefix, rule) -> reason. Matched against the repo-relative path.
 ALLOWLIST = {
-    ("src/netsim/shard.cpp", "wall-clock"):
-        "SMT_SHARD_TRACE worker work/wait wall breakdown — diagnostic "
-        "stderr only, never sim-visible",
     ("src/netsim/shard.cpp", "hardware-concurrency"):
         "worker-pool cap — bounds wall parallelism only; the schedule "
         "depends on the shard count alone (see shard.hpp header comment)",

@@ -1,18 +1,18 @@
 // lint-as: src/netsim/shard.cpp
 //
 // Fixture: masquerades (via the lint-as header above) as the sharded
-// engine, which is allowlisted for wall-clock (SMT_SHARD_TRACE wall
-// diagnostics) and hardware-concurrency (worker-pool cap). The allowlist
-// is PER RULE: ambient entropy is still flagged even here. Never
-// compiled — scanned by determinism_lint.py --self-test.
+// engine, which is allowlisted for hardware-concurrency (worker-pool cap)
+// only. The allowlist is PER RULE: a wall clock and ambient entropy are
+// still flagged even here. Never compiled — scanned by
+// determinism_lint.py --self-test.
 #include <chrono>
 #include <cstdlib>
 #include <thread>
 
 namespace fixture {
 
-long fine_allowlisted_trace() {
-  const auto t0 = std::chrono::steady_clock::now();  // allowlisted path
+long bad_wall_clock_even_here() {
+  const auto t0 = std::chrono::steady_clock::now();  // expect-lint: wall-clock
   return t0.time_since_epoch().count();
 }
 
