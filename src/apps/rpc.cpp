@@ -494,10 +494,11 @@ void RpcChannel::on_response(Bytes message) {
   // Application wakeup on the client thread completes the RPC.
   stack::CpuCore& core = node().host->app_core(app_core_);
   const SimTime issued = pending.issued_at;
-  Bytes payload(message.begin() + 8, message.end());
+  // The payload follows the 8-byte correlation id: drop the id in place.
+  message.erase(message.begin(), message.begin() + 8);
   core.run(node().host->costs().wakeup,
            [this, issued, done = std::move(pending.done),
-            payload = std::move(payload)]() mutable {
+            payload = std::move(message)]() mutable {
              done(node().host->loop().now() - issued, std::move(payload));
            });
 }

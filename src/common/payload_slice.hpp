@@ -20,10 +20,16 @@
 // overwrites record bodies with ciphertext, and a shared slab must never
 // see that through someone else's slice (the transport keeps the plaintext
 // for retransmission). A uniquely-owned slab mutates in place.
+//
+// Every slab costs one heap allocation. An adopted Bytes moves into one
+// shared control block that the slab pointer aliases; a copy (copy_of,
+// the copy-on-write) is one uninitialised array with its control block
+// in the same allocation, so its bytes are written once, by the copy.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -38,14 +44,20 @@ class PayloadSlice {
   /// Adopts `bytes` as a new slab (no copy) and views all of it.
   /// Implicit on purpose: producing layers write `slice = std::move(buf)`.
   PayloadSlice(Bytes bytes)  // NOLINT(google-explicit-constructor)
-      : slab_(bytes.empty() ? nullptr
-                            : std::make_shared<Bytes>(std::move(bytes))),
-        offset_(0),
-        length_(slab_ ? slab_->size() : 0) {}
+      : length_(bytes.size()) {
+    if (length_ == 0) return;
+    auto owner = std::make_shared<Bytes>(std::move(bytes));
+    slab_ = std::shared_ptr<std::uint8_t[]>(owner, owner->data());
+  }
 
   /// Copies `view` into a fresh slab.
   static PayloadSlice copy_of(ByteView view) {
-    return PayloadSlice(Bytes(view.begin(), view.end()));
+    PayloadSlice out;
+    if (!view.empty()) {
+      out.slab_ = copy_slab(view);
+      out.length_ = view.size();
+    }
+    return out;
   }
 
   /// O(1) sub-view of the same slab.
@@ -76,7 +88,7 @@ class PayloadSlice {
 
   // --- vector-compatible read surface ----------------------------------
   const std::uint8_t* data() const noexcept {
-    return slab_ ? slab_->data() + offset_ : nullptr;
+    return slab_ ? slab_.get() + offset_ : nullptr;
   }
   std::size_t size() const noexcept { return length_; }
   bool empty() const noexcept { return length_ == 0; }
@@ -84,7 +96,7 @@ class PayloadSlice {
   const std::uint8_t* end() const noexcept { return data() + length_; }
   std::uint8_t operator[](std::size_t i) const noexcept {
     assert(i < length_);
-    return (*slab_)[offset_ + i];
+    return slab_[offset_ + i];
   }
   ByteView view() const noexcept { return ByteView(data(), length_); }
   operator ByteView() const noexcept {  // NOLINT(google-explicit-constructor)
@@ -110,10 +122,10 @@ class PayloadSlice {
   MutByteView mutate() {
     if (length_ == 0) return MutByteView();
     if (slab_.use_count() > 1) {
-      slab_ = std::make_shared<Bytes>(begin(), end());
+      slab_ = copy_slab(view());
       offset_ = 0;
     }
-    return MutByteView(slab_->data() + offset_, length_);
+    return MutByteView(slab_.get() + offset_, length_);
   }
 
   /// True when this slice is the slab's only pin (diagnostics/tests).
@@ -132,7 +144,17 @@ class PayloadSlice {
   }
 
  private:
-  std::shared_ptr<Bytes> slab_;
+  static std::shared_ptr<std::uint8_t[]> copy_slab(ByteView view) {
+    // Whole 8-byte words: libstdc++ pads a byte array's block out to its
+    // control block's alignment, and a word array needs no pad.
+    auto words =
+        std::make_shared_for_overwrite<std::uint64_t[]>((view.size() + 7) / 8);
+    auto* bytes = reinterpret_cast<std::uint8_t*>(words.get());
+    std::memcpy(bytes, view.data(), view.size());
+    return std::shared_ptr<std::uint8_t[]>(std::move(words), bytes);
+  }
+
+  std::shared_ptr<std::uint8_t[]> slab_;
   std::size_t offset_ = 0;
   std::size_t length_ = 0;
 };

@@ -78,11 +78,9 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "common/hash.hpp"
 #include "common/result.hpp"
 #include "netsim/event.hpp"
 #include "netsim/link.hpp"
@@ -469,7 +467,9 @@ class Nic {
   std::vector<std::size_t> rss_table_;
   std::map<std::size_t, std::size_t> rss_pending_;  // entry -> target ring
 
-  std::unordered_map<std::uint32_t, FlowContext, TableHash> contexts_;
+  // Few contexts are live at once, so an ordered map's few compares beat a
+  // hash lookup here (common/hash.hpp).
+  std::map<std::uint32_t, FlowContext> contexts_;
   std::uint32_t next_context_id_ = 1;
   std::uint16_t next_ip_id_ = 1;
 

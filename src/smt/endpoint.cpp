@@ -138,16 +138,7 @@ Result<std::uint64_t> SmtEndpoint::send_message(PeerAddr dst, Bytes plaintext,
     };
   }
 
-  std::vector<transport::SegmentSpec> segments;
-  segments.reserve(message.segments.size());
-  for (SegmentPlan& plan : message.segments) {
-    transport::SegmentSpec spec;
-    spec.payload = std::move(plan.payload);
-    spec.records = std::move(plan.records);
-    segments.push_back(std::move(spec));
-  }
-
-  auto sent = homa_.send_segments(dst, std::move(segments),
+  auto sent = homa_.send_segments(dst, std::move(message.segments),
                                   message.total_wire_bytes, msg_id, app_core,
                                   std::move(hook));
   if (!sent.ok()) return sent.error();
@@ -216,11 +207,11 @@ void SmtEndpoint::on_wire_message(transport::HomaEndpoint::MessageMeta meta,
   const PeerAddr peer = meta.peer;
   const std::uint64_t msg_id = meta.msg_id;
   core.run(crypto_cost,
-           [this, peer, msg_id, wire = std::move(wire)] {
+           [this, peer, msg_id, wire = std::move(wire)]() mutable {
              auto it = sessions_.find(peer);
              if (it == sessions_.end()) return;
              auto opened = open_wire_message(config_.layout, *it->second.rx,
-                                             msg_id, wire);
+                                             msg_id, std::move(wire));
              if (!opened.ok()) {
                ++stats_.decrypt_failures;
                return;

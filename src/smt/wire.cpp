@@ -1,6 +1,7 @@
 #include "smt/wire.hpp"
 
 #include <cassert>
+#include <cstring>
 
 namespace smt::proto {
 
@@ -30,7 +31,17 @@ Result<WireMessage> build_wire_message(const SegmenterConfig& config,
   WireMessage wire;
   wire.record_count = n_records;
 
-  SegmentPlan current;
+  // The segment being filled; each full one is adopted as its own slab.
+  Bytes payload;
+  std::vector<sim::TlsRecordDesc> records;
+  const auto flush_segment = [&] {
+    wire.total_wire_bytes += payload.size();
+    SegmentPlan& segment = wire.segments.emplace_back();
+    segment.payload = PayloadSlice(std::move(payload));
+    segment.records = std::move(records);
+    payload = Bytes();
+    records = {};
+  };
   std::size_t consumed = 0;  // plaintext bytes consumed
   for (std::size_t rec = 0; rec < n_records; ++rec) {
     // App bytes for this record (the tail records may carry padding).
@@ -49,39 +60,35 @@ Result<WireMessage> build_wire_message(const SegmenterConfig& config,
                                   record_target + 1 +
                                   crypto::AesGcm::kTagSize;
     // Segment alignment (§4.3): a record never straddles TSO segments.
-    if (!current.payload.empty() &&
-        current.payload.size() + block_len > config.max_tso_bytes) {
-      wire.total_wire_bytes += current.payload.size();
-      wire.segments.push_back(std::move(current));
-      current = SegmentPlan{};
+    if (!payload.empty() && payload.size() + block_len > config.max_tso_bytes) {
+      flush_segment();
     }
     // Reserve the segment's final size up front: all remaining record
     // blocks are at most this one's size, so one reservation replaces the
     // doubling-growth reallocations the append loop used to pay.
-    if (current.payload.empty()) {
-      current.payload.reserve(std::min(
-          config.max_tso_bytes, block_len * (n_records - rec)));
+    if (payload.empty()) {
+      payload.reserve(
+          std::min(config.max_tso_bytes, block_len * (n_records - rec)));
     }
     // Framing header carries the padded length so plaintext metadata does
     // not reveal the true size (§6.1 length concealment).
-    append_u32be(current.payload, static_cast<std::uint32_t>(record_target));
+    append_u32be(payload, static_cast<std::uint32_t>(record_target));
     if (config.hardware_crypto) {
       sim::TlsRecordDesc desc;
       desc.context_id = config.nic_context_id;
-      desc.record_offset = current.payload.size();
+      desc.record_offset = payload.size();
       desc.plaintext_len = app_data.size() + 1 + pad_take;
       desc.record_seq = seq;
-      current.records.push_back(desc);
-      tls::append_record_shell(current.payload,
+      records.push_back(desc);
+      tls::append_record_shell(payload,
                                tls::ContentType::application_data, app_data,
                                pad_take);
     } else {
       protection.seal_into(seq, tls::ContentType::application_data, app_data,
-                           pad_take, current.payload);
+                           pad_take, payload);
     }
   }
-  wire.total_wire_bytes += current.payload.size();
-  wire.segments.push_back(std::move(current));
+  flush_segment();
   return wire;
 }
 
@@ -118,11 +125,11 @@ Status walk_record_blocks(ByteView wire, Fn&& fn) {
 
 Result<Bytes> open_wire_message(const SeqnoLayout& layout,
                                 const tls::RecordProtection& protection,
-                                std::uint64_t msg_id, ByteView wire) {
-  // One output buffer for every record, sized up front: the wire length
-  // bounds the plaintext, so the per-record appends never reallocate.
-  Bytes out;
-  out.reserve(wire.size());
+                                std::uint64_t msg_id, Bytes&& wire) {
+  // Records open in place, and each one's content moves down to the end
+  // of the plaintext so far. That end never passes the current record's
+  // header, so the walk still reads every later block intact.
+  std::size_t plaintext_end = 0;
   std::uint64_t record_index = 0;
   Status walked = walk_record_blocks(wire, [&](std::size_t offset,
                                                std::size_t record_len) {
@@ -135,14 +142,25 @@ Result<Bytes> open_wire_message(const SeqnoLayout& layout,
     // The receiver learns the true length at decryption; the record layer
     // strips the padding (zeros beyond the app data). The framing header's
     // padded length only guides reassembly.
-    auto opened =
-        protection.open_into(seq, wire.subspan(offset, record_len), out);
+    auto opened = protection.open_in_place(
+        seq, MutByteView(wire).subspan(offset, record_len));
     if (!opened.ok()) return Status(opened.error());
+    const MutByteView content = opened.value().content;
+    std::memmove(wire.data() + plaintext_end, content.data(), content.size());
+    plaintext_end += content.size();
     ++record_index;
     return Status::success();
   });
   if (!walked.ok()) return walked.error();
-  return out;
+  wire.resize(plaintext_end);
+  return std::move(wire);
+}
+
+Result<Bytes> open_wire_message(const SeqnoLayout& layout,
+                                const tls::RecordProtection& protection,
+                                std::uint64_t msg_id, ByteView wire) {
+  return open_wire_message(layout, protection, msg_id,
+                           Bytes(wire.begin(), wire.end()));
 }
 
 std::size_t count_record_blocks(ByteView wire) noexcept {

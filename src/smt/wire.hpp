@@ -16,9 +16,9 @@
 
 #include "common/bytes.hpp"
 #include "common/result.hpp"
-#include "netsim/nic.hpp"
 #include "smt/seqno.hpp"
 #include "tls/record.hpp"
+#include "transport/homa/homa.hpp"
 
 namespace smt::proto {
 
@@ -31,11 +31,10 @@ constexpr std::size_t record_block_overhead() noexcept {
   return kFramingHeaderSize + tls::kRecordHeaderSize + 1 + 16;
 }
 
-struct SegmentPlan {
-  Bytes payload;                               // wire bytes of this segment
-  std::vector<sim::TlsRecordDesc> records;     // NIC crypto descriptors
-                                               // (empty in software mode)
-};
+/// One TSO segment of a wire message, in the form Homa sends it: its
+/// wire bytes as a slab of their own and the NIC crypto descriptors
+/// (empty in software mode).
+using SegmentPlan = transport::SegmentSpec;
 
 struct WireMessage {
   std::vector<SegmentPlan> segments;
@@ -69,6 +68,13 @@ Result<WireMessage> build_wire_message(const SegmenterConfig& config,
 /// Parses and decrypts a reassembled wire message. Record indices are
 /// implicit in order (0, 1, 2, ...) — the per-message record space's order
 /// protection (§6.1): any reordering or substitution fails authentication.
+/// The plaintext is returned in `wire`'s own buffer: each record is
+/// decrypted in place and its content moved down behind the previous one.
+Result<Bytes> open_wire_message(const SeqnoLayout& layout,
+                                const tls::RecordProtection& protection,
+                                std::uint64_t msg_id, Bytes&& wire);
+
+/// As above, on a copy of `wire`.
 Result<Bytes> open_wire_message(const SeqnoLayout& layout,
                                 const tls::RecordProtection& protection,
                                 std::uint64_t msg_id, ByteView wire);

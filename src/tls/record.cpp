@@ -71,9 +71,28 @@ Result<OpenedRecord> RecordProtection::open(std::uint64_t seq,
   return out;
 }
 
-Result<ContentType> RecordProtection::open_into(std::uint64_t seq,
-                                                ByteView record,
-                                                Bytes& out) const {
+namespace {
+
+struct InnerContent {
+  ContentType type;
+  std::size_t length;
+};
+
+/// The content of a decrypted TLSInnerPlaintext (content || type ||
+/// zeros): the zero padding, then the content-type byte, stripped.
+Result<InnerContent> strip_padding(ByteView inner) {
+  std::size_t end = inner.size();
+  while (end > 0 && inner[end - 1] == 0) --end;
+  if (end == 0) {
+    return make_error(Errc::protocol_violation,
+                      "record contains no content type");
+  }
+  return InnerContent{static_cast<ContentType>(inner[end - 1]), end - 1};
+}
+
+}  // namespace
+
+Result<ByteView> RecordProtection::record_body(ByteView record) const {
   if (record.size() < kRecordHeaderSize + tag_length(suite_)) {
     return make_error(Errc::protocol_violation, "record too short");
   }
@@ -82,29 +101,49 @@ Result<ContentType> RecordProtection::open_into(std::uint64_t seq,
   if (record.size() != kRecordHeaderSize + body_len.value()) {
     return make_error(Errc::protocol_violation, "record length mismatch");
   }
+  return record.subspan(kRecordHeaderSize);
+}
 
-  const ByteView header = record.first(kRecordHeaderSize);
-  const ByteView body = record.subspan(kRecordHeaderSize);
+Result<ContentType> RecordProtection::open_into(std::uint64_t seq,
+                                                ByteView record,
+                                                Bytes& out) const {
+  const auto body = record_body(record);
+  if (!body.ok()) return body.error();
 
   const std::size_t start = out.size();
-  out.resize(start + body.size() - tag_length(suite_));
-  if (!aead_.open_into(record_nonce(keys_.iv, seq), header, body,
-                       MutByteView(out).subspan(start))) {
+  out.resize(start + body.value().size() - tag_length(suite_));
+  const MutByteView inner = MutByteView(out).subspan(start);
+  if (!aead_.open_into(record_nonce(keys_.iv, seq),
+                       record.first(kRecordHeaderSize), body.value(), inner)) {
     out.resize(start);
     return make_error(Errc::decrypt_failed, "AEAD authentication failed");
   }
-
-  // Strip zero padding, then the content-type byte.
-  std::size_t end = out.size();
-  while (end > start && out[end - 1] == 0) --end;
-  if (end == start) {
+  const auto content = strip_padding(inner);
+  if (!content.ok()) {
     out.resize(start);
-    return make_error(Errc::protocol_violation,
-                      "record contains no content type");
+    return content.error();
   }
-  const auto type = static_cast<ContentType>(out[end - 1]);
-  out.resize(end - 1);
-  return type;
+  out.resize(start + content.value().length);
+  return content.value().type;
+}
+
+Result<OpenedInPlace> RecordProtection::open_in_place(
+    std::uint64_t seq, MutByteView record) const {
+  const auto body = record_body(record);
+  if (!body.ok()) return body.error();
+
+  // The CTR keystream XOR may write over its input, so the plaintext
+  // lands where the ciphertext was.
+  const MutByteView inner = record.subspan(
+      kRecordHeaderSize, body.value().size() - tag_length(suite_));
+  if (!aead_.open_into(record_nonce(keys_.iv, seq),
+                       record.first(kRecordHeaderSize), body.value(), inner)) {
+    return make_error(Errc::decrypt_failed, "AEAD authentication failed");
+  }
+  const auto content = strip_padding(inner);
+  if (!content.ok()) return content.error();
+  return OpenedInPlace{content.value().type,
+                       inner.first(content.value().length)};
 }
 
 Result<std::size_t> parse_record_length(ByteView header5) {

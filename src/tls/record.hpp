@@ -50,6 +50,12 @@ struct OpenedRecord {
   Bytes payload;  // with padding and content-type byte stripped
 };
 
+/// A record opened where it lies (RecordProtection::open_in_place).
+struct OpenedInPlace {
+  ContentType type;
+  MutByteView content;  // inside the record, right after its header
+};
+
 /// The per-record AEAD nonce (RFC 8446 §5.3): `seq` left-padded to the IV
 /// length and XORed with the static IV. The one nonce derivation shared by
 /// the software record layer and the simulated NIC offload engine, so both
@@ -88,10 +94,20 @@ class RecordProtection {
   Result<ContentType> open_into(std::uint64_t seq, ByteView record,
                                 Bytes& out) const;
 
+  /// As open(), but decrypts the record's body over its ciphertext: no
+  /// buffer is allocated or zeroed. The tag is verified before anything is
+  /// written, so a record that fails authentication is left as it was.
+  Result<OpenedInPlace> open_in_place(std::uint64_t seq,
+                                      MutByteView record) const;
+
   const TrafficKeys& keys() const noexcept { return keys_; }
   CipherSuite suite() const noexcept { return suite_; }
 
  private:
+  /// The body of a well-formed record: the header parses and the body is
+  /// exactly as long as it says, and holds at least a tag.
+  Result<ByteView> record_body(ByteView record) const;
+
   CipherSuite suite_;
   TrafficKeys keys_;
   crypto::AesGcm aead_;

@@ -241,7 +241,7 @@ void HomaEndpoint::handle_data(Packet pkt) {
   // metadata identifies exactly which bytes to re-request — the receiver
   // fires a RESEND immediately instead of waiting for the gap timer.
   if (pkt.hdr.trimmed) {
-    if (recently_completed_.count(key)) return;
+    if (recently_completed_.contains(key)) return;
     const std::size_t offset = data_offset(pkt.hdr);
     ++stats_.trim_resends;
     send_ctrl(peer, PacketType::resend, pkt.hdr.msg_id,
@@ -254,8 +254,8 @@ void HomaEndpoint::handle_data(Packet pkt) {
   // dedup window is TIME-bounded: expired entries are pruned here too, so
   // long-delayed duplicates fall through to the layer above (where SMT's
   // replay filter provides the durable defence, §6.1).
-  prune_completed(host_.loop().now());
-  if (recently_completed_.count(key)) return;
+  recently_completed_.drop_before(host_.loop().now() - kCompletedRetention);
+  if (recently_completed_.contains(key)) return;
 
   auto [it, created] = rx_messages_.try_emplace(key);
   RxMessage& rx = it->second;
@@ -263,7 +263,7 @@ void HomaEndpoint::handle_data(Packet pkt) {
     rx.peer = peer;
     rx.msg_id = pkt.hdr.msg_id;
     rx.total_bytes = pkt.hdr.msg_len;
-    rx.buffer.resize(rx.total_bytes);
+    rx.buffer.reserve(rx.total_bytes);  // filled by rx_insert, no zeroing
     // SRPT-style dynamic distribution: the message binds to the currently
     // least-loaded softirq core, NOT a flow-pinned one (§2.2). Core 0 is
     // the pacer/SRPT thread and is skipped when other cores exist.
@@ -328,12 +328,30 @@ void HomaEndpoint::rx_insert(RxMessage& rx, std::size_t offset,
   if (data.empty() && rx.total_bytes == 0) return;
   if (offset + data.size() > rx.total_bytes) return;  // malformed; drop
 
-  // Merge [offset, end) into the received-interval map in place, counting
-  // only newly covered bytes (duplicates from spurious retransmits are
-  // free). In-order arrivals extend the interval before them, so a message
-  // delivered in order allocates one map node, not one per packet.
   const std::size_t begin = offset;
   const std::size_t end = offset + data.size();
+  if (rx.intervals.empty()) {
+    const std::size_t prefix_end = rx.buffer.size();
+    if (begin <= prefix_end) {
+      // In order (or a duplicate inside the prefix): rewrite the overlap,
+      // as a later copy always lands, and append the rest.
+      const std::size_t overlap = std::min(end, prefix_end) - begin;
+      std::copy_n(data.begin(), overlap,
+                  rx.buffer.begin() + std::ptrdiff_t(begin));
+      rx.buffer.insert(rx.buffer.end(),
+                       data.begin() + std::ptrdiff_t(overlap), data.end());
+      rx.received_bytes = rx.buffer.size();
+      return;
+    }
+    // The first packet past the prefix: from here on the buffer is the
+    // whole message and the map tracks what has arrived.
+    if (prefix_end > 0) rx.intervals.emplace(0, prefix_end);
+    rx.buffer.resize(rx.total_bytes);
+  }
+
+  // Merge [offset, end) into the received-interval map in place, counting
+  // only newly covered bytes (duplicates from spurious retransmits are
+  // free).
   std::copy(data.begin(), data.end(),
             rx.buffer.begin() + std::ptrdiff_t(offset));
 
@@ -369,29 +387,18 @@ void HomaEndpoint::maybe_grant(RxMessage& rx) {
             &core);
 }
 
-void HomaEndpoint::prune_completed(SimTime now) {
-  // Entries sit in completion order, so the expired ones are a prefix.
-  // The count bound rides on top of the time bound: at high fan-in one
-  // retention window can complete more messages than the table should
-  // hold. Only rx_complete adds entries, so only it can exceed the count.
-  while (!completed_order_.empty() &&
-         (completed_order_.front().first + kCompletedRetention < now ||
-          completed_order_.size() > kDedupHistoryLimit)) {
-    recently_completed_.erase(completed_order_.front().second);
-    completed_order_.pop_front();
-  }
-}
-
 void HomaEndpoint::rx_complete(const RxKey& key) {
   auto it = rx_messages_.find(key);
   if (it == rx_messages_.end()) return;
   RxMessage& rx = it->second;
 
-  // Remember the identity briefly to drop spurious retransmissions.
+  // Remember the identity briefly to drop spurious retransmissions. The
+  // count bound rides on top of the time bound: at high fan-in one
+  // retention window can complete more messages than the window holds, so
+  // the push evicts the oldest entry when the expired ones leave no room.
   const SimTime now = host_.loop().now();
-  recently_completed_.insert(key);
-  completed_order_.emplace_back(now, key);
-  prune_completed(now);
+  recently_completed_.drop_before(now - kCompletedRetention);
+  recently_completed_.push(now, key);
 
   // ACK lets the sender free its retransmission state; the message's
   // softirq core posts it (and pays the doorbell if it arms one).
@@ -403,8 +410,8 @@ void HomaEndpoint::rx_complete(const RxKey& key) {
   MessageMeta meta{rx.peer, rx.msg_id, rx.softirq_core, rx.rx_queue};
   Bytes payload = std::move(rx.buffer);
   const std::size_t core_index = rx.softirq_core;
-  // The resend timer's rx_messages_.find(key) misses from here on (and
-  // recently_completed_ keeps the key from being recreated): a no-op.
+  // The resend timer's rx_messages_.find(key) misses from here on (and the
+  // dedup window keeps the key from being recreated): a no-op.
   host_.loop().cancel(rx.resend_timer);
   rx_messages_.erase(it);
 
@@ -436,8 +443,10 @@ void HomaEndpoint::arm_resend_timer(const RxKey& key) {
             rx_messages_.erase(it2);
             return;
           }
-          // First missing range.
-          std::size_t missing_begin = 0;
+          // First missing range: past the in-order prefix, or the map's
+          // first gap.
+          std::size_t missing_begin =
+              rx.intervals.empty() ? rx.buffer.size() : 0;
           std::size_t missing_end = rx.total_bytes;
           for (const auto& [s, e] : rx.intervals) {
             if (s == missing_begin) {

@@ -19,15 +19,14 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/hash.hpp"
 #include "stack/host.hpp"
+#include "transport/homa/dedup_window.hpp"
 
 namespace smt::transport {
 
@@ -135,10 +134,7 @@ class HomaEndpoint {
 
   /// Drops the completed-message dedup state. Called on a session key
   /// update, which resets the message-ID space (§4.5.2) — IDs may repeat.
-  void flush_dedup_state() {
-    recently_completed_.clear();
-    completed_order_.clear();
-  }
+  void flush_dedup_state() { recently_completed_.clear(); }
 
   struct Stats {
     std::uint64_t messages_sent = 0;
@@ -188,8 +184,13 @@ class HomaEndpoint {
     PeerAddr peer;
     std::uint64_t msg_id = 0;
     std::size_t total_bytes = 0;
+    // While `intervals` is empty the message has arrived in order: the
+    // buffer holds exactly the received prefix [0, buffer.size()) and grows
+    // by appends into its reserved capacity. The first packet past that
+    // prefix sizes the buffer to total_bytes and moves the prefix into
+    // `intervals`, which then records every received [off, end).
     Bytes buffer;
-    std::map<std::size_t, std::size_t> intervals;  // received [off, end)
+    std::map<std::size_t, std::size_t> intervals;
     std::size_t received_bytes = 0;
     std::size_t granted_bytes = 0;
     std::size_t softirq_core = 0;  // chosen least-loaded at first packet
@@ -213,9 +214,6 @@ class HomaEndpoint {
   void handle_ack(const sim::Packet& pkt);
   void rx_insert(RxMessage& rx, std::size_t offset, ByteView data);
   void rx_complete(const RxKey& key);
-  /// Drops the dedup window's entries older than kCompletedRetention,
-  /// then the oldest beyond kDedupHistoryLimit.
-  void prune_completed(SimTime now);
   void maybe_grant(RxMessage& rx);
   void arm_resend_timer(const RxKey& key);
   void pump_tx(TxMessage& tx, stack::CpuCore* core);
@@ -246,10 +244,9 @@ class HomaEndpoint {
   std::unordered_map<TxKey, TxMessage, TableHash> tx_messages_;
   std::unordered_map<RxKey, RxMessage, TableHash> rx_messages_;
   // Recently completed messages, kept briefly so spurious retransmissions
-  // are recognised and dropped (§4.3) without unbounded memory.
-  // completed_order_ holds them oldest first, with their completion time.
-  std::unordered_set<RxKey, TableHash> recently_completed_;
-  std::deque<std::pair<SimTime, RxKey>> completed_order_;
+  // are recognised and dropped (§4.3) without unbounded memory: for
+  // kCompletedRetention and at most kDedupHistoryLimit of them.
+  DedupWindow<RxKey> recently_completed_{kDedupHistoryLimit};
   std::uint64_t next_msg_id_ = 1;
   Stats stats_;
 };

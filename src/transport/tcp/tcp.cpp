@@ -158,9 +158,8 @@ void TcpEndpoint::transmit_range(Connection& conn, std::uint64_t from,
   // erases from the front on ACKs, so it cannot be sliced in place); the
   // slab then rides copy-free through TSO, the wire, and the RX rings.
   const std::size_t buf_off = std::size_t(from - conn.buf_base);
-  Bytes range(conn.send_buffer.begin() + std::ptrdiff_t(buf_off),
-              conn.send_buffer.begin() + std::ptrdiff_t(buf_off + (to - from)));
-  d.segment.payload = PayloadSlice(std::move(range));
+  d.segment.payload = PayloadSlice::copy_of(
+      ByteView(conn.send_buffer).subspan(buf_off, std::size_t(to - from)));
 
   // XPS-style static queue choice (the NIC owns RX steering; TX queue
   // selection is the host's, and must stay stable per flow for the §3.2

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "alloc_counter.hpp"
+
 namespace smt {
 namespace {
+
+using test::allocations_in;
 
 Bytes pattern(std::size_t n) {
   Bytes b(n);
@@ -102,6 +108,44 @@ TEST(PayloadSlice, AssignAndCopyOf) {
 
   PayloadSlice copy = PayloadSlice::copy_of(ByteView(src.data(), 4));
   EXPECT_EQ(copy.to_bytes(), Bytes(pattern(4)));
+}
+
+// Every slab is one heap allocation: an adopted buffer moves into one
+// control block, and a copy is one uninitialised block written by the copy.
+
+TEST(PayloadSlice, AdoptionMakesOneAllocation) {
+  Bytes src = pattern(1500);
+  PayloadSlice slice;
+  EXPECT_EQ(allocations_in([&] { slice = PayloadSlice(std::move(src)); }), 1u);
+  EXPECT_TRUE(slice == pattern(1500));
+}
+
+TEST(PayloadSlice, CopyOfMakesOneAllocation) {
+  const Bytes src = pattern(1500);
+  PayloadSlice copy;
+  EXPECT_EQ(allocations_in([&] { copy = PayloadSlice::copy_of(src); }), 1u);
+  EXPECT_TRUE(copy == src);
+  EXPECT_NE(copy.data(), src.data());
+  EXPECT_TRUE(copy.unique());
+}
+
+TEST(PayloadSlice, SharedMutateMakesOneAllocationAndAliasesKeepPlaintext) {
+  // The NIC's inline-crypto copy-on-write: the transport keeps the whole
+  // message for retransmission while a posted segment is encrypted.
+  const Bytes plaintext = pattern(2000);
+  const PayloadSlice retained(plaintext);
+  PayloadSlice posted = retained.subslice(500, 1001);
+  MutByteView ciphertext;
+  EXPECT_EQ(allocations_in([&] { ciphertext = posted.mutate(); }), 1u);
+  std::fill(ciphertext.begin(), ciphertext.end(), std::uint8_t(0xc3));
+
+  EXPECT_TRUE(retained == plaintext) << "the alias saw the encryption";
+  EXPECT_EQ(posted.size(), 1001u);
+  EXPECT_EQ(posted[0], 0xc3);
+  EXPECT_EQ(posted[1000], 0xc3);
+  // Now the segment owns its slab: a second mutate is in place.
+  EXPECT_EQ(allocations_in([&] { (void)posted.mutate(); }), 0u);
+  EXPECT_EQ(posted.data(), ciphertext.data());
 }
 
 TEST(PayloadSlice, ViewConversionAndEquality) {

@@ -333,6 +333,149 @@ TEST_F(HomaTest, ShuffledDuplicatedOverlappingPacketsReassembleExactly) {
   EXPECT_EQ(server_.stats().messages_received, 2u);
 }
 
+// Reassembly of one message from hand-built packets: an in-order prefix
+// is appended straight into the buffer, and the first packet past it
+// switches the message to the interval map. Every case must deliver the
+// exact bytes once.
+class HomaReassemblyTest : public HomaTest {
+ protected:
+  HomaReassemblyTest() : mtu_(server_host_.nic().config().mtu_payload) {}
+
+  /// A message of `packets` MTU-sized packets, the last one 100 B short.
+  PayloadSlice message(std::size_t packets) const {
+    Bytes bytes(packets * mtu_ - 100);
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] = std::uint8_t(i * 11 + 5);
+    }
+    return PayloadSlice(std::move(bytes));
+  }
+
+  /// Original (TSO-cut) packet `index` of `msg`.
+  sim::Packet packet(const PayloadSlice& msg, std::size_t index) const {
+    const std::size_t off = index * mtu_;
+    return homa_data(7, msg, off, std::min(mtu_, msg.size() - off), mtu_,
+                     false);
+  }
+
+  /// A retransmission of [offset, offset + length) with an explicit offset.
+  sim::Packet resent(const PayloadSlice& msg, std::size_t offset,
+                     std::size_t length) const {
+    return homa_data(7, msg, offset, length, mtu_, true);
+  }
+
+  void deliver(std::vector<sim::Packet> packets) {
+    for (sim::Packet& pkt : packets) {
+      server_host_.nic().receive(std::move(pkt));
+      loop_.run_until(loop_.now() + usec(5));
+    }
+    loop_.run();
+  }
+
+  void expect_delivered_once(const PayloadSlice& msg) const {
+    ASSERT_EQ(received_.size(), 1u);
+    EXPECT_TRUE(msg == received_[0].second);
+    EXPECT_EQ(server_.stats().messages_received, 1u);
+  }
+
+  const std::size_t mtu_;
+};
+
+TEST_F(HomaReassemblyTest, InOrder) {
+  const PayloadSlice msg = message(5);
+  deliver({packet(msg, 0), packet(msg, 1), packet(msg, 2), packet(msg, 3),
+           packet(msg, 4)});
+  expect_delivered_once(msg);
+  EXPECT_EQ(server_.stats().resends_requested, 0u);
+}
+
+TEST_F(HomaReassemblyTest, SinglePacket) {
+  const PayloadSlice msg = message(1);
+  deliver({packet(msg, 0)});
+  expect_delivered_once(msg);
+}
+
+TEST_F(HomaReassemblyTest, DuplicateInsideThePrefix) {
+  const PayloadSlice msg = message(4);
+  deliver({packet(msg, 0), packet(msg, 1), packet(msg, 0), packet(msg, 1),
+           packet(msg, 2), packet(msg, 3)});
+  expect_delivered_once(msg);
+}
+
+TEST_F(HomaReassemblyTest, OverlapThatExtendsThePrefix) {
+  // A retransmission from inside the prefix to past its end, then one
+  // that starts exactly at the new end.
+  const PayloadSlice msg = message(4);
+  deliver({packet(msg, 0), resent(msg, mtu_ / 2, mtu_ + 10),
+           resent(msg, mtu_ / 2 + mtu_ + 10, mtu_ - 10 - mtu_ / 2),
+           packet(msg, 2), packet(msg, 3)});
+  expect_delivered_once(msg);
+}
+
+TEST_F(HomaReassemblyTest, OutOfOrderAfterAPrefix) {
+  // Packets 0 and 1 form the prefix; 3 spills it into the interval map,
+  // then 2 fills the gap, a duplicate of 0 lands on the map, and 4 ends.
+  const PayloadSlice msg = message(5);
+  deliver({packet(msg, 0), packet(msg, 1), packet(msg, 3), packet(msg, 2),
+           packet(msg, 0), packet(msg, 4)});
+  expect_delivered_once(msg);
+}
+
+TEST_F(HomaReassemblyTest, OutOfOrderFirstPacket) {
+  // The very first packet is past offset 0: the prefix is empty.
+  const PayloadSlice msg = message(3);
+  deliver({packet(msg, 2), packet(msg, 1), packet(msg, 0)});
+  expect_delivered_once(msg);
+}
+
+// The receiver's gap timer asks for the first missing range: past the
+// in-order prefix, or the interval map's first gap after a spill.
+class HomaResendRangeTest : public HomaReassemblyTest {
+ protected:
+  HomaResendRangeTest() {
+    topology_->direct_link()->b2a().set_receiver([this](sim::Packet pkt) {
+      if (pkt.hdr.type == sim::PacketType::resend) resends_.push_back(pkt);
+    });
+  }
+
+  /// Delivers `packets`, then runs one resend interval past the last.
+  void deliver_and_wait(std::vector<sim::Packet> packets) {
+    for (sim::Packet& pkt : packets) {
+      server_host_.nic().receive(std::move(pkt));
+    }
+    loop_.run_until(loop_.now() + HomaEndpoint::kResendInterval * 2 +
+                    usec(50));
+  }
+
+  /// The first RESEND's [from, to).
+  std::pair<std::size_t, std::size_t> first_resend() const {
+    EXPECT_FALSE(resends_.empty());
+    if (resends_.empty()) return {0, 0};
+    return {resends_.front().hdr.resend_off - 1,
+            resends_.front().hdr.grant_off};
+  }
+
+  std::vector<sim::Packet> resends_;
+};
+
+TEST_F(HomaResendRangeTest, AfterAPrefixAsksFromThePrefixEnd) {
+  const PayloadSlice msg = message(4);
+  deliver_and_wait({packet(msg, 0), packet(msg, 1)});
+  EXPECT_EQ(first_resend(), std::make_pair(2 * mtu_, msg.size()));
+  EXPECT_TRUE(received_.empty());
+}
+
+TEST_F(HomaResendRangeTest, AfterASpillAsksForTheFirstGap) {
+  const PayloadSlice msg = message(5);
+  deliver_and_wait({packet(msg, 0), packet(msg, 2), packet(msg, 4)});
+  EXPECT_EQ(first_resend(), std::make_pair(mtu_, 2 * mtu_));
+}
+
+TEST_F(HomaResendRangeTest, WithNothingFromTheStartAsksFromZero) {
+  const PayloadSlice msg = message(3);
+  deliver_and_wait({packet(msg, 1)});
+  EXPECT_EQ(first_resend(), std::make_pair(std::size_t(0), mtu_));
+}
+
 TEST_F(HomaTest, LossyLinkEventuallyDeliversEverything) {
   // A fresh testbed with a lossy link (re-wiring live hosts to a second
   // link is now a configuration error).

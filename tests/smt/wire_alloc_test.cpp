@@ -35,10 +35,12 @@ class WireAllocTest : public ::testing::Test {
   tls::RecordProtection protection_;
 };
 
-TEST_F(WireAllocTest, BuildHardware64BytesMakesThreeAllocations) {
-  // The segment's payload buffer, its record-descriptor vector and the
-  // message's segment vector. Framing headers and record shells are
-  // written straight into the payload buffer.
+TEST_F(WireAllocTest, BuildHardware64BytesMakesFourAllocations) {
+  // The segment's payload buffer, the slab that adopts it (the form Homa
+  // sends, so the endpoint no longer copies segments into a second
+  // vector), its record-descriptor vector and the message's segment
+  // vector. Framing headers and record shells are written straight into
+  // the payload buffer.
   SegmenterConfig config;
   config.hardware_crypto = true;
   config.nic_context_id = 3;
@@ -48,7 +50,7 @@ TEST_F(WireAllocTest, BuildHardware64BytesMakesThreeAllocations) {
               wire.emplace(
                   build_wire_message(config, protection_, 9, plaintext));
             }),
-            3u);
+            4u);
   ASSERT_TRUE(wire->ok());
   ASSERT_EQ(wire->value().segments.size(), 1u);
   EXPECT_EQ(wire->value().segments[0].records.size(), 1u);
@@ -57,7 +59,8 @@ TEST_F(WireAllocTest, BuildHardware64BytesMakesThreeAllocations) {
 
 TEST_F(WireAllocTest, BuildSoftware64BytesSealsInPlace) {
   // Software mode seals each record inside the payload buffer: no record
-  // vector, no AEAD output, no nonce buffer.
+  // vector, no AEAD output, no nonce buffer. The buffer, its slab and the
+  // segment vector are the three allocations.
   SegmenterConfig config;
   const Bytes plaintext(64, 0x5a);
   std::optional<Result<WireMessage>> wire;
@@ -65,13 +68,13 @@ TEST_F(WireAllocTest, BuildSoftware64BytesSealsInPlace) {
               wire.emplace(
                   build_wire_message(config, protection_, 9, plaintext));
             }),
-            2u);
+            3u);
   ASSERT_TRUE(wire->ok());
   EXPECT_EQ(wire->value().total_wire_bytes, 64 + record_block_overhead());
 }
 
 TEST_F(WireAllocTest, OpenOneRecordMakesOneAllocation) {
-  // The output buffer only: the record decrypts straight into it.
+  // The copy of the wire bytes only: the record decrypts in place there.
   const Bytes plaintext(64, 0x5a);
   const auto built = build_wire_message(SegmenterConfig{}, protection_, 9,
                                         plaintext);
@@ -88,8 +91,8 @@ TEST_F(WireAllocTest, OpenOneRecordMakesOneAllocation) {
 }
 
 TEST_F(WireAllocTest, OpenManyRecordsStillMakesOneAllocation) {
-  // Three records into one buffer reserved to the wire length: the
-  // appends never reallocate, so the count does not grow with records.
+  // Three records opened in one copy of the wire bytes: the count does
+  // not grow with records.
   SegmenterConfig config;
   config.max_record_payload = 1000;
   Bytes plaintext(2500);
@@ -106,6 +109,48 @@ TEST_F(WireAllocTest, OpenManyRecordsStillMakesOneAllocation) {
                                                wire));
             }),
             1u);
+  ASSERT_TRUE(opened->ok());
+  EXPECT_EQ(opened->value(), plaintext);
+}
+
+// The receive path hands over the reassembled buffer: every record opens
+// where it lies and the plaintext is returned in that same buffer.
+
+TEST_F(WireAllocTest, OpenInPlaceOneRecordMakesNoAllocation) {
+  const Bytes plaintext(64, 0x5a);
+  const auto built = build_wire_message(SegmenterConfig{}, protection_, 9,
+                                        plaintext);
+  ASSERT_TRUE(built.ok());
+  Bytes wire = concat(built.value());
+  const std::uint8_t* buffer = wire.data();
+  std::optional<Result<Bytes>> opened;
+  EXPECT_EQ(allocations_in([&] {
+              opened.emplace(open_wire_message(SeqnoLayout{}, protection_, 9,
+                                               std::move(wire)));
+            }),
+            0u);
+  ASSERT_TRUE(opened->ok());
+  EXPECT_EQ(opened->value(), plaintext);
+  EXPECT_EQ(opened->value().data(), buffer);
+}
+
+TEST_F(WireAllocTest, OpenInPlaceThreeRecordsMakesNoAllocation) {
+  SegmenterConfig config;
+  config.max_record_payload = 1000;
+  Bytes plaintext(2500);
+  for (std::size_t i = 0; i < plaintext.size(); ++i) {
+    plaintext[i] = std::uint8_t(i * 13);
+  }
+  const auto built = build_wire_message(config, protection_, 4, plaintext);
+  ASSERT_TRUE(built.ok());
+  ASSERT_EQ(built.value().record_count, 3u);
+  Bytes wire = concat(built.value());
+  std::optional<Result<Bytes>> opened;
+  EXPECT_EQ(allocations_in([&] {
+              opened.emplace(open_wire_message(SeqnoLayout{}, protection_, 4,
+                                               std::move(wire)));
+            }),
+            0u);
   ASSERT_TRUE(opened->ok());
   EXPECT_EQ(opened->value(), plaintext);
 }

@@ -130,6 +130,36 @@ TEST(Record, TruncatedRecordRejected) {
   EXPECT_EQ(rp.open(0, Bytes{}).code(), Errc::protocol_violation);
 }
 
+TEST(Record, OpenInPlaceDecryptsOverTheCiphertext) {
+  const RecordProtection rp = make_protection();
+  const Bytes payload = to_bytes(std::string_view("in place, padded"));
+  Bytes record = rp.seal(9, ContentType::handshake, payload, /*pad_len=*/7);
+  const auto opened = rp.open_in_place(9, record);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(opened.value().type, ContentType::handshake);
+  EXPECT_EQ(opened.value().content.data(), record.data() + kRecordHeaderSize);
+  EXPECT_EQ(Bytes(opened.value().content.begin(),
+                  opened.value().content.end()),
+            payload);
+}
+
+TEST(Record, FailedOpenInPlaceLeavesTheRecordAsItWas) {
+  // The tag is checked before the body is decrypted: a wrong sequence
+  // number or a tampered byte writes nothing.
+  const RecordProtection rp = make_protection();
+  Bytes record = rp.seal(3, ContentType::application_data,
+                         to_bytes(std::string_view("untouched")));
+  const Bytes sealed = record;
+  EXPECT_EQ(rp.open_in_place(4, record).code(), Errc::decrypt_failed);
+  EXPECT_EQ(record, sealed);
+  record[kRecordHeaderSize + 2] ^= 1;
+  const Bytes tampered = record;
+  EXPECT_EQ(rp.open_in_place(3, record).code(), Errc::decrypt_failed);
+  EXPECT_EQ(record, tampered);
+  record.pop_back();
+  EXPECT_EQ(rp.open_in_place(3, record).code(), Errc::protocol_violation);
+}
+
 TEST(Record, ParseRecordLength) {
   const RecordProtection rp = make_protection();
   const Bytes payload(100, 0x5a);

@@ -1,11 +1,17 @@
 #!/usr/bin/env python3
 """Dependency-free sampling profiler: record a program's PCs, print its hot
-functions and lines.
+functions and lines; or record its allocation stacks and print its
+allocation sites.
 
     tools/profile/profile.py record --sampler build/libsmt_profiler.so \\
         --out prof.txt -- build/bench_simperf --smoke
     tools/profile/profile.py report prof.txt [--top 25]
     tools/profile/profile.py self-test --sampler LIB --busy BIN
+
+    tools/profile/profile.py record --sampler build/libsmt_allochook.so \\
+        --out allocs.txt -- build/bench_simperf --smoke
+    tools/profile/profile.py alloc-report allocs.txt [--per N] [--src DIR]
+    tools/profile/profile.py alloc-self-test --hook LIB --sites BIN
 
 `record` runs the command with the sampler (tools/profile/sampler.cpp)
 preloaded. The sampler takes the interrupted PC every millisecond of
@@ -14,11 +20,24 @@ per process at exit; `record` keeps the one with the most
 samples as --out. `report` maps each PC to its mapping in the recorded
 /proc/self/maps, then to a function: `addr2line` for the executable (with
 its inline frames and source lines when it has debug info: build with -g
-for lines) and `nm` symbols for shared libraries. It prints three tables
+for lines) and `nm` symbols for shared libraries. A shared library with
+no local symbols (a stripped libc) is labelled by the start of the
+function the PC is in, read from the library's .eh_frame_hdr table, with
+the nearest exported symbol before it as a hint only: `libc.so.6+0x...
+(no local symbols; nearest export memcpy)`. `report` prints three tables
 of self time: by function (the innermost inlined frame, where the PC
 really is), by symbol (the out-of-line function that contains it), and
 by source line. `self-test` profiles tools/profile/busy_loop.cpp and
 checks that its hot function tops the report.
+
+With the allocation hook (tools/profile/alloc_hook.cpp) as the sampler,
+`record` keeps every allocation's call stack instead. `alloc-report`
+charges each allocation to the innermost frame, inlined frames
+included, whose source file is under --src (default: the repository's
+src/), and prints the sites with their count per operation (--per: the
+number of operations the run made, e.g. bench_suite's "attempted").
+`alloc-self-test` records tools/profile/alloc_sites.cpp, a program with
+two allocation sites, and checks both counts per operation.
 
 Needs only python3 and binutils (addr2line, nm).
 """
@@ -33,10 +52,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent.parent
+
 
 def parse_profile(path):
-    """Returns (meta dict, maps list, {pc: count})."""
-    meta, maps, pcs = {}, [], {}
+    """Returns (meta dict, maps list, records): records is {pc: count} for
+    a sampler profile and [(count, bytes, [pc, ...])] for an allocation
+    one."""
+    meta, maps, pcs, stacks = {}, [], {}, []
     section = "header"
     with open(path, encoding="utf-8", errors="replace") as f:
         for line in f:
@@ -48,8 +71,8 @@ def parse_profile(path):
                 key, _, value = line.partition(" ")
                 meta[key] = value
             elif section == "maps":
-                if line == "pcs":
-                    section = "pcs"
+                if line in ("pcs", "stacks"):
+                    section = line
                     continue
                 fields = line.split(None, 5)
                 if len(fields) < 5:
@@ -57,17 +80,21 @@ def parse_profile(path):
                 lo, hi = (int(x, 16) for x in fields[0].split("-"))
                 name = fields[5] if len(fields) == 6 else ""
                 maps.append((lo, hi, int(fields[2], 16), name))
-            else:
+            elif section == "pcs":
                 pc, count = line.split()
                 pcs[int(pc, 16)] = int(count)
+            else:
+                count, size, *frames = line.split()
+                stacks.append((int(count), int(size),
+                               [int(pc, 16) for pc in frames]))
     if "samples" not in meta:
         raise ValueError(f"{path}: not a profile written by the sampler")
     maps.sort()
-    return meta, maps, pcs
+    return meta, maps, (stacks if section == "stacks" else pcs)
 
 
-def load_segments(path):
-    """PT_LOAD (p_offset, p_vaddr, p_filesz) of a 64-bit ELF, [] if none."""
+def program_headers(path):
+    """(p_type, p_offset, p_vaddr, p_filesz) of a 64-bit ELF, [] if none."""
     try:
         with open(path, "rb") as f:
             head = f.read(64)
@@ -80,13 +107,44 @@ def load_segments(path):
             table = f.read(phentsize * phnum)
     except OSError:
         return []
-    segments = []
+    headers = []
     for i in range(phnum):
         p_type, _, p_offset, p_vaddr, _, p_filesz = struct.unpack_from(
             endian + "IIQQQQ", table, i * phentsize)
-        if p_type == 1:
-            segments.append((p_offset, p_vaddr, p_filesz))
-    return segments
+        headers.append((p_type, p_offset, p_vaddr, p_filesz))
+    return headers
+
+
+def load_segments(headers):
+    """PT_LOAD (p_offset, p_vaddr, p_filesz) among `headers`."""
+    return [(off, vaddr, size) for kind, off, vaddr, size in headers
+            if kind == 1]
+
+
+def function_starts(path, headers):
+    """Sorted start addresses of the functions in .eh_frame_hdr's search
+    table (PT_GNU_EH_FRAME), local functions included: the one map of
+    function boundaries a stripped library still carries. [] when the
+    table is missing or uses an encoding other than GCC's usual ones."""
+    for kind, offset, vaddr, size in headers:
+        if kind != 0x6474E550:
+            continue
+        try:
+            with open(path, "rb") as f:
+                f.seek(offset)
+                hdr = f.read(size)
+        except OSError:
+            return []
+        # version 1; eh_frame_ptr pcrel|sdata4; fde_count udata4; table
+        # datarel|sdata4 (relative to the header's own address).
+        if len(hdr) < 12 or hdr[:4] != bytes([1, 0x1B, 0x03, 0x3B]):
+            return []
+        count = struct.unpack_from("<I", hdr, 8)[0]
+        if 12 + 8 * count > len(hdr):
+            return []
+        return sorted(vaddr + struct.unpack_from("<i", hdr, 12 + 8 * i)[0]
+                      for i in range(count))
+    return []
 
 
 def file_vaddr(segments, file_offset):
@@ -119,8 +177,9 @@ def addr2line(binary, addresses):
 
 
 def nm_symbols(binary):
-    """Sorted (addr, name) of the defined function symbols of a binary."""
-    symbols = {}
+    """(sorted (addr, name) of the defined function symbols of a binary,
+    whether it has a symbol table beyond its dynamic exports)."""
+    symbols, local = {}, False
     for flags in (["-D"], []):
         result = subprocess.run(["nm", "-C", "--defined-only", *flags, binary],
                                 capture_output=True, text=True)
@@ -128,7 +187,31 @@ def nm_symbols(binary):
             parts = line.split(None, 2)
             if len(parts) == 3 and parts[1] in "TtWw":
                 symbols.setdefault(int(parts[0], 16), parts[2])
-    return sorted(symbols.items())
+                local = local or not flags
+    return sorted(symbols.items()), local
+
+
+def library_labeller(path):
+    """A function from a link-time address in shared library `path` to the
+    name of the function it is in."""
+    name = os.path.basename(path)
+    headers = program_headers(path)
+    symbols, local = nm_symbols(path)
+    addrs = [a for a, _ in symbols]
+    starts = [] if local else function_starts(path, headers)
+
+    def label(vaddr):
+        j = bisect.bisect_right(addrs, vaddr) - 1
+        export = symbols[j][1] if j >= 0 else "??"
+        if local:
+            return f"{export} [{name}]"
+        # Stripped: the nearest export is merely the last public name
+        # before the PC, often another function entirely.
+        k = bisect.bisect_right(starts, vaddr) - 1
+        start = starts[k] if k >= 0 else vaddr
+        return (f"{name}+{start:#x} (no local symbols; nearest export "
+                f"{export})")
+    return label
 
 
 def symbolize(meta, maps, pcs):
@@ -147,7 +230,7 @@ def symbolize(meta, maps, pcs):
 
     exe = meta.get("exe", "")
     for path, entries in by_binary.items():
-        segments = load_segments(path)
+        segments = load_segments(program_headers(path))
         vaddrs = {pc: file_vaddr(segments, off) for pc, off in entries}
         name = os.path.basename(path)
         if path == exe:
@@ -159,16 +242,80 @@ def symbolize(meta, maps, pcs):
                 line = chain[0][1].split(" (discriminator")[0]
                 yield pcs[pc], function, symbol, line
         else:
-            symbols = nm_symbols(path)
-            addrs = [a for a, _ in symbols]
+            label = library_labeller(path)
             for pc, vaddr in vaddrs.items():
-                j = bisect.bisect_right(addrs, vaddr) - 1
-                symbol = f"{symbols[j][1]} [{name}]" if j >= 0 else \
-                    f"?? [{name}]"
+                symbol = label(vaddr)
                 yield pcs[pc], symbol, symbol, f"{name}+{vaddr:#x}"
     for pc, label in unmapped:
         tag = f"?? [{label or 'unmapped'}]"
         yield pcs[pc], tag, tag, tag
+
+
+def alloc_sites(meta, maps, stacks, src):
+    """{site: [allocations, bytes]}: each stack charged to its innermost
+    frame, inlined ones included, in a source file under `src` (site
+    "file:line (function)", the file relative to src's parent), or to
+    None when no frame is."""
+    src = str(Path(src).resolve()) + os.sep
+    starts = [m[0] for m in maps]
+    exe = meta.get("exe", "")
+    segments = load_segments(program_headers(exe))
+
+    def exe_vaddr(pc):
+        i = bisect.bisect_right(starts, pc) - 1
+        if i < 0 or pc >= maps[i][1] or maps[i][3] != exe:
+            return None
+        lo, _, offset, _ = maps[i]
+        # A return address: the call is the instruction before it.
+        return file_vaddr(segments, pc - lo + offset) - 1
+
+    vaddrs = {pc: exe_vaddr(pc) for _, _, frames in stacks for pc in frames}
+    frames_at = addr2line(exe, sorted({v for v in vaddrs.values()
+                                       if v is not None}))
+    root = os.path.dirname(src.rstrip(os.sep)) + os.sep
+    sites = collections.defaultdict(lambda: [0, 0])
+    for count, size, frames in stacks:
+        site = None
+        for pc in frames:
+            for function, line in frames_at.get(vaddrs[pc], ()):
+                path = line.split(" (discriminator")[0]
+                if path.startswith(src):
+                    site = f"{path[len(root):]} ({function})"
+                    break
+            if site is not None:
+                break
+        sites[site][0] += count
+        sites[site][1] += size
+    return sites
+
+
+def alloc_report(path, top, per, src, width=110, file=sys.stdout):
+    meta, maps, stacks = parse_profile(path)
+    if not isinstance(stacks, list):
+        raise ValueError(f"{path}: a sampler profile, not allocation stacks")
+    sites = alloc_sites(meta, maps, stacks, src)
+    total = sum(c for c, _ in sites.values())
+    outside = sites.pop(None, [0, 0])[0]
+    print(f"{path}: {total} allocations (dropped {meta.get('dropped', '0')}"
+          f"); exe {meta.get('exe', '?')}", file=file)
+    print(f"{total - outside} of them charged to a line under {src}"
+          + (f"; per operation over {per} operations" if per else ""),
+          file=file)
+    print(f"\nTop {top} allocation sites (innermost frame under {src}):",
+          file=file)
+    print(f"{'per op' if per else 'count':>10} {'share':>6} {'bytes':>12}  "
+          "site", file=file)
+    ranked = sorted(sites.items(), key=lambda kv: (-kv[1][0], kv[0]))
+    for site, (count, size) in ranked[:top]:
+        share = 100.0 * count / total if total else 0.0
+        amount = f"{count / per:10.3f}" if per else f"{count:10d}"
+        if len(site) > width:
+            site = site[:width - 3] + "..."
+        print(f"{amount} {share:5.1f}% {size:12d}  {site}", file=file)
+    amount = f"{outside / per:10.3f}" if per else f"{outside:10d}"
+    print(f"{amount} {100.0 * outside / total if total else 0.0:5.1f}% "
+          f"{'':>12}  (no frame under {src})", file=file)
+    return total, sites
 
 
 def report(path, top, width=110, file=sys.stdout):
@@ -248,6 +395,31 @@ def self_test(sampler, busy):
     return 0 if ok else 1
 
 
+def alloc_self_test(hook, sites_binary):
+    source = Path(__file__).resolve().parent / "alloc_sites.cpp"
+    expected = {}
+    for number, text in enumerate(source.read_text().splitlines(), 1):
+        if "// site: " in text:
+            per_op = {"three": 3.0, "one": 1.0}[text.split("// site: ")[1]
+                                                .split()[0]]
+            expected[f"{source.parent.name}/{source.name}:{number}"] = per_op
+    ops = 2000
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "sites.allocs")
+        if record(hook, out, [sites_binary, str(ops)]) != 0:
+            print("alloc-self-test: the two-site program failed",
+                  file=sys.stderr)
+            return 1
+        with open(os.devnull, "w") as sink:
+            _, sites = alloc_report(out, 10, ops, source.parent, file=sink)
+    seen = {site.split(" (")[0]: count / ops
+            for site, (count, _) in sites.items() if count / ops >= 0.01}
+    ok = seen == expected
+    print(f"alloc-self-test: per operation {seen}, expected {expected}: "
+          f"{'ok' if ok else 'FAILED'}")
+    return 0 if ok else 1
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
@@ -261,6 +433,18 @@ def main():
     test = sub.add_parser("self-test", help="profile the busy loop")
     test.add_argument("--sampler", required=True)
     test.add_argument("--busy", required=True)
+    allocs = sub.add_parser("alloc-report",
+                            help="print recorded allocation sites")
+    allocs.add_argument("profile")
+    allocs.add_argument("--top", type=int, default=25)
+    allocs.add_argument("--per", type=int, default=0,
+                        help="operations in the run: print counts per op")
+    allocs.add_argument("--src", default=str(ROOT / "src"),
+                        help="charge each allocation to a line under DIR")
+    alloc_test = sub.add_parser("alloc-self-test",
+                                help="record the two-site program")
+    alloc_test.add_argument("--hook", required=True)
+    alloc_test.add_argument("--sites", required=True)
     args = parser.parse_args()
 
     if args.mode == "record":
@@ -272,6 +456,11 @@ def main():
     if args.mode == "report":
         report(args.profile, args.top)
         return 0
+    if args.mode == "alloc-report":
+        alloc_report(args.profile, args.top, args.per, args.src)
+        return 0
+    if args.mode == "alloc-self-test":
+        return alloc_self_test(args.hook, args.sites)
     return self_test(args.sampler, args.busy)
 
 
