@@ -147,19 +147,19 @@ __attribute__((destructor)) void write_stacks() {
 
 extern "C" {
 
-void* malloc(std::size_t size) {
+void* malloc(std::size_t size) noexcept {
   void* p = __libc_malloc(size);
   if (p != nullptr) record_stack(size);
   return p;
 }
 
-void* calloc(std::size_t count, std::size_t size) {
+void* calloc(std::size_t count, std::size_t size) noexcept {
   void* p = __libc_calloc(count, size);
   if (p != nullptr) record_stack(count * size);
   return p;
 }
 
-void* realloc(void* ptr, std::size_t size) {
+void* realloc(void* ptr, std::size_t size) noexcept {
   void* p = __libc_realloc(ptr, size);
   if (p != nullptr && size != 0) record_stack(size);
   return p;
