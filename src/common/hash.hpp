@@ -10,10 +10,10 @@
 // order (the determinism lint's unordered-iteration rule): a walk goes
 // through `sorted_keys`.
 //
-// The exception is a table that holds a handful of entries: the NIC's
-// live flow contexts (`Nic::contexts_`) are a std::map, because a few
-// integer compares cost about half of a libstdc++ hash lookup (mix64 plus
-// a prime-modulo bucket division).
+// The exception is the NIC's live flow contexts (`Nic::contexts_`), a
+// std::map: an SMT host leases only a few, and a few integer compares
+// cost about half of a libstdc++ hash lookup (mix64 plus a prime-modulo
+// bucket division).
 #pragma once
 
 #include <algorithm>

@@ -316,9 +316,13 @@ Result<std::uint32_t> Nic::create_flow_context(tls::CipherSuite suite,
     return make_error(Errc::resource_exhausted, "NIC flow contexts exhausted");
   }
   const std::uint32_t id = next_context_id_++;
-  contexts_.emplace(id,
-                    FlowContext{suite, keys, crypto::AesGcm(keys.key),
-                                initial_seq});
+  FlowContext& ctx =
+      contexts_
+          .emplace(id, FlowContext{suite, {}, crypto::AesGcm(keys.key),
+                                   initial_seq})
+          .first->second;
+  assert(keys.iv.size() == ctx.iv.size());
+  std::copy_n(keys.iv.begin(), ctx.iv.size(), ctx.iv.begin());
   ++counters_.context_allocs;
   return id;
 }
@@ -494,7 +498,7 @@ void Nic::encrypt_records(SegmentDescriptor& descriptor) {
         payload.subspan(rec.record_offset, tls::kRecordHeaderSize +
                                                rec.plaintext_len +
                                                tls::tag_length(ctx.suite));
-    ctx.aead.seal_in_place(tls::record_nonce(ctx.keys.iv, hw_seq),
+    ctx.aead.seal_in_place(tls::record_nonce(ctx.iv, hw_seq),
                            record.first(tls::kRecordHeaderSize),
                            record.subspan(tls::kRecordHeaderSize));
 

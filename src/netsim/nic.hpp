@@ -89,6 +89,7 @@
 #include "crypto/gcm.hpp"
 #include "tls/cipher.hpp"
 #include "tls/keyschedule.hpp"
+#include "tls/record.hpp"
 
 namespace smt::sim {
 
@@ -385,7 +386,7 @@ class Nic {
  private:
   struct FlowContext {
     tls::CipherSuite suite;
-    tls::TrafficKeys keys;
+    tls::RecordNonce iv{};  // the traffic IV, each record's nonce base
     // AEAD state (AES key schedule + GHASH tables) is expanded ONCE when
     // the driver programs the context — exactly what context_establish
     // models — and reused for every record. Rebuilding it per record was

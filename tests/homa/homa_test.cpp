@@ -575,5 +575,34 @@ TEST_F(HomaTest, DedupEntriesOlderThanRetentionArePrunedByNextCompletion) {
   EXPECT_EQ(server_.table_audit().dedup_entries, 1u);
 }
 
+TEST_F(HomaTest, CompletionPrunesEntriesThatExpiredAfterItsLastPacket) {
+  SimTime first_delivered = 0;
+  SimTime second_delivered = 0;
+  server_.set_on_message([&](HomaEndpoint::MessageMeta, Bytes) {
+    (first_delivered == 0 ? first_delivered : second_delivered) =
+        loop_.now();
+  });
+  client_.send_message(server_addr(), Bytes(64, 0x55));
+  loop_.run();
+  ASSERT_GT(first_delivered, 0);
+  EXPECT_EQ(server_.table_audit().dedup_entries, 1u);
+
+  // Interrupts go to softirq core 0; core 1, where the message is
+  // processed, stays busy for 1 ms. The second message's only packet
+  // reaches Homa 20 us before the first entry turns 30 ms old, and its
+  // completion runs after that: only the completion can prune the entry.
+  for (std::size_t ring = 0; ring < server_host_.nic().config().num_queues;
+       ++ring) {
+    server_host_.set_irq_affinity(ring, 0);
+  }
+  loop_.schedule_at(first_delivered + msec(30) - usec(20), [&] {
+    server_host_.softirq_core(1).charge(msec(1));
+    client_.send_message(server_addr(), Bytes(64, 0x66));
+  });
+  loop_.run();
+  ASSERT_GT(second_delivered, first_delivered + msec(30));
+  EXPECT_EQ(server_.table_audit().dedup_entries, 1u);
+}
+
 }  // namespace
 }  // namespace smt::transport

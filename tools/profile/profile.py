@@ -10,7 +10,7 @@ allocation sites.
 
     tools/profile/profile.py record --sampler build/libsmt_allochook.so \\
         --out allocs.txt -- build/bench_simperf --smoke
-    tools/profile/profile.py alloc-report allocs.txt [--per N] [--src DIR]
+    tools/profile/profile.py alloc-report allocs.txt [--per N]
     tools/profile/profile.py alloc-self-test --hook LIB --sites BIN
 
 `record` runs the command with the sampler (tools/profile/sampler.cpp)
@@ -33,9 +33,9 @@ checks that its hot function tops the report.
 With the allocation hook (tools/profile/alloc_hook.cpp) as the sampler,
 `record` keeps every allocation's call stack instead. `alloc-report`
 charges each allocation to the innermost frame, inlined frames
-included, whose source file is under --src (default: the repository's
-src/), and prints the sites with their count per operation (--per: the
-number of operations the run made, e.g. bench_suite's "attempted").
+included, whose source file is under the repository's src/, and prints
+the sites with their count per operation (--per: the number of
+operations the run made, e.g. bench_suite's "attempted").
 `alloc-self-test` records tools/profile/alloc_sites.cpp, a program with
 two allocation sites, and checks both counts per operation.
 
@@ -439,8 +439,6 @@ def main():
     allocs.add_argument("--top", type=int, default=25)
     allocs.add_argument("--per", type=int, default=0,
                         help="operations in the run: print counts per op")
-    allocs.add_argument("--src", default=str(ROOT / "src"),
-                        help="charge each allocation to a line under DIR")
     alloc_test = sub.add_parser("alloc-self-test",
                                 help="record the two-site program")
     alloc_test.add_argument("--hook", required=True)
@@ -457,7 +455,7 @@ def main():
         report(args.profile, args.top)
         return 0
     if args.mode == "alloc-report":
-        alloc_report(args.profile, args.top, args.per, args.src)
+        alloc_report(args.profile, args.top, args.per, ROOT / "src")
         return 0
     if args.mode == "alloc-self-test":
         return alloc_self_test(args.hook, args.sites)
