@@ -238,13 +238,13 @@ stack::ScenarioConfig core_scenario() {
   scenario.host.softirq_cores = 2;
   scenario.switch_config.health_dark_threshold = 2;
   scenario.switch_config.health_probe_interval = usec(500);
-  scenario.fabric_fault.flap_period = msec(2);
-  scenario.fabric_fault.flap_down = usec(300);
-  scenario.fabric_fault.p_good_to_bad = 0.005;
-  scenario.fabric_fault.p_bad_to_good = 0.05;
-  scenario.fabric_fault.bad_loss_rate = 0.5;
-  scenario.fabric_fault.seed = 21;
-  scenario.fabric_fault_set = true;
+  sim::FaultProfile& core = scenario.fabric_fault.emplace();
+  core.flap_period = msec(2);
+  core.flap_down = usec(300);
+  core.p_good_to_bad = 0.005;
+  core.p_bad_to_good = 0.05;
+  core.bad_loss_rate = 0.5;
+  core.seed = 21;
   scenario.workload.request_bytes = 2048;
   scenario.workload.response_bytes = 512;
   scenario.workload.concurrency = 2;

@@ -156,7 +156,9 @@ using apps::transport_name;
 /// 100 Gb/s link) for benches that drive raw endpoints instead of RpcFabric.
 inline std::unique_ptr<stack::Topology> two_host_topology(
     sim::ShardedEngine& engine, const stack::HostConfig& hc = {}) {
-  auto built = stack::TopologyBuilder().host_config(hc).build(engine);
+  stack::ScenarioConfig scenario;
+  scenario.host = hc;
+  auto built = stack::TopologyBuilder(scenario).build(engine);
   if (!built.ok()) {
     std::fprintf(stderr, "topology error: %s\n", built.error().message.c_str());
     std::abort();

@@ -80,7 +80,6 @@ class Status {
   static Status success() { return Status{}; }
 
   bool ok() const noexcept { return error_.code == Errc::ok; }
-  explicit operator bool() const noexcept { return ok(); }
   Errc code() const noexcept { return error_.code; }
   const std::string& message() const noexcept { return error_.message; }
   const Error& error() const noexcept { return error_; }

@@ -87,7 +87,6 @@ class ZipfGenerator {
   ZipfGenerator(std::uint64_t n, double theta, std::uint64_t seed);
 
   std::uint64_t next() noexcept;
-  std::uint64_t universe() const noexcept { return n_; }
 
  private:
   std::uint64_t n_;

@@ -20,7 +20,6 @@ constexpr SimDuration msec(std::int64_t n) noexcept { return n * 1'000'000; }
 constexpr SimDuration sec(std::int64_t n) noexcept { return n * 1'000'000'000; }
 
 constexpr double to_usec(SimDuration d) noexcept { return double(d) / 1e3; }
-constexpr double to_msec(SimDuration d) noexcept { return double(d) / 1e6; }
 constexpr double to_sec(SimDuration d) noexcept { return double(d) / 1e9; }
 
 }  // namespace smt

@@ -122,8 +122,6 @@ class EventCallback {
     ops_->invoke(storage_);
   }
 
-  explicit operator bool() const noexcept { return ops_ != nullptr; }
-
  private:
   struct Ops {
     void (*invoke)(void* storage);

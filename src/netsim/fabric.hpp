@@ -1,7 +1,7 @@
 // Clos datacenter fabric: ToR / aggregation / spine tiers of the
 // output-queued Switch, with ECMP multipath between tiers.
 //
-// Shapes (picked from the spec, validated by FabricSpec::validate):
+// Shapes (picked from the FabricShape, validated by its validate()):
 //   * racks == 1, spines == 0          — a single ToR star;
 //   * racks >= 1, spines > 0, aggs_per_pod == 0
 //                                      — 2-tier leaf-spine (ToR -> spines);
@@ -19,8 +19,9 @@
 // Sharding: rack r (its ToR and, by the stack layer's convention, its
 // hosts) lives on shard r % shard_count; agg a and spine s live on shards
 // a % shard_count and s % shard_count. Host<->ToR hops are therefore
-// always shard-local; only fabric hops cross shards, which is why only
-// fabric_latency is checked against the engine's lookahead.
+// always shard-local; only fabric hops cross shards, which is why create()
+// checks the propagation against the engine's lookahead only when the
+// fabric has spines.
 #pragma once
 
 #include <cstdint>
@@ -35,22 +36,34 @@
 
 namespace smt::sim {
 
-struct FabricSpec {
+/// The Clos shape; stack::TopologySpec names the same struct.
+struct FabricShape {
   std::size_t racks = 1;
   std::size_t hosts_per_rack = 2;
   std::size_t spines = 0;
   std::size_t aggs_per_pod = 0;   // 0 = 2-tier when spines > 0
   std::size_t racks_per_pod = 0;  // 0 = all racks in one pod
-  SwitchConfig switch_config;
-  /// Host-facing (edge) ports: ToR downlinks and host uplinks.
-  double edge_bandwidth_gbps = 100.0;
-  SimDuration edge_latency = usec(1);
-  /// Switch-to-switch ports: the edge bandwidth (ToR uplinks may be
-  /// oversubscribed, below) with this latency.
-  SimDuration fabric_latency = usec(1);
   /// > 0 derives ToR uplink bandwidth from the classic ratio:
-  /// uplink_gbps = edge_gbps * hosts_per_rack / (uplinks * oversub).
+  /// uplink_gbps = bandwidth_gbps * hosts_per_rack / (uplinks * oversub).
   double oversubscription = 0.0;
+
+  std::size_t host_count() const noexcept { return racks * hosts_per_rack; }
+  std::size_t resolved_racks_per_pod() const noexcept {
+    return racks_per_pod == 0 ? racks : racks_per_pod;
+  }
+  std::size_t pods() const noexcept {
+    return aggs_per_pod == 0 ? 0 : racks / resolved_racks_per_pod();
+  }
+  Status validate() const;
+};
+
+struct FabricSpec {
+  FabricShape shape;
+  SwitchConfig switch_config;
+  /// Every wire's rate (ToR uplinks may be oversubscribed, above) and
+  /// propagation: ToR downlinks and switch-to-switch ports alike.
+  double bandwidth_gbps = 100.0;
+  SimDuration propagation = usec(1);
   /// Fault profile applied to every switch-to-switch (fabric-core) wire.
   /// Each wire gets a decorrelated RNG stream from a fabric-wide wire
   /// index, and flap phases are ALSO decorrelated per wire (offset
@@ -60,13 +73,6 @@ struct FabricSpec {
   /// stack layer's LinkDirections.
   FaultProfile fabric_fault;
 
-  std::size_t host_count() const noexcept { return racks * hosts_per_rack; }
-  std::size_t resolved_racks_per_pod() const noexcept {
-    return racks_per_pod == 0 ? racks : racks_per_pod;
-  }
-  std::size_t pods() const noexcept {
-    return aggs_per_pod == 0 ? 0 : racks / resolved_racks_per_pod();
-  }
   Status validate() const;
 };
 
@@ -85,13 +91,13 @@ class Fabric {
   Fabric& operator=(const Fabric&) = delete;
 
   /// Adds host `index`'s ToR downlink port (delivering via `deliver` after
-  /// queueing + serialisation + edge latency) and programs routes for the
+  /// queueing + serialisation + propagation) and programs routes for the
   /// host's IP (index + 1) on every tier. Returns the ToR the host's
   /// uplink must feed. Call once per host.
   Switch& attach_host(std::size_t index, PacketHandler deliver);
 
   std::size_t rack_of_host(std::size_t index) const noexcept {
-    return index / spec_.hosts_per_rack;
+    return index / spec_.shape.hosts_per_rack;
   }
   /// The shard a rack (and its hosts) belongs to under the fabric's
   /// placement convention.
@@ -108,13 +114,10 @@ class Fabric {
     return s % engine_.shard_count();
   }
 
-  const FabricSpec& spec() const noexcept { return spec_; }
   std::size_t tor_count() const noexcept { return tors_.size(); }
   std::size_t agg_count() const noexcept { return aggs_.size(); }
   std::size_t spine_count() const noexcept { return spines_.size(); }
   Switch& tor(std::size_t r) { return *tors_.at(r); }
-  Switch& agg(std::size_t i) { return *aggs_.at(i); }
-  Switch& spine(std::size_t i) { return *spines_.at(i); }
 
   /// Aggregate counters over every switch in the fabric.
   Switch::Stats totals() const;
@@ -124,8 +127,8 @@ class Fabric {
  private:
   Fabric(ShardedEngine& engine, FabricSpec spec);
 
-  /// Wires a switch-to-switch egress port src -> dst (`gbps`, fabric
-  /// latency; a cross-shard mailbox hop when the tiers' shards
+  /// Wires a switch-to-switch egress port src -> dst (`gbps`, the spec's
+  /// propagation; a cross-shard mailbox hop when the tiers' shards
   /// differ). Returns the port index on `src`.
   std::size_t wire(Switch& src, std::size_t src_shard, Switch& dst,
                    std::size_t dst_shard, double gbps);

@@ -84,9 +84,6 @@ class ShardedEngine {
   /// affined to the shard) schedules here exactly as it would on a
   /// standalone EventLoop.
   EventLoop& loop(std::size_t shard) { return shards_[shard]->loop; }
-  const EventLoop& loop(std::size_t shard) const {
-    return shards_[shard]->loop;
-  }
 
   /// Virtual time of a shard (its last executed event).
   SimTime now(std::size_t shard) const { return shards_[shard]->loop.now(); }

@@ -13,6 +13,23 @@ SmtEndpoint::SmtEndpoint(stack::Host& host, std::uint16_t port,
       [this](transport::HomaEndpoint::MessageMeta meta, Bytes wire) {
         on_wire_message(meta, std::move(wire));
       });
+  // Hardware mode: the pre-post hook late-binds the (session, queue) flow
+  // context at post time through the shared manager — transparently
+  // re-establishing it if it was evicted since the send was issued — and
+  // resyncs whenever the hardware counter would diverge: context *reuse*
+  // across messages (§4.4.2).
+  if (config_.hw_offload) {
+    homa_.set_pre_post([this](PeerAddr dst, std::size_t queue,
+                              sim::SegmentDescriptor& desc,
+                              stack::CpuCore* post_core) {
+      auto it = sessions_.find(dst);
+      if (it == sessions_.end()) return;
+      homa_.host().flow_contexts().bind_tx(tx_key(dst, queue),
+                                           it->second.suite,
+                                           it->second.tx->keys(), desc,
+                                           post_core);
+    });
+  }
 }
 
 SmtEndpoint::~SmtEndpoint() {
@@ -121,26 +138,8 @@ Result<std::uint64_t> SmtEndpoint::send_message(PeerAddr dst, Bytes plaintext,
     }
   }
 
-  // Hardware mode: the pre-post hook late-binds the (session, queue) flow
-  // context at post time through the shared manager — transparently
-  // re-establishing it if it was evicted since the send was issued — and
-  // resyncs whenever the hardware counter would diverge: context *reuse*
-  // across messages (§4.4.2).
-  transport::PrePostHook hook;
-  if (config_.hw_offload) {
-    hook = [this, dst](std::size_t q, sim::SegmentDescriptor& desc,
-                       stack::CpuCore* post_core) {
-      auto it = sessions_.find(dst);
-      if (it == sessions_.end()) return;
-      homa_.host().flow_contexts().bind_tx(tx_key(dst, q), it->second.suite,
-                                           it->second.tx->keys(), desc,
-                                           post_core);
-    };
-  }
-
   auto sent = homa_.send_segments(dst, std::move(message.segments),
-                                  message.total_wire_bytes, msg_id, app_core,
-                                  std::move(hook));
+                                  message.total_wire_bytes, msg_id, app_core);
   if (!sent.ok()) return sent.error();
   return msg_id;
 }

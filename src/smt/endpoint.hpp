@@ -81,9 +81,6 @@ class SmtEndpoint {
                                      stack::CpuCore* app_core = nullptr,
                                      std::size_t pad_to = 0);
 
-  std::uint16_t port() const noexcept { return homa_.port(); }
-  stack::Host& host() noexcept { return homa_.host(); }
-
   struct Stats {
     std::uint64_t messages_delivered = 0;
     std::uint64_t replays_dropped = 0;
@@ -96,10 +93,6 @@ class SmtEndpoint {
   const Stats& stats() const noexcept { return stats_; }
   const transport::HomaEndpoint::Stats& homa_stats() const {
     return homa_.stats();
-  }
-  /// State audit: the underlying Homa engine's live message/dedup tables.
-  transport::HomaEndpoint::TableAudit table_audit() const noexcept {
-    return homa_.table_audit();
   }
 
  private:

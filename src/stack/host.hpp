@@ -111,9 +111,6 @@ class Host {
   /// endpoint so all sessions compete for (and recycle) the same finite
   /// NIC context table.
   FlowContextManager& flow_contexts() noexcept { return flow_contexts_; }
-  const FlowContextManager& flow_contexts() const noexcept {
-    return flow_contexts_;
-  }
 
   /// NIC reset with driver-side reconciliation: the device loses every TLS
   /// flow context, queued descriptor, and RX frame (Nic::reset()), and the

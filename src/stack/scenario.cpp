@@ -5,8 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "netsim/fabric.hpp"
-
 namespace smt::stack {
 
 namespace {
@@ -127,38 +125,6 @@ bool is_fault_key(std::string_view key) {
          key == "flap_down_us" || key == "flap_offset_us";
 }
 
-}  // namespace
-
-Status validate_topology(const TopologySpec& spec) {
-  // The shape rules live with the fabric; map and reuse them so the two
-  // layers can never drift apart.
-  if (spec.direct()) return Status::success();
-  sim::FabricSpec fs;
-  fs.racks = spec.racks;
-  fs.hosts_per_rack = spec.hosts_per_rack;
-  fs.spines = spec.spines;
-  fs.aggs_per_pod = spec.aggs_per_pod;
-  fs.racks_per_pod = spec.racks_per_pod;
-  fs.oversubscription = spec.oversubscription;
-  return fs.validate();
-}
-
-Status validate_host(const HostConfig& config) {
-  if (config.app_cores == 0 || config.softirq_cores == 0) {
-    return make_error(Errc::invalid_argument,
-                      "host: app_cores and softirq_cores must be >= 1");
-  }
-  if (config.nic.num_queues == 0) {
-    return make_error(Errc::invalid_argument,
-                      "host: the NIC needs at least one queue");
-  }
-  if (config.nic.mtu_payload == 0) {
-    return make_error(Errc::invalid_argument,
-                      "host: mtu_payload must be positive");
-  }
-  return Status::success();
-}
-
 Status validate_link(const sim::LinkConfig& config) {
   if (config.bandwidth_gbps <= 0.0) {
     return make_error(Errc::invalid_argument,
@@ -183,12 +149,31 @@ Status validate_workload(const WorkloadSpec& spec) {
   return Status::success();
 }
 
+}  // namespace
+
+Status validate_host(const HostConfig& config) {
+  if (config.app_cores == 0 || config.softirq_cores == 0) {
+    return make_error(Errc::invalid_argument,
+                      "host: app_cores and softirq_cores must be >= 1");
+  }
+  if (config.nic.num_queues == 0) {
+    return make_error(Errc::invalid_argument,
+                      "host: the NIC needs at least one queue");
+  }
+  if (config.nic.mtu_payload == 0) {
+    return make_error(Errc::invalid_argument,
+                      "host: mtu_payload must be positive");
+  }
+  return Status::success();
+}
+
 Status ScenarioConfig::validate() const {
-  if (Status st = validate_topology(topology); !st.ok()) return st;
+  // The shape rules live with the fabric, so the two layers never drift.
+  if (Status st = topology.validate(); !st.ok()) return st;
   if (Status st = validate_host(host); !st.ok()) return st;
   if (Status st = validate_link(edge_link); !st.ok()) return st;
-  if (fabric_fault_set) {
-    if (Status st = sim::validate(fabric_fault, "fabric_fault"); !st.ok()) {
+  if (fabric_fault) {
+    if (Status st = sim::validate(*fabric_fault, "fabric_fault"); !st.ok()) {
       return st;
     }
     if (topology.spines == 0) {
@@ -309,8 +294,8 @@ Result<ScenarioConfig> ScenarioConfig::parse(std::string_view text) {
       // Fabric-core impairments: same keys as [fault], applied by
       // netsim/fabric.hpp to every switch-to-switch wire with per-wire
       // decorrelated RNG streams and flap phases.
-      config.fabric_fault_set = true;
-      st = apply_fault_key(at, value, config.fabric_fault);
+      if (!config.fabric_fault) config.fabric_fault.emplace();
+      st = apply_fault_key(at, value, *config.fabric_fault);
     } else if (at.section == "switch") {
       sim::SwitchConfig& s = config.switch_config;
       if (at.key == "queue_capacity_bytes") st = set_size(s.queue_capacity_bytes);

@@ -9,9 +9,9 @@
 //     ├── SwitchConfig   — queueing, trimming, link health
 //     └── WorkloadSpec   — what the benches drive over the topology
 //
-// One validation path: every constructor route (fluent TopologyBuilder,
-// RpcFabricConfig conversion, text scenario files) funnels through the
-// validate_* functions here (plus sim::validate for the netsim types) and
+// One validation path: every constructor route (TopologyBuilder,
+// RpcFabricConfig conversion, text scenario files) funnels through
+// ScenarioConfig::validate (plus sim::validate for the netsim types) and
 // reports misconfiguration as a common::Result error — never an assert.
 //
 // Text scenarios (tools/scenarios/*.toml) are a minimal INI/TOML subset —
@@ -19,33 +19,28 @@
 // no external dependencies.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 
 #include "common/result.hpp"
+#include "netsim/fabric.hpp"
 #include "netsim/link.hpp"
 #include "netsim/switch.hpp"
 #include "stack/host.hpp"
 
 namespace smt::stack {
 
-/// Shape of the network. The degenerate default (1 rack x 2 hosts, no
-/// spines) is the paper's back-to-back two-host topology.
-struct TopologySpec {
-  std::size_t racks = 1;
-  std::size_t hosts_per_rack = 2;
-  std::size_t spines = 0;         // 0 = no fabric tier
-  std::size_t aggs_per_pod = 0;   // 0 = 2-tier leaf-spine when spines > 0
-  std::size_t racks_per_pod = 0;  // 0 = one pod
-  double oversubscription = 0.0;  // 0 = off (see netsim/fabric.hpp)
+/// Shape of the network (netsim/fabric.hpp). The degenerate default
+/// (1 rack x 2 hosts, no spines) is the paper's back-to-back two-host
+/// topology.
+using TopologySpec = sim::FabricShape;
 
-  std::size_t host_count() const noexcept { return racks * hosts_per_rack; }
-  /// Direct host<->host wiring (no switch): exactly two hosts, no fabric.
-  /// Every other shape hangs its hosts off ToR switches.
-  bool direct() const noexcept {
-    return racks == 1 && hosts_per_rack == 2 && spines == 0;
-  }
-};
+/// Direct host<->host wiring (no switch): exactly two hosts, no fabric.
+/// Every other shape hangs its hosts off ToR switches.
+inline bool direct(const TopologySpec& spec) noexcept {
+  return spec.racks == 1 && spec.hosts_per_rack == 2 && spec.spines == 0;
+}
 
 /// What a bench drives over the topology (carried along so scenario files
 /// fully describe an experiment; the stack layer itself ignores it).
@@ -58,11 +53,7 @@ struct WorkloadSpec {
   std::size_t clients = 0;            // 0 = every non-server host
 };
 
-Status validate_topology(const TopologySpec& spec);
 Status validate_host(const HostConfig& config);
-/// Link checks; the edge `[fault]` profile goes through sim::validate.
-Status validate_link(const sim::LinkConfig& config);
-Status validate_workload(const WorkloadSpec& spec);
 
 struct ScenarioConfig {
   TopologySpec topology;
@@ -71,9 +62,8 @@ struct ScenarioConfig {
   /// impairs the edge links only.
   sim::LinkConfig edge_link;
   /// `[fabric_fault]`: impairments on the switch-to-switch core wires
-  /// (netsim/fabric.hpp applies it to every fabric port).
-  sim::FaultProfile fabric_fault;
-  bool fabric_fault_set = false;
+  /// (netsim/fabric.hpp applies it to every fabric port). Needs spines.
+  std::optional<sim::FaultProfile> fabric_fault;
   sim::SwitchConfig switch_config;
   WorkloadSpec workload;
 

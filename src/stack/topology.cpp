@@ -30,7 +30,7 @@ Result<std::unique_ptr<Topology>> TopologyBuilder::build(
   auto topo = std::unique_ptr<Topology>(new Topology());
   topo->scenario_ = scenario_;
 
-  if (t.direct()) {
+  if (direct(t)) {
     for (const auto& [index, shard] : shard_overrides_) {
       if (index >= n) {
         return make_error(Errc::invalid_argument,
@@ -87,19 +87,14 @@ Result<std::unique_ptr<Topology>> TopologyBuilder::build(
                         "topology: host_shard() only applies to the direct "
                         "2-host shape; fabric placement is rack-affine");
     }
-    sim::FabricSpec fs;
-    fs.racks = t.racks;
-    fs.hosts_per_rack = t.hosts_per_rack;
-    fs.spines = t.spines;
-    fs.aggs_per_pod = t.aggs_per_pod;
-    fs.racks_per_pod = t.racks_per_pod;
-    fs.switch_config = scenario_.switch_config;
-    fs.edge_bandwidth_gbps = scenario_.edge_link.bandwidth_gbps;
-    fs.edge_latency = scenario_.edge_link.propagation;
-    fs.fabric_latency = scenario_.edge_link.propagation;
-    fs.oversubscription = t.oversubscription;
-    if (scenario_.fabric_fault_set) fs.fabric_fault = scenario_.fabric_fault;
-    auto fabric = sim::Fabric::create(engine, fs);
+    auto fabric = sim::Fabric::create(
+        engine, sim::FabricSpec{
+                    .shape = t,
+                    .switch_config = scenario_.switch_config,
+                    .bandwidth_gbps = scenario_.edge_link.bandwidth_gbps,
+                    .propagation = scenario_.edge_link.propagation,
+                    .fabric_fault = scenario_.fabric_fault.value_or(
+                        sim::FaultProfile{})});
     if (!fabric.ok()) return fabric.error();
     topo->fabric_ = std::move(fabric).take();
 

@@ -1,10 +1,13 @@
 // TopologyBuilder: the single way benches, tests, and tools construct
 // simulated networks — from the paper's two-host back-to-back testbed up
-// to a multi-pod Clos fabric — over one fluent API:
+// to a multi-pod Clos fabric — from one stack::ScenarioConfig:
 //
-//   auto topo = stack::TopologyBuilder()
-//                   .racks(8).hosts_per_rack(16).spines(4)
-//                   .link(edge).build(engine);      // Result<...>
+//   stack::ScenarioConfig scenario;
+//   scenario.topology.racks = 8;
+//   scenario.topology.hosts_per_rack = 16;
+//   scenario.topology.spines = 4;
+//   scenario.edge_link = edge;
+//   auto topo = stack::TopologyBuilder(scenario).build(engine);  // Result
 //
 // Shapes:
 //   * DIRECT (the default 1 rack x 2 hosts, no spines): two hosts wired
@@ -107,59 +110,14 @@ class Topology {
 
 class TopologyBuilder {
  public:
-  TopologyBuilder() = default;
-  /// Seeds every knob from a scenario (e.g. a parsed scenario file);
-  /// fluent setters still apply on top.
-  explicit TopologyBuilder(ScenarioConfig scenario)
+  /// Every knob comes from the scenario (a parsed scenario file, or one
+  /// built in code); the default is the two-host direct testbed.
+  explicit TopologyBuilder(ScenarioConfig scenario = {})
       : scenario_(std::move(scenario)) {}
 
-  TopologyBuilder& racks(std::size_t n) {
-    scenario_.topology.racks = n;
-    return *this;
-  }
-  TopologyBuilder& hosts_per_rack(std::size_t n) {
-    scenario_.topology.hosts_per_rack = n;
-    return *this;
-  }
-  TopologyBuilder& spines(std::size_t n) {
-    scenario_.topology.spines = n;
-    return *this;
-  }
-  TopologyBuilder& aggs_per_pod(std::size_t n) {
-    scenario_.topology.aggs_per_pod = n;
-    return *this;
-  }
-  TopologyBuilder& racks_per_pod(std::size_t n) {
-    scenario_.topology.racks_per_pod = n;
-    return *this;
-  }
-  /// The host template every host is built from (.ip is overwritten).
-  TopologyBuilder& host_config(const HostConfig& config) {
-    scenario_.host = config;
-    return *this;
-  }
   /// Per-host override (asymmetric testbeds: client vs server cores).
   TopologyBuilder& host_config(std::size_t index, const HostConfig& config) {
     host_overrides_[index] = config;
-    return *this;
-  }
-
-  /// Edge links: host<->ToR in switched modes, the direct link otherwise.
-  TopologyBuilder& link(const sim::LinkConfig& config) {
-    scenario_.edge_link = config;
-    return *this;
-  }
-  /// Fault injection on the fabric-core (switch-to-switch) wires — the
-  /// scenario loader's [fabric_fault] section. Requires a fabric tier
-  /// (spines > 0); netsim/fabric.hpp decorrelates RNG streams and flap
-  /// phases per wire.
-  TopologyBuilder& fabric_fault(const sim::FaultProfile& profile) {
-    scenario_.fabric_fault = profile;
-    scenario_.fabric_fault_set = true;
-    return *this;
-  }
-  TopologyBuilder& switch_config(const sim::SwitchConfig& config) {
-    scenario_.switch_config = config;
     return *this;
   }
 

@@ -64,8 +64,6 @@ class KeySchedule {
   static Bytes ticket_psk(ByteView resumption_master_secret,
                           ByteView ticket_nonce);
 
-  CipherSuite suite() const noexcept { return suite_; }
-
  private:
   CipherSuite suite_;
   Bytes early_secret_;

@@ -101,7 +101,6 @@ class RecordProtection {
                                       MutByteView record) const;
 
   const TrafficKeys& keys() const noexcept { return keys_; }
-  CipherSuite suite() const noexcept { return suite_; }
 
  private:
   /// The body of a well-formed record: the header parses and the body is

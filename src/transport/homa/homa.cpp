@@ -58,13 +58,12 @@ Result<std::uint64_t> HomaEndpoint::send_message(PeerAddr dst, Bytes payload,
     off += take;
   } while (off < total);
   return send_segments(dst, std::move(segments), total, std::nullopt,
-                       app_core, nullptr);
+                       app_core);
 }
 
 Result<std::uint64_t> HomaEndpoint::send_segments(
     PeerAddr dst, std::vector<SegmentSpec> segments, std::size_t total_bytes,
-    std::optional<std::uint64_t> explicit_id, stack::CpuCore* app_core,
-    PrePostHook pre_post) {
+    std::optional<std::uint64_t> explicit_id, stack::CpuCore* app_core) {
   if (total_bytes > kMaxMessageBytes) {
     return make_error(Errc::message_too_large,
                       "message exceeds Homa's 1 MB limit");
@@ -82,7 +81,6 @@ Result<std::uint64_t> HomaEndpoint::send_segments(
   tx.flow_hash = flow_to(dst).hash();  // hashed once per message
   tx.total_bytes = total_bytes;
   tx.granted_bytes = std::min(total_bytes, kUnscheduledBytes);
-  tx.pre_post = std::move(pre_post);
   std::size_t offset = 0;
   for (SegmentSpec& seg : segments) {
     seg.tso_off = offset;
@@ -193,9 +191,9 @@ void HomaEndpoint::post_segment_for(TxMessage& tx, std::size_t seg_index,
       costs.tso_build + costs.homa_tx_packet * SimDuration(npkts == 0 ? 1 : npkts);
 
   ++stats_.segments_posted;
-  auto post = [this, queue, core, pre = tx.pre_post,
+  auto post = [this, queue, core, dst = tx.dst,
                desc = std::move(d)]() mutable {
-    if (pre) pre(queue, desc, core);
+    if (pre_post_) pre_post_(dst, queue, desc, core);
     host_.nic().post_segment(queue, std::move(desc),
                              stack::doorbell_charge(core));
   };

@@ -51,8 +51,9 @@ struct SegmentSpec {
   std::size_t tso_off = 0;  // offset in the message; set by send_segments
 };
 
-/// Hook invoked immediately before a segment is posted to the NIC. SMT
-/// uses it to acquire the (session, queue) flow-context lease, rewrite the
+/// Hook invoked immediately before a segment to `dst` is posted to the
+/// NIC. SMT uses it to acquire the (session, queue) flow-context lease,
+/// rewrite the
 /// records' context ids, and post resync descriptors — the descriptor is
 /// mutable so the hook can late-bind contexts at post time (the LRU
 /// manager may have evicted the one used for a previous segment).
@@ -60,8 +61,9 @@ struct SegmentSpec {
 /// transmissions, softirq core for grant-released/resent segments,
 /// nullptr for timer-driven retries) so driver work done in the hook is
 /// billed where it actually executes.
-using PrePostHook = std::function<void(
-    std::size_t queue, sim::SegmentDescriptor&, stack::CpuCore* core)>;
+using PrePostHook =
+    std::function<void(PeerAddr dst, std::size_t queue,
+                       sim::SegmentDescriptor&, stack::CpuCore* core)>;
 
 class HomaEndpoint {
  public:
@@ -105,6 +107,9 @@ class HomaEndpoint {
 
   void set_on_message(MessageHandler handler) { on_message_ = std::move(handler); }
   void set_on_sent(SentHandler handler) { on_sent_ = std::move(handler); }
+  /// Runs before every data segment this endpoint posts (SMT's NIC
+  /// offload path), as TcpEndpoint::set_pre_post does for kTLS.
+  void set_pre_post(PrePostHook hook) { pre_post_ = std::move(hook); }
 
   /// Plain send: the endpoint segments the payload itself.
   /// Returns the message id. `app_core` is the syscall context charged.
@@ -119,8 +124,7 @@ class HomaEndpoint {
                                       std::vector<SegmentSpec> segments,
                                       std::size_t total_bytes,
                                       std::optional<std::uint64_t> explicit_id,
-                                      stack::CpuCore* app_core = nullptr,
-                                      PrePostHook pre_post = nullptr);
+                                      stack::CpuCore* app_core = nullptr);
 
   /// The NIC queue a message's segments use — stable per message so
   /// intra-message order is preserved (§4.4.2).
@@ -130,7 +134,6 @@ class HomaEndpoint {
 
   std::uint16_t port() const noexcept { return port_; }
   stack::Host& host() noexcept { return host_; }
-  const stack::Host& host() const noexcept { return host_; }
 
   /// Drops the completed-message dedup state. Called on a session key
   /// update, which resets the message-ID space (§4.5.2) — IDs may repeat.
@@ -177,7 +180,6 @@ class HomaEndpoint {
     std::size_t granted_bytes = 0;  // receiver's grant high-water mark
     sim::TimerId backstop;  // arm_tx_retry's timer, from when all is sent
     int retries = 0;  // sender-side full retransmissions (lost first RTT)
-    PrePostHook pre_post;
   };
 
   struct RxMessage {
@@ -241,6 +243,7 @@ class HomaEndpoint {
   sim::LaneId resend_lane_;
   MessageHandler on_message_;
   SentHandler on_sent_;
+  PrePostHook pre_post_;
   std::unordered_map<TxKey, TxMessage, TableHash> tx_messages_;
   std::unordered_map<RxKey, RxMessage, TableHash> rx_messages_;
   // Recently completed messages, kept briefly so spurious retransmissions

@@ -104,11 +104,6 @@ class TcpEndpoint {
   /// above (kTLS) to charge work on the flow's softirq core.
   std::optional<sim::FiveTuple> flow_of(ConnId conn) const;
 
-  stack::Host& host() noexcept { return host_; }
-
-  std::uint16_t port() const noexcept { return port_; }
-  std::uint32_t ip() const noexcept { return host_.ip(); }
-
   struct Stats {
     std::uint64_t retransmits = 0;
     std::uint64_t fast_retransmits = 0;

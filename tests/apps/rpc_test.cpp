@@ -230,9 +230,10 @@ TEST(RpcFabricShape, LinkPropagationReachesTheWire) {
 // A 2-rack leaf-spine of 4 hosts: host 0 serves, hosts 1-3 are clients.
 // On a 2-shard engine rack r sits on shard r, so the clients span both.
 std::unique_ptr<stack::Topology> four_hosts(sim::ShardedEngine& engine) {
-  auto built =
-      stack::TopologyBuilder().racks(2).hosts_per_rack(2).spines(1).build(
-          engine);
+  stack::ScenarioConfig scenario;
+  scenario.topology.racks = 2;
+  scenario.topology.spines = 1;
+  auto built = stack::TopologyBuilder(scenario).build(engine);
   EXPECT_TRUE(built.ok());
   return std::move(built).take();
 }

@@ -15,8 +15,10 @@ namespace smt::test {
 inline std::unique_ptr<stack::Topology> two_host_topology(
     sim::ShardedEngine& engine, const stack::HostConfig& hc = {},
     const sim::LinkConfig& lc = {}) {
-  auto built =
-      stack::TopologyBuilder().host_config(hc).link(lc).build(engine);
+  stack::ScenarioConfig scenario;
+  scenario.host = hc;
+  scenario.edge_link = lc;
+  auto built = stack::TopologyBuilder(scenario).build(engine);
   if (!built.ok()) {
     ADD_FAILURE() << "topology build failed: " << built.error().message;
     std::abort();

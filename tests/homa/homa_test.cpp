@@ -210,18 +210,21 @@ TEST_F(HomaTest, MessagesSpreadAcrossSoftirqCores) {
 
 TEST_F(HomaTest, PrePostHookSeesSegments) {
   std::vector<std::size_t> queues;
+  std::vector<PeerAddr> peers;
+  client_.set_pre_post([&](PeerAddr dst, std::size_t queue,
+                           const sim::SegmentDescriptor&, stack::CpuCore*) {
+    peers.push_back(dst);
+    queues.push_back(queue);
+  });
   std::vector<SegmentSpec> segments(2);
   segments[0].payload = Bytes(65536, 0x01);
   segments[1].payload = Bytes(1000, 0x02);
-  client_.send_segments(
-      server_addr(), std::move(segments), 65536 + 1000, std::uint64_t{3},
-      nullptr,
-      [&](std::size_t queue, const sim::SegmentDescriptor&, stack::CpuCore*) {
-        queues.push_back(queue);
-      });
+  client_.send_segments(server_addr(), std::move(segments), 65536 + 1000,
+                        std::uint64_t{3});
   loop_.run();
   ASSERT_EQ(queues.size(), 2u);
   EXPECT_EQ(queues[0], queues[1]);  // same queue for the whole message
+  EXPECT_EQ(peers, std::vector<PeerAddr>(2, server_addr()));
   EXPECT_EQ(queues[0], client_.queue_for_message(3));
   ASSERT_EQ(received_.size(), 1u);
   EXPECT_EQ(received_[0].second.size(), 65536u + 1000u);

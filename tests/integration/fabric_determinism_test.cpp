@@ -31,17 +31,15 @@ std::pair<ClosedLoopResult, stack::Topology::Counters> run_incast(
     std::size_t shards) {
   sim::ShardedEngine engine(shards, usec(1));
 
-  stack::HostConfig hc;
-  hc.app_cores = 2;
-  hc.softirq_cores = 2;
-  auto built = stack::TopologyBuilder()
-                   .racks(8)
-                   .hosts_per_rack(16)
-                   .spines(4)
-                   .aggs_per_pod(2)
-                   .racks_per_pod(4)
-                   .host_config(hc)
-                   .build(engine);
+  stack::ScenarioConfig scenario;
+  scenario.topology.racks = 8;
+  scenario.topology.hosts_per_rack = 16;
+  scenario.topology.spines = 4;
+  scenario.topology.aggs_per_pod = 2;
+  scenario.topology.racks_per_pod = 4;
+  scenario.host.app_cores = 2;
+  scenario.host.softirq_cores = 2;
+  auto built = stack::TopologyBuilder(scenario).build(engine);
   if (!built.ok()) {
     ADD_FAILURE() << "topology build failed: " << built.error().message;
     std::abort();

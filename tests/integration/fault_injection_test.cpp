@@ -32,12 +32,12 @@ struct Testbed {
   explicit Testbed(bool hw_offload, const sim::FaultProfile& fault = {},
                    std::size_t shards = 1)
       : engine(shards), loop(engine.loop(0)) {
-    sim::LinkConfig lc;
-    lc.propagation = usec(1);
-    lc.fault = fault;
-    auto built =
-        stack::TopologyBuilder().link(lc).host_shard(1, shards - 1).build(
-            engine);
+    stack::ScenarioConfig scenario;
+    scenario.edge_link.propagation = usec(1);
+    scenario.edge_link.fault = fault;
+    auto built = stack::TopologyBuilder(scenario)
+                     .host_shard(1, shards - 1)
+                     .build(engine);
     EXPECT_TRUE(built.ok());
     topology = std::move(built).take();
     client_host = &topology->host(0);
@@ -312,28 +312,21 @@ run_sharded_fault_workload(std::size_t shards) {
 // — and each fixed shard count must replay byte-identically run-to-run.
 std::pair<apps::ClosedLoopResult, stack::Topology::Counters>
 run_core_flap_workload(std::size_t shards) {
-  sim::FaultProfile fault;
+  stack::ScenarioConfig scenario;
+  scenario.topology.racks = 4;
+  scenario.topology.hosts_per_rack = 2;
+  scenario.topology.spines = 2;
+  scenario.host.app_cores = 2;
+  scenario.host.softirq_cores = 2;
+  sim::FaultProfile& fault = scenario.fabric_fault.emplace();
   fault.flap_period = usec(400);
   fault.flap_down = usec(60);
   fault.seed = 77;
-
-  sim::SwitchConfig sc;
-  sc.health_dark_threshold = 1;
-  sc.health_probe_interval = usec(100);
-
-  stack::HostConfig hc;
-  hc.app_cores = 2;
-  hc.softirq_cores = 2;
+  scenario.switch_config.health_dark_threshold = 1;
+  scenario.switch_config.health_probe_interval = usec(100);
 
   sim::ShardedEngine engine(shards, usec(1));
-  auto built = stack::TopologyBuilder()
-                   .racks(4)
-                   .hosts_per_rack(2)
-                   .spines(2)
-                   .host_config(hc)
-                   .fabric_fault(fault)
-                   .switch_config(sc)
-                   .build(engine);
+  auto built = stack::TopologyBuilder(scenario).build(engine);
   EXPECT_TRUE(built.ok());
   auto topology = std::move(built).take();
 

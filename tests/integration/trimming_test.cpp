@@ -22,12 +22,10 @@ struct SwitchedBed {
   std::unique_ptr<SmtEndpoint> server;
 
   explicit SwitchedBed(std::size_t queue_bytes) {
-    sim::SwitchConfig sc;
-    sc.queue_capacity_bytes = queue_bytes;
-    auto built = stack::TopologyBuilder()
-                     .hosts_per_rack(3)
-                     .switch_config(sc)
-                     .build(engine);
+    stack::ScenarioConfig scenario;
+    scenario.topology.hosts_per_rack = 3;
+    scenario.switch_config.queue_capacity_bytes = queue_bytes;
+    auto built = stack::TopologyBuilder(scenario).build(engine);
     EXPECT_TRUE(built.ok()) << built.error().message;
     topology = std::move(built).take();
     sw = &topology->fabric()->tor(0);

@@ -29,31 +29,31 @@ Packet packet_for(std::uint32_t src_ip, std::uint16_t src_port,
   return pkt;
 }
 
-TEST(FabricSpecTest, ValidatesShapes) {
-  FabricSpec ok2tier;
+TEST(FabricShapeTest, ValidatesShapes) {
+  FabricShape ok2tier;
   ok2tier.racks = 4;
   ok2tier.hosts_per_rack = 4;
   ok2tier.spines = 2;
   EXPECT_TRUE(ok2tier.validate().ok());
 
-  FabricSpec no_spines;
+  FabricShape no_spines;
   no_spines.racks = 4;  // multi-rack traffic has nowhere to go
   EXPECT_EQ(no_spines.validate().code(), Errc::invalid_argument);
 
-  FabricSpec bad_pods;
+  FabricShape bad_pods;
   bad_pods.racks = 4;
   bad_pods.spines = 2;
   bad_pods.aggs_per_pod = 2;
   bad_pods.racks_per_pod = 3;  // does not divide racks
   EXPECT_EQ(bad_pods.validate().code(), Errc::invalid_argument);
 
-  FabricSpec pods_without_aggs;
+  FabricShape pods_without_aggs;
   pods_without_aggs.racks = 4;
   pods_without_aggs.spines = 2;
   pods_without_aggs.racks_per_pod = 2;  // meaningless without aggs
   EXPECT_EQ(pods_without_aggs.validate().code(), Errc::invalid_argument);
 
-  FabricSpec ok3tier;
+  FabricShape ok3tier;
   ok3tier.racks = 8;
   ok3tier.hosts_per_rack = 16;
   ok3tier.spines = 4;
@@ -65,7 +65,7 @@ TEST(FabricSpecTest, ValidatesShapes) {
 TEST(FabricTest, SingleTorStarDelivers) {
   ShardedEngine engine(1);
   FabricSpec spec;
-  spec.hosts_per_rack = 4;
+  spec.shape.hosts_per_rack = 4;
   auto built = Fabric::create(engine, spec);
   ASSERT_TRUE(built.ok());
   auto fabric = std::move(built).take();
@@ -86,9 +86,9 @@ TEST(FabricTest, SingleTorStarDelivers) {
 TEST(FabricTest, TwoTierRoutesAcrossRacks) {
   ShardedEngine engine(1);
   FabricSpec spec;
-  spec.racks = 2;
-  spec.hosts_per_rack = 2;
-  spec.spines = 2;
+  spec.shape.racks = 2;
+  spec.shape.hosts_per_rack = 2;
+  spec.shape.spines = 2;
   auto built = Fabric::create(engine, spec);
   ASSERT_TRUE(built.ok());
   auto fabric = std::move(built).take();
@@ -115,16 +115,16 @@ TEST(FabricTest, EcmpPathsDeterministicAndSpreadOnFourSpines) {
   ShardedEngine engine_a(1), engine_b(1);
   ShardedEngine engine(4, usec(1));
   FabricSpec spec;
-  spec.racks = 4;
-  spec.hosts_per_rack = 4;
-  spec.spines = 4;
+  spec.shape.racks = 4;
+  spec.shape.hosts_per_rack = 4;
+  spec.shape.spines = 4;
   auto a = Fabric::create(engine_a, spec);
   auto b = Fabric::create(engine_b, spec);
   auto c = Fabric::create(engine, spec);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE(c.ok());
-  for (std::size_t i = 0; i < spec.host_count(); ++i) {
+  for (std::size_t i = 0; i < spec.shape.host_count(); ++i) {
     a.value()->attach_host(i, [](Packet) {});
     b.value()->attach_host(i, [](Packet) {});
     c.value()->attach_host(i, [](Packet) {});
@@ -145,11 +145,11 @@ TEST(FabricTest, EcmpPathsDeterministicAndSpreadOnFourSpines) {
 TEST(FabricTest, ThreeTierDeliversAcrossPods) {
   ShardedEngine engine(1);
   FabricSpec spec;
-  spec.racks = 4;
-  spec.hosts_per_rack = 2;
-  spec.spines = 2;
-  spec.aggs_per_pod = 2;
-  spec.racks_per_pod = 2;  // 2 pods
+  spec.shape.racks = 4;
+  spec.shape.hosts_per_rack = 2;
+  spec.shape.spines = 2;
+  spec.shape.aggs_per_pod = 2;
+  spec.shape.racks_per_pod = 2;  // 2 pods
   auto built = Fabric::create(engine, spec);
   ASSERT_TRUE(built.ok());
   auto fabric = std::move(built).take();
@@ -158,7 +158,7 @@ TEST(FabricTest, ThreeTierDeliversAcrossPods) {
   EXPECT_EQ(fabric->spine_count(), 2u);
 
   std::map<std::uint32_t, int> delivered;
-  for (std::size_t i = 0; i < spec.host_count(); ++i) {
+  for (std::size_t i = 0; i < spec.shape.host_count(); ++i) {
     const std::uint32_t ip = std::uint32_t(i) + 1;
     fabric->attach_host(i, [&delivered, ip](Packet) { ++delivered[ip]; });
   }
@@ -175,10 +175,10 @@ TEST(FabricTest, OversubscriptionDerivesUplinkBandwidth) {
   // = 100 Gb/s per uplink; at 1:1 it would be 400 Gb/s. Indirectly checked
   // through serialisation pacing: oversubscribed uplinks serialise slower.
   FabricSpec spec;
-  spec.racks = 2;
-  spec.hosts_per_rack = 16;
-  spec.spines = 4;
-  spec.oversubscription = 4.0;
+  spec.shape.racks = 2;
+  spec.shape.hosts_per_rack = 16;
+  spec.shape.spines = 4;
+  spec.shape.oversubscription = 4.0;
   EXPECT_TRUE(spec.validate().ok());
 
   ShardedEngine engine(1);
@@ -189,17 +189,17 @@ TEST(FabricTest, OversubscriptionDerivesUplinkBandwidth) {
 TEST(FabricTest, ShardPlacementIsRackAffine) {
   ShardedEngine engine(4, usec(1));
   FabricSpec spec;
-  spec.racks = 8;
-  spec.hosts_per_rack = 16;
-  spec.spines = 4;
-  spec.aggs_per_pod = 2;
-  spec.racks_per_pod = 4;
+  spec.shape.racks = 8;
+  spec.shape.hosts_per_rack = 16;
+  spec.shape.spines = 4;
+  spec.shape.aggs_per_pod = 2;
+  spec.shape.racks_per_pod = 4;
   auto built = Fabric::create(engine, spec);
   ASSERT_TRUE(built.ok());
   auto fabric = std::move(built).take();
-  for (std::size_t host = 0; host < spec.host_count(); ++host) {
+  for (std::size_t host = 0; host < spec.shape.host_count(); ++host) {
     EXPECT_EQ(fabric->shard_of_host(host),
-              fabric->shard_of_rack(host / spec.hosts_per_rack));
+              fabric->shard_of_rack(host / spec.shape.hosts_per_rack));
   }
   EXPECT_EQ(fabric->shard_of_rack(5), 5u % 4u);
   EXPECT_EQ(fabric->shard_of_spine(3), 3u);
@@ -208,10 +208,10 @@ TEST(FabricTest, ShardPlacementIsRackAffine) {
 TEST(FabricTest, ShardedCreateRejectsLatencyBelowLookahead) {
   ShardedEngine engine(2, usec(2));
   FabricSpec spec;
-  spec.racks = 2;
-  spec.hosts_per_rack = 2;
-  spec.spines = 1;
-  spec.fabric_latency = usec(1);  // < lookahead: cross-shard hop invalid
+  spec.shape.racks = 2;
+  spec.shape.hosts_per_rack = 2;
+  spec.shape.spines = 1;
+  spec.propagation = usec(1);  // < lookahead: cross-shard hop invalid
   const auto built = Fabric::create(engine, spec);
   EXPECT_FALSE(built.ok());
   EXPECT_EQ(built.code(), Errc::invalid_argument);

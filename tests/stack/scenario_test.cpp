@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "netsim/shard.hpp"
+#include "stack/topology.hpp"
+
 namespace smt::stack {
 namespace {
 
@@ -62,7 +65,7 @@ ops_per_client = 8
 TEST(ScenarioParseTest, EmptyTextYieldsDefaults) {
   const auto parsed = ScenarioConfig::parse("");
   ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(parsed.value().topology.direct());
+  EXPECT_TRUE(direct(parsed.value().topology));
   EXPECT_EQ(parsed.value().topology.host_count(), 2u);
 }
 
@@ -235,12 +238,12 @@ probe_interval_us = 500
 )");
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
   const ScenarioConfig& config = parsed.value();
-  EXPECT_TRUE(config.fabric_fault_set);
-  EXPECT_EQ(config.fabric_fault.flap_period, msec(2));
-  EXPECT_EQ(config.fabric_fault.flap_down, usec(300));
-  EXPECT_DOUBLE_EQ(config.fabric_fault.p_good_to_bad, 0.005);
-  EXPECT_DOUBLE_EQ(config.fabric_fault.bad_loss_rate, 0.5);
-  EXPECT_EQ(config.fabric_fault.seed, 21u);
+  ASSERT_TRUE(config.fabric_fault.has_value());
+  EXPECT_EQ(config.fabric_fault->flap_period, msec(2));
+  EXPECT_EQ(config.fabric_fault->flap_down, usec(300));
+  EXPECT_DOUBLE_EQ(config.fabric_fault->p_good_to_bad, 0.005);
+  EXPECT_DOUBLE_EQ(config.fabric_fault->bad_loss_rate, 0.5);
+  EXPECT_EQ(config.fabric_fault->seed, 21u);
   // The edge fault stays untouched — [fabric_fault] is core-only.
   EXPECT_FALSE(config.edge_link.fault.enabled());
   EXPECT_EQ(config.switch_config.health_dark_threshold, 2u);
@@ -311,6 +314,30 @@ TEST(ScenarioParseTest, LinkLossKeysPointAtTheFaultModel) {
               std::string::npos)
         << parsed.error().message;
     EXPECT_NE(parsed.error().message.find("seed"), std::string::npos);
+  }
+}
+
+TEST(ScenarioFileTest, EveryShippedScenarioLoadsAndBuilds) {
+  struct Shipped {
+    const char* file;
+    std::size_t hosts;
+    bool fabric_fault;
+  };
+  for (const Shipped& s : {Shipped{"two_host.toml", 2, false},
+                           Shipped{"incast_128.toml", 128, false},
+                           Shipped{"core_flap_128.toml", 128, true},
+                           Shipped{"adversity_burst_flap.toml", 2, false}}) {
+    SCOPED_TRACE(s.file);
+    const auto loaded = ScenarioConfig::load_file(
+        std::string(SMT_SOURCE_DIR "/tools/scenarios/") + s.file);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+    const ScenarioConfig& scenario = loaded.value();
+    EXPECT_TRUE(scenario.validate().ok());
+    EXPECT_EQ(scenario.fabric_fault.has_value(), s.fabric_fault);
+    sim::ShardedEngine engine(1);
+    auto built = TopologyBuilder(scenario).build(engine);
+    ASSERT_TRUE(built.ok()) << built.error().message;
+    EXPECT_EQ(built.value()->host_count(), s.hosts);
   }
 }
 

@@ -1,5 +1,5 @@
-// TopologyBuilder: the fluent construction API, its validation errors,
-// the 2-host degenerate shape, and shard placement rules.
+// TopologyBuilder: construction from a ScenarioConfig, its validation
+// errors, the 2-host degenerate shape, and shard placement rules.
 #include "stack/topology.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +8,21 @@
 
 namespace smt::stack {
 namespace {
+
+ScenarioConfig shape(std::size_t racks, std::size_t hosts_per_rack,
+                     std::size_t spines) {
+  ScenarioConfig scenario;
+  scenario.topology.racks = racks;
+  scenario.topology.hosts_per_rack = hosts_per_rack;
+  scenario.topology.spines = spines;
+  return scenario;
+}
+
+ScenarioConfig propagation(SimDuration propagation) {
+  ScenarioConfig scenario;
+  scenario.edge_link.propagation = propagation;
+  return scenario;
+}
 
 TEST(TopologyBuilderTest, DefaultShapeIsTwoHostDirect) {
   sim::ShardedEngine engine(1);
@@ -53,14 +68,11 @@ TEST(TopologyBuilderTest, DirectModeDeliversBothWays) {
 
 TEST(TopologyBuilderTest, PerHostOverridesApply) {
   sim::ShardedEngine engine(1);
-  HostConfig base;
-  base.app_cores = 2;
+  ScenarioConfig scenario;
+  scenario.host.app_cores = 2;
   HostConfig big;
   big.app_cores = 6;
-  auto built = TopologyBuilder()
-                   .host_config(base)
-                   .host_config(1, big)
-                   .build(engine);
+  auto built = TopologyBuilder(scenario).host_config(1, big).build(engine);
   ASSERT_TRUE(built.ok());
   auto topology = std::move(built).take();
   EXPECT_EQ(topology->host(0).app_core_count(), 2u);
@@ -71,26 +83,24 @@ TEST(TopologyBuilderTest, PerHostOverridesApply) {
 
 TEST(TopologyBuilderTest, RejectsInvalidShape) {
   sim::ShardedEngine engine(1);
-  const auto built = TopologyBuilder().racks(4).build(engine);  // no spines
+  // 4 racks and no spines: multi-rack traffic has nowhere to go.
+  const auto built = TopologyBuilder(shape(4, 2, 0)).build(engine);
   ASSERT_FALSE(built.ok());
   EXPECT_EQ(built.code(), Errc::invalid_argument);
 }
 
 TEST(TopologyBuilderTest, RejectsInvalidHostTemplate) {
   sim::ShardedEngine engine(1);
-  HostConfig hc;
-  hc.app_cores = 0;
-  const auto built = TopologyBuilder().host_config(hc).build(engine);
+  ScenarioConfig scenario;
+  scenario.host.app_cores = 0;
+  const auto built = TopologyBuilder(scenario).build(engine);
   ASSERT_FALSE(built.ok());
   EXPECT_EQ(built.code(), Errc::invalid_argument);
 }
 
 TEST(TopologyBuilderTest, RejectsHostShardInFabricMode) {
   sim::ShardedEngine engine(2, usec(1));
-  const auto built = TopologyBuilder()
-                         .racks(2)
-                         .hosts_per_rack(2)
-                         .spines(1)
+  const auto built = TopologyBuilder(shape(2, 2, 1))
                          .host_shard(0, 1)  // fabric placement is rack-affine
                          .build(engine);
   ASSERT_FALSE(built.ok());
@@ -99,10 +109,8 @@ TEST(TopologyBuilderTest, RejectsHostShardInFabricMode) {
 
 TEST(TopologyBuilderTest, RejectsDirectCrossShardBelowLookahead) {
   sim::ShardedEngine engine(2, usec(2));
-  sim::LinkConfig lc;
-  lc.propagation = usec(1);  // < lookahead: cross-shard hop would deadlock
-  const auto built = TopologyBuilder()
-                         .link(lc)
+  // 1 us < lookahead: the cross-shard hop would deadlock.
+  const auto built = TopologyBuilder(propagation(usec(1)))
                          .host_shard(0, 0)
                          .host_shard(1, 1)
                          .build(engine);
@@ -112,10 +120,7 @@ TEST(TopologyBuilderTest, RejectsDirectCrossShardBelowLookahead) {
 
 TEST(TopologyBuilderTest, DirectCrossShardAtLookaheadBuilds) {
   sim::ShardedEngine engine(2, usec(1));
-  sim::LinkConfig lc;
-  lc.propagation = usec(1);
-  auto built = TopologyBuilder()
-                   .link(lc)
+  auto built = TopologyBuilder(propagation(usec(1)))
                    .host_shard(0, 0)
                    .host_shard(1, 1)
                    .build(engine);
@@ -129,11 +134,7 @@ TEST(TopologyBuilderTest, DirectCrossShardAtLookaheadBuilds) {
 
 TEST(TopologyBuilderTest, FabricShardPlacementIsRackAffine) {
   sim::ShardedEngine engine(4, usec(1));
-  auto built = TopologyBuilder()
-                   .racks(8)
-                   .hosts_per_rack(4)
-                   .spines(4)
-                   .build(engine);
+  auto built = TopologyBuilder(shape(8, 4, 4)).build(engine);
   ASSERT_TRUE(built.ok());
   auto topology = std::move(built).take();
   ASSERT_NE(topology->fabric(), nullptr);
@@ -148,7 +149,7 @@ TEST(TopologyBuilderTest, SingleRackRoutesThroughOneTor) {
   // 1 rack x 3 hosts, no spines: one ToR switch, no direct link. Host 2
   // stays idle.
   sim::ShardedEngine engine(1);
-  auto built = TopologyBuilder().hosts_per_rack(3).build(engine);
+  auto built = TopologyBuilder(shape(1, 3, 0)).build(engine);
   ASSERT_TRUE(built.ok());
   auto topology = std::move(built).take();
   ASSERT_NE(topology->fabric(), nullptr);
@@ -169,8 +170,7 @@ TEST(TopologyBuilderTest, SingleRackRoutesThroughOneTor) {
 
 TEST(TopologyBuilderTest, FabricModeDeliversAcrossRacks) {
   sim::ShardedEngine engine(1);
-  auto built =
-      TopologyBuilder().racks(2).hosts_per_rack(2).spines(2).build(engine);
+  auto built = TopologyBuilder(shape(2, 2, 2)).build(engine);
   ASSERT_TRUE(built.ok());
   auto topology = std::move(built).take();
 
@@ -185,10 +185,7 @@ TEST(TopologyBuilderTest, FabricModeDeliversAcrossRacks) {
 }
 
 TEST(TopologyBuilderTest, BuilderSeededFromScenarioConfig) {
-  ScenarioConfig scenario;
-  scenario.topology.racks = 2;
-  scenario.topology.hosts_per_rack = 2;
-  scenario.topology.spines = 1;
+  ScenarioConfig scenario = shape(2, 2, 1);
   scenario.host.app_cores = 3;
   sim::ShardedEngine engine(1);
   auto built = TopologyBuilder(scenario).build(engine);

@@ -5,23 +5,32 @@ Usage: tools/census.py BUILD_DIR
 
 Builds the tree into BUILD_DIR/tree and the standalone benchmark suite
 (bench/suite) into BUILD_DIR/suite, both at -O0 with -ffunction-sections
--fdata-sections and linked with -Wl,--gc-sections: nothing is inlined away,
-and every function a binary keeps is one it can reach. The builds run one
-job per CPU, or CMAKE_BUILD_PARALLEL_LEVEL jobs when that is set. It then
-compares the `nm` of the tree's libsmt_core.a with the `nm` of every binary
-and prints two lists of demangled smt:: functions (global or weak text
-symbols):
+-fdata-sections -fkeep-inline-functions and linked with -Wl,--gc-sections:
+nothing is inlined away, every inline function (class-body members and
+`inline` functions in headers) is emitted into the object files of
+libsmt_core.a that include it, and every function a binary keeps is one it
+can reach. The builds run one job per CPU, or CMAKE_BUILD_PARALLEL_LEVEL
+jobs when that is set. It then compares the `nm` of the tree's
+libsmt_core.a with the `nm` of every binary and prints two lists of
+demangled smt:: functions (global or weak text symbols):
 
   * linked by no binary: dead code, candidates for deletion;
   * linked only by test binaries: code its tests alone keep alive. The
     non-test binaries are the benches (bench/bench_*.cpp), the examples
     (examples/*.cpp) and bench/suite's bench_suite.
 
-Blind spot: a header-only inline function that nothing calls is never
-emitted, so no object file holds it and neither list can name it (an
-unused one-line member in a header, say). Read the headers for those.
-The converse also holds: an inline function a binary defines in its own
-translation unit counts as linked by that binary.
+Names the compiler makes rather than the code declares are left out of
+both lists, and only their number is printed: lambdas,
+EventCallback::fits_inline<> instances, and special members (default,
+copy and move constructors, destructors, copy and move assignments) that
+no source file under src/ declares.
+
+Blind spots: an inline function in a header that no library source
+includes (one only benches or tests include) is never emitted into
+libsmt_core.a, so neither list can name it. An inline
+function a binary defines in its own translation unit counts as linked
+by that binary, whether or not the library copy is reached. A template
+member is only emitted where it is instantiated.
 
 The census only reports. It exits 0 whenever the builds succeed.
 """
@@ -37,7 +46,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 CENSUS_FLAGS = [
     "-DCMAKE_BUILD_TYPE=None",
-    "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections -fdata-sections",
+    "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections -fdata-sections"
+    " -fkeep-inline-functions",
     "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections",
 ]
 
@@ -77,6 +87,46 @@ def demangle(names: set[str]) -> set[str]:
     return set(out.splitlines())
 
 
+# A constructor or destructor (Class::Class(args), Class::~Class()) or an
+# assignment (Class::operator=(args)), with Class possibly a template.
+SPECIAL = re.compile(r"(?:^|::)(\w+)(?:<.*>)?::(~?)(\1|operator=)\((.*)\)$")
+
+
+def declaration(name: str, dtor: bool, assign: bool, args: str):
+    """A regex for the user declaration of `name`'s special member with
+    demangled `args`, or None when it is not a default, copy or move
+    special member."""
+    own = rf"(?:\w+::)*{name}(?:<.*>)?"
+    if args == "":
+        params = r"\s*\)"
+    elif re.fullmatch(own + " const&", args):
+        params = rf"\s*const\s+{name}\s*&[^)]*\)"
+    elif re.fullmatch(own + "&&", args):
+        params = rf"\s*{name}\s*&&[^)]*\)"
+    else:
+        return None
+    if dtor:
+        return re.compile(rf"~{name}\s*\(")
+    if assign:
+        return re.compile(rf"{name}\s*&\s*operator=\s*\({params}")
+    return re.compile(rf"^\s*(?:explicit\s+|constexpr\s+)*(?:{name}::)?"
+                      rf"{name}\s*\({params}", re.MULTILINE)
+
+
+def generated(name: str, source: str) -> bool:
+    """Whether a demangled name is one the compiler made: a lambda, an
+    EventCallback::fits_inline<> instance, or a special member the source
+    does not declare."""
+    if "{lambda(" in name or "EventCallback::fits_inline<" in name:
+        return True
+    match = SPECIAL.search(name.removesuffix(" const"))
+    if match is None:
+        return False
+    cls, tilde, member, args = match.groups()
+    pattern = declaration(cls, tilde == "~", member == "operator=", args)
+    return pattern is not None and pattern.search(source) is None
+
+
 def binary_names() -> tuple[list[str], list[str]]:
     """(non-test, test) executables of the tree, named as CMakeLists does."""
     non_test = [p.stem for p in sorted((ROOT / "bench").glob("bench_*.cpp"))]
@@ -111,16 +161,18 @@ def main() -> int:
     library, non_test, tests = (demangle(library & s)
                                 for s in (library, non_test, tests))
 
-    unlinked = sorted(library - non_test - tests)
-    test_only = sorted((library & tests) - non_test)
-    print(f"smt:: functions of libsmt_core.a that no binary links "
-          f"({len(unlinked)}):")
-    for name in unlinked:
-        print(f"  {name}")
-    print(f"\nsmt:: functions of libsmt_core.a that only test binaries link "
-          f"({len(test_only)}):")
-    for name in test_only:
-        print(f"  {name}")
+    source = "\n".join(p.read_text() for p in sorted((ROOT / "src").rglob("*"))
+                       if p.suffix in (".hpp", ".cpp"))
+    for title, names in (("that no binary links", library - non_test - tests),
+                         ("that only test binaries link",
+                          (library & tests) - non_test)):
+        kept = sorted(n for n in names if not generated(n, source))
+        print(f"smt:: functions of libsmt_core.a {title} ({len(kept)}; "
+              f"{len(names) - len(kept)} compiler-generated names left "
+              f"out):")
+        for name in kept:
+            print(f"  {name}")
+        print()
     return 0
 
 
