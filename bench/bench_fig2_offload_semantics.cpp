@@ -46,11 +46,7 @@ struct Harness {
     append_u8(payload, 23);
     payload.resize(payload.size() + 16, 0);
     d.segment.payload = std::move(payload);
-    TlsRecordDesc rec;
-    rec.context_id = ctx;
-    rec.plaintext_len = inner;
-    rec.record_seq = seq;
-    d.records.push_back(rec);
+    d.records = InlineTls{seq, ctx, 1, 0};
     return d;
   }
 

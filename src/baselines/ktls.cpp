@@ -22,7 +22,7 @@ KtlsEndpoint::KtlsEndpoint(stack::Host& host, std::uint16_t port,
       const SessionState& state = it->second;
       host_.flow_contexts().bind_tx(
           {sim::Proto::tcp, conn, std::uint32_t(queue)}, state.suite,
-          state.tx->keys(), desc, core);
+          state.tx->keys(), desc.records, core);
     });
   }
 }
@@ -89,8 +89,7 @@ Status KtlsEndpoint::send(ConnId conn, Bytes plaintext,
     if (config_.hw_offload) {
       // Plaintext record shell; the NIC encrypts in line.
       marks.push_back(
-          {stream.size(), take + tls::record_overhead(state.suite), take + 1,
-           seq});
+          {stream.size(), take + tls::record_overhead(state.suite), seq});
       tls::append_record_shell(stream, tls::ContentType::application_data,
                                chunk, 0);
     } else {

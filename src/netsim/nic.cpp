@@ -379,9 +379,7 @@ void Nic::post_segment(std::size_t queue, SegmentDescriptor descriptor,
                        CpuCharge poster) {
   assert(queue < queues_.size());
   assert(descriptor.segment.payload.size() <= config_.max_segment_bytes());
-  for (const TlsRecordDesc& rec : descriptor.records) {
-    pin_context(rec.context_id);
-  }
+  if (descriptor.records.count > 0) pin_context(descriptor.records.context_id);
   Descriptor d;
   d.segment = std::move(descriptor);
   queues_[queue].push_back(std::move(d));
@@ -444,8 +442,8 @@ void Nic::process_batch(std::size_t burst) {
     } else {
       ++counters_.segments;
       encrypt_records(d.segment);
-      for (const TlsRecordDesc& rec : d.segment.records) {
-        unpin_context(rec.context_id);
+      if (d.segment.records.count > 0) {
+        unpin_context(d.segment.records.context_id);
       }
       emit_segment(std::move(d.segment));
     }
@@ -461,7 +459,18 @@ void Nic::process_batch(std::size_t burst) {
 }
 
 void Nic::encrypt_records(SegmentDescriptor& descriptor) {
-  if (descriptor.records.empty()) return;
+  const InlineTls& run = descriptor.records;
+  if (run.count == 0) return;
+
+  const auto it = contexts_.find(run.context_id);
+  if (it == contexts_.end()) {
+    // The context was freed under the run, or none was bound (id 0):
+    // the shells go out unencrypted and fail authentication at the
+    // receiver, so the failure is visible, not silent.
+    counters_.context_misses += run.count;
+    return;
+  }
+  FlowContext& ctx = it->second;
 
   // Copy-on-write: the transport retains slices of this slab (plaintext
   // for retransmission), so the in-place encryption below must land in a
@@ -470,37 +479,33 @@ void Nic::encrypt_records(SegmentDescriptor& descriptor) {
   // analogue of DMA-ing the segment into the NIC before encrypting.
   MutByteView payload = descriptor.segment.payload.mutate();
 
-  for (const TlsRecordDesc& rec : descriptor.records) {
-    const auto it = contexts_.find(rec.context_id);
-    if (it == contexts_.end()) {
-      // The driver let a referenced context disappear (should be prevented
-      // by in-flight pinning + the LRU manager). The hardware analogue is
-      // DMA-ing an unencrypted shell: the record fails authentication at
-      // the receiver, so the failure is visible, not silent.
-      ++counters_.context_misses;
-      continue;
-    }
-    FlowContext& ctx = it->second;
-
-    assert(rec.record_offset + tls::kRecordHeaderSize + rec.plaintext_len +
-               tls::tag_length(ctx.suite) <=
-           payload.size());
+  std::size_t offset = 0;
+  for (std::uint64_t i = 0; i < run.count; ++i) {
+    // Each record's plaintext header says where it ends. A run that does
+    // not match the segment is a host bug: the rest goes out as shells.
+    offset += run.lead;
+    const ByteView rest = ByteView(payload).subspan(
+        std::min(offset, payload.size()));
+    const auto body_len = tls::parse_record_length(rest);
+    const bool fits = body_len.ok() && rest.size() - tls::kRecordHeaderSize >=
+                                           body_len.value();
+    assert(fits && "inline TLS run does not match the segment's records");
+    if (!fits) return;
+    const std::size_t record_len = tls::kRecordHeaderSize + body_len.value();
 
     // The hardware uses its INTERNAL counter — not the software's intent.
     // When they differ the wire carries a record encrypted under the wrong
     // nonce: Figure 2's "Out-seq." corrupted segment.
     const std::uint64_t hw_seq = ctx.internal_seq;
-    if (hw_seq != rec.record_seq) ++counters_.out_of_sequence_records;
+    if (hw_seq != run.first_seq + i) ++counters_.out_of_sequence_records;
 
     // Nonce = IV XOR hw_seq (RFC 8446 §5.3), same as the software path.
     // Ciphertext || tag overwrite the plaintext body + reserved tag space.
-    const MutByteView record =
-        payload.subspan(rec.record_offset, tls::kRecordHeaderSize +
-                                               rec.plaintext_len +
-                                               tls::tag_length(ctx.suite));
+    const MutByteView record = payload.subspan(offset, record_len);
     ctx.aead.seal_in_place(tls::record_nonce(ctx.iv, hw_seq),
                            record.first(tls::kRecordHeaderSize),
                            record.subspan(tls::kRecordHeaderSize));
+    offset += record_len;
 
     ctx.internal_seq = hw_seq + 1;  // self-increment
     ++counters_.records_encrypted;

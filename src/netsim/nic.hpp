@@ -14,11 +14,12 @@
 //
 //  * TLS offload — per-flow *contexts* live in (limited) NIC memory and
 //    hold the AEAD key, IV, and a SELF-INCREMENTING record sequence number.
-//    A segment flagged for inline TLS is encrypted with the context's
-//    *internal* counter, regardless of what the software intended: if the
-//    software's record does not match, the wire bytes are "corrupted"
-//    (authenticate under the wrong nonce — Figure 2 "Out-seq."). A resync
-//    descriptor rewrites the internal counter ("Out-resync").
+//    A segment flagged for inline TLS names one context and a run of
+//    records, which the NIC finds by their plaintext headers and encrypts
+//    with the context's *internal* counter, regardless of what the
+//    software intended: if they do not match, the wire bytes are
+//    "corrupted" (authenticate under the wrong nonce — Figure 2
+//    "Out-seq."). A resync descriptor rewrites the counter ("Out-resync").
 //
 //  * Queues — descriptors are consumed strictly in order *within* a queue,
 //    but the NIC round-robins *across* queues with no atomicity between a
@@ -145,22 +146,22 @@ using IrqCharge = std::function<void(std::size_t ring, SimDuration cost)>;
 /// Charges CPU time to the core that posted a descriptor (doorbell MMIO).
 using CpuCharge = std::function<void(SimDuration cost)>;
 
-/// A TLS record inside a TSO segment that the NIC must encrypt in line.
-/// The segment payload at [record_offset, record_offset + 5) holds the
-/// plaintext record header (AAD); the plaintext body follows; tag space
-/// (16 bytes) is already reserved at the end of the record.
-struct TlsRecordDesc {
-  std::uint32_t context_id = 0;
-  std::size_t record_offset = 0;   // where the 5-byte record header starts
-  std::size_t plaintext_len = 0;   // body length (excluding header and tag)
-  std::uint64_t record_seq = 0;    // what the *software* intended (the NIC
-                                   // ignores this; kept for diagnostics)
+/// The records of a TX segment that the NIC encrypts in line: `count`
+/// records back to back from the segment's first byte, each after `lead`
+/// framing bytes (4 for SMT, 0 for kTLS) and found by its plaintext
+/// header, whose length covers the reserved tag. The software numbers
+/// them first_seq, first_seq + 1, ...; the NIC uses its own counter.
+struct InlineTls {
+  std::uint64_t first_seq = 0;
+  std::uint32_t context_id = 0;  // 0 = unbound: never a context's id
+  std::uint16_t count = 0;       // 0 = no inline crypto
+  std::uint8_t lead = 0;
 };
 
 /// One TX descriptor: either a resync, or a (possibly TSO) segment.
 struct SegmentDescriptor {
-  Packet segment;                      // header template + full payload
-  std::vector<TlsRecordDesc> records;  // empty -> no inline crypto
+  Packet segment;     // header template + full payload
+  InlineTls records;  // count == 0 -> no inline crypto
 };
 
 struct NicCounters {

@@ -26,8 +26,8 @@ SmtEndpoint::SmtEndpoint(stack::Host& host, std::uint16_t port,
       if (it == sessions_.end()) return;
       homa_.host().flow_contexts().bind_tx(tx_key(dst, queue),
                                            it->second.suite,
-                                           it->second.tx->keys(), desc,
-                                           post_core);
+                                           it->second.tx->keys(),
+                                           desc.records, post_core);
     });
   }
 }
@@ -114,7 +114,6 @@ Result<std::uint64_t> SmtEndpoint::send_message(PeerAddr dst, Bytes plaintext,
         tx_key(dst, queue), session.suite, session.tx->keys(), first_seq);
     if (!lease.ok()) return lease.error();
     fresh_tx_lease = lease.value()->fresh;
-    seg_config.nic_context_id = lease.value()->nic_context_id;
   }
 
   auto wire = build_wire_message(seg_config, *session.tx, msg_id, plaintext,

@@ -33,14 +33,15 @@ Result<WireMessage> build_wire_message(const SegmenterConfig& config,
 
   // The segment being filled; each full one is adopted as its own slab.
   Bytes payload;
-  std::vector<sim::TlsRecordDesc> records;
+  sim::InlineTls records;
+  records.lead = kFramingHeaderSize;
   const auto flush_segment = [&] {
     wire.total_wire_bytes += payload.size();
     SegmentPlan& segment = wire.segments.emplace_back();
     segment.payload = PayloadSlice(std::move(payload));
-    segment.records = std::move(records);
+    segment.records = records;
     payload = Bytes();
-    records = {};
+    records.count = 0;
   };
   std::size_t consumed = 0;  // plaintext bytes consumed
   for (std::size_t rec = 0; rec < n_records; ++rec) {
@@ -74,12 +75,7 @@ Result<WireMessage> build_wire_message(const SegmenterConfig& config,
     // not reveal the true size (§6.1 length concealment).
     append_u32be(payload, static_cast<std::uint32_t>(record_target));
     if (config.hardware_crypto) {
-      sim::TlsRecordDesc desc;
-      desc.context_id = config.nic_context_id;
-      desc.record_offset = payload.size();
-      desc.plaintext_len = app_data.size() + 1 + pad_take;
-      desc.record_seq = seq;
-      records.push_back(desc);
+      if (records.count++ == 0) records.first_seq = seq;
       tls::append_record_shell(payload,
                                tls::ContentType::application_data, app_data,
                                pad_take);

@@ -32,8 +32,8 @@ constexpr std::size_t record_block_overhead() noexcept {
 }
 
 /// One TSO segment of a wire message, in the form Homa sends it: its
-/// wire bytes as a slab of their own and the NIC crypto descriptors
-/// (empty in software mode).
+/// wire bytes as a slab of their own and its run of records for the NIC
+/// to encrypt (none in software mode).
 using SegmentPlan = transport::SegmentSpec;
 
 struct WireMessage {
@@ -47,15 +47,13 @@ struct SegmenterConfig {
   std::size_t max_record_payload = tls::kMaxRecordPayload;  // app bytes/record
   std::size_t max_tso_bytes = 65536;
   bool hardware_crypto = false;
-  std::uint32_t nic_context_id = 0;  // ignored in software mode; the
-                                     // endpoint rewrites per-queue ids
 };
 
 /// Builds the wire form of `plaintext` for message `msg_id`.
 ///
 /// Software mode: records are sealed here with `protection`.
-/// Hardware mode: plaintext record shells are laid out and descriptors
-/// returned; the NIC encrypts in line (§4.4.2).
+/// Hardware mode: plaintext record shells are laid out, each segment names
+/// its (unbound) run of records, and the NIC encrypts in line (§4.4.2).
 ///
 /// `pad_to` (optional): pads the *application* data length of the final
 /// record so the total plaintext is at least pad_to bytes — TLS length

@@ -29,7 +29,7 @@ Result<FlowContextManager::Lease*> FlowContextManager::acquire(
   if (!ever_held_.insert(key).second) ++stats_.reestablished;
 
   Entry entry;
-  entry.lease.nic_context_id = created.value();
+  entry.lease.context_id = created.value();
   entry.lease.shadow_seq = first_seq;
   entry.lease.fresh = true;
   entry.lru_pos = lru_.insert(lru_.end(), key);
@@ -48,10 +48,10 @@ bool FlowContextManager::evict_one_idle() {
   for (auto lru_it = lru_.begin(); lru_it != lru_.end(); ++lru_it) {
     const auto entry_it = entries_.find(*lru_it);
     if (entry_it == entries_.end()) continue;  // defensive; should not happen
-    if (nic_.context_in_flight(entry_it->second.lease.nic_context_id)) {
+    if (nic_.context_in_flight(entry_it->second.lease.context_id)) {
       continue;  // descriptors still queued; not a safe victim
     }
-    nic_.release_flow_context(entry_it->second.lease.nic_context_id);
+    nic_.release_flow_context(entry_it->second.lease.context_id);
     entries_.erase(entry_it);
     lru_.erase(lru_it);
     ++stats_.evictions;
@@ -62,22 +62,21 @@ bool FlowContextManager::evict_one_idle() {
 
 void FlowContextManager::bind_tx(const FlowKey& key, tls::CipherSuite suite,
                                  const tls::TrafficKeys& keys,
-                                 sim::SegmentDescriptor& desc, CpuCore* core) {
-  if (desc.records.empty()) return;
-  auto lease = acquire(key, suite, keys, desc.records.front().record_seq);
+                                 sim::InlineTls& run, CpuCore* core) {
+  if (run.count == 0) return;
+  auto lease = acquire(key, suite, keys, run.first_seq);
   if (!lease.ok()) return;
   Lease& ctx = *lease.value();
   // A lease (re)established at post time: the driver programs the NIC
   // context on whichever core is posting.
   if (ctx.fresh && core != nullptr) core->charge(kCosts.context_establish);
-  for (sim::TlsRecordDesc& rec : desc.records) {
-    rec.context_id = ctx.nic_context_id;
-    if (ctx.shadow_seq != rec.record_seq) {
-      nic_.post_resync(key.queue, ctx.nic_context_id, rec.record_seq,
-                       doorbell_charge(core));
-    }
-    ctx.shadow_seq = rec.record_seq + 1;
+  run.context_id = ctx.context_id;
+  // The run's records are consecutive, so only its first can diverge.
+  if (ctx.shadow_seq != run.first_seq) {
+    nic_.post_resync(key.queue, ctx.context_id, run.first_seq,
+                     doorbell_charge(core));
   }
+  ctx.shadow_seq = run.first_seq + run.count;
 }
 
 void FlowContextManager::invalidate_session(sim::Proto proto,
@@ -88,7 +87,7 @@ void FlowContextManager::invalidate_session(sim::Proto proto,
   };
   for (auto it = entries_.lower_bound(first);
        it != entries_.end() && in_session(it->first);) {
-    nic_.release_flow_context(it->second.lease.nic_context_id);
+    nic_.release_flow_context(it->second.lease.context_id);
     lru_.erase(it->second.lru_pos);
     it = entries_.erase(it);
   }

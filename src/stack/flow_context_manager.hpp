@@ -16,8 +16,8 @@
 //     the descriptor about to be posted, so re-establishment needs no wire
 //     resync and produces no out-of-sequence records;
 //   * bind_tx() is the tls_device driver step (§2.3 / Figure 2): just
-//     before a TX post it late-binds the records to their lease and posts a
-//     resync wherever they diverge from the shadow record counter.
+//     before a TX post it late-binds a segment's records to their lease and
+//     posts a resync if they diverge from the shadow record counter.
 //
 // This is what lets SMT scale to sessions >> max_flow_contexts: cold
 // sessions cost nothing but a table entry, hot sessions keep their
@@ -68,7 +68,7 @@ class FlowContextManager {
   /// hardware counter will be after the descriptors posted so far; the
   /// driver posts a resync whenever the next record diverges from it.
   struct Lease {
-    std::uint32_t nic_context_id = 0;
+    std::uint32_t context_id = 0;  // the NIC context this lease names
     std::uint64_t shadow_seq = 0;
     bool fresh = false;  // (re)established by the acquire that returned it
   };
@@ -91,14 +91,14 @@ class FlowContextManager {
   Result<Lease*> acquire(const FlowKey& key, tls::CipherSuite suite,
                          const tls::TrafficKeys& keys, std::uint64_t first_seq);
 
-  /// Late-binds `desc`, about to be posted on `key.queue`: re-acquires
-  /// `key`'s lease seeded with the first record's seq (a fresh lease
-  /// charges CostModel::context_establish to `core`), rewrites each record's
-  /// context id, and posts a resync (doorbell charged to `core`) wherever
-  /// the shadow counter diverges. On a failed acquire the records keep
-  /// stale ids, so the NIC counts a context miss. No records: no-op.
+  /// Late-binds `run`, about to be posted on `key.queue`: re-acquires
+  /// `key`'s lease seeded with its first seq (a fresh lease charges
+  /// CostModel::context_establish to `core`), stamps the context id, and
+  /// posts a resync (doorbell charged to `core`) if the shadow counter
+  /// diverges. On a failed acquire the run stays unbound (id 0), so the
+  /// NIC counts a miss per record. An empty run is a no-op.
   void bind_tx(const FlowKey& key, tls::CipherSuite suite,
-               const tls::TrafficKeys& keys, sim::SegmentDescriptor& desc,
+               const tls::TrafficKeys& keys, sim::InlineTls& run,
                CpuCore* core);
 
   /// Releases every context of `proto`'s `session_tag` (rekey, teardown).

@@ -497,7 +497,7 @@ void HomaEndpoint::handle_resend(const Packet& pkt) {
     if (seg_end <= from || seg_begin >= to) continue;
     if (seg_begin >= tx.sent_bytes) continue;  // never sent; grants cover it
 
-    if (!tx.segments[i].records.empty()) {
+    if (tx.segments[i].records.count > 0) {
       post_segment_for(tx, i, &core);
       ++stats_.packets_retransmitted;
     } else {

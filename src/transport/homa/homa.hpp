@@ -14,7 +14,7 @@
 //     retransmitted packets carry an explicit resend offset (§4.3).
 //
 // SMT layers on this engine through the pre-segmented send API: segments
-// may carry TLS record descriptors for NIC inline encryption plus a
+// may carry a run of TLS records for NIC inline encryption plus a
 // pre-post hook where SMT injects resync descriptors (§4.4.2).
 #pragma once
 
@@ -47,15 +47,14 @@ constexpr std::uint64_t hash_word(const PeerAddr& peer) noexcept {
 /// TSO-cutting it into packets are all O(1) views, never copies.
 struct SegmentSpec {
   PayloadSlice payload;
-  std::vector<sim::TlsRecordDesc> records;  // NIC inline-crypto descriptors
+  sim::InlineTls records;  // NIC inline-crypto run (count 0: none)
   std::size_t tso_off = 0;  // offset in the message; set by send_segments
 };
 
 /// Hook invoked immediately before a segment to `dst` is posted to the
 /// NIC. SMT uses it to acquire the (session, queue) flow-context lease,
-/// rewrite the
-/// records' context ids, and post resync descriptors — the descriptor is
-/// mutable so the hook can late-bind contexts at post time (the LRU
+/// bind the record run to it and post a resync descriptor — the descriptor
+/// is mutable so the hook can late-bind the context at post time (the LRU
 /// manager may have evicted the one used for a previous segment).
 /// `core` is the CPU core the post runs on (app core for first
 /// transmissions, softirq core for grant-released/resent segments,

@@ -166,15 +166,13 @@ void TcpEndpoint::transmit_range(Connection& conn, std::uint64_t from,
   // resync/segment same-queue guarantee the pre-post hook relies on).
   const std::size_t queue = host_.nic().tx_queue_for_hash(conn.flow_hash);
 
-  // One NIC record descriptor per marked record wholly inside the range,
-  // for the pre-post hook to bind. A retransmission re-sends the covering
-  // records, whose stored bytes are plaintext: the NIC re-encrypts them.
+  // The marked records wholly inside the range, one run for the pre-post
+  // hook to bind: kTLS marks its whole stream, so they tile the range. A
+  // retransmission re-sends the covering records, whose stored bytes are
+  // plaintext: the NIC re-encrypts them.
   const auto attach = [&](const RecordMark& rec) {
-    sim::TlsRecordDesc desc;
-    desc.record_offset = std::size_t(rec.offset - from);
-    desc.plaintext_len = rec.plaintext_len;
-    desc.record_seq = rec.record_seq;
-    d.records.push_back(desc);
+    if (d.records.count++ == 0) d.records.first_seq = rec.record_seq;
+    assert(rec.record_seq == d.records.first_seq + d.records.count - 1);
   };
   if (!is_retransmit) {
     while (!conn.record_queue.empty()) {

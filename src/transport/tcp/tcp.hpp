@@ -10,8 +10,8 @@
 //     through the same ordered path (§3.2);
 //   * record marks: sends may mark opaque records (kTLS's TLS records)
 //     that segmentation keeps whole and retransmission re-sends whole,
-//     each carried as a NIC record descriptor; the endpoint's pre-post
-//     hook binds those descriptors to a flow context (§2.3). TCP itself
+//     carried as the segment's run of records for the NIC; the endpoint's
+//     pre-post hook binds that run to a flow context (§2.3). TCP itself
 //     holds no TLS state.
 #pragma once
 
@@ -85,8 +85,7 @@ class TcpEndpoint {
   struct RecordMark {
     std::uint64_t offset;  // record start: in `data` as passed to send(),
                            // in the stream once queued
-    std::size_t wire_len;       // full wire record length
-    std::size_t plaintext_len;  // inner plaintext length (w/ type byte)
+    std::size_t wire_len;  // full wire record length
     std::uint64_t record_seq;
   };
   void send(ConnId conn, Bytes data, stack::CpuCore* app_core = nullptr,

@@ -12,6 +12,7 @@
 #include "netsim/nic.hpp"
 #include "netsim/shard.hpp"
 #include "netsim/switch.hpp"
+#include "tls/record.hpp"
 #include "transport/homa/homa.hpp"
 
 namespace smt::sim {
@@ -211,6 +212,51 @@ TEST(DatapathAllocTest, HomaInOrderMessageAllocatesPerMessageNotPerPacket) {
   EXPECT_EQ(completed, 4u);
   EXPECT_EQ(long_message, short_message);
   EXPECT_LT(short_message, 32u);
+}
+
+TEST(DatapathAllocTest, HomaRecordSegmentRepostAllocatesOnlyThePostClosure) {
+  // A RESEND makes the sender repost a segment that carries a record run
+  // whole, for the NIC to encrypt again. The descriptor holds the run in a
+  // fixed-size field, so the repost's one allocation is the boxed post
+  // closure the softirq core runs. The run is unbound (no pre-post hook),
+  // so the NIC sends the shell as it is, without a private copy.
+  ShardedEngine engine(1);
+  EventLoop& loop = engine.loop(0);
+  std::unique_ptr<stack::Topology> topology = test::two_host_topology(engine);
+  stack::Host& client_host = topology->host(0);
+  // No endpoint listens on the server, so nothing acks the message.
+  transport::HomaEndpoint client(client_host, 1000);
+  Bytes shell;
+  tls::append_record_shell(shell, tls::ContentType::application_data,
+                           Bytes(64, 0x5a), 0);
+  const std::size_t size = shell.size();
+  std::vector<transport::SegmentSpec> segments(1);
+  segments[0].payload = PayloadSlice(std::move(shell));
+  segments[0].records = InlineTls{0, 0, 1, 0};
+  const auto id = client.send_segments(transport::PeerAddr{2, 80},
+                                       std::move(segments), size,
+                                       std::nullopt);
+  ASSERT_TRUE(id.ok());
+  loop.run_until(loop.now() + usec(50));
+
+  Packet resend;
+  resend.hdr.flow = FiveTuple{2, 1, 80, 1000, Proto::homa};
+  resend.hdr.type = PacketType::resend;
+  resend.hdr.msg_id = id.value();
+  resend.hdr.resend_off = 1;  // from offset 0
+  resend.hdr.grant_off = std::uint32_t(size);
+  auto repost = [&] {
+    return allocations_in([&] {
+      client_host.nic().receive(resend);
+      loop.run_until(loop.now() + usec(50));
+    });
+  };
+  // Warm-up: the NIC queue's recycled deque nodes come to cover a repost.
+  for (int i = 0; i < 4; ++i) repost();
+  EXPECT_EQ(repost(), 1u);
+  EXPECT_EQ(client.stats().packets_retransmitted, 5u);
+  EXPECT_EQ(client_host.nic().counters().segments, 6u);
+  EXPECT_EQ(client_host.nic().counters().context_misses, 6u);
 }
 
 }  // namespace

@@ -180,12 +180,7 @@ class NicBatchingCryptoTest : public NicBatchingTest {
     payload.resize(payload.size() + 16, 0);
     d.segment.payload = std::move(payload);
 
-    TlsRecordDesc rec;
-    rec.context_id = ctx;
-    rec.record_offset = 0;
-    rec.plaintext_len = inner_len;
-    rec.record_seq = seq;
-    d.records.push_back(rec);
+    d.records = InlineTls{seq, ctx, 1, 0};
     return d;
   }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "netsim/nic.hpp"
+#include "smt/wire.hpp"
 #include "tls/record.hpp"
 
 namespace smt::sim {
@@ -43,12 +44,7 @@ class NicOffloadTest : public ::testing::Test {
     payload.resize(payload.size() + 16, 0);  // tag space
     d.segment.payload = std::move(payload);
 
-    TlsRecordDesc rec;
-    rec.context_id = ctx;
-    rec.record_offset = 0;
-    rec.plaintext_len = inner_len;
-    rec.record_seq = seq;
-    d.records.push_back(rec);
+    d.records = InlineTls{seq, ctx, 1, 0};
     return d;
   }
 
@@ -189,6 +185,100 @@ TEST_F(NicOffloadTest, EncryptedRecordSpansMultiplePackets) {
   const auto opened = opener_->open(0, reassembled);
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(opened.value().payload, big);
+}
+
+TEST_F(NicOffloadTest, SmtRunWithFramingHeadersSealsEveryRecord) {
+  // An SMT-shaped run: each record follows a 4-byte framing header, and
+  // the last record is short. The NIC finds all three from their headers.
+  proto::SegmenterConfig config;
+  config.hardware_crypto = true;
+  config.max_record_payload = 1000;
+  Bytes message(2300);
+  for (std::size_t i = 0; i < message.size(); ++i) {
+    message[i] = std::uint8_t(i * 11);
+  }
+  auto built = proto::build_wire_message(config, *opener_, 9, message);
+  ASSERT_TRUE(built.ok());
+  ASSERT_EQ(built.value().segments.size(), 1u);
+  const proto::SegmentPlan& plan = built.value().segments[0];
+  ASSERT_EQ(plan.records.count, 3u);
+  EXPECT_EQ(plan.records.lead, proto::kFramingHeaderSize);
+  EXPECT_EQ(plan.records.first_seq, config.layout.compose(9, 0));
+
+  const std::uint32_t ctx = make_context(plan.records.first_seq);
+  SegmentDescriptor d;
+  d.segment.hdr.flow.proto = Proto::smt;
+  d.segment.payload = plan.payload;
+  d.records = plan.records;
+  d.records.context_id = ctx;
+  nic_.post_segment(0, std::move(d));
+  loop_.run();
+
+  Bytes wire;
+  for (const Packet& pkt : received_) append(wire, pkt.payload);
+  const auto opened =
+      proto::open_wire_message(config.layout, *opener_, 9, ByteView(wire));
+  ASSERT_TRUE(opened.ok()) << opened.error().message;
+  EXPECT_EQ(opened.value(), message);
+  EXPECT_EQ(nic_.counters().records_encrypted, 3u);
+  EXPECT_EQ(nic_.counters().out_of_sequence_records, 0u);
+  EXPECT_EQ(nic_.context_seq(ctx), plan.records.first_seq + 3);
+}
+
+/// A kTLS-shaped segment: `bodies.size()` records back to back, no lead.
+SegmentDescriptor ktls_run(std::uint32_t ctx, std::uint64_t first_seq,
+                           const std::vector<Bytes>& bodies) {
+  SegmentDescriptor d;
+  d.segment.hdr.flow.proto = Proto::tcp;
+  Bytes payload;
+  for (const Bytes& body : bodies) {
+    tls::append_record_shell(payload, tls::ContentType::application_data,
+                             body, 0);
+  }
+  d.segment.payload = std::move(payload);
+  d.records = InlineTls{first_seq, ctx, std::uint16_t(bodies.size()), 0};
+  return d;
+}
+
+TEST_F(NicOffloadTest, KtlsRunWithoutLeadSealsEveryRecord) {
+  const std::vector<Bytes> bodies = {Bytes(700, 0x31), Bytes(45, 0x32)};
+  const std::uint32_t ctx = make_context(20);
+  nic_.post_segment(0, ktls_run(ctx, 20, bodies));
+  loop_.run();
+
+  Bytes wire;
+  for (const Packet& pkt : received_) append(wire, pkt.payload);
+  const std::size_t overhead =
+      tls::record_overhead(tls::CipherSuite::aes_128_gcm_sha256);
+  const std::size_t first_len = bodies[0].size() + overhead;
+  ASSERT_EQ(wire.size(), first_len + bodies[1].size() + overhead);
+  const auto first = opener_->open(20, ByteView(wire).first(first_len));
+  const auto second = opener_->open(21, ByteView(wire).subspan(first_len));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(first.value().payload, bodies[0]);
+  EXPECT_EQ(second.value().payload, bodies[1]);
+  EXPECT_EQ(nic_.counters().records_encrypted, 2u);
+  EXPECT_EQ(nic_.counters().out_of_sequence_records, 0u);
+}
+
+TEST_F(NicOffloadTest, DivergentRunCountsEveryRecordOutOfSequence) {
+  // The context expects 20 but the run starts at 30: every record of the
+  // run is sealed under the wrong counter.
+  const std::vector<Bytes> bodies = {Bytes(64, 0x41), Bytes(64, 0x42),
+                                     Bytes(64, 0x43)};
+  const std::uint32_t ctx = make_context(20);
+  nic_.post_segment(0, ktls_run(ctx, 30, bodies));
+  loop_.run();
+  EXPECT_EQ(nic_.counters().records_encrypted, 3u);
+  EXPECT_EQ(nic_.counters().out_of_sequence_records, 3u);
+  EXPECT_EQ(nic_.context_seq(ctx), 23u);
+  Bytes wire;
+  for (const Packet& pkt : received_) append(wire, pkt.payload);
+  const std::size_t first_len =
+      64 + tls::record_overhead(tls::CipherSuite::aes_128_gcm_sha256);
+  EXPECT_EQ(opener_->open(30, ByteView(wire).first(first_len)).code(),
+            Errc::decrypt_failed);
 }
 
 }  // namespace

@@ -56,12 +56,7 @@ TEST(ZeroCopyLifetime, SlabOutlivesDeferredContextFreeWhileInFlight) {
     SegmentDescriptor d;
     d.segment.hdr.flow.proto = Proto::smt;
     d.segment.payload = record_shell(secret);
-    sim::TlsRecordDesc rec;
-    rec.context_id = ctx.value();
-    rec.record_offset = 0;
-    rec.plaintext_len = secret.size() + 1;
-    rec.record_seq = 7;
-    d.records.push_back(rec);
+    d.records = InlineTls{7, ctx.value(), 1, 0};
     nic.post_segment(0, std::move(d));
   }  // the descriptor inside the NIC queue is now the slab's only owner
 
@@ -98,12 +93,7 @@ TEST(ZeroCopyLifetime, InlineCryptoNeverMutatesAliasedPlaintext) {
   SegmentDescriptor d;
   d.segment.hdr.flow.proto = Proto::smt;
   d.segment.payload = record_shell(secret);
-  sim::TlsRecordDesc rec;
-  rec.context_id = ctx.value();
-  rec.record_offset = 0;
-  rec.plaintext_len = secret.size() + 1;
-  rec.record_seq = 0;
-  d.records.push_back(rec);
+  d.records = InlineTls{0, ctx.value(), 1, 0};
 
   const PayloadSlice retained = d.segment.payload;  // transport's alias
   const Bytes plaintext_wire = retained.to_bytes();

@@ -43,6 +43,22 @@ class FlowContextManagerTest : public ::testing::Test {
     return lease.value();
   }
 
+  /// A segment of `count` record shells (31 content bytes each) whose run
+  /// starts at `first_seq` and is not yet bound to a context.
+  static sim::SegmentDescriptor record_run(std::uint64_t first_seq,
+                                           std::uint16_t count) {
+    sim::SegmentDescriptor d;
+    d.segment.hdr.flow.proto = sim::Proto::smt;
+    Bytes payload;
+    for (std::uint16_t i = 0; i < count; ++i) {
+      tls::append_record_shell(payload, tls::ContentType::application_data,
+                               Bytes(31, 0x5a), 0);
+    }
+    d.segment.payload = std::move(payload);
+    d.records = sim::InlineTls{first_seq, 0, count, 0};
+    return d;
+  }
+
   sim::EventLoop loop_;
   sim::Nic nic_;
   FlowContextManager manager_;
@@ -51,9 +67,9 @@ class FlowContextManagerTest : public ::testing::Test {
 TEST_F(FlowContextManagerTest, HitReturnsSameContext) {
   const auto* a = must_acquire(1, 0, 100);
   EXPECT_TRUE(a->fresh);
-  const std::uint32_t id = a->nic_context_id;
+  const std::uint32_t id = a->context_id;
   const auto* b = must_acquire(1, 0, 100);
-  EXPECT_EQ(b->nic_context_id, id);
+  EXPECT_EQ(b->context_id, id);
   EXPECT_FALSE(b->fresh);
   EXPECT_EQ(manager_.stats().hits, 1u);
   EXPECT_EQ(manager_.stats().misses, 1u);
@@ -80,7 +96,7 @@ TEST_F(FlowContextManagerTest, EvictedKeyIsReestablishedWithNewSeed) {
   EXPECT_TRUE(again->fresh);
   EXPECT_EQ(again->shadow_seq, 150u);
   // The fresh NIC context is seeded at the new first_seq: no resync needed.
-  EXPECT_EQ(nic_.context_seq(again->nic_context_id), 150u);
+  EXPECT_EQ(nic_.context_seq(again->context_id), 150u);
   EXPECT_EQ(manager_.stats().reestablished, 1u);
   EXPECT_EQ(manager_.stats().evictions, 2u);
 }
@@ -88,15 +104,8 @@ TEST_F(FlowContextManagerTest, EvictedKeyIsReestablishedWithNewSeed) {
 TEST_F(FlowContextManagerTest, InFlightContextIsNotEvicted) {
   const auto* pinned = must_acquire(1, 0, 100);
   // A queued descriptor references session 1's context: it must survive.
-  sim::SegmentDescriptor d;
-  d.segment.hdr.flow.proto = sim::Proto::smt;
-  d.segment.payload = Bytes(64, 0x5a);
-  sim::TlsRecordDesc rec;
-  rec.context_id = pinned->nic_context_id;
-  rec.record_offset = 0;
-  rec.plaintext_len = 32;
-  rec.record_seq = 100;
-  d.records.push_back(rec);
+  sim::SegmentDescriptor d = record_run(100, 1);
+  d.records.context_id = pinned->context_id;
   nic_.post_segment(0, d);
 
   must_acquire(2, 0, 200);
@@ -105,10 +114,8 @@ TEST_F(FlowContextManagerTest, InFlightContextIsNotEvicted) {
   EXPECT_FALSE(manager_.holds(FlowKey{kSmt, 2, 0}));
 
   // With BOTH remaining contexts in flight, acquisition fails cleanly.
-  sim::TlsRecordDesc rec3 = rec;
-  rec3.context_id = must_acquire(3, 0, 300)->nic_context_id;
   sim::SegmentDescriptor d3 = d;
-  d3.records[0] = rec3;
+  d3.records.context_id = must_acquire(3, 0, 300)->context_id;
   nic_.post_segment(1, d3);
   auto lease = manager_.acquire(FlowKey{kSmt, 4, 0},
                                 tls::CipherSuite::aes_128_gcm_sha256,
@@ -134,7 +141,7 @@ TEST_F(FlowContextManagerTest, DirectionsAreDistinctContexts) {
                                    tls::CipherSuite::aes_128_gcm_sha256,
                                    test_keys(0x20), 500);
   ASSERT_TRUE(rx_lease.ok());
-  EXPECT_NE(rx_lease.value()->nic_context_id, tx->nic_context_id);
+  EXPECT_NE(rx_lease.value()->context_id, tx->context_id);
   EXPECT_EQ(nic_.active_contexts(), 2u);
   // Re-acquiring the RX key hits; the TX entry is untouched.
   auto again = manager_.acquire(FlowKey{kSmt, 1, 0, stack::FlowDir::rx},
@@ -224,41 +231,63 @@ TEST_F(FlowContextManagerTest, ProtocolsSharingATagAreDistinctSessions) {
 TEST_F(FlowContextManagerTest, BindTxLateBindsAndResyncsOnlyOnDivergence) {
   const FlowKey key{kSmt, 1, 0};
   const auto suite = tls::CipherSuite::aes_128_gcm_sha256;
-  const auto descriptor = [](std::vector<std::uint64_t> seqs) {
+  const auto descriptor = [](std::uint64_t first_seq, std::uint16_t count) {
     sim::SegmentDescriptor d;
-    for (const std::uint64_t seq : seqs) {
-      sim::TlsRecordDesc rec;
-      rec.context_id = 999;  // stale: bind_tx must rewrite it
-      rec.record_seq = seq;
-      d.records.push_back(rec);
-    }
+    d.records = sim::InlineTls{first_seq, 999, count, 0};  // stale id:
+                                                           // bind_tx must
+                                                           // rewrite it
     return d;
   };
 
   // First post: a fresh lease seeded at the first record, no resync.
-  sim::SegmentDescriptor first = descriptor({100, 101});
-  manager_.bind_tx(key, suite, test_keys(0x60), first, nullptr);
-  const std::uint32_t id = first.records[0].context_id;
+  sim::SegmentDescriptor first = descriptor(100, 2);
+  manager_.bind_tx(key, suite, test_keys(0x60), first.records, nullptr);
+  const std::uint32_t id = first.records.context_id;
   EXPECT_NE(id, 999u);
-  EXPECT_EQ(first.records[1].context_id, id);
   EXPECT_EQ(nic_.context_seq(id), 100u);
   // Consecutive records ride the self-increment; a repeated record (a
   // retransmission) diverges from the shadow counter and is resynced,
   // as is the record after it.
-  sim::SegmentDescriptor next = descriptor({102});
-  manager_.bind_tx(key, suite, test_keys(0x60), next, nullptr);
-  sim::SegmentDescriptor again = descriptor({101});
-  manager_.bind_tx(key, suite, test_keys(0x60), again, nullptr);
-  sim::SegmentDescriptor after = descriptor({103});
-  manager_.bind_tx(key, suite, test_keys(0x60), after, nullptr);
+  sim::SegmentDescriptor next = descriptor(102, 1);
+  manager_.bind_tx(key, suite, test_keys(0x60), next.records, nullptr);
+  sim::SegmentDescriptor again = descriptor(101, 1);
+  manager_.bind_tx(key, suite, test_keys(0x60), again.records, nullptr);
+  sim::SegmentDescriptor after = descriptor(103, 1);
+  manager_.bind_tx(key, suite, test_keys(0x60), after.records, nullptr);
   // No records: nothing to bind, the lease is not even touched.
   sim::SegmentDescriptor plain;
-  manager_.bind_tx(key, suite, test_keys(0x60), plain, nullptr);
+  manager_.bind_tx(key, suite, test_keys(0x60), plain.records, nullptr);
   loop_.run();
-  EXPECT_EQ(again.records[0].context_id, id);
+  EXPECT_EQ(next.records.context_id, id);
+  EXPECT_EQ(again.records.context_id, id);
+  EXPECT_EQ(plain.records.context_id, 0u);
   EXPECT_EQ(nic_.counters().resyncs, 2u);
   EXPECT_EQ(manager_.stats().misses, 1u);
   EXPECT_EQ(manager_.stats().hits, 3u);
+}
+
+TEST_F(FlowContextManagerTest, FailedBindReachesTheNicUnbound) {
+  // Both contexts are pinned by queued descriptors, so binding a third
+  // session fails: its run stays unbound (id 0, never a context's id),
+  // and the NIC counts a miss per record and encrypts nothing.
+  for (std::uint64_t session = 1; session <= 2; ++session) {
+    sim::SegmentDescriptor busy = record_run(session * 100, 1);
+    busy.records.context_id =
+        must_acquire(session, 0, session * 100)->context_id;
+    nic_.post_segment(0, std::move(busy));
+  }
+  sim::SegmentDescriptor d = record_run(300, 3);
+  manager_.bind_tx(FlowKey{kSmt, 3, 0}, tls::CipherSuite::aes_128_gcm_sha256,
+                   test_keys(0x10), d.records, nullptr);
+  EXPECT_EQ(manager_.stats().acquire_failures, 1u);
+  EXPECT_EQ(d.records.context_id, 0u);
+  EXPECT_FALSE(manager_.holds(FlowKey{kSmt, 3, 0}));
+
+  nic_.post_segment(1, std::move(d));
+  loop_.run();
+  EXPECT_EQ(nic_.counters().context_misses, 3u);
+  EXPECT_EQ(nic_.counters().records_encrypted, 2u);  // the pinned two only
+  EXPECT_EQ(nic_.counters().resyncs, 0u);
 }
 
 // --- endpoint-level thrash test -------------------------------------------

@@ -35,25 +35,24 @@ class WireAllocTest : public ::testing::Test {
   tls::RecordProtection protection_;
 };
 
-TEST_F(WireAllocTest, BuildHardware64BytesMakesFourAllocations) {
+TEST_F(WireAllocTest, BuildHardware64BytesMakesThreeAllocations) {
   // The segment's payload buffer, the slab that adopts it (the form Homa
   // sends, so the endpoint no longer copies segments into a second
-  // vector), its record-descriptor vector and the message's segment
-  // vector. Framing headers and record shells are written straight into
-  // the payload buffer.
+  // vector) and the message's segment vector. Framing headers and record
+  // shells are written straight into the payload buffer, and the
+  // segment's record run is a fixed-size field of the segment.
   SegmenterConfig config;
   config.hardware_crypto = true;
-  config.nic_context_id = 3;
   const Bytes plaintext(64, 0x5a);
   std::optional<Result<WireMessage>> wire;
   EXPECT_EQ(allocations_in([&] {
               wire.emplace(
                   build_wire_message(config, protection_, 9, plaintext));
             }),
-            4u);
+            3u);
   ASSERT_TRUE(wire->ok());
   ASSERT_EQ(wire->value().segments.size(), 1u);
-  EXPECT_EQ(wire->value().segments[0].records.size(), 1u);
+  EXPECT_EQ(wire->value().segments[0].records.count, 1u);
   EXPECT_EQ(wire->value().total_wire_bytes, 64 + record_block_overhead());
 }
 

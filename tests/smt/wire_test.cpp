@@ -178,33 +178,51 @@ TEST_F(WireTest, RecordIndexOverflowRejected) {
 TEST_F(WireTest, HardwareModeLeavesPlaintextShells) {
   SegmenterConfig config = sw_config();
   config.hardware_crypto = true;
-  config.nic_context_id = 42;
   const Bytes msg = to_bytes(std::string_view("to be encrypted by the NIC"));
   auto wire = build_wire_message(config, protection_, 5, msg);
   ASSERT_TRUE(wire.ok());
   ASSERT_EQ(wire.value().segments.size(), 1u);
   const SegmentPlan& seg = wire.value().segments[0];
-  ASSERT_EQ(seg.records.size(), 1u);
-  EXPECT_EQ(seg.records[0].context_id, 42u);
-  EXPECT_EQ(seg.records[0].record_seq, SeqnoLayout{}.compose(5, 0));
+  ASSERT_EQ(seg.records.count, 1u);
+  EXPECT_EQ(seg.records.context_id, 0u);  // the pre-post hook binds it
+  EXPECT_EQ(seg.records.first_seq, SeqnoLayout{}.compose(5, 0));
   // The plaintext is visible in the shell (before NIC encryption).
   const auto it = std::search(seg.payload.begin(), seg.payload.end(),
                               msg.begin(), msg.end());
   EXPECT_NE(it, seg.payload.end());
 }
 
-TEST_F(WireTest, HardwareDescOffsetsPointAtRecordHeaders) {
+TEST_F(WireTest, HardwareRunWalksEachSegmentToItsLastByte) {
+  // The NIC walks a segment's run by its record headers: `count` records,
+  // each after `lead` framing bytes, must end exactly at the segment's
+  // last byte, and the runs number the message's records consecutively.
   SegmenterConfig config = sw_config();
   config.hardware_crypto = true;
-  Bytes msg(50000, 0x66);
+  Bytes msg(150000, 0x66);
   auto wire = build_wire_message(config, protection_, 5, msg);
   ASSERT_TRUE(wire.ok());
+  ASSERT_GT(wire.value().segments.size(), 1u);
+  std::uint64_t next_seq = SeqnoLayout{}.compose(5, 0);
   for (const auto& seg : wire.value().segments) {
-    for (const auto& rec : seg.records) {
-      EXPECT_EQ(seg.payload[rec.record_offset], 23);  // record header type
-      EXPECT_EQ(load_u16be(seg.payload.data() + rec.record_offset + 1), 0x0303);
+    ASSERT_GT(seg.records.count, 0u);
+    EXPECT_EQ(seg.records.lead, kFramingHeaderSize);
+    EXPECT_EQ(seg.records.first_seq, next_seq);
+    next_seq += seg.records.count;
+    const ByteView bytes = seg.payload.view();
+    std::size_t offset = 0;
+    for (std::uint16_t i = 0; i < seg.records.count; ++i) {
+      offset += seg.records.lead;
+      ASSERT_LE(offset + tls::kRecordHeaderSize, bytes.size());
+      EXPECT_EQ(bytes[offset], 23);  // record header type
+      EXPECT_EQ(load_u16be(bytes.data() + offset + 1), 0x0303);
+      const auto body = tls::parse_record_length(bytes.subspan(offset));
+      ASSERT_TRUE(body.ok());
+      offset += tls::kRecordHeaderSize + body.value();
     }
+    EXPECT_EQ(offset, bytes.size());
   }
+  EXPECT_EQ(next_seq,
+            SeqnoLayout{}.compose(5, 0) + wire.value().record_count);
 }
 
 // Sweep message sizes around record and segment boundaries.

@@ -47,7 +47,7 @@ class TcpTest : public ::testing::Test {
                                       stack::CpuCore* core) {
       client_host_.flow_contexts().bind_tx(
           stack::FlowKey{sim::Proto::tcp, conn, std::uint32_t(queue)},
-          tls::CipherSuite::aes_128_gcm_sha256, keys, desc, core);
+          tls::CipherSuite::aes_128_gcm_sha256, keys, desc.records, core);
     });
   }
 
@@ -415,7 +415,7 @@ TEST_F(TcpTest, TlsOffloadRecordsEncryptedOnWire) {
   wire.resize(wire.size() + 16, 0);
 
   std::vector<TcpEndpoint::RecordMark> marks;
-  marks.push_back({0, wire.size(), body.size() + 1, 0});
+  marks.push_back({0, wire.size(), 0});
   client_.send(conn, wire, nullptr, std::move(marks));
   loop_.run();
 
@@ -456,7 +456,7 @@ TEST_F(TcpTest, TlsOffloadRetransmitResyncs) {
   append_u8(wire, 23);
   wire.resize(wire.size() + 16, 0);
   std::vector<TcpEndpoint::RecordMark> marks;
-  marks.push_back({0, wire.size(), body.size() + 1, 0});
+  marks.push_back({0, wire.size(), 0});
   client_.send(conn, wire, nullptr, std::move(marks));
   loop_.run();
 
@@ -502,7 +502,7 @@ TEST_F(TcpTest, TlsOffloadRetransmitAfterMidRecordAck) {
         return data_packets >= 2 && data_packets <= first_packets;
       });
   std::vector<TcpEndpoint::RecordMark> marks;
-  marks.push_back({0, wire.size(), body.size() + 1, 0});
+  marks.push_back({0, wire.size(), 0});
   client_.send(conn, wire, nullptr, std::move(marks));
   loop_.run();
 
